@@ -8,158 +8,4 @@ and the closed-form tail laws with their quadrature twins (``closedform``).
 ``cli`` ties them into a batch command line.
 """
 
-from .errors import (
-    AmbiguityError,
-    DegenerateInputError,
-    EstimationError,
-    InvalidInputError,
-    NotOnTransversalError,
-    OutOfRegimeError,
-    QuadratureError,
-    SlitgapsError,
-)
-from .geometry import (
-    AffineLattice,
-    GapSeries,
-    Mat2,
-    SurfaceMode,
-    Vec2,
-    box_slope_count,
-    d_cover_holonomy,
-    enumerate_strip,
-    geodesic_matrix,
-    horocycle_apply,
-    horocycle_matrix,
-    reduce_to_fundamental,
-    renormalized_box_gaps,
-    slopes_and_gaps,
-)
-from .transversal import (
-    DeltaCoords,
-    OmegaCoords,
-    OmegaRegion,
-    VLCoords,
-    WPointSA,
-    WPointSL,
-    advance_omega,
-    bcz_return_map,
-    bcz_return_time,
-    classify_omega,
-    omega_return_map,
-    omega_return_time,
-    omega_to_surface,
-    recoordinatize_omega,
-    rho_sl_to_sa,
-    w_return_map,
-    w_return_time,
-    w_section_coords,
-    w_to_surface,
-)
-from .oracle import (
-    DiffReport,
-    Engine,
-    ReturnObservation,
-    diff_test,
-    oracle_first_return,
-    oracle_gap_sequence,
-    w_oracle_return,
-)
-from .measures import (
-    MeasureSpec,
-    TailEstimate,
-    ergodic_average,
-    estimate_masses,
-    mc_tail,
-    orbit,
-)
-from .closedform import (
-    DOUBLED_TAIL,
-    GOLDEN_T,
-    PiecewiseTail,
-    QuadratureSpec,
-    W_TOTAL_MASS,
-    compare_pieces,
-    dilog,
-    envelope_cubic_roots,
-    fit_decay_exponent,
-    omega_tail_bounds,
-    tail_components,
-    torsion_tail,
-    w_density,
-    w_tail_closed_form,
-    w_tail_quadrature,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineLattice",
-    "AmbiguityError",
-    "DOUBLED_TAIL",
-    "DegenerateInputError",
-    "DeltaCoords",
-    "DiffReport",
-    "Engine",
-    "EstimationError",
-    "GOLDEN_T",
-    "GapSeries",
-    "InvalidInputError",
-    "Mat2",
-    "MeasureSpec",
-    "NotOnTransversalError",
-    "OmegaCoords",
-    "OmegaRegion",
-    "OutOfRegimeError",
-    "PiecewiseTail",
-    "QuadratureError",
-    "QuadratureSpec",
-    "ReturnObservation",
-    "SlitgapsError",
-    "SurfaceMode",
-    "TailEstimate",
-    "VLCoords",
-    "Vec2",
-    "WPointSA",
-    "WPointSL",
-    "W_TOTAL_MASS",
-    "advance_omega",
-    "bcz_return_map",
-    "bcz_return_time",
-    "box_slope_count",
-    "classify_omega",
-    "compare_pieces",
-    "d_cover_holonomy",
-    "diff_test",
-    "dilog",
-    "enumerate_strip",
-    "envelope_cubic_roots",
-    "ergodic_average",
-    "estimate_masses",
-    "fit_decay_exponent",
-    "geodesic_matrix",
-    "horocycle_apply",
-    "horocycle_matrix",
-    "mc_tail",
-    "omega_return_map",
-    "omega_return_time",
-    "omega_tail_bounds",
-    "omega_to_surface",
-    "oracle_first_return",
-    "oracle_gap_sequence",
-    "orbit",
-    "recoordinatize_omega",
-    "reduce_to_fundamental",
-    "renormalized_box_gaps",
-    "rho_sl_to_sa",
-    "slopes_and_gaps",
-    "tail_components",
-    "torsion_tail",
-    "w_density",
-    "w_oracle_return",
-    "w_return_map",
-    "w_return_time",
-    "w_section_coords",
-    "w_tail_closed_form",
-    "w_tail_quadrature",
-    "w_to_surface",
-]

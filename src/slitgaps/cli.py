@@ -187,6 +187,8 @@ def parse_t_grid(text: str):
     vals = list(_parse_floats(text, len([p for p in text.split(",") if p.strip()]), "grid"))
     if not vals:
         raise InvalidInputError("empty t grid")
+    if not all(math.isfinite(t) for t in vals):
+        raise InvalidInputError(f"grid {text!r} has non-finite entries")
     return vals
 
 
@@ -268,16 +270,38 @@ def _write_plot_script(out: str, columns, with_errors=False):
     gp.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _point_row(kind: str, point) -> tuple:
+def _point_row(point) -> tuple:
+    """(kind, a, b, s, alpha) of a section point; short-lattice states put
+    the marking (v1, v2) in the last two columns, short-affine states are
+    written from their affine-section coordinates."""
+    if isinstance(point, WPointSL):
+        return ("sl", point.a, point.b, point.v1, point.v2)
+    kind = None
+    if isinstance(point, WPointSA):
+        kind, point = "sa", point.coords
     if isinstance(point, OmegaCoords):
         return (kind or "omega", point.a, point.b, point.s, point.alpha)
     if isinstance(point, VLCoords):
         return (kind or "vertical", point.a, "", point.s, point.alpha)
-    if isinstance(point, WPointSL):
-        return (kind or "sl", point.a, point.b, point.v1, point.v2)
-    if isinstance(point, WPointSA):
-        return (kind or "sa", point.a, point.b, point.s, point.alpha)
     raise InvalidInputError(f"unknown section point {point!r}")
+
+
+def _write_outputs(config, header, rows, summary, plot_columns, *, results=None, with_errors=False):
+    """The table as CSV, plus a JSON sidecar with ``summary`` when written to
+    a file; or a JSON report of ``results`` (default: the rows keyed by
+    header); and the gnuplot script under --plot."""
+    p = config.params
+    if p["format"] == "json":
+        if results is None:
+            results = [dict(zip(header, row)) for row in rows]
+        _write_json(p["out"], _report(config, results))
+    else:
+        _write_csv(p["out"], header, rows)
+        if p["out"] is not None:
+            _write_json(_sidecar_path(p["out"]), _report(config, summary))
+    if p["plot"]:
+        _write_plot_script(p["out"], plot_columns, with_errors)
+    return EXIT_OK
 
 
 def cmd_gaps(config: RunConfig) -> int:
@@ -313,17 +337,10 @@ def cmd_gaps(config: RunConfig) -> int:
         gaps = list(series.gaps)[: max(0, want - 1)]
 
     rows = [(i, s, gaps[i] if i < len(gaps) else "") for i, s in enumerate(slopes)]
-    if p["format"] == "json":
-        _write_json(p["out"], _report(config, {"slopes": slopes, "gaps": gaps}))
-    else:
-        _write_csv(p["out"], ("index", "slope", "gap"), rows)
-        if p["out"] is not None:
-            _write_json(_sidecar_path(p["out"]), _report(config, {"n_slopes": len(slopes)}))
-    if p["plot"]:
-        if p["out"] is None:
-            raise InvalidInputError("--plot needs --out")
-        _write_plot_script(p["out"], ("slope", "gap"))
-    return EXIT_OK
+    return _write_outputs(
+        config, ("index", "slope", "gap"), rows, {"n_slopes": len(slopes)}, ("slope", "gap"),
+        results={"slopes": slopes, "gaps": gaps},
+    )
 
 
 def cmd_orbit(config: RunConfig) -> int:
@@ -345,22 +362,10 @@ def cmd_orbit(config: RunConfig) -> int:
     rows = []
     current = start
     for step, u, nxt in orbit(start, engine, iters):
-        kind, ca, cb, cs, calpha = _point_row("", current)
-        rows.append((step, u, kind, ca, cb, cs, calpha))
+        rows.append((step, u) + _point_row(current))
         current = nxt
     header = ("step", "return_time", "kind", "a", "b", "s", "alpha")
-    if p["format"] == "json":
-        results = [dict(zip(header, row)) for row in rows]
-        _write_json(p["out"], _report(config, results))
-    else:
-        _write_csv(p["out"], header, rows)
-        if p["out"] is not None:
-            _write_json(_sidecar_path(p["out"]), _report(config, {"steps": len(rows)}))
-    if p["plot"]:
-        if p["out"] is None:
-            raise InvalidInputError("--plot needs --out")
-        _write_plot_script(p["out"], ("return_time",))
-    return EXIT_OK
+    return _write_outputs(config, header, rows, {"steps": len(rows)}, ("return_time",))
 
 
 def cmd_mc_tail(config: RunConfig) -> int:
@@ -370,18 +375,11 @@ def cmd_mc_tail(config: RunConfig) -> int:
     measure = MeasureSpec.parse(p["measure"])
     grid = parse_t_grid(p["t_grid"])
     est = mc_tail(measure, p["engine"], grid, int(p["samples"]), int(p["seed"]), int(p["workers"]))
-    rows = list(est.rows())
-    if p["format"] == "json":
-        _write_json(p["out"], _report(config, est.to_dict()))
-    else:
-        _write_csv(p["out"], ("t", "survival", "ci_halfwidth", "n_eff"), rows)
-        if p["out"] is not None:
-            _write_json(_sidecar_path(p["out"]), _report(config, est.to_dict()))
-    if p["plot"]:
-        if p["out"] is None:
-            raise InvalidInputError("--plot needs --out")
-        _write_plot_script(p["out"], ("survival",), with_errors=True)
-    return EXIT_OK
+    summary = est.to_dict()
+    return _write_outputs(
+        config, ("t", "survival", "ci_halfwidth", "n_eff"), list(est.rows()), summary,
+        ("survival",), results=summary, with_errors=True,
+    )
 
 
 def _closed_form_rows(component: str, grid, h: float):
@@ -421,18 +419,7 @@ def cmd_closed_form(config: RunConfig) -> int:
         raise InvalidInputError("closed-form needs --t-grid")
     grid = parse_t_grid(p["t_grid"])
     header, rows = _closed_form_rows(p["component"], grid, float(p["h"]))
-    if p["format"] == "json":
-        results = [dict(zip(header, row)) for row in rows]
-        _write_json(p["out"], _report(config, results))
-    else:
-        _write_csv(p["out"], header, rows)
-        if p["out"] is not None:
-            _write_json(_sidecar_path(p["out"]), _report(config, {"rows": len(rows)}))
-    if p["plot"]:
-        if p["out"] is None:
-            raise InvalidInputError("--plot needs --out")
-        _write_plot_script(p["out"], header[1:])
-    return EXIT_OK
+    return _write_outputs(config, header, rows, {"rows": len(rows)}, header[1:])
 
 
 def cmd_difftest(config: RunConfig) -> int:
@@ -525,13 +512,16 @@ def main(argv=None) -> int:
     func = args.func
     try:
         config = _merge_config(command, args)
+        if config.params.get("plot") and config.params.get("out") is None:
+            raise InvalidInputError("--plot needs --out")
         return func(config)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # the state errors subclass InvalidInputError, so they are caught first
     except (NotOnTransversalError, DegenerateInputError, OutOfRegimeError, AmbiguityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATE
+    except InvalidInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ PI_SQUARED_OVER_6 = math.pi * math.pi / 6.0
 SQRT5 = math.sqrt(5.0)
 GOLDEN_T = (3.0 + SQRT5) / 2.0
 W_TOTAL_MASS = (3.0 + math.pi * math.pi) / 6.0
-OMEGA_MASS = PI_SQUARED_OVER_6
 TAIL_BREAKPOINTS = (0.0, 1.0, 2.0, GOLDEN_T, 4.0, math.inf)
 
 _SERIES_TOL = 1e-18
@@ -92,17 +91,12 @@ def _tail_low(t):
     return out
 
 
-def _tail_mid(t):
-    # (2, (3+sqrt5)/2]: the region split that creates this breakpoint (the
-    # slit-vector kink 1/((1-b)t) crossing the cap break 1/t at b-level)
-    # cancels term-for-term in the assembled sum, so the expression for the
-    # next gap continues analytically down to 2.  Verified against the
-    # quadrature route to 2e-13 across the gap and at both endpoints.
-    return _tail_high(t)
-
-
 def _tail_high(t):
-    # (2, 4]
+    # (2, 4], across the breakpoint at (3+sqrt5)/2: the region split that
+    # creates that breakpoint (the slit-vector kink 1/((1-b)t) crossing the
+    # cap break 1/t at b-level) cancels term-for-term in the assembled sum,
+    # so the expression continues analytically down to 2.  Verified against
+    # the quadrature route to 2e-13 across the gap and at both endpoints.
     rt = math.sqrt(t)
     lt = math.log(t)
     lt1 = math.log(t - 1.0)
@@ -126,19 +120,16 @@ def _tail_high(t):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Adaptive-quadrature budget and the outer-to-inner nesting order."""
+    """Adaptive-quadrature budget."""
 
     rel_tol: float = 1e-8
     max_subdivisions: int = 200
-    nesting: tuple = ("b", "alpha")
 
     def __post_init__(self):
         if not self.rel_tol > 0.0:
             raise InvalidInputError("quadrature tolerance must be positive")
         if self.max_subdivisions < 10:
             raise InvalidInputError("quadrature needs at least 10 subdivisions")
-        if not self.nesting:
-            raise InvalidInputError("nesting order must name at least one variable")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -355,14 +346,12 @@ def w_tail_closed_form(t, spec=None):
         return _tail_linear(t)
     if t <= 2.0:
         return _tail_low(t)
-    if t <= GOLDEN_T:
-        return _tail_mid(t)
     if t <= 4.0:
         return _tail_high(t)
     return w_tail_quadrature(t, spec)
 
 
-_CLOSED_PIECES = (_tail_linear, _tail_low, _tail_mid, _tail_high)
+_CLOSED_PIECES = (_tail_linear, _tail_low, _tail_high, _tail_high)
 _NONDIFF_POINTS = (1.0, 2.0, GOLDEN_T)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class Vec2(NamedTuple):
     x: float
     y: float
 
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
-
     def cross(self, other: "Vec2") -> float:
         """Signed area det[self, other]."""
         return self.x * other.y - self.y * other.x
@@ -51,9 +48,6 @@ class Vec2(NamedTuple):
         if self.x == 0.0:
             raise InvalidInputError("slope undefined for vertical vector")
         return self.y / self.x
-
-    def max_norm(self) -> float:
-        return max(abs(self.x), abs(self.y))
 
     def __neg__(self) -> "Vec2":
         return Vec2(-self.x, -self.y)
@@ -87,28 +81,10 @@ class Mat2(NamedTuple):
     def apply(self, w: Vec2) -> Vec2:
         return Vec2(self.m11 * w.x + self.m12 * w.y, self.m21 * w.x + self.m22 * w.y)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=float)
-
-
-IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
-
 
 def horocycle_matrix(u: float) -> Mat2:
     """Unit shear [[1, 0], [-u, 1]]; slopes drop by u under its action."""
     return Mat2(1.0, 0.0, -u, 1.0)
-
-
-def geodesic_matrix(t: float) -> Mat2:
-    """diag(e^t, e^-t)."""
-    return Mat2(math.exp(t), 0.0, 0.0, math.exp(-t))
-
-
-def box_rescale_matrix(r: float) -> Mat2:
-    """diag(1/R, R): maps the side-R first-quadrant box into the unit strip."""
-    if r <= 0:
-        raise InvalidInputError("box size must be positive")
-    return Mat2(1.0 / r, 0.0, 0.0, r)
 
 
 class SurfaceMode(enum.Enum):
@@ -171,14 +147,91 @@ def horocycle_apply(u: float, obj):
     raise InvalidInputError(f"cannot apply horocycle to {type(obj).__name__}")
 
 
-def _coefficient_window(g: Mat2, v: Vec2, corners: Sequence[tuple]) -> tuple:
-    """Integer (n_lo, n_hi) covering g^-1(region - v) for a convex region
-    given by its corners, padded by one on each side."""
+def lattice_box(
+    g: Mat2,
+    v: Vec2,
+    x_lo: float,
+    x_hi: float,
+    y_lo: float,
+    y_hi: float,
+    slope_max: float | None = None,
+) -> np.ndarray:
+    """Points of g*Z^2 + v in the closed box [x_lo, x_hi] x [y_lo, y_hi],
+    and with ``slope_max`` also on or below y = slope_max * x up to slack.
+
+    The n-range covers g^-1(box - v), each n gets the m-range its
+    constraints allow, and both are padded by one before the exact filter.
+    A caller wanting a strict lower bound x > c passes x_lo =
+    math.nextafter(c, math.inf).  Returns an array of shape (k, 4): columns
+    x, y, m, n, ordered by n then m.
+    """
     inv = g.inverse()
-    ns = []
-    for (x, y) in corners:
-        ns.append(inv.m21 * (x - v.x) + inv.m22 * (y - v.y))
-    return math.floor(min(ns)) - 1, math.ceil(max(ns)) + 1
+    corners = [
+        inv.m21 * (x - v.x) + inv.m22 * (y - v.y) for x in (x_lo, x_hi) for y in (y_lo, y_hi)
+    ]
+    ns = np.arange(math.floor(min(corners)) - 1, math.ceil(max(corners)) + 2, dtype=float)
+
+    lo = np.full(ns.shape, -np.inf)
+    hi = np.full(ns.shape, np.inf)
+    mask = np.ones(ns.shape, dtype=bool)
+
+    def bound(p: float, q: np.ndarray, upper: bool) -> None:
+        # constraint p*m <= q (upper) or p*m >= q (lower)
+        nonlocal lo, hi, mask
+        if p > 0:
+            if upper:
+                hi = np.minimum(hi, q / p)
+            else:
+                lo = np.maximum(lo, q / p)
+        elif p < 0:
+            if upper:
+                lo = np.maximum(lo, q / p)
+            else:
+                hi = np.minimum(hi, q / p)
+        else:
+            mask &= (q >= 0) if upper else (q <= 0)
+
+    x_n = g.m12 * ns + v.x
+    y_n = g.m22 * ns + v.y
+    bound(g.m11, x_lo - x_n, upper=False)
+    bound(g.m11, x_hi - x_n, upper=True)
+    bound(g.m21, y_lo - y_n, upper=False)
+    bound(g.m21, y_hi - y_n, upper=True)
+    if slope_max is not None:
+        # y - sigma*x <= 0 up to slack
+        sig = slope_max
+        bound(
+            g.m21 - sig * g.m11,
+            (sig * g.m12 - g.m22) * ns + sig * v.x - v.y + BOUND_SLACK * max(1.0, sig),
+            upper=True,
+        )
+
+    m_lo = np.where(mask, np.ceil(lo) - 1, 1.0)
+    m_hi = np.where(mask, np.floor(hi) + 1, 0.0)
+    counts = np.maximum(m_hi - m_lo + 1, 0).astype(np.int64)
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty((0, 4))
+
+    n_flat = np.repeat(ns, counts)
+    starts = np.repeat(m_lo, counts)
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    m_flat = starts + offsets
+
+    x = g.m11 * m_flat + g.m12 * n_flat + v.x
+    y = g.m21 * m_flat + g.m22 * n_flat + v.y
+    keep = (x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi)
+    if slope_max is not None:
+        keep &= y <= slope_max * x + BOUND_SLACK * max(1.0, slope_max)
+    return np.column_stack([x[keep], y[keep], m_flat[keep], n_flat[keep]])
+
+
+def primitive_rows(pts: np.ndarray) -> np.ndarray:
+    """The ``lattice_box`` rows whose coefficients (m, n) are coprime."""
+    if not len(pts):
+        return pts
+    m, n = np.abs(pts[:, 2]).astype(np.int64), np.abs(pts[:, 3]).astype(np.int64)
+    return pts[np.gcd(m, n) == 1]
 
 
 def _lattice_scan(
@@ -212,71 +265,12 @@ def _lattice_scan(
 
     x_hi = x_max + BOUND_SLACK * max(1.0, x_max)
     y_lo = -Y_EPS if include_horizontal else Y_EPS
-    corners = [(0.0, y_lo), (x_max, y_lo), (0.0, y_cap), (x_max, y_cap)]
-    n_lo, n_hi = _coefficient_window(g, v, corners)
-    if n_hi < n_lo:
-        return np.empty((0, 4))
-    ns = np.arange(n_lo, n_hi + 1, dtype=float)
-
-    lo = np.full(ns.shape, -np.inf)
-    hi = np.full(ns.shape, np.inf)
-    mask = np.ones(ns.shape, dtype=bool)
-
-    def bound(p: float, q: np.ndarray, upper: bool) -> None:
-        # constraint p*m <= q (upper) or p*m >= q (lower)
-        nonlocal lo, hi, mask
-        if p > 0:
-            if upper:
-                hi = np.minimum(hi, q / p)
-            else:
-                lo = np.maximum(lo, q / p)
-        elif p < 0:
-            if upper:
-                lo = np.maximum(lo, q / p)
-            else:
-                hi = np.minimum(hi, q / p)
-        else:
-            mask &= (q >= 0) if upper else (q <= 0)
-
-    # x in (0, x_hi]
-    bound(g.m11, -(g.m12 * ns + v.x), upper=False)
-    bound(g.m11, x_hi - (g.m12 * ns + v.x), upper=True)
-    # y above y_lo and below the absolute cap
-    bound(g.m21, y_lo - (g.m22 * ns + v.y), upper=False)
-    y_abs = y_max if y_max is not None else y_cap
-    y_abs_hi = y_abs + BOUND_SLACK * max(1.0, y_abs)
-    bound(g.m21, y_abs_hi - (g.m22 * ns + v.y), upper=True)
-    if slope_max is not None:
-        # y - sigma*x <= 0 up to slack
-        sig = slope_max
-        bound(
-            g.m21 - sig * g.m11,
-            (sig * g.m12 - g.m22) * ns + sig * v.x - v.y + BOUND_SLACK * max(1.0, sig),
-            upper=True,
-        )
-
-    m_lo = np.where(mask, np.ceil(lo) - 1, 1.0)
-    m_hi = np.where(mask, np.floor(hi) + 1, 0.0)
-    counts = np.maximum(m_hi - m_lo + 1, 0).astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty((0, 4))
-
-    n_flat = np.repeat(ns, counts)
-    starts = np.repeat(m_lo, counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    m_flat = starts + offsets
-
-    x = g.m11 * m_flat + g.m12 * n_flat + v.x
-    y = g.m21 * m_flat + g.m22 * n_flat + v.y
-    keep = (x > X_EPS) & (x <= x_hi) & (y > y_lo) & (y <= y_abs_hi)
-    if slope_max is not None:
-        keep &= y <= slope_max * x + BOUND_SLACK * max(1.0, slope_max)
-    if primitive:
-        keep &= np.gcd(
-            np.abs(m_flat).astype(np.int64), np.abs(n_flat).astype(np.int64)
-        ) == 1
-    return np.column_stack([x[keep], y[keep], m_flat[keep], n_flat[keep]])
+    y_hi = y_cap + BOUND_SLACK * max(1.0, y_cap)
+    # x > X_EPS and y > y_lo, as the closed bounds at the next float up
+    pts = lattice_box(
+        g, v, math.nextafter(X_EPS, math.inf), x_hi, math.nextafter(y_lo, math.inf), y_hi, slope_max
+    )
+    return primitive_rows(pts) if primitive else pts
 
 
 def _dedup_vectors(xy: np.ndarray) -> np.ndarray:
@@ -291,12 +285,18 @@ def _dedup_vectors(xy: np.ndarray) -> np.ndarray:
     return xy[keep]
 
 
-def _holonomy_components(surface: AffineLattice, mode: SurfaceMode):
-    """(g, v, primitive) triples whose union is the holonomy set."""
+def _holonomy_points(surface: AffineLattice, mode: SurfaceMode, **scan) -> np.ndarray:
+    """Distinct holonomy vectors, shape (k, 2), from a ``_lattice_scan`` of
+    each component: the marked coset, and under ``DOUBLED_SLIT`` also the
+    primitive lattice vectors and the negated coset."""
+    surface.check()
     g, v = surface.g, surface.v
     if mode is SurfaceMode.AFFINE_ONLY:
-        return [(g, v, False)]
-    return [(g, Vec2(0.0, 0.0), True), (g, v, False), (g, -v, False)]
+        components = [(v, False)]
+    else:
+        components = [(Vec2(0.0, 0.0), True), (v, False), (-v, False)]
+    parts = [_lattice_scan(g, c, primitive=prim, **scan)[:, :2] for c, prim in components]
+    return _dedup_vectors(np.concatenate(parts))
 
 
 def enumerate_strip(
@@ -313,23 +313,13 @@ def enumerate_strip(
     Returns an array of shape (k, 2).  Exact duplicates across holonomy
     components are removed; distinct vectors sharing a slope are kept.
     """
-    surface.check()
-    parts = []
-    for (g, v, prim) in _holonomy_components(surface, mode):
-        pts = _lattice_scan(
-            g,
-            v,
-            x_max=1.0,
-            slope_max=slope_max if y_max is None else None,
-            y_max=y_max,
-            include_horizontal=include_horizontal,
-            primitive=prim,
-        )
-        if len(pts):
-            parts.append(pts[:, :2])
-    if not parts:
-        return np.empty((0, 2))
-    xy = _dedup_vectors(np.concatenate(parts))
+    xy = _holonomy_points(
+        surface,
+        mode,
+        slope_max=slope_max if y_max is None else None,
+        y_max=y_max,
+        include_horizontal=include_horizontal,
+    )
     snapped = np.where(np.abs(xy[:, 1]) <= Y_EPS, 0.0, xy[:, 1])
     order = np.argsort(snapped / xy[:, 0], kind="stable")
     return xy[order]
@@ -371,19 +361,11 @@ def renormalized_box_gaps(surface: AffineLattice, mode: SurfaceMode, r: float) -
     slopes and the R^2-scaled gaps; as a multiset the scaled gaps equal the
     strip gaps of the diag(1/R, R)-image surface enumerated up to height R^2.
     """
-    surface.check()
     if r <= 0:
         raise InvalidInputError("box size must be positive")
-    parts = []
-    for (g, v, prim) in _holonomy_components(surface, mode):
-        pts = _lattice_scan(
-            g, v, x_max=r, y_max=r, include_horizontal=True, primitive=prim
-        )
-        if len(pts):
-            parts.append(pts[:, :2])
-    if not parts:
-        return GapSeries(np.empty(0), np.empty(0), 0, 0)
-    series = slopes_and_gaps(_dedup_vectors(np.concatenate(parts)))
+    series = slopes_and_gaps(
+        _holonomy_points(surface, mode, x_max=r, y_max=r, include_horizontal=True)
+    )
     return GapSeries(series.slopes, r * r * series.gaps, series.count, series.merged)
 
 

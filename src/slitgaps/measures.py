@@ -19,8 +19,8 @@ Measures:
 
 Everything downstream is self-normalized, so reported distributions do not
 depend on any overall mass convention.  Reproducibility: a run is determined
-by (measure, engine, grid, n, seed, workers); worker i draws from
-default_rng([seed, i]) and results merge in worker order.
+by (measure, engine, grid, n, seed, workers); ``worker_streams`` fixes the
+stream layout and results merge in worker order.
 """
 
 from __future__ import annotations
@@ -189,6 +189,20 @@ class TailEstimate:
 # batch samplers (structure-of-arrays; the WeightedSample API wraps them)
 
 
+def worker_streams(n: int, seed: int, workers: int):
+    """Yield (rng, count) per worker: worker i draws its share of the n
+    points (n // workers, one more for the first n % workers) from
+    default_rng([seed, i]); workers with no share are skipped.
+
+    This split is the stream layout: it fixes every sampled value, so
+    results depend on (seed, n, workers).
+    """
+    for i in range(workers):
+        ni = n // workers + (1 if i < n % workers else 0)
+        if ni:
+            yield np.random.default_rng([seed, i]), ni
+
+
 def _uniform_open(rng, n: int) -> np.ndarray:
     """Uniform on (0, 1]."""
     return 1.0 - rng.random(n)
@@ -303,22 +317,16 @@ def sample(measure: MeasureSpec, rng) -> WeightedSample:
 # vectorized formula returns
 
 
-def omega_return_vec(a, b, s, alpha, *, o4_sa_term: bool = True) -> np.ndarray:
+def omega_return_vec(a, b, s, alpha) -> np.ndarray:
     """Vectorized affine-section return time (generic coordinates)."""
     a, b, s, alpha = map(np.asarray, (a, b, s, alpha))
-    r = 1.0 / (a * b)
     upper = alpha > a
     with np.errstate(divide="ignore", invalid="ignore"):
         thr = (alpha - a) / (a * b * alpha)
         o1 = upper & (s < thr)
         o3 = ~upper & (b + alpha < 1.0)
         j = np.floor((1.0 + a - alpha) / b + 1e-12)
-        num = j * (1.0 / a - s * b)
-        if o4_sa_term:
-            num = num + s * a
-        else:
-            num = np.where(upper, num + s * a, num)
-        out = num / (alpha - a + j * b)
+        out = (j * (1.0 / a - s * b) + s * a) / (alpha - a + j * b)
         out = np.where(o1, s * a / (alpha - a), out)
         out = np.where(o3, (1.0 / a - s * b) / (b + alpha), out)
     return out
@@ -457,8 +465,9 @@ def mc_tail(
 
     The estimator is sum(w * [R > t]) / sum(w) with a delta-method CI
     half-width of 1.96 standard errors; n_eff = (sum w)^2 / sum(w^2).
-    Splitting across workers only reshapes the random streams (worker i uses
-    default_rng([seed, i])); results are identical for fixed (seed, workers).
+    The estimate runs serially; ``workers`` only splits the random streams
+    (see ``worker_streams``), so results are identical for fixed (seed,
+    workers) and change with ``workers``.
     """
     if engine not in ENGINES:
         raise InvalidInputError(f"unknown engine {engine!r}")
@@ -471,11 +480,7 @@ def mc_tail(
         raise InvalidInputError("empty t grid")
 
     ws, rs, comps = [], [], []
-    for i in range(workers):
-        ni = n // workers + (1 if i < n % workers else 0)
-        if ni == 0:
-            continue
-        rng = np.random.default_rng([seed, i])
+    for rng, ni in worker_streams(n, seed, workers):
         batch = _batch_measure(measure, rng, ni)
         w, r, comp = _returns_for_batch(measure, batch, engine)
         ws.append(w)

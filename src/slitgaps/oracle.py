@@ -12,11 +12,10 @@ switched on); disagreement there is a finding to report, not a failure.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,7 +27,13 @@ from .geometry import (
     enumerate_strip,
     horocycle_apply,
 )
-from .measures import MeasureSpec, _batch_measure, _batch_omega, _triangle_uniform
+from .measures import (
+    MeasureSpec,
+    _batch_measure,
+    _batch_omega,
+    _triangle_uniform,
+    worker_streams,
+)
 from .transversal import (
     DeltaCoords,
     OmegaCoords,
@@ -48,23 +53,6 @@ REL_ERR_THRESHOLD = 1e-6
 DEFAULT_CAP = 8.0
 CAP_LIMIT = 1e18
 REGIONS = ("DeltaR", "OmegaR", "WslRho", "WReturn")
-
-
-class Engine(enum.Enum):
-    FORMULA = "formula"
-    ORACLE_AFFINE = "oracle-affine"
-    ORACLE_DOUBLED = "oracle-doubled"
-
-
-@dataclass(frozen=True)
-class ReturnObservation:
-    point: object
-    engine: Engine
-    return_time: float
-
-    def __post_init__(self):
-        if not self.return_time > 0:
-            raise InvalidInputError("return time must be positive")
 
 
 @dataclass(frozen=True)
@@ -328,8 +316,8 @@ def diff_test(
     ("fundamental" or "restricted") selects whether short-lattice markings
     range over the whole period parallelogram or only 0 < v1 < a.
 
-    Sampling splits across workers (worker i draws from default_rng([seed,
-    i])), so reports are byte-identical for fixed (seed, n, workers).
+    Sampling runs serially in the stream layout of ``worker_streams``, so
+    reports are byte-identical for fixed (seed, n, workers).
     """
     if region not in REGIONS:
         raise InvalidInputError(f"unknown region {region!r}")
@@ -343,11 +331,8 @@ def diff_test(
         mode = SurfaceMode(mode)
 
     points = list(_PROBES.get(region, [])) if region != "WReturn" else _w_return_probes()
-    for i in range(workers):
-        ni = n // workers + (1 if i < n % workers else 0)
-        if ni:
-            rng = np.random.default_rng([seed, i])
-            points.extend(_sample_region(region, rng, ni, v_domain))
+    for rng, ni in worker_streams(n, seed, workers):
+        points.extend(_sample_region(region, rng, ni, v_domain))
 
     max_abs = 0.0
     max_rel = 0.0

@@ -42,6 +42,9 @@ from .geometry import (
     Y_EPS,
     _lattice_scan,
     horocycle_apply,
+    lattice_box,
+    primitive_rows,
+    reduce_to_fundamental,
 )
 
 logger = logging.getLogger(__name__)
@@ -222,15 +225,11 @@ def _j_index(a: float, b: float, alpha: float) -> int:
     return math.floor((1.0 + a - alpha) / b + FLOOR_NUDGE)
 
 
-def omega_return_time(
-    p: Union[OmegaCoords, VLCoords], *, o4_sa_term: bool = True
-) -> float:
+def omega_return_time(p: Union[OmegaCoords, VLCoords]) -> float:
     """First-return time of the affine section.
 
-    ``o4_sa_term`` keeps the sheared y-contribution ``s*a`` of the arriving
-    representative in the alpha <= a, b + alpha > 1 branch.  The competing
-    convention (dropping it) is reachable for differential testing only; the
-    enumeration oracle agrees with the default.
+    The wrapped branches (O2 and O4) both keep the sheared y-contribution
+    ``s*a`` of the arriving representative.
     """
     region = classify_omega(p)
     if region is OmegaRegion.VL:
@@ -241,10 +240,7 @@ def omega_return_time(
     if region is OmegaRegion.O3:
         return (1.0 / a - s * b) / (b + alpha)
     j = _j_index(a, b, alpha)
-    num = j * (1.0 / a - s * b)
-    if region is OmegaRegion.O2 or o4_sa_term:
-        num += s * a
-    return num / (alpha - a + j * b)
+    return (j * (1.0 / a - s * b) + s * a) / (alpha - a + j * b)
 
 
 def arriving_representative(p: OmegaCoords) -> float:
@@ -306,77 +302,17 @@ def _extended_gcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _window_scan(g: Mat2, v: Vec2, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
-    """Candidate coset points in the closed box [x_lo,x_hi] x [y_lo,y_hi],
-    padded by one integer step; callers filter exactly.  Shape (k, 4)."""
-    inv = g.inverse()
-    corners = [(x_lo, y_lo), (x_hi, y_lo), (x_lo, y_hi), (x_hi, y_hi)]
-    ns = []
-    for (x, y) in corners:
-        ns.append(inv.m21 * (x - v.x) + inv.m22 * (y - v.y))
-    n_lo, n_hi = math.floor(min(ns)) - 1, math.ceil(max(ns)) + 1
-    narr = np.arange(n_lo, n_hi + 1, dtype=float)
-
-    lo = np.full(narr.shape, -np.inf)
-    hi = np.full(narr.shape, np.inf)
-    mask = np.ones(narr.shape, dtype=bool)
-
-    def bound(p, q, upper):
-        nonlocal lo, hi, mask
-        if p > 0:
-            if upper:
-                hi = np.minimum(hi, q / p)
-            else:
-                lo = np.maximum(lo, q / p)
-        elif p < 0:
-            if upper:
-                lo = np.maximum(lo, q / p)
-            else:
-                hi = np.minimum(hi, q / p)
-        else:
-            mask &= (q >= 0) if upper else (q <= 0)
-
-    bound(g.m11, x_lo - (g.m12 * narr + v.x), upper=False)
-    bound(g.m11, x_hi - (g.m12 * narr + v.x), upper=True)
-    bound(g.m21, y_lo - (g.m22 * narr + v.y), upper=False)
-    bound(g.m21, y_hi - (g.m22 * narr + v.y), upper=True)
-
-    m_lo = np.where(mask, np.ceil(lo) - 1, 1.0)
-    m_hi = np.where(mask, np.floor(hi) + 1, 0.0)
-    counts = np.maximum(m_hi - m_lo + 1, 0).astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty((0, 4))
-    n_flat = np.repeat(narr, counts)
-    starts = np.repeat(m_lo, counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    m_flat = starts + offsets
-    x = g.m11 * m_flat + g.m12 * n_flat + v.x
-    y = g.m21 * m_flat + g.m22 * n_flat + v.y
-    keep = (x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi)
-    return np.column_stack([x[keep], y[keep], m_flat[keep], n_flat[keep]])
-
-
 def _horizontal_reps(g: Mat2, v: Vec2, tol: float = HORIZONTAL_TOL) -> np.ndarray:
     """x-coordinates of marking representatives with |y| <= tol and
     0 < x <= 1, sorted ascending."""
-    pts = _window_scan(g, v, 0.0, 1.0 + COORD_SLACK, -tol, tol)
-    if not len(pts):
-        return np.empty(0)
-    xs = pts[pts[:, 0] > X_EPS, 0]
-    return np.sort(xs)
+    pts = lattice_box(g, v, math.nextafter(X_EPS, math.inf), 1.0 + COORD_SLACK, -tol, tol)
+    return np.sort(pts[:, 0])
 
 
 def _vertical_short(g: Mat2, tol: float = HORIZONTAL_TOL):
     """Shortest lattice vector with |x| <= tol and 0 < y <= 1, as
     (y, m, n); None if the lattice has no short vertical."""
-    pts = _window_scan(g, Vec2(0.0, 0.0), -tol, tol, Y_EPS, 1.0 + tol)
-    if not len(pts):
-        return None
-    m = pts[:, 2].astype(np.int64)
-    n = pts[:, 3].astype(np.int64)
-    prim = np.gcd(np.abs(m), np.abs(n)) == 1
-    pts = pts[prim]
+    pts = primitive_rows(lattice_box(g, Vec2(0.0, 0.0), -tol, tol, Y_EPS, 1.0 + tol))
     if not len(pts):
         return None
     i = int(np.argmin(pts[:, 1]))
@@ -580,10 +516,7 @@ def w_section_coords(surface: AffineLattice, *, doubled: bool = False) -> WPoint
     if form[0] == "delta":
         a, b, s = form[1:]
         if s * a <= HORIZONTAL_TOL:
-            basis = delta_basis(a, b)
-            c = basis.inverse().apply(v)
-            frac = Vec2(c.x - math.floor(c.x), c.y - math.floor(c.y))
-            vv = basis.apply(frac)
+            vv = reduce_to_fundamental(delta_basis(a, b), v)
             return WPointSL(a, b, vv.x, vv.y)
     for cand in (v, -v) if doubled else (v,):
         try:

@@ -8,8 +8,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from slitgaps import closedform
 from slitgaps.cli import main, parse_t_grid
-from slitgaps.errors import InvalidInputError
+from slitgaps.errors import DegenerateInputError, InvalidInputError, OutOfRegimeError
 
 SCHEMA = json.loads(
     resources.files("slitgaps").joinpath("report-schema.json").read_text()
@@ -276,3 +277,50 @@ def test_difftest_verified_region_reports_regression(tmp_path):
 def test_difftest_unknown_region(tmp_path):
     assert main(["difftest", "Nowhere", "--samples", "100"]) == 2
     assert main(["difftest", "--samples", "100"]) == 2
+
+
+def test_orbit_oracle_doubled_writes_short_affine_rows(tmp_path):
+    out = tmp_path / "orbit.csv"
+    code = main([
+        "orbit", "--start", "0.5,0.6,2.0,0.9", "--engine", "oracle-doubled",
+        "--iters", "20", "--out", str(out),
+    ])
+    assert code == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 20
+    sa = [r for r in rows if r[2] == "sa"]
+    assert sa and all(float(r[3]) > 0.0 for r in sa)
+
+
+def test_state_errors_exit_3(monkeypatch):
+    # OutOfRegimeError and DegenerateInputError subclass InvalidInputError,
+    # yet they report an invalid state, not a usage error
+    assert main(["closed-form", "--component", "torsion:2", "--t-grid", "1"]) == 3
+    for exc in (DegenerateInputError, OutOfRegimeError):
+        def fail(q, t, exc=exc):
+            raise exc("state")
+
+        monkeypatch.setattr(closedform, "torsion_tail", fail)
+        assert main(["closed-form", "--component", "torsion:2", "--t-grid", "16"]) == 3
+
+
+def test_non_finite_grid_entries_rejected(capsys):
+    for bad in ("nan", "1,inf", "-inf,2", "0.5,nan,1"):
+        with pytest.raises(InvalidInputError):
+            parse_t_grid(bad)
+    assert main(["closed-form", "--t-grid", "nan"]) == 2
+    assert main(["mc-tail", "--measure", "haar-w", "--t-grid", "nan", "--samples", "1000"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gaps", "--omega", "1,1,0,0.5", "--slope-max", "10"],
+    ["orbit", "--start", "1,1,0,0.5", "--iters", "3"],
+    ["mc-tail", "--measure", "haar-w", "--t-grid", "0:2:0.5", "--samples", "2000"],
+    ["closed-form", "--t-grid", "0:2:0.5"],
+])
+def test_plot_without_out_fails_before_any_output(argv, capsys):
+    assert main(argv + ["--plot"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--plot needs --out" in captured.err

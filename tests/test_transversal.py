@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from slitgaps.errors import DegenerateInputError, InvalidInputError
+from slitgaps.errors import DegenerateInputError, InvalidInputError, NotOnTransversalError
 from slitgaps.geometry import AffineLattice, Mat2, Vec2, horocycle_apply
 from slitgaps.transversal import (
+    HORIZONTAL_TOL,
     DeltaCoords,
     OmegaCoords,
     OmegaRegion,
@@ -270,3 +271,23 @@ def test_invalid_coordinates_rejected():
         OmegaCoords(0.5, 1.0, 0.0, 1.5)
     with pytest.raises(InvalidInputError):
         VLCoords(0.5, 0.3, 0.5)
+
+
+def test_recoordinatize_closed_box_boundaries():
+    identity = Mat2(1.0, 0.0, 0.0, 1.0)
+    # the horizontal window |y| <= HORIZONTAL_TOL is closed, also off y = 0
+    p = recoordinatize_omega(AffineLattice(identity, Vec2(0.3, -HORIZONTAL_TOL)))
+    assert isinstance(p, OmegaCoords) and p.alpha == 0.3
+    with pytest.raises(NotOnTransversalError):
+        recoordinatize_omega(AffineLattice(identity, Vec2(0.3, 2.0 * HORIZONTAL_TOL)))
+    # a representative at x = 1 counts
+    assert recoordinatize_omega(AffineLattice(identity, Vec2(1.0, 0.0))).alpha == 1.0
+    # representatives at 0.3 and 0.8: the smallest x wins
+    p = recoordinatize_omega(AffineLattice(p_ab(0.5, 1.0), Vec2(0.8, 0.0)))
+    assert math.isclose(p.alpha, 0.3, abs_tol=1e-12)
+    # lattice vector (HORIZONTAL_TOL, 0.5): vertical within tolerance and
+    # shorter than 1, so the point routes to the vertical-lattice family
+    g = Mat2(HORIZONTAL_TOL, -2.0, 0.5, 0.0)
+    p = recoordinatize_omega(AffineLattice(g, Vec2(0.3, 0.0)))
+    assert isinstance(p, VLCoords)
+    assert p.a == 0.5 and p.alpha == 0.3
