@@ -24,9 +24,11 @@ from . import __version__, closedform
 from .errors import (
     AmbiguityError,
     DegenerateInputError,
+    EstimationError,
     InvalidInputError,
     NotOnTransversalError,
     OutOfRegimeError,
+    QuadratureError,
     SlitgapsError,
 )
 from .geometry import AffineLattice, Mat2, SurfaceMode, Vec2, enumerate_strip, slopes_and_gaps
@@ -516,7 +518,14 @@ def main(argv=None) -> int:
             raise InvalidInputError("--plot needs --out")
         return func(config)
     # the state errors subclass InvalidInputError, so they are caught first
-    except (NotOnTransversalError, DegenerateInputError, OutOfRegimeError, AmbiguityError) as exc:
+    except (
+        NotOnTransversalError,
+        DegenerateInputError,
+        OutOfRegimeError,
+        AmbiguityError,
+        QuadratureError,
+        EstimationError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATE
     except InvalidInputError as exc:

@@ -187,7 +187,9 @@ def _sa_tail_o1(t, spec):
     def outer(b):
         lo = 1.0 - b
         cap = 1.0 if t <= 0.0 else min(1.0, 1.0 / (b * t))
-        if cap <= lo:
+        # lo = 0 only where b rounds to 1: a measure-zero edge of the outer
+        # integral, at which the weight's ln(alpha/lo) is undefined
+        if cap <= lo or lo <= 0.0:
             return 0.0
 
         def f(al):
@@ -222,6 +224,9 @@ def _sa_tail_o3(t, spec):
 
     def outer(b):
         lo = 1.0 - b
+        if lo <= 0.0:
+            # b rounds to 1: the marking range (0, lo) is empty
+            return 0.0
         hi = lo if t <= 0.0 else min(lo, 1.0 / (t * lo) - b)
         if hi <= 0.0:
             return 0.0
@@ -284,7 +289,8 @@ def _sl_tail_vector_branch(t, spec):
     def outer(b):
         lo = 1.0 - b
         cap = 1.0 if t <= 0.0 else min(1.0, 1.0 / (b * t))
-        if cap <= lo:
+        # lo = 0 where b rounds to 1; the slit area there is 0
+        if cap <= lo or lo <= 0.0:
             return 0.0
         y0 = lo / b
 
@@ -517,9 +523,11 @@ def _envelope_cap_points(t):
 
 def _envelope_cap(t, b):
     # the 2/(ab(1-b)) envelope exceeds t exactly below this lattice coordinate
-    if t <= 0.0:
+    denom = t * b * (1.0 - b)
+    if denom <= 0.0:
+        # t <= 0, or b at an end of [0, 1] where the envelope is unbounded
         return 1.0
-    return min(1.0, 2.0 / (t * b * (1.0 - b)))
+    return min(1.0, 2.0 / denom)
 
 
 def _o2_slice_upper(t, spec):

@@ -299,6 +299,162 @@ def _holonomy_points(surface: AffineLattice, mode: SurfaceMode, **scan) -> np.nd
     return _dedup_vectors(np.concatenate(parts))
 
 
+# ---------------------------------------------------------------------------
+# batched strip scan: the window of ``lattice_box`` for many lattices at once
+
+# surfaces per block of the batched strip scan, and candidate rows (lattice
+# points before the exact filter) per chunk of a block
+STRIP_BLOCK = 1024
+STRIP_ROW_BUDGET = 1 << 14
+
+
+def _ragged(starts: np.ndarray, counts: np.ndarray):
+    """Expand runs of consecutive integers: run i is starts[i], starts[i] + 1,
+    ... with counts[i] entries.  Returns (run of each entry, entry values)."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return run, starts[run] + (np.arange(len(run)) - first[run])
+
+
+def _budget_runs(weights: np.ndarray, budget: int):
+    """(start, stop) of consecutive index runs whose weights sum to at most
+    ``budget``; an entry heavier than the budget is a run of its own."""
+    total = np.cumsum(weights)
+    start = 0
+    while start < len(weights):
+        base = total[start - 1] if start else 0
+        stop = max(int(np.searchsorted(total, base + budget, side="right")), start + 1)
+        yield start, stop
+        start = stop
+
+
+def _bound_rows(lo, hi, mask, p, q, upper: bool):
+    """``lattice_box``'s constraint p*m <= q (upper) or p*m >= q, row by row."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = q / p
+    tighten_hi = p > 0 if upper else p < 0
+    tighten_lo = p < 0 if upper else p > 0
+    hi = np.where(tighten_hi, np.minimum(hi, r), hi)
+    lo = np.where(tighten_lo, np.maximum(lo, r), lo)
+    mask &= (p != 0) | ((q >= 0) if upper else (q <= 0))
+    return lo, hi
+
+
+def strip_holonomy_batch(g: Mat2, v: Vec2, mode: SurfaceMode, slope_max):
+    """Strip holonomy of many surfaces at once: for surface i = (g_i, v_i),
+    the vectors ``enumerate_strip(surface_i, mode, slope_max_i)`` finds.
+
+    The fields of ``g`` and ``v`` and ``slope_max`` are arrays (or scalars)
+    broadcast to one entry per surface.  Every window, component,
+    primitivity test and near-duplicate drop is computed exactly as the
+    one-surface path computes it, so the vectors are bit-identical.  Yields
+    (surface index, xy) chunks holding whole surfaces, with rows sorted by
+    (surface, x, y).  Surfaces go in blocks of ``STRIP_BLOCK``, and a chunk
+    expands at most ``STRIP_ROW_BUDGET`` candidate rows unless one surface
+    alone needs more, so memory stays flat in the number of surfaces.
+    """
+    fields = [np.asarray(f, dtype=float) for f in np.broadcast_arrays(*g, *v, slope_max)]
+    if fields[0].ndim != 1:
+        raise InvalidInputError("batch fields must be scalars or 1-d arrays")
+    for start in range(0, len(fields[0]), STRIP_BLOCK):
+        block = [f[start:start + STRIP_BLOCK] for f in fields]
+        for s, xy in _strip_block(*block, mode, STRIP_ROW_BUDGET):
+            yield start + s, xy
+
+
+def _strip_block(m11, m12, m21, m22, vx, vy, cap, mode: SurfaceMode, budget: int):
+    """One block of ``strip_holonomy_batch``: the n-range of every component
+    at once, then the m-ranges and the exact filter in budgeted chunks."""
+    det = m11 * m22 - m12 * m21
+    if np.any(np.abs(det - 1.0) > UNIMODULAR_TOL):
+        raise InvalidInputError("generators must be unimodular")
+    if np.any(~(cap > 0)):
+        raise InvalidInputError("slope cap must be positive")
+
+    # components per surface, surface-major: the marked coset, and doubled
+    # also the primitive lattice vectors and the negated coset
+    if mode is SurfaceMode.AFFINE_ONLY:
+        k, jvx, jvy, prim = 1, vx, vy, np.zeros(1, bool)
+    else:
+        zero = np.zeros_like(vx)
+        k = 3
+        jvx = np.column_stack([zero, vx, -vx]).ravel()
+        jvy = np.column_stack([zero, vy, -vy]).ravel()
+        prim = np.array([True, False, False])
+    surf = np.repeat(np.arange(len(cap)), k)
+    jprim = np.tile(prim, len(cap))
+
+    # the box of ``_lattice_scan`` at x_max = 1 with slope and height cap
+    x_lo = math.nextafter(X_EPS, math.inf)
+    x_hi = 1.0 + BOUND_SLACK
+    y_lo = math.nextafter(Y_EPS, math.inf)
+    slack = BOUND_SLACK * np.maximum(1.0, cap)
+    y_hi = cap + slack
+
+    # n-range per component from g^-1 of the box corners, padded by one
+    i21 = (-m21 / det)[surf]
+    i22 = (m11 / det)[surf]
+    corners = np.stack([
+        i21 * (x - jvx) + i22 * (y - jvy)
+        for x in (x_lo, x_hi) for y in (y_lo, y_hi[surf])
+    ])
+    n_first = np.floor(corners.min(axis=0)) - 1
+    n_count = (np.ceil(corners.max(axis=0)) + 1 - n_first + 1).astype(np.int64)
+
+    # m-range per (component, n), as lattice_box's bounds
+    job, ns = _ragged(n_first, n_count)
+    sj = surf[job]
+    x_n = m12[sj] * ns + jvx[job]
+    y_n = m22[sj] * ns + jvy[job]
+    p_x, p_y, sig = m11[sj], m21[sj], cap[sj]
+    lo = np.full(ns.shape, -np.inf)
+    hi = np.full(ns.shape, np.inf)
+    mask = np.ones(ns.shape, dtype=bool)
+    lo, hi = _bound_rows(lo, hi, mask, p_x, x_lo - x_n, upper=False)
+    lo, hi = _bound_rows(lo, hi, mask, p_x, x_hi - x_n, upper=True)
+    lo, hi = _bound_rows(lo, hi, mask, p_y, y_lo - y_n, upper=False)
+    lo, hi = _bound_rows(lo, hi, mask, p_y, y_hi[sj] - y_n, upper=True)
+    # y - sigma*x <= 0 up to slack
+    lo, hi = _bound_rows(
+        lo, hi, mask,
+        p_y - sig * p_x,
+        (sig * m12[sj] - m22[sj]) * ns + sig * jvx[job] - jvy[job] + slack[sj],
+        upper=True,
+    )
+    m_first = np.where(mask, np.ceil(lo) - 1, 1.0)
+    m_last = np.where(mask, np.floor(hi) + 1, 0.0)
+    m_count = np.maximum(m_last - m_first + 1, 0).astype(np.int64)
+    rows_per_surface = np.bincount(sj, weights=m_count, minlength=len(cap))
+    surface_rows = np.searchsorted(sj, np.arange(len(cap) + 1))
+
+    for s0, s1 in _budget_runs(rows_per_surface, budget):
+        rows = slice(surface_rows[s0], surface_rows[s1])
+        r, m = _ragged(m_first[rows], m_count[rows])
+        j = job[rows][r]
+        n = ns[rows][r]
+        s = surf[j]
+        x = m11[s] * m + m12[s] * n + jvx[j]
+        y = m21[s] * m + m22[s] * n + jvy[j]
+        keep = (x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi[s])
+        keep &= y <= cap[s] * x + slack[s]
+        p = keep & jprim[j]
+        keep[p] = np.gcd(
+            np.abs(m[p]).astype(np.int64), np.abs(n[p]).astype(np.int64)
+        ) == 1
+        yield _dedup_batch(s[keep], x[keep], y[keep])
+
+
+def _dedup_batch(s: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """``_dedup_vectors`` within each surface: (surface, xy) sorted by
+    (surface, x, y) with near-duplicates of the previous row dropped."""
+    order = np.lexsort((y, x, s))
+    s, xy = s[order], np.column_stack([x[order], y[order]])
+    keep = np.ones(len(s), dtype=bool)
+    if len(s) > 1:
+        keep[1:] = (s[1:] != s[:-1]) | (np.abs(np.diff(xy, axis=0)) > VECTOR_DEDUP_TOL).any(axis=1)
+    return s[keep], xy[keep]
+
+
 def enumerate_strip(
     surface: AffineLattice,
     mode: SurfaceMode,

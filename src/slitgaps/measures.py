@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import EstimationError, InvalidInputError
-from .geometry import AffineLattice, Vec2, horocycle_apply
+from .geometry import Vec2, horocycle_apply
 from .transversal import (
     OmegaCoords,
     VLCoords,
@@ -44,6 +44,8 @@ from .transversal import (
     omega_return_time,
     omega_to_surface,
     recoordinatize_omega,
+    sheared_delta_basis,
+    vertical_basis,
     w_return_time,
     w_section_coords,
     w_to_surface,
@@ -365,11 +367,11 @@ def w_return_sa_vec(a, b, s, alpha) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# oracle-engine evaluation (per point; enumeration cannot vectorize)
+# oracle-engine evaluation (batched strip scans, bit-identical to per point)
 
 
 def _oracle_return_omega(batch: dict, mode_label: str) -> np.ndarray:
-    from .oracle import oracle_first_return
+    from .oracle import oracle_first_return_batch
     from .geometry import SurfaceMode
 
     mode = (
@@ -377,43 +379,32 @@ def _oracle_return_omega(batch: dict, mode_label: str) -> np.ndarray:
         if mode_label == ORACLE_DOUBLED
         else SurfaceMode.AFFINE_ONLY
     )
-    n = len(batch["a"])
-    hint = None
-    if not batch.get("vl"):
-        hint = omega_return_vec(batch["a"], batch["b"], batch["s"], batch["alpha"])
-    out = np.empty(n)
-    for i in range(n):
-        if batch.get("vl"):
-            p = VLCoords(batch["a"][i], batch["s"][i], batch["alpha"][i])
-            h = p.a / p.alpha
-        else:
-            p = OmegaCoords(
-                batch["a"][i], batch["b"][i], batch["s"][i], batch["alpha"][i]
-            )
-            h = float(hint[i])
-        out[i] = oracle_first_return(omega_to_surface(p), mode, cap_hint=h)
-    return out
+    a, s, alpha = batch["a"], batch["s"], batch["alpha"]
+    if batch.get("vl"):
+        g, hint = vertical_basis(a, s), a / alpha
+    else:
+        g = sheared_delta_basis(a, batch["b"], s)
+        hint = omega_return_vec(a, batch["b"], s, alpha)
+    return oracle_first_return_batch(g, Vec2(alpha, 0.0), mode, hint)
 
 
 def _oracle_return_w(batch: dict, mode_label: str) -> np.ndarray:
-    from .oracle import w_oracle_return
+    from .oracle import w_oracle_return_batch
 
     doubled = mode_label == ORACLE_DOUBLED
     sl, sa = batch["sl"], batch["sa"]
-    r_sl = np.empty(len(sl["a"]))
-    hint_sl = w_return_sl_vec(sl["a"], sl["b"], sl["v1"], sl["v2"])
-    for i in range(len(r_sl)):
-        surf = AffineLattice(
-            delta_basis(sl["a"][i], sl["b"][i]), Vec2(sl["v1"][i], sl["v2"][i])
-        )
-        r_sl[i] = w_oracle_return(surf, doubled=doubled, cap_hint=float(hint_sl[i]))
-    r_sa = np.empty(len(sa["a"]))
-    hint_sa = w_return_sa_vec(sa["a"], sa["b"], sa["s"], sa["alpha"])
-    for i in range(len(r_sa)):
-        p = OmegaCoords(sa["a"][i], sa["b"][i], sa["s"][i], sa["alpha"][i])
-        r_sa[i] = w_oracle_return(
-            omega_to_surface(p), doubled=doubled, cap_hint=float(hint_sa[i])
-        )
+    r_sl = w_oracle_return_batch(
+        delta_basis(sl["a"], sl["b"]),
+        Vec2(sl["v1"], sl["v2"]),
+        doubled=doubled,
+        cap_hints=w_return_sl_vec(sl["a"], sl["b"], sl["v1"], sl["v2"]),
+    )
+    r_sa = w_oracle_return_batch(
+        sheared_delta_basis(sa["a"], sa["b"], sa["s"]),
+        Vec2(sa["alpha"], 0.0),
+        doubled=doubled,
+        cap_hints=w_return_sa_vec(sa["a"], sa["b"], sa["s"], sa["alpha"]),
+    )
     return r_sl, r_sa
 
 

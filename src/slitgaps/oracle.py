@@ -3,11 +3,15 @@ tester.
 
 The oracle never touches the piecewise return formulas: it enumerates the
 holonomy set inside the vertical strip and reads the return time off the
-smallest positive slope.  The differential tester samples a region, runs both
-engines on every point, and reports any relative disagreement above 1e-6 as a
-counterexample.  Two regions are expected to disagree (the short-lattice
-travel-time formula, and the slit-cover return when the mirrored coset is
-switched on); disagreement there is a finding to report, not a failure.
+smallest positive slope.  ``oracle_first_return`` scans one surface;
+``oracle_first_return_batch`` scans many independent surfaces in one
+vectorized pass with the same cap sequences and bit-identical returns.  The
+differential tester samples a region, evaluates the scalar formula on every
+point, runs the batched oracle over blocks of points, and reports any
+relative disagreement above 1e-6 as a counterexample.  Two regions are
+expected to disagree (the short-lattice travel-time formula, and the
+slit-cover return when the mirrored coset is switched on); disagreement there
+is a finding to report, not a failure.
 """
 
 from __future__ import annotations
@@ -21,11 +25,14 @@ import numpy as np
 
 from .errors import InvalidInputError, NotOnTransversalError
 from .geometry import (
+    STRIP_BLOCK,
     AffineLattice,
+    Mat2,
     SurfaceMode,
     Vec2,
     enumerate_strip,
     horocycle_apply,
+    strip_holonomy_batch,
 )
 from .measures import (
     MeasureSpec,
@@ -43,8 +50,8 @@ from .transversal import (
     bcz_return_time,
     delta_basis,
     omega_return_time,
-    omega_to_surface,
     rho_sl_to_sa,
+    sheared_delta_basis,
     w_return_time,
     w_to_surface,
 )
@@ -53,6 +60,7 @@ REL_ERR_THRESHOLD = 1e-6
 DEFAULT_CAP = 8.0
 CAP_LIMIT = 1e18
 REGIONS = ("DeltaR", "OmegaR", "WslRho", "WReturn")
+NO_RETURN = "no positive-slope holonomy vector found below the cap limit"
 
 
 @dataclass(frozen=True)
@@ -115,9 +123,7 @@ def oracle_first_return(
             if len(slopes):
                 return float(slopes[0])
         cap *= 2.0
-    raise NotOnTransversalError(
-        "no positive-slope holonomy vector found below the cap limit"
-    )
+    raise NotOnTransversalError(NO_RETURN)
 
 
 def w_oracle_return(
@@ -143,6 +149,63 @@ def w_oracle_return(
         surface, SurfaceMode.AFFINE_ONLY, cap_hint=cap_hint
     )
     return min(lattice_min, coset_min)
+
+
+def oracle_first_return_batch(
+    g: Mat2,
+    v: Vec2,
+    mode: SurfaceMode,
+    cap_hints=None,
+) -> np.ndarray:
+    """``oracle_first_return`` of many independent surfaces g_i*Z^2 + v_i,
+    bit-identical to calling it once per surface.
+
+    The fields of ``g`` and ``v`` (and ``cap_hints``, where given) are
+    arrays or scalars broadcast to one entry per surface.  Each surface
+    keeps its own cap sequence: twice its hint (``DEFAULT_CAP`` when
+    ``cap_hints`` is None or the hint is non-finite or not positive), doubled
+    only while its strip window is empty, and ``NotOnTransversalError`` past
+    ``CAP_LIMIT``.  Each round scans all surfaces still without a return in
+    one ``strip_holonomy_batch`` pass.
+    """
+    *fields, hints = np.broadcast_arrays(
+        *g, *v, np.nan if cap_hints is None else cap_hints
+    )
+    fields = [np.atleast_1d(f) for f in fields]
+    hints = np.atleast_1d(hints).astype(float)
+    with np.errstate(over="ignore"):
+        cap = np.where(hints > 0, 2.0 * hints, DEFAULT_CAP)
+    cap = np.where(np.isfinite(cap) & (cap > 0), cap, DEFAULT_CAP)
+    out = np.full(len(cap), np.inf)
+    todo = np.arange(len(cap))
+    while todo.size:
+        if np.any(cap[todo] > CAP_LIMIT):
+            raise NotOnTransversalError(NO_RETURN)
+        sub = fields if todo.size == cap.size else [f[todo] for f in fields]
+        for s, xy in strip_holonomy_batch(
+            Mat2(*sub[:4]), Vec2(*sub[4:]), mode, cap[todo]
+        ):
+            if len(s):
+                first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+                out[todo[s[first]]] = np.minimum.reduceat(xy[:, 1] / xy[:, 0], first)
+        todo = todo[np.isinf(out[todo])]
+        cap[todo] *= 2.0
+    return out
+
+
+def w_oracle_return_batch(
+    g: Mat2, v: Vec2, *, doubled: bool, cap_hints=None
+) -> np.ndarray:
+    """``w_oracle_return`` of many independent surfaces, bit-identical to
+    calling it once per surface; the lattice and coset minima keep separate
+    cap sequences."""
+    if doubled:
+        return oracle_first_return_batch(g, v, SurfaceMode.DOUBLED_SLIT, cap_hints)
+    lattice_min = oracle_first_return_batch(
+        g, Vec2(0.0, 0.0), SurfaceMode.DOUBLED_SLIT, cap_hints
+    )
+    coset_min = oracle_first_return_batch(g, v, SurfaceMode.AFFINE_ONLY, cap_hints)
+    return np.minimum(lattice_min, coset_min)
 
 
 def oracle_gap_sequence(
@@ -197,39 +260,43 @@ def _point_dict(region: str, point) -> dict:
     return {"kind": "sa", "a": p.a, "b": p.b, "s": p.s, "alpha": p.alpha}
 
 
-def _eval_pair(region: str, point, mode: SurfaceMode):
-    """(formula, oracle) for one sampled input."""
+def _formula(region: str, point) -> float:
+    """The scalar closed-form return of one sampled input."""
     if region == "DeltaR":
-        a, b = point
-        d = DeltaCoords(a, b)
-        f = bcz_return_time(d)
-        surf = AffineLattice(delta_basis(a, b), Vec2(0.0, 0.0))
-        o = oracle_first_return(surf, SurfaceMode.DOUBLED_SLIT, cap_hint=f)
-        return f, o
+        return bcz_return_time(DeltaCoords(*point))
     if region == "OmegaR":
-        a, b, s, alpha = point
-        p = OmegaCoords(a, b, s, alpha)
-        f = omega_return_time(p)
-        o = oracle_first_return(
-            omega_to_surface(p), SurfaceMode.AFFINE_ONLY, cap_hint=f
-        )
-        return f, o
+        return omega_return_time(OmegaCoords(*point))
     if region == "WslRho":
-        a, b, v1, v2 = point
-        f = rho_sl_to_sa(a, b, v1, v2)
-        surf = AffineLattice(delta_basis(a, b), Vec2(v1, v2))
-        if mode is SurfaceMode.DOUBLED_SLIT:
-            o = oracle_first_return(surf, SurfaceMode.DOUBLED_SLIT, cap_hint=f)
-        else:
-            o = oracle_first_return(surf, SurfaceMode.AFFINE_ONLY, cap_hint=f)
-        return f, o
-    f = w_return_time(point)
-    o = w_oracle_return(
-        w_to_surface(point),
-        doubled=mode is SurfaceMode.DOUBLED_SLIT,
-        cap_hint=f,
-    )
-    return f, o
+        return rho_sl_to_sa(*point)
+    return w_return_time(point)
+
+
+def _oracle_batch(region: str, points: list, mode: SurfaceMode, hints) -> list:
+    """Ground truth of every sampled input, in one batched oracle call.
+
+    DeltaR and OmegaR use their sections' own holonomy; WslRho scans the
+    marked coset (or the doubled holonomy under doubled mode); WReturn uses
+    the slit-cover oracle.
+    """
+    if region == "WReturn":
+        surfaces = [w_to_surface(p) for p in points]
+        g = Mat2(*np.array([s.g for s in surfaces]).T)
+        v = Vec2(*np.array([s.v for s in surfaces]).T)
+        out = w_oracle_return_batch(
+            g, v, doubled=mode is SurfaceMode.DOUBLED_SLIT, cap_hints=hints
+        )
+        return out.tolist()
+    cols = np.array(points, dtype=float).T
+    if region == "DeltaR":
+        a, b = cols
+        g, v, mode = delta_basis(a, b), Vec2(0.0, 0.0), SurfaceMode.DOUBLED_SLIT
+    elif region == "OmegaR":
+        a, b, s, alpha = cols
+        g, v, mode = sheared_delta_basis(a, b, s), Vec2(alpha, 0.0), SurfaceMode.AFFINE_ONLY
+    else:
+        a, b, v1, v2 = cols
+        g, v = delta_basis(a, b), Vec2(v1, v2)
+    return oracle_first_return_batch(g, v, mode, hints).tolist()
 
 
 _PROBES = {
@@ -338,16 +405,20 @@ def diff_test(
     max_rel = 0.0
     bad = []
     n_bad = 0
-    for point in points:
-        f, o = _eval_pair(region, point, mode)
-        abs_err = abs(f - o)
-        rel_err = abs_err / max(abs(o), 1e-12)
-        max_abs = max(max_abs, abs_err)
-        max_rel = max(max_rel, rel_err)
-        if rel_err > REL_ERR_THRESHOLD:
-            n_bad += 1
-            if len(bad) < max_counterexamples:
-                bad.append((_point_dict(region, point), float(f), float(o)))
+    # one strip-scan block of points per oracle call keeps memory flat in n
+    for start in range(0, len(points), STRIP_BLOCK):
+        chunk = points[start:start + STRIP_BLOCK]
+        formulas = [_formula(region, point) for point in chunk]
+        oracles = _oracle_batch(region, chunk, mode, formulas)
+        for point, f, o in zip(chunk, formulas, oracles):
+            abs_err = abs(f - o)
+            rel_err = abs_err / max(abs(o), 1e-12)
+            max_abs = max(max_abs, abs_err)
+            max_rel = max(max_rel, rel_err)
+            if rel_err > REL_ERR_THRESHOLD:
+                n_bad += 1
+                if len(bad) < max_counterexamples:
+                    bad.append((_point_dict(region, point), float(f), float(o)))
 
     return DiffReport(
         region=region,

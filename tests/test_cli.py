@@ -8,9 +8,15 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from slitgaps import closedform
+from slitgaps import cli, closedform
 from slitgaps.cli import main, parse_t_grid
-from slitgaps.errors import DegenerateInputError, InvalidInputError, OutOfRegimeError
+from slitgaps.errors import (
+    DegenerateInputError,
+    EstimationError,
+    InvalidInputError,
+    OutOfRegimeError,
+    QuadratureError,
+)
 
 SCHEMA = json.loads(
     resources.files("slitgaps").joinpath("report-schema.json").read_text()
@@ -324,3 +330,30 @@ def test_plot_without_out_fails_before_any_output(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--plot needs --out" in captured.err
+
+
+@pytest.mark.parametrize("exc", [QuadratureError, EstimationError])
+def test_numerical_failures_exit_3(monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc("numerical failure")
+
+    monkeypatch.setattr(cli, "mc_tail", fail)
+    monkeypatch.setattr(closedform, "w_tail_closed_form", fail)
+    assert main(["mc-tail", "--measure", "haar-w", "--t-grid", "1", "--samples", "1000"]) == 3
+    assert main(["closed-form", "--component", "tail", "--t-grid", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: numerical failure\n" * 2
+
+
+@pytest.mark.parametrize("component", ["bounds", "tail"])
+def test_closed_form_at_huge_t(tmp_path, component):
+    # b rounds to 1 inside the quadrature here, where 1 - b is exactly 0
+    out = tmp_path / "huge.csv"
+    assert main(["closed-form", "--component", component, "--t-grid", "1e14", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    values = [float(x) for x in rows[0][1:]]
+    assert len(rows) == 1 and all(math.isfinite(x) for x in values)
+    if component == "bounds":
+        lower, upper = values
+        assert lower <= upper

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from slitgaps import geometry
 from slitgaps.geometry import (
     AffineLattice,
     Mat2,
@@ -13,21 +14,44 @@ from slitgaps.geometry import (
     enumerate_strip,
     horocycle_apply,
     slopes_and_gaps,
+    strip_holonomy_batch,
+)
+from slitgaps.measures import (
+    ORACLE_AFFINE,
+    ORACLE_DOUBLED,
+    MeasureSpec,
+    _batch_measure,
+    _oracle_return_omega,
+    _oracle_return_w,
 )
 from slitgaps.oracle import (
+    CAP_LIMIT,
     REGIONS,
+    _formula,
+    _oracle_batch,
+    _PROBES,
+    _sample_region,
+    _w_return_probes,
     diff_test,
     oracle_first_return,
+    oracle_first_return_batch,
     oracle_gap_sequence,
+    w_oracle_return,
+    w_oracle_return_batch,
 )
-from slitgaps.errors import InvalidInputError
+from slitgaps.errors import InvalidInputError, NotOnTransversalError
 from slitgaps.transversal import (
     OmegaCoords,
     OmegaRegion,
     VLCoords,
+    WPointSA,
+    WPointSL,
     classify_omega,
+    delta_basis,
     omega_return_time,
     omega_to_surface,
+    w_return_time,
+    w_to_surface,
 )
 
 
@@ -195,3 +219,218 @@ def test_diff_test_deterministic():
     a = diff_test("OmegaR", 500, seed=11, workers=2).to_json()
     b = diff_test("OmegaR", 500, seed=11, workers=2).to_json()
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# batched oracle: bit-identical to the per-point oracle
+
+
+MODES = (SurfaceMode.AFFINE_ONLY, SurfaceMode.DOUBLED_SLIT)
+
+
+def _region_points(region, n, seed):
+    probes = _w_return_probes() if region == "WReturn" else list(_PROBES[region])
+    return probes + _sample_region(region, np.random.default_rng(seed), n, "fundamental")
+
+
+def _region_surface(region, point):
+    if region == "DeltaR":
+        return AffineLattice(delta_basis(*point), Vec2(0.0, 0.0))
+    if region == "OmegaR":
+        return omega_to_surface(OmegaCoords(*point))
+    if region == "WslRho":
+        a, b, v1, v2 = point
+        return AffineLattice(delta_basis(a, b), Vec2(v1, v2))
+    return w_to_surface(point)
+
+
+def _stack(surfaces):
+    """Per-surface fields as the (Mat2, Vec2) of arrays the batch takes."""
+    rows = np.array([tuple(s.g) + tuple(s.v) for s in surfaces], dtype=float).reshape(-1, 6)
+    return Mat2(*rows[:, :4].T), Vec2(*rows[:, 4:].T)
+
+
+def _per_point_eval(region, point, mode, hint):
+    """The oracle column difftest computed one point at a time."""
+    surf = _region_surface(region, point)
+    if region == "DeltaR":
+        return oracle_first_return(surf, SurfaceMode.DOUBLED_SLIT, cap_hint=hint)
+    if region == "OmegaR":
+        return oracle_first_return(surf, SurfaceMode.AFFINE_ONLY, cap_hint=hint)
+    if region == "WslRho":
+        return oracle_first_return(surf, mode, cap_hint=hint)
+    return w_oracle_return(surf, doubled=mode is SurfaceMode.DOUBLED_SLIT, cap_hint=hint)
+
+
+def _assert_same(batch, surfaces, hints, mode=None, doubled=None):
+    for i, surf in enumerate(surfaces):
+        hint = None if hints is None else hints[i]
+        if doubled is None:
+            want = oracle_first_return(surf, mode, cap_hint=hint)
+        else:
+            want = w_oracle_return(surf, doubled=doubled, cap_hint=hint)
+        assert batch[i] == want, (i, surf, hint)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("region", REGIONS)
+def test_difftest_oracle_column_bit_identical(region, mode):
+    points = _region_points(region, 300, seed=41)
+    hints = [_formula(region, p) for p in points]
+    got = _oracle_batch(region, points, mode, hints)
+    want = [_per_point_eval(region, p, mode, h) for p, h in zip(points, hints)]
+    assert got == want
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_batch_kernel_bit_identical_both_modes(region):
+    points = _region_points(region, 200, seed=43)
+    hints = [_formula(region, p) for p in points]
+    surfaces = [_region_surface(region, p) for p in points]
+    g, v = _stack(surfaces)
+    for mode in MODES:
+        _assert_same(oracle_first_return_batch(g, v, mode, hints), surfaces, hints, mode=mode)
+    for doubled in (False, True):
+        batch = w_oracle_return_batch(g, v, doubled=doubled, cap_hints=hints)
+        _assert_same(batch, surfaces, hints, doubled=doubled)
+
+
+def test_torsion_markings_doubled_keep_the_dedup():
+    # on torsion markings the +-v cosets coincide up to rounding, so the
+    # near-duplicate drop decides which representative sets the minimum
+    batch = _batch_measure(MeasureSpec.torsion(2), np.random.default_rng(47), 1500)
+    got = _oracle_return_omega(batch, ORACLE_DOUBLED)
+    for i in range(len(got)):
+        p = OmegaCoords(batch["a"][i], batch["b"][i], batch["s"][i], batch["alpha"][i])
+        want = oracle_first_return(
+            omega_to_surface(p), SurfaceMode.DOUBLED_SLIT, cap_hint=omega_return_time(p)
+        )
+        assert got[i] == want
+
+
+@pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
+def test_periodic_omega_vertical_surfaces(engine):
+    batch = _batch_measure(MeasureSpec.periodic_omega(0.7, 0.4), np.random.default_rng(53), 400)
+    got = _oracle_return_omega(batch, engine)
+    mode = SurfaceMode.DOUBLED_SLIT if engine == ORACLE_DOUBLED else SurfaceMode.AFFINE_ONLY
+    for i in range(len(got)):
+        p = VLCoords(batch["a"][i], batch["s"][i], batch["alpha"][i])
+        want = oracle_first_return(omega_to_surface(p), mode, cap_hint=p.a / p.alpha)
+        assert got[i] == want
+
+
+@pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
+def test_haar_w_oracle_engine(engine):
+    batch = _batch_measure(MeasureSpec.haar_w(), np.random.default_rng(59), 600)
+    r_sl, r_sa = _oracle_return_w(batch, engine)
+    doubled = engine == ORACLE_DOUBLED
+    sl, sa = batch["sl"], batch["sa"]
+    for i in range(len(r_sl)):
+        w = WPointSL(sl["a"][i], sl["b"][i], sl["v1"][i], sl["v2"][i])
+        want = w_oracle_return(w_to_surface(w), doubled=doubled, cap_hint=w_return_time(w))
+        assert r_sl[i] == want
+    for i in range(len(r_sa)):
+        w = WPointSA(OmegaCoords(sa["a"][i], sa["b"][i], sa["s"][i], sa["alpha"][i]))
+        want = w_oracle_return(w_to_surface(w), doubled=doubled, cap_hint=w_return_time(w))
+        assert r_sa[i] == want
+
+
+@pytest.mark.parametrize("hint", [None, math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-9])
+def test_batch_cap_hints(hint):
+    # hints that fall back to the default cap, and tiny ones that force
+    # many doublings, follow the per-point cap sequence surface by surface
+    points = _region_points("OmegaR", 60, seed=61)
+    surfaces = [_region_surface("OmegaR", p) for p in points]
+    g, v = _stack(surfaces)
+    hints = None if hint is None else [hint] * len(points)
+    for mode in MODES:
+        _assert_same(oracle_first_return_batch(g, v, mode, hints), surfaces, hints, mode=mode)
+    for doubled in (False, True):
+        batch = w_oracle_return_batch(g, v, doubled=doubled, cap_hints=hints)
+        _assert_same(batch, surfaces, hints, doubled=doubled)
+
+
+def test_batch_mixed_hints_force_doublings():
+    points = _region_points("WslRho", 100, seed=67)
+    surfaces = [_region_surface("WslRho", p) for p in points]
+    g, v = _stack(surfaces)
+    formula = [_formula("WslRho", p) for p in points]
+    hints = [f * 1e-6 if i % 3 == 0 else (None if i % 3 == 1 else f) for i, f in enumerate(formula)]
+    hints = [math.nan if h is None else h for h in hints]
+    for mode in MODES:
+        _assert_same(oracle_first_return_batch(g, v, mode, hints), surfaces, hints, mode=mode)
+
+
+def test_batch_does_not_depend_on_chunking(monkeypatch):
+    points = _region_points("WReturn", 300, seed=71)
+    hints = [_formula("WReturn", p) for p in points]
+    surfaces = [_region_surface("WReturn", p) for p in points]
+    g, v = _stack(surfaces)
+    caps = 2.0 * np.array(hints)
+
+    def run():
+        strips = [
+            [(int(s), tuple(xy)) for s, xy in zip(*chunk)]
+            for mode in MODES
+            for chunk in strip_holonomy_batch(g, v, mode, caps)
+        ]
+        returns = [
+            w_oracle_return_batch(g, v, doubled=d, cap_hints=hints).tolist()
+            for d in (False, True)
+        ]
+        return [row for chunk in strips for row in chunk], returns, len(strips)
+
+    ref_rows, ref_returns, ref_chunks = run()
+    # blocks of 7 surfaces and chunks of 40 candidate rows split the batch
+    # mid-list, and some single surfaces exceed the row budget
+    monkeypatch.setattr(geometry, "STRIP_BLOCK", 7)
+    monkeypatch.setattr(geometry, "STRIP_ROW_BUDGET", 40)
+    rows, returns, chunks = run()
+    assert chunks > ref_chunks
+    assert rows == ref_rows
+    assert returns == ref_returns
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_strip_holonomy_batch_matches_enumerate_strip(mode):
+    points = _region_points("OmegaR", 100, seed=73)
+    surfaces = [_region_surface("OmegaR", p) for p in points]
+    g, v = _stack(surfaces)
+    caps = np.linspace(0.5, 12.0, len(surfaces))
+    got = {i: [] for i in range(len(surfaces))}
+    for s, xy in strip_holonomy_batch(g, v, mode, caps):
+        for i, row in zip(s.tolist(), xy.tolist()):
+            got[i].append(tuple(row))
+    for i, surf in enumerate(surfaces):
+        want = sorted(map(tuple, enumerate_strip(surf, mode, float(caps[i])).tolist()))
+        assert got[i] == want
+
+
+def test_batch_empty_input():
+    empty = np.empty(0)
+    g, v = Mat2(empty, empty, empty, empty), Vec2(empty, empty)
+    for mode in MODES:
+        assert oracle_first_return_batch(g, v, mode).shape == (0,)
+        assert oracle_first_return_batch(g, v, mode, empty).shape == (0,)
+        assert list(strip_holonomy_batch(g, v, mode, empty)) == []
+    for doubled in (False, True):
+        assert w_oracle_return_batch(g, v, doubled=doubled, cap_hints=empty).shape == (0,)
+
+
+def test_batch_raises_past_cap_limit():
+    surfaces = [_region_surface("OmegaR", p) for p in _PROBES["OmegaR"]]
+    g, v = _stack(surfaces)
+    hints = [None, 0.6 * CAP_LIMIT, None]
+    with pytest.raises(NotOnTransversalError):
+        oracle_first_return(surfaces[1], SurfaceMode.AFFINE_ONLY, cap_hint=hints[1])
+    for mode in MODES:
+        with pytest.raises(NotOnTransversalError):
+            oracle_first_return_batch(g, v, mode, [math.nan if h is None else h for h in hints])
+    with pytest.raises(NotOnTransversalError):
+        w_oracle_return_batch(g, v, doubled=False, cap_hints=[1.0, 1e18, 1.0])
+
+
+def test_batch_rejects_non_unimodular_generators():
+    g = Mat2(np.array([1.0, 2.0]), 0.0, 0.0, 1.0)
+    with pytest.raises(InvalidInputError):
+        oracle_first_return_batch(g, Vec2(0.5, 0.0), SurfaceMode.AFFINE_ONLY)
