@@ -2,8 +2,10 @@
 
 The tail of the slope-gap law on the doubled-torus section has an explicit
 piecewise description on (0, 4] built from dilogarithms, logarithms, and an
-inverse hyperbolic cotangent; past 4 only a nested integral is available.
-This module carries both routes and a differential comparison between them,
+inverse hyperbolic cotangent; past 4 only an integral over the section is
+available.  Its inner integrals are elementary and taken exactly, which leaves
+one 1-D quadrature over the lattice coordinate per region.  This module
+carries both routes and a differential comparison between them,
 plus envelope bounds for the affine-lattice tail, exact torsion-marking
 tails, and a log-log decay-exponent fit.
 """
@@ -28,8 +30,6 @@ W_TOTAL_MASS = (3.0 + math.pi * math.pi) / 6.0
 TAIL_BREAKPOINTS = (0.0, 1.0, 2.0, GOLDEN_T, 4.0, math.inf)
 
 _SERIES_TOL = 1e-18
-_INNER_EPSABS = 1e-13
-_OUTER_EPSABS = 1e-12
 
 
 def dilog(x):
@@ -118,50 +118,46 @@ def _tail_high(t):
     return out
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive-quadrature budget."""
-
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise InvalidInputError("quadrature tolerance must be positive")
-        if self.max_subdivisions < 10:
-            raise InvalidInputError("quadrature needs at least 10 subdivisions")
+_EPSREL = 1e-8
+_EPSABS = 1e-12
+_LIMIT = 200
+_POINT_RTOL = 1e-12
 
 
-DEFAULT_QUADRATURE = QuadratureSpec()
+def _quad(f, lo, hi, points=()):
+    """Adaptive integral of f over [lo, hi], split at the interior points.
 
-
-def _quad(f, lo, hi, spec, points=None, inner=False):
-    """Adaptive integral of f over [lo, hi] honoring the spec's budget."""
+    A point within rounding of the one before it is dropped: a sub-interval
+    a few ulps wide makes QUADPACK report extremely bad integrand behavior.
+    """
     if hi <= lo:
         return 0.0
-    eps_abs = _INNER_EPSABS if inner else _OUTER_EPSABS
-    eps_rel = spec.rel_tol * (1e-2 if inner else 1.0)
-    pts = None
-    if points:
-        interior = sorted(p for p in points if math.isfinite(p) and lo < p < hi)
-        pts = interior or None
+    pts = []
+    for p in sorted(p for p in points if math.isfinite(p) and lo < p < hi):
+        if p - (pts[-1] if pts else lo) > _POINT_RTOL * abs(p):
+            pts.append(p)
     out = integrate.quad(
         f,
         lo,
         hi,
-        points=pts,
-        limit=spec.max_subdivisions,
-        epsabs=eps_abs,
-        epsrel=eps_rel,
+        points=pts or None,
+        limit=_LIMIT,
+        epsabs=_EPSABS,
+        epsrel=_EPSREL,
         full_output=1,
     )
     val, err = out[0], out[1]
-    if len(out) > 3 and err > max(50.0 * eps_abs, 5e-6 * abs(val)):
+    if len(out) > 3 and err > max(50.0 * _EPSABS, 5e-6 * abs(val)):
         achieved = err / max(abs(val), 1e-300)
         raise QuadratureError(
             f"quadrature stalled on [{lo:g}, {hi:g}]; achieved relative error {achieved:.2e}"
         )
     return val
+
+
+def _check_threshold(t):
+    if not t >= 0.0:
+        raise InvalidInputError(f"tail evaluated at negative or NaN threshold {t!r}")
 
 
 def _regime_points(t):
@@ -177,184 +173,181 @@ def _regime_points(t):
     return pts
 
 
-def _sa_tail_o1(t, spec):
+def _slice_mass(slice_fn, t, points):
+    """Integral over the lattice coordinate b in (0, 1) of slice_fn(t, b)."""
+    return _quad(lambda b: slice_fn(t, b), 0.0, 1.0, points=points)
+
+
+# Each *_slice(t, b) below is a region's exact inner integral at a fixed
+# lattice coordinate b, mostly over the other one, a, in (lo, cap), lo = 1-b.
+# They are written in d = cap - lo and log1p(d/lo), so that no term is much
+# larger than the slice mass itself.  The guard lo <= 0 covers b rounding to
+# 1: a measure-zero edge of the outer integral, at which ln(a/lo) is undefined.
+
+
+def _lattice_cap(t, b):
+    # the lattice return 1/(ab) exceeds t exactly below this a
+    return 1.0 if t <= 0.0 else min(1.0, 1.0 / (b * t))
+
+
+def _gap_ratio_mass(lo, d):
+    # integral of (a - lo)/a over (lo, lo + d)
+    return d - lo * math.log1p(d / lo)
+
+
+def _o1_slice(t, b):
     """Sheared-marking tail from the region where the return scales the shear.
 
-    The integral over the lattice coordinate is exact and leaves a 2-fold
-    integral weighted by alpha*ln(alpha/(1-b)) - (alpha-(1-b)).
+    The integral over the lattice coordinate is exact and leaves the weight
+    k(alpha) = alpha*ln(alpha/lo) - (alpha - lo), lo = 1-b.  The integral of
+    (1/(b*alpha) - t)*k(alpha) over (lo, cap) is elementary too, in
+    s = alpha/lo, and is returned here.
     """
-
-    def outer(b):
-        lo = 1.0 - b
-        cap = 1.0 if t <= 0.0 else min(1.0, 1.0 / (b * t))
-        # lo = 0 only where b rounds to 1: a measure-zero edge of the outer
-        # integral, at which the weight's ln(alpha/lo) is undefined
-        if cap <= lo or lo <= 0.0:
-            return 0.0
-
-        def f(al):
-            k1 = al * math.log(al / lo) - (al - lo)
-            return (1.0 / (b * al) - t) * k1
-
-        return _quad(f, lo, cap, spec, inner=True)
-
-    return _quad(outer, 0.0, 1.0, spec, points=_regime_points(t))
+    lo = 1.0 - b
+    cap = _lattice_cap(t, b)
+    if cap <= lo or lo <= 0.0:
+        return 0.0
+    x = (cap - lo) / lo
+    lg = math.log1p(x)
+    scaled = (2.0 + x) * lg - 2.0 * x
+    flat = 0.5 * (1.0 + x) ** 2 * lg - 0.5 * x - 0.75 * x * x
+    return lo / b * scaled - t * lo * lo * flat
 
 
-def _sa_tail_o2(t, spec):
-    """Tail from the high-shear slice over a marking above the lattice point."""
+def _o2_slice(t, b):
+    """Tail from the high-shear slice over a marking above the lattice point.
 
-    def outer(b):
-        lo = 1.0 - b
-        cap = 1.0 if t <= 0.0 else min(1.0, 1.0 / (b * t))
-        if cap <= lo:
-            return 0.0
-
-        def f(al):
-            return (1.0 / (b * al) - t) * (al - lo)
-
-        return _quad(f, lo, cap, spec, inner=True)
-
-    return _quad(outer, 0.0, 1.0, spec, points=_regime_points(t))
+    The low-marking region beside the diagonal (O4) has the same integrand
+    (1/(ab) - t)*(a - lo), so this slice serves both.
+    """
+    lo = 1.0 - b
+    cap = _lattice_cap(t, b)
+    if cap <= lo or lo <= 0.0:
+        return 0.0
+    d = cap - lo
+    return _gap_ratio_mass(lo, d) / b - 0.5 * t * d * d
 
 
-def _sa_tail_o3(t, spec):
+def _o3_slice(t, b):
     """Tail from low markings under the diagonal; for t <= 1 this piece alone
-    integrates to pi^2/6 - 1 - t/3."""
+    integrates to pi^2/6 - 1 - t/3.
 
-    def outer(b):
-        lo = 1.0 - b
-        if lo <= 0.0:
-            # b rounds to 1: the marking range (0, lo) is empty
-            return 0.0
-        hi = lo if t <= 0.0 else min(lo, 1.0 / (t * lo) - b)
-        if hi <= 0.0:
-            return 0.0
-
-        def f(al):
-            ahat = 1.0 if t <= 0.0 else min(1.0, 1.0 / (t * (b + al)))
-            if ahat <= lo:
-                return 0.0
-            return (math.log(ahat / lo) - t * (b + al) * (ahat - lo)) / b
-
-        kink = None if t <= 0.0 else 1.0 / t - b
-        return _quad(f, 0.0, hi, spec, points=None if kink is None else [kink], inner=True)
-
-    return _quad(outer, 0.0, 1.0, spec, points=_regime_points(t))
-
-
-def _sa_tail_o4(t, spec):
-    """Tail from low markings beside the diagonal; the full shear range
-    survives whenever the lattice return clears t."""
-
-    def outer(b):
-        lo = 1.0 - b
-        cap = 1.0 if t <= 0.0 else min(1.0, 1.0 / (b * t))
-        if cap <= lo:
-            return 0.0
-
-        def f(a):
-            return (a - lo) * (1.0 / (a * b) - t)
-
-        return _quad(f, lo, cap, spec, inner=True)
-
-    return _quad(outer, 0.0, 1.0, spec, points=_regime_points(t))
+    In w = b + alpha the cap on a is 1 up to w = 1/t, where the integrand
+    is (-ln lo)/b - t*w, and 1/(tw) past it, where it is g(t*lo*w)/b with
+    g(y) = y - 1 - ln y.
+    """
+    lo = 1.0 - b
+    if lo <= 0.0:
+        # b rounds to 1: the marking range (0, lo) is empty
+        return 0.0
+    neg_log_lo = -math.log1p(-b)
+    if t <= 0.0:
+        return lo * neg_log_lo / b
+    w_hi = b + min(lo, 1.0 / (t * lo) - b)
+    if w_hi <= b:
+        return 0.0
+    kink = 1.0 / t
+    total = 0.0
+    if b < kink:
+        w_mid = min(w_hi, kink)
+        total += (w_mid - b) * (neg_log_lo / b - 0.5 * t * (b + w_mid))
+    if w_hi > kink:
+        y1 = t * lo * max(b, kink)
+        y2 = t * lo * w_hi
+        dy = y2 - y1
+        g_mass = dy * (0.5 * (y1 + y2) - math.log(y1)) - y2 * math.log1p(dy / y1)
+        total += g_mass / (b * t * lo)
+    return total
 
 
-def _sl_tail_lattice_branch(t, spec):
+def _sl_area_weight(b):
+    # lo*ym - b*ym^2/2 with ym = min(1, lo/b): the slit-area term that
+    # falls off as 1/a in both slit-vector branches
+    lo = 1.0 - b
+    ym = min(1.0, lo / b)
+    return lo * ym - 0.5 * b * ym * ym
+
+
+def _sl_lattice_slice(t, b):
     """Slit-vector tail where the slit leaves the unit box and the lattice
     return 1/(ab) decides; the unit-square area above x = l(y) is explicit."""
-
-    def outer(b):
-        lo = 1.0 - b
-        cap = 1.0 if t <= 0.0 else min(1.0, 1.0 / (b * t))
-        if cap <= lo:
-            return 0.0
-        ym = min(1.0, lo / b)
-
-        def f(a):
-            return 1.0 - (lo * ym - 0.5 * b * ym * ym) / a
-
-        return _quad(f, lo, cap, spec, inner=True)
-
-    pts = _regime_points(t)
-    pts.append(0.5)
-    return _quad(outer, 0.0, 1.0, spec, points=pts)
+    lo = 1.0 - b
+    cap = _lattice_cap(t, b)
+    if cap <= lo or lo <= 0.0:
+        return 0.0
+    d = cap - lo
+    return d - _sl_area_weight(b) * math.log1p(d / lo)
 
 
-def _sl_tail_vector_branch(t, spec):
+def _sl_vector_slice(t, b):
     """Slit-vector tail where the slit itself returns first; the area under
-    min(l, L) is explicit once the crossing y* = (1-b)at is located."""
+    min(l, L) is explicit once the crossing y* = (1-b)at is located.
 
-    def outer(b):
-        lo = 1.0 - b
-        cap = 1.0 if t <= 0.0 else min(1.0, 1.0 / (b * t))
-        # lo = 0 where b rounds to 1; the slit area there is 0
-        if cap <= lo or lo <= 0.0:
-            return 0.0
-        y0 = lo / b
-
-        def f(a):
-            ystar = lo * a * t
-            if ystar < 1.0:
-                area = 0.5 * (1.0 - a * b * t) * lo * lo * t
-                ym = min(1.0, y0)
-                if ym > ystar:
-                    area += (lo * (ym - ystar) - 0.5 * b * (ym * ym - ystar * ystar)) / a
-            else:
-                area = 0.5 * (1.0 - a * b * t) / (a * a * t)
-            return area
-
-        kink = None if t <= 0.0 else 1.0 / (lo * t)
-        return _quad(f, lo, cap, spec, points=None if kink is None else [kink], inner=True)
-
-    pts = _regime_points(t)
-    pts.append(0.5)
-    if t > 0.0:
-        pts.append(1.0 - 1.0 / math.sqrt(t))
-    return _quad(outer, 0.0, 1.0, spec, points=pts)
+    Below the kink a = 1/((1-b)t), where y* reaches 1, the area is
+    w/a - (1-b)^2 t/2 with w = _sl_area_weight(b); past it, (1 - abt)/(2a^2 t).
+    """
+    lo = 1.0 - b
+    cap = _lattice_cap(t, b)
+    # lo = 0 where b rounds to 1; the slit area there is 0
+    if cap <= lo or lo <= 0.0:
+        return 0.0
+    weight = _sl_area_weight(b)
+    if t <= 0.0:
+        return weight * math.log1p((cap - lo) / lo)
+    kink = 1.0 / (lo * t)
+    total = 0.0
+    a_mid = min(cap, kink)
+    if a_mid > lo:
+        total += weight * math.log1p((a_mid - lo) / lo) - 0.5 * lo * lo * t * (a_mid - lo)
+    if cap > kink:
+        a1 = max(lo, kink)
+        total += 0.5 * (cap - a1) / (t * a1 * cap) - 0.5 * b * math.log1p((cap - a1) / a1)
+    return total
 
 
-def tail_components(t, spec=None):
+def tail_components(t):
     """Per-region tail masses whose sum is the quadrature tail."""
-    if t < 0.0:
-        raise InvalidInputError(f"tail evaluated at negative threshold {t!r}")
-    spec = spec or DEFAULT_QUADRATURE
+    _check_threshold(t)
+    pts = _regime_points(t)
+    sl_pts = pts + [0.5]
+    vector_pts = sl_pts + [1.0 - 1.0 / math.sqrt(t)] if t > 0.0 else sl_pts
+    o2 = _slice_mass(_o2_slice, t, pts)
     return {
-        "sa-o1": _sa_tail_o1(t, spec),
-        "sa-o2": _sa_tail_o2(t, spec),
-        "sa-o3": _sa_tail_o3(t, spec),
-        "sa-o4": _sa_tail_o4(t, spec),
-        "sl-lattice": _sl_tail_lattice_branch(t, spec),
-        "sl-vector": _sl_tail_vector_branch(t, spec),
+        "sa-o1": _slice_mass(_o1_slice, t, pts),
+        "sa-o2": o2,
+        "sa-o3": _slice_mass(_o3_slice, t, pts),
+        "sa-o4": o2,
+        "sl-lattice": _slice_mass(_sl_lattice_slice, t, sl_pts),
+        "sl-vector": _slice_mass(_sl_vector_slice, t, vector_pts),
     }
 
 
-def w_tail_quadrature(t, spec=None):
-    """Doubled-torus tail mass by nested adaptive quadrature.
+def w_tail_quadrature(t):
+    """Doubled-torus tail mass by quadrature over the lattice coordinate.
 
     Each region's innermost integral (over the shear or over the slit
-    coordinate) has integrand 1 and is folded in exactly; the rest is a sum
-    of six 2-fold integrals split at every hyperbola crossing.
+    coordinate) has integrand 1, and the next one is elementary; both are
+    folded in exactly, which leaves a sum of six 1-D integrals over b split at
+    every hyperbola crossing.  No dilogarithm enters, so this route checks the
+    closed-form pieces independently.
     """
-    return math.fsum(tail_components(t, spec).values())
+    return math.fsum(tail_components(t).values())
 
 
-def w_tail_closed_form(t, spec=None):
+def w_tail_closed_form(t):
     """Tail G(t) of the doubled-torus gap law.
 
     Explicit pieces cover [0, 4]; past 4 the value falls back to
     w_tail_quadrature, against whose pieces the closed forms are checked.
     """
-    if t < 0.0:
-        raise InvalidInputError(f"tail evaluated at negative threshold {t!r}")
+    _check_threshold(t)
     if t <= 1.0:
         return _tail_linear(t)
     if t <= 2.0:
         return _tail_low(t)
     if t <= 4.0:
         return _tail_high(t)
-    return w_tail_quadrature(t, spec)
+    return w_tail_quadrature(t)
 
 
 _CLOSED_PIECES = (_tail_linear, _tail_low, _tail_high, _tail_high)
@@ -379,8 +372,8 @@ class PiecewiseTail:
             raise InvalidInputError("breakpoints must increase strictly")
 
     def piece_index(self, t):
-        if t < self.breakpoints[0]:
-            raise InvalidInputError(f"{t!r} is below the support {self.breakpoints[0]!r}")
+        if not t >= self.breakpoints[0]:
+            raise InvalidInputError(f"{t!r} is not in the support from {self.breakpoints[0]!r} up")
         for i in range(1, len(self.breakpoints)):
             if t <= self.breakpoints[i]:
                 return i - 1
@@ -427,7 +420,7 @@ def w_density(t, h=1e-5, *, one_sided=False):
     return DOUBLED_TAIL.density(t, h, one_sided=one_sided)
 
 
-def compare_pieces(points_per_piece=50, tolerance=1e-6, spec=None):
+def compare_pieces(points_per_piece=50, tolerance=1e-6):
     """Differential check of every closed-form piece against quadrature.
 
     Returns a JSON-ready report; a transcription slip in any one piece shows
@@ -435,7 +428,6 @@ def compare_pieces(points_per_piece=50, tolerance=1e-6, spec=None):
     """
     if points_per_piece < 1:
         raise InvalidInputError("need at least one probe point per piece")
-    spec = spec or DEFAULT_QUADRATURE
     rows = []
     for idx, fn in enumerate(_CLOSED_PIECES):
         lo, hi = TAIL_BREAKPOINTS[idx], TAIL_BREAKPOINTS[idx + 1]
@@ -443,7 +435,7 @@ def compare_pieces(points_per_piece=50, tolerance=1e-6, spec=None):
         worst_t = lo
         for k in range(1, points_per_piece + 1):
             tt = lo + (hi - lo) * k / (points_per_piece + 1.0)
-            err = abs(fn(tt) - w_tail_quadrature(tt, spec))
+            err = abs(fn(tt) - w_tail_quadrature(tt))
             if err > worst:
                 worst = err
                 worst_t = tt
@@ -530,39 +522,25 @@ def _envelope_cap(t, b):
     return min(1.0, 2.0 / denom)
 
 
-def _o2_slice_upper(t, spec):
+def _o2_envelope_slice(t, b):
     """Envelope mass over the floor-bearing high-shear region; the marking and
-    shear integrals are exact, leaving (-ln a)/b."""
-
-    def outer(b):
-        lo = 1.0 - b
-        cap = _envelope_cap(t, b)
-        if cap <= lo:
-            return 0.0
-
-        def f(a):
-            return -math.log(a) / b
-
-        return _quad(f, lo, cap, spec, inner=True)
-
-    return _quad(outer, 0.0, 1.0, spec, points=_envelope_cap_points(t))
+    shear integrals are exact, leaving (-ln a)/b, whose integral over a is
+    returned here."""
+    lo = 1.0 - b
+    cap = _envelope_cap(t, b)
+    if cap <= lo or lo <= 0.0:
+        return 0.0
+    d = cap - lo
+    return (_gap_ratio_mass(lo, d) - d * math.log(cap)) / b
 
 
-def _o4_slice_upper(t, spec):
+def _o4_envelope_slice(t, b):
     """Envelope mass over the floor-bearing low-marking region."""
-
-    def outer(b):
-        lo = 1.0 - b
-        cap = _envelope_cap(t, b)
-        if cap <= lo:
-            return 0.0
-
-        def f(a):
-            return (a - lo) / (a * b)
-
-        return _quad(f, lo, cap, spec, inner=True)
-
-    return _quad(outer, 0.0, 1.0, spec, points=_envelope_cap_points(t))
+    lo = 1.0 - b
+    cap = _envelope_cap(t, b)
+    if cap <= lo or lo <= 0.0:
+        return 0.0
+    return _gap_ratio_mass(lo, cap - lo) / b
 
 
 def _soft_log_weight(b):
@@ -573,41 +551,43 @@ def _soft_log_weight(b):
     return b + omb * math.log(omb)
 
 
-def _o2_lower(t, spec):
+def _o2_lower(t):
     hi = 1.0 if t <= 0.0 else min(1.0, 1.0 / t)
 
     def f(b):
         return _soft_log_weight(b) / b
 
-    return _quad(f, 0.0, hi, spec)
+    return _quad(f, 0.0, hi)
 
 
-def _o4_lower(t, spec):
+def _o4_lower(t):
     hi = 1.0 if t <= 0.0 else min(1.0, 1.0 / t)
 
     def f(b):
         return (1.0 / b - t) * _soft_log_weight(b)
 
-    return _quad(f, 0.0, hi, spec)
+    return _quad(f, 0.0, hi)
 
 
-def omega_tail_bounds(t, spec=None):
+def omega_tail_bounds(t):
     """(lower, upper) envelopes for the affine-lattice gap tail.
 
     The two floor-free regions contribute their exact tails to both sides;
     the floor-bearing regions contribute sandwich integrals that pin the tail
     between quadratic and linear decay.
     """
-    if t < 0.0:
-        raise InvalidInputError(f"tail evaluated at negative threshold {t!r}")
-    spec = spec or DEFAULT_QUADRATURE
-    exact = _sa_tail_o1(t, spec) + _sa_tail_o3(t, spec)
-    lower = exact + _o2_lower(t, spec) + _o4_lower(t, spec)
-    upper = exact + _o2_slice_upper(t, spec) + _o4_slice_upper(t, spec)
+    _check_threshold(t)
+    pts = _regime_points(t)
+    exact = _slice_mass(_o1_slice, t, pts) + _slice_mass(_o3_slice, t, pts)
+    lower = exact + _o2_lower(t) + _o4_lower(t)
+    env_pts = _envelope_cap_points(t)
+    upper = exact + _slice_mass(_o2_envelope_slice, t, env_pts) + _slice_mass(
+        _o4_envelope_slice, t, env_pts
+    )
     return lower, upper
 
 
-def _torsion_c1(q, t, spec):
+def _torsion_c1(q, t):
     # below the b = 1 - a/q line the return is floor-free; empty when q = 1
     if q == 1:
         return 0.0
@@ -618,7 +598,7 @@ def _torsion_c1(q, t, spec):
         top = min(1.0 - a / q, 1.0 / (a * t) - a / q)
         return max(0.0, top - (1.0 - a))
 
-    return _quad(width, 0.0, min(1.0, astar), spec, points=[1.0 / t])
+    return _quad(width, 0.0, min(1.0, astar), points=[1.0 / t])
 
 
 def _torsion_c2_slice(q, t, a):
@@ -647,7 +627,7 @@ def _torsion_c2_slice(q, t, a):
     return total
 
 
-def torsion_tail(q, t, spec=None):
+def torsion_tail(q, t):
     """Normalized gap tail at q-torsion markings.
 
     The region below the b + a/q = 1 line integrates its hyperbola window
@@ -657,19 +637,13 @@ def torsion_tail(q, t, spec=None):
     if int(q) != q or q < 1:
         raise InvalidInputError(f"torsion order must be a positive integer, got {q!r}")
     q = int(q)
+    _check_threshold(t)
     if t <= q:
         raise OutOfRegimeError(f"tail regime needs t > q; got t={t:g}, q={q}")
     if 1.0 - (4.0 / t) * (1.0 - 1.0 / q) <= 0.0:
         raise OutOfRegimeError(f"regime roots are complex at t={t:g}, q={q}")
-    spec = spec or DEFAULT_QUADRATURE
-    c1 = _torsion_c1(q, t, spec)
-    c2 = _quad(
-        lambda a: _torsion_c2_slice(q, t, a),
-        0.0,
-        1.0,
-        spec,
-        points=[1.0 / t],
-    )
+    c1 = _torsion_c1(q, t)
+    c2 = _quad(lambda a: _torsion_c2_slice(q, t, a), 0.0, 1.0, points=[1.0 / t])
     return 2.0 * (c1 + c2)
 
 

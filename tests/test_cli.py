@@ -357,3 +357,14 @@ def test_closed_form_at_huge_t(tmp_path, component):
     if component == "bounds":
         lower, upper = values
         assert lower <= upper
+
+
+def test_bounds_grid_through_the_envelope_double_root(tmp_path):
+    # t = 13.5 is on the grid: the envelope cubic's double root
+    out = tmp_path / "bounds.csv"
+    assert main(["closed-form", "--component", "bounds", "--t-grid", "0:16:0.25", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 65
+    for row in rows:
+        lower, upper = float(row[1]), float(row[2])
+        assert lower <= upper + 1e-12

@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
+from slitgaps import closedform
 from slitgaps.closedform import (
     DOUBLED_TAIL,
     GOLDEN_T,
     W_TOTAL_MASS,
     PiecewiseTail,
-    QuadratureSpec,
     compare_pieces,
     dilog,
     envelope_cubic_roots,
@@ -190,11 +191,6 @@ def test_tail_exponent_in_quadratic_band():
     assert -2.3 <= slope <= -1.7
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(InvalidInputError):
-        QuadratureSpec(rel_tol=0.0)
-
-
 def test_piecewise_tail_validation():
     with pytest.raises(InvalidInputError):
         PiecewiseTail(breakpoints=(0.0, 1.0), pieces=())
@@ -207,3 +203,106 @@ def test_cdf_complements_tail():
         assert math.isclose(
             DOUBLED_TAIL.cdf(t) + DOUBLED_TAIL.tail(t), W_TOTAL_MASS, rel_tol=1e-12
         )
+
+
+def _nested_inner(name, t, b):
+    """The region's inner integral at slice b, by quadrature of its integrand."""
+    lo = 1.0 - b
+    cap = 1.0 if t <= 0.0 else min(1.0, 1.0 / (b * t))
+    a0, kink = lo, None
+    if name == "o1":
+        def f(al):
+            return (1.0 / (b * al) - t) * (al * math.log(al / lo) - (al - lo))
+    elif name in ("o2", "o4"):
+        def f(al):
+            return (1.0 / (b * al) - t) * (al - lo)
+    elif name == "o3":
+        def f(al):
+            ahat = 1.0 if t <= 0.0 else min(1.0, 1.0 / (t * (b + al)))
+            if ahat <= lo:
+                return 0.0
+            return (math.log(ahat / lo) - t * (b + al) * (ahat - lo)) / b
+        a0 = 0.0
+        cap = lo if t <= 0.0 else min(lo, 1.0 / (t * lo) - b)
+        kink = None if t <= 0.0 else 1.0 / t - b
+    elif name == "sl-lattice":
+        ym = min(1.0, lo / b)
+
+        def f(a):
+            return 1.0 - (lo * ym - 0.5 * b * ym * ym) / a
+    elif name == "sl-vector":
+        def f(a):
+            ystar = lo * a * t
+            if ystar >= 1.0:
+                return 0.5 * (1.0 - a * b * t) / (a * a * t)
+            area = 0.5 * (1.0 - a * b * t) * lo * lo * t
+            ym = min(1.0, lo / b)
+            if ym > ystar:
+                area += (lo * (ym - ystar) - 0.5 * b * (ym * ym - ystar * ystar)) / a
+            return area
+        kink = None if t <= 0.0 else 1.0 / (lo * t)
+    else:
+        denom = t * b * (1.0 - b)
+        cap = 1.0 if denom <= 0.0 else min(1.0, 2.0 / denom)
+        if name == "o2-upper":
+            def f(a):
+                return -math.log(a) / b
+        else:
+            def f(a):
+                return (a - lo) / (a * b)
+    if cap <= a0:
+        return 0.0
+    pts = [kink] if kink is not None and a0 < kink < cap else None
+    return scipy.integrate.quad(f, a0, cap, points=pts, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+
+def test_slices_match_quadrature_of_the_inner_integrands():
+    slices = {
+        "o1": closedform._o1_slice,
+        "o2": closedform._o2_slice,
+        "o3": closedform._o3_slice,
+        "o4": closedform._o2_slice,
+        "sl-lattice": closedform._sl_lattice_slice,
+        "sl-vector": closedform._sl_vector_slice,
+        "o2-upper": closedform._o2_envelope_slice,
+        "o4-upper": closedform._o4_envelope_slice,
+    }
+    for t in (0.0, 0.5, 1.5, 3.0, 6.0, 16.0, 128.0):
+        # dyadic ends keep 1 - b exact, so the nested integrands lose no digits
+        bs = [2.0 ** -10, 0.1, 0.25, 0.5, 0.7, 0.9, 1.0 - 2.0 ** -10]
+        kinks = closedform._regime_points(t) + closedform._envelope_cap_points(t) + [0.5]
+        if t > 0.0:
+            kinks.append(1.0 - 1.0 / math.sqrt(t))
+        bs += [p * (1.0 + s) for p in kinks for s in (-1e-9, 1e-9) if 0.0 < p * (1.0 + s) < 1.0]
+        for b in bs:
+            for name, fn in slices.items():
+                want = _nested_inner(name, t, b)
+                assert abs(fn(t, b) - want) <= 1e-13, (name, t, b)
+
+
+@pytest.mark.parametrize(
+    "entry, limit",
+    [
+        (closedform.w_tail_closed_form, 0.0),
+        (closedform.w_tail_quadrature, 0.0),
+        (closedform.tail_components, 0.0),
+        (closedform.omega_tail_bounds, 0.0),
+        (DOUBLED_TAIL.cdf, W_TOTAL_MASS),
+        (lambda t: torsion_tail(2, t), 0.0),
+    ],
+    ids=["tail", "quadrature", "components", "bounds", "cdf", "torsion"],
+)
+def test_thresholds_reject_nan_and_keep_the_limit_at_inf(entry, limit):
+    with pytest.raises(InvalidInputError):
+        entry(math.nan)
+    at_inf = entry(math.inf)
+    values = list(at_inf.values()) if isinstance(at_inf, dict) else np.atleast_1d(at_inf)
+    assert all(v == limit for v in values)
+
+
+def test_bounds_at_the_envelope_double_root():
+    # the cubic's two roots coincide at t = 27/2 and land a few ulps apart
+    lower, upper = omega_tail_bounds(13.5)
+    below, above = omega_tail_bounds(13.4999), omega_tail_bounds(13.5001)
+    assert above[0] <= lower <= below[0]
+    assert above[1] <= upper <= below[1]
