@@ -20,6 +20,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy
+import scipy
+
 from . import __version__, closedform
 from .errors import (
     AmbiguityError,
@@ -33,7 +36,7 @@ from .errors import (
 )
 from .geometry import AffineLattice, Mat2, SurfaceMode, Vec2, enumerate_strip, slopes_and_gaps
 from .measures import ENGINES, FORMULA, MeasureSpec, mc_tail, orbit
-from .oracle import REGIONS, diff_test
+from .oracle import REGIONS, diff_test, oracle_strip_slopes
 from .transversal import OmegaCoords, VLCoords, WPointSA, WPointSL, omega_to_surface
 
 SPEC_VERSION = "1.0"
@@ -245,7 +248,12 @@ def _report(config: RunConfig, results, counterexamples=()) -> dict:
         "config": config.to_dict(),
         "results": results,
         "counterexamples": list(counterexamples),
-        "versions": {"spec": SPEC_VERSION, "build": __version__},
+        "versions": {
+            "spec": SPEC_VERSION,
+            "build": __version__,
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+        },
     }
 
 
@@ -322,21 +330,11 @@ def cmd_gaps(config: RunConfig) -> int:
     if p.get("slope_max") is None and p.get("count") is None:
         raise InvalidInputError("gaps needs --slope-max or --count")
     if p.get("slope_max") is not None:
-        pts = enumerate_strip(surface, mode, float(p["slope_max"]))
-        series = slopes_and_gaps(pts)
+        series = slopes_and_gaps(enumerate_strip(surface, mode, float(p["slope_max"])))
         slopes, gaps = list(series.slopes), list(series.gaps)
     else:
-        want = int(p["count"])
-        if want < 1:
-            raise InvalidInputError("--count must be >= 1")
-        cap = 8.0
-        while True:
-            series = slopes_and_gaps(enumerate_strip(surface, mode, cap))
-            if len(series.slopes) >= want or cap > 1e15:
-                break
-            cap *= 2.0
-        slopes = list(series.slopes)[:want]
-        gaps = list(series.gaps)[: max(0, want - 1)]
+        slopes = list(oracle_strip_slopes(surface, mode, int(p["count"])))
+        gaps = [hi - lo for lo, hi in zip(slopes, slopes[1:])]
 
     rows = [(i, s, gaps[i] if i < len(gaps) else "") for i, s in enumerate(slopes)]
     return _write_outputs(

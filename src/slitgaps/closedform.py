@@ -122,19 +122,22 @@ _EPSREL = 1e-8
 _EPSABS = 1e-12
 _LIMIT = 200
 _POINT_RTOL = 1e-12
+_END_ULPS = 4
 
 
 def _quad(f, lo, hi, points=()):
     """Adaptive integral of f over [lo, hi], split at the interior points.
 
-    A point within rounding of the one before it is dropped: a sub-interval
-    a few ulps wide makes QUADPACK report extremely bad integrand behavior.
+    A point within rounding of the one before it (1e-12 relative) or of hi
+    (a few ulps) is dropped: a sub-interval that narrow around a kink makes
+    QUADPACK report extremely bad integrand behavior.  The end rule is tight
+    because a point 1e-13 below hi = 1 can bound all of a tail's mass.
     """
     if hi <= lo:
         return 0.0
     pts = []
     for p in sorted(p for p in points if math.isfinite(p) and lo < p < hi):
-        if p - (pts[-1] if pts else lo) > _POINT_RTOL * abs(p):
+        if p - (pts[-1] if pts else lo) > _POINT_RTOL * abs(p) and hi - p > _END_ULPS * math.ulp(hi):
             pts.append(p)
     out = integrate.quad(
         f,
@@ -460,33 +463,44 @@ def _cubic_residual(t, b):
     return t * b * (1.0 - b) ** 2 - 2.0
 
 
-def _bisect_cubic(t, lo, hi):
-    f_lo = _cubic_residual(t, lo)
-    f_hi = _cubic_residual(t, hi)
+def _gap_residual(t, c):
+    # the cubic in the gap c = 1 - b, ordered so t*c*c stays finite
+    return t * c * c * (1.0 - c) - 2.0
+
+
+def _bisect(f, lo, hi):
+    """Root of f on [lo, hi] by bisection down to adjacent floats."""
+    f_lo = f(lo)
+    f_hi = f(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
     if f_lo * f_hi > 0.0:
         raise OutOfRegimeError(f"no sign change for the envelope cubic on [{lo:g}, {hi:g}]")
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
-        f_mid = _cubic_residual(t, mid)
+        if not lo < mid < hi:
+            return mid
+        f_mid = f(mid)
         if f_mid == 0.0:
             return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
+        if (f_lo < 0.0) == (f_mid < 0.0):
             lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+        else:
+            hi = mid
 
 
 def envelope_cubic_roots(t):
-    """Both (0, 1) roots of t*b*(1-b)^2 = 2, smaller first.
+    """The (0, 1) roots of t*b*(1-b)^2 = 2: the smaller root b, and the
+    larger root's gap 1 - b, which is all of that root that is representable
+    once it lies within an ulp of 1 (t above about 1e32).
 
     The cosine substitution b = (2/3)(1+cos(theta)) solves the cubic exactly;
     bisection refines any root whose residual drifts, since the arccos route
-    loses digits near the double root at t = 27/2.
+    loses digits near the double root at t = 27/2 and at large t.  The small
+    root, near 2/t, is bracketed by [1/t, 1/3]; the large one is bisected in
+    its gap, near sqrt(2/t), on [1/sqrt(t), 2/3].
     """
     if t < 13.5:
         raise OutOfRegimeError(f"envelope cubic has no roots in (0,1) for t={t:g} < 13.5")
@@ -494,50 +508,63 @@ def envelope_cubic_roots(t):
     theta = math.acos(arg) / 3.0
     b_large = (2.0 / 3.0) * (math.cos(theta - 2.0 * math.pi / 3.0) + 1.0)
     b_small = (2.0 / 3.0) * (math.cos(theta - 4.0 * math.pi / 3.0) + 1.0)
-    third = 1.0 / 3.0
     if abs(_cubic_residual(t, b_small)) > 1e-9:
-        b_small = _bisect_cubic(t, 1e-300, third)
+        b_small = _bisect(lambda b: _cubic_residual(t, b), 1.0 / t, 1.0 / 3.0)
     if abs(_cubic_residual(t, b_large)) > 1e-9:
-        b_large = _bisect_cubic(t, third, 1.0 - 1e-16)
-    return b_small, b_large
+        return b_small, _bisect(lambda c: _gap_residual(t, c), 1.0 / math.sqrt(t), 2.0 / 3.0)
+    return b_small, 1.0 - b_large
 
 
-def _envelope_cap_points(t):
-    pts = []
+def _envelope_kinks(t):
+    """Where the envelope cap 2/(t*b*(1-b)) crosses 1 and where it crosses
+    1 - b, as pairs (b, 1 - b) each computed from its smaller member."""
+    kinks = []
     if t > 8.0:
-        root = math.sqrt(1.0 - 8.0 / t)
-        pts.append((1.0 - root) / 2.0)
-        pts.append((1.0 + root) / 2.0)
+        # b*(1-b) = 2/t; the smaller root (1 - sqrt(1 - 8/t))/2 without cancellation
+        p = 4.0 / (t * (1.0 + math.sqrt(1.0 - 8.0 / t)))
+        kinks += [(p, 1.0 - p), (1.0 - p, p)]
     if t >= 13.5:
-        pts.extend(envelope_cubic_roots(t))
-    return pts
+        b_small, c_large = envelope_cubic_roots(t)
+        kinks += [(b_small, 1.0 - b_small), (1.0 - c_large, c_large)]
+    return kinks
 
 
-def _envelope_cap(t, b):
+def _envelope_mass(slice_fn, t):
+    """Integral over b in (0, 1) of slice_fn(t, b, 1 - b).
+
+    The half b > 1/2 is integrated in the gap c = 1 - b: the envelope's mass
+    there lies within about sqrt(2/t) of b = 1, which b itself stops
+    resolving at large t.
+    """
+    kinks = _envelope_kinks(t)
+    near_zero = _quad(lambda b: slice_fn(t, b, 1.0 - b), 0.0, 0.5, [b for b, _ in kinks])
+    near_one = _quad(lambda c: slice_fn(t, 1.0 - c, c), 0.0, 0.5, [c for _, c in kinks])
+    return near_zero + near_one
+
+
+def _envelope_cap(t, b, lo):
     # the 2/(ab(1-b)) envelope exceeds t exactly below this lattice coordinate
-    denom = t * b * (1.0 - b)
+    denom = t * b * lo
     if denom <= 0.0:
         # t <= 0, or b at an end of [0, 1] where the envelope is unbounded
         return 1.0
     return min(1.0, 2.0 / denom)
 
 
-def _o2_envelope_slice(t, b):
-    """Envelope mass over the floor-bearing high-shear region; the marking and
-    shear integrals are exact, leaving (-ln a)/b, whose integral over a is
-    returned here."""
-    lo = 1.0 - b
-    cap = _envelope_cap(t, b)
+def _o2_envelope_slice(t, b, lo):
+    """Envelope mass over the floor-bearing high-shear region at b, lo = 1-b;
+    the marking and shear integrals are exact, leaving (-ln a)/b, whose
+    integral over a is returned here."""
+    cap = _envelope_cap(t, b, lo)
     if cap <= lo or lo <= 0.0:
         return 0.0
     d = cap - lo
     return (_gap_ratio_mass(lo, d) - d * math.log(cap)) / b
 
 
-def _o4_envelope_slice(t, b):
-    """Envelope mass over the floor-bearing low-marking region."""
-    lo = 1.0 - b
-    cap = _envelope_cap(t, b)
+def _o4_envelope_slice(t, b, lo):
+    """Envelope mass over the floor-bearing low-marking region at b, lo = 1-b."""
+    cap = _envelope_cap(t, b, lo)
     if cap <= lo or lo <= 0.0:
         return 0.0
     return _gap_ratio_mass(lo, cap - lo) / b
@@ -564,7 +591,8 @@ def _o4_lower(t):
     hi = 1.0 if t <= 0.0 else min(1.0, 1.0 / t)
 
     def f(b):
-        return (1.0 / b - t) * _soft_log_weight(b)
+        # (1/b - t) * weight, without overflowing 1/b at subnormal b
+        return (1.0 - t * b) * _soft_log_weight(b) / b
 
     return _quad(f, 0.0, hi)
 
@@ -580,10 +608,7 @@ def omega_tail_bounds(t):
     pts = _regime_points(t)
     exact = _slice_mass(_o1_slice, t, pts) + _slice_mass(_o3_slice, t, pts)
     lower = exact + _o2_lower(t) + _o4_lower(t)
-    env_pts = _envelope_cap_points(t)
-    upper = exact + _slice_mass(_o2_envelope_slice, t, env_pts) + _slice_mass(
-        _o4_envelope_slice, t, env_pts
-    )
+    upper = exact + _envelope_mass(_o2_envelope_slice, t) + _envelope_mass(_o4_envelope_slice, t)
     return lower, upper
 
 

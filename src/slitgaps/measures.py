@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import EstimationError, InvalidInputError
-from .geometry import Vec2, horocycle_apply
+from .geometry import SurfaceMode, Vec2, horocycle_apply
 from .transversal import (
     OmegaCoords,
     VLCoords,
@@ -372,7 +372,6 @@ def w_return_sa_vec(a, b, s, alpha) -> np.ndarray:
 
 def _oracle_return_omega(batch: dict, mode_label: str) -> np.ndarray:
     from .oracle import oracle_first_return_batch
-    from .geometry import SurfaceMode
 
     mode = (
         SurfaceMode.DOUBLED_SLIT
@@ -469,6 +468,8 @@ def mc_tail(
     t_grid = np.asarray(list(t_grid), dtype=float)
     if t_grid.size == 0:
         raise InvalidInputError("empty t grid")
+    if np.isnan(t_grid).any():
+        raise InvalidInputError("NaN threshold in t grid")
 
     ws, rs, comps = [], [], []
     for rng, ni in worker_streams(n, seed, workers):
@@ -541,19 +542,32 @@ def ergodic_average(
     interval: tuple,
 ) -> float:
     """Fraction of the first n return times along the orbit lying in
-    (lo, hi]."""
+    (lo, hi].  The oracle engines read all n off one strip scan of the start
+    surface (``oracle_gap_sequence``), affine or doubled."""
     if engine not in ENGINES:
         raise InvalidInputError(f"unknown engine {engine!r}")
+    if n_steps < 1:
+        raise InvalidInputError("n_steps must be >= 1")
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise InvalidInputError("empty interval")
-    hits = 0
-    p = start
-    for _ in range(n_steps):
-        u, p = _orbit_step(p, engine)
-        if lo < u <= hi:
-            hits += 1
-    return hits / n_steps
+    if engine == FORMULA:
+        returns = np.array([u for _, u, _ in orbit(start, engine, n_steps)])
+    else:
+        from .oracle import oracle_gap_sequence
+
+        returns = oracle_gap_sequence(*_oracle_surface(start, engine), n_steps)
+    return int(np.count_nonzero((returns > lo) & (returns <= hi))) / n_steps
+
+
+def _oracle_surface(p, engine: str):
+    """(surface, holonomy mode) that the oracle engine scans at point p."""
+    on_w = isinstance(p, (WPointSL, WPointSA))
+    if engine == ORACLE_AFFINE:
+        if on_w:
+            raise InvalidInputError("affine-oracle orbits need affine-section coordinates")
+        return omega_to_surface(p), SurfaceMode.AFFINE_ONLY
+    return (w_to_surface(p) if on_w else omega_to_surface(p)), SurfaceMode.DOUBLED_SLIT
 
 
 def _orbit_step(p, engine: str):
@@ -570,19 +584,12 @@ def _orbit_step(p, engine: str):
                 horocycle_apply(u, w_to_surface(p)), doubled=True
             )
         return omega_return_time(p), advance_omega(p)
-    from .oracle import oracle_first_return, w_oracle_return
-    from .geometry import SurfaceMode
+    from .oracle import oracle_first_return
 
-    if engine == ORACLE_AFFINE:
-        if isinstance(p, (WPointSL, WPointSA)):
-            raise InvalidInputError(
-                "affine-oracle orbits need affine-section coordinates"
-            )
-        surf = omega_to_surface(p)
-        u = oracle_first_return(surf, SurfaceMode.AFFINE_ONLY)
+    surf, mode = _oracle_surface(p, engine)
+    u = oracle_first_return(surf, mode)
+    if mode is SurfaceMode.AFFINE_ONLY:
         return u, recoordinatize_omega(horocycle_apply(u, surf))
-    surf = w_to_surface(p) if isinstance(p, (WPointSL, WPointSA)) else omega_to_surface(p)
-    u = w_oracle_return(surf, doubled=True)
     return u, w_section_coords(horocycle_apply(u, surf), doubled=True)
 
 

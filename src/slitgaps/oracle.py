@@ -5,7 +5,8 @@ The oracle never touches the piecewise return formulas: it enumerates the
 holonomy set inside the vertical strip and reads the return time off the
 smallest positive slope.  ``oracle_first_return`` scans one surface;
 ``oracle_first_return_batch`` scans many independent surfaces in one
-vectorized pass with the same cap sequences and bit-identical returns.  The
+vectorized pass with the same cap sequences and bit-identical returns;
+``oracle_gap_sequence`` reads a whole orbit's returns off one scan.  The
 differential tester samples a region, evaluates the scalar formula on every
 point, runs the batched oracle over blocks of points, and reports any
 relative disagreement above 1e-6 as a counterexample.  Two regions are
@@ -31,7 +32,7 @@ from .geometry import (
     SurfaceMode,
     Vec2,
     enumerate_strip,
-    horocycle_apply,
+    slopes_and_gaps,
     strip_holonomy_batch,
 )
 from .measures import (
@@ -102,7 +103,6 @@ def oracle_first_return(
     mode: SurfaceMode,
     *,
     cap_hint: Optional[float] = None,
-    min_slope: float = 0.0,
 ) -> float:
     """Smallest positive holonomy slope in the strip: the ground-truth
     return time.
@@ -118,10 +118,7 @@ def oracle_first_return(
     while cap <= CAP_LIMIT:
         pts = enumerate_strip(surface, mode, cap)
         if len(pts):
-            slopes = pts[:, 1] / pts[:, 0]
-            slopes = slopes[slopes > min_slope]
-            if len(slopes):
-                return float(slopes[0])
+            return float(pts[0, 1] / pts[0, 0])
         cap *= 2.0
     raise NotOnTransversalError(NO_RETURN)
 
@@ -208,28 +205,30 @@ def w_oracle_return_batch(
     return np.minimum(lattice_min, coset_min)
 
 
+def oracle_strip_slopes(
+    surface: AffineLattice, mode: SurfaceMode, count: int
+) -> np.ndarray:
+    """The first ``count`` distinct positive strip slopes, increasing.  The
+    cap doubles from ``DEFAULT_CAP`` until the scan holds that many (ties
+    merged at 1e-12 relative by ``slopes_and_gaps``), up to ``CAP_LIMIT``."""
+    if count < 1:
+        raise InvalidInputError("count must be >= 1")
+    cap = DEFAULT_CAP
+    while cap <= CAP_LIMIT:
+        slopes = slopes_and_gaps(enumerate_strip(surface, mode, cap)).slopes
+        if len(slopes) >= count:
+            return slopes[:count]
+        cap *= 2.0
+    raise NotOnTransversalError(NO_RETURN)
+
+
 def oracle_gap_sequence(
     surface: AffineLattice, mode: SurfaceMode, count: int
 ) -> np.ndarray:
-    """Return times of ``count`` successive section visits, by flowing to the
-    next enumerated return each time.
-
-    Cumulative sums reproduce the start surface's strip slopes (offset by the
-    first).  Slopes below 1e-9 are skipped: after flowing by a return time
-    the just-crossed vector sits within rounding of horizontal, and 1e-9
-    dominates the drift of a few thousand accumulated flows.
-    """
-    if count < 1:
-        raise InvalidInputError("count must be >= 1")
-    out = np.empty(count)
-    cur = surface
-    hint = None
-    for k in range(count):
-        u = oracle_first_return(cur, mode, cap_hint=hint, min_slope=1e-9)
-        out[k] = u
-        cur = horocycle_apply(u, cur)
-        hint = u
-    return out
+    """Return times of ``count`` successive section visits: flowing by u
+    lowers every strip slope by u, so they are the gaps between the start
+    surface's distinct strip slopes, the first measured from 0."""
+    return np.diff(oracle_strip_slopes(surface, mode, count), prepend=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import math
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
+import scipy
 
 from slitgaps import cli, closedform
 from slitgaps.cli import main, parse_t_grid
@@ -65,6 +67,21 @@ def test_gaps_from_surface_file(tmp_path):
     _, rows = read_csv(out)
     assert [float(r[1]) for r in rows] == [1.0, 2.0, 3.0]
     assert [float(r[2]) for r in rows[:-1]] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("mode", ["affine", "doubled"])
+def test_gaps_count_prints_the_first_rows_of_a_slope_cap(tmp_path, mode):
+    omega = "0.5796212042707392,0.8412591478007849,0.12314842213194542,0.07413065518329631"
+    capped, counted = tmp_path / "capped.csv", tmp_path / "counted.csv"
+    assert main(["gaps", "--omega", omega, "--mode", mode, "--slope-max", "300", "--out", str(capped)]) == 0
+    _, rows = read_csv(capped)
+    n = len(rows) // 2
+    assert main(["gaps", "--omega", omega, "--mode", mode, "--count", str(n), "--out", str(counted)]) == 0
+    _, first = read_csv(counted)
+    # the last counted slope has no successor, so its gap cell is empty
+    assert first[:-1] == rows[: n - 1]
+    assert first[-1] == rows[n - 1][:2] + [""]
+    assert main(["gaps", "--omega", omega, "--count", "0"]) == 2
 
 
 def test_gaps_missing_surface_file(tmp_path):
@@ -178,6 +195,8 @@ def test_mc_tail_outputs_and_sidecar(tmp_path):
     assert sidecar["config"]["command"] == "mc-tail"
     assert sidecar["config"]["samples"] == 5000
     assert sidecar["versions"]["spec"]
+    assert sidecar["versions"]["numpy"] == np.__version__
+    assert sidecar["versions"]["scipy"] == scipy.__version__
 
 
 def test_mc_tail_deterministic_bytes(tmp_path):
@@ -368,3 +387,16 @@ def test_bounds_grid_through_the_envelope_double_root(tmp_path):
     for row in rows:
         lower, upper = float(row[1]), float(row[2])
         assert lower <= upper + 1e-12
+
+
+def test_bounds_where_the_envelope_roots_leave_the_bisection_brackets(tmp_path):
+    # the large root lies within an ulp of 1 from t ~ 1e32 on, and the small
+    # root, near 2/t, falls below 1e-300 at the top of the float range
+    out = tmp_path / "bounds.csv"
+    assert main(["closed-form", "--component", "bounds", "--t-grid", "1e33,1e300,1.7e308", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 3
+    for row in rows:
+        lower, upper = float(row[1]), float(row[2])
+        assert math.isfinite(lower) and math.isfinite(upper)
+        assert lower <= upper

@@ -133,7 +133,8 @@ def test_envelope_cubic_roots():
     roots = envelope_cubic_roots(100.0)
     assert len(roots) == 2
     assert math.isclose(roots[0], 0.020861, abs_tol=5e-6)
-    for b in roots:
+    # the smaller root, then the larger root's gap 1 - b
+    for b in (roots[0], 1.0 - roots[1]):
         assert 0.0 < b < 1.0
         assert abs(100.0 * b * (1.0 - b) ** 2 - 2.0) < 1e-6
     with pytest.raises(OutOfRegimeError):
@@ -264,13 +265,13 @@ def test_slices_match_quadrature_of_the_inner_integrands():
         "o4": closedform._o2_slice,
         "sl-lattice": closedform._sl_lattice_slice,
         "sl-vector": closedform._sl_vector_slice,
-        "o2-upper": closedform._o2_envelope_slice,
-        "o4-upper": closedform._o4_envelope_slice,
+        "o2-upper": lambda t, b: closedform._o2_envelope_slice(t, b, 1.0 - b),
+        "o4-upper": lambda t, b: closedform._o4_envelope_slice(t, b, 1.0 - b),
     }
     for t in (0.0, 0.5, 1.5, 3.0, 6.0, 16.0, 128.0):
         # dyadic ends keep 1 - b exact, so the nested integrands lose no digits
         bs = [2.0 ** -10, 0.1, 0.25, 0.5, 0.7, 0.9, 1.0 - 2.0 ** -10]
-        kinks = closedform._regime_points(t) + closedform._envelope_cap_points(t) + [0.5]
+        kinks = closedform._regime_points(t) + [b for b, _ in closedform._envelope_kinks(t)] + [0.5]
         if t > 0.0:
             kinks.append(1.0 - 1.0 / math.sqrt(t))
         bs += [p * (1.0 + s) for p in kinks for s in (-1e-9, 1e-9) if 0.0 < p * (1.0 + s) < 1.0]
@@ -306,3 +307,12 @@ def test_bounds_at_the_envelope_double_root():
     below, above = omega_tail_bounds(13.4999), omega_tail_bounds(13.5001)
     assert above[0] <= lower <= below[0]
     assert above[1] <= upper <= below[1]
+
+
+def test_upper_envelope_grows_like_log_t_over_t():
+    # the envelope mass near b = 1 lies within sqrt(2/t) of it, below what b
+    # resolves from t ~ 1e26 on; t*upper stays affine in ln t regardless
+    ts = np.geomspace(1e18, 1e300, 8)
+    scaled = [omega_tail_bounds(t)[1] * t for t in ts]
+    slopes = np.diff(scaled) / np.diff(np.log(ts))
+    assert np.ptp(slopes) < 1e-3 * slopes.mean()

@@ -10,13 +10,16 @@ from slitgaps.measures import (
     ENGINES,
     FORMULA,
     ORACLE_AFFINE,
+    ORACLE_DOUBLED,
     MeasureSpec,
+    _oracle_surface,
     ergodic_average,
     estimate_masses,
     mc_tail,
     orbit,
     sample,
 )
+from slitgaps.oracle import oracle_gap_sequence
 from slitgaps.transversal import OmegaCoords, VLCoords, WPointSA, WPointSL
 
 HAAR_OMEGA_MASS = math.pi ** 2 / 6.0
@@ -169,6 +172,45 @@ def test_ergodic_average_matches_monte_carlo():
     )
     want = est.survival[0] - est.survival[1]
     assert abs(frac - want) < 0.01
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_ergodic_average_rejects_empty_orbits(engine, n_steps):
+    with pytest.raises(InvalidInputError):
+        ergodic_average(OmegaCoords(1.0, 1.0, 0.0, 0.5), engine, n_steps, (0.0, 1.0))
+
+
+def test_ergodic_average_affine_oracle_needs_affine_coordinates():
+    for start in (WPointSL(0.6, 0.5, 0.5, 0.8), WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))):
+        with pytest.raises(InvalidInputError):
+            ergodic_average(start, ORACLE_AFFINE, 10, (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "start, engine",
+    [
+        (OmegaCoords(0.5, 0.6, 2.0, 0.9), ORACLE_AFFINE),
+        (OmegaCoords(0.5, 0.6, 2.0, 0.9), ORACLE_DOUBLED),
+        (WPointSL(0.6, 0.5, 0.3, 0.5), ORACLE_DOUBLED),
+    ],
+)
+def test_ergodic_scan_follows_the_oracle_orbit(start, engine):
+    # the scan of the start surface and the flow-and-recoordinatize orbit
+    # see the same returns, up to the orbit's accumulated rounding
+    n = 500
+    stepped = np.cumsum([u for _, u, _ in orbit(start, engine, n)])
+    seq = oracle_gap_sequence(*_oracle_surface(start, engine), n)
+    assert np.max(np.abs(np.cumsum(seq) - stepped) / stepped) < 1e-9
+    frac = ergodic_average(start, engine, n, (0.0, 1.0))
+    assert frac == np.count_nonzero(seq <= 1.0) / n
+
+
+def test_mc_tail_rejects_nan_thresholds_and_keeps_inf_limits():
+    with pytest.raises(InvalidInputError):
+        mc_tail(MeasureSpec.haar_w(), FORMULA, [math.nan, 1.0], 2000, seed=1)
+    est = mc_tail(MeasureSpec.haar_w(), FORMULA, [-math.inf, math.inf], 2000, seed=1)
+    assert list(est.survival) == [1.0, 0.0]
 
 
 def test_orbit_yields_expected_shape():

@@ -1,6 +1,7 @@
 """Enumeration oracle and the formula-vs-oracle differential tester."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from slitgaps.measures import (
     _batch_measure,
     _oracle_return_omega,
     _oracle_return_w,
+    sample,
 )
 from slitgaps.oracle import (
     CAP_LIMIT,
@@ -36,6 +38,7 @@ from slitgaps.oracle import (
     oracle_first_return,
     oracle_first_return_batch,
     oracle_gap_sequence,
+    oracle_strip_slopes,
     w_oracle_return,
     w_oracle_return_batch,
 )
@@ -108,6 +111,74 @@ def test_gap_sequence_matches_strip_slopes():
     slopes = series.slopes[series.slopes > 1e-9]
     assert len(slopes) >= n
     assert np.max(np.abs(np.cumsum(seq) - slopes[:n])) < 1e-7
+
+
+def _exact_strip_slopes(g, v, doubled, cap):
+    """Distinct strip slopes at most ``cap`` of the rational surface (g, v),
+    in exact arithmetic: coset points, and under ``doubled`` also the negated
+    coset and the primitive lattice vectors."""
+    g11, g12, g21, g22 = g
+    det = g11 * g22 - g12 * g21
+    comps = [(v, False)]
+    if doubled:
+        comps += [((-v[0], -v[1]), False), ((Fraction(0), Fraction(0)), True)]
+    out = set()
+    for (c1, c2), primitive in comps:
+        corners = [(x - c1, y - c2) for x in (0, 1) for y in (0, cap)]
+        ms = [(g22 * dx - g12 * dy) / det for dx, dy in corners]
+        for m in range(math.floor(min(ms)) - 1, math.ceil(max(ms)) + 2):
+            # n with 0 < x <= 1 on row m (g12 > 0)
+            n_lo = math.floor((-g11 * m - c1) / g12)
+            n_hi = math.ceil((1 - g11 * m - c1) / g12)
+            for n in range(n_lo, n_hi + 1):
+                if primitive and math.gcd(m, n) != 1:
+                    continue
+                x = g11 * m + g12 * n + c1
+                y = g21 * m + g22 * n + c2
+                if 0 < x <= 1 and 0 < y <= cap * x:
+                    out.add(y / x)
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "mode,cap", [(SurfaceMode.AFFINE_ONLY, 4000), (SurfaceMode.DOUBLED_SLIT, 1700)]
+)
+def test_gap_sequence_matches_exact_rational_reference(mode, cap):
+    # g = [[3/5, 1/5], [-1, 4/3]] is unimodular; the marking is rational and
+    # off every lattice line through the strip's boundary
+    g = (Fraction(3, 5), Fraction(1, 5), Fraction(-1), Fraction(4, 3))
+    v = (Fraction(1, 7), Fraction(2, 11))
+    n = 2000
+    exact = _exact_strip_slopes(g, v, mode is SurfaceMode.DOUBLED_SLIT, cap)
+    assert len(exact) >= n
+    want = np.array([float(q) for q in exact[:n]])
+    surf = AffineLattice(Mat2(*map(float, g)), Vec2(*map(float, v)))
+    seq = oracle_gap_sequence(surf, mode, n)
+    assert np.max(np.abs(np.cumsum(seq) - want) / want) <= 1e-12
+    assert np.max(np.abs(seq - np.diff(want, prepend=0.0)) / want) <= 1e-12
+
+
+def test_gap_sequence_has_no_spurious_returns():
+    # the ergodic test's start surface; flowing return by return drifts, and
+    # once the drift passes any fixed skip threshold a just-crossed vector
+    # comes back as a near-zero return and shifts every later index
+    start = sample(MeasureSpec.haar_omega(), np.random.default_rng(19)).point
+    surf = omega_to_surface(start)
+    n = 3000
+    seq = oracle_gap_sequence(surf, SurfaceMode.AFFINE_ONLY, n)
+    slopes = slopes_and_gaps(
+        enumerate_strip(surf, SurfaceMode.AFFINE_ONLY, 4.0 * n)
+    ).slopes
+    assert len(slopes) >= n
+    assert np.max(np.abs(np.cumsum(seq) - slopes[:n]) / slopes[:n]) <= 1e-9
+    assert seq.min() >= 1e-6
+
+
+def test_strip_slopes_past_cap_limit(monkeypatch):
+    surf = AffineLattice(Mat2(1.0, 0.0, 0.0, 1.0), Vec2(0.5, 0.0))
+    monkeypatch.setattr("slitgaps.oracle.CAP_LIMIT", 64.0)
+    with pytest.raises(NotOnTransversalError):
+        oracle_strip_slopes(surf, SurfaceMode.AFFINE_ONLY, 1000)
 
 
 def test_cap_monotonicity():
