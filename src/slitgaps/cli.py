@@ -383,18 +383,17 @@ def cmd_mc_tail(config: RunConfig) -> int:
 
 
 def _closed_form_rows(component: str, grid, h: float):
-    law = closedform.DOUBLED_TAIL
     if component == "tail":
         return ("t", "tail"), [(t, closedform.w_tail_closed_form(t)) for t in grid]
     if component == "cdf":
-        return ("t", "cdf"), [(t, law.cdf(t)) for t in grid]
+        return ("t", "cdf"), [(t, closedform.w_cdf(t)) for t in grid]
     if component == "density":
         rows = []
         for t in grid:
             try:
-                d = law.density(t, h)
+                d = closedform.w_density(t, h)
             except AmbiguityError:
-                d = law.density(t, h, one_sided=True)
+                d = closedform.w_density(t, h, one_sided=True)
             lo, hi = d if isinstance(d, tuple) else (d, d)
             rows.append((t, lo, hi))
         return ("t", "density_left", "density_right"), rows

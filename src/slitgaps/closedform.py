@@ -11,10 +11,9 @@ tails, and a log-log decay-exponent fit.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import (
     AmbiguityError,
@@ -357,70 +356,34 @@ _CLOSED_PIECES = (_tail_linear, _tail_low, _tail_high, _tail_high)
 _NONDIFF_POINTS = (1.0, 2.0, GOLDEN_T)
 
 
-@dataclass(frozen=True)
-class PiecewiseTail:
-    """Piecewise tail law with one evaluator per breakpoint gap.
-
-    Pieces own half-open runs (lo, hi]; the first also owns its left end.
-    """
-
-    breakpoints: tuple = TAIL_BREAKPOINTS
-    pieces: tuple = _CLOSED_PIECES + (w_tail_quadrature,)
-    nondiff: tuple = _NONDIFF_POINTS
-
-    def __post_init__(self):
-        if len(self.pieces) + 1 != len(self.breakpoints):
-            raise InvalidInputError("need exactly one evaluator per breakpoint gap")
-        if any(a >= b for a, b in zip(self.breakpoints, self.breakpoints[1:])):
-            raise InvalidInputError("breakpoints must increase strictly")
-
-    def piece_index(self, t):
-        if not t >= self.breakpoints[0]:
-            raise InvalidInputError(f"{t!r} is not in the support from {self.breakpoints[0]!r} up")
-        for i in range(1, len(self.breakpoints)):
-            if t <= self.breakpoints[i]:
-                return i - 1
-        return len(self.pieces) - 1
-
-    def tail(self, t):
-        return self.pieces[self.piece_index(t)](t)
-
-    def cdf(self, t):
-        return self.tail(self.breakpoints[0]) - self.tail(t)
-
-    def density(self, t, h=1e-5, *, one_sided=False):
-        """Finite-difference density -G'(t).
-
-        Central difference away from breakpoints; a (left, right) pair at the
-        kinks or whenever one_sided is set; stepping across a breakpoint
-        without the flag is refused.
-        """
-        if not h > 0.0:
-            raise InvalidInputError("difference step must be positive")
-        if not t > 0.0:
-            raise InvalidInputError("density is defined for t > 0")
-        if t - h < 0.0:
-            raise InvalidInputError("difference step reaches below the support")
-        g = self.tail
-        interior = [bp for bp in self.breakpoints[1:-1] if math.isfinite(bp)]
-        at_kink = any(t == bp for bp in self.nondiff)
-        if one_sided or at_kink:
-            left = -(g(t) - g(t - h)) / h
-            right = -(g(t + h) - g(t)) / h
-            return (left, right)
-        if any(abs(t - bp) <= h for bp in interior):
-            raise AmbiguityError(
-                f"step {h:g} straddles a breakpoint near t={t:g}; pass one_sided=True"
-            )
-        return -(g(t + h) - g(t - h)) / (2.0 * h)
-
-
-DOUBLED_TAIL = PiecewiseTail()
+def w_cdf(t):
+    """Distribution function G(0) - G(t) of the doubled-torus gap law."""
+    return w_tail_closed_form(0.0) - w_tail_closed_form(t)
 
 
 def w_density(t, h=1e-5, *, one_sided=False):
-    """Gap density of the doubled-torus law via symmetric differences."""
-    return DOUBLED_TAIL.density(t, h, one_sided=one_sided)
+    """Gap density -G'(t) of the doubled-torus law by finite differences.
+
+    Central difference away from the tail's breakpoints; a (left, right)
+    pair at the kinks or whenever one_sided is set; stepping across a
+    breakpoint without the flag is refused.
+    """
+    if not h > 0.0:
+        raise InvalidInputError("difference step must be positive")
+    if not t > 0.0:
+        raise InvalidInputError("density is defined for t > 0")
+    if t - h < 0.0:
+        raise InvalidInputError("difference step reaches below the support")
+    g = w_tail_closed_form
+    if one_sided or t in _NONDIFF_POINTS:
+        left = -(g(t) - g(t - h)) / h
+        right = -(g(t + h) - g(t)) / h
+        return (left, right)
+    if any(abs(t - bp) <= h for bp in TAIL_BREAKPOINTS[1:-1]):
+        raise AmbiguityError(
+            f"step {h:g} straddles a breakpoint near t={t:g}; pass one_sided=True"
+        )
+    return -(g(t + h) - g(t - h)) / (2.0 * h)
 
 
 def compare_pieces(points_per_piece=50, tolerance=1e-6):
@@ -571,11 +534,10 @@ def _o4_envelope_slice(t, b, lo):
 
 
 def _soft_log_weight(b):
-    # b + (1-b)ln(1-b), the exact inner mass shared by both lower envelopes
-    omb = 1.0 - b
-    if omb <= 0.0:
-        return b
-    return b + omb * math.log(omb)
+    # b + (1-b)ln(1-b), the exact inner mass shared by both lower envelopes,
+    # as 1 - (1+y)e^-y with y = -ln(1-b): no cancellation at small b, 1 at b = 1
+    y = -math.log1p(-b) if b < 1.0 else math.inf
+    return float(special.gammainc(2.0, y))
 
 
 def _o2_lower(t):

@@ -370,52 +370,49 @@ def w_return_sa_vec(a, b, s, alpha) -> np.ndarray:
 # oracle-engine evaluation (batched strip scans, bit-identical to per point)
 
 
-def _oracle_return_omega(batch: dict, mode_label: str) -> np.ndarray:
+def _oracle_return_omega(batch: dict, mode: SurfaceMode, hints) -> np.ndarray:
+    """Oracle returns of an omega-type batch, capped from ``hints``."""
     from .oracle import oracle_first_return_batch
 
-    mode = (
-        SurfaceMode.DOUBLED_SLIT
-        if mode_label == ORACLE_DOUBLED
-        else SurfaceMode.AFFINE_ONLY
-    )
     a, s, alpha = batch["a"], batch["s"], batch["alpha"]
     if batch.get("vl"):
-        g, hint = vertical_basis(a, s), a / alpha
+        g = vertical_basis(a, s)
     else:
         g = sheared_delta_basis(a, batch["b"], s)
-        hint = omega_return_vec(a, batch["b"], s, alpha)
-    return oracle_first_return_batch(g, Vec2(alpha, 0.0), mode, hint)
+    return oracle_first_return_batch(g, Vec2(alpha, 0.0), mode, hints)
 
 
-def _oracle_return_w(batch: dict, mode_label: str) -> np.ndarray:
+def _oracle_return_w(batch: dict, mode: SurfaceMode, hints_sl, hints_sa):
+    """Slit-cover oracle returns of a haar-w batch's SL and SA halves."""
     from .oracle import w_oracle_return_batch
 
-    doubled = mode_label == ORACLE_DOUBLED
+    doubled = mode is SurfaceMode.DOUBLED_SLIT
     sl, sa = batch["sl"], batch["sa"]
     r_sl = w_oracle_return_batch(
         delta_basis(sl["a"], sl["b"]),
         Vec2(sl["v1"], sl["v2"]),
         doubled=doubled,
-        cap_hints=w_return_sl_vec(sl["a"], sl["b"], sl["v1"], sl["v2"]),
+        cap_hints=hints_sl,
     )
     r_sa = w_oracle_return_batch(
         sheared_delta_basis(sa["a"], sa["b"], sa["s"]),
         Vec2(sa["alpha"], 0.0),
         doubled=doubled,
-        cap_hints=w_return_sa_vec(sa["a"], sa["b"], sa["s"], sa["alpha"]),
+        cap_hints=hints_sa,
     )
     return r_sl, r_sa
 
 
 def _returns_for_batch(measure: MeasureSpec, batch: dict, engine: str):
-    """(weights, returns, component masks) for one sampled batch."""
+    """(weights, returns, component masks) for one sampled batch.  The
+    oracle engines take the formula returns as cap hints."""
+    mode = SurfaceMode.DOUBLED_SLIT if engine == ORACLE_DOUBLED else SurfaceMode.AFFINE_ONLY
     if measure.kind == "haar-w":
         sl, sa = batch["sl"], batch["sa"]
-        if engine == FORMULA:
-            r_sl = w_return_sl_vec(sl["a"], sl["b"], sl["v1"], sl["v2"])
-            r_sa = w_return_sa_vec(sa["a"], sa["b"], sa["s"], sa["alpha"])
-        else:
-            r_sl, r_sa = _oracle_return_w(batch, engine)
+        r_sl = w_return_sl_vec(sl["a"], sl["b"], sl["v1"], sl["v2"])
+        r_sa = w_return_sa_vec(sa["a"], sa["b"], sa["s"], sa["alpha"])
+        if engine != FORMULA:
+            r_sl, r_sa = _oracle_return_w(batch, mode, r_sl, r_sa)
         w = np.concatenate([sl["w"], sa["w"]])
         r = np.concatenate([r_sl, r_sa])
         comp = {
@@ -424,13 +421,12 @@ def _returns_for_batch(measure: MeasureSpec, batch: dict, engine: str):
             )
         }
         return w, r, comp
-    if engine == FORMULA:
-        if batch.get("vl"):
-            r = batch["a"] / batch["alpha"]
-        else:
-            r = omega_return_vec(batch["a"], batch["b"], batch["s"], batch["alpha"])
+    if batch.get("vl"):
+        r = batch["a"] / batch["alpha"]
     else:
-        r = _oracle_return_omega(batch, engine)
+        r = omega_return_vec(batch["a"], batch["b"], batch["s"], batch["alpha"])
+    if engine != FORMULA:
+        r = _oracle_return_omega(batch, mode, r)
     comp = {}
     if measure.kind == "haar-omega":
         comp["omega3"] = (

@@ -7,12 +7,12 @@ smallest positive slope.  ``oracle_first_return`` scans one surface;
 ``oracle_first_return_batch`` scans many independent surfaces in one
 vectorized pass with the same cap sequences and bit-identical returns;
 ``oracle_gap_sequence`` reads a whole orbit's returns off one scan.  The
-differential tester samples a region, evaluates the scalar formula on every
-point, runs the batched oracle over blocks of points, and reports any
-relative disagreement above 1e-6 as a counterexample.  Two regions are
-expected to disagree (the short-lattice travel-time formula, and the
-slit-cover return when the mirrored coset is switched on); disagreement there
-is a finding to report, not a failure.
+differential tester samples a region into columns of arrays, evaluates the
+vectorized formula and the batched oracle once each over all of them, and
+reports any relative disagreement above 1e-6 as a counterexample.  Two
+regions are expected to disagree (the short-lattice travel-time formula, and
+the slit-cover return when the mirrored coset is switched on); disagreement
+there is a finding to report, not a failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NotOnTransversalError
 from .geometry import (
-    STRIP_BLOCK,
     AffineLattice,
     Mat2,
     SurfaceMode,
@@ -39,23 +38,15 @@ from .measures import (
     MeasureSpec,
     _batch_measure,
     _batch_omega,
+    _oracle_return_omega,
+    _oracle_return_w,
     _triangle_uniform,
+    omega_return_vec,
+    w_return_sa_vec,
+    w_return_sl_vec,
     worker_streams,
 )
-from .transversal import (
-    DeltaCoords,
-    OmegaCoords,
-    VLCoords,
-    WPointSA,
-    WPointSL,
-    bcz_return_time,
-    delta_basis,
-    omega_return_time,
-    rho_sl_to_sa,
-    sheared_delta_basis,
-    w_return_time,
-    w_to_surface,
-)
+from .transversal import delta_basis, rho_sl_to_sa
 
 REL_ERR_THRESHOLD = 1e-6
 DEFAULT_CAP = 8.0
@@ -233,133 +224,123 @@ def oracle_gap_sequence(
 
 # ---------------------------------------------------------------------------
 # differential tester
+#
+# A region's inputs are columns of arrays: flat regions map each coordinate
+# name to one array; WReturn holds its short-lattice rows in "sl", its
+# short-affine rows in "sa" (the haar-w sampler's halves) and each row's
+# kind, in report order, in "is_sl".
+
+# worked counterexamples and spot checks, always evaluated first
+_PROBES = {
+    "DeltaR": {"a": [1.0, 0.5], "b": [1.0, 0.75]},
+    "OmegaR": {
+        "a": [0.5, 0.8, 0.5],
+        "b": [1.0, 0.5, 0.6],
+        "s": [0.2, 1.0, 2.0],
+        "alpha": [0.75, 0.3, 0.9],
+    },
+    "WslRho": {
+        "a": [0.6, 0.6, 0.6],
+        "b": [0.5, 0.9, 0.5],
+        "v1": [0.3, 0.3, 0.5],
+        "v2": [0.5, 0.5, 0.8],
+    },
+    "WReturn": {
+        "sl": {"a": [0.6, 0.6], "b": [0.5, 0.5], "v1": [0.5, 0.3], "v2": [0.8, 0.5]},
+        "sa": {"a": [0.5], "b": [0.6], "s": [2.0], "alpha": [0.9]},
+        "is_sl": [False, True, True],
+    },
+}
+
+MAX_COUNTEREXAMPLES = 100
 
 
-def _point_dict(region: str, point) -> dict:
+def _draw_region(region: str, rng, n: int, v_domain: str) -> dict:
+    """n inputs of the region as columns."""
     if region == "DeltaR":
-        a, b = point
+        a, b = _triangle_uniform(rng, n)
         return {"a": a, "b": b}
     if region == "OmegaR":
-        a, b, s, alpha = point
-        return {"a": a, "b": b, "s": s, "alpha": alpha}
+        return _batch_omega(rng, n)
     if region == "WslRho":
-        a, b, v1, v2 = point
+        a, b = _triangle_uniform(rng, n)
+        v1, v2 = np.empty(n), np.empty(n)
+        for i in range(n):
+            while True:
+                cx, cy = rng.random(), rng.random()
+                v1[i] = a[i] * cx + b[i] * cy
+                v2[i] = cy / a[i]
+                if v1[i] > 0 and (v_domain == "fundamental" or v1[i] < a[i]):
+                    break
         return {"a": a, "b": b, "v1": v1, "v2": v2}
-    if isinstance(point, WPointSL):
-        return {
-            "kind": "sl",
-            "a": point.a,
-            "b": point.b,
-            "v1": point.v1,
-            "v2": point.v2,
-        }
-    p = point.coords
-    if isinstance(p, VLCoords):
-        return {"kind": "sa-vl", "a": p.a, "s": p.s, "alpha": p.alpha}
-    return {"kind": "sa", "a": p.a, "b": p.b, "s": p.s, "alpha": p.alpha}
+    batch = _batch_measure(MeasureSpec.haar_w(), rng, n)
+    n_sl = len(batch["sl"]["a"])
+    batch["is_sl"] = np.arange(n) < n_sl
+    return batch
 
 
-def _formula(region: str, point) -> float:
-    """The scalar closed-form return of one sampled input."""
+def _concat(parts: list):
+    """Stack column dicts of the same shape, keeping the first part's keys."""
+    if isinstance(parts[0], dict):
+        return {k: _concat([p[k] for p in parts]) for k in parts[0]}
+    return np.concatenate(parts)
+
+
+def _region_columns(region: str, rngs, v_domain: str) -> dict:
+    """The probes, then the draws of each (rng, count) in turn."""
+    return _concat(
+        [_PROBES[region]] + [_draw_region(region, rng, ni, v_domain) for rng, ni in rngs]
+    )
+
+
+def _by_kind(is_sl, sl, sa) -> np.ndarray:
+    out = np.empty(len(is_sl))
+    out[is_sl], out[~is_sl] = sl, sa
+    return out
+
+
+def _formula_column(region: str, c: dict) -> np.ndarray:
+    """The closed-form return of every row, in one vectorized call."""
     if region == "DeltaR":
-        return bcz_return_time(DeltaCoords(*point))
+        return 1.0 / (c["a"] * c["b"])
     if region == "OmegaR":
-        return omega_return_time(OmegaCoords(*point))
+        return omega_return_vec(c["a"], c["b"], c["s"], c["alpha"])
     if region == "WslRho":
-        return rho_sl_to_sa(*point)
-    return w_return_time(point)
+        return rho_sl_to_sa(c["a"], c["b"], c["v1"], c["v2"])
+    sl, sa = c["sl"], c["sa"]
+    return _by_kind(
+        c["is_sl"],
+        w_return_sl_vec(sl["a"], sl["b"], sl["v1"], sl["v2"]),
+        w_return_sa_vec(sa["a"], sa["b"], sa["s"], sa["alpha"]),
+    )
 
 
-def _oracle_batch(region: str, points: list, mode: SurfaceMode, hints) -> list:
-    """Ground truth of every sampled input, in one batched oracle call.
+def _oracle_column(region: str, c: dict, mode: SurfaceMode, hints) -> np.ndarray:
+    """Ground truth of every row, in one batched oracle call.
 
     DeltaR and OmegaR use their sections' own holonomy; WslRho scans the
     marked coset (or the doubled holonomy under doubled mode); WReturn uses
     the slit-cover oracle.
     """
-    if region == "WReturn":
-        surfaces = [w_to_surface(p) for p in points]
-        g = Mat2(*np.array([s.g for s in surfaces]).T)
-        v = Vec2(*np.array([s.v for s in surfaces]).T)
-        out = w_oracle_return_batch(
-            g, v, doubled=mode is SurfaceMode.DOUBLED_SLIT, cap_hints=hints
-        )
-        return out.tolist()
-    cols = np.array(points, dtype=float).T
     if region == "DeltaR":
-        a, b = cols
-        g, v, mode = delta_basis(a, b), Vec2(0.0, 0.0), SurfaceMode.DOUBLED_SLIT
-    elif region == "OmegaR":
-        a, b, s, alpha = cols
-        g, v, mode = sheared_delta_basis(a, b, s), Vec2(alpha, 0.0), SurfaceMode.AFFINE_ONLY
-    else:
-        a, b, v1, v2 = cols
-        g, v = delta_basis(a, b), Vec2(v1, v2)
-    return oracle_first_return_batch(g, v, mode, hints).tolist()
-
-
-_PROBES = {
-    # worked counterexamples and spot checks, always evaluated first
-    "DeltaR": [(1.0, 1.0), (0.5, 0.75)],
-    "OmegaR": [
-        (0.5, 1.0, 0.2, 0.75),
-        (0.8, 0.5, 1.0, 0.3),
-        (0.5, 0.6, 2.0, 0.9),
-    ],
-    "WslRho": [
-        (0.6, 0.5, 0.3, 0.5),
-        (0.6, 0.9, 0.3, 0.5),
-        (0.6, 0.5, 0.5, 0.8),
-    ],
-}
-
-
-def _w_return_probes():
-    return [
-        WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9)),
-        WPointSL(0.6, 0.5, 0.5, 0.8),
-        WPointSL(0.6, 0.5, 0.3, 0.5),
-    ]
-
-
-def _sample_region(region: str, rng, n: int, v_domain: str):
-    """n inputs of the region, as a list of eval-ready points."""
-    if region == "DeltaR":
-        a, b = _triangle_uniform(rng, n)
-        return list(zip(a.tolist(), b.tolist()))
+        g = delta_basis(c["a"], c["b"])
+        return oracle_first_return_batch(g, Vec2(0.0, 0.0), SurfaceMode.DOUBLED_SLIT, hints)
     if region == "OmegaR":
-        batch = _batch_omega(rng, n)
-        return list(
-            zip(
-                batch["a"].tolist(),
-                batch["b"].tolist(),
-                batch["s"].tolist(),
-                batch["alpha"].tolist(),
-            )
-        )
+        return _oracle_return_omega(c, SurfaceMode.AFFINE_ONLY, hints)
     if region == "WslRho":
-        a, b = _triangle_uniform(rng, n)
-        out = []
-        for i in range(n):
-            while True:
-                cx, cy = rng.random(), rng.random()
-                v1 = a[i] * cx + b[i] * cy
-                v2 = cy / a[i]
-                if v1 > 0 and (v_domain == "fundamental" or v1 < a[i]):
-                    break
-            out.append((float(a[i]), float(b[i]), v1, v2))
-        return out
-    batch = _batch_measure(MeasureSpec.haar_w(), rng, n)
-    sl, sa = batch["sl"], batch["sa"]
-    out = [
-        WPointSL(sl["a"][i], sl["b"][i], sl["v1"][i], sl["v2"][i])
-        for i in range(len(sl["a"]))
-    ]
-    out.extend(
-        WPointSA(OmegaCoords(sa["a"][i], sa["b"][i], sa["s"][i], sa["alpha"][i]))
-        for i in range(len(sa["a"]))
-    )
-    return out
+        g = delta_basis(c["a"], c["b"])
+        return oracle_first_return_batch(g, Vec2(c["v1"], c["v2"]), mode, hints)
+    is_sl = c["is_sl"]
+    return _by_kind(is_sl, *_oracle_return_w(c, mode, hints[is_sl], hints[~is_sl]))
+
+
+def _point_dict(region: str, c: dict, i: int) -> dict:
+    """Row i's input, as the report prints it."""
+    if region != "WReturn":
+        return {k: float(v[i]) for k, v in c.items()}
+    kind = "sl" if c["is_sl"][i] else "sa"
+    k = int(np.count_nonzero(c["is_sl"][:i] == c["is_sl"][i]))
+    return {"kind": kind, **{key: float(v[k]) for key, v in c[kind].items()}}
 
 
 def diff_test(
@@ -370,7 +351,6 @@ def diff_test(
     workers: int = 1,
     *,
     v_domain: str = "fundamental",
-    max_counterexamples: int = 100,
 ) -> DiffReport:
     """Formula vs oracle over n sampled inputs plus the canonical probes.
 
@@ -382,8 +362,13 @@ def diff_test(
     ("fundamental" or "restricted") selects whether short-lattice markings
     range over the whole period parallelogram or only 0 < v1 < a.
 
-    Sampling runs serially in the stream layout of ``worker_streams``, so
-    reports are byte-identical for fixed (seed, n, workers).
+    The inputs stay columns of arrays: the formula column is one vectorized
+    call, the oracle column one batched scan with the formula values as cap
+    hints.  A row is discrepant when its relative error exceeds
+    ``REL_ERR_THRESHOLD``; the first ``MAX_COUNTEREXAMPLES`` of them are
+    reported.  Sampling runs serially in the stream layout of
+    ``worker_streams``, so reports are byte-identical for fixed
+    (seed, n, workers).
     """
     if region not in REGIONS:
         raise InvalidInputError(f"unknown region {region!r}")
@@ -396,38 +381,25 @@ def diff_test(
     if isinstance(mode, str):
         mode = SurfaceMode(mode)
 
-    points = list(_PROBES.get(region, [])) if region != "WReturn" else _w_return_probes()
-    for rng, ni in worker_streams(n, seed, workers):
-        points.extend(_sample_region(region, rng, ni, v_domain))
-
-    max_abs = 0.0
-    max_rel = 0.0
-    bad = []
-    n_bad = 0
-    # one strip-scan block of points per oracle call keeps memory flat in n
-    for start in range(0, len(points), STRIP_BLOCK):
-        chunk = points[start:start + STRIP_BLOCK]
-        formulas = [_formula(region, point) for point in chunk]
-        oracles = _oracle_batch(region, chunk, mode, formulas)
-        for point, f, o in zip(chunk, formulas, oracles):
-            abs_err = abs(f - o)
-            rel_err = abs_err / max(abs(o), 1e-12)
-            max_abs = max(max_abs, abs_err)
-            max_rel = max(max_rel, rel_err)
-            if rel_err > REL_ERR_THRESHOLD:
-                n_bad += 1
-                if len(bad) < max_counterexamples:
-                    bad.append((_point_dict(region, point), float(f), float(o)))
+    cols = _region_columns(region, worker_streams(n, seed, workers), v_domain)
+    formula = _formula_column(region, cols)
+    oracle = _oracle_column(region, cols, mode, formula)
+    abs_err = np.abs(formula - oracle)
+    rel_err = abs_err / np.maximum(np.abs(oracle), 1e-12)
+    bad = np.flatnonzero(rel_err > REL_ERR_THRESHOLD)
 
     return DiffReport(
         region=region,
-        samples=len(points),
+        samples=len(formula),
         seed=seed,
         mode=mode.value,
         workers=workers,
-        max_abs_err=float(max_abs),
-        max_rel_err=float(max_rel),
-        n_discrepant=n_bad,
+        max_abs_err=float(abs_err.max()),
+        max_rel_err=float(rel_err.max()),
+        n_discrepant=len(bad),
         threshold=REL_ERR_THRESHOLD,
-        counterexamples=tuple(bad),
+        counterexamples=tuple(
+            (_point_dict(region, cols, i), float(formula[i]), float(oracle[i]))
+            for i in bad[:MAX_COUNTEREXAMPLES]
+        ),
     )

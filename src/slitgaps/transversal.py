@@ -391,8 +391,11 @@ def recoordinatize_omega(surface: AffineLattice) -> Union[OmegaCoords, VLCoords]
     smallest is chosen.
     """
     surface.check()
-    g, v = surface.g, surface.v
-    form = _lattice_form(g)
+    return _omega_coords(surface.g, surface.v, _lattice_form(surface.g))
+
+
+def _omega_coords(g: Mat2, v: Vec2, form) -> Union[OmegaCoords, VLCoords]:
+    """Affine-section coordinates of (g, v) given g's ``_lattice_form``."""
     reps = _horizontal_reps(g, v)
     if not len(reps):
         raise NotOnTransversalError("marking has no horizontal representative")
@@ -453,24 +456,28 @@ def advance_omega(
 # slit-cover section
 
 
-def rho_sl_to_sa(a: float, b: float, v1: float, v2: float) -> float:
+def rho_sl_to_sa(a, b, v1, v2):
     """Closed-form travel time from the short-lattice state to the
-    short-affine state.
+    short-affine state, elementwise over arrays (a scalar call returns a
+    float).
 
     Kept verbatim for differential testing: the candidate family behind it
     omits horizontal translates (v1 + k*a, v2), and the enumeration oracle
     finds earlier arrivals on part of the domain (e.g. (0.6, 0.5, 0.3, 0.5):
     formula 5/3, enumeration 5/9).
     """
-    DeltaCoords(a, b)
-    if v1 <= X_EPS:
+    a, b, v1, v2 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, v1, v2)))
+    if not np.all((0.0 < a) & (a <= 1.0 + COORD_SLACK)
+                  & (1.0 - a - COORD_SLACK < b) & (b <= 1.0 + COORD_SLACK)):
+        raise InvalidInputError("(a, b) outside the lattice-section triangle")
+    if np.any(v1 <= X_EPS):
         raise DegenerateInputError("marking sits on the vertical axis")
-    if v2 < 0.0:
+    if np.any(v2 < 0.0):
         raise InvalidInputError("marking must be in the closed upper half plane")
-    if b + v1 <= 1.0 + TIE_TOL:
-        return v2 / v1
-    j = math.floor((a + 1.0 - v1) / b + FLOOR_NUDGE)
-    return (v2 + j / a) / (v1 + j * b - a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j = np.floor((a + 1.0 - v1) / b + FLOOR_NUDGE)
+        out = np.where(b + v1 <= 1.0 + TIE_TOL, v2 / v1, (v2 + j / a) / (v1 + j * b - a))
+    return out if out.ndim else float(out)
 
 
 def w_return_time(w: WPoint) -> float:
@@ -520,7 +527,7 @@ def w_section_coords(surface: AffineLattice, *, doubled: bool = False) -> WPoint
             return WPointSL(a, b, vv.x, vv.y)
     for cand in (v, -v) if doubled else (v,):
         try:
-            return WPointSA(recoordinatize_omega(AffineLattice(g, cand)))
+            return WPointSA(_omega_coords(g, cand, form))
         except NotOnTransversalError:
             continue
     raise NotOnTransversalError("surface is not on the slit-cover section")

@@ -9,10 +9,8 @@ import scipy.special
 
 from slitgaps import closedform
 from slitgaps.closedform import (
-    DOUBLED_TAIL,
     GOLDEN_T,
     W_TOTAL_MASS,
-    PiecewiseTail,
     compare_pieces,
     dilog,
     envelope_cubic_roots,
@@ -20,6 +18,7 @@ from slitgaps.closedform import (
     omega_tail_bounds,
     tail_components,
     torsion_tail,
+    w_cdf,
     w_density,
     w_tail_closed_form,
     w_tail_quadrature,
@@ -194,15 +193,13 @@ def test_tail_exponent_in_quadratic_band():
 
 def test_piecewise_tail_validation():
     with pytest.raises(InvalidInputError):
-        PiecewiseTail(breakpoints=(0.0, 1.0), pieces=())
-    with pytest.raises(InvalidInputError):
-        DOUBLED_TAIL.piece_index(-0.5)
+        w_cdf(-0.5)
 
 
 def test_cdf_complements_tail():
     for t in (0.25, 1.5, 3.0):
         assert math.isclose(
-            DOUBLED_TAIL.cdf(t) + DOUBLED_TAIL.tail(t), W_TOTAL_MASS, rel_tol=1e-12
+            w_cdf(t) + w_tail_closed_form(t), W_TOTAL_MASS, rel_tol=1e-12
         )
 
 
@@ -288,7 +285,7 @@ def test_slices_match_quadrature_of_the_inner_integrands():
         (closedform.w_tail_quadrature, 0.0),
         (closedform.tail_components, 0.0),
         (closedform.omega_tail_bounds, 0.0),
-        (DOUBLED_TAIL.cdf, W_TOTAL_MASS),
+        (w_cdf, W_TOTAL_MASS),
         (lambda t: torsion_tail(2, t), 0.0),
     ],
     ids=["tail", "quadrature", "components", "bounds", "cdf", "torsion"],
@@ -316,3 +313,12 @@ def test_upper_envelope_grows_like_log_t_over_t():
     scaled = [omega_tail_bounds(t)[1] * t for t in ts]
     slopes = np.diff(scaled) / np.diff(np.log(ts))
     assert np.ptp(slopes) < 1e-3 * slopes.mean()
+
+
+@pytest.mark.parametrize("t", [1e8, 1e10, 1e12, 1e14])
+def test_lower_envelope_keeps_its_quadratic_decay(t):
+    # the two lower-envelope integrals add to about 1/(3 t^2); their shared
+    # weight b + (1-b)ln(1-b) must not cancel to rounding noise at small b
+    o2_o4 = closedform._o2_lower(t) + closedform._o4_lower(t)
+    assert abs(t * t * o2_o4 - 1.0 / 3.0) <= 1e-6
+    assert omega_tail_bounds(t)[0] > 0.0

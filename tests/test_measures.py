@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from slitgaps import transversal
 from slitgaps.errors import InvalidInputError
 from slitgaps.measures import (
     ENGINES,
@@ -221,3 +222,21 @@ def test_orbit_yields_expected_shape():
         assert step == k
         assert math.isclose(u, 2.0, abs_tol=1e-9)
         assert isinstance(point, OmegaCoords)
+
+
+@pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
+def test_oracle_orbit_computes_one_lattice_form_per_step(monkeypatch, engine):
+    # recoordinatizing a step analyzes the lattice part once, also when the
+    # doubled slit-cover step tries both markings
+    calls = []
+    real = transversal._lattice_form
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(transversal, "_lattice_form", counting)
+    n = 200
+    steps = list(orbit(OmegaCoords(0.5, 0.6, 2.0, 0.9), engine, n))
+    assert len(steps) == n
+    assert len(calls) == n

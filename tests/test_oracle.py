@@ -24,16 +24,20 @@ from slitgaps.measures import (
     _batch_measure,
     _oracle_return_omega,
     _oracle_return_w,
+    omega_return_vec,
     sample,
+    w_return_sa_vec,
+    w_return_sl_vec,
+    worker_streams,
 )
 from slitgaps.oracle import (
     CAP_LIMIT,
     REGIONS,
-    _formula,
-    _oracle_batch,
     _PROBES,
-    _sample_region,
-    _w_return_probes,
+    _formula_column,
+    _oracle_column,
+    _point_dict,
+    _region_columns,
     diff_test,
     oracle_first_return,
     oracle_first_return_batch,
@@ -44,15 +48,18 @@ from slitgaps.oracle import (
 )
 from slitgaps.errors import InvalidInputError, NotOnTransversalError
 from slitgaps.transversal import (
+    DeltaCoords,
     OmegaCoords,
     OmegaRegion,
     VLCoords,
     WPointSA,
     WPointSL,
+    bcz_return_time,
     classify_omega,
     delta_basis,
     omega_return_time,
     omega_to_surface,
+    rho_sl_to_sa,
     w_return_time,
     w_to_surface,
 )
@@ -300,19 +307,17 @@ MODES = (SurfaceMode.AFFINE_ONLY, SurfaceMode.DOUBLED_SLIT)
 
 
 def _region_points(region, n, seed):
-    probes = _w_return_probes() if region == "WReturn" else list(_PROBES[region])
-    return probes + _sample_region(region, np.random.default_rng(seed), n, "fundamental")
+    """Probes plus n draws of the region: its columns and each row's input."""
+    cols = _region_columns(region, [(np.random.default_rng(seed), n)], "fundamental")
+    rows = len(cols["is_sl"] if region == "WReturn" else cols["a"])
+    return cols, [_point_dict(region, cols, i) for i in range(rows)]
 
 
-def _region_surface(region, point):
-    if region == "DeltaR":
-        return AffineLattice(delta_basis(*point), Vec2(0.0, 0.0))
-    if region == "OmegaR":
-        return omega_to_surface(OmegaCoords(*point))
-    if region == "WslRho":
-        a, b, v1, v2 = point
-        return AffineLattice(delta_basis(a, b), Vec2(v1, v2))
-    return w_to_surface(point)
+def _region_surface(region, p):
+    if region == "OmegaR" or p.get("kind") == "sa":
+        return omega_to_surface(OmegaCoords(p["a"], p["b"], p["s"], p["alpha"]))
+    v = Vec2(p["v1"], p["v2"]) if "v1" in p else Vec2(0.0, 0.0)
+    return AffineLattice(delta_basis(p["a"], p["b"]), v)
 
 
 def _stack(surfaces):
@@ -346,17 +351,17 @@ def _assert_same(batch, surfaces, hints, mode=None, doubled=None):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("region", REGIONS)
 def test_difftest_oracle_column_bit_identical(region, mode):
-    points = _region_points(region, 300, seed=41)
-    hints = [_formula(region, p) for p in points]
-    got = _oracle_batch(region, points, mode, hints)
-    want = [_per_point_eval(region, p, mode, h) for p, h in zip(points, hints)]
-    assert got == want
+    cols, points = _region_points(region, 300, seed=41)
+    hints = _formula_column(region, cols)
+    got = _oracle_column(region, cols, mode, hints)
+    want = [_per_point_eval(region, p, mode, h) for p, h in zip(points, hints.tolist())]
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("region", REGIONS)
 def test_batch_kernel_bit_identical_both_modes(region):
-    points = _region_points(region, 200, seed=43)
-    hints = [_formula(region, p) for p in points]
+    cols, points = _region_points(region, 200, seed=43)
+    hints = _formula_column(region, cols).tolist()
     surfaces = [_region_surface(region, p) for p in points]
     g, v = _stack(surfaces)
     for mode in MODES:
@@ -370,7 +375,8 @@ def test_torsion_markings_doubled_keep_the_dedup():
     # on torsion markings the +-v cosets coincide up to rounding, so the
     # near-duplicate drop decides which representative sets the minimum
     batch = _batch_measure(MeasureSpec.torsion(2), np.random.default_rng(47), 1500)
-    got = _oracle_return_omega(batch, ORACLE_DOUBLED)
+    hints = omega_return_vec(batch["a"], batch["b"], batch["s"], batch["alpha"])
+    got = _oracle_return_omega(batch, SurfaceMode.DOUBLED_SLIT, hints)
     for i in range(len(got)):
         p = OmegaCoords(batch["a"][i], batch["b"][i], batch["s"][i], batch["alpha"][i])
         want = oracle_first_return(
@@ -382,8 +388,8 @@ def test_torsion_markings_doubled_keep_the_dedup():
 @pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
 def test_periodic_omega_vertical_surfaces(engine):
     batch = _batch_measure(MeasureSpec.periodic_omega(0.7, 0.4), np.random.default_rng(53), 400)
-    got = _oracle_return_omega(batch, engine)
     mode = SurfaceMode.DOUBLED_SLIT if engine == ORACLE_DOUBLED else SurfaceMode.AFFINE_ONLY
+    got = _oracle_return_omega(batch, mode, batch["a"] / batch["alpha"])
     for i in range(len(got)):
         p = VLCoords(batch["a"][i], batch["s"][i], batch["alpha"][i])
         want = oracle_first_return(omega_to_surface(p), mode, cap_hint=p.a / p.alpha)
@@ -393,9 +399,14 @@ def test_periodic_omega_vertical_surfaces(engine):
 @pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
 def test_haar_w_oracle_engine(engine):
     batch = _batch_measure(MeasureSpec.haar_w(), np.random.default_rng(59), 600)
-    r_sl, r_sa = _oracle_return_w(batch, engine)
     doubled = engine == ORACLE_DOUBLED
     sl, sa = batch["sl"], batch["sa"]
+    r_sl, r_sa = _oracle_return_w(
+        batch,
+        SurfaceMode.DOUBLED_SLIT if doubled else SurfaceMode.AFFINE_ONLY,
+        w_return_sl_vec(sl["a"], sl["b"], sl["v1"], sl["v2"]),
+        w_return_sa_vec(sa["a"], sa["b"], sa["s"], sa["alpha"]),
+    )
     for i in range(len(r_sl)):
         w = WPointSL(sl["a"][i], sl["b"][i], sl["v1"][i], sl["v2"][i])
         want = w_oracle_return(w_to_surface(w), doubled=doubled, cap_hint=w_return_time(w))
@@ -410,7 +421,7 @@ def test_haar_w_oracle_engine(engine):
 def test_batch_cap_hints(hint):
     # hints that fall back to the default cap, and tiny ones that force
     # many doublings, follow the per-point cap sequence surface by surface
-    points = _region_points("OmegaR", 60, seed=61)
+    _, points = _region_points("OmegaR", 60, seed=61)
     surfaces = [_region_surface("OmegaR", p) for p in points]
     g, v = _stack(surfaces)
     hints = None if hint is None else [hint] * len(points)
@@ -422,10 +433,10 @@ def test_batch_cap_hints(hint):
 
 
 def test_batch_mixed_hints_force_doublings():
-    points = _region_points("WslRho", 100, seed=67)
+    cols, points = _region_points("WslRho", 100, seed=67)
     surfaces = [_region_surface("WslRho", p) for p in points]
     g, v = _stack(surfaces)
-    formula = [_formula("WslRho", p) for p in points]
+    formula = _formula_column("WslRho", cols).tolist()
     hints = [f * 1e-6 if i % 3 == 0 else (None if i % 3 == 1 else f) for i, f in enumerate(formula)]
     hints = [math.nan if h is None else h for h in hints]
     for mode in MODES:
@@ -433,8 +444,8 @@ def test_batch_mixed_hints_force_doublings():
 
 
 def test_batch_does_not_depend_on_chunking(monkeypatch):
-    points = _region_points("WReturn", 300, seed=71)
-    hints = [_formula("WReturn", p) for p in points]
+    cols, points = _region_points("WReturn", 300, seed=71)
+    hints = _formula_column("WReturn", cols).tolist()
     surfaces = [_region_surface("WReturn", p) for p in points]
     g, v = _stack(surfaces)
     caps = 2.0 * np.array(hints)
@@ -464,7 +475,7 @@ def test_batch_does_not_depend_on_chunking(monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_strip_holonomy_batch_matches_enumerate_strip(mode):
-    points = _region_points("OmegaR", 100, seed=73)
+    _, points = _region_points("OmegaR", 100, seed=73)
     surfaces = [_region_surface("OmegaR", p) for p in points]
     g, v = _stack(surfaces)
     caps = np.linspace(0.5, 12.0, len(surfaces))
@@ -489,7 +500,8 @@ def test_batch_empty_input():
 
 
 def test_batch_raises_past_cap_limit():
-    surfaces = [_region_surface("OmegaR", p) for p in _PROBES["OmegaR"]]
+    probes = _PROBES["OmegaR"]
+    surfaces = [_region_surface("OmegaR", _point_dict("OmegaR", probes, i)) for i in range(3)]
     g, v = _stack(surfaces)
     hints = [None, 0.6 * CAP_LIMIT, None]
     with pytest.raises(NotOnTransversalError):
@@ -505,3 +517,50 @@ def test_batch_rejects_non_unimodular_generators():
     g = Mat2(np.array([1.0, 2.0]), 0.0, 0.0, 1.0)
     with pytest.raises(InvalidInputError):
         oracle_first_return_batch(g, Vec2(0.5, 0.0), SurfaceMode.AFFINE_ONLY)
+
+
+def _section_point(region, p):
+    """The validated section object of one difftest row (raises off it)."""
+    if region == "DeltaR":
+        return DeltaCoords(p["a"], p["b"])
+    if region == "OmegaR" or p.get("kind") == "sa":
+        point = OmegaCoords(p["a"], p["b"], p["s"], p["alpha"])
+        return WPointSA(point) if region == "WReturn" else point
+    return WPointSL(p["a"], p["b"], p["v1"], p["v2"])
+
+
+@pytest.mark.parametrize(
+    "region,v_domain",
+    [(r, "fundamental") for r in REGIONS] + [("WslRho", "restricted")],
+)
+def test_region_rows_lie_on_their_section(region, v_domain):
+    cols = _region_columns(region, worker_streams(3000, 83, 2), v_domain)
+    n_rows = len(_formula_column(region, cols))
+    assert n_rows == 3000 + (2 if region == "DeltaR" else 3)
+    if region == "WReturn":
+        assert np.count_nonzero(cols["is_sl"]) == len(cols["sl"]["a"])
+        assert np.count_nonzero(~cols["is_sl"]) == len(cols["sa"]["a"])
+    for i in range(n_rows):
+        p = _point_dict(region, cols, i)
+        _section_point(region, p)
+        if v_domain == "restricted":
+            assert 0.0 < p["v1"] < p["a"]
+
+
+def _scalar_formula(region, p):
+    if region == "DeltaR":
+        return bcz_return_time(DeltaCoords(p["a"], p["b"]))
+    if region == "OmegaR":
+        return omega_return_time(OmegaCoords(p["a"], p["b"], p["s"], p["alpha"]))
+    if region == "WslRho":
+        return rho_sl_to_sa(p["a"], p["b"], p["v1"], p["v2"])
+    return w_return_time(_section_point(region, p))
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_scalar_formulas_match_difftest_column(region):
+    # difftest checks the vectorized formulas against the oracle; the scalar
+    # ones (orbit --engine formula) must agree with them bit for bit
+    cols, points = _region_points(region, 20000, seed=89)
+    column = _formula_column(region, cols).tolist()
+    assert [_scalar_formula(region, p) for p in points] == column
