@@ -9,12 +9,15 @@ Outputs are CSV (UTF-8, header row, LF) or a JSON report; JSON reports
 follow the shipped ``report-schema.json``.  Exit codes: 0 success or a
 known-discrepancy report, 2 usage or parse failure, 3 invalid state
 (off-transversal starts, out-of-regime thresholds), 4 counterexamples in a
-region whose formula is checked as ground truth.
+region whose formula is checked as ground truth.  The top-level
+``--log-level`` (default WARNING) sends the package's log messages at that
+level and above to stderr.
 """
 
 import argparse
 import csv
 import json
+import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -139,7 +142,7 @@ _DEFAULTS = {
 
 def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
     """File values fill flags the user left out; explicit flags win."""
-    explicit = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    explicit = {k: v for k, v in vars(args).items() if k not in ("command", "func", "log_level")}
     config_path = explicit.pop("config", None)
     params = dict(_DEFAULTS[command])
     if config_path is not None:
@@ -447,6 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="gap statistics of strip slopes on marked tori and slit covers",
     )
     parser.add_argument("--version", action="version", version=f"slitgaps {__version__}")
+    parser.add_argument(
+        "--log-level", dest="log_level", type=str.upper, default="WARNING",
+        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+        help="write the package's log messages at this level and above to stderr",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     S = argparse.SUPPRESS
 
@@ -507,13 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    command = args.command
-    func = args.func
+    # one process may run main many times (tests, the benchmark), so the
+    # handler and level are undone on the way out
+    log = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.addHandler(handler)
+    log.setLevel(args.log_level)
     try:
-        config = _merge_config(command, args)
+        config = _merge_config(args.command, args)
         if config.params.get("plot") and config.params.get("out") is None:
             raise InvalidInputError("--plot needs --out")
-        return func(config)
+        return args.func(config)
     # the state errors subclass InvalidInputError, so they are caught first
     except (
         NotOnTransversalError,
@@ -528,6 +541,9 @@ def main(argv=None) -> int:
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(logging.NOTSET)
 
 
 if __name__ == "__main__":

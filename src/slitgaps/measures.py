@@ -17,6 +17,11 @@ Measures:
   fixed (a, alpha), uniform in the shear.
 * ``periodic-point`` - the return-map fixed point (1, 1, 0, 0.5).
 
+Orbits: ``orbit`` iterates the section return map.  The formula engine
+steps in closed form; the oracle engines read the whole orbit, returns and
+section points, off scans of the start surface (``oracle.oracle_orbit``), and
+``ergodic_average`` reads their returns off one strip scan.
+
 Everything downstream is self-normalized, so reported distributions do not
 depend on any overall mass convention.  Reproducibility: a run is determined
 by (measure, engine, grid, n, seed, workers); ``worker_streams`` fixes the
@@ -43,7 +48,6 @@ from .transversal import (
     delta_basis,
     omega_return_time,
     omega_to_surface,
-    recoordinatize_omega,
     sheared_delta_basis,
     vertical_basis,
     w_return_time,
@@ -566,32 +570,37 @@ def _oracle_surface(p, engine: str):
     return (w_to_surface(p) if on_w else omega_to_surface(p)), SurfaceMode.DOUBLED_SLIT
 
 
-def _orbit_step(p, engine: str):
-    """(return time, next point) under the chosen engine.
-
-    Formula advances in closed form on the affine section.  The oracle
-    engines flow by the enumerated return: the affine oracle stays on the
-    affine section, the doubled oracle follows the slit-cover section (so the
-    next point may be a short-lattice state)."""
-    if engine == FORMULA:
-        if isinstance(p, (WPointSL, WPointSA)):
-            u = w_return_time(p)
-            return u, w_section_coords(
-                horocycle_apply(u, w_to_surface(p)), doubled=True
-            )
-        return omega_return_time(p), advance_omega(p)
-    from .oracle import oracle_first_return
-
-    surf, mode = _oracle_surface(p, engine)
-    u = oracle_first_return(surf, mode)
-    if mode is SurfaceMode.AFFINE_ONLY:
-        return u, recoordinatize_omega(horocycle_apply(u, surf))
-    return u, w_section_coords(horocycle_apply(u, surf), doubled=True)
+def _orbit_step(p):
+    """(return time, next point) of the closed-form step: the affine section
+    advances by ``advance_omega``; a slit-cover point flows by its formula
+    return and is recoordinatized on the slit-cover section."""
+    if isinstance(p, (WPointSL, WPointSA)):
+        u = w_return_time(p)
+        return u, w_section_coords(horocycle_apply(u, w_to_surface(p)), doubled=True)
+    return omega_return_time(p), advance_omega(p)
 
 
 def orbit(start, engine: str, n_steps: int):
-    """Yield (step, return_time, point-after-step) along the orbit."""
-    p = start
-    for k in range(n_steps):
-        u, p = _orbit_step(p, engine)
-        yield k, u, p
+    """Yield (step, return_time, point-after-step) along the orbit.
+
+    The formula engine steps in closed form, one return at a time.  The
+    oracle engines read the whole orbit off scans of the start surface
+    (``oracle_orbit``): the affine oracle stays on the affine section, the
+    doubled oracle follows the slit-cover section (so a point may be a
+    short-lattice state).  Their points agree with flowing and
+    recoordinatizing step by step up to rounding.
+    """
+    if engine not in ENGINES:
+        raise InvalidInputError(f"unknown engine {engine!r}")
+    if engine == FORMULA:
+        p = start
+        for k in range(n_steps):
+            u, p = _orbit_step(p)
+            yield k, u, p
+        return
+    if n_steps < 1:
+        return
+    from .oracle import oracle_orbit
+
+    returns, points = oracle_orbit(*_oracle_surface(start, engine), n_steps)
+    yield from zip(range(n_steps), returns.tolist(), points)

@@ -6,7 +6,9 @@ holonomy set inside the vertical strip and reads the return time off the
 smallest positive slope.  ``oracle_first_return`` scans one surface;
 ``oracle_first_return_batch`` scans many independent surfaces in one
 vectorized pass with the same cap sequences and bit-identical returns;
-``oracle_gap_sequence`` reads a whole orbit's returns off one scan.  The
+``oracle_gap_sequence`` reads a whole orbit's returns off one scan, and
+``oracle_orbit`` adds the section point after every return, read off scans
+of the same start surface.  The
 differential tester samples a region into columns of arrays, evaluates the
 vectorized formula and the batched oracle once each over all of them, and
 reports any relative disagreement above 1e-6 as a counterexample.  Two
@@ -41,16 +43,25 @@ from .measures import (
     _oracle_return_omega,
     _oracle_return_w,
     _triangle_uniform,
+    omega_region_vec,
     omega_return_vec,
     w_return_sa_vec,
     w_return_sl_vec,
     worker_streams,
 )
-from .transversal import delta_basis, rho_sl_to_sa
+from .transversal import delta_basis, flowed_section_coords, rho_sl_to_sa
 
 REL_ERR_THRESHOLD = 1e-6
 DEFAULT_CAP = 8.0
 CAP_LIMIT = 1e18
+# distinct strip slopes per unit of slope on a generic surface: coset points
+# have density 1 in the strip triangle of area T/2, primitive lattice vectors
+# 6/pi^2 of that; the mean return times are the inverses
+SLOPE_DENSITY = {
+    SurfaceMode.AFFINE_ONLY: 0.5,
+    SurfaceMode.DOUBLED_SLIT: 1.0 + 3.0 / math.pi ** 2,
+}
+CAP_MARGIN = 1.25
 REGIONS = ("DeltaR", "OmegaR", "WslRho", "WReturn")
 NO_RETURN = "no positive-slope holonomy vector found below the cap limit"
 
@@ -67,9 +78,13 @@ class DiffReport:
     n_discrepant: int
     threshold: float
     counterexamples: tuple
+    # OmegaR only: discrepant rows per region O1-O4, and their share of the
+    # 1/b (haar-omega importance) weight of all rows
+    discrepant_by_region: Optional[dict] = None
+    discrepant_weight_fraction: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "region": self.region,
             "samples": self.samples,
             "seed": self.seed,
@@ -84,6 +99,10 @@ class DiffReport:
                 for (inp, f, o) in self.counterexamples
             ],
         }
+        if self.discrepant_by_region is not None:
+            out["discrepant_by_region"] = dict(self.discrepant_by_region)
+            out["discrepant_weight_fraction"] = self.discrepant_weight_fraction
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -199,12 +218,17 @@ def w_oracle_return_batch(
 def oracle_strip_slopes(
     surface: AffineLattice, mode: SurfaceMode, count: int
 ) -> np.ndarray:
-    """The first ``count`` distinct positive strip slopes, increasing.  The
-    cap doubles from ``DEFAULT_CAP`` until the scan holds that many (ties
-    merged at 1e-12 relative by ``slopes_and_gaps``), up to ``CAP_LIMIT``."""
+    """The first ``count`` distinct positive strip slopes, increasing.
+
+    The first cap is ``CAP_MARGIN`` times the slope below which a generic
+    surface has ``count`` of them (``SLOPE_DENSITY``), at least
+    ``DEFAULT_CAP``, so one scan usually suffices; the cap doubles until the
+    scan holds ``count`` slopes (ties merged at 1e-12 relative by
+    ``slopes_and_gaps``), up to ``CAP_LIMIT``.  Every cap that holds them
+    gives the same slopes."""
     if count < 1:
         raise InvalidInputError("count must be >= 1")
-    cap = DEFAULT_CAP
+    cap = max(DEFAULT_CAP, CAP_MARGIN * count / SLOPE_DENSITY[mode])
     while cap <= CAP_LIMIT:
         slopes = slopes_and_gaps(enumerate_strip(surface, mode, cap)).slopes
         if len(slopes) >= count:
@@ -220,6 +244,24 @@ def oracle_gap_sequence(
     lowers every strip slope by u, so they are the gaps between the start
     surface's distinct strip slopes, the first measured from 0."""
     return np.diff(oracle_strip_slopes(surface, mode, count), prepend=0.0)
+
+
+def oracle_orbit(surface: AffineLattice, mode: SurfaceMode, count: int):
+    """(returns, points) of ``count`` successive oracle returns from
+    ``surface``: the ``oracle_gap_sequence`` return times, and the section
+    point reached by each, read off scans of the start surface.
+
+    Return k lands at the k-th strip slope U_k, so its point is the start
+    flowed by U_k: on the affine section under ``AFFINE_ONLY``, on the
+    slit-cover section (SL or SA, marking carried) under ``DOUBLED_SLIT``
+    (``flowed_section_coords``).  No step scans or recoordinatizes a
+    surface of its own.
+    """
+    slopes = oracle_strip_slopes(surface, mode, count)
+    points = flowed_section_coords(
+        surface, slopes, slit=mode is SurfaceMode.DOUBLED_SLIT
+    )
+    return np.diff(slopes, prepend=0.0), points
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +376,14 @@ def _oracle_column(region: str, c: dict, mode: SurfaceMode, hints) -> np.ndarray
     return _by_kind(is_sl, *_oracle_return_w(c, mode, hints[is_sl], hints[~is_sl]))
 
 
+def _omega_breakdown(c: dict, bad: np.ndarray):
+    """Discrepant OmegaR rows per region O1-O4, and their 1/b-weighted mass
+    as a fraction of all rows' weight."""
+    counts = np.bincount(omega_region_vec(c["a"], c["b"], c["s"], c["alpha"])[bad], minlength=5)
+    w = 1.0 / c["b"]
+    return {f"O{k}": int(counts[k]) for k in range(1, 5)}, float(w[bad].sum() / w.sum())
+
+
 def _point_dict(region: str, c: dict, i: int) -> dict:
     """Row i's input, as the report prints it."""
     if region != "WReturn":
@@ -366,9 +416,10 @@ def diff_test(
     call, the oracle column one batched scan with the formula values as cap
     hints.  A row is discrepant when its relative error exceeds
     ``REL_ERR_THRESHOLD``; the first ``MAX_COUNTEREXAMPLES`` of them are
-    reported.  Sampling runs serially in the stream layout of
-    ``worker_streams``, so reports are byte-identical for fixed
-    (seed, n, workers).
+    reported, and an OmegaR report also counts them per region O1-O4 and
+    gives their 1/b-weighted share (``_omega_breakdown``).  Sampling runs
+    serially in the stream layout of ``worker_streams``, so reports are
+    byte-identical for fixed (seed, n, workers).
     """
     if region not in REGIONS:
         raise InvalidInputError(f"unknown region {region!r}")
@@ -387,6 +438,7 @@ def diff_test(
     abs_err = np.abs(formula - oracle)
     rel_err = abs_err / np.maximum(np.abs(oracle), 1e-12)
     bad = np.flatnonzero(rel_err > REL_ERR_THRESHOLD)
+    by_region, weight_fraction = _omega_breakdown(cols, bad) if region == "OmegaR" else (None, None)
 
     return DiffReport(
         region=region,
@@ -402,4 +454,6 @@ def diff_test(
             (_point_dict(region, cols, i), float(formula[i]), float(oracle[i]))
             for i in bad[:MAX_COUNTEREXAMPLES]
         ),
+        discrepant_by_region=by_region,
+        discrepant_weight_fraction=weight_fraction,
     )

@@ -41,6 +41,7 @@ from .geometry import (
     X_EPS,
     Y_EPS,
     _lattice_scan,
+    _ragged,
     horocycle_apply,
     lattice_box,
     primitive_rows,
@@ -53,6 +54,8 @@ COORD_SLACK = 1e-12
 TIE_TOL = 1e-12
 HORIZONTAL_TOL = 1e-9
 FLOOR_NUDGE = 1e-12
+NO_HORIZONTAL_REP = "marking has no horizontal representative"
+NOT_ON_SLIT_SECTION = "surface is not on the slit-cover section"
 
 
 def delta_basis(a: float, b: float) -> Mat2:
@@ -346,18 +349,36 @@ def _max_slope_anchor(g: Mat2):
     return a, s, int(pts[i, 2]), int(pts[i, 3])
 
 
-def _delta_from_anchor(g: Mat2):
-    """(a, b, s) of the hidden sheared lattice-section form of g*Z^2."""
-    a, s, m, n = _max_slope_anchor(g)
+def _completion_b(g: Mat2, a: float, m: int, n: int) -> float:
+    """b of the lattice-section basis whose first vector is g*(m, n), of
+    x-coordinate a: the x of a Bezout completion, reduced into (1 - a, 1].
+    The horocycle keeps every x, so this holds for any flow of g too."""
     r, t = _bezout(m, n)
-    u0 = g.apply(Vec2(float(r), float(t)))
-    k = math.floor((1.0 - u0.x) / a + FLOOR_NUDGE)
-    b = u0.x + k * a
+    u0x = g.apply(Vec2(float(r), float(t))).x
+    k = math.floor((1.0 - u0x) / a + FLOOR_NUDGE)
+    b = u0x + k * a
     if not (1.0 - a - 1e-9 < b <= 1.0 + 1e-9):
         raise DegenerateInputError(
             f"basis completion out of range: a={a!r}, b={b!r}"
         )
-    return a, min(b, 1.0), s
+    return min(b, 1.0)
+
+
+def _delta_from_anchor(g: Mat2):
+    """(a, b, s) of the hidden sheared lattice-section form of g*Z^2."""
+    a, s, m, n = _max_slope_anchor(g)
+    return a, _completion_b(g, a, m, n), s
+
+
+def _vl_shear(g: Mat2, a: float, m: int, n: int) -> float:
+    """s of ``vertical_basis(a, s)`` for g*Z^2 with short vertical g*(m, n)
+    of length a, in (0, a^2]."""
+    r, t = _bezout(m, n)
+    u0 = g.apply(Vec2(float(r), float(t)))
+    # u0.x ~ -1/a; reduce the second basis vector's y into [0, a)
+    uy = u0.y - math.floor(u0.y / a) * a
+    s = uy * a
+    return s if s > 0.0 else a * a
 
 
 def _lattice_form(g: Mat2):
@@ -398,21 +419,16 @@ def _omega_coords(g: Mat2, v: Vec2, form) -> Union[OmegaCoords, VLCoords]:
     """Affine-section coordinates of (g, v) given g's ``_lattice_form``."""
     reps = _horizontal_reps(g, v)
     if not len(reps):
-        raise NotOnTransversalError("marking has no horizontal representative")
+        raise NotOnTransversalError(NO_HORIZONTAL_REP)
     alpha = float(reps[0])
     if form[0] == "vl":
-        a, m, n = form[1:]
-        r, t = _bezout(m, n)
-        u0 = g.apply(Vec2(float(r), float(t)))
-        # u0.x ~ -1/a; reduce the second basis vector's y into [0, a)
-        uy = u0.y - math.floor(u0.y / a) * a
-        s = uy * a
-        if s <= 0.0:
-            s = a * a
-        return VLCoords(a, s, alpha)
-    a, b, s = form[1:]
-    r = 1.0 / (a * b)
-    s = min(max(s, 0.0), math.nextafter(r, 0.0))
+        return VLCoords(form[1], _vl_shear(g, *form[1:]), alpha)
+    return _omega_point(*form[1:], alpha)
+
+
+def _omega_point(a: float, b: float, s: float, alpha: float) -> OmegaCoords:
+    """``OmegaCoords`` with s clamped into [0, 1/(a*b))."""
+    s = min(max(s, 0.0), math.nextafter(1.0 / (a * b), 0.0))
     return OmegaCoords(a, b, s, alpha)
 
 
@@ -530,7 +546,114 @@ def w_section_coords(surface: AffineLattice, *, doubled: bool = False) -> WPoint
             return WPointSA(_omega_coords(g, cand, form))
         except NotOnTransversalError:
             continue
-    raise NotOnTransversalError("surface is not on the slit-cover section")
+    raise NotOnTransversalError(NOT_ON_SLIT_SECTION)
+
+
+# ---------------------------------------------------------------------------
+# section points along one horocycle orbit, read off the unflowed surface
+
+
+def _flowed_anchors(g: Mat2, start, t: np.ndarray):
+    """Arrays (a, b, s) of the lattice-section form of h_t(g*Z^2) for each t,
+    given g's own form ``start`` = (a, b, s).
+
+    The anchor at time t is the primitive strip vector of largest slope at
+    most t (smallest x on a tie), or g's own anchor if no strip vector has
+    slope at most t; s is t minus the anchor's slope."""
+    a0, b0, s0 = start
+    a, b, s = np.full(len(t), a0), np.full(len(t), b0), s0 + t
+    if t[-1] <= 0.0:
+        return a, b, s
+    pts = _lattice_scan(
+        g, Vec2(0.0, 0.0), x_max=1.0, slope_max=float(t[-1]), primitive=True
+    )
+    slope = pts[:, 1] / pts[:, 0]
+    order = np.lexsort((-pts[:, 0], slope))
+    pts, slope = pts[order], slope[order]
+    i = np.searchsorted(slope, t, side="right") - 1
+    hit = i >= 0
+    used, which = np.unique(i[hit], return_inverse=True)
+    a[hit] = pts[i[hit], 0]
+    b[hit] = np.array(
+        [_completion_b(g, pts[j, 0], int(pts[j, 2]), int(pts[j, 3])) for j in used]
+    )[which]
+    s[hit] = np.maximum(t[hit] - slope[i[hit]], 0.0)
+    return a, b, s
+
+
+def _flowed_alpha(g: Mat2, v: Vec2, t: np.ndarray) -> np.ndarray:
+    """``_horizontal_reps(h_t(g), h_t(v))[0]`` for each t, inf where there is
+    none: the smallest x of a coset point with 0 < x <= 1 and
+    |y - t*x| <= HORIZONTAL_TOL."""
+    tol = HORIZONTAL_TOL
+    pts = lattice_box(
+        g, v, math.nextafter(X_EPS, math.inf), 1.0 + COORD_SLACK,
+        -tol, float(t[-1]) * (1.0 + COORD_SLACK) + tol,
+    )
+    # |y - t*x| <= tol, as |slope - t| * x <= tol: a strip slope y/x taken
+    # as t is then exactly horizontal, however large t is
+    x, slope = pts[:, 0], pts[:, 1] / pts[:, 0]
+    reach = tol / x + COORD_SLACK * np.maximum(1.0, np.abs(slope))
+    first = np.searchsorted(t, slope - reach, side="left")
+    last = np.searchsorted(t, slope + reach, side="right")
+    point, k = _ragged(first, last - first)
+    keep = np.abs(slope[point] - t[k]) * x[point] <= tol
+    alpha = np.full(len(t), np.inf)
+    np.minimum.at(alpha, k[keep], x[point[keep]])
+    return alpha
+
+
+def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) -> list:
+    """Section coordinates of h_t(surface) for every t in the nonnegative,
+    increasing ``times``, from scans of the unflowed surface only.
+
+    Without ``slit`` the points are ``recoordinatize_omega`` of the flowed
+    surfaces.  With ``slit`` they are ``w_section_coords(..., doubled=True)``
+    along one orbit: the marking is carried from time to time, and a time at
+    which only its negation has a horizontal representative negates it for
+    every later time.
+
+    The horocycle keeps every x-coordinate and every lattice label, so the
+    lattice part is analyzed once (``_lattice_form``).  A short vertical is
+    kept by the flow, with s advancing by t modulo a^2; otherwise a, b and s
+    come from ``_flowed_anchors``.  alpha comes from ``_flowed_alpha``.  The
+    result equals recoordinatizing each flowed surface up to rounding.
+    """
+    surface.check()
+    g, v = surface.g, surface.v
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0.0) or np.any(np.diff(t) < 0.0):
+        raise InvalidInputError("flow times must be finite, nonnegative and increasing")
+    if not len(t):
+        return []
+    form = _lattice_form(g)
+    vertical = form[0] == "vl"
+    if vertical:
+        a0 = form[1]
+        s = np.fmod(_vl_shear(g, *form[1:]) + t, a0 * a0)
+        s[s <= 0.0] = a0 * a0
+        a, b = np.full(len(t), a0), np.full(len(t), np.nan)
+    else:
+        a, b, s = _flowed_anchors(g, form[1:], t)
+    # coset 0 is the marking's, coset 1 its negation's
+    alphas = [_flowed_alpha(g, c, t).tolist() for c in ((v, -v) if slit else (v,))]
+    t, a, b, s = t.tolist(), a.tolist(), b.tolist(), s.tolist()
+
+    points, carried = [], 0
+    for k in range(len(t)):
+        if slit and not vertical and s[k] * a[k] <= HORIZONTAL_TOL:
+            mark = horocycle_apply(t[k], v)
+            vv = reduce_to_fundamental(delta_basis(a[k], b[k]), -mark if carried else mark)
+            points.append(WPointSL(a[k], b[k], vv.x, vv.y))
+            continue
+        tried = (carried, 1 - carried) if slit else (0,)
+        carried = next((c for c in tried if math.isfinite(alphas[c][k])), None)
+        if carried is None:
+            raise NotOnTransversalError(NOT_ON_SLIT_SECTION if slit else NO_HORIZONTAL_REP)
+        alpha = alphas[carried][k]
+        p = VLCoords(a[k], s[k], alpha) if vertical else _omega_point(a[k], b[k], s[k], alpha)
+        points.append(WPointSA(p) if slit else p)
+    return points
 
 
 def w_return_map(w: WPoint, *, doubled: bool = False) -> WPoint:

@@ -120,6 +120,28 @@ def test_orbit_off_transversal_is_a_state_error():
     assert main(["orbit", "--start", "0.5,0.4,0,0.5", "--iters", "1"]) == 3
 
 
+@pytest.mark.parametrize("engine", ["oracle-affine", "oracle-doubled"])
+def test_oracle_orbit_zero_iters_and_off_transversal_start(tmp_path, engine):
+    out = tmp_path / "orbit.csv"
+    argv = ["orbit", "--engine", engine, "--start"]
+    assert main(argv + ["0.5,0.6,2.0,0.9", "--iters", "0", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == ["step", "return_time", "kind", "a", "b", "s", "alpha"] and rows == []
+    assert main(argv + ["0.5,0.4,0,0.5", "--iters", "5"]) == 3
+
+
+def test_log_level_sends_debug_messages_to_stderr(capsys):
+    # alpha = a is a region-boundary tie, which classify_omega logs at DEBUG
+    argv = ["orbit", "--start", "0.5,0.6,0.5,0.5", "--iters", "2"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert main(["--log-level", "DEBUG"] + argv) == 0
+    loud = capsys.readouterr()
+    assert quiet.err == ""
+    assert "classify tie alpha=a" in loud.err
+    assert loud.out == quiet.out
+
+
 def test_closed_form_tail_at_zero(tmp_path):
     out = tmp_path / "tail.csv"
     assert main(["closed-form", "--t-grid", "0", "--out", str(out)]) == 0
@@ -297,6 +319,19 @@ def test_difftest_verified_region_reports_regression(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["results"]["n_discrepant"] > 0
     assert payload["counterexamples"]
+
+
+def test_difftest_omega_breaks_discrepancies_down_by_region(tmp_path):
+    # the figures the README quotes for OmegaR
+    out = tmp_path / "omega.json"
+    code = main(["difftest", "OmegaR", "--samples", "100000", "--seed", "2026", "--out", str(out)])
+    assert code == 4
+    payload = json.loads(out.read_text())
+    jsonschema.validate(payload, SCHEMA)
+    results = payload["results"]
+    assert results["n_discrepant"] == 4163
+    assert results["discrepant_by_region"] == {"O1": 0, "O2": 3593, "O3": 0, "O4": 570}
+    assert results["discrepant_weight_fraction"] == pytest.approx(0.028, abs=5e-4)
 
 
 def test_difftest_unknown_region(tmp_path):

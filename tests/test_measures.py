@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from slitgaps import transversal
+from slitgaps import oracle, transversal
 from slitgaps.errors import InvalidInputError
+from slitgaps.geometry import SurfaceMode, horocycle_apply
 from slitgaps.measures import (
     ENGINES,
     FORMULA,
@@ -20,8 +21,17 @@ from slitgaps.measures import (
     orbit,
     sample,
 )
-from slitgaps.oracle import oracle_gap_sequence
-from slitgaps.transversal import OmegaCoords, VLCoords, WPointSA, WPointSL
+from slitgaps.oracle import oracle_first_return, oracle_gap_sequence, oracle_strip_slopes
+from slitgaps.transversal import (
+    OmegaCoords,
+    VLCoords,
+    WPointSA,
+    WPointSL,
+    omega_to_surface,
+    recoordinatize_omega,
+    w_section_coords,
+    w_to_surface,
+)
 
 HAAR_OMEGA_MASS = math.pi ** 2 / 6.0
 OMEGA3_MASS = math.pi ** 2 / 6.0 - 1.0
@@ -225,18 +235,111 @@ def test_orbit_yields_expected_shape():
 
 
 @pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
-def test_oracle_orbit_computes_one_lattice_form_per_step(monkeypatch, engine):
-    # recoordinatizing a step analyzes the lattice part once, also when the
-    # doubled slit-cover step tries both markings
-    calls = []
-    real = transversal._lattice_form
+def test_oracle_orbit_computes_no_lattice_form_per_step(monkeypatch, engine):
+    # an oracle orbit analyzes the start lattice once and scans the start
+    # surface a fixed number of times, however many steps it takes
+    forms, scans = [], []
+    real_form, real_scan = transversal._lattice_form, oracle.enumerate_strip
 
-    def counting(g):
-        calls.append(g)
-        return real(g)
+    def counting_form(g):
+        forms.append(g)
+        return real_form(g)
 
-    monkeypatch.setattr(transversal, "_lattice_form", counting)
-    n = 200
-    steps = list(orbit(OmegaCoords(0.5, 0.6, 2.0, 0.9), engine, n))
-    assert len(steps) == n
-    assert len(calls) == n
+    def counting_scan(*args, **kwargs):
+        scans.append(args)
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(transversal, "_lattice_form", counting_form)
+    monkeypatch.setattr(oracle, "enumerate_strip", counting_scan)
+    counts = []
+    for n in (200, 400):
+        forms.clear()
+        scans.clear()
+        steps = list(orbit(OmegaCoords(0.5, 0.6, 2.0, 0.9), engine, n))
+        assert len(steps) == n
+        counts.append((len(forms), len(scans)))
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 1
+
+
+# the step-by-step chain the oracle orbits are read off in one piece: the
+# point after a step is the previous surface flowed by its enumerated return
+# and recoordinatized.  Its partial sums drift from the start surface's strip
+# slopes by rounding, so returns and s are compared at STEPWISE_TOL and the
+# flow-invariant x-coordinates (a, b, alpha, and the short-lattice marking)
+# at STEPWISE_X_TOL.
+STEPWISE_TOL = 1e-9
+STEPWISE_X_TOL = 1e-11
+
+
+def _stepwise_oracle_orbit(start, engine, n):
+    mode = SurfaceMode.AFFINE_ONLY if engine == ORACLE_AFFINE else SurfaceMode.DOUBLED_SLIT
+    p, out = start, []
+    for _ in range(n):
+        surf = w_to_surface(p) if isinstance(p, (WPointSL, WPointSA)) else omega_to_surface(p)
+        u = oracle_first_return(surf, mode)
+        flowed = horocycle_apply(u, surf)
+        if mode is SurfaceMode.AFFINE_ONLY:
+            p = recoordinatize_omega(flowed)
+        else:
+            p = w_section_coords(flowed, doubled=True)
+        out.append((u, p))
+    return out
+
+
+def _kind_and_coords(p):
+    """(kind, x-coordinates, s) of a section point."""
+    if isinstance(p, WPointSL):
+        return "sl", (p.a, p.b, p.v1, p.v2), 0.0
+    kind = "sa-" if isinstance(p, WPointSA) else ""
+    p = p.coords if kind else p
+    if isinstance(p, VLCoords):
+        return kind + "vl", (p.a, p.alpha), p.s
+    return kind + "omega", (p.a, p.b, p.alpha), p.s
+
+
+# P1 is the start of the benchmark's orbit-chain workload at seed 1
+P1 = OmegaCoords(0.8558403872803663, 0.732080999270255, 0.04227081954827937, 0.7847818328370264)
+
+
+@pytest.mark.parametrize(
+    "start, engine",
+    [
+        (P1, ORACLE_AFFINE),
+        (P1, ORACLE_DOUBLED),
+        (OmegaCoords(0.5, 0.6, 2.0, 0.9), ORACLE_AFFINE),
+        (OmegaCoords(0.5, 0.6, 2.0, 0.9), ORACLE_DOUBLED),
+        (WPointSL(0.6, 0.5, 0.3, 0.5), ORACLE_DOUBLED),
+        (VLCoords(0.8, 0.3, 0.5), ORACLE_AFFINE),
+        (VLCoords(0.8, 0.3, 0.5), ORACLE_DOUBLED),
+    ],
+)
+def test_oracle_orbit_matches_the_stepwise_chain(start, engine):
+    n = 500
+    steps = list(orbit(start, engine, n))
+    ref = _stepwise_oracle_orbit(start, engine, n)
+    assert [k for k, _, _ in steps] == list(range(n))
+    for (_, u, p), (u_ref, p_ref) in zip(steps, ref):
+        kind, xs, s = _kind_and_coords(p)
+        kind_ref, xs_ref, s_ref = _kind_and_coords(p_ref)
+        assert kind == kind_ref
+        assert np.max(np.abs(np.subtract(xs, xs_ref))) <= STEPWISE_X_TOL
+        assert abs(s - s_ref) <= STEPWISE_TOL
+        assert abs(u - u_ref) <= STEPWISE_TOL
+    sums = np.cumsum([u for _, u, _ in steps])
+    slopes = oracle_strip_slopes(*_oracle_surface(start, engine), n)
+    assert np.max(np.abs(sums - slopes) / slopes) <= 1e-12
+
+
+def test_oracle_orbit_carries_the_negated_marking():
+    # under the doubled oracle the vertical-lattice start (a = 0.8) has the
+    # mirrored coset's column x = 1/a - alpha in the strip too, so the orbit
+    # alternates between the two markings
+    steps = list(orbit(VLCoords(0.8, 0.3, 0.5), ORACLE_DOUBLED, 50))
+    alphas = {round(p.coords.alpha, 12) for _, _, p in steps}
+    assert alphas == {0.5, 0.75}
+
+
+def test_oracle_orbit_of_no_steps_is_empty():
+    for engine in (ORACLE_AFFINE, ORACLE_DOUBLED):
+        assert list(orbit(OmegaCoords(0.5, 0.6, 2.0, 0.9), engine, 0)) == []

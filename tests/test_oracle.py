@@ -181,6 +181,32 @@ def test_gap_sequence_has_no_spurious_returns():
     assert seq.min() >= 1e-6
 
 
+@pytest.mark.parametrize("mode", list(SurfaceMode))
+@pytest.mark.parametrize(
+    "start, n, one_scan",
+    [
+        (OmegaCoords(0.5, 0.6, 2.0, 0.9), 1000, True),
+        # one coset column at x = 0.05 every 0.5 high: slopes 10 apart, far
+        # sparser than a generic surface's, so the first cap is doubled
+        (VLCoords(0.5, 0.1, 0.05), 50, False),
+    ],
+)
+def test_strip_slopes_from_the_expected_cap(monkeypatch, mode, start, n, one_scan):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_strip(*args, **kwargs)
+
+    monkeypatch.setattr("slitgaps.oracle.enumerate_strip", counting)
+    surf = omega_to_surface(start)
+    slopes = oracle_strip_slopes(surf, mode, n)
+    assert (len(calls) == 1) == one_scan
+    # any cap holding n slopes gives the same first n
+    wide = slopes_and_gaps(enumerate_strip(surf, mode, 2.0 * calls[-1][2])).slopes
+    assert np.array_equal(slopes, wide[:n])
+
+
 def test_strip_slopes_past_cap_limit(monkeypatch):
     surf = AffineLattice(Mat2(1.0, 0.0, 0.0, 1.0), Vec2(0.5, 0.0))
     monkeypatch.setattr("slitgaps.oracle.CAP_LIMIT", 64.0)

@@ -1,6 +1,7 @@
 """Return times and return maps on the three Poincare sections."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from slitgaps.transversal import (
     bcz_return_map,
     bcz_return_time,
     classify_omega,
+    flowed_section_coords,
     omega_return_map,
     omega_return_time,
     omega_to_surface,
@@ -143,6 +145,25 @@ def test_recoordinatize_vertical_lattice():
     assert math.isclose(p.a, 0.5, abs_tol=1e-9)
     assert math.isclose(p.s, 0.1, abs_tol=1e-9)
     assert math.isclose(p.alpha, 0.5, abs_tol=1e-9)
+
+
+def test_flowed_section_coords_match_recoordinatizing_each_flow():
+    # the surfaces of the three tests above, at times when their marking has
+    # a horizontal representative, read off scans of the unflowed surface
+    g = horocycle_apply(0.2, p_ab(0.5, 1.0))
+    surf = AffineLattice(g, Vec2(0.75, 0.0))
+    vert = AffineLattice(horocycle_apply(0.1, Mat2(2.0, 0.0, 0.0, 0.5)), Vec2(0.5, 0.0))
+    for start, times in ((surf, [0.0, 0.4]), (vert, [0.0, 1.0, 2.0])):
+        points = flowed_section_coords(start, times)
+        assert len(points) == len(times)
+        for t, p in zip(times, points):
+            q = recoordinatize_omega(horocycle_apply(t, start))
+            assert type(p) is type(q)
+            assert np.allclose(astuple(p), astuple(q), rtol=0.0, atol=1e-12)
+    with pytest.raises(InvalidInputError):
+        flowed_section_coords(surf, [0.4, 0.0])
+    with pytest.raises(NotOnTransversalError):
+        flowed_section_coords(vert, [0.5])
 
 
 def test_omega_return_map_fixed_point():
