@@ -38,9 +38,9 @@ from .errors import (
     SlitgapsError,
 )
 from .geometry import AffineLattice, Mat2, SurfaceMode, Vec2, enumerate_strip, slopes_and_gaps
-from .measures import ENGINES, FORMULA, MeasureSpec, mc_tail, orbit
+from .measures import ENGINES, FORMULA, ORACLE_DOUBLED, MeasureSpec, mc_tail, orbit
 from .oracle import REGIONS, diff_test, oracle_strip_slopes
-from .transversal import OmegaCoords, VLCoords, WPointSA, WPointSL, omega_to_surface
+from .transversal import OmegaCoords, VLCoords, WPointSA, WPointSL, omega_to_surface, w_section_coords
 
 SPEC_VERSION = "1.0"
 
@@ -364,6 +364,9 @@ def cmd_orbit(config: RunConfig) -> int:
 
     rows = []
     current = start
+    if engine == ORACLE_DOUBLED:
+        # the doubled oracle follows the slit-cover section, start included
+        current = w_section_coords(omega_to_surface(start), doubled=True)
     for step, u, nxt in orbit(start, engine, iters):
         rows.append((step, u) + _point_row(current))
         current = nxt

@@ -17,6 +17,9 @@ Measures:
   fixed (a, alpha), uniform in the shear.
 * ``periodic-point`` - the return-map fixed point (1, 1, 0, 0.5).
 
+Returns of a sampled batch are one call of ``transversal``'s vectorized
+formulas, which the oracle engines take as cap hints.
+
 Orbits: ``orbit`` iterates the section return map.  The formula engine
 steps in closed form; the oracle engines read the whole orbit, returns and
 section points, off scans of the start surface (``oracle.oracle_orbit``), and
@@ -38,7 +41,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import EstimationError, InvalidInputError
-from .geometry import SurfaceMode, Vec2, horocycle_apply
+from .geometry import SurfaceMode, Vec2
 from .transversal import (
     OmegaCoords,
     VLCoords,
@@ -46,12 +49,15 @@ from .transversal import (
     WPointSL,
     advance_omega,
     delta_basis,
-    omega_return_time,
+    omega_region_vec,
+    omega_return_vec,
     omega_to_surface,
     sheared_delta_basis,
     vertical_basis,
+    w_return_map,
+    w_return_sa_vec,
+    w_return_sl_vec,
     w_return_time,
-    w_section_coords,
     w_to_surface,
 )
 
@@ -320,57 +326,6 @@ def sample(measure: MeasureSpec, rng) -> WeightedSample:
 
 
 # ---------------------------------------------------------------------------
-# vectorized formula returns
-
-
-def omega_return_vec(a, b, s, alpha) -> np.ndarray:
-    """Vectorized affine-section return time (generic coordinates)."""
-    a, b, s, alpha = map(np.asarray, (a, b, s, alpha))
-    upper = alpha > a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        thr = (alpha - a) / (a * b * alpha)
-        o1 = upper & (s < thr)
-        o3 = ~upper & (b + alpha < 1.0)
-        j = np.floor((1.0 + a - alpha) / b + 1e-12)
-        out = (j * (1.0 / a - s * b) + s * a) / (alpha - a + j * b)
-        out = np.where(o1, s * a / (alpha - a), out)
-        out = np.where(o3, (1.0 / a - s * b) / (b + alpha), out)
-    return out
-
-
-def omega_region_vec(a, b, s, alpha) -> np.ndarray:
-    """Vectorized region labels 1-4 (generic coordinates)."""
-    a, b, s, alpha = map(np.asarray, (a, b, s, alpha))
-    upper = alpha > a
-    thr = np.where(upper, (alpha - a) / (a * b * alpha), np.inf)
-    out = np.where(upper, np.where(s < thr, 1, 2), np.where(b + alpha < 1.0, 3, 4))
-    return out
-
-
-def w_return_sl_vec(a, b, v1, v2) -> np.ndarray:
-    """Vectorized slit-cover return on short-lattice points."""
-    a, b, v1, v2 = map(np.asarray, (a, b, v1, v2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(b + v1 <= 1.0, v2 / v1, 1.0 / (a * b))
-    return out
-
-
-def w_return_sa_vec(a, b, s, alpha) -> np.ndarray:
-    """Vectorized slit-cover return on short-affine points: the lattice
-    return 1/(ab) - s except where the marking lands first."""
-    a, b, s, alpha = map(np.asarray, (a, b, s, alpha))
-    upper = alpha > a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        thr = (alpha - a) / (a * b * alpha)
-        o1 = upper & (s < thr)
-        o3 = ~upper & (b + alpha < 1.0)
-        out = 1.0 / (a * b) - s
-        out = np.where(o1, s * a / (alpha - a), out)
-        out = np.where(o3, (1.0 / a - s * b) / (b + alpha), out)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # oracle-engine evaluation (batched strip scans, bit-identical to per point)
 
 
@@ -572,12 +527,11 @@ def _oracle_surface(p, engine: str):
 
 def _orbit_step(p):
     """(return time, next point) of the closed-form step: the affine section
-    advances by ``advance_omega``; a slit-cover point flows by its formula
-    return and is recoordinatized on the slit-cover section."""
+    advances by ``advance_omega``; a slit-cover point takes ``w_return_map``
+    on the doubled slit cover."""
     if isinstance(p, (WPointSL, WPointSA)):
-        u = w_return_time(p)
-        return u, w_section_coords(horocycle_apply(u, w_to_surface(p)), doubled=True)
-    return omega_return_time(p), advance_omega(p)
+        return w_return_time(p), w_return_map(p, doubled=True)
+    return advance_omega(p)
 
 
 def orbit(start, engine: str, n_steps: int):

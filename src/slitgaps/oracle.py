@@ -43,13 +43,17 @@ from .measures import (
     _oracle_return_omega,
     _oracle_return_w,
     _triangle_uniform,
-    omega_region_vec,
-    omega_return_vec,
-    w_return_sa_vec,
-    w_return_sl_vec,
     worker_streams,
 )
-from .transversal import delta_basis, flowed_section_coords, rho_sl_to_sa
+from .transversal import (
+    delta_basis,
+    flowed_section_coords,
+    omega_region_vec,
+    omega_return_vec,
+    rho_sl_to_sa,
+    w_return_sa_vec,
+    w_return_sl_vec,
+)
 
 REL_ERR_THRESHOLD = 1e-6
 DEFAULT_CAP = 8.0

@@ -15,8 +15,13 @@ Three sections appear:
   short-affine state (SA).
 
 Return times are closed-form; every formula is cross-checked against the
-enumeration oracle elsewhere.  Boundary ties between regions are broken
-toward the lower-indexed region and logged at DEBUG level.
+enumeration oracle elsewhere.  Each section formula has one implementation,
+elementwise over arrays (``omega_region_vec``, ``omega_return_vec``,
+``w_return_sl_vec``, ``w_return_sa_vec``, ``rho_sl_to_sa``); the point forms
+(``classify_omega``, ``omega_return_time``, ``w_return_time``,
+``advance_omega``) are size-1 calls of them.  One tie rule holds throughout:
+a point within ``TIE_TOL`` of a region boundary goes to the lower-indexed
+region, and ties are logged at DEBUG level.
 """
 
 from __future__ import annotations
@@ -198,65 +203,90 @@ def bcz_return_map(d: DeltaCoords) -> DeltaCoords:
 
 
 # ---------------------------------------------------------------------------
-# affine section: classification and return time
+# affine section: classification and return time, elementwise over arrays of
+# generic coordinates (a, b, s, alpha); the point forms are size-1 calls
+
+
+def _columns(*cols):
+    """The arguments as float arrays, scalars as numpy floats (which keep a
+    size-1 call cheap); numpy broadcasts them elementwise."""
+    return [np.float64(c) if isinstance(c, float) else np.asarray(c, dtype=float) for c in cols]
+
+
+def _omega_masks(a, b, s, alpha):
+    """Row masks (alpha > a, O1, O3) of affine-section float arrays.
+
+    A point within ``TIE_TOL`` of a region boundary goes to the lower-indexed
+    region: O1 and O2 need alpha > a + TIE_TOL, O1 takes s up to its
+    threshold plus TIE_TOL (relative above 1), and O3 takes b + alpha up to
+    1 + TIE_TOL.  Ties are logged at DEBUG level.
+    """
+    upper = alpha > a + TIE_TOL
+    thr = (alpha - a) / (a * b * alpha)
+    near = TIE_TOL * np.maximum(1.0, thr)
+    o1 = upper & (s <= thr + near)
+    o3 = ~upper & (b + alpha <= 1.0 + TIE_TOL)
+    if logger.isEnabledFor(logging.DEBUG):
+        cols = a, b, s, alpha = np.broadcast_arrays(a, b, s, alpha)
+        for name, tie, branch in (
+            ("s=threshold", upper & (np.abs(s - thr) <= near), "O1"),
+            ("alpha=a", np.abs(alpha - a) <= TIE_TOL, "alpha<=a branch"),
+            ("b+alpha=1", ~upper & (np.abs(b + alpha - 1.0) <= TIE_TOL), "O3"),
+        ):
+            i = np.flatnonzero(tie)
+            if len(i):
+                logger.debug("classify tie %s on %d row(s), first (a, b, s, alpha)=%r; assigning %s",
+                             name, len(i), tuple(float(c.flat[i[0]]) for c in cols), branch)
+    return upper, o1, o3
+
+
+def omega_region_vec(a, b, s, alpha) -> np.ndarray:
+    """Region labels 1-4 of affine-section points (ties as ``_omega_masks``)."""
+    upper, o1, o3 = _omega_masks(*_columns(a, b, s, alpha))
+    return np.where(upper, np.where(o1, 1, 2), np.where(o3, 3, 4))
+
+
+def _marking_first(a, b, s, alpha, o1, o3, otherwise) -> np.ndarray:
+    """Return times where the marking lands before the lattice does: O1 and
+    O3 rows; ``otherwise`` on the others."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(o1, s * a / (alpha - a), otherwise)
+        return np.where(o3, (1.0 / a - s * b) / (b + alpha), out)
+
+
+def _omega_returns(a, b, s, alpha):
+    """(return times, arriving alphas) of affine-section float arrays.  The
+    arriving alpha is the x of the marking representative that is horizontal
+    at the return: alpha - a on O1, alpha + b on O3, and on the wrapped
+    branches O2 and O4 the translate alpha - a + j*b, whose return keeps the
+    sheared y-contribution ``s*a``."""
+    _, o1, o3 = _omega_masks(a, b, s, alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j = np.floor((1.0 + a - alpha) / b + FLOOR_NUDGE)
+        arrive = alpha - a + j * b
+        wrapped = (j * (1.0 / a - s * b) + s * a) / arrive
+    u = _marking_first(a, b, s, alpha, o1, o3, wrapped)
+    return u, np.where(o1, alpha - a, np.where(o3, alpha + b, arrive))
+
+
+def omega_return_vec(a, b, s, alpha) -> np.ndarray:
+    """First-return times of the affine section."""
+    return _omega_returns(*_columns(a, b, s, alpha))[0]
 
 
 def classify_omega(p: Union[OmegaCoords, VLCoords]) -> OmegaRegion:
-    """Region of the affine section a point falls in.
-
-    Ties on a region boundary go to the lower-indexed region (matching the
-    non-strict inequality where one side has it) and are logged.
-    """
+    """Region of the affine section a point falls in (``omega_region_vec``)."""
     if isinstance(p, VLCoords):
         return OmegaRegion.VL
-    a, b, s, alpha = p.a, p.b, p.s, p.alpha
-    if alpha > a + TIE_TOL:
-        thr = (alpha - a) / (a * b * alpha)
-        if abs(s - thr) <= TIE_TOL * max(1.0, thr):
-            logger.debug("classify tie s=threshold at %r; assigning O1", p)
-            return OmegaRegion.O1
-        return OmegaRegion.O1 if s < thr else OmegaRegion.O2
-    if abs(alpha - a) <= TIE_TOL:
-        logger.debug("classify tie alpha=a at %r; assigning alpha<=a branch", p)
-    if abs(b + alpha - 1.0) <= TIE_TOL:
-        logger.debug("classify tie b+alpha=1 at %r; assigning O3", p)
-        return OmegaRegion.O3
-    return OmegaRegion.O3 if b + alpha < 1.0 else OmegaRegion.O4
-
-
-def _j_index(a: float, b: float, alpha: float) -> int:
-    return math.floor((1.0 + a - alpha) / b + FLOOR_NUDGE)
+    return OmegaRegion(f"O{int(omega_region_vec(p.a, p.b, p.s, p.alpha))}")
 
 
 def omega_return_time(p: Union[OmegaCoords, VLCoords]) -> float:
-    """First-return time of the affine section.
-
-    The wrapped branches (O2 and O4) both keep the sheared y-contribution
-    ``s*a`` of the arriving representative.
-    """
-    region = classify_omega(p)
-    if region is OmegaRegion.VL:
+    """First-return time of the affine section (``omega_return_vec``); a
+    vertical-lattice point returns at a/alpha."""
+    if isinstance(p, VLCoords):
         return p.a / p.alpha
-    a, b, s, alpha = p.a, p.b, p.s, p.alpha
-    if region is OmegaRegion.O1:
-        return s * a / (alpha - a)
-    if region is OmegaRegion.O3:
-        return (1.0 / a - s * b) / (b + alpha)
-    j = _j_index(a, b, alpha)
-    return (j * (1.0 / a - s * b) + s * a) / (alpha - a + j * b)
-
-
-def arriving_representative(p: OmegaCoords) -> float:
-    """x-coordinate of the marking representative that is horizontal at the
-    moment of first return (the new alpha)."""
-    region = classify_omega(p)
-    a, b, alpha = p.a, p.b, p.alpha
-    if region is OmegaRegion.O1:
-        return alpha - a
-    if region is OmegaRegion.O3:
-        return alpha + b
-    j = _j_index(a, b, alpha)
-    return alpha - a + j * b
+    return float(omega_return_vec(p.a, p.b, p.s, p.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +471,19 @@ def omega_return_map(
     return recoordinatize_omega(horocycle_apply(u, omega_to_surface(p)))
 
 
-def advance_omega(
-    p: Union[OmegaCoords, VLCoords]
-) -> Union[OmegaCoords, VLCoords]:
-    """Closed-form first-return step, no enumeration.
+def advance_omega(p: Union[OmegaCoords, VLCoords]) -> tuple:
+    """Closed-form first-return step, no enumeration: (return time, next
+    point).
 
-    Equals ``omega_return_map`` up to roundoff: the s-coordinate advances by
-    the return time, rolling through lattice-section crossings, and the new
-    alpha is the arriving representative's x.
+    The next point equals ``omega_return_map`` up to roundoff: the
+    s-coordinate advances by the return time, rolling through lattice-section
+    crossings, and the new alpha is the arriving representative's x.
     """
     if isinstance(p, VLCoords):
-        s = math.fmod(p.s + p.a / p.alpha, p.a ** 2)
-        if s <= 0.0:
-            s = p.a ** 2
-        return VLCoords(p.a, s, p.alpha)
-    u = omega_return_time(p)
-    alpha = arriving_representative(p)
+        u = p.a / p.alpha
+        s = math.fmod(p.s + u, p.a ** 2)
+        return u, VLCoords(p.a, s if s > 0.0 else p.a ** 2, p.alpha)
+    u, alpha = map(float, _omega_returns(*_columns(p.a, p.b, p.s, p.alpha)))
     a, b, s = p.a, p.b, p.s + u
     for _ in range(int(u) + 2):
         r = 1.0 / (a * b)
@@ -465,7 +492,7 @@ def advance_omega(
         s -= r
         d = bcz_return_map(DeltaCoords(a, b))
         a, b = d.a, d.b
-    return OmegaCoords(a, b, max(s, 0.0), alpha)
+    return u, OmegaCoords(a, b, max(s, 0.0), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +509,7 @@ def rho_sl_to_sa(a, b, v1, v2):
     finds earlier arrivals on part of the domain (e.g. (0.6, 0.5, 0.3, 0.5):
     formula 5/3, enumeration 5/9).
     """
-    a, b, v1, v2 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, v1, v2)))
+    a, b, v1, v2 = _columns(a, b, v1, v2)
     if not np.all((0.0 < a) & (a <= 1.0 + COORD_SLACK)
                   & (1.0 - a - COORD_SLACK < b) & (b <= 1.0 + COORD_SLACK)):
         raise InvalidInputError("(a, b) outside the lattice-section triangle")
@@ -496,33 +523,41 @@ def rho_sl_to_sa(a, b, v1, v2):
     return out if out.ndim else float(out)
 
 
-def w_return_time(w: WPoint) -> float:
-    """Closed-form first-return time of the slit-cover section.
+def w_return_sl_vec(a, b, v1, v2) -> np.ndarray:
+    """Slit-cover returns of short-lattice points: the marking's slope if it
+    lands short (b + v1 <= 1 + TIE_TOL), else the lattice's own return
+    1/(a*b)."""
+    a, b, v1, v2 = _columns(a, b, v1, v2)
+    short = b + v1 <= 1.0 + TIE_TOL
+    if np.any(short & (v1 <= X_EPS)):
+        raise DegenerateInputError("marking sits on the vertical axis")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(short, v2 / v1, 1.0 / (a * b))
 
-    SL state: the marking's slope if it lands short (b + v1 <= 1), else the
-    lattice's own return 1/(a*b).  SA state: the lattice return 1/(a*b) - s
-    except where the marking returns first (regions O1 and O3).  The
-    vertical-lattice SA state returns at a/alpha.
+
+def w_return_sa_vec(a, b, s, alpha) -> np.ndarray:
+    """Slit-cover returns of short-affine points: the lattice return
+    1/(a*b) - s, except on O1 and O3, where the marking returns first."""
+    a, b, s, alpha = _columns(a, b, s, alpha)
+    _, o1, o3 = _omega_masks(a, b, s, alpha)
+    return _marking_first(a, b, s, alpha, o1, o3, 1.0 / (a * b) - s)
+
+
+def w_return_time(w: WPoint) -> float:
+    """Closed-form first-return time of the slit-cover section
+    (``w_return_sl_vec``, ``w_return_sa_vec``); the vertical-lattice SA
+    state returns at a/alpha.
 
     The formula minimizes over the lattice and the +marking coset only; on
     doubled surfaces the -coset can arrive earlier (reported by the
     differential tester, never folded into this formula).
     """
     if isinstance(w, WPointSL):
-        if w.b + w.v1 <= 1.0 + TIE_TOL:
-            if w.v1 <= X_EPS:
-                raise DegenerateInputError("marking sits on the vertical axis")
-            return w.v2 / w.v1
-        return 1.0 / (w.a * w.b)
+        return float(w_return_sl_vec(w.a, w.b, w.v1, w.v2))
     p = w.coords
-    region = classify_omega(p)
-    if region is OmegaRegion.VL:
+    if isinstance(p, VLCoords):
         return p.a / p.alpha
-    if region is OmegaRegion.O1:
-        return p.s * p.a / (p.alpha - p.a)
-    if region is OmegaRegion.O3:
-        return (1.0 / p.a - p.s * p.b) / (p.b + p.alpha)
-    return 1.0 / (p.a * p.b) - p.s
+    return float(w_return_sa_vec(p.a, p.b, p.s, p.alpha))
 
 
 def w_section_coords(surface: AffineLattice, *, doubled: bool = False) -> WPoint:

@@ -435,3 +435,14 @@ def test_bounds_where_the_envelope_roots_leave_the_bisection_brackets(tmp_path):
         lower, upper = float(row[1]), float(row[2])
         assert math.isfinite(lower) and math.isfinite(upper)
         assert lower <= upper
+
+
+def test_orbit_oracle_doubled_start_row_is_on_the_slit_cover(tmp_path):
+    # the start row is written from the start's slit-cover coordinates, like
+    # every later row of the doubled oracle
+    out = tmp_path / "orbit.csv"
+    argv = ["orbit", "--start", "0.5,0.6,2.0,0.9", "--engine", "oracle-doubled"]
+    assert main(argv + ["--iters", "4", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [r[2] for r in rows] == ["sa", "sa", "sl", "sa"]
+    assert [float(x) for x in rows[0][3:]] == [0.5, 0.6, 2.0, 0.9]

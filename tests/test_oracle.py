@@ -57,6 +57,7 @@ from slitgaps.transversal import (
     bcz_return_time,
     classify_omega,
     delta_basis,
+    omega_region_vec,
     omega_return_time,
     omega_to_surface,
     rho_sl_to_sa,
@@ -590,3 +591,49 @@ def test_scalar_formulas_match_difftest_column(region):
     cols, points = _region_points(region, 20000, seed=89)
     column = _formula_column(region, cols).tolist()
     assert [_scalar_formula(region, p) for p in points] == column
+
+
+_O1_THRESHOLD = (0.9 - 0.5) / (0.5 * 0.8 * 0.9)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        (0.5, 0.6, 0.0, 0.4),  # b + alpha = 1: O3
+        (0.5, 0.6, 1.0, 0.5 + 5e-13),  # alpha within TIE_TOL above a: O4
+        (0.5, 0.8, _O1_THRESHOLD * (1 + 5e-13), 0.9),  # s at the O1/O2 threshold: O1
+        (0.5, 0.8, 0.3, 0.5),  # alpha = a exactly: O4
+    ],
+)
+def test_omega_tie_points_agree_across_forms(q):
+    # on a region boundary the vectorized column, the size-1 scalar and the
+    # oracle all take the tie rule's side
+    p = OmegaCoords(*q)
+    assert f"O{int(omega_region_vec(*q))}" == classify_omega(p).value
+    column = float(omega_return_vec(*q))
+    assert column == omega_return_time(p)
+    oracle = oracle_first_return(omega_to_surface(p), SurfaceMode.AFFINE_ONLY)
+    assert math.isclose(column, oracle, rel_tol=1e-9)
+
+
+def test_short_lattice_tie_point_agrees_across_forms():
+    # b + v1 = 1 + 5e-13 lands short within TIE_TOL
+    w = WPointSL(0.6, 0.5, 0.5 + 5e-13, 0.8)
+    column = float(w_return_sl_vec(w.a, w.b, w.v1, w.v2))
+    assert column == w_return_time(w)
+    oracle = w_oracle_return(w_to_surface(w), doubled=False)
+    assert math.isclose(column, oracle, rel_tol=1e-9)
+    assert math.isclose(column, 0.8 / (0.5 + 5e-13), rel_tol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "name", ["omega_region_vec", "omega_return_vec", "w_return_sa_vec", "w_return_sl_vec"]
+)
+def test_return_formulas_have_one_definition(name):
+    import slitgaps.measures
+    import slitgaps.oracle
+    import slitgaps.transversal
+
+    formula = getattr(slitgaps.transversal, name)
+    assert getattr(slitgaps.measures, name) is formula
+    assert getattr(slitgaps.oracle, name) is formula

@@ -21,12 +21,14 @@ from slitgaps.transversal import (
     bcz_return_time,
     classify_omega,
     flowed_section_coords,
+    omega_region_vec,
     omega_return_map,
     omega_return_time,
     omega_to_surface,
     recoordinatize_omega,
     rho_sl_to_sa,
     w_return_map,
+    w_return_sl_vec,
     w_return_time,
 )
 
@@ -114,6 +116,29 @@ def test_w_return_time_degenerate_marking():
         w_return_time(WPointSL(0.5, 0.6, 0.0, 0.0))
 
 
+def test_short_lattice_column_rows_and_degenerate_marking():
+    # the first marking lands short (b + v1 <= 1), the second does not; a
+    # short-landing row on the vertical axis fails the whole column
+    out = w_return_sl_vec([0.5, 0.5], [0.6, 0.6], [0.3, 0.45], [0.1, 0.2])
+    assert out.tolist() == [0.1 / 0.3, 1.0 / (0.5 * 0.6)]
+    with pytest.raises(DegenerateInputError):
+        w_return_sl_vec([0.5, 0.5], [0.6, 0.6], [0.3, 0.0], [0.1, 0.0])
+
+
+def test_region_ties_logged_once_per_kind_at_debug(caplog):
+    # a = alpha on both rows, b + alpha = 1 on the first
+    cols = ([0.5, 0.5], [0.5 + 1e-13, 0.6], [0.1, 0.2], [0.5, 0.5])
+    with caplog.at_level("INFO", logger="slitgaps.transversal"):
+        omega_region_vec(*cols)
+    assert caplog.records == []
+    with caplog.at_level("DEBUG", logger="slitgaps.transversal"):
+        assert omega_region_vec(*cols).tolist() == [3, 4]
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2
+    assert messages[0].startswith("classify tie alpha=a on 2 row(s)")
+    assert messages[1].startswith("classify tie b+alpha=1 on 1 row(s)")
+
+
 def test_recoordinatize_round_trip():
     g = horocycle_apply(0.2, p_ab(0.5, 1.0))
     surf = AffineLattice(g, Vec2(0.75, 0.0))
@@ -188,7 +213,9 @@ def test_omega_orbit_stays_valid():
     rng = np.random.default_rng(31)
     p = random_omega(rng)
     for _ in range(1000):
-        p = advance_omega(p)
+        u, q = advance_omega(p)
+        assert u == omega_return_time(p)
+        p = q
         if isinstance(p, VLCoords):
             assert 0.0 < p.a <= 1.0 and 0.0 < p.s <= p.a * p.a and 0.0 < p.alpha <= 1.0
         else:
