@@ -28,13 +28,16 @@ section points, off scans of the start surface (``oracle.oracle_orbit``), and
 Everything downstream is self-normalized, so reported distributions do not
 depend on any overall mass convention.  Reproducibility: a run is determined
 by (measure, engine, grid, n, seed, workers); ``worker_streams`` fixes the
-stream layout and results merge in worker order.
+stream layout, and ``mc_tail`` merges its streams' sums in stream order
+whichever thread computed them, so the core count does not enter.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -54,10 +57,9 @@ from .transversal import (
     omega_to_surface,
     sheared_delta_basis,
     vertical_basis,
-    w_return_map,
+    w_advance,
     w_return_sa_vec,
     w_return_sl_vec,
-    w_return_time,
     w_to_surface,
 )
 
@@ -216,8 +218,9 @@ def worker_streams(n: int, seed: int, workers: int):
 
 
 def _uniform_open(rng, n: int) -> np.ndarray:
-    """Uniform on (0, 1]."""
-    return 1.0 - rng.random(n)
+    """Uniform on (0, 1]: 1 - rng.random(n), computed in place."""
+    x = rng.random(n)
+    return np.subtract(1.0, x, out=x)
 
 
 def _triangle_uniform(rng, n: int):
@@ -398,6 +401,35 @@ def _mass_scale(measure: MeasureSpec) -> float:
     return W_MASS_SCALE if measure.kind == "haar-w" else 1.0
 
 
+def _stream_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: int):
+    """Sufficient statistics of one stream of ``mc_tail`` over the sorted
+    ``grid``: (count, per-cell sums of w and of w^2, and per component the
+    sums of w and w^2 over its draws).
+
+    A draw's cell is the number of thresholds below its return, so R > t
+    holds at exactly that many leading grid points.  NaN returns go to cell
+    0: R > t is false for them at every t.  The batch is dropped on return.
+    """
+    w, r, comp = _returns_for_batch(measure, _batch_measure(measure, rng, n), engine)
+    cell = np.searchsorted(grid, r, side="left")
+    cell[np.isnan(r)] = 0
+    w2 = w * w
+    sums = np.bincount(cell, weights=w, minlength=grid.size + 1)
+    sums2 = np.bincount(cell, weights=w2, minlength=grid.size + 1)
+    comps = {
+        k: (float(np.sum(w, where=mask)), float(np.sum(w2, where=mask)))
+        for k, mask in comp.items()
+    }
+    return w.size, sums, sums2, comps
+
+
+def _mass_se(scale: float, s1: float, s2: float, count: int) -> float:
+    """Standard error of the mean of count draws with sum s1 and square sum
+    s2 (the ddof=1 sample deviation over sqrt(count))."""
+    var = max(s2 - s1 * s1 / count, 0.0) / (count - 1)
+    return scale * math.sqrt(var) / math.sqrt(count)
+
+
 def mc_tail(
     measure: MeasureSpec,
     engine: str,
@@ -410,9 +442,11 @@ def mc_tail(
 
     The estimator is sum(w * [R > t]) / sum(w) with a delta-method CI
     half-width of 1.96 standard errors; n_eff = (sum w)^2 / sum(w^2).
-    The estimate runs serially; ``workers`` only splits the random streams
-    (see ``worker_streams``), so results are identical for fixed (seed,
-    workers) and change with ``workers``.
+    ``workers`` splits the draws into seeded streams (``worker_streams``).
+    The streams run on a thread pool of at most ``os.cpu_count()`` threads,
+    each is reduced to per-grid-cell sums as soon as it is sampled, and the
+    sums merge in stream order: results are identical for fixed (seed, n,
+    workers), change with ``workers``, and do not depend on the core count.
     """
     if engine not in ENGINES:
         raise InvalidInputError(f"unknown engine {engine!r}")
@@ -426,55 +460,52 @@ def mc_tail(
     if np.isnan(t_grid).any():
         raise InvalidInputError("NaN threshold in t grid")
 
-    ws, rs, comps = [], [], []
-    for rng, ni in worker_streams(n, seed, workers):
-        batch = _batch_measure(measure, rng, ni)
-        w, r, comp = _returns_for_batch(measure, batch, engine)
-        ws.append(w)
-        rs.append(r)
-        comps.append(comp)
-    w = np.concatenate(ws)
-    r = np.concatenate(rs)
-    comp_masks = {
-        k: np.concatenate([c[k] for c in comps]) for k in (comps[0] or {})
-    }
+    order = np.argsort(t_grid, kind="stable")
+    grid = t_grid[order]
+    streams = list(worker_streams(n, seed, workers))
+    with ThreadPoolExecutor(min(len(streams), os.cpu_count() or 1)) as pool:
+        stats = list(
+            pool.map(lambda s: _stream_stats(measure, engine, grid, *s), streams)
+        )
+    counts, cell_w, cell_w2, comps = zip(*stats)
+    count = sum(counts)
+    sums2 = sum(cell_w2)
 
-    wsum = float(w.sum())
+    # above[c] sums cells c..m, so above[k + 1] is the mass with R > t_k
+    above = np.cumsum(sum(cell_w)[::-1])[::-1]
+    above2 = np.cumsum(sums2[::-1])[::-1]
+    below2 = np.cumsum(sums2)
+    wsum = float(above[0])
     if not np.isfinite(wsum) or wsum <= 0:
         raise EstimationError("degenerate total weight")
-    n_eff = wsum ** 2 / float((w * w).sum())
+    n_eff = wsum ** 2 / float(above2[0])
 
+    p = above[1:] / wsum
+    var = (1.0 - p) ** 2 * above2[1:] + p ** 2 * below2[:-1]
     survival = np.empty(t_grid.shape)
     ci = np.empty(t_grid.shape)
-    for k, t in enumerate(t_grid):
-        ind = (r > t).astype(float)
-        p = float((w * ind).sum()) / wsum
-        resid = w * (ind - p)
-        se = math.sqrt(float((resid * resid).sum())) / wsum
-        survival[k] = p
-        ci[k] = 1.96 * se
+    survival[order] = p
+    ci[order] = 1.96 * np.sqrt(var) / wsum
 
     scale = _mass_scale(measure)
-    total = scale * wsum / len(w)
-    total_se = scale * float(w.std(ddof=1)) / math.sqrt(len(w))
     masses = {}
-    for name, mask in comp_masks.items():
-        masses[name] = scale * float((w * mask).sum()) / len(w)
-        masses[name + "_se"] = (
-            scale * float((w * mask).std(ddof=1)) / math.sqrt(len(w))
-        )
+    for name in comps[0]:
+        s1 = sum(c[name][0] for c in comps)
+        s2 = sum(c[name][1] for c in comps)
+        masses[name] = scale * s1 / count
+        masses[name + "_se"] = _mass_se(scale, s1, s2, count)
     return TailEstimate(
         t_grid=t_grid,
         survival=survival,
         ci_halfwidth=ci,
-        n=len(w),
+        n=count,
         seed=seed,
         engine=engine,
         measure=measure,
         workers=workers,
         n_eff=n_eff,
-        total_mass=total,
-        total_mass_se=total_se,
+        total_mass=scale * wsum / count,
+        total_mass_se=_mass_se(scale, wsum, float(above2[0]), count),
         component_masses=masses,
     )
 
@@ -527,10 +558,10 @@ def _oracle_surface(p, engine: str):
 
 def _orbit_step(p):
     """(return time, next point) of the closed-form step: the affine section
-    advances by ``advance_omega``; a slit-cover point takes ``w_return_map``
-    on the doubled slit cover."""
+    advances by ``advance_omega``, a slit-cover point by ``w_advance`` on the
+    doubled slit cover."""
     if isinstance(p, (WPointSL, WPointSA)):
-        return w_return_time(p), w_return_map(p, doubled=True)
+        return w_advance(p, doubled=True)
     return advance_omega(p)
 
 

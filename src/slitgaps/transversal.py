@@ -691,11 +691,18 @@ def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) 
     return points
 
 
-def w_return_map(w: WPoint, *, doubled: bool = False) -> WPoint:
-    """Flow by the closed-form return time, then recoordinatize.
+def w_advance(w: WPoint, *, doubled: bool = False) -> tuple:
+    """Closed-form slit-cover step: (return time, next point), flowing by
+    ``w_return_time`` and recoordinatizing, with one formula call.
 
     Raises ``NotOnTransversalError`` when the formula's landing point is not
     on the section (possible exactly where the closed form disagrees with the
     enumeration oracle)."""
     u = w_return_time(w)
-    return w_section_coords(horocycle_apply(u, w_to_surface(w)), doubled=doubled)
+    return u, w_section_coords(horocycle_apply(u, w_to_surface(w)), doubled=doubled)
+
+
+def w_return_map(w: WPoint, *, doubled: bool = False) -> WPoint:
+    """Flow by the closed-form return time, then recoordinatize (the point
+    half of ``w_advance``)."""
+    return w_advance(w, doubled=doubled)[1]

@@ -244,6 +244,7 @@ def test_mc_tail_bad_grid_and_small_sample(tmp_path):
     base = ["mc-tail", "--measure", "haar-w", "--engine", "formula"]
     assert main(base + ["--t-grid", "2:1:0.5", "--samples", "2000"]) == 2
     assert main(base + ["--t-grid", "0:1:0.5", "--samples", "500"]) == 2
+    assert main(base + ["--t-grid", "0:1:0.5", "--samples", "2000", "--workers", "0"]) == 2
 
 
 def test_config_file_flags_win(tmp_path):

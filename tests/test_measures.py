@@ -1,11 +1,13 @@
 """Invariant-measure samplers, Monte Carlo tails, and orbit averages."""
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from slitgaps import oracle, transversal
+from slitgaps import measures, oracle, transversal
 from slitgaps.errors import InvalidInputError
 from slitgaps.geometry import SurfaceMode, horocycle_apply
 from slitgaps.measures import (
@@ -15,6 +17,8 @@ from slitgaps.measures import (
     ORACLE_DOUBLED,
     MeasureSpec,
     _oracle_surface,
+    _orbit_step,
+    _uniform_open,
     ergodic_average,
     estimate_masses,
     mc_tail,
@@ -29,6 +33,7 @@ from slitgaps.transversal import (
     WPointSL,
     omega_to_surface,
     recoordinatize_omega,
+    w_advance,
     w_section_coords,
     w_to_surface,
 )
@@ -164,6 +169,138 @@ def test_mc_tail_rejects_bad_engine():
     with pytest.raises(InvalidInputError):
         mc_tail(MeasureSpec.haar_w(), "exact", [1.0], 100, seed=0)
     assert set(ENGINES) == {"formula", "oracle-affine", "oracle-doubled"}
+
+
+def _two_pass_tail(measure, engine, t_grid, n, seed, workers):
+    """The per-threshold estimator over concatenated streams: the reference
+    for the one-pass cell statistics of ``mc_tail``."""
+    ws, rs, comps = [], [], []
+    for rng, ni in measures.worker_streams(n, seed, workers):
+        w, r, comp = measures._returns_for_batch(
+            measure, measures._batch_measure(measure, rng, ni), engine
+        )
+        ws.append(w)
+        rs.append(r)
+        comps.append(comp)
+    w, r = np.concatenate(ws), np.concatenate(rs)
+    wsum = w.sum()
+    survival, ci = [], []
+    for t in t_grid:
+        ind = (r > t).astype(float)
+        p = (w * ind).sum() / wsum
+        survival.append(p)
+        ci.append(1.96 * math.sqrt(((w * (ind - p)) ** 2).sum()) / wsum)
+    scale = measures._mass_scale(measure)
+    out = {
+        "survival": survival,
+        "ci_halfwidth": ci,
+        "n_eff": wsum ** 2 / (w * w).sum(),
+        "total_mass": scale * wsum / len(w),
+        "total_mass_se": scale * w.std(ddof=1) / math.sqrt(len(w)),
+        "component_masses": {},
+    }
+    for k in comps[0]:
+        wm = w * np.concatenate([c[k] for c in comps])
+        out["component_masses"][k] = scale * wm.sum() / len(w)
+        out["component_masses"][k + "_se"] = scale * wm.std(ddof=1) / math.sqrt(len(w))
+    return out
+
+
+def _assert_close_tree(got, want, rel):
+    if isinstance(want, dict):
+        assert set(got) == set(want)
+        for k in want:
+            _assert_close_tree(got[k], want[k], rel)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_close_tree(g, w, rel)
+    else:
+        assert got == pytest.approx(want, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "spec, engine, n, workers",
+    [
+        ("haar-w", FORMULA, 60_000, 3),
+        ("haar-omega", FORMULA, 60_000, 2),
+        ("haar-omega", ORACLE_AFFINE, 5000, 2),
+        ("torsion:2", FORMULA, 20_000, 3),
+    ],
+)
+def test_mc_tail_cell_statistics_match_the_two_pass_estimator(spec, engine, n, workers):
+    measure = MeasureSpec.parse(spec)
+    grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0]
+    got = mc_tail(measure, engine, grid, n, seed=31, workers=workers).to_dict()
+    want = _two_pass_tail(measure, engine, grid, n, 31, workers)
+    assert got["n"] == n
+    _assert_close_tree({k: got[k] for k in want}, want, 1e-12)
+
+
+def test_mc_tail_unsorted_grid_with_duplicates():
+    grid = [2.0, -math.inf, 0.5, math.inf, 2.0, 0.0, 1.0, 0.5]
+    spec = MeasureSpec.haar_w()
+    mixed = mc_tail(spec, FORMULA, grid, 20_000, seed=37, workers=2)
+    ordered = mc_tail(spec, FORMULA, sorted(grid), 20_000, seed=37, workers=2)
+    assert list(mixed.t_grid) == grid
+    by_t = dict(zip(ordered.t_grid, zip(ordered.survival, ordered.ci_halfwidth)))
+    for t, sv, ci in zip(mixed.t_grid, mixed.survival, mixed.ci_halfwidth):
+        assert (sv, ci) == by_t[t]
+    assert list(ordered.survival[[0, -1]]) == [1.0, 0.0]
+
+
+def test_mc_tail_non_finite_returns_keep_the_strict_comparison(monkeypatch):
+    # NaN never exceeds a threshold, +inf exceeds every finite one, -inf none
+    real = measures._returns_for_batch
+    special = np.array([math.nan, math.inf, -math.inf, 0.5, 1.0, 2.5])
+
+    def returns_with_specials(measure, batch, engine):
+        w, r, comp = real(measure, batch, engine)
+        return w, np.resize(special, r.size), comp
+
+    monkeypatch.setattr(measures, "_returns_for_batch", returns_with_specials)
+    grid = [math.inf, 1.0, -math.inf, 0.0, 0.5, 2.5]
+    spec = MeasureSpec.haar_omega()
+    got = mc_tail(spec, FORMULA, grid, 6000, seed=41, workers=2)
+    want = _two_pass_tail(spec, FORMULA, grid, 6000, 41, 2)
+    assert list(got.survival) == pytest.approx(want["survival"], rel=1e-12, abs=0.0)
+    assert got.survival[0] == 0.0
+    assert list(got.ci_halfwidth) == pytest.approx(want["ci_halfwidth"], rel=1e-12)
+
+
+def test_mc_tail_output_is_independent_of_the_core_count(monkeypatch):
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        est = mc_tail(MeasureSpec.haar_w(), FORMULA, [0.0, 1.0, 2.0], 20_000, seed=43, workers=3)
+        runs.append(est.to_json())
+    assert runs[0] == runs[1]
+
+
+def test_mc_tail_pool_is_bounded_by_the_core_count(monkeypatch):
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(1)
+
+    monkeypatch.setattr(measures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    est = mc_tail(MeasureSpec.haar_w(), FORMULA, [0.0, 1.0], 1000, seed=47, workers=100_000)
+    assert est.n == 1000 and est.workers == 100_000
+    assert sizes == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    mc_tail(MeasureSpec.haar_omega(), FORMULA, [1.0], 1000, seed=47, workers=4)
+    assert sizes == [2, 1]
+
+
+def test_uniform_open_in_place_matches_one_minus_random():
+    one, two = np.random.default_rng(53), np.random.default_rng(53)
+    for n in (0, 1, 1000):
+        got = _uniform_open(one, n)
+        assert np.array_equal(got, 1.0 - two.random(n))
+    assert one.random() == two.random()
 
 
 def test_ergodic_average_periodic_orbit():
@@ -338,6 +475,22 @@ def test_oracle_orbit_carries_the_negated_marking():
     steps = list(orbit(VLCoords(0.8, 0.3, 0.5), ORACLE_DOUBLED, 50))
     alphas = {round(p.coords.alpha, 12) for _, _, p in steps}
     assert alphas == {0.5, 0.75}
+
+
+def test_slit_cover_formula_step_evaluates_the_return_once(monkeypatch):
+    calls = []
+    real = transversal.w_return_sa_vec
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(transversal, "w_return_sa_vec", counting)
+    start = WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))
+    u, nxt = _orbit_step(start)
+    assert len(calls) == 1
+    assert (u, nxt) == w_advance(start, doubled=True)
+    assert nxt == transversal.w_return_map(start, doubled=True)
 
 
 def test_oracle_orbit_of_no_steps_is_empty():
