@@ -9,10 +9,14 @@ with a marked coset g*Z^2 + v. Two holonomy conventions are supported:
   the torus slit along the marked segment: primitive lattice vectors together
   with both signed cosets +-(g*Z^2 + v).
 
-All enumeration is exact: integer coefficient ranges are derived from the
-adjugate inverse of the generator, padded by one, and then filtered by the
-defining inequalities.  Membership tolerances: x > 1e-12, x <= x_max + slack,
-y within 1e-12 of zero counts as horizontal.
+All enumeration is exact and runs through one kernel, ``_box_rows``: for a
+batch of lattices, each with its own box and markings, integer coefficient
+ranges are derived from the adjugate inverse of the generator, padded by one,
+and then filtered by the defining inequalities.  ``lattice_box`` is its call
+for one lattice; ``strip_holonomy_batch`` adds the holonomy components of
+many surfaces, and ``enumerate_strip`` and ``renormalized_box_gaps`` are its
+calls for one surface.  Membership tolerances: x > 1e-12, x <= x_max +
+slack, y within 1e-12 of zero counts as horizontal.
 """
 
 from __future__ import annotations
@@ -100,10 +104,20 @@ class AffineLattice:
     v: Vec2
 
     def check(self) -> "AffineLattice":
-        d = self.g.det()
-        if abs(d - 1.0) > UNIMODULAR_TOL:
-            raise InvalidInputError(f"generator must be unimodular, det={d!r}")
+        _require_surfaces(*self.g, *self.v)
         return self
+
+
+def _require_surfaces(m11, m12, m21, m22, vx, vy) -> None:
+    """The one check of a surface, or of each surface of a batch: all six
+    fields of g and v finite and det g within UNIMODULAR_TOL of 1, written so
+    that a NaN fails it.  A non-finite entry of g makes det g non-finite."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        det = m11 * m22 - m12 * m21
+    ok = (np.abs(det - 1.0) <= UNIMODULAR_TOL) & np.isfinite(vx) & np.isfinite(vy)
+    if not np.all(ok):
+        bad = np.broadcast_to(det, np.shape(ok))[~ok]
+        raise InvalidInputError(f"generator and marking must be finite, det g must be 1 (det={float(bad[0])!r})")
 
 
 @dataclass(frozen=True)
@@ -147,6 +161,151 @@ def horocycle_apply(u: float, obj):
     raise InvalidInputError(f"cannot apply horocycle to {type(obj).__name__}")
 
 
+# ---------------------------------------------------------------------------
+# the lattice-box kernel: points of g*Z^2 + v in a box, for many lattices at
+# once; every scan of the package is a call of ``_box_rows``
+
+# surfaces per block of ``strip_holonomy_batch``, and candidate rows (lattice
+# points before the exact filter) per chunk of ``_box_rows``
+STRIP_BLOCK = 1024
+STRIP_ROW_BUDGET = 1 << 14
+
+
+def _ragged(starts: np.ndarray, counts: np.ndarray, *columns):
+    """Expand runs of consecutive integers: run i is starts[i], starts[i] + 1,
+    ... with counts[i] entries.  Returns the entry values, then each of
+    ``columns`` (one value per run) repeated along its run."""
+    values = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    values += np.arange(len(values))
+    return (values, *(np.repeat(c, counts) for c in columns))
+
+
+def _budget_runs(weights: np.ndarray, budget: int):
+    """(start, stop) of consecutive index runs whose weights sum to at most
+    ``budget``; an entry heavier than the budget is a run of its own."""
+    total = np.cumsum(weights)
+    start = 0
+    while start < len(weights):
+        base = total[start - 1] if start else 0
+        stop = max(int(np.searchsorted(total, base + budget, side="right")), start + 1)
+        yield start, stop
+        start = stop
+
+
+def _shared(f):
+    """A per-surface or per-job field as an array, or as its single value
+    when it has one entry, which then broadcasts over every row."""
+    if isinstance(f, float):
+        return f
+    f = np.asarray(f, dtype=float)
+    return f.item() if f.size == 1 else f
+
+
+def _at(f, index):
+    """The field's values at ``index``; a single value is everyone's."""
+    return f[index] if isinstance(f, np.ndarray) else f
+
+
+def _bound_rows(lo, hi, p, c, b_lo, b_hi, scratch) -> None:
+    """Tighten each row's m-range [lo, hi] in place to b_lo <= p*m + c <= b_hi.
+
+    Whichever quotient (b - c)/p is smaller is the lower bound, so the sign
+    of p needs no test.  At p = 0 the quotients are infinite: they empty the
+    range of a row that breaks the constraint and leave it alone otherwise,
+    and a 0/0 is a NaN that ``minimum``/``maximum`` pass on and
+    ``fmax``/``fmin`` skip.  ``scratch`` holds three rows of temporaries.
+    """
+    r_lo, r_hi, lower = scratch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(np.subtract(b_lo, c, out=r_lo), p, out=r_lo)
+        np.divide(np.subtract(b_hi, c, out=r_hi), p, out=r_hi)
+    np.minimum(r_lo, r_hi, out=lower)
+    np.maximum(r_lo, r_hi, out=r_hi)
+    np.fmax(lo, lower, out=lo)
+    np.fmin(hi, r_hi, out=hi)
+
+
+def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET):
+    """Points of g_s*Z^2 + v_j in the closed box of surface s, and with
+    ``slope_max`` also on or below y = slope_max_s * x up to slack, for every
+    job j = (s, v_j).
+
+    ``g`` = (m11, m12, m21, m22) and ``box`` = (x_lo, x_hi, y_lo, y_hi) hold
+    one entry per surface, ``jobs`` = (surface, vx, vy) one per job with the
+    surfaces nondecreasing.  A field with one entry is a single value that
+    broadcasts, so a call for one surface and one job does the per-row work
+    of a scalar scan.  For each job the n-range covers g^-1(box - v), each n
+    gets the m-range its constraints allow, and both are padded by one
+    before the exact filter.
+
+    Yields (job, x, y, m, n) arrays holding whole surfaces, rows ordered by
+    job, then n, then m; a chunk expands at most ``budget`` candidate rows
+    unless one surface alone needs more.
+    """
+    surf = np.asarray(jobs[0], dtype=np.int64)
+    if not len(surf):
+        return
+    # per job: a single value stays one
+    m11, m12, m21, m22, x_lo, x_hi, y_lo, y_hi = (
+        _at(_shared(f), surf) for f in (*g, *box)
+    )
+    vx, vy = _shared(jobs[1]), _shared(jobs[2])
+    det = m11 * m22 - m12 * m21
+    if not np.all(np.abs(det) >= 1e-15):
+        raise DegenerateInputError("generator is singular")
+
+    # n-range per job from g^-1 of the box corners, padded by one; n is
+    # i21*x' + i22*y' at a corner, and rounding is monotone, so its extremes
+    # over the corners are sums of the extremes of each term
+    i21, i22 = -m21 / det, m11 / det
+    nx = i21 * (x_lo - vx), i21 * (x_hi - vx)
+    ny = i22 * (y_lo - vy), i22 * (y_hi - vy)
+    n_first = np.atleast_1d(np.floor(np.minimum(*nx) + np.minimum(*ny)) - 1)
+    n_count = (np.ceil(np.maximum(*nx) + np.maximum(*ny)) + 1 - n_first + 1).astype(np.int64)
+    ns, job = _ragged(n_first, n_count, np.arange(len(n_first)))
+
+    # m-range per (job, n)
+    def row(f):
+        return _at(f, job)
+
+    lo = np.full(ns.shape, -np.inf)
+    hi = np.full(ns.shape, np.inf)
+    scratch = np.empty((3, len(ns)))
+    _bound_rows(lo, hi, row(m11), row(m12) * ns + row(vx), row(x_lo), row(x_hi), scratch)
+    _bound_rows(lo, hi, row(m21), row(m22) * ns + row(vy), row(y_lo), row(y_hi), scratch)
+    if slope_max is not None:
+        sig = _at(_shared(slope_max), surf)
+        slack = BOUND_SLACK * np.maximum(1.0, sig)
+        # y - sigma*x <= 0 up to slack
+        q = row(sig * m12 - m22) * ns + row(sig * vx) - row(vy) + row(slack)
+        _bound_rows(lo, hi, row(m21 - sig * m11), 0.0, -np.inf, q, scratch)
+    # m_first = ceil(lo) - 1 and m_count = floor(hi) + 1 - m_first + 1, in
+    # place: each temporary would be as long as the n-range
+    m_first = np.ceil(lo, out=lo)
+    m_first -= 1
+    m_count = np.floor(hi, out=hi)
+    m_count += 1
+    m_count -= m_first
+    m_count += 1
+    m_count = np.fmax(m_count, 0, out=m_count).astype(np.int64)
+
+    rows_per_surface = np.bincount(surf, weights=np.bincount(job, m_count, len(surf)))
+    surface_rows = np.searchsorted(job, np.searchsorted(surf, np.arange(len(rows_per_surface) + 1)))
+    for s0, s1 in _budget_runs(rows_per_surface, budget):
+        rows = slice(surface_rows[s0], surface_rows[s1])
+        m, j, n = _ragged(m_first[rows], m_count[rows], job[rows], ns[rows])
+        x = _at(m11, j) * m
+        x += _at(m12, j) * n
+        x += _at(vx, j)
+        y = _at(m21, j) * m
+        y += _at(m22, j) * n
+        y += _at(vy, j)
+        keep = (x >= _at(x_lo, j)) & (x <= _at(x_hi, j)) & (y >= _at(y_lo, j)) & (y <= _at(y_hi, j))
+        if slope_max is not None:
+            keep &= y <= _at(sig, j) * x + _at(slack, j)
+        yield j[keep], x[keep], y[keep], m[keep], n[keep]
+
+
 def lattice_box(
     g: Mat2,
     v: Vec2,
@@ -157,81 +316,53 @@ def lattice_box(
     slope_max: float | None = None,
 ) -> np.ndarray:
     """Points of g*Z^2 + v in the closed box [x_lo, x_hi] x [y_lo, y_hi],
-    and with ``slope_max`` also on or below y = slope_max * x up to slack.
+    and with ``slope_max`` also on or below y = slope_max * x up to slack:
+    the size-1 call of ``_box_rows``.
 
-    The n-range covers g^-1(box - v), each n gets the m-range its
-    constraints allow, and both are padded by one before the exact filter.
     A caller wanting a strict lower bound x > c passes x_lo =
     math.nextafter(c, math.inf).  Returns an array of shape (k, 4): columns
     x, y, m, n, ordered by n then m.
     """
-    inv = g.inverse()
-    corners = [
-        inv.m21 * (x - v.x) + inv.m22 * (y - v.y) for x in (x_lo, x_hi) for y in (y_lo, y_hi)
-    ]
-    ns = np.arange(math.floor(min(corners)) - 1, math.ceil(max(corners)) + 2, dtype=float)
+    ((_, *columns),) = _box_rows(g, (x_lo, x_hi, y_lo, y_hi), ((0,), v.x, v.y), slope_max)
+    return np.column_stack(columns)
 
-    lo = np.full(ns.shape, -np.inf)
-    hi = np.full(ns.shape, np.inf)
-    mask = np.ones(ns.shape, dtype=bool)
 
-    def bound(p: float, q: np.ndarray, upper: bool) -> None:
-        # constraint p*m <= q (upper) or p*m >= q (lower)
-        nonlocal lo, hi, mask
-        if p > 0:
-            if upper:
-                hi = np.minimum(hi, q / p)
-            else:
-                lo = np.maximum(lo, q / p)
-        elif p < 0:
-            if upper:
-                lo = np.maximum(lo, q / p)
-            else:
-                hi = np.minimum(hi, q / p)
-        else:
-            mask &= (q >= 0) if upper else (q <= 0)
-
-    x_n = g.m12 * ns + v.x
-    y_n = g.m22 * ns + v.y
-    bound(g.m11, x_lo - x_n, upper=False)
-    bound(g.m11, x_hi - x_n, upper=True)
-    bound(g.m21, y_lo - y_n, upper=False)
-    bound(g.m21, y_hi - y_n, upper=True)
-    if slope_max is not None:
-        # y - sigma*x <= 0 up to slack
-        sig = slope_max
-        bound(
-            g.m21 - sig * g.m11,
-            (sig * g.m12 - g.m22) * ns + sig * v.x - v.y + BOUND_SLACK * max(1.0, sig),
-            upper=True,
-        )
-
-    m_lo = np.where(mask, np.ceil(lo) - 1, 1.0)
-    m_hi = np.where(mask, np.floor(hi) + 1, 0.0)
-    counts = np.maximum(m_hi - m_lo + 1, 0).astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty((0, 4))
-
-    n_flat = np.repeat(ns, counts)
-    starts = np.repeat(m_lo, counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    m_flat = starts + offsets
-
-    x = g.m11 * m_flat + g.m12 * n_flat + v.x
-    y = g.m21 * m_flat + g.m22 * n_flat + v.y
-    keep = (x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi)
-    if slope_max is not None:
-        keep &= y <= slope_max * x + BOUND_SLACK * max(1.0, slope_max)
-    return np.column_stack([x[keep], y[keep], m_flat[keep], n_flat[keep]])
+def _coprime(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    return np.gcd(np.abs(m).astype(np.int64), np.abs(n).astype(np.int64)) == 1
 
 
 def primitive_rows(pts: np.ndarray) -> np.ndarray:
     """The ``lattice_box`` rows whose coefficients (m, n) are coprime."""
-    if not len(pts):
-        return pts
-    m, n = np.abs(pts[:, 2]).astype(np.int64), np.abs(pts[:, 3]).astype(np.int64)
-    return pts[np.gcd(m, n) == 1]
+    return pts[_coprime(pts[:, 2], pts[:, 3])] if len(pts) else pts
+
+
+def _strip_window(x_max, slope_max, y_max, include_horizontal: bool):
+    """The closed box (x_lo, x_hi, y_lo, y_hi) of the strip 0 < x <= x_max
+    with y > 0 (y >= 0 with ``include_horizontal``), capped by
+    y <= slope_max * x_max and/or y <= y_max, each upper bound padded by
+    slack.  The caps may be per-surface arrays; every one must be finite."""
+    if slope_max is None and y_max is None:
+        raise InvalidInputError("need a slope cap or a height cap")
+    if not np.all((x_max > 0) & (x_max < np.inf)):
+        raise InvalidInputError("strip width must be positive and finite")
+    caps = []
+    if slope_max is not None:
+        if not np.all((slope_max > 0) & (slope_max < np.inf)):
+            raise InvalidInputError("slope cap must be positive and finite")
+        caps.append(slope_max * x_max)
+    if y_max is not None:
+        if not np.all((y_max >= 0) & (y_max < np.inf)):
+            raise InvalidInputError("height cap must be nonnegative and finite")
+        caps.append(y_max)
+    y_cap = np.minimum(*caps) if len(caps) == 2 else caps[0]
+    y_lo = -Y_EPS if include_horizontal else Y_EPS
+    # x > X_EPS and y > y_lo, as the closed bounds at the next float up
+    return (
+        math.nextafter(X_EPS, math.inf),
+        x_max + BOUND_SLACK * np.maximum(1.0, x_max),
+        math.nextafter(y_lo, math.inf),
+        y_cap + BOUND_SLACK * np.maximum(1.0, y_cap),
+    )
 
 
 def _lattice_scan(
@@ -250,209 +381,86 @@ def _lattice_scan(
 
     Returns an array of shape (k, 4): columns x, y, m, n.
     """
-    if slope_max is None and y_max is None:
-        raise InvalidInputError("need a slope cap or a height cap")
-    caps = []
-    if slope_max is not None:
-        if slope_max <= 0:
-            raise InvalidInputError("slope cap must be positive")
-        caps.append(slope_max * x_max)
-    if y_max is not None:
-        if y_max < 0:
-            raise InvalidInputError("height cap must be nonnegative")
-        caps.append(y_max)
-    y_cap = min(caps)
-
-    x_hi = x_max + BOUND_SLACK * max(1.0, x_max)
-    y_lo = -Y_EPS if include_horizontal else Y_EPS
-    y_hi = y_cap + BOUND_SLACK * max(1.0, y_cap)
-    # x > X_EPS and y > y_lo, as the closed bounds at the next float up
-    pts = lattice_box(
-        g, v, math.nextafter(X_EPS, math.inf), x_hi, math.nextafter(y_lo, math.inf), y_hi, slope_max
-    )
+    box = _strip_window(x_max, slope_max, y_max, include_horizontal)
+    pts = lattice_box(g, v, *box, slope_max)
     return primitive_rows(pts) if primitive else pts
 
 
-def _dedup_vectors(xy: np.ndarray) -> np.ndarray:
-    """Remove repeated vectors (same x and y within 1e-12) after sorting by
-    (x, y); used when mode components overlap."""
-    if len(xy) <= 1:
-        return xy
-    order = np.lexsort((xy[:, 1], xy[:, 0]))
-    xy = xy[order]
-    d = np.abs(np.diff(xy, axis=0))
-    keep = np.concatenate([[True], (d > VECTOR_DEDUP_TOL).any(axis=1)])
-    return xy[keep]
+def strip_holonomy_batch(
+    g: Mat2,
+    v: Vec2,
+    mode: SurfaceMode,
+    slope_max,
+    *,
+    x_max: float = 1.0,
+    y_max: float | None = None,
+    include_horizontal: bool = False,
+):
+    """Holonomy vectors of many surfaces at once in the strip 0 < x <= x_max,
+    y > 0 (y >= 0 with ``include_horizontal``), with slope at most
+    ``slope_max`` and/or height at most ``y_max``.
 
-
-def _holonomy_points(surface: AffineLattice, mode: SurfaceMode, **scan) -> np.ndarray:
-    """Distinct holonomy vectors, shape (k, 2), from a ``_lattice_scan`` of
-    each component: the marked coset, and under ``DOUBLED_SLIT`` also the
-    primitive lattice vectors and the negated coset."""
-    surface.check()
-    g, v = surface.g, surface.v
-    if mode is SurfaceMode.AFFINE_ONLY:
-        components = [(v, False)]
-    else:
-        components = [(Vec2(0.0, 0.0), True), (v, False), (-v, False)]
-    parts = [_lattice_scan(g, c, primitive=prim, **scan)[:, :2] for c, prim in components]
-    return _dedup_vectors(np.concatenate(parts))
-
-
-# ---------------------------------------------------------------------------
-# batched strip scan: the window of ``lattice_box`` for many lattices at once
-
-# surfaces per block of the batched strip scan, and candidate rows (lattice
-# points before the exact filter) per chunk of a block
-STRIP_BLOCK = 1024
-STRIP_ROW_BUDGET = 1 << 14
-
-
-def _ragged(starts: np.ndarray, counts: np.ndarray):
-    """Expand runs of consecutive integers: run i is starts[i], starts[i] + 1,
-    ... with counts[i] entries.  Returns (run of each entry, entry values)."""
-    run = np.repeat(np.arange(len(counts)), counts)
-    first = np.cumsum(counts) - counts
-    return run, starts[run] + (np.arange(len(run)) - first[run])
-
-
-def _budget_runs(weights: np.ndarray, budget: int):
-    """(start, stop) of consecutive index runs whose weights sum to at most
-    ``budget``; an entry heavier than the budget is a run of its own."""
-    total = np.cumsum(weights)
-    start = 0
-    while start < len(weights):
-        base = total[start - 1] if start else 0
-        stop = max(int(np.searchsorted(total, base + budget, side="right")), start + 1)
-        yield start, stop
-        start = stop
-
-
-def _bound_rows(lo, hi, mask, p, q, upper: bool):
-    """``lattice_box``'s constraint p*m <= q (upper) or p*m >= q, row by row."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = q / p
-    tighten_hi = p > 0 if upper else p < 0
-    tighten_lo = p < 0 if upper else p > 0
-    hi = np.where(tighten_hi, np.minimum(hi, r), hi)
-    lo = np.where(tighten_lo, np.maximum(lo, r), lo)
-    mask &= (p != 0) | ((q >= 0) if upper else (q <= 0))
-    return lo, hi
-
-
-def strip_holonomy_batch(g: Mat2, v: Vec2, mode: SurfaceMode, slope_max):
-    """Strip holonomy of many surfaces at once: for surface i = (g_i, v_i),
-    the vectors ``enumerate_strip(surface_i, mode, slope_max_i)`` finds.
-
-    The fields of ``g`` and ``v`` and ``slope_max`` are arrays (or scalars)
-    broadcast to one entry per surface.  Every window, component,
-    primitivity test and near-duplicate drop is computed exactly as the
-    one-surface path computes it, so the vectors are bit-identical.  Yields
-    (surface index, xy) chunks holding whole surfaces, with rows sorted by
-    (surface, x, y).  Surfaces go in blocks of ``STRIP_BLOCK``, and a chunk
-    expands at most ``STRIP_ROW_BUDGET`` candidate rows unless one surface
-    alone needs more, so memory stays flat in the number of surfaces.
+    The fields of ``g`` and ``v`` and ``slope_max`` (unless None) are arrays
+    or scalars broadcast to one entry per surface; ``x_max`` and ``y_max``
+    are shared by all, and every cap must be finite.  The components of
+    surface i are its marked coset, and under ``DOUBLED_SLIT`` also the
+    primitive lattice vectors and the negated coset; one ``_box_rows`` call
+    scans them all, and vectors repeated across components (equal within
+    1e-12) are kept once.  Yields (surface index, xy) chunks holding whole
+    surfaces, with rows sorted by (surface, x, y).  Surfaces go in blocks of
+    ``STRIP_BLOCK`` and chunks of ``STRIP_ROW_BUDGET`` candidate rows, so
+    memory stays flat in the number of surfaces.
     """
-    fields = [np.asarray(f, dtype=float) for f in np.broadcast_arrays(*g, *v, slope_max)]
+    cap = np.nan if slope_max is None else slope_max
+    *fields, cap = np.atleast_1d(*(np.asarray(f, dtype=float) for f in np.broadcast_arrays(*g, *v, cap)))
     if fields[0].ndim != 1:
         raise InvalidInputError("batch fields must be scalars or 1-d arrays")
-    for start in range(0, len(fields[0]), STRIP_BLOCK):
-        block = [f[start:start + STRIP_BLOCK] for f in fields]
-        for s, xy in _strip_block(*block, mode, STRIP_ROW_BUDGET):
+    _require_surfaces(*fields)
+    box = _strip_window(x_max, None if slope_max is None else cap, y_max, include_horizontal)
+
+    # components per surface, surface-major: the marked coset, and doubled
+    # also the primitive lattice vectors (component 0) and the negated coset
+    k = 1 if mode is SurfaceMode.AFFINE_ONLY else 3
+    for start in range(0, len(cap), STRIP_BLOCK):
+        block = slice(start, start + STRIP_BLOCK)
+        m11, m12, m21, m22, vx, vy = (f[block] for f in fields)
+        if k == 3:
+            zero = np.zeros_like(vx)
+            vx = np.column_stack([zero, vx, -vx]).ravel()
+            vy = np.column_stack([zero, vy, -vy]).ravel()
+        surf = np.repeat(np.arange(len(m11)), k)
+        for j, x, y, m, n in _box_rows(
+            (m11, m12, m21, m22),
+            [_at(b, block) for b in box],
+            (surf, vx, vy),
+            None if slope_max is None else cap[block],
+            STRIP_ROW_BUDGET,
+        ):
+            if k == 3:
+                keep = j % 3 != 0
+                keep[~keep] = _coprime(m[~keep], n[~keep])
+                j, x, y = j[keep], x[keep], y[keep]
+            s, xy = _dedup_batch(surf[j], x, y)
             yield start + s, xy
 
 
-def _strip_block(m11, m12, m21, m22, vx, vy, cap, mode: SurfaceMode, budget: int):
-    """One block of ``strip_holonomy_batch``: the n-range of every component
-    at once, then the m-ranges and the exact filter in budgeted chunks."""
-    det = m11 * m22 - m12 * m21
-    if np.any(np.abs(det - 1.0) > UNIMODULAR_TOL):
-        raise InvalidInputError("generators must be unimodular")
-    if np.any(~(cap > 0)):
-        raise InvalidInputError("slope cap must be positive")
-
-    # components per surface, surface-major: the marked coset, and doubled
-    # also the primitive lattice vectors and the negated coset
-    if mode is SurfaceMode.AFFINE_ONLY:
-        k, jvx, jvy, prim = 1, vx, vy, np.zeros(1, bool)
-    else:
-        zero = np.zeros_like(vx)
-        k = 3
-        jvx = np.column_stack([zero, vx, -vx]).ravel()
-        jvy = np.column_stack([zero, vy, -vy]).ravel()
-        prim = np.array([True, False, False])
-    surf = np.repeat(np.arange(len(cap)), k)
-    jprim = np.tile(prim, len(cap))
-
-    # the box of ``_lattice_scan`` at x_max = 1 with slope and height cap
-    x_lo = math.nextafter(X_EPS, math.inf)
-    x_hi = 1.0 + BOUND_SLACK
-    y_lo = math.nextafter(Y_EPS, math.inf)
-    slack = BOUND_SLACK * np.maximum(1.0, cap)
-    y_hi = cap + slack
-
-    # n-range per component from g^-1 of the box corners, padded by one
-    i21 = (-m21 / det)[surf]
-    i22 = (m11 / det)[surf]
-    corners = np.stack([
-        i21 * (x - jvx) + i22 * (y - jvy)
-        for x in (x_lo, x_hi) for y in (y_lo, y_hi[surf])
-    ])
-    n_first = np.floor(corners.min(axis=0)) - 1
-    n_count = (np.ceil(corners.max(axis=0)) + 1 - n_first + 1).astype(np.int64)
-
-    # m-range per (component, n), as lattice_box's bounds
-    job, ns = _ragged(n_first, n_count)
-    sj = surf[job]
-    x_n = m12[sj] * ns + jvx[job]
-    y_n = m22[sj] * ns + jvy[job]
-    p_x, p_y, sig = m11[sj], m21[sj], cap[sj]
-    lo = np.full(ns.shape, -np.inf)
-    hi = np.full(ns.shape, np.inf)
-    mask = np.ones(ns.shape, dtype=bool)
-    lo, hi = _bound_rows(lo, hi, mask, p_x, x_lo - x_n, upper=False)
-    lo, hi = _bound_rows(lo, hi, mask, p_x, x_hi - x_n, upper=True)
-    lo, hi = _bound_rows(lo, hi, mask, p_y, y_lo - y_n, upper=False)
-    lo, hi = _bound_rows(lo, hi, mask, p_y, y_hi[sj] - y_n, upper=True)
-    # y - sigma*x <= 0 up to slack
-    lo, hi = _bound_rows(
-        lo, hi, mask,
-        p_y - sig * p_x,
-        (sig * m12[sj] - m22[sj]) * ns + sig * jvx[job] - jvy[job] + slack[sj],
-        upper=True,
-    )
-    m_first = np.where(mask, np.ceil(lo) - 1, 1.0)
-    m_last = np.where(mask, np.floor(hi) + 1, 0.0)
-    m_count = np.maximum(m_last - m_first + 1, 0).astype(np.int64)
-    rows_per_surface = np.bincount(sj, weights=m_count, minlength=len(cap))
-    surface_rows = np.searchsorted(sj, np.arange(len(cap) + 1))
-
-    for s0, s1 in _budget_runs(rows_per_surface, budget):
-        rows = slice(surface_rows[s0], surface_rows[s1])
-        r, m = _ragged(m_first[rows], m_count[rows])
-        j = job[rows][r]
-        n = ns[rows][r]
-        s = surf[j]
-        x = m11[s] * m + m12[s] * n + jvx[j]
-        y = m21[s] * m + m22[s] * n + jvy[j]
-        keep = (x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi[s])
-        keep &= y <= cap[s] * x + slack[s]
-        p = keep & jprim[j]
-        keep[p] = np.gcd(
-            np.abs(m[p]).astype(np.int64), np.abs(n[p]).astype(np.int64)
-        ) == 1
-        yield _dedup_batch(s[keep], x[keep], y[keep])
-
-
 def _dedup_batch(s: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """``_dedup_vectors`` within each surface: (surface, xy) sorted by
-    (surface, x, y) with near-duplicates of the previous row dropped."""
-    order = np.lexsort((y, x, s))
+    """(surface, xy) sorted by (surface, x, y) with near-duplicates of the
+    previous row of the same surface dropped."""
+    # rows come grouped by surface, so one surface needs no surface key
+    order = np.lexsort((y, x, s) if len(s) and s[0] != s[-1] else (y, x))
     s, xy = s[order], np.column_stack([x[order], y[order]])
     keep = np.ones(len(s), dtype=bool)
     if len(s) > 1:
         keep[1:] = (s[1:] != s[:-1]) | (np.abs(np.diff(xy, axis=0)) > VECTOR_DEDUP_TOL).any(axis=1)
     return s[keep], xy[keep]
+
+
+def _holonomy_points(surface: AffineLattice, mode: SurfaceMode, slope_max, **window) -> np.ndarray:
+    """Distinct holonomy vectors of one surface, shape (k, 2), sorted by
+    (x, y): the size-1 call of ``strip_holonomy_batch``."""
+    ((_, xy),) = strip_holonomy_batch(surface.g, surface.v, mode, slope_max, **window)
+    return xy
 
 
 def enumerate_strip(
@@ -464,7 +472,8 @@ def enumerate_strip(
     include_horizontal: bool = False,
 ) -> np.ndarray:
     """Holonomy vectors in the vertical strip 0 < x <= 1, y > 0 with slope at
-    most ``slope_max`` (or height at most ``y_max``), sorted by slope.
+    most ``slope_max`` (or height at most ``y_max``, which then replaces the
+    slope cap), sorted by slope: ``strip_holonomy_batch`` of one surface.
 
     Returns an array of shape (k, 2).  Exact duplicates across holonomy
     components are removed; distinct vectors sharing a slope are kept.
@@ -472,7 +481,7 @@ def enumerate_strip(
     xy = _holonomy_points(
         surface,
         mode,
-        slope_max=slope_max if y_max is None else None,
+        slope_max if y_max is None else None,
         y_max=y_max,
         include_horizontal=include_horizontal,
     )
@@ -517,10 +526,8 @@ def renormalized_box_gaps(surface: AffineLattice, mode: SurfaceMode, r: float) -
     slopes and the R^2-scaled gaps; as a multiset the scaled gaps equal the
     strip gaps of the diag(1/R, R)-image surface enumerated up to height R^2.
     """
-    if r <= 0:
-        raise InvalidInputError("box size must be positive")
     series = slopes_and_gaps(
-        _holonomy_points(surface, mode, x_max=r, y_max=r, include_horizontal=True)
+        _holonomy_points(surface, mode, None, x_max=r, y_max=r, include_horizontal=True)
     )
     return GapSeries(series.slopes, r * r * series.gaps, series.count, series.merged)
 

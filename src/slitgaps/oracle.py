@@ -3,18 +3,19 @@ tester.
 
 The oracle never touches the piecewise return formulas: it enumerates the
 holonomy set inside the vertical strip and reads the return time off the
-smallest positive slope.  ``oracle_first_return`` scans one surface;
-``oracle_first_return_batch`` scans many independent surfaces in one
-vectorized pass with the same cap sequences and bit-identical returns;
+smallest positive slope.  ``oracle_first_return_batch`` scans many
+independent surfaces at once, each with its own cap sequence, through
+``geometry``'s one lattice-box kernel; ``oracle_first_return`` and
+``w_oracle_return`` are size-1 calls of the batch forms.
 ``oracle_gap_sequence`` reads a whole orbit's returns off one scan, and
 ``oracle_orbit`` adds the section point after every return, read off scans
-of the same start surface.  The
-differential tester samples a region into columns of arrays, evaluates the
-vectorized formula and the batched oracle once each over all of them, and
-reports any relative disagreement above 1e-6 as a counterexample.  Two
-regions are expected to disagree (the short-lattice travel-time formula, and
-the slit-cover return when the mirrored coset is switched on); disagreement
-there is a finding to report, not a failure.
+of the same start surface.  The differential tester samples a region into
+columns of arrays, evaluates the vectorized formula and the batched oracle
+once each over all of them, and reports any relative disagreement above 1e-6
+as a counterexample.  Two regions are expected to disagree (the
+short-lattice travel-time formula, and the slit-cover return when the
+mirrored coset is switched on); disagreement there is a finding to report,
+not a failure.
 """
 
 from __future__ import annotations
@@ -119,22 +120,15 @@ def oracle_first_return(
     cap_hint: Optional[float] = None,
 ) -> float:
     """Smallest positive holonomy slope in the strip: the ground-truth
-    return time.
+    return time, as the size-1 call of ``oracle_first_return_batch``.
 
     The slope cap starts at twice the hint (the caller's formula prediction
     when it has one) and doubles until the strip window is nonempty, so the
     work stays proportional to the answer.  Vectors with |y| <= 1e-12 never
     count: they are the section's own horizontals.
     """
-    cap = 2.0 * cap_hint if cap_hint is not None and cap_hint > 0 else DEFAULT_CAP
-    if not math.isfinite(cap) or cap <= 0:
-        cap = DEFAULT_CAP
-    while cap <= CAP_LIMIT:
-        pts = enumerate_strip(surface, mode, cap)
-        if len(pts):
-            return float(pts[0, 1] / pts[0, 0])
-        cap *= 2.0
-    raise NotOnTransversalError(NO_RETURN)
+    surface.check()
+    return float(oracle_first_return_batch(surface.g, surface.v, mode, cap_hint)[0])
 
 
 def w_oracle_return(
@@ -143,23 +137,15 @@ def w_oracle_return(
     doubled: bool,
     cap_hint: Optional[float] = None,
 ) -> float:
-    """Ground-truth slit-cover return.  With ``doubled`` the full holonomy
-    set (lattice and both marked cosets) competes; without it only the
-    lattice and the forward coset do, which is exactly the candidate set the
+    """Ground-truth slit-cover return, as the size-1 call of
+    ``w_oracle_return_batch``.  With ``doubled`` the full holonomy set
+    (lattice and both marked cosets) competes; without it only the lattice
+    and the forward coset do, which is exactly the candidate set the
     closed-form return claims to minimize over."""
-    if doubled:
-        return oracle_first_return(
-            surface, SurfaceMode.DOUBLED_SLIT, cap_hint=cap_hint
-        )
-    lattice_min = oracle_first_return(
-        AffineLattice(surface.g, Vec2(0.0, 0.0)),
-        SurfaceMode.DOUBLED_SLIT,
-        cap_hint=cap_hint,
+    surface.check()
+    return float(
+        w_oracle_return_batch(surface.g, surface.v, doubled=doubled, cap_hints=cap_hint)[0]
     )
-    coset_min = oracle_first_return(
-        surface, SurfaceMode.AFFINE_ONLY, cap_hint=cap_hint
-    )
-    return min(lattice_min, coset_min)
 
 
 def oracle_first_return_batch(
@@ -168,8 +154,7 @@ def oracle_first_return_batch(
     mode: SurfaceMode,
     cap_hints=None,
 ) -> np.ndarray:
-    """``oracle_first_return`` of many independent surfaces g_i*Z^2 + v_i,
-    bit-identical to calling it once per surface.
+    """``oracle_first_return`` of many independent surfaces g_i*Z^2 + v_i.
 
     The fields of ``g`` and ``v`` (and ``cap_hints``, where given) are
     arrays or scalars broadcast to one entry per surface.  Each surface
@@ -207,9 +192,8 @@ def oracle_first_return_batch(
 def w_oracle_return_batch(
     g: Mat2, v: Vec2, *, doubled: bool, cap_hints=None
 ) -> np.ndarray:
-    """``w_oracle_return`` of many independent surfaces, bit-identical to
-    calling it once per surface; the lattice and coset minima keep separate
-    cap sequences."""
+    """``w_oracle_return`` of many independent surfaces; the lattice and
+    coset minima keep separate cap sequences."""
     if doubled:
         return oracle_first_return_batch(g, v, SurfaceMode.DOUBLED_SLIT, cap_hints)
     lattice_min = oracle_first_return_batch(

@@ -631,7 +631,7 @@ def _flowed_alpha(g: Mat2, v: Vec2, t: np.ndarray) -> np.ndarray:
     reach = tol / x + COORD_SLACK * np.maximum(1.0, np.abs(slope))
     first = np.searchsorted(t, slope - reach, side="left")
     last = np.searchsorted(t, slope + reach, side="right")
-    point, k = _ragged(first, last - first)
+    k, point = _ragged(first, last - first, np.arange(len(first)))
     keep = np.abs(slope[point] - t[k]) * x[point] <= tol
     alpha = np.full(len(t), np.inf)
     np.minimum.at(alpha, k[keep], x[point[keep]])

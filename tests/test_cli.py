@@ -84,6 +84,29 @@ def test_gaps_count_prints_the_first_rows_of_a_slope_cap(tmp_path, mode):
     assert main(["gaps", "--omega", omega, "--count", "0"]) == 2
 
 
+@pytest.mark.parametrize("cap", ["nan", "inf"])
+def test_gaps_rejects_non_finite_slope_cap(cap, capsys):
+    assert main(["gaps", "--omega", "0.8,0.5,1.0,0.3", "--slope-max", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "slope cap" in captured.err
+
+
+@pytest.mark.parametrize(
+    "g,v",
+    [
+        ([[math.nan, 0.0], [0.0, 1.0]], [0.5, 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [math.nan, 0.0]),
+        ([[1.0, math.inf], [0.0, 1.0]], [0.5, 0.0]),
+    ],
+    ids=["nan-g", "nan-v", "inf-g"],
+)
+def test_gaps_rejects_non_finite_surface_file(tmp_path, capsys, g, v):
+    surf = tmp_path / "bad.json"
+    surf.write_text(json.dumps({"g": g, "v": v}))
+    assert main(["gaps", "--surface", str(surf), "--mode", "doubled", "--slope-max", "5"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_gaps_missing_surface_file(tmp_path):
     code = main(["gaps", "--surface", str(tmp_path / "absent.json"), "--slope-max", "3"])
     assert code == 2

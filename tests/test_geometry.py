@@ -9,18 +9,22 @@ from hypothesis import strategies as st
 
 from slitgaps.errors import InvalidInputError
 from slitgaps.geometry import (
+    BOUND_SLACK,
     AffineLattice,
     Mat2,
     SurfaceMode,
     Vec2,
+    _box_rows,
     box_slope_count,
     d_cover_holonomy,
     enumerate_strip,
     horocycle_apply,
     horocycle_matrix,
+    lattice_box,
     reduce_to_fundamental,
     renormalized_box_gaps,
     slopes_and_gaps,
+    strip_holonomy_batch,
 )
 
 IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
@@ -89,6 +93,45 @@ def test_enumerate_rejects_bad_cap():
     surf = AffineLattice(IDENTITY, Vec2(0.0, 0.0))
     with pytest.raises(InvalidInputError):
         enumerate_strip(surf, SurfaceMode.AFFINE_ONLY, 0.0)
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("mode", list(SurfaceMode))
+def test_non_finite_slope_caps_are_rejected(cap, mode):
+    surf = AffineLattice(IDENTITY, Vec2(0.5, 0.0))
+    with pytest.raises(InvalidInputError, match="slope cap"):
+        enumerate_strip(surf, mode, cap)
+    g, v = Mat2(np.ones(2), 0.0, 0.0, 1.0), Vec2(0.5, 0.0)
+    with pytest.raises(InvalidInputError, match="slope cap"):
+        list(strip_holonomy_batch(g, v, mode, [2.0, cap]))
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+def test_box_gaps_reject_bad_box_size(r):
+    surf = AffineLattice(IDENTITY, Vec2(0.5, 0.0))
+    with pytest.raises(InvalidInputError):
+        renormalized_box_gaps(surf, SurfaceMode.DOUBLED_SLIT, r)
+
+
+@pytest.mark.parametrize(
+    "g,v",
+    [
+        (Mat2(math.nan, 0.0, 0.0, 1.0), Vec2(0.5, 0.0)),
+        (IDENTITY, Vec2(math.nan, 0.0)),
+        (IDENTITY, Vec2(0.5, math.inf)),
+        (Mat2(1.0, math.inf, 0.0, 1.0), Vec2(0.5, 0.0)),
+        (Mat2(1.0, 0.0, 0.0, 2.0), Vec2(0.5, 0.0)),
+    ],
+    ids=["nan-g", "nan-v", "inf-v", "inf-g", "det-2"],
+)
+def test_surface_check_fails_on_non_finite_or_non_unimodular(g, v):
+    with pytest.raises(InvalidInputError):
+        AffineLattice(g, v).check()
+    # the batch applies the same check to every surface
+    batch_g = Mat2(*(np.array([1.0, f]) for f in g))
+    batch_v = Vec2(*(np.array([0.25, f]) for f in v))
+    with pytest.raises(InvalidInputError):
+        list(strip_holonomy_batch(batch_g, batch_v, SurfaceMode.AFFINE_ONLY, 3.0))
 
 
 def test_slopes_and_gaps_basic():
@@ -223,3 +266,111 @@ def test_d_cover_rejects_small_degree():
     surf = AffineLattice(IDENTITY, Vec2(0.5, 0.0))
     with pytest.raises(InvalidInputError):
         d_cover_holonomy(1, surf, 5.0)
+
+
+# ---------------------------------------------------------------------------
+# the lattice-box kernel against an exhaustive scan of coefficients
+
+TOL = 1e-9
+# bounds |m| and |n| of every point below: generator entries and their
+# inverses stay under 4, boxes and markings under 3 in each coordinate
+COEFF_RANGE = 40
+
+
+def _unimodular(rng):
+    """Rotation times diag(l, 1/l) times a unit shear."""
+    th, lam, t = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.6, 1.6), rng.uniform(-1.0, 1.0)
+    rot = Mat2(math.cos(th), -math.sin(th), math.sin(th), math.cos(th))
+    return rot @ Mat2(lam, lam * t, 0.0, 1.0 / lam)
+
+
+def _kernel_cases(rng, slope):
+    """Surfaces (g, box, slope cap or None, markings): generic boxes; boxes
+    whose edges pass through lattice points; boxes with |y| <= tol, or with
+    an edge on the row y = 0, on a lattice with g21 = 0; the same across
+    x = 0 on a lattice with g11 = 0; and with a slope cap, a point of slope
+    exactly fl(1/49) that only the slack keeps."""
+    cases = []
+    for kind in ("generic", "snapped", "snapped", "snapped", "flat", "vertical") * 2:
+        if kind in ("generic", "snapped"):
+            g = _unimodular(rng)
+            marks = [Vec2(*rng.uniform(-1.0, 1.0, size=2)) for _ in range(rng.integers(1, 4))]
+            x_lo, y_lo = rng.uniform(-2.0, 0.0, size=2)
+            box = (x_lo, x_lo + rng.uniform(1.0, 3.0), y_lo, y_lo + rng.uniform(1.0, 3.0))
+            pts = _exhaustive(g, box, None, marks[0])
+            if kind == "snapped" and pts:
+                # each edge through a point of the first marking's coset
+                xs, ys = sorted(p[0] for p in pts), sorted(p[1] for p in pts)
+                box = (xs[0], xs[-1], ys[0], ys[-1])
+        elif kind == "flat":
+            a = rng.uniform(0.5, 1.5)
+            g = Mat2(a, rng.uniform(-1.0, 1.0), 0.0, 1.0 / a)
+            box = (-2.0, 2.0, -TOL, TOL) if len(cases) < 6 else (-2.0, 2.0, 0.0, 1.5)
+            marks = [Vec2(0.0, 0.0), Vec2(rng.uniform(-1.0, 1.0), 0.0)]
+        else:
+            a = rng.uniform(0.5, 1.5)
+            g = Mat2(0.0, -1.0 / a, a, rng.uniform(-1.0, 1.0))
+            box = (-TOL, TOL, -2.0, 2.0) if len(cases) < 6 else (0.0, 1.5, -2.0, 2.0)
+            marks = [Vec2(0.0, 0.0), Vec2(0.0, rng.uniform(-1.0, 1.0))]
+        cap = rng.uniform(0.3, 3.0) if slope else None
+        cases.append((g, box, cap, marks))
+    if slope:
+        # (49, 1) = g(7, 7) has y > fl(1/49) * 49
+        cases.append((Mat2(7.0, 0.0, 0.0, 1.0 / 7.0), (40.0, 60.0, -1.0, 2.0), 1.0 / 49.0, [Vec2(0.0, 0.0)]))
+        assert 1.0 / 7.0 * 7.0 > 1.0 / 49.0 * 49.0
+    return cases
+
+
+def _exhaustive(g, box, cap, v):
+    """Every (x, y, m, n) with |m|, |n| <= COEFF_RANGE inside the window."""
+    r = np.arange(-COEFF_RANGE, COEFF_RANGE + 1, dtype=float)
+    m, n = (a.ravel() for a in np.meshgrid(r, r))
+    x = g.m11 * m + g.m12 * n + v.x
+    y = g.m21 * m + g.m22 * n + v.y
+    keep = (box[0] <= x) & (x <= box[1]) & (box[2] <= y) & (y <= box[3])
+    if cap is not None:
+        keep &= y <= cap * x + BOUND_SLACK * max(1.0, cap)
+    assert not np.any(np.abs(m[keep]) == COEFF_RANGE) and not np.any(np.abs(n[keep]) == COEFF_RANGE)
+    return set(zip(x[keep].tolist(), y[keep].tolist(), m[keep].tolist(), n[keep].tolist()))
+
+
+@pytest.mark.parametrize("slope", [False, True])
+@pytest.mark.parametrize("budget", [1, 1 << 14])
+def test_box_kernel_matches_exhaustive_scan(slope, budget):
+    rng = np.random.default_rng(2718 + slope)
+    cases = _kernel_cases(rng, slope)
+    g = Mat2(*(np.array([c[0][k] for c in cases]) for k in range(4)))
+    box = [np.array([c[1][k] for c in cases]) for k in range(4)]
+    jobs = [(s, v) for s, c in enumerate(cases) for v in c[3]]
+    caps = np.array([c[2] for c in cases]) if slope else None
+    surf = np.array([s for s, _ in jobs])
+    vx, vy = (np.array([v[k] for _, v in jobs]) for k in range(2))
+
+    got = {j: set() for j in range(len(jobs))}
+    chunks = 0
+    for j, x, y, m, n in _box_rows(g, box, (surf, vx, vy), caps, budget):
+        chunks += 1
+        # rows come ordered by job, then n, then m
+        assert np.array_equal(np.lexsort((m, n, j)), np.arange(len(j)))
+        if budget == 1:
+            assert len(set(surf[j].tolist())) <= 1
+        for row in zip(j.tolist(), x.tolist(), y.tolist(), m.tolist(), n.tolist()):
+            got[row[0]].add(row[1:])
+    if budget == 1:
+        assert chunks == len(cases)
+    found = 0
+    for k, (s, v) in enumerate(jobs):
+        want = _exhaustive(cases[s][0], cases[s][1], cases[s][2], v)
+        assert got[k] == want, (k, cases[s][1])
+        found += len(want)
+    assert found > 0
+
+
+@pytest.mark.parametrize("slope", [False, True])
+def test_lattice_box_is_the_one_surface_kernel_call(slope):
+    rng = np.random.default_rng(31 + slope)
+    for g, box, cap, marks in _kernel_cases(rng, slope):
+        for v in marks:
+            pts = lattice_box(g, v, *box, cap)
+            assert set(map(tuple, pts.tolist())) == _exhaustive(g, box, cap, v)
+            assert np.array_equal(np.lexsort((pts[:, 2], pts[:, 3])), np.arange(len(pts)))
