@@ -40,7 +40,7 @@ from .errors import (
 from .geometry import AffineLattice, Mat2, SurfaceMode, Vec2, enumerate_strip, slopes_and_gaps
 from .measures import ENGINES, FORMULA, ORACLE_DOUBLED, MeasureSpec, mc_tail, orbit
 from .oracle import REGIONS, diff_test, oracle_strip_slopes
-from .transversal import OmegaCoords, VLCoords, WPointSA, WPointSL, omega_to_surface, w_section_coords
+from .transversal import SECTION_KINDS, OmegaCoords, omega_to_surface, section_columns, w_section_coords
 
 SPEC_VERSION = "1.0"
 
@@ -222,20 +222,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out, header, rows):
-    """UTF-8, header row, `.` decimal, LF endings."""
+def _write_csv(out, header, rows, format_rows=None):
+    """UTF-8, header row, `.` decimal, LF endings; cells formatted by
+    ``_fmt``, or all rows at once by ``format_rows``."""
     if out is None:
-        _emit_csv(sys.stdout, header, rows)
+        _emit_csv(sys.stdout, header, rows, format_rows)
         return
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        _emit_csv(fh, header, rows)
+        _emit_csv(fh, header, rows, format_rows)
 
 
-def _emit_csv(fh, header, rows):
+def _emit_csv(fh, header, rows, format_rows=None):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
+    if format_rows is not None:
+        fh.write(format_rows(rows))
+        return
     for row in rows:
         writer.writerow([_fmt(c) for c in row])
+
+
+# an orbit row (step, return_time, kind, a, b, s, alpha) in one `%`-format
+# that writes each cell as ``_fmt`` does; the second leaves b empty
+_ORBIT_LINES = ("%d,%.12g,%s,%.12g,%.12g,%.12g,%.12g\n", "%d,%.12g,%s,%.12g,%s,%.12g,%.12g\n")
+
+
+def _format_orbit_rows(rows) -> str:
+    return "".join([_ORBIT_LINES[row[4] == ""] % row for row in rows])
 
 
 def _write_json(out, payload):
@@ -283,33 +296,20 @@ def _write_plot_script(out: str, columns, with_errors=False):
     gp.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _point_row(point) -> tuple:
-    """(kind, a, b, s, alpha) of a section point; short-lattice states put
-    the marking (v1, v2) in the last two columns, short-affine states are
-    written from their affine-section coordinates."""
-    if isinstance(point, WPointSL):
-        return ("sl", point.a, point.b, point.v1, point.v2)
-    kind = None
-    if isinstance(point, WPointSA):
-        kind, point = "sa", point.coords
-    if isinstance(point, OmegaCoords):
-        return (kind or "omega", point.a, point.b, point.s, point.alpha)
-    if isinstance(point, VLCoords):
-        return (kind or "vertical", point.a, "", point.s, point.alpha)
-    raise InvalidInputError(f"unknown section point {point!r}")
-
-
-def _write_outputs(config, header, rows, summary, plot_columns, *, results=None, with_errors=False):
-    """The table as CSV, plus a JSON sidecar with ``summary`` when written to
-    a file; or a JSON report of ``results`` (default: the rows keyed by
-    header); and the gnuplot script under --plot."""
+def _write_outputs(
+    config, header, rows, summary, plot_columns, *, results=None, with_errors=False, format_rows=None
+):
+    """The table as CSV (``format_rows`` as in ``_write_csv``), plus a JSON
+    sidecar with ``summary`` when written to a file; or a JSON report of
+    ``results`` (default: the rows keyed by header); and the gnuplot script
+    under --plot."""
     p = config.params
     if p["format"] == "json":
         if results is None:
             results = [dict(zip(header, row)) for row in rows]
         _write_json(p["out"], _report(config, results))
     else:
-        _write_csv(p["out"], header, rows)
+        _write_csv(p["out"], header, rows, format_rows)
         if p["out"] is not None:
             _write_json(_sidecar_path(p["out"]), _report(config, summary))
     if p["plot"]:
@@ -362,16 +362,23 @@ def cmd_orbit(config: RunConfig) -> int:
     if iters < 0:
         raise InvalidInputError("--iters must be >= 0")
 
-    rows = []
-    current = start
+    first = start
     if engine == ORACLE_DOUBLED:
         # the doubled oracle follows the slit-cover section, start included
-        current = w_section_coords(omega_to_surface(start), doubled=True)
-    for step, u, nxt in orbit(start, engine, iters):
-        rows.append((step, u) + _point_row(current))
-        current = nxt
+        first = w_section_coords(omega_to_surface(start), doubled=True)
+    [(returns, points)] = orbit(start, engine, iters)
+    # row k shows the point the k-th return leaves from
+    kind, a, b, s, alpha = (
+        numpy.concatenate([c0, c])[:iters].tolist() for c0, c in zip(section_columns([first]), points)
+    )
+    rows = list(zip(
+        range(iters), returns.tolist(), [SECTION_KINDS[k] for k in kind], a,
+        [x if x == x else "" for x in b], s, alpha,  # b is nan on vertical rows
+    ))
     header = ("step", "return_time", "kind", "a", "b", "s", "alpha")
-    return _write_outputs(config, header, rows, {"steps": len(rows)}, ("return_time",))
+    return _write_outputs(
+        config, header, rows, {"steps": len(rows)}, ("return_time",), format_rows=_format_orbit_rows
+    )
 
 
 def cmd_mc_tail(config: RunConfig) -> int:

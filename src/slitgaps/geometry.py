@@ -70,7 +70,7 @@ class Mat2(NamedTuple):
 
     def inverse(self) -> "Mat2":
         d = self.det()
-        if abs(d) < 1e-15:
+        if np.any(abs(d) < 1e-15):
             raise DegenerateInputError(f"matrix is singular (det={d!r})")
         return Mat2(self.m22 / d, -self.m12 / d, -self.m21 / d, self.m11 / d)
 
@@ -135,18 +135,18 @@ class GapSeries:
 
 
 def reduce_to_fundamental(g: Mat2, v: Vec2) -> Vec2:
-    """Translate the marking into the fundamental parallelogram of g*Z^2.
+    """Translate the marking into the fundamental parallelogram of g*Z^2,
+    elementwise when the fields of g and v are arrays.
 
     The coefficient vector g^-1 v is reduced into [0, 1)^2 componentwise and
     the representative g * frac is returned.
     """
     d = g.det()
-    if abs(d) < 1e-9:
-        raise InvalidInputError(f"generator is singular (det={d!r})")
-    inv = g.inverse()
-    c = inv.apply(v)
-    frac = Vec2(c.x - math.floor(c.x), c.y - math.floor(c.y))
-    return g.apply(frac)
+    singular = np.abs(d) < 1e-9
+    if np.any(singular):
+        raise InvalidInputError(f"generator is singular (det={float(np.asarray(d)[singular][0])!r})")
+    c = g.inverse().apply(v)
+    return g.apply(Vec2(c.x - np.floor(c.x), c.y - np.floor(c.y)))
 
 
 def horocycle_apply(u: float, obj):
@@ -169,6 +169,10 @@ def horocycle_apply(u: float, obj):
 # points before the exact filter) per chunk of ``_box_rows``
 STRIP_BLOCK = 1024
 STRIP_ROW_BUDGET = 1 << 14
+# the most rows a scan may allocate at once, in its n-range or in the
+# candidate rows of one surface: a scan holds about 250 bytes per row, so
+# this keeps it near 2 GB
+SCAN_ROW_LIMIT = 1 << 23
 
 
 def _ragged(starts: np.ndarray, counts: np.ndarray, *columns):
@@ -190,6 +194,15 @@ def _budget_runs(weights: np.ndarray, budget: int):
         stop = max(int(np.searchsorted(total, base + budget, side="right")), start + 1)
         yield start, stop
         start = stop
+
+
+def _check_scan_size(rows, what: str) -> None:
+    """Refuse a scan of more than ``SCAN_ROW_LIMIT`` rows (or a NaN count)
+    before anything of that size is allocated."""
+    if not rows <= SCAN_ROW_LIMIT:
+        raise InvalidInputError(
+            f"scan too large: {rows:.3g} {what}, more than the limit of {SCAN_ROW_LIMIT}"
+        )
 
 
 def _shared(f):
@@ -240,7 +253,9 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET):
 
     Yields (job, x, y, m, n) arrays holding whole surfaces, rows ordered by
     job, then n, then m; a chunk expands at most ``budget`` candidate rows
-    unless one surface alone needs more.
+    unless one surface alone needs more.  A scan whose n-range, or one
+    surface's candidate rows, exceeds ``SCAN_ROW_LIMIT`` raises
+    ``InvalidInputError`` before it is allocated.
     """
     surf = np.asarray(jobs[0], dtype=np.int64)
     if not len(surf):
@@ -261,7 +276,9 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET):
     nx = i21 * (x_lo - vx), i21 * (x_hi - vx)
     ny = i22 * (y_lo - vy), i22 * (y_hi - vy)
     n_first = np.atleast_1d(np.floor(np.minimum(*nx) + np.minimum(*ny)) - 1)
-    n_count = (np.ceil(np.maximum(*nx) + np.maximum(*ny)) + 1 - n_first + 1).astype(np.int64)
+    n_count = np.ceil(np.maximum(*nx) + np.maximum(*ny)) + 1 - n_first + 1
+    _check_scan_size(n_count.sum(), "rows of n-range")
+    n_count = n_count.astype(np.int64)
     ns, job = _ragged(n_first, n_count, np.arange(len(n_first)))
 
     # m-range per (job, n)
@@ -287,9 +304,11 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET):
     m_count += 1
     m_count -= m_first
     m_count += 1
-    m_count = np.fmax(m_count, 0, out=m_count).astype(np.int64)
-
+    m_count = np.fmax(m_count, 0, out=m_count)
     rows_per_surface = np.bincount(surf, weights=np.bincount(job, m_count, len(surf)))
+    _check_scan_size(rows_per_surface.max(), "candidate rows of one surface")
+    m_count = m_count.astype(np.int64)
+
     surface_rows = np.searchsorted(job, np.searchsorted(surf, np.arange(len(rows_per_surface) + 1)))
     for s0, s1 in _budget_runs(rows_per_surface, budget):
         rows = slice(surface_rows[s0], surface_rows[s1])

@@ -20,10 +20,11 @@ Measures:
 Returns of a sampled batch are one call of ``transversal``'s vectorized
 formulas, which the oracle engines take as cap hints.
 
-Orbits: ``orbit`` iterates the section return map.  The formula engine
-steps in closed form; the oracle engines read the whole orbit, returns and
-section points, off scans of the start surface (``oracle.oracle_orbit``), and
-``ergodic_average`` reads their returns off one strip scan.
+Orbits: ``orbit`` iterates the section return map and gives the orbit as
+columns of arrays.  The formula engine steps in closed form; the oracle
+engines read the whole orbit, returns and section points, off scans of the
+start surface (``oracle.oracle_orbit``), and ``ergodic_average`` reads their
+returns off one strip scan.
 
 Everything downstream is self-normalized, so reported distributions do not
 depend on any overall mass convention.  Reproducibility: a run is determined
@@ -55,6 +56,7 @@ from .transversal import (
     omega_region_vec,
     omega_return_vec,
     omega_to_surface,
+    section_columns,
     sheared_delta_basis,
     vertical_basis,
     w_advance,
@@ -538,7 +540,7 @@ def ergodic_average(
     if not lo < hi:
         raise InvalidInputError("empty interval")
     if engine == FORMULA:
-        returns = np.array([u for _, u, _ in orbit(start, engine, n_steps)])
+        [(returns, _)] = orbit(start, engine, n_steps)
     else:
         from .oracle import oracle_gap_sequence
 
@@ -566,26 +568,28 @@ def _orbit_step(p):
 
 
 def orbit(start, engine: str, n_steps: int):
-    """Yield (step, return_time, point-after-step) along the orbit.
+    """Yield the first ``n_steps`` returns as one block of columns: the
+    return times, and the ``SectionColumns`` of the point each step reaches.
+    Nothing is computed until the block is asked for.
 
-    The formula engine steps in closed form, one return at a time.  The
-    oracle engines read the whole orbit off scans of the start surface
-    (``oracle_orbit``): the affine oracle stays on the affine section, the
-    doubled oracle follows the slit-cover section (so a point may be a
-    short-lattice state).  Their points agree with flowing and
+    The formula engine steps in closed form, one return at a time (each step
+    starts where the last one landed), and fills the columns from its
+    points.  The oracle engines read the whole orbit off scans of the start
+    surface (``oracle_orbit``): the affine oracle stays on the affine
+    section, the doubled oracle follows the slit-cover section (so a point
+    may be a short-lattice state).  Their points agree with flowing and
     recoordinatizing step by step up to rounding.
     """
     if engine not in ENGINES:
         raise InvalidInputError(f"unknown engine {engine!r}")
-    if engine == FORMULA:
-        p = start
-        for k in range(n_steps):
+    if engine == FORMULA or n_steps < 1:
+        p, returns, points = start, [], []
+        for _ in range(n_steps):
             u, p = _orbit_step(p)
-            yield k, u, p
-        return
-    if n_steps < 1:
-        return
-    from .oracle import oracle_orbit
+            returns.append(u)
+            points.append(p)
+        yield np.array(returns, dtype=float), section_columns(points)
+    else:
+        from .oracle import oracle_orbit
 
-    returns, points = oracle_orbit(*_oracle_surface(start, engine), n_steps)
-    yield from zip(range(n_steps), returns.tolist(), points)
+        yield oracle_orbit(*_oracle_surface(start, engine), n_steps)

@@ -236,14 +236,15 @@ def oracle_gap_sequence(
 
 def oracle_orbit(surface: AffineLattice, mode: SurfaceMode, count: int):
     """(returns, points) of ``count`` successive oracle returns from
-    ``surface``: the ``oracle_gap_sequence`` return times, and the section
-    point reached by each, read off scans of the start surface.
+    ``surface``: the ``oracle_gap_sequence`` return times, and the
+    ``SectionColumns`` of the section point reached by each, read off scans
+    of the start surface.
 
     Return k lands at the k-th strip slope U_k, so its point is the start
     flowed by U_k: on the affine section under ``AFFINE_ONLY``, on the
     slit-cover section (SL or SA, marking carried) under ``DOUBLED_SLIT``
-    (``flowed_section_coords``).  No step scans or recoordinatizes a
-    surface of its own.
+    (``flowed_section_coords``, one array pass over all the slopes).  No
+    step scans or recoordinatizes a surface of its own.
     """
     slopes = oracle_strip_slopes(surface, mode, count)
     points = flowed_section_coords(

@@ -22,6 +22,10 @@ elementwise over arrays (``omega_region_vec``, ``omega_return_vec``,
 ``advance_omega``) are size-1 calls of them.  One tie rule holds throughout:
 a point within ``TIE_TOL`` of a region boundary goes to the lower-indexed
 region, and ties are logged at DEBUG level.
+
+Many points of one kind travel as ``SectionColumns``, columns of arrays:
+``flowed_section_coords`` gives a whole horocycle orbit's section points that
+way, with the range checks of the point classes run on the columns.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -87,6 +91,33 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidInputError(msg)
 
 
+# the coordinate range checks, up to COORD_SLACK and elementwise: the point
+# classes below check one point with them, ``flowed_section_coords`` columns
+
+
+def _unit_ok(x):  # a and alpha
+    return (0.0 < x) & (x <= 1.0 + COORD_SLACK)
+
+
+def _b_ok(a, b):
+    return (1.0 - a - COORD_SLACK < b) & (b <= 1.0 + COORD_SLACK)
+
+
+def _s_ok(a, b, s):  # slack relative above 1
+    r = 1.0 / (a * b)
+    return (-COORD_SLACK <= s) & (s < r + COORD_SLACK * np.maximum(1.0, r))
+
+
+def _vl_s_ok(a, s):  # s of a vertical lattice
+    return (-COORD_SLACK <= s) & (s <= a ** 2 + COORD_SLACK)
+
+
+def _in_cell(a, b, v1, v2):  # the fundamental parallelogram of [[a, b], [0, 1/a]]
+    c = delta_basis(a, b).inverse().apply(Vec2(v1, v2))
+    return ((-COORD_SLACK <= c.x) & (c.x < 1.0 + COORD_SLACK)
+            & (-COORD_SLACK <= c.y) & (c.y < 1.0 + COORD_SLACK))
+
+
 @dataclass(frozen=True)
 class DeltaCoords:
     """Lattice-section coordinates: 0 < a <= 1, 1 - a < b <= 1."""
@@ -95,11 +126,8 @@ class DeltaCoords:
     b: float
 
     def __post_init__(self):
-        _require(0.0 < self.a <= 1.0 + COORD_SLACK, f"a out of range: {self.a!r}")
-        _require(
-            1.0 - self.a - COORD_SLACK < self.b <= 1.0 + COORD_SLACK,
-            f"b out of range: {self.b!r} for a={self.a!r}",
-        )
+        _require(_unit_ok(self.a), f"a out of range: {self.a!r}")
+        _require(_b_ok(self.a, self.b), f"b out of range: {self.b!r} for a={self.a!r}")
 
 
 @dataclass(frozen=True)
@@ -118,11 +146,8 @@ class OmegaCoords:
 
     def __post_init__(self):
         DeltaCoords(self.a, self.b)
-        r = 1.0 / (self.a * self.b)
-        _require(-COORD_SLACK <= self.s < r + COORD_SLACK * max(1.0, r),
-                 f"s out of range: {self.s!r}")
-        _require(0.0 < self.alpha <= 1.0 + COORD_SLACK,
-                 f"alpha out of range: {self.alpha!r}")
+        _require(_s_ok(self.a, self.b, self.s), f"s out of range: {self.s!r}")
+        _require(_unit_ok(self.alpha), f"alpha out of range: {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -139,11 +164,9 @@ class VLCoords:
     alpha: float
 
     def __post_init__(self):
-        _require(0.0 < self.a <= 1.0 + COORD_SLACK, f"a out of range: {self.a!r}")
-        _require(-COORD_SLACK <= self.s <= self.a ** 2 + COORD_SLACK,
-                 f"s out of range: {self.s!r} for a={self.a!r}")
-        _require(0.0 < self.alpha <= 1.0 + COORD_SLACK,
-                 f"alpha out of range: {self.alpha!r}")
+        _require(_unit_ok(self.a), f"a out of range: {self.a!r}")
+        _require(_vl_s_ok(self.a, self.s), f"s out of range: {self.s!r} for a={self.a!r}")
+        _require(_unit_ok(self.alpha), f"alpha out of range: {self.alpha!r}")
 
 
 class OmegaRegion(enum.Enum):
@@ -166,9 +189,7 @@ class WPointSL:
 
     def __post_init__(self):
         DeltaCoords(self.a, self.b)
-        c = delta_basis(self.a, self.b).inverse().apply(Vec2(self.v1, self.v2))
-        _require(-COORD_SLACK <= c.x < 1.0 + COORD_SLACK
-                 and -COORD_SLACK <= c.y < 1.0 + COORD_SLACK,
+        _require(_in_cell(self.a, self.b, self.v1, self.v2),
                  "marking outside the fundamental parallelogram")
 
     @property
@@ -185,6 +206,48 @@ class WPointSA:
 
 
 WPoint = Union[WPointSL, WPointSA]
+
+SECTION_KINDS = ("omega", "vertical", "sl", "sa")
+OMEGA, VERTICAL, SL, SA = range(len(SECTION_KINDS))
+
+
+class SectionColumns(NamedTuple):
+    """Section points as columns, one row per point: ``kind`` indexes
+    ``SECTION_KINDS``; a short-lattice (sl) row holds its marking (v1, v2)
+    in s and alpha, and a vertical-lattice row, plain or sa, has b = nan."""
+
+    kind: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    s: np.ndarray
+    alpha: np.ndarray
+
+
+def _point_fields(p) -> tuple:
+    """One point's row of ``SectionColumns``."""
+    if isinstance(p, WPointSL):
+        return SL, p.a, p.b, p.v1, p.v2
+    if isinstance(p, WPointSA):
+        return (SA, *_point_fields(p.coords)[1:])
+    if isinstance(p, VLCoords):
+        return VERTICAL, p.a, math.nan, p.s, p.alpha
+    return OMEGA, p.a, p.b, p.s, p.alpha
+
+
+def section_columns(points) -> SectionColumns:
+    """The columns of a sequence of section points."""
+    rows = [_point_fields(p) for p in points]
+    kind, *coords = zip(*rows) if rows else ((),) * 5
+    return SectionColumns(np.array(kind, dtype=np.int8), *(np.array(c, dtype=float) for c in coords))
+
+
+def _section_point(kind: int, a: float, b: float, s: float, alpha: float):
+    """The point of one row of ``SectionColumns``; building it runs the
+    point's range checks."""
+    if kind == SL:
+        return WPointSL(a, b, s, alpha)
+    p = VLCoords(a, s, alpha) if math.isnan(b) else OmegaCoords(a, b, s, alpha)
+    return WPointSA(p) if kind == SA else p
 
 
 # ---------------------------------------------------------------------------
@@ -311,28 +374,29 @@ def w_to_surface(w: WPoint) -> AffineLattice:
 # recoordinatization: surface -> section coordinates
 
 
-def _bezout(p: int, q: int):
-    """(r, t) with p*t - q*r = 1 for coprime p, q."""
-    if math.gcd(p, q) != 1:
-        raise DegenerateInputError(f"({p}, {q}) is not primitive")
-    g, x0, y0 = _extended_gcd(abs(p), abs(q))
-    # sign bookkeeping: want p*t - q*r = 1
-    u = x0 if p >= 0 else -x0
-    w = y0 if q >= 0 else -y0
-    # now p*u + q*w = 1
-    return -w, u
-
-
-def _extended_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+def _bezout_vec(p, q):
+    """Integer arrays (r, t) with p*t - q*r = 1 for coprime integer pairs
+    (p, q), elementwise: the extended Euclidean recurrence on (|p|, |q|) for
+    all pairs at once, each leaving the loop at remainder 0.  A pair whose
+    gcd is not 1 raises ``DegenerateInputError``."""
+    p, q = np.array(p, dtype=np.int64, ndmin=1), np.array(q, dtype=np.int64, ndmin=1)
+    gcd, x = np.empty_like(p), np.empty_like(p)
+    pair = np.arange(len(p))
+    old_r, r = np.abs(p), np.abs(q)
+    old_x, nx = np.ones_like(p), np.zeros_like(p)
+    while len(pair):
+        done = r == 0
+        gcd[pair[done]], x[pair[done]] = old_r[done], old_x[done]
+        pair, old_r, r, old_x, nx = (c[~done] for c in (pair, old_r, r, old_x, nx))
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_x, nx = nx, old_x - quo * nx
+    bad = np.flatnonzero(gcd != 1)
+    if len(bad):
+        raise DegenerateInputError(f"({int(p[bad[0]])}, {int(q[bad[0]])}) is not primitive")
+    # |p|*x + |q|*y = 1 gives y (|q| = 0 forces |p| = x = 1 and y = 0)
+    y = (1 - np.abs(p) * x) // np.maximum(np.abs(q), 1)
+    return np.where(q >= 0, -y, y), np.where(p >= 0, x, -x)
 
 
 def _horizontal_reps(g: Mat2, v: Vec2, tol: float = HORIZONTAL_TOL) -> np.ndarray:
@@ -379,31 +443,34 @@ def _max_slope_anchor(g: Mat2):
     return a, s, int(pts[i, 2]), int(pts[i, 3])
 
 
-def _completion_b(g: Mat2, a: float, m: int, n: int) -> float:
-    """b of the lattice-section basis whose first vector is g*(m, n), of
-    x-coordinate a: the x of a Bezout completion, reduced into (1 - a, 1].
-    The horocycle keeps every x, so this holds for any flow of g too."""
-    r, t = _bezout(m, n)
-    u0x = g.apply(Vec2(float(r), float(t))).x
-    k = math.floor((1.0 - u0x) / a + FLOOR_NUDGE)
+def _completion_b(g: Mat2, a, m, n) -> np.ndarray:
+    """b of the lattice-section bases whose first vectors are g*(m, n), of
+    x-coordinates a, elementwise: the x of a Bezout completion, reduced into
+    (1 - a, 1].  The horocycle keeps every x, so this holds for any flow of
+    g too."""
+    r, t = _bezout_vec(m, n)
+    u0x = g.apply(Vec2(r, t)).x
+    k = np.floor((1.0 - u0x) / a + FLOOR_NUDGE)
     b = u0x + k * a
-    if not (1.0 - a - 1e-9 < b <= 1.0 + 1e-9):
+    bad = np.flatnonzero(~((1.0 - a - 1e-9 < b) & (b <= 1.0 + 1e-9)))
+    if len(bad):
+        i = bad[0]
         raise DegenerateInputError(
-            f"basis completion out of range: a={a!r}, b={b!r}"
+            f"basis completion out of range: a={float(np.broadcast_to(a, b.shape)[i])!r}, b={float(b[i])!r}"
         )
-    return min(b, 1.0)
+    return np.minimum(b, 1.0)
 
 
 def _delta_from_anchor(g: Mat2):
     """(a, b, s) of the hidden sheared lattice-section form of g*Z^2."""
     a, s, m, n = _max_slope_anchor(g)
-    return a, _completion_b(g, a, m, n), s
+    return a, float(_completion_b(g, a, m, n)[0]), s
 
 
 def _vl_shear(g: Mat2, a: float, m: int, n: int) -> float:
     """s of ``vertical_basis(a, s)`` for g*Z^2 with short vertical g*(m, n)
     of length a, in (0, a^2]."""
-    r, t = _bezout(m, n)
+    (r,), (t,) = _bezout_vec(m, n)
     u0 = g.apply(Vec2(float(r), float(t)))
     # u0.x ~ -1/a; reduce the second basis vector's y into [0, a)
     uy = u0.y - math.floor(u0.y / a) * a
@@ -453,13 +520,16 @@ def _omega_coords(g: Mat2, v: Vec2, form) -> Union[OmegaCoords, VLCoords]:
     alpha = float(reps[0])
     if form[0] == "vl":
         return VLCoords(form[1], _vl_shear(g, *form[1:]), alpha)
-    return _omega_point(*form[1:], alpha)
+    a, b, s = form[1:]
+    return OmegaCoords(a, b, float(_clamp_s(a, b, s)), alpha)
 
 
-def _omega_point(a: float, b: float, s: float, alpha: float) -> OmegaCoords:
-    """``OmegaCoords`` with s clamped into [0, 1/(a*b))."""
-    s = min(max(s, 0.0), math.nextafter(1.0 / (a * b), 0.0))
-    return OmegaCoords(a, b, s, alpha)
+def _clamp_s(a, b, s):
+    """s clamped into [0, 1/(a*b)), elementwise, a zero keeping its sign as
+    under Python's ``min`` and ``max``; a nan b leaves s as it is."""
+    top = np.nextafter(1.0 / (a * b), 0.0)
+    s = np.where(0.0 > s, 0.0, s)
+    return np.where(top < s, top, s)
 
 
 def omega_return_map(
@@ -575,7 +645,7 @@ def w_section_coords(surface: AffineLattice, *, doubled: bool = False) -> WPoint
         a, b, s = form[1:]
         if s * a <= HORIZONTAL_TOL:
             vv = reduce_to_fundamental(delta_basis(a, b), v)
-            return WPointSL(a, b, vv.x, vv.y)
+            return WPointSL(a, b, float(vv.x), float(vv.y))
     for cand in (v, -v) if doubled else (v,):
         try:
             return WPointSA(_omega_coords(g, cand, form))
@@ -609,9 +679,7 @@ def _flowed_anchors(g: Mat2, start, t: np.ndarray):
     hit = i >= 0
     used, which = np.unique(i[hit], return_inverse=True)
     a[hit] = pts[i[hit], 0]
-    b[hit] = np.array(
-        [_completion_b(g, pts[j, 0], int(pts[j, 2]), int(pts[j, 3])) for j in used]
-    )[which]
+    b[hit] = _completion_b(g, pts[used, 0], pts[used, 2], pts[used, 3])[which]
     s[hit] = np.maximum(t[hit] - slope[i[hit]], 0.0)
     return a, b, s
 
@@ -638,57 +706,72 @@ def _flowed_alpha(g: Mat2, v: Vec2, t: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) -> list:
+def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) -> SectionColumns:
     """Section coordinates of h_t(surface) for every t in the nonnegative,
-    increasing ``times``, from scans of the unflowed surface only.
+    increasing ``times``, as ``SectionColumns``, from scans of the unflowed
+    surface only.
 
-    Without ``slit`` the points are ``recoordinatize_omega`` of the flowed
-    surfaces.  With ``slit`` they are ``w_section_coords(..., doubled=True)``
-    along one orbit: the marking is carried from time to time, and a time at
-    which only its negation has a horizontal representative negates it for
-    every later time.
+    Without ``slit`` the rows are ``recoordinatize_omega`` of the flowed
+    surfaces (``omega`` or ``vertical``).  With ``slit`` they are
+    ``w_section_coords(..., doubled=True)`` along one orbit (``sl`` or
+    ``sa``): the marking is carried from time to time, and a time at which
+    only its negation has a horizontal representative negates it for every
+    later time.
 
     The horocycle keeps every x-coordinate and every lattice label, so the
     lattice part is analyzed once (``_lattice_form``).  A short vertical is
     kept by the flow, with s advancing by t modulo a^2; otherwise a, b and s
     come from ``_flowed_anchors``.  alpha comes from ``_flowed_alpha``.  The
-    result equals recoordinatizing each flowed surface up to rounding.
+    result equals recoordinatizing each flowed surface up to rounding.  Every
+    step is an array operation over all times, the range checks of the point
+    classes included: the first row that fails one raises that point's
+    error, ``NotOnTransversalError`` where no horizontal representative
+    exists.
     """
     surface.check()
     g, v = surface.g, surface.v
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0.0) or np.any(np.diff(t) < 0.0):
         raise InvalidInputError("flow times must be finite, nonnegative and increasing")
-    if not len(t):
-        return []
+    n = len(t)
+    if not n:
+        return section_columns([])
     form = _lattice_form(g)
     vertical = form[0] == "vl"
     if vertical:
         a0 = form[1]
         s = np.fmod(_vl_shear(g, *form[1:]) + t, a0 * a0)
         s[s <= 0.0] = a0 * a0
-        a, b = np.full(len(t), a0), np.full(len(t), np.nan)
+        a, b = np.full(n, a0), np.full(n, np.nan)
     else:
         a, b, s = _flowed_anchors(g, form[1:], t)
-    # coset 0 is the marking's, coset 1 its negation's
-    alphas = [_flowed_alpha(g, c, t).tolist() for c in ((v, -v) if slit else (v,))]
-    t, a, b, s = t.tolist(), a.tolist(), b.tolist(), s.tolist()
+    sl = (slit and not vertical) & (s * a <= HORIZONTAL_TOL)
+    s = _clamp_s(a, b, s)
+    # coset 0 is the marking's, coset 1 its negation's; a row keeps the
+    # coset of the row before unless only the other one has a representative
+    alphas = np.array([_flowed_alpha(g, c, t) for c in ((v, -v) if slit else (v,))])
+    found, rows = np.isfinite(alphas), np.arange(n)
+    switch = np.maximum.accumulate(np.where(~sl & (found[0] != found[-1]), rows, -1))
+    coset = np.where(switch >= 0, found[-1][switch], False).astype(np.int64)
+    alpha, missing = alphas[coset, rows], ~sl & ~found[coset, rows]
 
-    points, carried = [], 0
-    for k in range(len(t)):
-        if slit and not vertical and s[k] * a[k] <= HORIZONTAL_TOL:
-            mark = horocycle_apply(t[k], v)
-            vv = reduce_to_fundamental(delta_basis(a[k], b[k]), -mark if carried else mark)
-            points.append(WPointSL(a[k], b[k], vv.x, vv.y))
-            continue
-        tried = (carried, 1 - carried) if slit else (0,)
-        carried = next((c for c in tried if math.isfinite(alphas[c][k])), None)
-        if carried is None:
-            raise NotOnTransversalError(NOT_ON_SLIT_SECTION if slit else NO_HORIZONTAL_REP)
-        alpha = alphas[carried][k]
-        p = VLCoords(a[k], s[k], alpha) if vertical else _omega_point(a[k], b[k], s[k], alpha)
-        points.append(WPointSA(p) if slit else p)
-    return points
+    kind = np.where(sl, SL, SA if slit else VERTICAL if vertical else OMEGA).astype(np.int8)
+    k = np.flatnonzero(sl)
+    flip, my = coset[k] == 1, v.y - t[k] * v.x
+    mark = Vec2(np.where(flip, -v.x, v.x), np.where(flip, -my, my))
+    s[k], alpha[k] = reduce_to_fundamental(delta_basis(a[k], b[k]), mark)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = _unit_ok(a) & np.where(
+            sl, _b_ok(a, b) & _in_cell(a, b, s, alpha),
+            _unit_ok(alpha) & (_vl_s_ok(a, s) if vertical else _b_ok(a, b) & _s_ok(a, b, s)),
+        )
+    cols = SectionColumns(kind, a, b, s, alpha)
+    bad = np.flatnonzero(missing | ~ok)
+    if len(bad) and missing[bad[0]]:
+        raise NotOnTransversalError(NOT_ON_SLIT_SECTION if slit else NO_HORIZONTAL_REP)
+    if len(bad):
+        _section_point(*(c[bad[0]].item() for c in cols))  # raises the row's range error
+    return cols
 
 
 def w_advance(w: WPoint, *, doubled: bool = False) -> tuple:

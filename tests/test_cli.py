@@ -1,6 +1,7 @@
 """Command-line interface: parsing, outputs, exit codes, determinism."""
 
 import csv
+import io
 import json
 import math
 from importlib import resources
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
-from slitgaps import cli, closedform
+from slitgaps import cli, closedform, transversal
 from slitgaps.cli import main, parse_t_grid
 from slitgaps.errors import (
     DegenerateInputError,
@@ -470,3 +471,53 @@ def test_orbit_oracle_doubled_start_row_is_on_the_slit_cover(tmp_path):
     _, rows = read_csv(out)
     assert [r[2] for r in rows] == ["sa", "sa", "sl", "sa"]
     assert [float(x) for x in rows[0][3:]] == [0.5, 0.6, 2.0, 0.9]
+
+
+def test_gaps_refuses_a_scan_too_large_to_hold(capsys):
+    # slope 1e12 puts 8e11 rows in the kernel's n-range: the scan is refused
+    # as a usage error before anything of that size is allocated
+    assert main(["gaps", "--omega", "0.8,0.5,1.0,0.3", "--slope-max", "1e12"]) == 2
+    err = capsys.readouterr().err
+    assert "scan too large: 8e+11 rows of n-range" in err
+    assert "Traceback" not in err
+
+
+def _orbit_block(n):
+    """An orbit block of n points cycling through every row kind, with the
+    floats that format differently: inf, -inf, nan, -0.0, the smallest
+    subnormal, 1e16, integral floats and a repeating fraction."""
+    t = transversal
+    specials = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 2.0, 1.0 / 3.0, 0.0]
+    kinds = [t.OMEGA, t.VERTICAL, t.SL, t.SA, t.SA]
+    rng = np.random.default_rng(5)
+    col = lambda: np.array([specials[i] for i in rng.integers(0, len(specials), n)])
+    kind = np.array([kinds[k % 5] for k in range(n)], dtype=np.int8)
+    b = col()
+    # vertical rows, plain or short-affine, have no b
+    b[(kind == t.VERTICAL) | (np.arange(n) % 5 == 4)] = math.nan
+    return col(), t.SectionColumns(kind, col(), b, col(), col())
+
+
+def test_orbit_rows_format_in_one_pass_as_fmt_does(monkeypatch, capsys):
+    n = 60
+    returns, points = _orbit_block(n)
+    monkeypatch.setattr(cli, "orbit", lambda start, engine, iters: iter([(returns, points)]))
+    argv = ["orbit", "--start", "1,1,0,0.5", "--iters", str(n)]
+    # the reference: every cell through _fmt, b empty on vertical rows, the
+    # start point first and the last point (where no return leaves) dropped
+    start = transversal.section_columns([transversal.OmegaCoords(1.0, 1.0, 0.0, 0.5)])
+    cols = [np.concatenate([c0, c])[:n].tolist() for c0, c in zip(start, points)]
+    header = ("step", "return_time", "kind", "a", "b", "s", "alpha")
+    rows = [
+        (k, u, transversal.SECTION_KINDS[kind], a, "" if math.isnan(b) else b, s, alpha)
+        for k, (u, kind, a, b, s, alpha) in enumerate(zip(returns.tolist(), *cols))
+    ]
+    expected = io.StringIO()
+    cli._emit_csv(expected, header, rows)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected.getvalue()
+    assert main(argv + ["--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    want = [dict(zip(header, row)) for row in rows]
+    assert json.dumps(results, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert any(r["b"] == "" for r in results) and any(r["kind"] == "sl" for r in results)

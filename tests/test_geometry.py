@@ -374,3 +374,29 @@ def test_lattice_box_is_the_one_surface_kernel_call(slope):
             pts = lattice_box(g, v, *box, cap)
             assert set(map(tuple, pts.tolist())) == _exhaustive(g, box, cap, v)
             assert np.array_equal(np.lexsort((pts[:, 2], pts[:, 3])), np.arange(len(pts)))
+
+
+def test_scan_too_large_to_hold_is_refused_before_allocation():
+    surf = AffineLattice(p_ab(0.8, 0.5), Vec2(0.3, 0.2))
+    with pytest.raises(InvalidInputError, match=r"scan too large: 8e\+11 rows of n-range"):
+        enumerate_strip(surf, SurfaceMode.AFFINE_ONLY, 1e12)
+    # one surface's candidate rows: the row n = 0 of diag(1e-9, 1e9) holds
+    # 1e9 values of m in the unit box, with a short n-range
+    skew = Mat2(1e-9, 0.0, 0.0, 1e9)
+    with pytest.raises(InvalidInputError, match="candidate rows of one surface"):
+        lattice_box(skew, Vec2(0.0, 0.0), 0.0, 1.0, -1.0, 1.0)
+    # the limit leaves an ordinary scan alone
+    assert len(enumerate_strip(surf, SurfaceMode.AFFINE_ONLY, 1e4)) > 0
+
+
+def test_reduce_to_fundamental_elementwise_matches_scalar_calls():
+    rng = np.random.default_rng(17)
+    a = rng.uniform(0.2, 1.0, 200)
+    b = 1.0 - a * rng.random(200)
+    vx, vy = rng.uniform(-5.0, 5.0, (2, 200))
+    out = reduce_to_fundamental(Mat2(a, b, 0.0, 1.0 / a), Vec2(vx, vy))
+    for i in range(200):
+        ref = reduce_to_fundamental(p_ab(float(a[i]), float(b[i])), Vec2(float(vx[i]), float(vy[i])))
+        assert (out.x[i], out.y[i]) == ref
+    with pytest.raises(InvalidInputError, match="singular"):
+        reduce_to_fundamental(Mat2(np.array([1.0, 1.0]), 1.0, 1.0, np.array([2.0, 1.0])), Vec2(0.1, 0.1))

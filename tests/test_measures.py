@@ -347,7 +347,8 @@ def test_ergodic_scan_follows_the_oracle_orbit(start, engine):
     # the scan of the start surface and the flow-and-recoordinatize orbit
     # see the same returns, up to the orbit's accumulated rounding
     n = 500
-    stepped = np.cumsum([u for _, u, _ in orbit(start, engine, n)])
+    [(returns, _)] = orbit(start, engine, n)
+    stepped = np.cumsum(returns)
     seq = oracle_gap_sequence(*_oracle_surface(start, engine), n)
     assert np.max(np.abs(np.cumsum(seq) - stepped) / stepped) < 1e-9
     frac = ergodic_average(start, engine, n, (0.0, 1.0))
@@ -361,9 +362,18 @@ def test_mc_tail_rejects_nan_thresholds_and_keeps_inf_limits():
     assert list(est.survival) == [1.0, 0.0]
 
 
+def _orbit_steps(start, engine, n):
+    """(step, return time, point) per step of ``orbit``'s block of columns,
+    each point rebuilt (and range-checked) from its row."""
+    [(returns, points)] = orbit(start, engine, n)
+    assert all(len(c) == len(returns) for c in points)
+    rows = zip(*(c.tolist() for c in points))
+    return [(k, u, transversal._section_point(*row)) for k, (u, row) in enumerate(zip(returns.tolist(), rows))]
+
+
 def test_orbit_yields_expected_shape():
     start = OmegaCoords(1.0, 1.0, 0.0, 0.5)
-    steps = list(orbit(start, FORMULA, 4))
+    steps = _orbit_steps(start, FORMULA, 4)
     assert len(steps) == 4
     for k, (step, u, point) in enumerate(steps):
         assert step == k
@@ -392,7 +402,7 @@ def test_oracle_orbit_computes_no_lattice_form_per_step(monkeypatch, engine):
     for n in (200, 400):
         forms.clear()
         scans.clear()
-        steps = list(orbit(OmegaCoords(0.5, 0.6, 2.0, 0.9), engine, n))
+        steps = _orbit_steps(OmegaCoords(0.5, 0.6, 2.0, 0.9), engine, n)
         assert len(steps) == n
         counts.append((len(forms), len(scans)))
     assert counts[0] == counts[1]
@@ -453,7 +463,7 @@ P1 = OmegaCoords(0.8558403872803663, 0.732080999270255, 0.04227081954827937, 0.7
 )
 def test_oracle_orbit_matches_the_stepwise_chain(start, engine):
     n = 500
-    steps = list(orbit(start, engine, n))
+    steps = _orbit_steps(start, engine, n)
     ref = _stepwise_oracle_orbit(start, engine, n)
     assert [k for k, _, _ in steps] == list(range(n))
     for (_, u, p), (u_ref, p_ref) in zip(steps, ref):
@@ -472,7 +482,7 @@ def test_oracle_orbit_carries_the_negated_marking():
     # under the doubled oracle the vertical-lattice start (a = 0.8) has the
     # mirrored coset's column x = 1/a - alpha in the strip too, so the orbit
     # alternates between the two markings
-    steps = list(orbit(VLCoords(0.8, 0.3, 0.5), ORACLE_DOUBLED, 50))
+    steps = _orbit_steps(VLCoords(0.8, 0.3, 0.5), ORACLE_DOUBLED, 50)
     alphas = {round(p.coords.alpha, 12) for _, _, p in steps}
     assert alphas == {0.5, 0.75}
 
@@ -495,4 +505,4 @@ def test_slit_cover_formula_step_evaluates_the_return_once(monkeypatch):
 
 def test_oracle_orbit_of_no_steps_is_empty():
     for engine in (ORACLE_AFFINE, ORACLE_DOUBLED):
-        assert list(orbit(OmegaCoords(0.5, 0.6, 2.0, 0.9), engine, 0)) == []
+        assert _orbit_steps(OmegaCoords(0.5, 0.6, 2.0, 0.9), engine, 0) == []

@@ -1,0 +1,120 @@
+"""Golden outputs of ``orbit``: sha256 digests of the CSV and of the
+``--format json`` report, under every engine, recorded before the orbit
+became columns of arrays.
+
+The JSON digest leaves out the report's ``versions`` block, which names the
+installed numpy and scipy rather than anything the orbit computed; the rest
+of the report is digested as the command writes it (sorted keys, indent 2).
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from slitgaps.cli import main
+
+STARTS = {
+    "s1": "0.5,0.6,2.0,0.9",
+    "fixed": "1,1,0,0.5",
+    # the start of the benchmark's orbit-chain workload at seed 1
+    "p1": "0.8558403872803663,0.732080999270255,0.04227081954827937,0.7847818328370264",
+}
+
+# (start, engine, iters): (CSV digest, JSON digest).  The doubled orbits of
+# s1 and p1 write short-lattice (sl) and short-affine (sa) rows, the fixed
+# point's doubled orbit sl rows only, and the others omega rows.
+GOLDEN = {
+    ("s1", "formula", 0): (
+        "682cd334a6904a04b93a7377166b1fd6b28a76679bf099cb56f1098e20f029d3",
+        "5dfe823fb85a7891cff05b71371a5107ea1503fe46e33d5212b7e8687e0dee33",
+    ),
+    ("s1", "formula", 300): (
+        "5879629a32f53790f9a9315fd6a8b768c679fa239723176c64aefbd68a8f11f9",
+        "a597193c50851f60fcfdcb93047ae14f251e9d8438a328594dbf19225cb60ec5",
+    ),
+    ("s1", "oracle-affine", 0): (
+        "682cd334a6904a04b93a7377166b1fd6b28a76679bf099cb56f1098e20f029d3",
+        "323477fe14c8babf91b4842f8c48411b737ab522c60b1222f4e669fb8d520441",
+    ),
+    ("s1", "oracle-affine", 300): (
+        "031604e7ec2dc148caba9d21a0b0db99c96ae3d252b76da2bc3422e11c8a6705",
+        "7dcd0a476a0b95debb8aa97616e24c52d0aeec5cf7ac9c7421c1462deebf3c7c",
+    ),
+    ("s1", "oracle-doubled", 0): (
+        "682cd334a6904a04b93a7377166b1fd6b28a76679bf099cb56f1098e20f029d3",
+        "47446b7e0f959f89f1e73d564014087aaa376d9e09c5a3d45265d6ab4aeb05d8",
+    ),
+    ("s1", "oracle-doubled", 4): (
+        "eeedd621f4f0d968df7b6b0da42738d573fda29f9ebc2f7c1d7eeafc65971b90",
+        "9e9e36eebcf04fe9599959ba1da4ed21159c26028877f95e30ad10d2afe01912",
+    ),
+    ("s1", "oracle-doubled", 300): (
+        "a881e0e06e4e15559285b2c51fa5a96c219edf08b8989214c687d50722e82192",
+        "492c41c141116b86fb2978b627bcfa1b8383800e33bfe60e99086f1a8578cced",
+    ),
+    ("fixed", "formula", 0): (
+        "682cd334a6904a04b93a7377166b1fd6b28a76679bf099cb56f1098e20f029d3",
+        "dfe6d1eccfa0de7eb63c958bb790c2ef0ba95ee9946fbc081d86837c288e94f2",
+    ),
+    ("fixed", "formula", 300): (
+        "2cfd1440bce9ad6bd4bfde155d3c0473ce33184e3f16ee5b97bd7c61a5b74ece",
+        "8a3d83406c54c42c486979adfb5f203b93922fa3d47c019820dad1ad019585ef",
+    ),
+    ("fixed", "oracle-affine", 0): (
+        "682cd334a6904a04b93a7377166b1fd6b28a76679bf099cb56f1098e20f029d3",
+        "4ea19b4c75033796dd0e7afc952687c9e4dfae9929e14426e3b74cf2674a3319",
+    ),
+    ("fixed", "oracle-affine", 300): (
+        "2cfd1440bce9ad6bd4bfde155d3c0473ce33184e3f16ee5b97bd7c61a5b74ece",
+        "f8f60ba0c68c9a80d10d927ac94b2e0290f6e0ec1bfba15087cbbb428e97fb85",
+    ),
+    ("fixed", "oracle-doubled", 0): (
+        "682cd334a6904a04b93a7377166b1fd6b28a76679bf099cb56f1098e20f029d3",
+        "7d35a0ce19b87d9ac06fd2c7449855878c5c0491f060532f088ed91254b3fc65",
+    ),
+    ("fixed", "oracle-doubled", 300): (
+        "c0a80f2e688ee55f56e7b522b868870f6d84d1c4723d79d1955c3c217f29cf9f",
+        "ba8903612ecf85bedc73d997d28a97ab887e36801b9c7a2ce07e7831366dcdd3",
+    ),
+    ("p1", "formula", 0): (
+        "682cd334a6904a04b93a7377166b1fd6b28a76679bf099cb56f1098e20f029d3",
+        "fb02feb5b7b1e189bf18a0c5ba132b21ea258407f11d453fe3ad1c03a4fb9a38",
+    ),
+    ("p1", "formula", 300): (
+        "099142e1a21c381844a9227e9ae16750bb0964e7c22e90d47288cc665283f49b",
+        "3625cf5dd94e2d78fef65020bd454ba8d59380023d141a78eb4d497d78d04108",
+    ),
+    ("p1", "oracle-affine", 0): (
+        "682cd334a6904a04b93a7377166b1fd6b28a76679bf099cb56f1098e20f029d3",
+        "b2a22895ebc661b868479789a40514d4f2bf5e731c977cdd26628a2169ab29e8",
+    ),
+    ("p1", "oracle-affine", 300): (
+        "3967d2a8ee21d69cf6dad2055af50a059c7a609204dc296fd13393d6c9899953",
+        "8b0fa2cf51654b5a927b11b3204005c25faa2f2379f6d8e4f936fe616fb92133",
+    ),
+    ("p1", "oracle-doubled", 0): (
+        "682cd334a6904a04b93a7377166b1fd6b28a76679bf099cb56f1098e20f029d3",
+        "847fc11b73eaf5be811a791a5e3b6ccf62e4c7bc79dae42e7b517fd8706e9b1d",
+    ),
+    ("p1", "oracle-doubled", 300): (
+        "f3967e62a669efe9d4a767d15d6b4f0f81dbf4870097fce6734eb01921d3a2d1",
+        "a0a79be7f40041d81c4a9481ff23b8c92e1f48e4c5403e248cf02e8bfd86246b",
+    ),
+}
+
+
+def _digest(argv, fmt, capsys):
+    assert main(argv + ["--format", fmt]) == 0
+    text = capsys.readouterr().out
+    if fmt == "json":
+        report = json.loads(text)
+        report.pop("versions")
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("start, engine, iters", sorted(GOLDEN))
+def test_orbit_output_matches_its_golden_digest(start, engine, iters, capsys):
+    argv = ["orbit", "--start", STARTS[start], "--engine", engine, "--iters", str(iters)]
+    assert (_digest(argv, "csv", capsys), _digest(argv, "json", capsys)) == GOLDEN[start, engine, iters]

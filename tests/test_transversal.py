@@ -6,6 +6,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from slitgaps import transversal
 from slitgaps.errors import DegenerateInputError, InvalidInputError, NotOnTransversalError
 from slitgaps.geometry import AffineLattice, Mat2, Vec2, horocycle_apply
 from slitgaps.transversal import (
@@ -16,6 +17,7 @@ from slitgaps.transversal import (
     VLCoords,
     WPointSA,
     WPointSL,
+    _section_point,
     advance_omega,
     bcz_return_map,
     bcz_return_time,
@@ -179,7 +181,8 @@ def test_flowed_section_coords_match_recoordinatizing_each_flow():
     surf = AffineLattice(g, Vec2(0.75, 0.0))
     vert = AffineLattice(horocycle_apply(0.1, Mat2(2.0, 0.0, 0.0, 0.5)), Vec2(0.5, 0.0))
     for start, times in ((surf, [0.0, 0.4]), (vert, [0.0, 1.0, 2.0])):
-        points = flowed_section_coords(start, times)
+        cols = flowed_section_coords(start, times)
+        points = [_section_point(*row) for row in zip(*(c.tolist() for c in cols))]
         assert len(points) == len(times)
         for t, p in zip(times, points):
             q = recoordinatize_omega(horocycle_apply(t, start))
@@ -339,3 +342,64 @@ def test_recoordinatize_closed_box_boundaries():
     p = recoordinatize_omega(AffineLattice(g, Vec2(0.3, 0.0)))
     assert isinstance(p, VLCoords)
     assert p.a == 0.5 and p.alpha == 0.3
+
+
+def _bezout_reference(p, q):
+    """The scalar extended Euclid the array form replaced: (r, t) with
+    p*t - q*r = 1."""
+    old_r, r, old_s, s, old_t, t = abs(p), abs(q), 1, 0, 0, 1
+    while r:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_s, s = s, old_s - quo * s
+        old_t, t = t, old_t - quo * t
+    u = old_s if p >= 0 else -old_s
+    w = old_t if q >= 0 else -old_t
+    return -w, u
+
+
+def test_array_bezout_matches_the_scalar_recurrence():
+    rng = np.random.default_rng(29)
+    p, q = rng.integers(-10**6, 10**6, (2, 4000))
+    keep = np.gcd(p, q) == 1
+    edge = [(1, 0), (0, -1), (-3, 5), (-1, 0), (0, 1), (1, 1), (-1, -1), (7, -1), (1, 10**12)]
+    p = np.r_[p[keep], [e[0] for e in edge]]
+    q = np.r_[q[keep], [e[1] for e in edge]]
+    r, t = transversal._bezout_vec(p, q)
+    assert [(int(x), int(y)) for x, y in zip(r, t)] == [
+        _bezout_reference(int(x), int(y)) for x, y in zip(p, q)
+    ]
+    assert np.all(p * t - q * r == 1)
+    # a scalar pair is a size-1 call
+    assert [int(c[0]) for c in transversal._bezout_vec(-3, 5)] == list(_bezout_reference(-3, 5))
+
+
+@pytest.mark.parametrize("p, q", [(2, 4), (0, 0), (6, -9), (0, 2)])
+def test_array_bezout_rejects_non_primitive_pairs(p, q):
+    with pytest.raises(DegenerateInputError, match=rf"\({p}, {q}\) is not primitive"):
+        transversal._bezout_vec(np.array([1, p, 3]), np.array([0, q, 4]))
+
+
+def test_flowed_section_coords_raise_the_first_failing_rows_error(monkeypatch):
+    # the range checks run on whole columns, and the first failing row raises
+    # what building its point raises: alpha out of range at row 2 wins over a
+    # missing representative at row 3, and loses to one at row 1
+    surf = AffineLattice(horocycle_apply(0.2, p_ab(0.5, 1.0)), Vec2(0.75, 0.0))
+    times = [0.0, 0.1, 0.2, 0.3]
+
+    def patched(*rows):
+        def alpha(g, v, t):
+            out = np.full(len(t), 0.75)
+            for k, value in rows:
+                out[k] = value
+            return out
+        return alpha
+
+    monkeypatch.setattr(transversal, "_flowed_alpha", patched((2, 1.5), (3, math.inf)))
+    with pytest.raises(InvalidInputError, match=r"^alpha out of range: 1\.5$"):
+        flowed_section_coords(surf, times)
+    monkeypatch.setattr(transversal, "_flowed_alpha", patched((2, 1.5), (1, math.inf)))
+    with pytest.raises(NotOnTransversalError):
+        flowed_section_coords(surf, times)
+    monkeypatch.setattr(transversal, "_flowed_alpha", patched())
+    assert list(flowed_section_coords(surf, times).alpha) == [0.75] * 4
