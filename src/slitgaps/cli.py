@@ -39,7 +39,7 @@ from .errors import (
 )
 from .geometry import AffineLattice, Mat2, SurfaceMode, Vec2, enumerate_strip, slopes_and_gaps
 from .measures import ENGINES, FORMULA, ORACLE_DOUBLED, MeasureSpec, mc_tail, orbit
-from .oracle import REGIONS, diff_test, oracle_strip_slopes
+from .oracle import REGIONS, V_DOMAINS, diff_test, oracle_strip_slopes
 from .transversal import SECTION_KINDS, OmegaCoords, omega_to_surface, section_columns, w_section_coords
 
 SPEC_VERSION = "1.0"
@@ -104,8 +104,16 @@ _CONVERTERS = {
     "h": float,
 }
 
+# the values of each choice option, for its flag and its config-file key alike
+_CHOICES = {
+    "mode": tuple(m.value for m in SurfaceMode),
+    "engine": ENGINES,
+    "format": ("csv", "json"),
+    "v_domain": V_DOMAINS,
+}
+
 _DEFAULTS = {
-    "gaps": {"mode": "affine", "out": None, "format": "csv", "plot": False},
+    "gaps": {"mode": SurfaceMode.AFFINE_ONLY.value, "out": None, "format": "csv", "plot": False},
     "orbit": {
         "engine": FORMULA,
         "iters": 100,
@@ -133,7 +141,7 @@ _DEFAULTS = {
         "samples": 10_000,
         "seed": 0,
         "workers": 1,
-        "mode": "affine",
+        "mode": SurfaceMode.AFFINE_ONLY.value,
         "v_domain": "fundamental",
         "out": None,
     },
@@ -153,6 +161,10 @@ def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
                 params[key] = _CONVERTERS[key](raw)
             except ValueError as exc:
                 raise InvalidInputError(f"bad config value for {key}: {raw!r}") from exc
+            if key in _CHOICES and params[key] not in _CHOICES[key]:
+                raise InvalidInputError(
+                    f"bad config value for {key}: {raw!r}; choose from {', '.join(_CHOICES[key])}"
+                )
     params.update(explicit)
     return RunConfig(command=command, params=params)
 
@@ -356,8 +368,6 @@ def cmd_orbit(config: RunConfig) -> int:
     except SlitgapsError as exc:
         raise NotOnTransversalError(f"start is not on the transversal: {exc}") from exc
     engine = p["engine"]
-    if engine not in ENGINES:
-        raise InvalidInputError(f"unknown engine {engine!r}")
     iters = int(p["iters"])
     if iters < 0:
         raise InvalidInputError("--iters must be >= 0")
@@ -365,7 +375,7 @@ def cmd_orbit(config: RunConfig) -> int:
     first = start
     if engine == ORACLE_DOUBLED:
         # the doubled oracle follows the slit-cover section, start included
-        first = w_section_coords(omega_to_surface(start), doubled=True)
+        first = w_section_coords(omega_to_surface(start))
     [(returns, points)] = orbit(start, engine, iters)
     # row k shows the point the k-th return leaves from
     kind, a, b, s, alpha = (
@@ -471,14 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, plot=True):
         sp.add_argument("--config", default=S, help="key = value defaults file; flags win")
         sp.add_argument("--out", default=S, help="output path (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default=S)
+        sp.add_argument("--format", choices=_CHOICES["format"], default=S)
         if plot:
             sp.add_argument("--plot", action="store_true", default=S, help="emit a gnuplot script next to --out")
 
     g = sub.add_parser("gaps", help="strip slopes and consecutive gaps")
     g.add_argument("--omega", default=S, help="a,b,s,alpha section coordinates")
     g.add_argument("--surface", default=S, help="JSON file with g (2x2) and v (2)")
-    g.add_argument("--mode", choices=("affine", "doubled"), default=S)
+    g.add_argument("--mode", choices=_CHOICES["mode"], default=S)
     g.add_argument("--slope-max", dest="slope_max", type=float, default=S)
     g.add_argument("--count", type=int, default=S, help="emit the first N slopes instead")
     common(g)
@@ -486,14 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("orbit", help="iterate the section return map")
     o.add_argument("--start", default=S, help="a,b,s,alpha start point")
-    o.add_argument("--engine", choices=ENGINES, default=S)
+    o.add_argument("--engine", choices=_CHOICES["engine"], default=S)
     o.add_argument("--iters", type=int, default=S)
     common(o)
     o.set_defaults(func=cmd_orbit)
 
     m = sub.add_parser("mc-tail", help="Monte Carlo survival curve")
     m.add_argument("--measure", default=S, help="haar-omega | haar-w | torsion:q | periodic-omega:a,alpha | periodic-point")
-    m.add_argument("--engine", choices=ENGINES, default=S)
+    m.add_argument("--engine", choices=_CHOICES["engine"], default=S)
     m.add_argument("--t-grid", dest="t_grid", default=S, help="a:b:step or comma list")
     m.add_argument("--samples", type=int, default=S)
     m.add_argument("--seed", type=int, default=S)
@@ -513,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--samples", type=int, default=S)
     d.add_argument("--seed", type=int, default=S)
     d.add_argument("--workers", type=int, default=S)
-    d.add_argument("--mode", choices=("affine", "doubled"), default=S)
-    d.add_argument("--v-domain", dest="v_domain", choices=("fundamental", "restricted"), default=S)
+    d.add_argument("--mode", choices=_CHOICES["mode"], default=S)
+    d.add_argument("--v-domain", dest="v_domain", choices=_CHOICES["v_domain"], default=S)
     d.add_argument("--config", default=S)
     d.add_argument("--out", default=S)
     d.set_defaults(func=cmd_difftest)

@@ -563,7 +563,7 @@ def _orbit_step(p):
     advances by ``advance_omega``, a slit-cover point by ``w_advance`` on the
     doubled slit cover."""
     if isinstance(p, (WPointSL, WPointSA)):
-        return w_advance(p, doubled=True)
+        return w_advance(p)
     return advance_omega(p)
 
 

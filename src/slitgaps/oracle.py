@@ -68,6 +68,7 @@ SLOPE_DENSITY = {
 }
 CAP_MARGIN = 1.25
 REGIONS = ("DeltaR", "OmegaR", "WslRho", "WReturn")
+V_DOMAINS = ("fundamental", "restricted")
 NO_RETURN = "no positive-slope holonomy vector found below the cap limit"
 
 
@@ -416,10 +417,12 @@ def diff_test(
         raise InvalidInputError("n must be >= 1")
     if workers < 1:
         raise InvalidInputError("workers must be >= 1")
-    if v_domain not in ("fundamental", "restricted"):
+    if v_domain not in V_DOMAINS:
         raise InvalidInputError(f"unknown v_domain {v_domain!r}")
-    if isinstance(mode, str):
+    try:
         mode = SurfaceMode(mode)
+    except ValueError as exc:
+        raise InvalidInputError(f"unknown mode {mode!r}") from exc
 
     cols = _region_columns(region, worker_streams(n, seed, workers), v_domain)
     formula = _formula_column(region, cols)

@@ -25,7 +25,9 @@ region, and ties are logged at DEBUG level.
 
 Many points of one kind travel as ``SectionColumns``, columns of arrays:
 ``flowed_section_coords`` gives a whole horocycle orbit's section points that
-way, with the range checks of the point classes run on the columns.
+way, with the range checks of the point classes run on the columns.  It is
+the one recoordinatization: the point forms ``recoordinatize_omega`` and
+``w_section_coords`` are its size-1 calls at time 0.
 """
 
 from __future__ import annotations
@@ -399,13 +401,6 @@ def _bezout_vec(p, q):
     return np.where(q >= 0, -y, y), np.where(p >= 0, x, -x)
 
 
-def _horizontal_reps(g: Mat2, v: Vec2, tol: float = HORIZONTAL_TOL) -> np.ndarray:
-    """x-coordinates of marking representatives with |y| <= tol and
-    0 < x <= 1, sorted ascending."""
-    pts = lattice_box(g, v, math.nextafter(X_EPS, math.inf), 1.0 + COORD_SLACK, -tol, tol)
-    return np.sort(pts[:, 0])
-
-
 def _vertical_short(g: Mat2, tol: float = HORIZONTAL_TOL):
     """Shortest lattice vector with |x| <= tol and 0 < y <= 1, as
     (y, m, n); None if the lattice has no short vertical."""
@@ -461,12 +456,6 @@ def _completion_b(g: Mat2, a, m, n) -> np.ndarray:
     return np.minimum(b, 1.0)
 
 
-def _delta_from_anchor(g: Mat2):
-    """(a, b, s) of the hidden sheared lattice-section form of g*Z^2."""
-    a, s, m, n = _max_slope_anchor(g)
-    return a, float(_completion_b(g, a, m, n)[0]), s
-
-
 def _vl_shear(g: Mat2, a: float, m: int, n: int) -> float:
     """s of ``vertical_basis(a, s)`` for g*Z^2 with short vertical g*(m, n)
     of length a, in (0, a^2]."""
@@ -483,19 +472,21 @@ def _lattice_form(g: Mat2):
 
     A vertical vector strictly shorter than 1 means the lattice never crosses
     the lattice section: ("vl", y, m, n).  Otherwise the most recent crossing
-    gives ("delta", a, b, s).  A vertical of length within tolerance of 1 is
-    only used when no crossing exists (Z^2 routes to the lattice section, so
-    its fixed point keeps generic coordinates).
+    gives ("delta", a, b, s), the hidden sheared lattice-section form of
+    g*Z^2.  A vertical of length within tolerance of 1 is only used when no
+    crossing exists (Z^2 routes to the lattice section, so its fixed point
+    keeps generic coordinates).
     """
     vert = _vertical_short(g)
     if vert is not None and vert[0] < 1.0 - HORIZONTAL_TOL:
         return ("vl",) + vert
     try:
-        return ("delta",) + _delta_from_anchor(g)
+        a, s, m, n = _max_slope_anchor(g)
     except NotOnTransversalError:
         if vert is not None:
             return ("vl",) + vert
         raise
+    return "delta", a, float(_completion_b(g, a, m, n)[0]), s
 
 
 def recoordinatize_omega(surface: AffineLattice) -> Union[OmegaCoords, VLCoords]:
@@ -506,22 +497,9 @@ def recoordinatize_omega(surface: AffineLattice) -> Union[OmegaCoords, VLCoords]
     crossing fixes (a, b, s).  The marking must have a horizontal
     representative with 0 < x <= 1; when several exist (only possible on the
     measure-zero locus where the lattice keeps a horizontal vector) the
-    smallest is chosen.
+    smallest is chosen.  A size-1 call of ``flowed_section_coords``.
     """
-    surface.check()
-    return _omega_coords(surface.g, surface.v, _lattice_form(surface.g))
-
-
-def _omega_coords(g: Mat2, v: Vec2, form) -> Union[OmegaCoords, VLCoords]:
-    """Affine-section coordinates of (g, v) given g's ``_lattice_form``."""
-    reps = _horizontal_reps(g, v)
-    if not len(reps):
-        raise NotOnTransversalError(NO_HORIZONTAL_REP)
-    alpha = float(reps[0])
-    if form[0] == "vl":
-        return VLCoords(form[1], _vl_shear(g, *form[1:]), alpha)
-    a, b, s = form[1:]
-    return OmegaCoords(a, b, float(_clamp_s(a, b, s)), alpha)
+    return _section_point(*(c[0].item() for c in flowed_section_coords(surface, (0.0,))))
 
 
 def _clamp_s(a, b, s):
@@ -545,7 +523,8 @@ def advance_omega(p: Union[OmegaCoords, VLCoords]) -> tuple:
     """Closed-form first-return step, no enumeration: (return time, next
     point).
 
-    The next point equals ``omega_return_map`` up to roundoff: the
+    The next point equals ``omega_return_map`` (flowing and recoordinatizing
+    with a size-1 ``flowed_section_coords`` call) up to roundoff: the
     s-coordinate advances by the return time, rolling through lattice-section
     crossings, and the new alpha is the arriving representative's x.
     """
@@ -630,28 +609,16 @@ def w_return_time(w: WPoint) -> float:
     return float(w_return_sa_vec(p.a, p.b, p.s, p.alpha))
 
 
-def w_section_coords(surface: AffineLattice, *, doubled: bool = False) -> WPoint:
+def w_section_coords(surface: AffineLattice) -> WPoint:
     """Slit-cover section coordinates of a surface.
 
     SL wins ties: if the lattice part is on its section the point is SL with
-    the marking reduced into the standard fundamental parallelogram.  With
-    ``doubled`` the negated marking is tried as a fallback (the doubled
-    surface of (g, v) and (g, -v) is the same).
+    the marking reduced into the standard fundamental parallelogram.
+    Otherwise the point is SA, with the negated marking as a fallback (the
+    doubled surface of (g, v) and (g, -v) is the same).  A size-1 call of
+    ``flowed_section_coords``.
     """
-    surface.check()
-    g, v = surface.g, surface.v
-    form = _lattice_form(g)
-    if form[0] == "delta":
-        a, b, s = form[1:]
-        if s * a <= HORIZONTAL_TOL:
-            vv = reduce_to_fundamental(delta_basis(a, b), v)
-            return WPointSL(a, b, float(vv.x), float(vv.y))
-    for cand in (v, -v) if doubled else (v,):
-        try:
-            return WPointSA(_omega_coords(g, cand, form))
-        except NotOnTransversalError:
-            continue
-    raise NotOnTransversalError(NOT_ON_SLIT_SECTION)
+    return _section_point(*(c[0].item() for c in flowed_section_coords(surface, (0.0,), slit=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +652,9 @@ def _flowed_anchors(g: Mat2, start, t: np.ndarray):
 
 
 def _flowed_alpha(g: Mat2, v: Vec2, t: np.ndarray) -> np.ndarray:
-    """``_horizontal_reps(h_t(g), h_t(v))[0]`` for each t, inf where there is
-    none: the smallest x of a coset point with 0 < x <= 1 and
-    |y - t*x| <= HORIZONTAL_TOL."""
+    """alpha of h_t(g*Z^2 + v) for each t, inf where there is none: the
+    smallest x of a coset point with 0 < x <= 1 and |y - t*x| <=
+    HORIZONTAL_TOL, the closed window of a horizontal representative."""
     tol = HORIZONTAL_TOL
     pts = lattice_box(
         g, v, math.nextafter(X_EPS, math.inf), 1.0 + COORD_SLACK,
@@ -711,18 +678,19 @@ def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) 
     increasing ``times``, as ``SectionColumns``, from scans of the unflowed
     surface only.
 
-    Without ``slit`` the rows are ``recoordinatize_omega`` of the flowed
-    surfaces (``omega`` or ``vertical``).  With ``slit`` they are
-    ``w_section_coords(..., doubled=True)`` along one orbit (``sl`` or
-    ``sa``): the marking is carried from time to time, and a time at which
+    Without ``slit`` the rows are affine-section points (``omega`` or
+    ``vertical``).  With ``slit`` they are slit-cover points along one orbit
+    (``sl`` or ``sa``), an sl row wherever the lattice part is on its
+    section: the marking is carried from time to time, and a time at which
     only its negation has a horizontal representative negates it for every
-    later time.
+    later time.  ``recoordinatize_omega`` and ``w_section_coords`` are the
+    size-1 calls at time 0.
 
     The horocycle keeps every x-coordinate and every lattice label, so the
     lattice part is analyzed once (``_lattice_form``).  A short vertical is
     kept by the flow, with s advancing by t modulo a^2; otherwise a, b and s
-    come from ``_flowed_anchors``.  alpha comes from ``_flowed_alpha``.  The
-    result equals recoordinatizing each flowed surface up to rounding.  Every
+    come from ``_flowed_anchors``.  alpha comes from ``_flowed_alpha``.  A
+    row equals the time-0 call on its flowed surface up to rounding.  Every
     step is an array operation over all times, the range checks of the point
     classes included: the first row that fails one raises that point's
     error, ``NotOnTransversalError`` where no horizontal representative
@@ -774,18 +742,13 @@ def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) 
     return cols
 
 
-def w_advance(w: WPoint, *, doubled: bool = False) -> tuple:
+def w_advance(w: WPoint) -> tuple:
     """Closed-form slit-cover step: (return time, next point), flowing by
-    ``w_return_time`` and recoordinatizing, with one formula call.
+    ``w_return_time`` and recoordinatizing with ``w_section_coords``, with
+    one formula call.
 
     Raises ``NotOnTransversalError`` when the formula's landing point is not
     on the section (possible exactly where the closed form disagrees with the
     enumeration oracle)."""
     u = w_return_time(w)
-    return u, w_section_coords(horocycle_apply(u, w_to_surface(w)), doubled=doubled)
-
-
-def w_return_map(w: WPoint, *, doubled: bool = False) -> WPoint:
-    """Flow by the closed-form return time, then recoordinatize (the point
-    half of ``w_advance``)."""
-    return w_advance(w, doubled=doubled)[1]
+    return u, w_section_coords(horocycle_apply(u, w_to_surface(w)))

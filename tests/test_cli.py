@@ -291,6 +291,21 @@ def test_config_file_flags_win(tmp_path):
     assert max(float(r[1]) for r in rows) == 6.0
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["gaps", "--omega", "1,1,0,0.5", "--slope-max", "5"], "mode = foo"),
+    (["difftest", "DeltaR", "--samples", "10"], "mode = foo"),
+    (["gaps", "--omega", "1,1,0,0.5", "--slope-max", "5"], "format = xml"),
+    (["orbit", "--start", "1,1,0,0.5", "--iters", "2"], "format = xml"),
+])
+def test_config_file_choices_are_checked_like_flags(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad config value for {line.split()[0]}: ")
+
+
 def test_difftest_known_discrepancy_regions_exit_zero(tmp_path):
     out = tmp_path / "wslrho.json"
     code = main([

@@ -429,7 +429,7 @@ def _stepwise_oracle_orbit(start, engine, n):
         if mode is SurfaceMode.AFFINE_ONLY:
             p = recoordinatize_omega(flowed)
         else:
-            p = w_section_coords(flowed, doubled=True)
+            p = w_section_coords(flowed)
         out.append((u, p))
     return out
 
@@ -499,8 +499,7 @@ def test_slit_cover_formula_step_evaluates_the_return_once(monkeypatch):
     start = WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))
     u, nxt = _orbit_step(start)
     assert len(calls) == 1
-    assert (u, nxt) == w_advance(start, doubled=True)
-    assert nxt == transversal.w_return_map(start, doubled=True)
+    assert (u, nxt) == w_advance(start)
 
 
 def test_oracle_orbit_of_no_steps_is_empty():

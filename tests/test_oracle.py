@@ -320,6 +320,11 @@ def test_diff_test_rejects_unknown_region():
     assert set(REGIONS) == {"DeltaR", "OmegaR", "WslRho", "WReturn"}
 
 
+def test_diff_test_rejects_unknown_mode():
+    with pytest.raises(InvalidInputError, match="unknown mode 'foo'"):
+        diff_test("DeltaR", 100, seed=0, mode="foo")
+
+
 def test_diff_test_deterministic():
     a = diff_test("OmegaR", 500, seed=11, workers=2).to_json()
     b = diff_test("OmegaR", 500, seed=11, workers=2).to_json()

@@ -29,7 +29,7 @@ from slitgaps.transversal import (
     omega_to_surface,
     recoordinatize_omega,
     rho_sl_to_sa,
-    w_return_map,
+    w_advance,
     w_return_sl_vec,
     w_return_time,
 )
@@ -287,7 +287,7 @@ def test_w_return_map_square_start():
     # flowing SA(1,1,0,0.5) by its return lands on a short-slit state; the
     # flowed coset has no horizontal representative, so SL is the only
     # reconstruction consistent with the section's routing
-    out = w_return_map(WPointSA(OmegaCoords(1.0, 1.0, 0.0, 0.5)))
+    out = w_advance(WPointSA(OmegaCoords(1.0, 1.0, 0.0, 0.5)))[1]
     assert isinstance(out, WPointSL)
     assert math.isclose(out.a, 1.0, abs_tol=1e-9)
     assert math.isclose(out.b, 1.0, abs_tol=1e-9)
@@ -296,7 +296,7 @@ def test_w_return_map_square_start():
 
 
 def test_w_return_map_worked():
-    out = w_return_map(WPointSA(OmegaCoords(0.5, 1.0, 0.2, 0.75)))
+    out = w_advance(WPointSA(OmegaCoords(0.5, 1.0, 0.2, 0.75)))[1]
     assert isinstance(out, WPointSA)
     q = out.coords
     assert math.isclose(q.a, 0.5, abs_tol=1e-9)
@@ -309,7 +309,7 @@ def test_w_orbit_stays_valid():
     rng = np.random.default_rng(61)
     w = WPointSA(random_omega(rng))
     for _ in range(1000):
-        w = w_return_map(w, doubled=False)
+        w = w_advance(w)[1]
         assert isinstance(w, (WPointSL, WPointSA))
 
 
