@@ -51,6 +51,8 @@ EXIT_REGRESSION = 4
 
 # regions whose counterexamples are findings to report, not regressions
 KNOWN_DISCREPANCY_REGIONS = ("WslRho", "WReturn")
+# most points an a:b:step grid may have; it is refused before it is built
+T_GRID_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,8 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True), **dict.fromkeys(("0", "false", "no", "off"), False)}
+
 _CONVERTERS = {
     "seed": int,
     "workers": int,
@@ -92,7 +96,7 @@ _CONVERTERS = {
     "mode": str,
     "out": str,
     "format": str,
-    "plot": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "plot": lambda s: _BOOLEANS[s.lower()],
     "t_grid": str,
     "measure": str,
     "component": str,
@@ -159,7 +163,7 @@ def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
                 raise InvalidInputError(f"unknown config key {key!r}")
             try:
                 params[key] = _CONVERTERS[key](raw)
-            except ValueError as exc:
+            except (ValueError, KeyError) as exc:
                 raise InvalidInputError(f"bad config value for {key}: {raw!r}") from exc
             if key in _CHOICES and params[key] not in _CHOICES[key]:
                 raise InvalidInputError(
@@ -195,14 +199,17 @@ def parse_t_grid(text: str):
             raise InvalidInputError(f"grid step must be positive, got {step!r}")
         if b < a:
             raise InvalidInputError(f"grid end {b!r} is below start {a!r}")
+        end = b + 1e-12 * max(1.0, abs(b))
+        span = (end - a) / step  # inf when it overflows
+        if not span < T_GRID_LIMIT:
+            raise InvalidInputError(f"grid {text!r} has more than {T_GRID_LIMIT} points")
+        # one point more than exact arithmetic gives, in case rounding lets one in
         vals = []
-        k = 0
-        while True:
+        for k in range(math.floor(span) + 2):
             t = a + k * step
-            if t > b + 1e-12 * max(1.0, abs(b)):
+            if t > end:
                 break
             vals.append(min(t, b))
-            k += 1
         return vals
     vals = list(_parse_floats(text, len([p for p in text.split(",") if p.strip()]), "grid"))
     if not vals:

@@ -17,8 +17,9 @@ Measures:
   fixed (a, alpha), uniform in the shear.
 * ``periodic-point`` - the return-map fixed point (1, 1, 0, 0.5).
 
-Returns of a sampled batch are one call of ``transversal``'s vectorized
-formulas, which the oracle engines take as cap hints.
+A sampled batch is ``SectionColumns`` (haar-w: sl rows, then sa rows) and
+its weights; ``section_returns`` gives its returns, which the oracle engines
+(``oracle.section_oracle_returns``) take as cap hints.
 
 Orbits: ``orbit`` iterates the section return map and gives the orbit as
 columns of arrays.  The formula engine steps in closed form; the oracle
@@ -45,24 +46,24 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import EstimationError, InvalidInputError
-from .geometry import SurfaceMode, Vec2
+from .geometry import SurfaceMode
 from .transversal import (
+    OMEGA,
+    SA,
+    SL,
+    VERTICAL,
     OmegaCoords,
+    SectionColumns,
     VLCoords,
     WPointSA,
     WPointSL,
+    _section_point,
     advance_omega,
-    delta_basis,
     omega_region_vec,
-    omega_return_vec,
     omega_to_surface,
     section_columns,
-    sheared_delta_basis,
-    vertical_basis,
+    section_returns,
     w_advance,
-    w_return_sa_vec,
-    w_return_sl_vec,
-    w_to_surface,
 )
 
 FORMULA = "formula"
@@ -139,7 +140,11 @@ class MeasureSpec:
             parts = arg.split(",")
             if len(parts) != 2:
                 raise InvalidInputError("periodic-omega needs a,alpha")
-            return MeasureSpec.periodic_omega(float(parts[0]), float(parts[1]))
+            try:
+                a, alpha = map(float, parts)
+            except ValueError as e:
+                raise InvalidInputError(f"bad periodic-omega point {arg!r}") from e
+            return MeasureSpec.periodic_omega(a, alpha)
         if arg:
             raise InvalidInputError(f"measure {name!r} takes no argument")
         return MeasureSpec(name)
@@ -202,7 +207,7 @@ class TailEstimate:
 
 
 # ---------------------------------------------------------------------------
-# batch samplers (structure-of-arrays; the WeightedSample API wraps them)
+# batch samplers: (SectionColumns, weights); the WeightedSample API is row 0
 
 
 def worker_streams(n: int, seed: int, workers: int):
@@ -219,9 +224,10 @@ def worker_streams(n: int, seed: int, workers: int):
             yield np.random.default_rng([seed, i]), ni
 
 
-def _uniform_open(rng, n: int) -> np.ndarray:
-    """Uniform on (0, 1]: 1 - rng.random(n), computed in place."""
-    x = rng.random(n)
+def _uniform_open(rng, n: int, out=None) -> np.ndarray:
+    """Uniform on (0, 1]: 1 - rng.random(n), computed in place (in ``out``
+    when given)."""
+    x = rng.random(n, out=out)
     return np.subtract(1.0, x, out=x)
 
 
@@ -247,156 +253,81 @@ def _triangle_uniform(rng, n: int):
     return a_out, b_out
 
 
-def _batch_omega(rng, n: int) -> dict:
-    """Importance draws for the affine section: uniform proposals, weight 1/b."""
-    a = _uniform_open(rng, n)
-    alpha = _uniform_open(rng, n)
-    b = 1.0 - a * rng.random(n)
-    s = rng.random(n) / (a * b)
-    return {"a": a, "b": b, "s": s, "alpha": alpha, "w": 1.0 / b}
+def _rows(kind: int, *cols) -> SectionColumns:
+    """``SectionColumns`` whose rows all have the given kind."""
+    return SectionColumns(np.full(len(cols[0]), kind, dtype=np.int8), *cols)
 
 
-def _batch_measure(measure: MeasureSpec, rng, n: int) -> dict:
-    """Draw n weighted points of the given measure as arrays.
+def _batch_omega(rng, n: int, *, out=None):
+    """Importance draws for the affine section: uniform proposals, weight
+    1/b, as (omega rows, weights); ``out``, such a pair of n rows, is drawn
+    into in place instead."""
+    cols, w = out or (_rows(OMEGA, *np.empty((4, n))), np.empty(n))
+    _, a, b, s, alpha = cols
+    _uniform_open(rng, n, out=a)
+    _uniform_open(rng, n, out=alpha)
+    np.subtract(1.0, a * rng.random(n), out=b)
+    np.divide(rng.random(n), a * b, out=s)
+    np.divide(1.0, b, out=w)
+    return cols, w
 
-    Omega-type measures return keys (a, b, s, alpha, w) plus optional "vl"
-    (a, s, alpha for vertical-lattice points).  haar-w returns a composite
-    with "sl" (a, b, v1, v2, w) and "sa" (omega-style) plus "sl_mask" giving
-    each draw's component in stream order.
+
+def _batch_measure(measure: MeasureSpec, rng, n: int):
+    """Draw n weighted points of the given measure as (``SectionColumns``,
+    weights).
+
+    haar-w draws each point's component first, then the sl rows (marking
+    uniform in the period parallelogram), then the sa rows straight into the
+    tail of the same columns.
     """
     if measure.kind == "haar-omega":
         return _batch_omega(rng, n)
+    if measure.kind == "haar-w":
+        n_sl = int(np.count_nonzero(rng.random(n) < W_SL_PROB))
+        a, b = _triangle_uniform(rng, n_sl)
+        cx, cy = rng.random(n_sl), rng.random(n_sl)
+        cols, w = _rows(SA, *np.empty((4, n))), np.empty(n)
+        cols.kind[:n_sl], w[:n_sl] = SL, 1.0
+        cols.a[:n_sl], cols.b[:n_sl] = a, b
+        cols.s[:n_sl], cols.alpha[:n_sl] = a * cx + b * cy, cy / a
+        del a, b, cx, cy  # before the sa draws, which keeps the peak memory down
+        _batch_omega(rng, n - n_sl, out=(SectionColumns(*(c[n_sl:] for c in cols)), w[n_sl:]))
+        return cols, w
     if measure.kind == "torsion":
         a, b = _triangle_uniform(rng, n)
-        return {
-            "a": a,
-            "b": b,
-            "s": np.zeros(n),
-            "alpha": a / measure.q,
-            "w": np.ones(n),
-        }
-    if measure.kind == "periodic-omega":
+        cols = _rows(OMEGA, a, b, np.zeros(n), a / measure.q)
+    elif measure.kind == "periodic-omega":
         s = rng.random(n) * measure.a ** 2
-        return {
-            "vl": True,
-            "a": np.full(n, measure.a),
-            "s": s,
-            "alpha": np.full(n, measure.alpha),
-            "w": np.ones(n),
-        }
-    if measure.kind == "periodic-point":
-        a, b, s, alpha = FIXED_POINT
-        return {
-            "a": np.full(n, a),
-            "b": np.full(n, b),
-            "s": np.full(n, s),
-            "alpha": np.full(n, alpha),
-            "w": np.ones(n),
-        }
-    if measure.kind == "haar-w":
-        sl_mask = rng.random(n) < W_SL_PROB
-        n_sl = int(sl_mask.sum())
-        a, b = _triangle_uniform(rng, n_sl)
-        cx = rng.random(n_sl)
-        cy = rng.random(n_sl)
-        sl = {
-            "a": a,
-            "b": b,
-            "v1": a * cx + b * cy,
-            "v2": cy / a,
-            "w": np.ones(n_sl),
-        }
-        sa = _batch_omega(rng, n - n_sl)
-        return {"sl_mask": sl_mask, "sl": sl, "sa": sa}
-    raise InvalidInputError(f"unknown measure kind: {measure.kind!r}")
+        cols = _rows(VERTICAL, np.full(n, measure.a), np.full(n, np.nan), s, np.full(n, measure.alpha))
+    elif measure.kind == "periodic-point":
+        cols = _rows(OMEGA, *(np.full(n, x) for x in FIXED_POINT))
+    else:
+        raise InvalidInputError(f"unknown measure kind: {measure.kind!r}")
+    return cols, np.ones(n)
 
 
 def sample(measure: MeasureSpec, rng) -> WeightedSample:
-    """Draw one weighted point (the per-point face of the batch samplers)."""
-    batch = _batch_measure(measure, rng, 1)
-    if measure.kind == "haar-w":
-        if batch["sl_mask"][0]:
-            sl = batch["sl"]
-            return WeightedSample(
-                WPointSL(sl["a"][0], sl["b"][0], sl["v1"][0], sl["v2"][0]), 1.0
-            )
-        sa = batch["sa"]
-        p = OmegaCoords(sa["a"][0], sa["b"][0], sa["s"][0], sa["alpha"][0])
-        return WeightedSample(WPointSA(p), float(sa["w"][0]))
-    if batch.get("vl"):
-        p = VLCoords(batch["a"][0], batch["s"][0], batch["alpha"][0])
-        return WeightedSample(p, float(batch["w"][0]))
-    p = OmegaCoords(batch["a"][0], batch["b"][0], batch["s"][0], batch["alpha"][0])
-    return WeightedSample(p, float(batch["w"][0]))
+    """Draw one weighted point: row 0 of a size-1 batch."""
+    cols, w = _batch_measure(measure, rng, 1)
+    return WeightedSample(_section_point(*(c[0].item() for c in cols)), float(w[0]))
 
 
-# ---------------------------------------------------------------------------
-# oracle-engine evaluation (batched strip scans, bit-identical to per point)
-
-
-def _oracle_return_omega(batch: dict, mode: SurfaceMode, hints) -> np.ndarray:
-    """Oracle returns of an omega-type batch, capped from ``hints``."""
-    from .oracle import oracle_first_return_batch
-
-    a, s, alpha = batch["a"], batch["s"], batch["alpha"]
-    if batch.get("vl"):
-        g = vertical_basis(a, s)
-    else:
-        g = sheared_delta_basis(a, batch["b"], s)
-    return oracle_first_return_batch(g, Vec2(alpha, 0.0), mode, hints)
-
-
-def _oracle_return_w(batch: dict, mode: SurfaceMode, hints_sl, hints_sa):
-    """Slit-cover oracle returns of a haar-w batch's SL and SA halves."""
-    from .oracle import w_oracle_return_batch
-
-    doubled = mode is SurfaceMode.DOUBLED_SLIT
-    sl, sa = batch["sl"], batch["sa"]
-    r_sl = w_oracle_return_batch(
-        delta_basis(sl["a"], sl["b"]),
-        Vec2(sl["v1"], sl["v2"]),
-        doubled=doubled,
-        cap_hints=hints_sl,
-    )
-    r_sa = w_oracle_return_batch(
-        sheared_delta_basis(sa["a"], sa["b"], sa["s"]),
-        Vec2(sa["alpha"], 0.0),
-        doubled=doubled,
-        cap_hints=hints_sa,
-    )
-    return r_sl, r_sa
-
-
-def _returns_for_batch(measure: MeasureSpec, batch: dict, engine: str):
+def _returns_for_batch(measure: MeasureSpec, batch, engine: str):
     """(weights, returns, component masks) for one sampled batch.  The
     oracle engines take the formula returns as cap hints."""
-    mode = SurfaceMode.DOUBLED_SLIT if engine == ORACLE_DOUBLED else SurfaceMode.AFFINE_ONLY
-    if measure.kind == "haar-w":
-        sl, sa = batch["sl"], batch["sa"]
-        r_sl = w_return_sl_vec(sl["a"], sl["b"], sl["v1"], sl["v2"])
-        r_sa = w_return_sa_vec(sa["a"], sa["b"], sa["s"], sa["alpha"])
-        if engine != FORMULA:
-            r_sl, r_sa = _oracle_return_w(batch, mode, r_sl, r_sa)
-        w = np.concatenate([sl["w"], sa["w"]])
-        r = np.concatenate([r_sl, r_sa])
-        comp = {
-            "sl": np.concatenate(
-                [np.ones(len(r_sl), bool), np.zeros(len(r_sa), bool)]
-            )
-        }
-        return w, r, comp
-    if batch.get("vl"):
-        r = batch["a"] / batch["alpha"]
-    else:
-        r = omega_return_vec(batch["a"], batch["b"], batch["s"], batch["alpha"])
+    cols, w = batch
+    r = section_returns(cols)
     if engine != FORMULA:
-        r = _oracle_return_omega(batch, mode, r)
+        from .oracle import section_oracle_returns
+
+        mode = SurfaceMode.DOUBLED_SLIT if engine == ORACLE_DOUBLED else SurfaceMode.AFFINE_ONLY
+        r = section_oracle_returns(cols, mode, r)
     comp = {}
     if measure.kind == "haar-omega":
-        comp["omega3"] = (
-            omega_region_vec(batch["a"], batch["b"], batch["s"], batch["alpha"]) == 3
-        )
-    return batch["w"], r, comp
+        comp["omega3"] = omega_region_vec(*cols[1:]) == 3
+    elif measure.kind == "haar-w":
+        comp["sl"] = cols.kind == SL
+    return w, r, comp
 
 
 def _mass_scale(measure: MeasureSpec) -> float:
@@ -550,12 +481,11 @@ def ergodic_average(
 
 def _oracle_surface(p, engine: str):
     """(surface, holonomy mode) that the oracle engine scans at point p."""
-    on_w = isinstance(p, (WPointSL, WPointSA))
-    if engine == ORACLE_AFFINE:
-        if on_w:
-            raise InvalidInputError("affine-oracle orbits need affine-section coordinates")
-        return omega_to_surface(p), SurfaceMode.AFFINE_ONLY
-    return (w_to_surface(p) if on_w else omega_to_surface(p)), SurfaceMode.DOUBLED_SLIT
+    if engine == ORACLE_DOUBLED:
+        return omega_to_surface(p), SurfaceMode.DOUBLED_SLIT
+    if isinstance(p, (WPointSL, WPointSA)):
+        raise InvalidInputError("affine-oracle orbits need affine-section coordinates")
+    return omega_to_surface(p), SurfaceMode.AFFINE_ONLY
 
 
 def _orbit_step(p):

@@ -7,15 +7,16 @@ smallest positive slope.  ``oracle_first_return_batch`` scans many
 independent surfaces at once, each with its own cap sequence, through
 ``geometry``'s one lattice-box kernel; ``oracle_first_return`` and
 ``w_oracle_return`` are size-1 calls of the batch forms.
+``section_oracle_returns`` scans the rows of ``SectionColumns`` of any kind.
 ``oracle_gap_sequence`` reads a whole orbit's returns off one scan, and
 ``oracle_orbit`` adds the section point after every return, read off scans
 of the same start surface.  The differential tester samples a region into
-columns of arrays, evaluates the vectorized formula and the batched oracle
-once each over all of them, and reports any relative disagreement above 1e-6
-as a counterexample.  Two regions are expected to disagree (the
-short-lattice travel-time formula, and the slit-cover return when the
-mirrored coset is switched on); disagreement there is a finding to report,
-not a failure.
+``SectionColumns`` (DeltaR: columns a and b), evaluates the vectorized
+formula and the batched oracle once each over all rows, and reports any
+relative disagreement above 1e-6 as a counterexample.  Two regions are
+expected to disagree (the short-lattice travel-time formula, and the
+slit-cover return when the mirrored coset is switched on); disagreement
+there is a finding to report, not a failure.
 """
 
 from __future__ import annotations
@@ -41,19 +42,24 @@ from .measures import (
     MeasureSpec,
     _batch_measure,
     _batch_omega,
-    _oracle_return_omega,
-    _oracle_return_w,
+    _rows,
     _triangle_uniform,
     worker_streams,
 )
 from .transversal import (
+    SECTION_KINDS,
+    SL,
+    OmegaCoords,
+    SectionColumns,
+    WPointSA,
+    WPointSL,
     delta_basis,
     flowed_section_coords,
     omega_region_vec,
-    omega_return_vec,
     rho_sl_to_sa,
-    w_return_sa_vec,
-    w_return_sl_vec,
+    section_columns,
+    section_returns,
+    section_surfaces,
 )
 
 REL_ERR_THRESHOLD = 1e-6
@@ -204,6 +210,27 @@ def w_oracle_return_batch(
     return np.minimum(lattice_min, coset_min)
 
 
+def section_oracle_returns(cols: SectionColumns, mode: SurfaceMode, hints) -> np.ndarray:
+    """Ground-truth return of every row of ``cols``, scanning its
+    ``section_surfaces`` with the per-row cap ``hints`` (an array).
+
+    Under ``DOUBLED_SLIT`` every row scans the full doubled holonomy.  Under
+    ``AFFINE_ONLY`` omega and vertical rows scan their marked coset, and sl
+    and sa rows the slit-cover candidate set (``w_oracle_return_batch``
+    without ``doubled``).
+    """
+    slit = cols.kind >= SL
+    if mode is SurfaceMode.AFFINE_ONLY and slit.any() and not slit.all():
+        out = np.empty(len(slit))
+        for rows in (slit, ~slit):
+            out[rows] = section_oracle_returns(SectionColumns(*(c[rows] for c in cols)), mode, hints[rows])
+        return out
+    g, v = section_surfaces(cols)
+    if mode is SurfaceMode.AFFINE_ONLY and slit.any():
+        return w_oracle_return_batch(g, v, doubled=False, cap_hints=hints)
+    return oracle_first_return_batch(g, v, mode, hints)
+
+
 def oracle_strip_slopes(
     surface: AffineLattice, mode: SurfaceMode, count: int
 ) -> np.ndarray:
@@ -256,44 +283,32 @@ def oracle_orbit(surface: AffineLattice, mode: SurfaceMode, count: int):
 
 # ---------------------------------------------------------------------------
 # differential tester
-#
-# A region's inputs are columns of arrays: flat regions map each coordinate
-# name to one array; WReturn holds its short-lattice rows in "sl", its
-# short-affine rows in "sa" (the haar-w sampler's halves) and each row's
-# kind, in report order, in "is_sl".
 
 # worked counterexamples and spot checks, always evaluated first
 _PROBES = {
     "DeltaR": {"a": [1.0, 0.5], "b": [1.0, 0.75]},
-    "OmegaR": {
-        "a": [0.5, 0.8, 0.5],
-        "b": [1.0, 0.5, 0.6],
-        "s": [0.2, 1.0, 2.0],
-        "alpha": [0.75, 0.3, 0.9],
-    },
-    "WslRho": {
-        "a": [0.6, 0.6, 0.6],
-        "b": [0.5, 0.9, 0.5],
-        "v1": [0.3, 0.3, 0.5],
-        "v2": [0.5, 0.5, 0.8],
-    },
-    "WReturn": {
-        "sl": {"a": [0.6, 0.6], "b": [0.5, 0.5], "v1": [0.5, 0.3], "v2": [0.8, 0.5]},
-        "sa": {"a": [0.5], "b": [0.6], "s": [2.0], "alpha": [0.9]},
-        "is_sl": [False, True, True],
-    },
+    "OmegaR": section_columns([
+        OmegaCoords(0.5, 1.0, 0.2, 0.75), OmegaCoords(0.8, 0.5, 1.0, 0.3), OmegaCoords(0.5, 0.6, 2.0, 0.9),
+    ]),
+    "WslRho": section_columns([
+        WPointSL(0.6, 0.5, 0.3, 0.5), WPointSL(0.6, 0.9, 0.3, 0.5), WPointSL(0.6, 0.5, 0.5, 0.8),
+    ]),
+    "WReturn": section_columns([
+        WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9)), WPointSL(0.6, 0.5, 0.5, 0.8), WPointSL(0.6, 0.5, 0.3, 0.5),
+    ]),
 }
 
 MAX_COUNTEREXAMPLES = 100
 
 
-def _draw_region(region: str, rng, n: int, v_domain: str) -> dict:
-    """n inputs of the region as columns."""
+def _draw_region(region: str, rng, n: int, v_domain: str):
+    """n inputs of the region as ``SectionColumns`` (DeltaR: a dict of
+    columns a and b)."""
     if region == "DeltaR":
         a, b = _triangle_uniform(rng, n)
         return {"a": a, "b": b}
     if region == "OmegaR":
-        return _batch_omega(rng, n)
+        return _batch_omega(rng, n)[0]
     if region == "WslRho":
         a, b = _triangle_uniform(rng, n)
         v1, v2 = np.empty(n), np.empty(n)
@@ -304,50 +319,35 @@ def _draw_region(region: str, rng, n: int, v_domain: str) -> dict:
                 v2[i] = cy / a[i]
                 if v1[i] > 0 and (v_domain == "fundamental" or v1[i] < a[i]):
                     break
-        return {"a": a, "b": b, "v1": v1, "v2": v2}
-    batch = _batch_measure(MeasureSpec.haar_w(), rng, n)
-    n_sl = len(batch["sl"]["a"])
-    batch["is_sl"] = np.arange(n) < n_sl
-    return batch
+        return _rows(SL, a, b, v1, v2)
+    return _batch_measure(MeasureSpec.haar_w(), rng, n)[0]
 
 
 def _concat(parts: list):
-    """Stack column dicts of the same shape, keeping the first part's keys."""
+    """Stack columns of one layout; a dict keeps the first part's keys."""
     if isinstance(parts[0], dict):
-        return {k: _concat([p[k] for p in parts]) for k in parts[0]}
-    return np.concatenate(parts)
+        return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    return SectionColumns(*map(np.concatenate, zip(*parts)))
 
 
-def _region_columns(region: str, rngs, v_domain: str) -> dict:
+def _region_columns(region: str, rngs, v_domain: str):
     """The probes, then the draws of each (rng, count) in turn."""
     return _concat(
         [_PROBES[region]] + [_draw_region(region, rng, ni, v_domain) for rng, ni in rngs]
     )
 
 
-def _by_kind(is_sl, sl, sa) -> np.ndarray:
-    out = np.empty(len(is_sl))
-    out[is_sl], out[~is_sl] = sl, sa
-    return out
-
-
-def _formula_column(region: str, c: dict) -> np.ndarray:
-    """The closed-form return of every row, in one vectorized call."""
+def _formula_column(region: str, c) -> np.ndarray:
+    """The closed-form return of every row, in one vectorized call (WslRho:
+    the travel time ``rho_sl_to_sa``)."""
     if region == "DeltaR":
         return 1.0 / (c["a"] * c["b"])
-    if region == "OmegaR":
-        return omega_return_vec(c["a"], c["b"], c["s"], c["alpha"])
     if region == "WslRho":
-        return rho_sl_to_sa(c["a"], c["b"], c["v1"], c["v2"])
-    sl, sa = c["sl"], c["sa"]
-    return _by_kind(
-        c["is_sl"],
-        w_return_sl_vec(sl["a"], sl["b"], sl["v1"], sl["v2"]),
-        w_return_sa_vec(sa["a"], sa["b"], sa["s"], sa["alpha"]),
-    )
+        return rho_sl_to_sa(*c[1:])
+    return section_returns(c)
 
 
-def _oracle_column(region: str, c: dict, mode: SurfaceMode, hints) -> np.ndarray:
+def _oracle_column(region: str, c, mode: SurfaceMode, hints) -> np.ndarray:
     """Ground truth of every row, in one batched oracle call.
 
     DeltaR and OmegaR use their sections' own holonomy; WslRho scans the
@@ -357,30 +357,27 @@ def _oracle_column(region: str, c: dict, mode: SurfaceMode, hints) -> np.ndarray
     if region == "DeltaR":
         g = delta_basis(c["a"], c["b"])
         return oracle_first_return_batch(g, Vec2(0.0, 0.0), SurfaceMode.DOUBLED_SLIT, hints)
-    if region == "OmegaR":
-        return _oracle_return_omega(c, SurfaceMode.AFFINE_ONLY, hints)
     if region == "WslRho":
-        g = delta_basis(c["a"], c["b"])
-        return oracle_first_return_batch(g, Vec2(c["v1"], c["v2"]), mode, hints)
-    is_sl = c["is_sl"]
-    return _by_kind(is_sl, *_oracle_return_w(c, mode, hints[is_sl], hints[~is_sl]))
+        return oracle_first_return_batch(*section_surfaces(c), mode, hints)
+    return section_oracle_returns(c, mode if region == "WReturn" else SurfaceMode.AFFINE_ONLY, hints)
 
 
-def _omega_breakdown(c: dict, bad: np.ndarray):
+def _omega_breakdown(c: SectionColumns, bad: np.ndarray):
     """Discrepant OmegaR rows per region O1-O4, and their 1/b-weighted mass
     as a fraction of all rows' weight."""
-    counts = np.bincount(omega_region_vec(c["a"], c["b"], c["s"], c["alpha"])[bad], minlength=5)
-    w = 1.0 / c["b"]
+    counts = np.bincount(omega_region_vec(*c[1:])[bad], minlength=5)
+    w = 1.0 / c.b
     return {f"O{k}": int(counts[k]) for k in range(1, 5)}, float(w[bad].sum() / w.sum())
 
 
-def _point_dict(region: str, c: dict, i: int) -> dict:
+def _point_dict(region: str, c, i: int) -> dict:
     """Row i's input, as the report prints it."""
-    if region != "WReturn":
+    if region == "DeltaR":
         return {k: float(v[i]) for k, v in c.items()}
-    kind = "sl" if c["is_sl"][i] else "sa"
-    k = int(np.count_nonzero(c["is_sl"][:i] == c["is_sl"][i]))
-    return {"kind": kind, **{key: float(v[k]) for key, v in c[kind].items()}}
+    kind = int(c.kind[i])
+    names = ("a", "b", "v1", "v2") if kind == SL else ("a", "b", "s", "alpha")
+    point = {k: float(v[i]) for k, v in zip(names, c[1:])}
+    return {"kind": SECTION_KINDS[kind], **point} if region == "WReturn" else point
 
 
 def diff_test(

@@ -17,17 +17,18 @@ Three sections appear:
 Return times are closed-form; every formula is cross-checked against the
 enumeration oracle elsewhere.  Each section formula has one implementation,
 elementwise over arrays (``omega_region_vec``, ``omega_return_vec``,
-``w_return_sl_vec``, ``w_return_sa_vec``, ``rho_sl_to_sa``); the point forms
-(``classify_omega``, ``omega_return_time``, ``w_return_time``,
-``advance_omega``) are size-1 calls of them.  One tie rule holds throughout:
-a point within ``TIE_TOL`` of a region boundary goes to the lower-indexed
-region, and ties are logged at DEBUG level.
+``w_return_sl_vec``, ``w_return_sa_vec``, ``rho_sl_to_sa``).  One tie rule
+holds throughout: a point within ``TIE_TOL`` of a region boundary goes to the
+lower-indexed region, and ties are logged at DEBUG level.
 
-Many points of one kind travel as ``SectionColumns``, columns of arrays:
-``flowed_section_coords`` gives a whole horocycle orbit's section points that
-way, with the range checks of the point classes run on the columns.  It is
-the one recoordinatization: the point forms ``recoordinatize_omega`` and
-``w_section_coords`` are its size-1 calls at time 0.
+Many section points travel as ``SectionColumns``: an orbit's points
+(``flowed_section_coords``, the range checks of the point classes run on the
+columns) and the sampled batches of ``measures``.  ``section_returns`` and
+``section_surfaces`` give every row's return and surface, whatever its kind;
+the point forms ``omega_return_time``, ``w_return_time``, ``omega_to_surface``
+and ``w_to_surface`` are their size-1 calls.  ``flowed_section_coords`` is the
+one recoordinatization: ``recoordinatize_omega`` and ``w_section_coords`` are
+its size-1 calls at time 0.
 """
 
 from __future__ import annotations
@@ -194,10 +195,6 @@ class WPointSL:
         _require(_in_cell(self.a, self.b, self.v1, self.v2),
                  "marking outside the fundamental parallelogram")
 
-    @property
-    def v(self) -> Vec2:
-        return Vec2(self.v1, self.v2)
-
 
 @dataclass(frozen=True)
 class WPointSA:
@@ -214,9 +211,10 @@ OMEGA, VERTICAL, SL, SA = range(len(SECTION_KINDS))
 
 
 class SectionColumns(NamedTuple):
-    """Section points as columns, one row per point: ``kind`` indexes
-    ``SECTION_KINDS``; a short-lattice (sl) row holds its marking (v1, v2)
-    in s and alpha, and a vertical-lattice row, plain or sa, has b = nan."""
+    """Section points as columns, one row per point, the one layout of an
+    orbit or a sampled batch: ``kind`` indexes ``SECTION_KINDS``; a
+    short-lattice (sl) row holds its marking (v1, v2) in s and alpha, and a
+    vertical-lattice row, plain or sa, has b = nan."""
 
     kind: np.ndarray
     a: np.ndarray
@@ -346,32 +344,6 @@ def classify_omega(p: Union[OmegaCoords, VLCoords]) -> OmegaRegion:
     return OmegaRegion(f"O{int(omega_region_vec(p.a, p.b, p.s, p.alpha))}")
 
 
-def omega_return_time(p: Union[OmegaCoords, VLCoords]) -> float:
-    """First-return time of the affine section (``omega_return_vec``); a
-    vertical-lattice point returns at a/alpha."""
-    if isinstance(p, VLCoords):
-        return p.a / p.alpha
-    return float(omega_return_vec(p.a, p.b, p.s, p.alpha))
-
-
-# ---------------------------------------------------------------------------
-# surfaces from coordinates
-
-
-def omega_to_surface(p: Union[OmegaCoords, VLCoords]) -> AffineLattice:
-    if isinstance(p, VLCoords):
-        return AffineLattice(vertical_basis(p.a, p.s), Vec2(p.alpha, 0.0))
-    return AffineLattice(
-        sheared_delta_basis(p.a, p.b, p.s), Vec2(p.alpha, 0.0)
-    )
-
-
-def w_to_surface(w: WPoint) -> AffineLattice:
-    if isinstance(w, WPointSL):
-        return AffineLattice(delta_basis(w.a, w.b), w.v)
-    return omega_to_surface(w.coords)
-
-
 # ---------------------------------------------------------------------------
 # recoordinatization: surface -> section coordinates
 
@@ -471,7 +443,7 @@ def _lattice_form(g: Mat2):
     """Route a unimodular lattice to its section family.
 
     A vertical vector strictly shorter than 1 means the lattice never crosses
-    the lattice section: ("vl", y, m, n).  Otherwise the most recent crossing
+    the lattice section: ("vertical", y, m, n).  Otherwise the most recent crossing
     gives ("delta", a, b, s), the hidden sheared lattice-section form of
     g*Z^2.  A vertical of length within tolerance of 1 is only used when no
     crossing exists (Z^2 routes to the lattice section, so its fixed point
@@ -479,12 +451,12 @@ def _lattice_form(g: Mat2):
     """
     vert = _vertical_short(g)
     if vert is not None and vert[0] < 1.0 - HORIZONTAL_TOL:
-        return ("vl",) + vert
+        return ("vertical",) + vert
     try:
         a, s, m, n = _max_slope_anchor(g)
     except NotOnTransversalError:
         if vert is not None:
-            return ("vl",) + vert
+            return ("vertical",) + vert
         raise
     return "delta", a, float(_completion_b(g, a, m, n)[0]), s
 
@@ -592,21 +564,71 @@ def w_return_sa_vec(a, b, s, alpha) -> np.ndarray:
     return _marking_first(a, b, s, alpha, o1, o3, 1.0 / (a * b) - s)
 
 
-def w_return_time(w: WPoint) -> float:
-    """Closed-form first-return time of the slit-cover section
-    (``w_return_sl_vec``, ``w_return_sa_vec``); the vertical-lattice SA
-    state returns at a/alpha.
+# ---------------------------------------------------------------------------
+# returns and surfaces of section points of any kind, as columns; the point
+# forms are their size-1 calls
 
-    The formula minimizes over the lattice and the +marking coset only; on
-    doubled surfaces the -coset can arrive earlier (reported by the
-    differential tester, never folded into this formula).
-    """
-    if isinstance(w, WPointSL):
-        return float(w_return_sl_vec(w.a, w.b, w.v1, w.v2))
-    p = w.coords
-    if isinstance(p, VLCoords):
-        return p.a / p.alpha
-    return float(w_return_sa_vec(p.a, p.b, p.s, p.alpha))
+
+def _kind_runs(kind: np.ndarray) -> list:
+    """(kind, rows) of each maximal run of equal kind, rows as a slice."""
+    edges = [0, *(np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist(), len(kind)]
+    return [(int(kind[i]), slice(i, j)) for i, j in zip(edges, edges[1:]) if i < j]
+
+
+def section_returns(cols: SectionColumns) -> np.ndarray:
+    """Closed-form first return of every row, by kind: ``omega_return_vec``
+    on omega rows, ``w_return_sl_vec`` on sl rows, ``w_return_sa_vec`` on sa
+    rows, a/alpha on vertical-lattice rows (vertical, or sa with b nan); one
+    call per run of equal kind, on views of the columns.  The slit-cover
+    returns leave out the -coset, which can arrive earlier on doubled
+    surfaces (a finding of the differential tester)."""
+    runs = [_run_returns(kind, *(c[rows] for c in cols[1:])) for kind, rows in _kind_runs(cols.kind)]
+    return runs[0] if len(runs) == 1 else np.concatenate([np.empty(0), *runs])
+
+
+def _run_returns(kind: int, a, b, s, alpha) -> np.ndarray:
+    """``section_returns`` of rows of one kind."""
+    if kind == SL:
+        return w_return_sl_vec(a, b, s, alpha)
+    vertical = np.isnan(b)
+    if vertical.all():
+        return a / alpha
+    r = (w_return_sa_vec if kind == SA else omega_return_vec)(a, b, s, alpha)
+    if vertical.any():
+        np.divide(a, alpha, out=r, where=vertical)
+    return r
+
+
+def section_surfaces(cols: SectionColumns) -> tuple:
+    """(g, v) of every row, a ``Mat2`` and a ``Vec2`` of arrays: an sl row's
+    lattice-section generator ``delta_basis`` with its marking (v1, v2), a
+    vertical-lattice row's ``vertical_basis`` and any other row's
+    ``sheared_delta_basis``, with marking (alpha, 0).  The marking's y stays
+    the scalar 0.0 when no row is sl."""
+    kind, a, b, s, alpha = cols
+    sl, vertical = kind == SL, np.isnan(b)
+    bases = zip(vertical_basis(a, s), delta_basis(a, b), sheared_delta_basis(a, b, s))
+    g = Mat2(*(np.where(vertical, fv, np.where(sl, fd, fs)) for fv, fd, fs in bases))
+    return g, Vec2(np.where(sl, s, alpha), np.where(sl, alpha, 0.0) if sl.any() else 0.0)
+
+
+def omega_return_time(p) -> float:
+    """Closed-form first return of a section point of any kind (affine,
+    vertical-lattice or slit-cover), the size-1 call of ``section_returns``."""
+    return float(section_returns(section_columns([p]))[0])
+
+
+def omega_to_surface(p) -> AffineLattice:
+    """The surface of a section point of any kind, the size-1 call of
+    ``section_surfaces``."""
+    g, v = section_surfaces(section_columns([p]))
+    first = [float(np.ravel(f)[0]) for f in (*g, *v)]
+    return AffineLattice(Mat2(*first[:4]), Vec2(*first[4:]))
+
+
+# the slit-cover point forms are the same size-1 calls
+w_return_time = omega_return_time
+w_to_surface = omega_to_surface
 
 
 def w_section_coords(surface: AffineLattice) -> WPoint:
@@ -705,7 +727,7 @@ def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) 
     if not n:
         return section_columns([])
     form = _lattice_form(g)
-    vertical = form[0] == "vl"
+    vertical = form[0] == "vertical"
     if vertical:
         a0 = form[1]
         s = np.fmod(_vl_shear(g, *form[1:]) + t, a0 * a0)
@@ -716,8 +738,11 @@ def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) 
     sl = (slit and not vertical) & (s * a <= HORIZONTAL_TOL)
     s = _clamp_s(a, b, s)
     # coset 0 is the marking's, coset 1 its negation's; a row keeps the
-    # coset of the row before unless only the other one has a representative
-    alphas = np.array([_flowed_alpha(g, c, t) for c in ((v, -v) if slit else (v,))])
+    # coset of the row before unless only the other one has a representative.
+    # sl rows never read alpha, so all-sl times need no coset scan
+    cosets = (v, -v) if slit else (v,)
+    alphas = (np.full((len(cosets), n), np.inf) if sl.all()
+              else np.array([_flowed_alpha(g, c, t) for c in cosets]))
     found, rows = np.isfinite(alphas), np.arange(n)
     switch = np.maximum.accumulate(np.where(~sl & (found[0] != found[-1]), rows, -1))
     coset = np.where(switch >= 0, found[-1][switch], False).astype(np.int64)

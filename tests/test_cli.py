@@ -34,6 +34,10 @@ def read_csv(path):
 
 def test_parse_t_grid_forms():
     assert parse_t_grid("0:2:0.5") == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert parse_t_grid("0:16:0.5") == [0.5 * k for k in range(33)]
+    assert parse_t_grid("16:128:8") == [16.0 + 8.0 * k for k in range(15)]
+    assert parse_t_grid("0:1:0.1") == [0.1 * k for k in range(10)] + [1.0]
+    assert parse_t_grid("5:5:1") == [5.0]
     assert parse_t_grid("1,2.5,4") == [1.0, 2.5, 4.0]
     for bad in ("2:1:0.5", "0:1:0", "0:1:-1", "a,b", ""):
         with pytest.raises(InvalidInputError):
@@ -306,6 +310,36 @@ def test_config_file_choices_are_checked_like_flags(tmp_path, capsys, argv, line
     assert captured.err.startswith(f"error: bad config value for {line.split()[0]}: ")
 
 
+@pytest.mark.parametrize("value, plotted", [
+    ("1", True), ("Yes", True), ("on", True), ("true", True),
+    ("0", False), ("no", False), ("OFF", False), ("false", False),
+])
+def test_config_file_plot_takes_boolean_words(tmp_path, value, plotted):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"plot = {value}\n")
+    out = tmp_path / "g.csv"
+    argv = ["gaps", "--omega", "1,1,0,0.5", "--slope-max", "2", "--out", str(out)]
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert (tmp_path / "g.csv.gp").exists() is plotted
+
+
+def test_config_file_rejects_a_plot_value_that_is_not_boolean(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("plot = maybe\n")
+    out = tmp_path / "g.csv"
+    argv = ["gaps", "--omega", "1,1,0,0.5", "--slope-max", "2", "--out", str(out)]
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad config value for plot: 'maybe'")
+    assert not out.exists() and not (tmp_path / "g.csv.gp").exists()
+
+
+def test_mc_tail_rejects_a_malformed_periodic_measure(capsys):
+    argv = ["mc-tail", "--measure", "periodic-omega:0.5,abc", "--t-grid", "1", "--samples", "1000"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "bad periodic-omega point" in err and "Traceback" not in err
+
+
 def test_difftest_known_discrepancy_regions_exit_zero(tmp_path):
     out = tmp_path / "wslrho.json"
     code = main([
@@ -402,6 +436,16 @@ def test_state_errors_exit_3(monkeypatch):
 
         monkeypatch.setattr(closedform, "torsion_tail", fail)
         assert main(["closed-form", "--component", "torsion:2", "--t-grid", "16"]) == 3
+
+
+@pytest.mark.parametrize("grid", ["1e300:1e300:1", "0:1:1e-300", "0:1e308:1e-10", "0:1:1e-7"])
+def test_step_grids_too_large_are_refused_before_they_are_built(grid, capsys):
+    # a + k*step stops advancing below one ulp of a, so the first grid would
+    # never end; the point count is checked before any point is made
+    with pytest.raises(InvalidInputError, match=f"more than {cli.T_GRID_LIMIT} points"):
+        parse_t_grid(grid)
+    assert main(["closed-form", "--component", "tail", "--t-grid", grid]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_non_finite_grid_entries_rejected(capsys):

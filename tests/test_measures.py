@@ -54,6 +54,9 @@ def test_measure_parsing_round_trip():
         MeasureSpec.parse("torsion:0")
     with pytest.raises(InvalidInputError):
         MeasureSpec.parse("torsion:x")
+    for bad in ("periodic-omega:0.5,abc", "periodic-omega:x,0.25"):
+        with pytest.raises(InvalidInputError, match="bad periodic-omega point"):
+            MeasureSpec.parse(bad)
 
 
 def test_torsion_sampler_support():

@@ -22,12 +22,7 @@ from slitgaps.measures import (
     ORACLE_DOUBLED,
     MeasureSpec,
     _batch_measure,
-    _oracle_return_omega,
-    _oracle_return_w,
-    omega_return_vec,
     sample,
-    w_return_sa_vec,
-    w_return_sl_vec,
     worker_streams,
 )
 from slitgaps.oracle import (
@@ -43,11 +38,14 @@ from slitgaps.oracle import (
     oracle_first_return_batch,
     oracle_gap_sequence,
     oracle_strip_slopes,
+    section_oracle_returns,
     w_oracle_return,
     w_oracle_return_batch,
 )
 from slitgaps.errors import InvalidInputError, NotOnTransversalError
 from slitgaps.transversal import (
+    SA,
+    SL,
     DeltaCoords,
     OmegaCoords,
     OmegaRegion,
@@ -59,8 +57,12 @@ from slitgaps.transversal import (
     delta_basis,
     omega_region_vec,
     omega_return_time,
+    omega_return_vec,
     omega_to_surface,
     rho_sl_to_sa,
+    section_columns,
+    section_returns,
+    w_return_sl_vec,
     w_return_time,
     w_to_surface,
 )
@@ -341,7 +343,7 @@ MODES = (SurfaceMode.AFFINE_ONLY, SurfaceMode.DOUBLED_SLIT)
 def _region_points(region, n, seed):
     """Probes plus n draws of the region: its columns and each row's input."""
     cols = _region_columns(region, [(np.random.default_rng(seed), n)], "fundamental")
-    rows = len(cols["is_sl"] if region == "WReturn" else cols["a"])
+    rows = len(cols["a"] if region == "DeltaR" else cols.kind)
     return cols, [_point_dict(region, cols, i) for i in range(rows)]
 
 
@@ -406,11 +408,11 @@ def test_batch_kernel_bit_identical_both_modes(region):
 def test_torsion_markings_doubled_keep_the_dedup():
     # on torsion markings the +-v cosets coincide up to rounding, so the
     # near-duplicate drop decides which representative sets the minimum
-    batch = _batch_measure(MeasureSpec.torsion(2), np.random.default_rng(47), 1500)
-    hints = omega_return_vec(batch["a"], batch["b"], batch["s"], batch["alpha"])
-    got = _oracle_return_omega(batch, SurfaceMode.DOUBLED_SLIT, hints)
+    cols, _ = _batch_measure(MeasureSpec.torsion(2), np.random.default_rng(47), 1500)
+    hints = omega_return_vec(cols.a, cols.b, cols.s, cols.alpha)
+    got = section_oracle_returns(cols, SurfaceMode.DOUBLED_SLIT, hints)
     for i in range(len(got)):
-        p = OmegaCoords(batch["a"][i], batch["b"][i], batch["s"][i], batch["alpha"][i])
+        p = OmegaCoords(cols.a[i], cols.b[i], cols.s[i], cols.alpha[i])
         want = oracle_first_return(
             omega_to_surface(p), SurfaceMode.DOUBLED_SLIT, cap_hint=omega_return_time(p)
         )
@@ -419,34 +421,54 @@ def test_torsion_markings_doubled_keep_the_dedup():
 
 @pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
 def test_periodic_omega_vertical_surfaces(engine):
-    batch = _batch_measure(MeasureSpec.periodic_omega(0.7, 0.4), np.random.default_rng(53), 400)
+    cols, _ = _batch_measure(MeasureSpec.periodic_omega(0.7, 0.4), np.random.default_rng(53), 400)
     mode = SurfaceMode.DOUBLED_SLIT if engine == ORACLE_DOUBLED else SurfaceMode.AFFINE_ONLY
-    got = _oracle_return_omega(batch, mode, batch["a"] / batch["alpha"])
+    got = section_oracle_returns(cols, mode, cols.a / cols.alpha)
     for i in range(len(got)):
-        p = VLCoords(batch["a"][i], batch["s"][i], batch["alpha"][i])
+        p = VLCoords(cols.a[i], cols.s[i], cols.alpha[i])
         want = oracle_first_return(omega_to_surface(p), mode, cap_hint=p.a / p.alpha)
         assert got[i] == want
 
 
 @pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
 def test_haar_w_oracle_engine(engine):
-    batch = _batch_measure(MeasureSpec.haar_w(), np.random.default_rng(59), 600)
+    cols, _ = _batch_measure(MeasureSpec.haar_w(), np.random.default_rng(59), 600)
     doubled = engine == ORACLE_DOUBLED
-    sl, sa = batch["sl"], batch["sa"]
-    r_sl, r_sa = _oracle_return_w(
-        batch,
+    r = section_oracle_returns(
+        cols,
         SurfaceMode.DOUBLED_SLIT if doubled else SurfaceMode.AFFINE_ONLY,
-        w_return_sl_vec(sl["a"], sl["b"], sl["v1"], sl["v2"]),
-        w_return_sa_vec(sa["a"], sa["b"], sa["s"], sa["alpha"]),
+        section_returns(cols),
     )
-    for i in range(len(r_sl)):
-        w = WPointSL(sl["a"][i], sl["b"][i], sl["v1"][i], sl["v2"][i])
+    n_sl = np.count_nonzero(cols.kind == SL)
+    assert (cols.kind[:n_sl] == SL).all() and (cols.kind[n_sl:] == SA).all()
+    for i in range(n_sl):
+        w = WPointSL(cols.a[i], cols.b[i], cols.s[i], cols.alpha[i])
         want = w_oracle_return(w_to_surface(w), doubled=doubled, cap_hint=w_return_time(w))
-        assert r_sl[i] == want
-    for i in range(len(r_sa)):
-        w = WPointSA(OmegaCoords(sa["a"][i], sa["b"][i], sa["s"][i], sa["alpha"][i]))
+        assert r[i] == want
+    for i in range(n_sl, len(r)):
+        w = WPointSA(OmegaCoords(cols.a[i], cols.b[i], cols.s[i], cols.alpha[i]))
         want = w_oracle_return(w_to_surface(w), doubled=doubled, cap_hint=w_return_time(w))
-        assert r_sa[i] == want
+        assert r[i] == want
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_section_oracle_returns_of_mixed_kinds_match_the_per_point_oracles(mode):
+    # affine, vertical-lattice and slit-cover rows in one set of columns: under
+    # AFFINE_ONLY each family keeps its own candidate set
+    points = [
+        OmegaCoords(0.5, 0.6, 2.0, 0.9), WPointSL(0.6, 0.5, 0.3, 0.5), VLCoords(0.7, 0.2, 0.4),
+        WPointSA(OmegaCoords(0.8, 0.5, 1.0, 0.3)), WPointSL(0.6, 0.5, 0.5, 0.8), OmegaCoords(0.5, 1.0, 0.2, 0.75),
+    ]
+    cols = section_columns(points)
+    hints = section_returns(cols)
+    want = []
+    for p, hint in zip(points, hints.tolist()):
+        surface = omega_to_surface(p)
+        if mode is SurfaceMode.AFFINE_ONLY and isinstance(p, (WPointSL, WPointSA)):
+            want.append(w_oracle_return(surface, doubled=False, cap_hint=hint))
+        else:
+            want.append(oracle_first_return(surface, mode, cap_hint=hint))
+    assert section_oracle_returns(cols, mode, hints).tolist() == want
 
 
 @pytest.mark.parametrize("hint", [None, math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-9])
@@ -570,8 +592,7 @@ def test_region_rows_lie_on_their_section(region, v_domain):
     n_rows = len(_formula_column(region, cols))
     assert n_rows == 3000 + (2 if region == "DeltaR" else 3)
     if region == "WReturn":
-        assert np.count_nonzero(cols["is_sl"]) == len(cols["sl"]["a"])
-        assert np.count_nonzero(~cols["is_sl"]) == len(cols["sa"]["a"])
+        assert np.count_nonzero(cols.kind == SL) + np.count_nonzero(cols.kind == SA) == n_rows
     for i in range(n_rows):
         p = _point_dict(region, cols, i)
         _section_point(region, p)
@@ -632,13 +653,17 @@ def test_short_lattice_tie_point_agrees_across_forms():
 
 
 @pytest.mark.parametrize(
-    "name", ["omega_region_vec", "omega_return_vec", "w_return_sa_vec", "w_return_sl_vec"]
+    "name",
+    ["omega_region_vec", "omega_return_vec", "w_return_sa_vec", "w_return_sl_vec",
+     "section_returns", "section_surfaces"],
 )
 def test_return_formulas_have_one_definition(name):
     import slitgaps.measures
     import slitgaps.oracle
     import slitgaps.transversal
 
+    # a module that names a formula or evaluator has transversal's
     formula = getattr(slitgaps.transversal, name)
-    assert getattr(slitgaps.measures, name) is formula
-    assert getattr(slitgaps.oracle, name) is formula
+    assert getattr(slitgaps.measures, name, formula) is formula
+    assert getattr(slitgaps.oracle, name, formula) is formula
+    assert slitgaps.measures.section_returns is slitgaps.oracle.section_returns

@@ -22,16 +22,26 @@ from slitgaps.transversal import (
     bcz_return_map,
     bcz_return_time,
     classify_omega,
+    delta_basis,
     flowed_section_coords,
     omega_region_vec,
     omega_return_map,
     omega_return_time,
+    omega_return_vec,
     omega_to_surface,
     recoordinatize_omega,
     rho_sl_to_sa,
+    section_columns,
+    section_returns,
+    section_surfaces,
+    sheared_delta_basis,
+    vertical_basis,
     w_advance,
+    w_return_sa_vec,
     w_return_sl_vec,
     w_return_time,
+    w_section_coords,
+    w_to_surface,
 )
 
 
@@ -403,3 +413,76 @@ def test_flowed_section_coords_raise_the_first_failing_rows_error(monkeypatch):
         flowed_section_coords(surf, times)
     monkeypatch.setattr(transversal, "_flowed_alpha", patched())
     assert list(flowed_section_coords(surf, times).alpha) == [0.75] * 4
+
+
+def test_short_lattice_points_need_no_coset_scan(monkeypatch):
+    # sl rows take their marking from the lattice cell, never from alpha, so
+    # recoordinatizing a short-lattice surface scans neither coset; an sa
+    # point scans both
+    calls = []
+    real = transversal._flowed_alpha
+
+    def counted(g, v, t):
+        calls.append(v)
+        return real(g, v, t)
+
+    monkeypatch.setattr(transversal, "_flowed_alpha", counted)
+    w = WPointSL(0.6, 0.5, 0.3, 0.5)
+    p = w_section_coords(w_to_surface(w))
+    assert isinstance(p, WPointSL) and np.allclose(astuple(p), astuple(w))
+    assert calls == []
+    w_section_coords(w_to_surface(WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))))
+    assert len(calls) == 2
+
+
+# one point of every kind, runs of equal kind of length 1 and 2
+MIXED_POINTS = [
+    OmegaCoords(0.5, 0.6, 2.0, 0.9),
+    WPointSL(0.6, 0.5, 0.3, 0.5),
+    VLCoords(0.7, 0.2, 0.4),
+    WPointSA(VLCoords(0.7, 0.2, 0.4)),
+    WPointSA(OmegaCoords(0.8, 0.5, 1.0, 0.3)),
+    WPointSL(0.6, 0.5, 0.5, 0.8),
+    WPointSL(0.6, 0.9, 0.3, 0.5),
+    OmegaCoords(0.5, 1.0, 0.2, 0.75),
+]
+
+
+def _kind_surface(p):
+    """(g, v) of one point, from its kind's generator."""
+    if isinstance(p, WPointSL):
+        return delta_basis(p.a, p.b), Vec2(p.v1, p.v2)
+    q = p.coords if isinstance(p, WPointSA) else p
+    if isinstance(q, VLCoords):
+        return vertical_basis(q.a, q.s), Vec2(q.alpha, 0.0)
+    return sheared_delta_basis(q.a, q.b, q.s), Vec2(q.alpha, 0.0)
+
+
+def _kind_return(p):
+    """Closed-form return of one point, from its kind's formula."""
+    if isinstance(p, WPointSL):
+        return float(w_return_sl_vec(p.a, p.b, p.v1, p.v2))
+    q = p.coords if isinstance(p, WPointSA) else p
+    if isinstance(q, VLCoords):
+        return q.a / q.alpha
+    formula = w_return_sa_vec if isinstance(p, WPointSA) else omega_return_vec
+    return float(formula(q.a, q.b, q.s, q.alpha))
+
+
+def test_section_columns_evaluate_each_row_by_its_kind():
+    cols = section_columns(MIXED_POINTS)
+    want = [_kind_return(p) for p in MIXED_POINTS]
+    assert section_returns(cols).tolist() == want
+    assert [omega_return_time(p) for p in MIXED_POINTS] == want
+    assert [w_return_time(p) for p in MIXED_POINTS] == want
+    g, v = section_surfaces(cols)
+    fields = np.broadcast_arrays(*g, *v)
+    for i, p in enumerate(MIXED_POINTS):
+        kg, kv = _kind_surface(p)
+        assert [float(f[i]) for f in fields] == [*kg, *kv]
+        surface = omega_to_surface(p)
+        assert surface == w_to_surface(p)
+        assert (*surface.g, *surface.v) == (*kg, *kv)
+    # with no sl row the marking's y stays one shared 0.0
+    assert section_surfaces(section_columns(MIXED_POINTS[2:5]))[1].y == 0.0
+    assert section_returns(section_columns([])).shape == (0,)
