@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy
 import scipy
 
-from . import __version__, closedform
+from . import __version__
 from .errors import (
     AmbiguityError,
     DegenerateInputError,
@@ -413,6 +413,7 @@ def cmd_mc_tail(config: RunConfig) -> int:
 
 
 def _closed_form_rows(component: str, grid, h: float):
+    from . import closedform  # scipy's quadrature loads only for this command
     if component == "tail":
         return ("t", "tail"), [(t, closedform.w_tail_closed_form(t)) for t in grid]
     if component == "cdf":

@@ -340,7 +340,8 @@ def w_tail_closed_form(t):
     """Tail G(t) of the doubled-torus gap law.
 
     Explicit pieces cover [0, 4]; past 4 the value falls back to
-    w_tail_quadrature, against whose pieces the closed forms are checked.
+    w_tail_quadrature, against whose pieces the closed forms are checked;
+    a negative quadrature value (noise, t ~ 1e16) raises QuadratureError.
     """
     _check_threshold(t)
     if t <= 1.0:
@@ -349,7 +350,10 @@ def w_tail_closed_form(t):
         return _tail_low(t)
     if t <= 4.0:
         return _tail_high(t)
-    return w_tail_quadrature(t)
+    tail = w_tail_quadrature(t)
+    if tail < 0.0:
+        raise QuadratureError(f"tail quadrature at t = {t:g} is negative ({tail:.3e})")
+    return tail
 
 
 _CLOSED_PIECES = (_tail_linear, _tail_low, _tail_high, _tail_high)
@@ -564,12 +568,15 @@ def omega_tail_bounds(t):
 
     The two floor-free regions contribute their exact tails to both sides;
     the floor-bearing regions contribute sandwich integrals that pin the tail
-    between quadratic and linear decay.
+    between quadratic and linear decay. A negative lower bound raises
+    QuadratureError.
     """
     _check_threshold(t)
     pts = _regime_points(t)
     exact = _slice_mass(_o1_slice, t, pts) + _slice_mass(_o3_slice, t, pts)
     lower = exact + _o2_lower(t) + _o4_lower(t)
+    if lower < 0.0:
+        raise QuadratureError(f"lower tail bound at t = {t:g} is negative ({lower:.3e})")
     upper = exact + _envelope_mass(_o2_envelope_slice, t) + _envelope_mass(_o4_envelope_slice, t)
     return lower, upper
 

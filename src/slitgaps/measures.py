@@ -216,8 +216,11 @@ def worker_streams(n: int, seed: int, workers: int):
     default_rng([seed, i]); workers with no share are skipped.
 
     This split is the stream layout: it fixes every sampled value, so
-    results depend on (seed, n, workers).
+    results depend on (seed, n, workers). A negative seed raises
+    InvalidInputError.
     """
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     for i in range(workers):
         ni = n // workers + (1 if i < n % workers else 0)
         if ni:

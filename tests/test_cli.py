@@ -340,6 +340,28 @@ def test_mc_tail_rejects_a_malformed_periodic_measure(capsys):
     assert "bad periodic-omega point" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["mc-tail", "--measure", "haar-w", "--t-grid", "1", "--samples", "1000"],
+    ["difftest", "OmegaR", "--samples", "100"],
+])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    # numpy refuses a negative seed deep in the bit generator; it is checked
+    # where the streams are made, by flag and by config file alike
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -3\n")
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert main(argv + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\nerror: seed must be >= 0, got -3\n"
+
+
+def test_huge_seed_is_accepted(tmp_path):
+    out = tmp_path / "tail.csv"
+    argv = ["mc-tail", "--measure", "haar-w", "--t-grid", "1", "--samples", "1000"]
+    assert main(argv + ["--seed", "99999999999999999999999999", "--out", str(out)]) == 0
+
+
 def test_difftest_known_discrepancy_regions_exit_zero(tmp_path):
     out = tmp_path / "wslrho.json"
     code = main([
@@ -495,6 +517,16 @@ def test_closed_form_at_huge_t(tmp_path, component):
     if component == "bounds":
         lower, upper = values
         assert lower <= upper
+
+
+@pytest.mark.parametrize("component", ["bounds", "tail"])
+def test_closed_form_never_prints_a_negative_probability(capsys, component):
+    # at t = 1e16 the tail quadrature and the lower bound are rounding noise
+    # with a negative sign: a numerical failure, not a value
+    assert main(["closed-form", "--component", component, "--t-grid", "1e16"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "is negative" in captured.err
 
 
 def test_bounds_grid_through_the_envelope_double_root(tmp_path):

@@ -174,6 +174,11 @@ def test_mc_tail_rejects_bad_engine():
     assert set(ENGINES) == {"formula", "oracle-affine", "oracle-doubled"}
 
 
+def test_worker_streams_reject_a_negative_seed():
+    with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+        list(measures.worker_streams(100, -1, 2))
+
+
 def _two_pass_tail(measure, engine, t_grid, n, seed, workers):
     """The per-threshold estimator over concatenated streams: the reference
     for the one-pass cell statistics of ``mc_tail``."""
