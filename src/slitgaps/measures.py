@@ -30,8 +30,12 @@ returns off one strip scan.
 Everything downstream is self-normalized, so reported distributions do not
 depend on any overall mass convention.  Reproducibility: a run is determined
 by (measure, engine, grid, n, seed, workers); ``worker_streams`` fixes the
-stream layout, and ``mc_tail`` merges its streams' sums in stream order
-whichever thread computed them, so the core count does not enter.
+stream layout.  Each stream draws and reduces its share in consecutive
+chunks of ``CHUNK`` rows from its own rng, adding the chunks' sums in chunk
+order, so memory stays flat in n; a stream of at most ``CHUNK`` rows is one
+chunk and draws exactly what an unchunked stream would.  ``mc_tail`` merges
+its streams' sums in stream order whichever thread computed them, so the
+core count does not enter.
 """
 
 from __future__ import annotations
@@ -79,6 +83,10 @@ FIXED_POINT = (1.0, 1.0, 0.0, 0.5)
 # are 2/3 of Lebesgue and absolute masses need the inverse scale.
 W_SL_PROB = 1.0 / 3.0
 W_MASS_SCALE = 1.5
+
+# Rows an mc_tail stream draws and reduces at a time: its batch and the
+# return temporaries of one chunk are all it holds, whatever the stream's n.
+CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -213,7 +221,8 @@ class TailEstimate:
 def worker_streams(n: int, seed: int, workers: int):
     """Yield (rng, count) per worker: worker i draws its share of the n
     points (n // workers, one more for the first n % workers) from
-    default_rng([seed, i]); workers with no share are skipped.
+    default_rng([seed, i]); workers with no share (i >= n) are skipped
+    without being visited, so a huge ``workers`` costs nothing.
 
     This split is the stream layout: it fixes every sampled value, so
     results depend on (seed, n, workers). A negative seed raises
@@ -221,10 +230,8 @@ def worker_streams(n: int, seed: int, workers: int):
     """
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    for i in range(workers):
-        ni = n // workers + (1 if i < n % workers else 0)
-        if ni:
-            yield np.random.default_rng([seed, i]), ni
+    for i in range(min(workers, n)):
+        yield np.random.default_rng([seed, i]), n // workers + (1 if i < n % workers else 0)
 
 
 def _uniform_open(rng, n: int, out=None) -> np.ndarray:
@@ -337,10 +344,10 @@ def _mass_scale(measure: MeasureSpec) -> float:
     return W_MASS_SCALE if measure.kind == "haar-w" else 1.0
 
 
-def _stream_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: int):
-    """Sufficient statistics of one stream of ``mc_tail`` over the sorted
-    ``grid``: (count, per-cell sums of w and of w^2, and per component the
-    sums of w and w^2 over its draws).
+def _chunk_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: int):
+    """Per-cell sums of w and of w^2, and per component the sums of w and
+    w^2 over its draws, of n fresh draws from ``rng`` over the sorted
+    ``grid``.
 
     A draw's cell is the number of thresholds below its return, so R > t
     holds at exactly that many leading grid points.  NaN returns go to cell
@@ -356,7 +363,28 @@ def _stream_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: i
         k: (float(np.sum(w, where=mask)), float(np.sum(w2, where=mask)))
         for k, mask in comp.items()
     }
-    return w.size, sums, sums2, comps
+    return sums, sums2, comps
+
+
+def _stream_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: int):
+    """Sufficient statistics of one stream of ``mc_tail``: (count, per-cell
+    sums of w and of w^2, and per component the sums of w and w^2).
+
+    The stream draws and reduces consecutive chunks of at most ``CHUNK``
+    rows from its ``rng`` (``_chunk_stats``) and adds their sums in chunk
+    order, so it holds one chunk's batch at a time.  With n <= ``CHUNK`` the
+    one chunk is the whole stream, and since 0.0 + x == x its sums are
+    exactly those of one unchunked batch.
+    """
+    sums = sums2 = 0.0
+    comps = {}
+    for start in range(0, n, CHUNK):
+        s1, s2, part = _chunk_stats(measure, engine, grid, rng, min(CHUNK, n - start))
+        sums, sums2 = sums + s1, sums2 + s2
+        for k, (c1, c2) in part.items():
+            t1, t2 = comps.get(k, (0.0, 0.0))
+            comps[k] = (t1 + c1, t2 + c2)
+    return n, sums, sums2, comps
 
 
 def _mass_se(scale: float, s1: float, s2: float, count: int) -> float:
@@ -379,10 +407,13 @@ def mc_tail(
     The estimator is sum(w * [R > t]) / sum(w) with a delta-method CI
     half-width of 1.96 standard errors; n_eff = (sum w)^2 / sum(w^2).
     ``workers`` splits the draws into seeded streams (``worker_streams``).
-    The streams run on a thread pool of at most ``os.cpu_count()`` threads,
-    each is reduced to per-grid-cell sums as soon as it is sampled, and the
-    sums merge in stream order: results are identical for fixed (seed, n,
-    workers), change with ``workers``, and do not depend on the core count.
+    The streams run on a thread pool of at most ``os.cpu_count()`` threads.
+    Each stream draws and reduces chunks of ``CHUNK`` rows to per-grid-cell
+    sums, added in chunk order, so memory is bounded by one chunk per thread
+    whatever n is; and the streams' sums merge in stream order.  Results
+    are identical for fixed (seed, n, workers), change with ``workers``, and
+    do not depend on the core count.  Streams of at most ``CHUNK`` draws are
+    one chunk, so their results equal those of unchunked streams.
     """
     if engine not in ENGINES:
         raise InvalidInputError(f"unknown engine {engine!r}")

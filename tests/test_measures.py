@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -214,6 +215,20 @@ def _two_pass_tail(measure, engine, t_grid, n, seed, workers):
     return out
 
 
+def _chunked_two_pass_tail(monkeypatch, measure, engine, t_grid, n, seed, workers):
+    """``_two_pass_tail`` over each stream's draws taken in chunks of
+    ``measures.CHUNK`` rows, one after another from the stream's rng: the
+    reference for ``mc_tail`` streams longer than one chunk."""
+    chunks = [
+        (rng, min(measures.CHUNK, ni - k))
+        for rng, ni in measures.worker_streams(n, seed, workers)
+        for k in range(0, ni, measures.CHUNK)
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(measures, "worker_streams", lambda *_: iter(chunks))
+        return _two_pass_tail(measure, engine, t_grid, n, seed, workers)
+
+
 def _assert_close_tree(got, want, rel):
     if isinstance(want, dict):
         assert set(got) == set(want)
@@ -243,6 +258,40 @@ def test_mc_tail_cell_statistics_match_the_two_pass_estimator(spec, engine, n, w
     want = _two_pass_tail(measure, engine, grid, n, 31, workers)
     assert got["n"] == n
     _assert_close_tree({k: got[k] for k in want}, want, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, engine",
+    [("haar-w", FORMULA), ("haar-omega", ORACLE_AFFINE), ("torsion:2", FORMULA)],
+)
+def test_mc_tail_chunked_streams_match_the_two_pass_estimator(monkeypatch, spec, engine):
+    # two streams of 3750 draws: three full chunks of 1000 and one of 750 each
+    monkeypatch.setattr(measures, "CHUNK", 1000)
+    measure = MeasureSpec.parse(spec)
+    grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0]
+    got = mc_tail(measure, engine, grid, 7500, seed=61, workers=2).to_dict()
+    want = _chunked_two_pass_tail(monkeypatch, measure, engine, grid, 7500, 61, 2)
+    assert got["n"] == 7500
+    _assert_close_tree({k: got[k] for k in want}, want, 1e-12)
+
+
+def test_mc_tail_memory_is_flat_in_n(monkeypatch):
+    # tracemalloc sees numpy's buffers; unchunked, the large run peaks at
+    # over ten times the small one.  One pool thread, so the peak does not
+    # depend on whether the two streams happen to overlap in time.
+    monkeypatch.setattr(measures, "CHUNK", 1 << 12)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            mc_tail(MeasureSpec.haar_w(), FORMULA, [0.5, 1.0, 2.0, 4.0], n, seed=59, workers=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1 << 14)  # warm-up: first-call allocations are not the streams'
+    assert peak(1 << 18) < 2 * peak(1 << 14)
 
 
 def test_mc_tail_unsorted_grid_with_duplicates():
@@ -301,6 +350,16 @@ def test_mc_tail_pool_is_bounded_by_the_core_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     mc_tail(MeasureSpec.haar_omega(), FORMULA, [1.0], 1000, seed=47, workers=4)
     assert sizes == [2, 1]
+
+
+def test_huge_worker_counts_visit_only_workers_with_a_share():
+    # workers i >= n have no share, so the layout is that of workers = n
+    assert [ni for _, ni in measures.worker_streams(5, 0, 10**12)] == [1] * 5
+    grid = [0.0, 1.0, 2.0]
+    huge = mc_tail(MeasureSpec.haar_w(), FORMULA, grid, 1000, seed=67, workers=10**12).to_dict()
+    each = mc_tail(MeasureSpec.haar_w(), FORMULA, grid, 1000, seed=67, workers=1000).to_dict()
+    assert (huge.pop("workers"), each.pop("workers")) == (10**12, 1000)
+    assert huge == each
 
 
 def test_uniform_open_in_place_matches_one_minus_random():

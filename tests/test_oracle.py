@@ -333,6 +333,14 @@ def test_diff_test_deterministic():
     assert a == b
 
 
+def test_diff_test_huge_worker_count_matches_one_worker_per_point():
+    # workers i >= n have no share and are not visited
+    huge = diff_test("OmegaR", 500, seed=11, workers=10**12).to_dict()
+    each = diff_test("OmegaR", 500, seed=11, workers=500).to_dict()
+    assert (huge.pop("workers"), each.pop("workers")) == (10**12, 500)
+    assert huge == each
+
+
 # ---------------------------------------------------------------------------
 # batched oracle: bit-identical to the per-point oracle
 
