@@ -465,7 +465,8 @@ def cmd_difftest(config: RunConfig) -> int:
         int(p["workers"]),
         v_domain=p["v_domain"],
     )
-    payload = _report(config, report.to_dict(), report.to_dict()["counterexamples"])
+    results = report.to_dict()
+    payload = _report(config, results, results["counterexamples"])
     _write_json(p["out"], payload)
     if region in KNOWN_DISCREPANCY_REGIONS:
         return EXIT_OK

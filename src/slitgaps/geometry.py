@@ -13,10 +13,13 @@ All enumeration is exact and runs through one kernel, ``_box_rows``: for a
 batch of lattices, each with its own box and markings, integer coefficient
 ranges are derived from the adjugate inverse of the generator, padded by one,
 and then filtered by the defining inequalities.  ``lattice_box`` is its call
-for one lattice; ``strip_holonomy_batch`` adds the holonomy components of
-many surfaces, and ``enumerate_strip`` and ``renormalized_box_gaps`` are its
-calls for one surface.  Membership tolerances: x > 1e-12, x <= x_max +
-slack, y within 1e-12 of zero counts as horizontal.
+for one lattice; ``_strip_rows`` adds the holonomy components of many
+surfaces and yields their raw rows, which the first-return oracle reduces
+to a minimum slope per surface.  Sorting and deduplicating belong to
+enumeration: ``strip_holonomy_batch`` does both to those rows, and
+``enumerate_strip`` and ``renormalized_box_gaps`` are its calls for one
+surface.  Membership tolerances: x > 1e-12, x <= x_max + slack, y within
+1e-12 of zero counts as horizontal.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ def horocycle_apply(u: float, obj):
 # the lattice-box kernel: points of g*Z^2 + v in a box, for many lattices at
 # once; every scan of the package is a call of ``_box_rows``
 
-# surfaces per block of ``strip_holonomy_batch``, and candidate rows (lattice
+# surfaces per block of ``_strip_rows``, and candidate rows (lattice
 # points before the exact filter) per chunk of ``_box_rows``
 STRIP_BLOCK = 1024
 STRIP_ROW_BUDGET = 1 << 14
@@ -405,7 +408,7 @@ def _lattice_scan(
     return primitive_rows(pts) if primitive else pts
 
 
-def strip_holonomy_batch(
+def _strip_rows(
     g: Mat2,
     v: Vec2,
     mode: SurfaceMode,
@@ -415,21 +418,10 @@ def strip_holonomy_batch(
     y_max: float | None = None,
     include_horizontal: bool = False,
 ):
-    """Holonomy vectors of many surfaces at once in the strip 0 < x <= x_max,
-    y > 0 (y >= 0 with ``include_horizontal``), with slope at most
-    ``slope_max`` and/or height at most ``y_max``.
-
-    The fields of ``g`` and ``v`` and ``slope_max`` (unless None) are arrays
-    or scalars broadcast to one entry per surface; ``x_max`` and ``y_max``
-    are shared by all, and every cap must be finite.  The components of
-    surface i are its marked coset, and under ``DOUBLED_SLIT`` also the
-    primitive lattice vectors and the negated coset; one ``_box_rows`` call
-    scans them all, and vectors repeated across components (equal within
-    1e-12) are kept once.  Yields (surface index, xy) chunks holding whole
-    surfaces, with rows sorted by (surface, x, y).  Surfaces go in blocks of
-    ``STRIP_BLOCK`` and chunks of ``STRIP_ROW_BUDGET`` candidate rows, so
-    memory stays flat in the number of surfaces.
-    """
+    """The raw rows of ``strip_holonomy_batch``: (surface index, x, y)
+    chunks holding whole surfaces, grouped by surface in ``_box_rows``
+    order, neither sorted nor deduplicated, so under ``DOUBLED_SLIT`` a
+    vector may appear once per component."""
     cap = np.nan if slope_max is None else slope_max
     *fields, cap = np.atleast_1d(*(np.asarray(f, dtype=float) for f in np.broadcast_arrays(*g, *v, cap)))
     if fields[0].ndim != 1:
@@ -459,8 +451,39 @@ def strip_holonomy_batch(
                 keep = j % 3 != 0
                 keep[~keep] = _coprime(m[~keep], n[~keep])
                 j, x, y = j[keep], x[keep], y[keep]
-            s, xy = _dedup_batch(surf[j], x, y)
-            yield start + s, xy
+            yield start + surf[j], x, y
+
+
+def strip_holonomy_batch(
+    g: Mat2,
+    v: Vec2,
+    mode: SurfaceMode,
+    slope_max,
+    *,
+    x_max: float = 1.0,
+    y_max: float | None = None,
+    include_horizontal: bool = False,
+):
+    """Holonomy vectors of many surfaces at once in the strip 0 < x <= x_max,
+    y > 0 (y >= 0 with ``include_horizontal``), with slope at most
+    ``slope_max`` and/or height at most ``y_max``.
+
+    The fields of ``g`` and ``v`` and ``slope_max`` (unless None) are arrays
+    or scalars broadcast to one entry per surface; ``x_max`` and ``y_max``
+    are shared by all, and every cap must be finite.  The components of
+    surface i are its marked coset, and under ``DOUBLED_SLIT`` also the
+    primitive lattice vectors and the negated coset; one ``_box_rows`` call
+    scans them all (``_strip_rows``), and this enumeration then sorts each
+    chunk and keeps vectors repeated across components (equal within 1e-12)
+    once.  Yields (surface index, xy) chunks holding whole surfaces, with
+    rows sorted by (surface, x, y).  Surfaces go in blocks of
+    ``STRIP_BLOCK`` and chunks of ``STRIP_ROW_BUDGET`` candidate rows, so
+    memory stays flat in the number of surfaces.
+    """
+    for s, x, y in _strip_rows(
+        g, v, mode, slope_max, x_max=x_max, y_max=y_max, include_horizontal=include_horizontal
+    ):
+        yield _dedup_batch(s, x, y)
 
 
 def _dedup_batch(s: np.ndarray, x: np.ndarray, y: np.ndarray):

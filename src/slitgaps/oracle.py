@@ -5,8 +5,12 @@ The oracle never touches the piecewise return formulas: it enumerates the
 holonomy set inside the vertical strip and reads the return time off the
 smallest positive slope.  ``oracle_first_return_batch`` scans many
 independent surfaces at once, each with its own cap sequence, through
-``geometry``'s one lattice-box kernel; ``oracle_first_return`` and
-``w_oracle_return`` are size-1 calls of the batch forms.
+``geometry``'s one lattice-box kernel, and takes each surface's minimum
+slope straight from the kernel's rows.  Sorting and deduplicating belong to
+the enumeration behind the gap sequences and orbits; the oracle borrows the
+deduplication only for the doubled holonomy, whose +-v cosets can repeat a
+point.  ``oracle_first_return`` and ``w_oracle_return`` are size-1 calls
+of the batch forms.
 ``section_oracle_returns`` scans the rows of ``SectionColumns`` of any kind.
 ``oracle_gap_sequence`` reads a whole orbit's returns off one scan, and
 ``oracle_orbit`` adds the section point after every return, read off scans
@@ -34,9 +38,10 @@ from .geometry import (
     Mat2,
     SurfaceMode,
     Vec2,
+    _dedup_batch,
+    _strip_rows,
     enumerate_strip,
     slopes_and_gaps,
-    strip_holonomy_batch,
 )
 from .measures import (
     MeasureSpec,
@@ -169,7 +174,10 @@ def oracle_first_return_batch(
     ``cap_hints`` is None or the hint is non-finite or not positive), doubled
     only while its strip window is empty, and ``NotOnTransversalError`` past
     ``CAP_LIMIT``.  Each round scans all surfaces still without a return in
-    one ``strip_holonomy_batch`` pass.
+    one pass of the kernel's raw rows (``geometry._strip_rows``) and takes
+    each surface's minimum y/x; a coset holds no point twice, so only
+    ``DOUBLED_SLIT`` rows are first deduplicated as ``strip_holonomy_batch``
+    does.
     """
     *fields, hints = np.broadcast_arrays(
         *g, *v, np.nan if cap_hints is None else cap_hints
@@ -185,12 +193,16 @@ def oracle_first_return_batch(
         if np.any(cap[todo] > CAP_LIMIT):
             raise NotOnTransversalError(NO_RETURN)
         sub = fields if todo.size == cap.size else [f[todo] for f in fields]
-        for s, xy in strip_holonomy_batch(
-            Mat2(*sub[:4]), Vec2(*sub[4:]), mode, cap[todo]
-        ):
+        for s, x, y in _strip_rows(Mat2(*sub[:4]), Vec2(*sub[4:]), mode, cap[todo]):
             if len(s):
+                if mode is SurfaceMode.DOUBLED_SLIT:
+                    # when 2v is in the lattice the +v and -v cosets hold the
+                    # same points, rounded differently: the minimum is taken
+                    # over the copy the enumeration keeps
+                    s, xy = _dedup_batch(s, x, y)
+                    x, y = xy.T
                 first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-                out[todo[s[first]]] = np.minimum.reduceat(xy[:, 1] / xy[:, 0], first)
+                out[todo[s[first]]] = np.minimum.reduceat(y / x, first)
         todo = todo[np.isinf(out[todo])]
         cap[todo] *= 2.0
     return out
@@ -199,12 +211,13 @@ def oracle_first_return_batch(
 def w_oracle_return_batch(
     g: Mat2, v: Vec2, *, doubled: bool, cap_hints=None
 ) -> np.ndarray:
-    """``w_oracle_return`` of many independent surfaces; the lattice and
-    coset minima keep separate cap sequences."""
+    """``w_oracle_return`` of many independent surfaces.  Without
+    ``doubled`` the lattice and coset minima keep separate cap sequences;
+    the lattice is scanned once, as the ``AFFINE_ONLY`` coset at v = 0."""
     if doubled:
         return oracle_first_return_batch(g, v, SurfaceMode.DOUBLED_SLIT, cap_hints)
     lattice_min = oracle_first_return_batch(
-        g, Vec2(0.0, 0.0), SurfaceMode.DOUBLED_SLIT, cap_hints
+        g, Vec2(0.0, 0.0), SurfaceMode.AFFINE_ONLY, cap_hints
     )
     coset_min = oracle_first_return_batch(g, v, SurfaceMode.AFFINE_ONLY, cap_hints)
     return np.minimum(lattice_min, coset_min)
@@ -350,13 +363,14 @@ def _formula_column(region: str, c) -> np.ndarray:
 def _oracle_column(region: str, c, mode: SurfaceMode, hints) -> np.ndarray:
     """Ground truth of every row, in one batched oracle call.
 
-    DeltaR and OmegaR use their sections' own holonomy; WslRho scans the
-    marked coset (or the doubled holonomy under doubled mode); WReturn uses
-    the slit-cover oracle.
+    DeltaR and OmegaR use their sections' own holonomy (DeltaR's lattice
+    scanned once, as the coset at v = 0); WslRho scans the marked coset
+    (or the doubled holonomy under doubled mode); WReturn uses the
+    slit-cover oracle.
     """
     if region == "DeltaR":
         g = delta_basis(c["a"], c["b"])
-        return oracle_first_return_batch(g, Vec2(0.0, 0.0), SurfaceMode.DOUBLED_SLIT, hints)
+        return oracle_first_return_batch(g, Vec2(0.0, 0.0), SurfaceMode.AFFINE_ONLY, hints)
     if region == "WslRho":
         return oracle_first_return_batch(*section_surfaces(c), mode, hints)
     return section_oracle_returns(c, mode if region == "WReturn" else SurfaceMode.AFFINE_ONLY, hints)

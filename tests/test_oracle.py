@@ -12,6 +12,7 @@ from slitgaps.geometry import (
     Mat2,
     SurfaceMode,
     Vec2,
+    _strip_rows,
     enumerate_strip,
     horocycle_apply,
     slopes_and_gaps,
@@ -27,6 +28,7 @@ from slitgaps.measures import (
 )
 from slitgaps.oracle import (
     CAP_LIMIT,
+    DEFAULT_CAP,
     REGIONS,
     _PROBES,
     _formula_column,
@@ -62,6 +64,7 @@ from slitgaps.transversal import (
     rho_sl_to_sa,
     section_columns,
     section_returns,
+    section_surfaces,
     w_return_sl_vec,
     w_return_time,
     w_to_surface,
@@ -535,6 +538,84 @@ def test_batch_does_not_depend_on_chunking(monkeypatch):
     assert returns == ref_returns
 
 
+def _sorted_first_return(g, v, mode, hints):
+    """The first return as the per-surface minimum of y/x over the sorted,
+    deduplicated ``strip_holonomy_batch`` rows, under the oracle's caps:
+    twice the hint, doubled while a surface's window is empty."""
+    *fields, hints = np.broadcast_arrays(*g, *v, np.asarray(hints, dtype=float))
+    cap = np.where(np.isfinite(hints) & (hints > 0), 2.0 * hints, DEFAULT_CAP)
+    out = np.full(len(hints), np.inf)
+    todo = np.arange(len(hints))
+    while todo.size:
+        assert cap[todo].max() <= CAP_LIMIT
+        found = np.full(len(todo), np.inf)
+        sub = [f[todo] for f in fields]
+        for s, xy in strip_holonomy_batch(Mat2(*sub[:4]), Vec2(*sub[4:]), mode, cap[todo]):
+            np.minimum.at(found, s, xy[:, 1] / xy[:, 0])
+        out[todo] = found
+        todo = todo[np.isinf(found)]
+        cap[todo] *= 2.0
+    return out
+
+
+def _omega_batch(n, seed):
+    """The surfaces of n OmegaR draws (plus the probes), with the formula
+    returns as hints."""
+    cols = _region_columns("OmegaR", [(np.random.default_rng(seed), n)], "fundamental")
+    return (*section_surfaces(cols), section_returns(cols))
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+def test_affine_minimum_of_raw_rows_equals_the_sorted_minimum(monkeypatch, budget):
+    # more surfaces than one block, a third of them with hints a million
+    # times too small so that their caps double for many rounds
+    g, v, hints = _omega_batch(geometry.STRIP_BLOCK + 300, seed=79)
+    hints[::3] *= 1e-6
+    if budget is not None:
+        monkeypatch.setattr(geometry, "STRIP_ROW_BUDGET", budget)
+    mode = SurfaceMode.AFFINE_ONLY
+    assert -(-len(hints) // geometry.STRIP_BLOCK) == 2
+    if budget is not None:
+        # several chunks per block
+        assert sum(1 for _ in _strip_rows(g, v, mode, 2.0 * hints)) > 4
+    got = oracle_first_return_batch(g, v, mode, hints)
+    assert (got[::3] > 2.0 * hints[::3]).all()
+    assert np.array_equal(got, _sorted_first_return(g, v, mode, hints))
+
+
+@pytest.mark.parametrize("half", [(0.5, 0.5), (0.5, 0.0), (0.0, 0.5)])
+def test_doubled_half_period_markings_keep_the_dedup(half):
+    # at v = g*half, 2v is in the lattice: the +v and -v cosets hold the same
+    # points, computed with different rounding, so the minimum over the raw
+    # rows differs from the deduplicated one on some surfaces
+    g, _, hints = _omega_batch(600, seed=83)
+    v = g.apply(Vec2(*half))
+    mode = SurfaceMode.DOUBLED_SLIT
+    got = oracle_first_return_batch(g, v, mode, hints)
+    assert np.array_equal(got, _sorted_first_return(g, v, mode, hints))
+    raw = np.full(len(hints), np.inf)
+    for s, x, y in _strip_rows(g, v, mode, 2.0 * hints):
+        np.minimum.at(raw, s, y / x)
+    seen = np.isfinite(raw)
+    assert seen.any() and (raw[seen] != got[seen]).any()
+
+
+@pytest.mark.parametrize("region", ["DeltaR", "WReturn"])
+def test_zero_coset_lattice_minimum_equals_the_doubled_one(region):
+    # the lattice alone, scanned once as the affine coset at v = 0, against
+    # the doubled holonomy at v = 0 (primitive vectors and the two +-0
+    # cosets, sorted and deduplicated)
+    cols = _region_columns(region, [(np.random.default_rng(89), 5000)], "fundamental")
+    hints = _formula_column(region, cols)
+    zero = Vec2(0.0, 0.0)
+    g, v = (delta_basis(cols["a"], cols["b"]), zero) if region == "DeltaR" else section_surfaces(cols)
+    doubled = oracle_first_return_batch(g, zero, SurfaceMode.DOUBLED_SLIT, hints)
+    assert np.array_equal(oracle_first_return_batch(g, zero, SurfaceMode.AFFINE_ONLY, hints), doubled)
+    # DeltaR's marking is 0 too, so its coset minimum is the lattice's
+    want = np.minimum(doubled, oracle_first_return_batch(g, v, SurfaceMode.AFFINE_ONLY, hints))
+    assert np.array_equal(_oracle_column(region, cols, SurfaceMode.AFFINE_ONLY, hints), want)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_strip_holonomy_batch_matches_enumerate_strip(mode):
     _, points = _region_points("OmegaR", 100, seed=73)
@@ -555,7 +636,8 @@ def test_batch_empty_input():
     g, v = Mat2(empty, empty, empty, empty), Vec2(empty, empty)
     for mode in MODES:
         assert oracle_first_return_batch(g, v, mode).shape == (0,)
-        assert oracle_first_return_batch(g, v, mode, empty).shape == (0,)
+        got = oracle_first_return_batch(g, v, mode, empty)
+        assert got.shape == (0,) and np.array_equal(got, _sorted_first_return(g, v, mode, empty))
         assert list(strip_holonomy_batch(g, v, mode, empty)) == []
     for doubled in (False, True):
         assert w_oracle_return_batch(g, v, doubled=doubled, cap_hints=empty).shape == (0,)
