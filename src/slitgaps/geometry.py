@@ -417,11 +417,14 @@ def _strip_rows(
     x_max: float = 1.0,
     y_max: float | None = None,
     include_horizontal: bool = False,
+    lattice: bool = False,
 ):
     """The raw rows of ``strip_holonomy_batch``: (surface index, x, y)
     chunks holding whole surfaces, grouped by surface in ``_box_rows``
     order, neither sorted nor deduplicated, so under ``DOUBLED_SLIT`` a
-    vector may appear once per component."""
+    vector may appear once per component.  With ``lattice`` an
+    ``AFFINE_ONLY`` surface also scans its whole lattice g*Z^2, every point,
+    as a component before its coset: the slit-cover candidate set."""
     cap = np.nan if slope_max is None else slope_max
     *fields, cap = np.atleast_1d(*(np.asarray(f, dtype=float) for f in np.broadcast_arrays(*g, *v, cap)))
     if fields[0].ndim != 1:
@@ -429,16 +432,17 @@ def _strip_rows(
     _require_surfaces(*fields)
     box = _strip_window(x_max, None if slope_max is None else cap, y_max, include_horizontal)
 
-    # components per surface, surface-major: the marked coset, and doubled
-    # also the primitive lattice vectors (component 0) and the negated coset
-    k = 1 if mode is SurfaceMode.AFFINE_ONLY else 3
+    # components per surface, surface-major: the marked coset; doubled, the
+    # primitive lattice vectors (component 0), the coset and the negated
+    # coset; with ``lattice``, the first two of these, keeping every point
+    k = 3 if mode is SurfaceMode.DOUBLED_SLIT else 2 if lattice else 1
     for start in range(0, len(cap), STRIP_BLOCK):
         block = slice(start, start + STRIP_BLOCK)
         m11, m12, m21, m22, vx, vy = (f[block] for f in fields)
-        if k == 3:
+        if k > 1:
             zero = np.zeros_like(vx)
-            vx = np.column_stack([zero, vx, -vx]).ravel()
-            vy = np.column_stack([zero, vy, -vy]).ravel()
+            vx = np.column_stack([zero, vx, -vx][:k]).ravel()
+            vy = np.column_stack([zero, vy, -vy][:k]).ravel()
         surf = np.repeat(np.arange(len(m11)), k)
         for j, x, y, m, n in _box_rows(
             (m11, m12, m21, m22),

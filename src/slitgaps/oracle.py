@@ -4,13 +4,13 @@ tester.
 The oracle never touches the piecewise return formulas: it enumerates the
 holonomy set inside the vertical strip and reads the return time off the
 smallest positive slope.  ``oracle_first_return_batch`` scans many
-independent surfaces at once, each with its own cap sequence, through
-``geometry``'s one lattice-box kernel, and takes each surface's minimum
-slope straight from the kernel's rows.  Sorting and deduplicating belong to
-the enumeration behind the gap sequences and orbits; the oracle borrows the
-deduplication only for the doubled holonomy, whose +-v cosets can repeat a
-point.  ``oracle_first_return`` and ``w_oracle_return`` are size-1 calls
-of the batch forms.
+independent surfaces at once, each with its own cap sequence starting just
+above its formula hint, through ``geometry``'s one lattice-box kernel, and
+takes each surface's minimum slope straight from the kernel's rows.  Sorting
+and deduplicating belong to the enumeration behind the gap sequences and
+orbits; the oracle borrows the deduplication only for the doubled holonomy,
+whose +-v cosets can repeat a point.  ``oracle_first_return`` and
+``w_oracle_return`` are size-1 calls of the batch forms.
 ``section_oracle_returns`` scans the rows of ``SectionColumns`` of any kind.
 ``oracle_gap_sequence`` reads a whole orbit's returns off one scan, and
 ``oracle_orbit`` adds the section point after every return, read off scans
@@ -26,6 +26,7 @@ there is a finding to report, not a failure.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -82,6 +83,8 @@ REGIONS = ("DeltaR", "OmegaR", "WslRho", "WReturn")
 V_DOMAINS = ("fundamental", "restricted")
 NO_RETURN = "no positive-slope holonomy vector found below the cap limit"
 
+logger = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class DiffReport:
@@ -134,9 +137,10 @@ def oracle_first_return(
     """Smallest positive holonomy slope in the strip: the ground-truth
     return time, as the size-1 call of ``oracle_first_return_batch``.
 
-    The slope cap starts at twice the hint (the caller's formula prediction
-    when it has one) and doubles until the strip window is nonempty, so the
-    work stays proportional to the answer.  Vectors with |y| <= 1e-12 never
+    The slope cap starts just above the hint (the caller's formula
+    prediction when it has one), at hint * (1 + ``REL_ERR_THRESHOLD``), and
+    doubles until the strip window is nonempty, so the work stays
+    proportional to the answer.  Vectors with |y| <= 1e-12 never
     count: they are the section's own horizontals.
     """
     surface.check()
@@ -153,7 +157,8 @@ def w_oracle_return(
     ``w_oracle_return_batch``.  With ``doubled`` the full holonomy set
     (lattice and both marked cosets) competes; without it only the lattice
     and the forward coset do, which is exactly the candidate set the
-    closed-form return claims to minimize over."""
+    closed-form return claims to minimize over; both are scanned in one pass
+    with one cap sequence."""
     surface.check()
     return float(
         w_oracle_return_batch(surface.g, surface.v, doubled=doubled, cap_hints=cap_hint)[0]
@@ -170,30 +175,45 @@ def oracle_first_return_batch(
 
     The fields of ``g`` and ``v`` (and ``cap_hints``, where given) are
     arrays or scalars broadcast to one entry per surface.  Each surface
-    keeps its own cap sequence: twice its hint (``DEFAULT_CAP`` when
-    ``cap_hints`` is None or the hint is non-finite or not positive), doubled
-    only while its strip window is empty, and ``NotOnTransversalError`` past
-    ``CAP_LIMIT``.  Each round scans all surfaces still without a return in
-    one pass of the kernel's raw rows (``geometry._strip_rows``) and takes
-    each surface's minimum y/x; a coset holds no point twice, so only
-    ``DOUBLED_SLIT`` rows are first deduplicated as ``strip_holonomy_batch``
-    does.
+    keeps its own cap sequence: its hint times 1 + ``REL_ERR_THRESHOLD``,
+    the smallest window that holds the true return whenever the hint is not
+    discrepant (``DEFAULT_CAP`` when ``cap_hints`` is None or the hint is
+    non-finite or not positive), doubled only while its strip window is
+    empty, and ``NotOnTransversalError`` once a cap passes ``CAP_LIMIT`` or
+    overflows.  The minimum over any nonempty window is the same point,
+    computed with the same floats, so the caps decide only the work.  Each
+    round scans all surfaces still without a return in one pass of the
+    kernel's raw rows (``geometry._strip_rows``) and takes each surface's
+    minimum y/x; a coset holds no point twice, so only ``DOUBLED_SLIT`` rows
+    are first deduplicated as ``strip_holonomy_batch`` does.  Each call
+    logs its surfaces, rounds, surfaces re-scanned after round 1 and largest
+    cap at DEBUG level.
     """
+    return _first_returns(g, v, mode, cap_hints)
+
+
+def _first_returns(
+    g: Mat2, v: Vec2, mode: SurfaceMode, cap_hints, lattice: bool = False
+) -> np.ndarray:
+    """The body of ``oracle_first_return_batch``; with ``lattice`` each
+    ``AFFINE_ONLY`` surface's candidates are its whole lattice and its
+    coset, scanned together (``geometry._strip_rows``)."""
     *fields, hints = np.broadcast_arrays(
         *g, *v, np.nan if cap_hints is None else cap_hints
     )
     fields = [np.atleast_1d(f) for f in fields]
     hints = np.atleast_1d(hints).astype(float)
     with np.errstate(over="ignore"):
-        cap = np.where(hints > 0, 2.0 * hints, DEFAULT_CAP)
-    cap = np.where(np.isfinite(cap) & (cap > 0), cap, DEFAULT_CAP)
+        cap = np.where(np.isfinite(hints) & (hints > 0), hints * (1.0 + REL_ERR_THRESHOLD), DEFAULT_CAP)
     out = np.full(len(cap), np.inf)
     todo = np.arange(len(cap))
+    rounds = rescanned = 0
     while todo.size:
         if np.any(cap[todo] > CAP_LIMIT):
             raise NotOnTransversalError(NO_RETURN)
+        rounds += 1
         sub = fields if todo.size == cap.size else [f[todo] for f in fields]
-        for s, x, y in _strip_rows(Mat2(*sub[:4]), Vec2(*sub[4:]), mode, cap[todo]):
+        for s, x, y in _strip_rows(Mat2(*sub[:4]), Vec2(*sub[4:]), mode, cap[todo], lattice=lattice):
             if len(s):
                 if mode is SurfaceMode.DOUBLED_SLIT:
                     # when 2v is in the lattice the +v and -v cosets hold the
@@ -205,6 +225,14 @@ def oracle_first_return_batch(
                 out[todo[s[first]]] = np.minimum.reduceat(y / x, first)
         todo = todo[np.isinf(out[todo])]
         cap[todo] *= 2.0
+        if rounds == 1:
+            rescanned = todo.size
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "oracle batch (%s%s): %d surfaces, %d rounds, %d re-scanned after round 1, largest cap %.6g",
+            mode.value, " + lattice" if lattice else "", len(cap), rounds, rescanned,
+            cap.max() if len(cap) else 0.0,
+        )
     return out
 
 
@@ -212,15 +240,13 @@ def w_oracle_return_batch(
     g: Mat2, v: Vec2, *, doubled: bool, cap_hints=None
 ) -> np.ndarray:
     """``w_oracle_return`` of many independent surfaces.  Without
-    ``doubled`` the lattice and coset minima keep separate cap sequences;
-    the lattice is scanned once, as the ``AFFINE_ONLY`` coset at v = 0."""
+    ``doubled`` each surface scans the lattice (as the ``AFFINE_ONLY`` coset
+    at v = 0, every point) and the forward coset as two components of one
+    kernel pass, with one cap sequence; the union's minimum is the smaller
+    of the two components' minima."""
     if doubled:
         return oracle_first_return_batch(g, v, SurfaceMode.DOUBLED_SLIT, cap_hints)
-    lattice_min = oracle_first_return_batch(
-        g, Vec2(0.0, 0.0), SurfaceMode.AFFINE_ONLY, cap_hints
-    )
-    coset_min = oracle_first_return_batch(g, v, SurfaceMode.AFFINE_ONLY, cap_hints)
-    return np.minimum(lattice_min, coset_min)
+    return _first_returns(g, v, SurfaceMode.AFFINE_ONLY, cap_hints, lattice=True)
 
 
 def section_oracle_returns(cols: SectionColumns, mode: SurfaceMode, hints) -> np.ndarray:

@@ -170,6 +170,16 @@ def test_log_level_sends_debug_messages_to_stderr(capsys):
     assert loud.out == quiet.out
 
 
+def test_log_level_debug_reports_each_oracle_batch(tmp_path, capsys):
+    argv = ["difftest", "WReturn", "--samples", "50", "--seed", "1", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["--log-level", "DEBUG"] + argv) == 0
+    (line,) = [l for l in capsys.readouterr().err.splitlines() if "slitgaps.oracle" in l]
+    assert line.startswith("DEBUG slitgaps.oracle: oracle batch (affine + lattice): 53 surfaces, ")
+    assert "re-scanned after round 1, largest cap" in line
+
+
 def test_closed_form_tail_at_zero(tmp_path):
     out = tmp_path / "tail.csv"
     assert main(["closed-form", "--t-grid", "0", "--out", str(out)]) == 0

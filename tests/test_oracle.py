@@ -1,6 +1,9 @@
 """Enumeration oracle and the formula-vs-oracle differential tester."""
 
+import logging
 import math
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +33,7 @@ from slitgaps.oracle import (
     CAP_LIMIT,
     DEFAULT_CAP,
     REGIONS,
+    REL_ERR_THRESHOLD,
     _PROBES,
     _formula_column,
     _oracle_column,
@@ -539,9 +543,10 @@ def test_batch_does_not_depend_on_chunking(monkeypatch):
 
 
 def _sorted_first_return(g, v, mode, hints):
-    """The first return as the per-surface minimum of y/x over the sorted,
-    deduplicated ``strip_holonomy_batch`` rows, under the oracle's caps:
-    twice the hint, doubled while a surface's window is empty."""
+    """An independent reference for the first return: the per-surface
+    minimum of y/x over the sorted, deduplicated ``strip_holonomy_batch``
+    rows, with caps that start at twice the hint (not at the oracle's
+    first cap) and double while a surface's window is empty."""
     *fields, hints = np.broadcast_arrays(*g, *v, np.asarray(hints, dtype=float))
     cap = np.where(np.isfinite(hints) & (hints > 0), 2.0 * hints, DEFAULT_CAP)
     out = np.full(len(hints), np.inf)
@@ -647,7 +652,7 @@ def test_batch_raises_past_cap_limit():
     probes = _PROBES["OmegaR"]
     surfaces = [_region_surface("OmegaR", _point_dict("OmegaR", probes, i)) for i in range(3)]
     g, v = _stack(surfaces)
-    hints = [None, 0.6 * CAP_LIMIT, None]
+    hints = [None, math.nextafter(CAP_LIMIT, math.inf), None]
     with pytest.raises(NotOnTransversalError):
         oracle_first_return(surfaces[1], SurfaceMode.AFFINE_ONLY, cap_hint=hints[1])
     for mode in MODES:
@@ -655,6 +660,142 @@ def test_batch_raises_past_cap_limit():
             oracle_first_return_batch(g, v, mode, [math.nan if h is None else h for h in hints])
     with pytest.raises(NotOnTransversalError):
         w_oracle_return_batch(g, v, doubled=False, cap_hints=[1.0, 1e18, 1.0])
+    # a first cap of 0.6 * CAP_LIMIT is under the limit, so it is scanned and
+    # refused by the kernel's scan-size guard before anything is allocated
+    with pytest.raises(InvalidInputError, match="rows of n-range"):
+        oracle_first_return(surfaces[1], SurfaceMode.AFFINE_ONLY, cap_hint=0.6 * CAP_LIMIT)
+
+
+@pytest.mark.parametrize("hint", [1e300, 1e308, sys.float_info.max])
+def test_huge_finite_hints_raise(hint):
+    # the first cap is hint * (1 + REL_ERR_THRESHOLD): past CAP_LIMIT, or
+    # overflowed to inf, it raises; it never falls back to DEFAULT_CAP
+    p = OmegaCoords(0.5, 0.6, 2.0, 0.9)
+    surface = omega_to_surface(p)
+    g, v = _stack([surface, omega_to_surface(OmegaCoords(0.8, 0.5, 1.0, 0.3))])
+    for mode in MODES:
+        with pytest.raises(NotOnTransversalError):
+            oracle_first_return(surface, mode, cap_hint=hint)
+        with pytest.raises(NotOnTransversalError):
+            oracle_first_return_batch(g, v, mode, [1.0, hint])
+    for doubled in (False, True):
+        with pytest.raises(NotOnTransversalError):
+            w_oracle_return(surface, doubled=doubled, cap_hint=hint)
+        with pytest.raises(NotOnTransversalError):
+            w_oracle_return_batch(g, v, doubled=doubled, cap_hints=[hint, 1.0])
+
+
+# the candidate sets of the batched oracle: a mode, or the slit-cover set
+CANDIDATE_SETS = ("affine", "doubled", "slit-cover")
+
+
+def _oracle_of(kind, g, v, hints):
+    if kind == "slit-cover":
+        return w_oracle_return_batch(g, v, doubled=False, cap_hints=hints)
+    return oracle_first_return_batch(g, v, SurfaceMode(kind), hints)
+
+
+def _reference_of(kind, g, v, hints):
+    """``_sorted_first_return`` of the candidate set; the slit-cover set is
+    the smaller of the lattice's (v = 0) and the coset's minima."""
+    if kind == "slit-cover":
+        lattice = _sorted_first_return(g, Vec2(0.0, 0.0), SurfaceMode.AFFINE_ONLY, hints)
+        return np.minimum(lattice, _sorted_first_return(g, v, SurfaceMode.AFFINE_ONLY, hints))
+    return _sorted_first_return(g, v, SurfaceMode(kind), hints)
+
+
+@pytest.mark.parametrize("kind", CANDIDATE_SETS)
+def test_first_cap_is_just_above_the_hint(monkeypatch, kind):
+    g, v, hints = _omega_batch(40, seed=97)
+    hints[:6] = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-9]
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((np.array(args[3], dtype=float), kwargs.get("lattice", False)))
+        return _strip_rows(*args, **kwargs)
+
+    monkeypatch.setattr("slitgaps.oracle._strip_rows", recording)
+    _oracle_of(kind, g, v, hints)
+    first, lattice = calls[0]
+    ok = np.isfinite(hints) & (hints > 0)
+    assert np.array_equal(first, np.where(ok, hints * (1.0 + REL_ERR_THRESHOLD), DEFAULT_CAP))
+    assert lattice == (kind == "slit-cover")
+    # the 1e-9 hint's window is empty, so the next round rescans it at twice
+    # its first cap
+    assert len(calls) > 1 and 2.0 * first[5] in calls[1][0]
+
+
+def _marked_batch(n, seed):
+    """n OmegaR surfaces (plus the probes) with their own markings, then the
+    same generators at each half-period marking g*(1/2, 1/2), g*(1/2, 0) and
+    g*(0, 1/2)."""
+    g, v, hints = _omega_batch(n, seed)
+    vs = [v] + [g.apply(Vec2(*half)) for half in ((0.5, 0.5), (0.5, 0.0), (0.0, 0.5))]
+    column = [np.broadcast_to(c, hints.shape) for c in (*g, *(c for w in vs for c in w))]
+    return (
+        Mat2(*(np.tile(f, len(vs)) for f in column[:4])),
+        Vec2(np.concatenate(column[4::2]), np.concatenate(column[5::2])),
+    )
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-9, 0.5, 1e-6])
+@pytest.mark.parametrize("kind", CANDIDATE_SETS)
+def test_tight_caps_equal_the_sorted_reference(kind, scale):
+    # the true return (an exact hint) and hints just under it, at half of
+    # it and a million times too small: the first window then holds the
+    # return, holds it only through the relative margin, or is empty
+    g, v = _marked_batch(500, seed=101)
+    exact = _reference_of(kind, g, v, None)
+    hints = exact * scale
+    got = _oracle_of(kind, g, v, hints)
+    assert np.array_equal(got, exact)
+    assert np.array_equal(got, _reference_of(kind, g, v, hints))
+
+
+def test_joint_slit_cover_pass_equals_two_separate_scans():
+    cols = _region_columns("WReturn", [(np.random.default_rng(103), 3000)], "fundamental")
+    g, v = section_surfaces(cols)
+    formula = _formula_column("WReturn", cols)
+    lattice = oracle_first_return_batch(g, Vec2(0.0, 0.0), SurfaceMode.AFFINE_ONLY, formula)
+    coset = oracle_first_return_batch(g, v, SurfaceMode.AFFINE_ONLY, formula)
+    union = np.minimum(lattice, coset)
+    # the union's return as the hint undershoots the larger component
+    assert (np.maximum(lattice, coset) > union * (1.0 + REL_ERR_THRESHOLD)).sum() > 100
+    for hints in (formula, union, 0.5 * union, np.where(lattice < coset, lattice, 0.5 * coset)):
+        separate = np.minimum(
+            oracle_first_return_batch(g, Vec2(0.0, 0.0), SurfaceMode.AFFINE_ONLY, hints),
+            oracle_first_return_batch(g, v, SurfaceMode.AFFINE_ONLY, hints),
+        )
+        assert np.array_equal(w_oracle_return_batch(g, v, doubled=False, cap_hints=hints), separate)
+        assert np.array_equal(separate, union)
+
+
+_BATCH_LOG = re.compile(
+    r"oracle batch \((?P<set>[a-z +]+)\): (?P<n>\d+) surfaces, (?P<rounds>\d+) rounds, "
+    r"(?P<rescanned>\d+) re-scanned after round 1, largest cap (?P<cap>\S+)$"
+)
+
+
+@pytest.mark.parametrize("kind", CANDIDATE_SETS)
+def test_batch_logs_one_debug_line_per_call(caplog, kind):
+    g, v, _ = _omega_batch(60, seed=107)
+    exact = _oracle_of(kind, g, v, None)
+    hints = exact.copy()
+    hints[::4] *= 1e-6
+    caplog.set_level(logging.INFO, logger="slitgaps.oracle")
+    _oracle_of(kind, g, v, hints)
+    assert caplog.records == []
+    caplog.set_level(logging.DEBUG, logger="slitgaps.oracle")
+    _oracle_of(kind, g, v, exact)
+    _oracle_of(kind, g, v, hints)
+    one, tiny = (_BATCH_LOG.match(r.getMessage()) for r in caplog.records)
+    label = "affine + lattice" if kind == "slit-cover" else kind
+    assert one["set"] == tiny["set"] == label
+    assert int(one["n"]) == int(tiny["n"]) == len(exact)
+    assert (int(one["rounds"]), int(one["rescanned"])) == (1, 0)
+    assert float(one["cap"]) == pytest.approx(exact.max() * (1.0 + REL_ERR_THRESHOLD), rel=1e-5)
+    assert int(tiny["rounds"]) > 10 and int(tiny["rescanned"]) == len(hints[::4])
+    assert float(tiny["cap"]) >= float(one["cap"])
 
 
 def test_batch_rejects_non_unimodular_generators():
