@@ -29,17 +29,18 @@ returns off one strip scan.
 
 Everything downstream is self-normalized, so reported distributions do not
 depend on any overall mass convention.  Reproducibility: a run is determined
-by (measure, engine, grid, n, seed, workers); ``worker_streams`` fixes the
-stream layout.  Each stream draws and reduces its share in consecutive
-chunks of ``CHUNK`` rows from its own rng, adding the chunks' sums in chunk
-order, so memory stays flat in n; a stream of at most ``CHUNK`` rows is one
-chunk and draws exactly what an unchunked stream would.  ``mc_tail`` merges
-its streams' sums in stream order whichever thread computed them, so the
-core count does not enter.
+by (measure, engine, grid, n, seed).  ``chunk_streams`` is the one sample
+layout: chunk k = 0, 1, ... draws min(``CHUNK``, n - k*``CHUNK``) rows from
+default_rng([seed, k]).  ``map_chunks`` runs a per-chunk function on a pool
+of at most ``workers`` threads and yields its results in chunk order, so
+neither ``workers`` nor the core count enters a result.  ``mc_tail`` reduces
+each chunk to sums and adds them in chunk order, so its memory stays flat
+in n.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import os
@@ -84,8 +85,8 @@ FIXED_POINT = (1.0, 1.0, 0.0, 0.5)
 W_SL_PROB = 1.0 / 3.0
 W_MASS_SCALE = 1.5
 
-# Rows an mc_tail stream draws and reduces at a time: its batch and the
-# return temporaries of one chunk are all it holds, whatever the stream's n.
+# Rows of one chunk of the sample layout (``chunk_streams``): a chunk's batch
+# and return temporaries are all a pool thread holds, whatever n is.
 CHUNK = 1 << 18
 
 
@@ -215,23 +216,39 @@ class TailEstimate:
 
 
 # ---------------------------------------------------------------------------
-# batch samplers: (SectionColumns, weights); the WeightedSample API is row 0
+# sample layout; batch samplers: (SectionColumns, weights), WeightedSample is row 0
 
 
-def worker_streams(n: int, seed: int, workers: int):
-    """Yield (rng, count) per worker: worker i draws its share of the n
-    points (n // workers, one more for the first n % workers) from
-    default_rng([seed, i]); workers with no share (i >= n) are skipped
-    without being visited, so a huge ``workers`` costs nothing.
+def chunk_streams(n: int, seed: int):
+    """Yield (rng, count) of chunk k = 0, 1, ... of n draws: chunk k draws
+    min(``CHUNK``, n - k*``CHUNK``) rows from default_rng([seed, k]).
 
-    This split is the stream layout: it fixes every sampled value, so
-    results depend on (seed, n, workers). A negative seed raises
-    InvalidInputError.
+    This is the sample layout: it fixes every sampled value, so results
+    depend on (seed, n) alone.  A negative seed raises InvalidInputError.
     """
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    for i in range(min(workers, n)):
-        yield np.random.default_rng([seed, i]), n // workers + (1 if i < n % workers else 0)
+    for k, start in enumerate(range(0, n, CHUNK)):
+        yield np.random.default_rng([seed, k]), min(CHUNK, n - start)
+
+
+def map_chunks(fn, n: int, seed: int, workers: int):
+    """Yield fn(k, rng, count) of every chunk k of ``chunk_streams(n, seed)``,
+    in chunk order, computed on a pool of min(workers, ``os.cpu_count()``)
+    threads.  At most one chunk per thread, plus one queued, is taken ahead
+    of the results yielded, so memory stays flat in n.  ``workers`` < 1
+    raises InvalidInputError.
+    """
+    if workers < 1:
+        raise InvalidInputError("workers must be >= 1")
+    threads = min(workers, os.cpu_count() or 1)
+    pending = collections.deque()
+    with ThreadPoolExecutor(threads) as pool:
+        for k, stream in enumerate(chunk_streams(n, seed)):
+            pending.append(pool.submit(fn, k, *stream))
+            if len(pending) > threads:
+                yield pending.popleft().result()
+        yield from (f.result() for f in pending)
 
 
 def _uniform_open(rng, n: int, out=None) -> np.ndarray:
@@ -247,8 +264,7 @@ def _triangle_uniform(rng, n: int):
     Acceptance rate 1/2; draws chunk until n points are kept, so the stream
     consumption is data-dependent but fully determined by the rng state.
     """
-    a_out = np.empty(n)
-    b_out = np.empty(n)
+    a_out, b_out = np.empty((2, n))
     got = 0
     while got < n:
         k = max(64, int(1.3 * (n - got) * 2))
@@ -261,6 +277,15 @@ def _triangle_uniform(rng, n: int):
         b_out[got:got + take] = b[idx]
         got += take
     return a_out, b_out
+
+
+def _sl_rows(rng, n: int, ab=None):
+    """n short-lattice draws (a, b, v1, v2): (a, b) uniform on the triangle
+    (or the given arrays ``ab``), then the marking (a cx + b cy, cy / a),
+    uniform in the period parallelogram, drawing all cx before all cy."""
+    a, b = _triangle_uniform(rng, n) if ab is None else ab
+    cx, cy = rng.random(n), rng.random(n)
+    return a, b, a * cx + b * cy, cy / a
 
 
 def _rows(kind: int, *cols) -> SectionColumns:
@@ -294,13 +319,9 @@ def _batch_measure(measure: MeasureSpec, rng, n: int):
         return _batch_omega(rng, n)
     if measure.kind == "haar-w":
         n_sl = int(np.count_nonzero(rng.random(n) < W_SL_PROB))
-        a, b = _triangle_uniform(rng, n_sl)
-        cx, cy = rng.random(n_sl), rng.random(n_sl)
         cols, w = _rows(SA, *np.empty((4, n))), np.empty(n)
         cols.kind[:n_sl], w[:n_sl] = SL, 1.0
-        cols.a[:n_sl], cols.b[:n_sl] = a, b
-        cols.s[:n_sl], cols.alpha[:n_sl] = a * cx + b * cy, cy / a
-        del a, b, cx, cy  # before the sa draws, which keeps the peak memory down
+        cols.a[:n_sl], cols.b[:n_sl], cols.s[:n_sl], cols.alpha[:n_sl] = _sl_rows(rng, n_sl)
         _batch_omega(rng, n - n_sl, out=(SectionColumns(*(c[n_sl:] for c in cols)), w[n_sl:]))
         return cols, w
     if measure.kind == "torsion":
@@ -359,32 +380,8 @@ def _chunk_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: in
     w2 = w * w
     sums = np.bincount(cell, weights=w, minlength=grid.size + 1)
     sums2 = np.bincount(cell, weights=w2, minlength=grid.size + 1)
-    comps = {
-        k: (float(np.sum(w, where=mask)), float(np.sum(w2, where=mask)))
-        for k, mask in comp.items()
-    }
+    comps = {k: np.array([np.sum(w, where=mask), np.sum(w2, where=mask)]) for k, mask in comp.items()}
     return sums, sums2, comps
-
-
-def _stream_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: int):
-    """Sufficient statistics of one stream of ``mc_tail``: (count, per-cell
-    sums of w and of w^2, and per component the sums of w and w^2).
-
-    The stream draws and reduces consecutive chunks of at most ``CHUNK``
-    rows from its ``rng`` (``_chunk_stats``) and adds their sums in chunk
-    order, so it holds one chunk's batch at a time.  With n <= ``CHUNK`` the
-    one chunk is the whole stream, and since 0.0 + x == x its sums are
-    exactly those of one unchunked batch.
-    """
-    sums = sums2 = 0.0
-    comps = {}
-    for start in range(0, n, CHUNK):
-        s1, s2, part = _chunk_stats(measure, engine, grid, rng, min(CHUNK, n - start))
-        sums, sums2 = sums + s1, sums2 + s2
-        for k, (c1, c2) in part.items():
-            t1, t2 = comps.get(k, (0.0, 0.0))
-            comps[k] = (t1 + c1, t2 + c2)
-    return n, sums, sums2, comps
 
 
 def _mass_se(scale: float, s1: float, s2: float, count: int) -> float:
@@ -406,21 +403,17 @@ def mc_tail(
 
     The estimator is sum(w * [R > t]) / sum(w) with a delta-method CI
     half-width of 1.96 standard errors; n_eff = (sum w)^2 / sum(w^2).
-    ``workers`` splits the draws into seeded streams (``worker_streams``).
-    The streams run on a thread pool of at most ``os.cpu_count()`` threads.
-    Each stream draws and reduces chunks of ``CHUNK`` rows to per-grid-cell
-    sums, added in chunk order, so memory is bounded by one chunk per thread
-    whatever n is; and the streams' sums merge in stream order.  Results
-    are identical for fixed (seed, n, workers), change with ``workers``, and
-    do not depend on the core count.  Streams of at most ``CHUNK`` draws are
-    one chunk, so their results equal those of unchunked streams.
+    Each chunk of the sample layout (``chunk_streams``) is drawn and reduced
+    to per-grid-cell sums (``_chunk_stats``) on a pool of at most
+    ``workers`` threads (``map_chunks``), and the sums are added in chunk
+    order, so memory is bounded by one chunk per thread whatever n is.
+    Results are identical for fixed (seed, n), whatever ``workers`` and the
+    core count are.
     """
     if engine not in ENGINES:
         raise InvalidInputError(f"unknown engine {engine!r}")
     if n < 1000:
         raise InvalidInputError("tail estimation needs at least 10^3 samples")
-    if workers < 1:
-        raise InvalidInputError("workers must be >= 1")
     t_grid = np.asarray(list(t_grid), dtype=float)
     if t_grid.size == 0:
         raise InvalidInputError("empty t grid")
@@ -429,17 +422,14 @@ def mc_tail(
 
     order = np.argsort(t_grid, kind="stable")
     grid = t_grid[order]
-    streams = list(worker_streams(n, seed, workers))
-    with ThreadPoolExecutor(min(len(streams), os.cpu_count() or 1)) as pool:
-        stats = list(
-            pool.map(lambda s: _stream_stats(measure, engine, grid, *s), streams)
-        )
-    counts, cell_w, cell_w2, comps = zip(*stats)
-    count = sum(counts)
-    sums2 = sum(cell_w2)
+    sums = sums2 = 0.0
+    comps = {}
+    for s1, s2, part in map_chunks(lambda k, *s: _chunk_stats(measure, engine, grid, *s), n, seed, workers):
+        sums, sums2 = sums + s1, sums2 + s2
+        comps = {name: comps.get(name, 0.0) + pair for name, pair in part.items()}
 
     # above[c] sums cells c..m, so above[k + 1] is the mass with R > t_k
-    above = np.cumsum(sum(cell_w)[::-1])[::-1]
+    above = np.cumsum(sums[::-1])[::-1]
     above2 = np.cumsum(sums2[::-1])[::-1]
     below2 = np.cumsum(sums2)
     wsum = float(above[0])
@@ -456,23 +446,21 @@ def mc_tail(
 
     scale = _mass_scale(measure)
     masses = {}
-    for name in comps[0]:
-        s1 = sum(c[name][0] for c in comps)
-        s2 = sum(c[name][1] for c in comps)
-        masses[name] = scale * s1 / count
-        masses[name + "_se"] = _mass_se(scale, s1, s2, count)
+    for name, (s1, s2) in comps.items():
+        masses[name] = scale * s1 / n
+        masses[name + "_se"] = _mass_se(scale, s1, s2, n)
     return TailEstimate(
         t_grid=t_grid,
         survival=survival,
         ci_halfwidth=ci,
-        n=count,
+        n=n,
         seed=seed,
         engine=engine,
         measure=measure,
         workers=workers,
         n_eff=n_eff,
-        total_mass=scale * wsum / count,
-        total_mass_se=_mass_se(scale, wsum, float(above2[0]), count),
+        total_mass=scale * wsum / n,
+        total_mass_se=_mass_se(scale, wsum, float(above2[0]), n),
         component_masses=masses,
     )
 

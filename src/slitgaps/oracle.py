@@ -16,7 +16,7 @@ whose +-v cosets can repeat a point.  ``oracle_first_return`` and
 ``oracle_orbit`` adds the section point after every return, read off scans
 of the same start surface.  The differential tester samples a region into
 ``SectionColumns`` (DeltaR: columns a and b), evaluates the vectorized
-formula and the batched oracle once each over all rows, and reports any
+formula and the batched oracle once each per chunk of rows, and reports any
 relative disagreement above 1e-6 as a counterexample.  Two regions are
 expected to disagree (the short-lattice travel-time formula, and the
 slit-cover return when the mirrored coset is switched on); disagreement
@@ -36,6 +36,7 @@ import numpy as np
 from .errors import InvalidInputError, NotOnTransversalError
 from .geometry import (
     AffineLattice,
+    SCAN_ROW_LIMIT,
     Mat2,
     SurfaceMode,
     Vec2,
@@ -49,8 +50,9 @@ from .measures import (
     _batch_measure,
     _batch_omega,
     _rows,
+    _sl_rows,
     _triangle_uniform,
-    worker_streams,
+    map_chunks,
 )
 from .transversal import (
     SECTION_KINDS,
@@ -179,16 +181,16 @@ def oracle_first_return_batch(
     the smallest window that holds the true return whenever the hint is not
     discrepant (``DEFAULT_CAP`` when ``cap_hints`` is None or the hint is
     non-finite or not positive), doubled only while its strip window is
-    empty, and ``NotOnTransversalError`` once a cap passes ``CAP_LIMIT`` or
-    overflows.  The minimum over any nonempty window is the same point,
-    computed with the same floats, so the caps decide only the work.  Each
-    round scans all surfaces still without a return in one pass of the
-    kernel's raw rows (``geometry._strip_rows``) and takes each surface's
-    minimum y/x; a coset holds no point twice, so only ``DOUBLED_SLIT`` rows
-    are first deduplicated as ``strip_holonomy_batch`` does.  Each call
-    logs its surfaces, rounds, surfaces re-scanned after round 1 and largest
-    cap at DEBUG level.
-    """
+    empty, and ``NotOnTransversalError`` once a cap passes ``CAP_LIMIT``,
+    overflows, or is a doubled cap whose scan the kernel refuses as too
+    large.  The minimum over any nonempty window is the same point, computed
+    with the same floats, so the caps decide only the work.  Each round
+    scans all surfaces still without a return in one pass of the kernel's
+    raw rows (``geometry._strip_rows``) and takes each surface's minimum
+    y/x; a coset holds no point twice, so only ``DOUBLED_SLIT`` rows are
+    first deduplicated as ``strip_holonomy_batch`` does.  Each call logs its
+    surfaces, rounds, surfaces re-scanned after round 1 and largest cap at
+    DEBUG level."""
     return _first_returns(g, v, mode, cap_hints)
 
 
@@ -213,16 +215,21 @@ def _first_returns(
             raise NotOnTransversalError(NO_RETURN)
         rounds += 1
         sub = fields if todo.size == cap.size else [f[todo] for f in fields]
-        for s, x, y in _strip_rows(Mat2(*sub[:4]), Vec2(*sub[4:]), mode, cap[todo], lattice=lattice):
-            if len(s):
-                if mode is SurfaceMode.DOUBLED_SLIT:
-                    # when 2v is in the lattice the +v and -v cosets hold the
-                    # same points, rounded differently: the minimum is taken
-                    # over the copy the enumeration keeps
-                    s, xy = _dedup_batch(s, x, y)
-                    x, y = xy.T
-                first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-                out[todo[s[first]]] = np.minimum.reduceat(y / x, first)
+        try:
+            for s, x, y in _strip_rows(Mat2(*sub[:4]), Vec2(*sub[4:]), mode, cap[todo], lattice=lattice):
+                if len(s):
+                    if mode is SurfaceMode.DOUBLED_SLIT:
+                        # when 2v is in the lattice the +v and -v cosets hold
+                        # the same points, rounded differently: the minimum
+                        # is taken over the copy the enumeration keeps
+                        s, xy = _dedup_batch(s, x, y)
+                        x, y = xy.T
+                    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+                    out[todo[s[first]]] = np.minimum.reduceat(y / x, first)
+        except InvalidInputError as exc:
+            if rounds > 1:  # a scan refused after doubling: the caps ran away
+                raise NotOnTransversalError(NO_RETURN) from exc
+            raise
         todo = todo[np.isinf(out[todo])]
         cap[todo] *= 2.0
         if rounds == 1:
@@ -279,13 +286,19 @@ def oracle_strip_slopes(
     surface has ``count`` of them (``SLOPE_DENSITY``), at least
     ``DEFAULT_CAP``, so one scan usually suffices; the cap doubles until the
     scan holds ``count`` slopes (ties merged at 1e-12 relative by
-    ``slopes_and_gaps``), up to ``CAP_LIMIT``.  Every cap that holds them
-    gives the same slopes."""
+    ``slopes_and_gaps``), up to ``CAP_LIMIT`` or a doubled cap whose scan is
+    too large for the kernel (``NotOnTransversalError``).  Every cap that
+    holds them gives the same slopes."""
     if count < 1:
         raise InvalidInputError("count must be >= 1")
-    cap = max(DEFAULT_CAP, CAP_MARGIN * count / SLOPE_DENSITY[mode])
+    first = cap = max(DEFAULT_CAP, CAP_MARGIN * count / SLOPE_DENSITY[mode])
     while cap <= CAP_LIMIT:
-        slopes = slopes_and_gaps(enumerate_strip(surface, mode, cap)).slopes
+        try:
+            slopes = slopes_and_gaps(enumerate_strip(surface, mode, cap)).slopes
+        except InvalidInputError as exc:
+            if cap > first:
+                raise NotOnTransversalError(NO_RETURN) from exc
+            raise
         if len(slopes) >= count:
             return slopes[:count]
         cap *= 2.0
@@ -349,15 +362,11 @@ def _draw_region(region: str, rng, n: int, v_domain: str):
     if region == "OmegaR":
         return _batch_omega(rng, n)[0]
     if region == "WslRho":
-        a, b = _triangle_uniform(rng, n)
-        v1, v2 = np.empty(n), np.empty(n)
-        for i in range(n):
-            while True:
-                cx, cy = rng.random(), rng.random()
-                v1[i] = a[i] * cx + b[i] * cy
-                v2[i] = cy / a[i]
-                if v1[i] > 0 and (v_domain == "fundamental" or v1[i] < a[i]):
-                    break
+        a, b, v1, v2 = _sl_rows(rng, n)
+        # markings off the domain are drawn again, in rounds, for the same (a, b)
+        redo = np.arange(n)
+        while (redo := redo[(v1[redo] <= 0) | ((v_domain == "restricted") & (v1[redo] >= a[redo]))]).size:
+            _, _, v1[redo], v2[redo] = _sl_rows(rng, redo.size, (a[redo], b[redo]))
         return _rows(SL, a, b, v1, v2)
     return _batch_measure(MeasureSpec.haar_w(), rng, n)[0]
 
@@ -371,9 +380,7 @@ def _concat(parts: list):
 
 def _region_columns(region: str, rngs, v_domain: str):
     """The probes, then the draws of each (rng, count) in turn."""
-    return _concat(
-        [_PROBES[region]] + [_draw_region(region, rng, ni, v_domain) for rng, ni in rngs]
-    )
+    return _concat([_PROBES[region]] + [_draw_region(region, rng, ni, v_domain) for rng, ni in rngs])
 
 
 def _formula_column(region: str, c) -> np.ndarray:
@@ -444,16 +451,17 @@ def diff_test(
     hints.  A row is discrepant when its relative error exceeds
     ``REL_ERR_THRESHOLD``; the first ``MAX_COUNTEREXAMPLES`` of them are
     reported, and an OmegaR report also counts them per region O1-O4 and
-    gives their 1/b-weighted share (``_omega_breakdown``).  Sampling runs
-    serially in the stream layout of ``worker_streams``, so reports are
-    byte-identical for fixed (seed, n, workers).
+    gives their 1/b-weighted share (``_omega_breakdown``).  Each chunk of
+    the sample layout (``chunk_streams``; chunk 0 after the probes) is
+    drawn and gets both columns on a pool of at most ``workers`` threads
+    (``map_chunks``), and the chunks are joined in chunk order, so reports
+    are byte-identical for fixed (seed, n), whatever ``workers`` is.  Every
+    row is held, so n above ``SCAN_ROW_LIMIT`` is refused before drawing.
     """
     if region not in REGIONS:
         raise InvalidInputError(f"unknown region {region!r}")
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    if workers < 1:
-        raise InvalidInputError("workers must be >= 1")
+    if not 1 <= n <= SCAN_ROW_LIMIT:
+        raise InvalidInputError(f"samples must be from 1 to {SCAN_ROW_LIMIT} (difftest holds every row), got {n}")
     if v_domain not in V_DOMAINS:
         raise InvalidInputError(f"unknown v_domain {v_domain!r}")
     try:
@@ -461,9 +469,13 @@ def diff_test(
     except ValueError as exc:
         raise InvalidInputError(f"unknown mode {mode!r}") from exc
 
-    cols = _region_columns(region, worker_streams(n, seed, workers), v_domain)
-    formula = _formula_column(region, cols)
-    oracle = _oracle_column(region, cols, mode, formula)
+    def chunk(k, rng, count):
+        c = _draw_region(region, rng, count, v_domain) if k else _region_columns(region, [(rng, count)], v_domain)
+        formula = _formula_column(region, c)
+        return c, formula, _oracle_column(region, c, mode, formula)
+
+    cols, formula, oracle = zip(*map_chunks(chunk, n, seed, workers))
+    cols, formula, oracle = _concat(cols), np.concatenate(formula), np.concatenate(oracle)
     abs_err = np.abs(formula - oracle)
     rel_err = abs_err / np.maximum(np.abs(oracle), 1e-12)
     bad = np.flatnonzero(rel_err > REL_ERR_THRESHOLD)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
-from slitgaps import cli, closedform, transversal
+from slitgaps import cli, closedform, geometry, transversal
 from slitgaps.cli import main, parse_t_grid
 from slitgaps.errors import (
     DegenerateInputError,
@@ -110,6 +110,16 @@ def test_gaps_rejects_non_finite_surface_file(tmp_path, capsys, g, v):
     surf.write_text(json.dumps({"g": g, "v": v}))
     assert main(["gaps", "--surface", str(surf), "--mode", "doubled", "--slope-max", "5"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_gaps_without_a_return_exits_3(tmp_path, monkeypatch, capsys):
+    # no coset point has 0 < x <= 1: the caps run away until the scan is
+    # refused, which is a state error, not a usage error
+    monkeypatch.setattr(geometry, "SCAN_ROW_LIMIT", 1 << 16)
+    surf = tmp_path / "empty.json"
+    surf.write_text(json.dumps({"g": [[2.0, 0.0], [0.0, 0.5]], "v": [1.5, 0.0]}))
+    assert main(["gaps", "--surface", str(surf), "--count", "5"]) == 3
+    assert "no positive-slope holonomy vector" in capsys.readouterr().err
 
 
 def test_gaps_missing_surface_file(tmp_path):
@@ -438,6 +448,13 @@ def test_difftest_omega_breaks_discrepancies_down_by_region(tmp_path):
     assert results["n_discrepant"] == 4163
     assert results["discrepant_by_region"] == {"O1": 0, "O2": 3593, "O3": 0, "O4": 570}
     assert results["discrepant_weight_fraction"] == pytest.approx(0.028, abs=5e-4)
+
+
+def test_difftest_refuses_more_samples_than_it_can_hold(capsys):
+    assert main(["difftest", "OmegaR", "--samples", "100000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"samples must be from 1 to {geometry.SCAN_ROW_LIMIT}" in captured.err
 
 
 def test_difftest_unknown_region(tmp_path):

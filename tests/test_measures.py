@@ -1,5 +1,6 @@
 """Invariant-measure samplers, Monte Carlo tails, and orbit averages."""
 
+import json
 import math
 import os
 import tracemalloc
@@ -175,16 +176,17 @@ def test_mc_tail_rejects_bad_engine():
     assert set(ENGINES) == {"formula", "oracle-affine", "oracle-doubled"}
 
 
-def test_worker_streams_reject_a_negative_seed():
+def test_chunk_streams_reject_a_negative_seed():
     with pytest.raises(InvalidInputError, match="seed must be >= 0"):
-        list(measures.worker_streams(100, -1, 2))
+        list(measures.chunk_streams(100, -1))
 
 
-def _two_pass_tail(measure, engine, t_grid, n, seed, workers):
-    """The per-threshold estimator over concatenated streams: the reference
-    for the one-pass cell statistics of ``mc_tail``."""
+def _two_pass_tail(measure, engine, t_grid, n, seed):
+    """The per-threshold estimator over the concatenated chunks of the
+    sample layout: the reference for the one-pass cell statistics of
+    ``mc_tail``."""
     ws, rs, comps = [], [], []
-    for rng, ni in measures.worker_streams(n, seed, workers):
+    for rng, ni in measures.chunk_streams(n, seed):
         w, r, comp = measures._returns_for_batch(
             measure, measures._batch_measure(measure, rng, ni), engine
         )
@@ -215,20 +217,6 @@ def _two_pass_tail(measure, engine, t_grid, n, seed, workers):
     return out
 
 
-def _chunked_two_pass_tail(monkeypatch, measure, engine, t_grid, n, seed, workers):
-    """``_two_pass_tail`` over each stream's draws taken in chunks of
-    ``measures.CHUNK`` rows, one after another from the stream's rng: the
-    reference for ``mc_tail`` streams longer than one chunk."""
-    chunks = [
-        (rng, min(measures.CHUNK, ni - k))
-        for rng, ni in measures.worker_streams(n, seed, workers)
-        for k in range(0, ni, measures.CHUNK)
-    ]
-    with monkeypatch.context() as m:
-        m.setattr(measures, "worker_streams", lambda *_: iter(chunks))
-        return _two_pass_tail(measure, engine, t_grid, n, seed, workers)
-
-
 def _assert_close_tree(got, want, rel):
     if isinstance(want, dict):
         assert set(got) == set(want)
@@ -255,7 +243,7 @@ def test_mc_tail_cell_statistics_match_the_two_pass_estimator(spec, engine, n, w
     measure = MeasureSpec.parse(spec)
     grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0]
     got = mc_tail(measure, engine, grid, n, seed=31, workers=workers).to_dict()
-    want = _two_pass_tail(measure, engine, grid, n, 31, workers)
+    want = _two_pass_tail(measure, engine, grid, n, 31)
     assert got["n"] == n
     _assert_close_tree({k: got[k] for k in want}, want, 1e-12)
 
@@ -265,12 +253,12 @@ def test_mc_tail_cell_statistics_match_the_two_pass_estimator(spec, engine, n, w
     [("haar-w", FORMULA), ("haar-omega", ORACLE_AFFINE), ("torsion:2", FORMULA)],
 )
 def test_mc_tail_chunked_streams_match_the_two_pass_estimator(monkeypatch, spec, engine):
-    # two streams of 3750 draws: three full chunks of 1000 and one of 750 each
+    # seven full chunks of 1000 draws and one of 500
     monkeypatch.setattr(measures, "CHUNK", 1000)
     measure = MeasureSpec.parse(spec)
     grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0]
     got = mc_tail(measure, engine, grid, 7500, seed=61, workers=2).to_dict()
-    want = _chunked_two_pass_tail(monkeypatch, measure, engine, grid, 7500, 61, 2)
+    want = _two_pass_tail(measure, engine, grid, 7500, 61)
     assert got["n"] == 7500
     _assert_close_tree({k: got[k] for k in want}, want, 1e-12)
 
@@ -319,7 +307,7 @@ def test_mc_tail_non_finite_returns_keep_the_strict_comparison(monkeypatch):
     grid = [math.inf, 1.0, -math.inf, 0.0, 0.5, 2.5]
     spec = MeasureSpec.haar_omega()
     got = mc_tail(spec, FORMULA, grid, 6000, seed=41, workers=2)
-    want = _two_pass_tail(spec, FORMULA, grid, 6000, 41, 2)
+    want = _two_pass_tail(spec, FORMULA, grid, 6000, 41)
     assert list(got.survival) == pytest.approx(want["survival"], rel=1e-12, abs=0.0)
     assert got.survival[0] == 0.0
     assert list(got.ci_halfwidth) == pytest.approx(want["ci_halfwidth"], rel=1e-12)
@@ -352,14 +340,40 @@ def test_mc_tail_pool_is_bounded_by_the_core_count(monkeypatch):
     assert sizes == [2, 1]
 
 
-def test_huge_worker_counts_visit_only_workers_with_a_share():
-    # workers i >= n have no share, so the layout is that of workers = n
-    assert [ni for _, ni in measures.worker_streams(5, 0, 10**12)] == [1] * 5
-    grid = [0.0, 1.0, 2.0]
-    huge = mc_tail(MeasureSpec.haar_w(), FORMULA, grid, 1000, seed=67, workers=10**12).to_dict()
-    each = mc_tail(MeasureSpec.haar_w(), FORMULA, grid, 1000, seed=67, workers=1000).to_dict()
-    assert (huge.pop("workers"), each.pop("workers")) == (10**12, 1000)
-    assert huge == each
+def test_reports_do_not_depend_on_workers_or_cores(monkeypatch):
+    # five full chunks and a partial one; the recorded workers aside, every
+    # worker and core count gives the same reports
+    monkeypatch.setattr(measures, "CHUNK", 1 << 10)
+    n = 5 * (1 << 10) + 300
+    reports = set()
+    for cores in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        for workers in (1, 2, 7, 10**12):
+            tail = mc_tail(MeasureSpec.haar_w(), FORMULA, [0.0, 1.0, 2.0], n, seed=67, workers=workers)
+            diff = oracle.diff_test("WslRho", n, seed=67, workers=workers, v_domain="restricted")
+            tail, diff = tail.to_dict(), diff.to_dict()
+            assert tail.pop("workers") == diff.pop("workers") == workers
+            assert diff["samples"] == n + len(oracle._PROBES["WslRho"].kind)
+            reports.add(json.dumps([tail, diff], sort_keys=True, indent=2))
+    assert len(reports) == 1
+
+
+def test_map_chunks_takes_chunks_as_threads_free_up(monkeypatch):
+    # at most one chunk per pool thread, and one more queued, is taken ahead
+    # of the results yielded; never all chunks up front
+    made = []
+
+    def streams(n, seed):
+        for k in range(n):
+            made.append(k)
+            yield None, 1
+
+    monkeypatch.setattr(measures, "chunk_streams", streams)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    results = measures.map_chunks(lambda k, rng, count: k, 10**6, 0, 10**12)
+    for k, got in zip(range(50), results):
+        assert got == k and len(made) <= k + 3
+    results.close()
 
 
 def test_uniform_open_in_place_matches_one_minus_random():

@@ -26,8 +26,8 @@ from slitgaps.measures import (
     ORACLE_DOUBLED,
     MeasureSpec,
     _batch_measure,
+    chunk_streams,
     sample,
-    worker_streams,
 )
 from slitgaps.oracle import (
     CAP_LIMIT,
@@ -341,7 +341,7 @@ def test_diff_test_deterministic():
 
 
 def test_diff_test_huge_worker_count_matches_one_worker_per_point():
-    # workers i >= n have no share and are not visited
+    # the worker count only sets the threads, at most the core count
     huge = diff_test("OmegaR", 500, seed=11, workers=10**12).to_dict()
     each = diff_test("OmegaR", 500, seed=11, workers=500).to_dict()
     assert (huge.pop("workers"), each.pop("workers")) == (10**12, 500)
@@ -357,7 +357,7 @@ MODES = (SurfaceMode.AFFINE_ONLY, SurfaceMode.DOUBLED_SLIT)
 
 def _region_points(region, n, seed):
     """Probes plus n draws of the region: its columns and each row's input."""
-    cols = _region_columns(region, [(np.random.default_rng(seed), n)], "fundamental")
+    cols = _region_columns(region, chunk_streams(n, seed), "fundamental")
     rows = len(cols["a"] if region == "DeltaR" else cols.kind)
     return cols, [_point_dict(region, cols, i) for i in range(rows)]
 
@@ -566,7 +566,7 @@ def _sorted_first_return(g, v, mode, hints):
 def _omega_batch(n, seed):
     """The surfaces of n OmegaR draws (plus the probes), with the formula
     returns as hints."""
-    cols = _region_columns("OmegaR", [(np.random.default_rng(seed), n)], "fundamental")
+    cols = _region_columns("OmegaR", chunk_streams(n, seed), "fundamental")
     return (*section_surfaces(cols), section_returns(cols))
 
 
@@ -610,7 +610,7 @@ def test_zero_coset_lattice_minimum_equals_the_doubled_one(region):
     # the lattice alone, scanned once as the affine coset at v = 0, against
     # the doubled holonomy at v = 0 (primitive vectors and the two +-0
     # cosets, sorted and deduplicated)
-    cols = _region_columns(region, [(np.random.default_rng(89), 5000)], "fundamental")
+    cols = _region_columns(region, chunk_streams(5000, 89), "fundamental")
     hints = _formula_column(region, cols)
     zero = Vec2(0.0, 0.0)
     g, v = (delta_basis(cols["a"], cols["b"]), zero) if region == "DeltaR" else section_surfaces(cols)
@@ -664,6 +664,27 @@ def test_batch_raises_past_cap_limit():
     # refused by the kernel's scan-size guard before anything is allocated
     with pytest.raises(InvalidInputError, match="rows of n-range"):
         oracle_first_return(surfaces[1], SurfaceMode.AFFINE_ONLY, cap_hint=0.6 * CAP_LIMIT)
+
+
+# no point of this coset has 0 < x <= 1, so every strip window is empty
+EMPTY_STRIP = AffineLattice(Mat2(2.0, 0.0, 0.0, 0.5), Vec2(1.5, 0.0))
+
+
+def test_a_runaway_cap_sequence_has_no_return(monkeypatch):
+    # the caps double until the kernel refuses the scan, long before
+    # CAP_LIMIT: that is no return, chained from the kernel's refusal
+    monkeypatch.setattr(geometry, "SCAN_ROW_LIMIT", 1 << 16)
+    calls = (
+        lambda: oracle_first_return(EMPTY_STRIP, SurfaceMode.AFFINE_ONLY),
+        lambda: oracle_strip_slopes(EMPTY_STRIP, SurfaceMode.AFFINE_ONLY, 5),
+    )
+    for call in calls:
+        with pytest.raises(NotOnTransversalError, match="no positive-slope") as info:
+            call()
+        assert isinstance(info.value.__cause__, InvalidInputError)
+    # a first cap too large to scan stays a usage error
+    with pytest.raises(InvalidInputError, match="scan too large"):
+        oracle_strip_slopes(EMPTY_STRIP, SurfaceMode.AFFINE_ONLY, 10**5)
 
 
 @pytest.mark.parametrize("hint", [1e300, 1e308, sys.float_info.max])
@@ -753,7 +774,7 @@ def test_tight_caps_equal_the_sorted_reference(kind, scale):
 
 
 def test_joint_slit_cover_pass_equals_two_separate_scans():
-    cols = _region_columns("WReturn", [(np.random.default_rng(103), 3000)], "fundamental")
+    cols = _region_columns("WReturn", chunk_streams(3000, 103), "fundamental")
     g, v = section_surfaces(cols)
     formula = _formula_column("WReturn", cols)
     lattice = oracle_first_return_batch(g, Vec2(0.0, 0.0), SurfaceMode.AFFINE_ONLY, formula)
@@ -819,7 +840,7 @@ def _section_point(region, p):
     [(r, "fundamental") for r in REGIONS] + [("WslRho", "restricted")],
 )
 def test_region_rows_lie_on_their_section(region, v_domain):
-    cols = _region_columns(region, worker_streams(3000, 83, 2), v_domain)
+    cols = _region_columns(region, chunk_streams(3000, 83), v_domain)
     n_rows = len(_formula_column(region, cols))
     assert n_rows == 3000 + (2 if region == "DeltaR" else 3)
     if region == "WReturn":
