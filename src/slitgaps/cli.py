@@ -429,11 +429,7 @@ def _closed_form_rows(component: str, grid, h: float):
             rows.append((t, lo, hi))
         return ("t", "density_left", "density_right"), rows
     if component == "bounds":
-        rows = []
-        for t in grid:
-            lo, hi = closedform.omega_tail_bounds(t)
-            rows.append((t, lo, hi))
-        return ("t", "lower", "upper"), rows
+        return ("t", "lower", "upper"), [(t, *closedform.omega_tail_bounds(t)) for t in grid]
     if component.startswith("torsion:"):
         try:
             q = int(component.split(":", 1)[1])

@@ -31,17 +31,18 @@ Everything downstream is self-normalized, so reported distributions do not
 depend on any overall mass convention.  Reproducibility: a run is determined
 by (measure, engine, grid, n, seed).  ``chunk_streams`` is the one sample
 layout: chunk k = 0, 1, ... draws min(``CHUNK``, n - k*``CHUNK``) rows from
-default_rng([seed, k]).  ``map_chunks`` runs a per-chunk function on a pool
-of at most ``workers`` threads and yields its results in chunk order, so
-neither ``workers`` nor the core count enters a result.  ``mc_tail`` reduces
-each chunk to sums and adds them in chunk order, so its memory stays flat
-in n.
+default_rng([seed, k]).  ``map_chunks`` runs a per-chunk function on at
+most ``workers`` threads (inline on one) and yields its results in chunk
+order, so neither ``workers`` nor the core count enters a result.
+``mc_tail`` bins each chunk's returns (``_cells``), reduces them to sums and
+adds those in chunk order, so its memory stays flat in n.
 """
 
 from __future__ import annotations
 
 import collections
 import json
+import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -71,6 +72,8 @@ from .transversal import (
     w_advance,
 )
 
+logger = logging.getLogger(__name__)
+
 FORMULA = "formula"
 ORACLE_AFFINE = "oracle-affine"
 ORACLE_DOUBLED = "oracle-doubled"
@@ -86,8 +89,10 @@ W_SL_PROB = 1.0 / 3.0
 W_MASS_SCALE = 1.5
 
 # Rows of one chunk of the sample layout (``chunk_streams``): a chunk's batch
-# and return temporaries are all a pool thread holds, whatever n is.
+# and return temporaries are all a thread holds, whatever n is.
 CHUNK = 1 << 18
+
+COUNT_BINS_MAX = 64  # past it, binary search costs less than counting (``_cells``)
 
 
 @dataclass(frozen=True)
@@ -232,16 +237,23 @@ def chunk_streams(n: int, seed: int):
         yield np.random.default_rng([seed, k]), min(CHUNK, n - start)
 
 
-def map_chunks(fn, n: int, seed: int, workers: int):
-    """Yield fn(k, rng, count) of every chunk k of ``chunk_streams(n, seed)``,
-    in chunk order, computed on a pool of min(workers, ``os.cpu_count()``)
-    threads.  At most one chunk per thread, plus one queued, is taken ahead
-    of the results yielded, so memory stays flat in n.  ``workers`` < 1
-    raises InvalidInputError.
-    """
+def chunk_threads(n: int, workers: int) -> int:
+    """Threads of ``map_chunks``: min(workers, cores, chunks), at least 1 (workers < 1 raises)."""
     if workers < 1:
         raise InvalidInputError("workers must be >= 1")
-    threads = min(workers, os.cpu_count() or 1)
+    return max(1, min(workers, os.cpu_count() or 1, -(-n // CHUNK)))
+
+
+def map_chunks(fn, n: int, seed: int, workers: int):
+    """Yield fn(k, rng, count) of every chunk k of ``chunk_streams(n, seed)``,
+    in chunk order, on ``chunk_threads(n, workers)`` threads: one thread
+    calls fn inline, with no pool; more run a pool and take at most one
+    chunk per thread, plus one queued, ahead of the results yielded, so
+    memory stays flat in n.
+    """
+    if (threads := chunk_threads(n, workers)) == 1:
+        yield from (fn(k, *stream) for k, stream in enumerate(chunk_streams(n, seed)))
+        return
     pending = collections.deque()
     with ThreadPoolExecutor(threads) as pool:
         for k, stream in enumerate(chunk_streams(n, seed)):
@@ -258,13 +270,12 @@ def _uniform_open(rng, n: int, out=None) -> np.ndarray:
     return np.subtract(1.0, x, out=x)
 
 
-def _triangle_uniform(rng, n: int):
-    """(a, b) uniform on the section triangle, by rejection from the square.
-
-    Acceptance rate 1/2; draws chunk until n points are kept, so the stream
-    consumption is data-dependent but fully determined by the rng state.
-    """
-    a_out, b_out = np.empty((2, n))
+def _triangle_uniform(rng, n: int, out=None):
+    """(a, b) uniform on the section triangle (into ``out`` when given), by
+    rejection from the square at acceptance rate 1/2.  It draws chunks until
+    n points are kept, so the stream consumption is data-dependent but fully
+    determined by the rng state."""
+    a_out, b_out = np.empty((2, n)) if out is None else out
     got = 0
     while got < n:
         k = max(64, int(1.3 * (n - got) * 2))
@@ -279,13 +290,16 @@ def _triangle_uniform(rng, n: int):
     return a_out, b_out
 
 
-def _sl_rows(rng, n: int, ab=None):
+def _sl_rows(rng, n: int, ab=None, out=None):
     """n short-lattice draws (a, b, v1, v2): (a, b) uniform on the triangle
     (or the given arrays ``ab``), then the marking (a cx + b cy, cy / a),
-    uniform in the period parallelogram, drawing all cx before all cy."""
-    a, b = _triangle_uniform(rng, n) if ab is None else ab
-    cx, cy = rng.random(n), rng.random(n)
-    return a, b, a * cx + b * cy, cy / a
+    uniform in the period parallelogram, drawing all cx before all cy.
+    ``out``, four arrays of n rows, is drawn into in place."""
+    a, b, v1, v2 = np.empty((4, n)) if out is None else out
+    a, b = _triangle_uniform(rng, n, out=(a, b)) if ab is None else ab
+    np.multiply(a, rng.random(n, out=v1), out=v1)
+    v1 += b * rng.random(n, out=v2)
+    return a, b, v1, np.divide(v2, a, out=v2)
 
 
 def _rows(kind: int, *cols) -> SectionColumns:
@@ -312,8 +326,8 @@ def _batch_measure(measure: MeasureSpec, rng, n: int):
     weights).
 
     haar-w draws each point's component first, then the sl rows (marking
-    uniform in the period parallelogram), then the sa rows straight into the
-    tail of the same columns.
+    uniform in the period parallelogram) and the sa rows straight into the
+    head and the tail of the same columns.
     """
     if measure.kind == "haar-omega":
         return _batch_omega(rng, n)
@@ -321,7 +335,7 @@ def _batch_measure(measure: MeasureSpec, rng, n: int):
         n_sl = int(np.count_nonzero(rng.random(n) < W_SL_PROB))
         cols, w = _rows(SA, *np.empty((4, n))), np.empty(n)
         cols.kind[:n_sl], w[:n_sl] = SL, 1.0
-        cols.a[:n_sl], cols.b[:n_sl], cols.s[:n_sl], cols.alpha[:n_sl] = _sl_rows(rng, n_sl)
+        _sl_rows(rng, n_sl, out=[c[:n_sl] for c in cols[1:]])
         _batch_omega(rng, n - n_sl, out=(SectionColumns(*(c[n_sl:] for c in cols)), w[n_sl:]))
         return cols, w
     if measure.kind == "torsion":
@@ -365,18 +379,26 @@ def _mass_scale(measure: MeasureSpec) -> float:
     return W_MASS_SCALE if measure.kind == "haar-w" else 1.0
 
 
-def _chunk_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: int):
-    """Per-cell sums of w and of w^2, and per component the sums of w and
-    w^2 over its draws, of n fresh draws from ``rng`` over the sorted
-    ``grid``.
+def _cells(grid: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The cell of each return r over the sorted ``grid``: the number of
+    thresholds below it, so R > t holds at that many leading grid points,
+    and 0 for NaN.  Up to ``COUNT_BINS_MAX`` thresholds it is the sum of
+    r > t, counted into uint8; a larger grid is binary searched."""
+    if grid.size > COUNT_BINS_MAX:
+        return np.where(np.isnan(r), 0, np.searchsorted(grid, r, side="left"))
+    cell = np.zeros(r.shape, dtype=np.uint8)
+    for t in grid:
+        cell += r > t
+    return cell
 
-    A draw's cell is the number of thresholds below its return, so R > t
-    holds at exactly that many leading grid points.  NaN returns go to cell
-    0: R > t is false for them at every t.  The batch is dropped on return.
+
+def _chunk_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: int):
+    """Per-cell sums of w and of w^2 (cells as ``_cells``), and per
+    component the sums of w and w^2 over its draws, of n fresh draws from
+    ``rng`` over the sorted ``grid``.  The batch is dropped on return.
     """
     w, r, comp = _returns_for_batch(measure, _batch_measure(measure, rng, n), engine)
-    cell = np.searchsorted(grid, r, side="left")
-    cell[np.isnan(r)] = 0
+    cell = _cells(grid, r)
     w2 = w * w
     sums = np.bincount(cell, weights=w, minlength=grid.size + 1)
     sums2 = np.bincount(cell, weights=w2, minlength=grid.size + 1)
@@ -404,11 +426,10 @@ def mc_tail(
     The estimator is sum(w * [R > t]) / sum(w) with a delta-method CI
     half-width of 1.96 standard errors; n_eff = (sum w)^2 / sum(w^2).
     Each chunk of the sample layout (``chunk_streams``) is drawn and reduced
-    to per-grid-cell sums (``_chunk_stats``) on a pool of at most
-    ``workers`` threads (``map_chunks``), and the sums are added in chunk
-    order, so memory is bounded by one chunk per thread whatever n is.
-    Results are identical for fixed (seed, n), whatever ``workers`` and the
-    core count are.
+    to per-grid-cell sums (``_chunk_stats``) on at most ``workers`` threads
+    (``map_chunks``) and added in chunk order, so memory is bounded by one
+    chunk per thread whatever n is.  Results are identical for fixed (seed,
+    n), whatever ``workers`` and the core count are.  Logs one DEBUG line.
     """
     if engine not in ENGINES:
         raise InvalidInputError(f"unknown engine {engine!r}")
@@ -436,13 +457,14 @@ def mc_tail(
     if not np.isfinite(wsum) or wsum <= 0:
         raise EstimationError("degenerate total weight")
     n_eff = wsum ** 2 / float(above2[0])
+    logger.debug("mc_tail %s (%s): %d rows, %d chunks, %d thread(s), %d thresholds binned by %s, n_eff %.6g",
+                 measure.label(), engine, n, -(-n // CHUNK), chunk_threads(n, workers), grid.size,
+                 "search" if grid.size > COUNT_BINS_MAX else "count", n_eff)
 
     p = above[1:] / wsum
     var = (1.0 - p) ** 2 * above2[1:] + p ** 2 * below2[:-1]
-    survival = np.empty(t_grid.shape)
-    ci = np.empty(t_grid.shape)
-    survival[order] = p
-    ci[order] = 1.96 * np.sqrt(var) / wsum
+    survival, ci = np.empty((2, t_grid.size))
+    survival[order], ci[order] = p, 1.96 * np.sqrt(var) / wsum
 
     scale = _mass_scale(measure)
     masses = {}

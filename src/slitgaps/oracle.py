@@ -453,7 +453,7 @@ def diff_test(
     reported, and an OmegaR report also counts them per region O1-O4 and
     gives their 1/b-weighted share (``_omega_breakdown``).  Each chunk of
     the sample layout (``chunk_streams``; chunk 0 after the probes) is
-    drawn and gets both columns on a pool of at most ``workers`` threads
+    drawn and gets both columns on at most ``workers`` threads
     (``map_chunks``), and the chunks are joined in chunk order, so reports
     are byte-identical for fixed (seed, n), whatever ``workers`` is.  Every
     row is held, so n above ``SCAN_ROW_LIMIT`` is refused before drawing.

@@ -68,6 +68,8 @@ HORIZONTAL_TOL = 1e-9
 FLOOR_NUDGE = 1e-12
 NO_HORIZONTAL_REP = "marking has no horizontal representative"
 NOT_ON_SLIT_SECTION = "surface is not on the slit-cover section"
+# rows per closed-form call of ``section_returns``: its temporaries stay in cache
+RETURN_ROWS = 1 << 14
 
 
 def delta_basis(a: float, b: float) -> Mat2:
@@ -277,18 +279,20 @@ def _columns(*cols):
 
 
 def _omega_masks(a, b, s, alpha):
-    """Row masks (alpha > a, O1, O3) of affine-section float arrays.
+    """Row masks (alpha > a, O1, O3) of affine-section float arrays, then
+    the terms alpha - a, a*b and b + alpha, which the returns reuse.
 
     A point within ``TIE_TOL`` of a region boundary goes to the lower-indexed
     region: O1 and O2 need alpha > a + TIE_TOL, O1 takes s up to its
     threshold plus TIE_TOL (relative above 1), and O3 takes b + alpha up to
     1 + TIE_TOL.  Ties are logged at DEBUG level.
     """
+    gap, ab, rise = alpha - a, a * b, b + alpha
     upper = alpha > a + TIE_TOL
-    thr = (alpha - a) / (a * b * alpha)
+    thr = gap / (ab * alpha)
     near = TIE_TOL * np.maximum(1.0, thr)
     o1 = upper & (s <= thr + near)
-    o3 = ~upper & (b + alpha <= 1.0 + TIE_TOL)
+    o3 = ~upper & (rise <= 1.0 + TIE_TOL)
     if logger.isEnabledFor(logging.DEBUG):
         cols = a, b, s, alpha = np.broadcast_arrays(a, b, s, alpha)
         for name, tie, branch in (
@@ -300,21 +304,21 @@ def _omega_masks(a, b, s, alpha):
             if len(i):
                 logger.debug("classify tie %s on %d row(s), first (a, b, s, alpha)=%r; assigning %s",
                              name, len(i), tuple(float(c.flat[i[0]]) for c in cols), branch)
-    return upper, o1, o3
+    return upper, o1, o3, gap, ab, rise
 
 
 def omega_region_vec(a, b, s, alpha) -> np.ndarray:
     """Region labels 1-4 of affine-section points (ties as ``_omega_masks``)."""
-    upper, o1, o3 = _omega_masks(*_columns(a, b, s, alpha))
+    upper, o1, o3, *_ = _omega_masks(*_columns(a, b, s, alpha))
     return np.where(upper, np.where(o1, 1, 2), np.where(o3, 3, 4))
 
 
-def _marking_first(a, b, s, alpha, o1, o3, otherwise) -> np.ndarray:
+def _marking_first(a, b, s, o1, o3, gap, rise, otherwise) -> np.ndarray:
     """Return times where the marking lands before the lattice does: O1 and
-    O3 rows; ``otherwise`` on the others."""
+    O3 rows; ``otherwise`` on the others (gap, rise as ``_omega_masks``)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(o1, s * a / (alpha - a), otherwise)
-        return np.where(o3, (1.0 / a - s * b) / (b + alpha), out)
+        out = np.where(o1, s * a / gap, otherwise)
+        return np.where(o3, (1.0 / a - s * b) / rise, out)
 
 
 def _omega_returns(a, b, s, alpha):
@@ -323,13 +327,13 @@ def _omega_returns(a, b, s, alpha):
     at the return: alpha - a on O1, alpha + b on O3, and on the wrapped
     branches O2 and O4 the translate alpha - a + j*b, whose return keeps the
     sheared y-contribution ``s*a``."""
-    _, o1, o3 = _omega_masks(a, b, s, alpha)
+    _, o1, o3, gap, _, rise = _omega_masks(a, b, s, alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         j = np.floor((1.0 + a - alpha) / b + FLOOR_NUDGE)
-        arrive = alpha - a + j * b
+        arrive = gap + j * b
         wrapped = (j * (1.0 / a - s * b) + s * a) / arrive
-    u = _marking_first(a, b, s, alpha, o1, o3, wrapped)
-    return u, np.where(o1, alpha - a, np.where(o3, alpha + b, arrive))
+    u = _marking_first(a, b, s, o1, o3, gap, rise, wrapped)
+    return u, np.where(o1, gap, np.where(o3, rise, arrive))
 
 
 def omega_return_vec(a, b, s, alpha) -> np.ndarray:
@@ -560,8 +564,8 @@ def w_return_sa_vec(a, b, s, alpha) -> np.ndarray:
     """Slit-cover returns of short-affine points: the lattice return
     1/(a*b) - s, except on O1 and O3, where the marking returns first."""
     a, b, s, alpha = _columns(a, b, s, alpha)
-    _, o1, o3 = _omega_masks(a, b, s, alpha)
-    return _marking_first(a, b, s, alpha, o1, o3, 1.0 / (a * b) - s)
+    _, o1, o3, gap, ab, rise = _omega_masks(a, b, s, alpha)
+    return _marking_first(a, b, s, o1, o3, gap, rise, 1.0 / ab - s)
 
 
 # ---------------------------------------------------------------------------
@@ -570,20 +574,22 @@ def w_return_sa_vec(a, b, s, alpha) -> np.ndarray:
 
 
 def _kind_runs(kind: np.ndarray) -> list:
-    """(kind, rows) of each maximal run of equal kind, rows as a slice."""
-    edges = [0, *(np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist(), len(kind)]
-    return [(int(kind[i]), slice(i, j)) for i, j in zip(edges, edges[1:]) if i < j]
+    """(kind, rows) of each run of equal kind, cut every ``RETURN_ROWS`` rows, rows as a slice."""
+    edges = sorted({*range(0, len(kind), RETURN_ROWS), *(np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist(), len(kind)})
+    return [(int(kind[i]), slice(i, j)) for i, j in zip(edges, edges[1:])]
 
 
 def section_returns(cols: SectionColumns) -> np.ndarray:
     """Closed-form first return of every row, by kind: ``omega_return_vec``
     on omega rows, ``w_return_sl_vec`` on sl rows, ``w_return_sa_vec`` on sa
     rows, a/alpha on vertical-lattice rows (vertical, or sa with b nan); one
-    call per run of equal kind, on views of the columns.  The slit-cover
-    returns leave out the -coset, which can arrive earlier on doubled
-    surfaces (a finding of the differential tester)."""
-    runs = [_run_returns(kind, *(c[rows] for c in cols[1:])) for kind, rows in _kind_runs(cols.kind)]
-    return runs[0] if len(runs) == 1 else np.concatenate([np.empty(0), *runs])
+    call per piece of ``_kind_runs``, on views of the columns, into one
+    array.  The slit-cover returns leave out the -coset, which can arrive
+    earlier on doubled surfaces (a finding of the differential tester)."""
+    out = np.empty(len(cols.kind))
+    for kind, rows in _kind_runs(cols.kind):
+        out[rows] = _run_returns(kind, *(c[rows] for c in cols[1:]))
+    return out
 
 
 def _run_returns(kind: int, a, b, s, alpha) -> np.ndarray:

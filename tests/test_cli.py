@@ -190,6 +190,20 @@ def test_log_level_debug_reports_each_oracle_batch(tmp_path, capsys):
     assert "re-scanned after round 1, largest cap" in line
 
 
+def test_log_level_debug_reports_each_mc_tail_call(capsys):
+    argv = ["mc-tail", "--measure", "haar-w", "--t-grid", "0.5,1,2", "--samples", "3000",
+            "--seed", "2", "--workers", "2", "--format", "json"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert main(["--log-level", "DEBUG"] + argv) == 0
+    loud = capsys.readouterr()
+    assert quiet.err == "" and loud.out == quiet.out
+    (line,) = [l for l in loud.err.splitlines() if "slitgaps.measures" in l]
+    n_eff = json.loads(quiet.out)["results"]["n_eff"]
+    assert line == ("DEBUG slitgaps.measures: mc_tail haar-w (formula): 3000 rows, 1 chunks, 1 thread(s), "
+                    f"3 thresholds binned by count, n_eff {n_eff:.6g}")
+
+
 def test_closed_form_tail_at_zero(tmp_path):
     out = tmp_path / "tail.csv"
     assert main(["closed-form", "--t-grid", "0", "--out", str(out)]) == 0

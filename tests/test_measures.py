@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,11 +19,13 @@ from slitgaps.measures import (
     ORACLE_AFFINE,
     ORACLE_DOUBLED,
     MeasureSpec,
+    _cells,
     _oracle_surface,
     _orbit_step,
     _uniform_open,
     ergodic_average,
     estimate_masses,
+    map_chunks,
     mc_tail,
     orbit,
     sample,
@@ -241,11 +244,28 @@ def _assert_close_tree(got, want, rel):
 )
 def test_mc_tail_cell_statistics_match_the_two_pass_estimator(spec, engine, n, workers):
     measure = MeasureSpec.parse(spec)
-    grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0]
-    got = mc_tail(measure, engine, grid, n, seed=31, workers=workers).to_dict()
-    want = _two_pass_tail(measure, engine, grid, n, 31)
-    assert got["n"] == n
-    _assert_close_tree({k: got[k] for k in want}, want, 1e-12)
+    # a grid that _cells counts, and a descending one of 81 thresholds that
+    # it binary searches
+    for grid in ([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0], np.linspace(16.0, 0.0, 81).tolist()):
+        got = mc_tail(measure, engine, grid, n, seed=31, workers=workers).to_dict()
+        want = _two_pass_tail(measure, engine, grid, n, 31)
+        assert got["n"] == n
+        _assert_close_tree({k: got[k] for k in want}, want, 1e-12)
+
+
+@pytest.mark.parametrize("size", [1, measures.COUNT_BINS_MAX, measures.COUNT_BINS_MAX + 1, 129])
+def test_cells_count_the_thresholds_below_each_return(size):
+    # thresholds on a 0.25 lattice repeat once there are more than 21 of them
+    rng = np.random.default_rng(size)
+    grid = np.sort(rng.integers(-4, 17, size) / 4.0)
+    assert size < 22 or np.unique(grid).size < size
+    r = np.concatenate([grid, rng.uniform(-2.0, 5.0, 5000), [np.inf, -np.inf, np.nan, np.nan, 0.0]])
+    rng.shuffle(r)
+    want = np.searchsorted(grid, r, side="left")
+    want[np.isnan(r)] = 0
+    got = _cells(grid, r)
+    assert got.shape == r.shape and np.array_equal(got, want)
+    assert got.dtype == (np.uint8 if size <= measures.COUNT_BINS_MAX else np.intp)
 
 
 @pytest.mark.parametrize(
@@ -323,6 +343,8 @@ def test_mc_tail_output_is_independent_of_the_core_count(monkeypatch):
 
 
 def test_mc_tail_pool_is_bounded_by_the_core_count(monkeypatch):
+    # chunks of 1000 draws: the pool takes min(workers, cores, chunks)
+    # threads, and a run on one thread builds none
     sizes = []
 
     class Recording(ThreadPoolExecutor):
@@ -330,14 +352,39 @@ def test_mc_tail_pool_is_bounded_by_the_core_count(monkeypatch):
             sizes.append(max_workers)
             super().__init__(1)
 
+    monkeypatch.setattr(measures, "CHUNK", 1000)
     monkeypatch.setattr(measures, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    est = mc_tail(MeasureSpec.haar_w(), FORMULA, [0.0, 1.0], 1000, seed=47, workers=100_000)
-    assert est.n == 1000 and est.workers == 100_000
+    est = mc_tail(MeasureSpec.haar_w(), FORMULA, [0.0, 1.0], 4000, seed=47, workers=100_000)
+    assert est.n == 4000 and est.workers == 100_000
     assert sizes == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    mc_tail(MeasureSpec.haar_omega(), FORMULA, [1.0], 2500, seed=47, workers=8)
+    assert sizes == [2, 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    mc_tail(MeasureSpec.haar_omega(), FORMULA, [1.0], 1000, seed=47, workers=4)
-    assert sizes == [2, 1]
+    mc_tail(MeasureSpec.haar_omega(), FORMULA, [1.0], 4000, seed=47, workers=4)
+    assert sizes == [2, 3]
+
+
+def test_a_one_thread_map_runs_inline_in_chunk_order(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-thread map built a pool")
+
+    def fn(k, rng, count):
+        return k, count, threading.get_ident()
+
+    monkeypatch.setattr(measures, "ThreadPoolExecutor", no_pool)
+    caller = threading.get_ident()
+    assert list(map_chunks(fn, 1000, 3, workers=8)) == [(0, 1000, caller)]
+    assert list(map_chunks(fn, 0, 3, workers=8)) == []
+    monkeypatch.setattr(measures, "CHUNK", 400)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert list(map_chunks(fn, 1000, 3, workers=8)) == [(0, 400, caller), (1, 400, caller), (2, 200, caller)]
+    # an inline run reports what a pooled one does
+    one = mc_tail(MeasureSpec.haar_w(), FORMULA, [0.5, 2.0], 1000, seed=5, workers=1).to_dict()
+    monkeypatch.setattr(measures, "ThreadPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(measures, "chunk_threads", lambda n, workers: 2)
+    assert mc_tail(MeasureSpec.haar_w(), FORMULA, [0.5, 2.0], 1000, seed=5, workers=1).to_dict() == one
 
 
 def test_reports_do_not_depend_on_workers_or_cores(monkeypatch):

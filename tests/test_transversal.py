@@ -486,3 +486,24 @@ def test_section_columns_evaluate_each_row_by_its_kind():
     # with no sl row the marking's y stays one shared 0.0
     assert section_surfaces(section_columns(MIXED_POINTS[2:5]))[1].y == 0.0
     assert section_returns(section_columns([])).shape == (0,)
+
+
+def test_section_returns_of_long_runs_match_one_call_per_run(monkeypatch):
+    # runs longer than RETURN_ROWS are evaluated in pieces, into one array:
+    # every return equals that of one vectorized call over its whole run
+    from slitgaps.measures import MeasureSpec, _batch_measure
+
+    monkeypatch.setattr(transversal, "RETURN_ROWS", 1000)
+    rng = np.random.default_rng(17)
+    parts = [_batch_measure(MeasureSpec.parse(m), rng, 4000)[0]
+             for m in ("haar-w", "haar-omega", "periodic-omega:0.7,0.4")]
+    cols = transversal.SectionColumns(*map(np.concatenate, zip(*parts)))
+    sl, sa = (parts[0].kind == k for k in (transversal.SL, transversal.SA))
+    w, omega, vertical = parts
+    want = np.concatenate([
+        w_return_sl_vec(*(c[sl] for c in w[1:])), w_return_sa_vec(*(c[sa] for c in w[1:])),
+        omega_return_vec(*omega[1:]), vertical.a / vertical.alpha,
+    ])
+    runs = transversal._kind_runs(cols.kind)
+    assert len(runs) > 12 and all(0 < r.stop - r.start <= 1000 for _, r in runs)
+    assert np.array_equal(section_returns(cols), want)
