@@ -11,20 +11,24 @@ with a marked coset g*Z^2 + v. Two holonomy conventions are supported:
 
 All enumeration is exact and runs through one kernel, ``_box_rows``: for a
 batch of lattices, each with its own box and markings, integer coefficient
-ranges are derived from the adjugate inverse of the generator, padded by one,
-and then filtered by the defining inequalities.  ``lattice_box`` is its call
-for one lattice; ``_strip_rows`` adds the holonomy components of many
-surfaces and yields their raw rows, which the first-return oracle reduces
-to a minimum slope per surface.  Sorting and deduplicating belong to
-enumeration: ``strip_holonomy_batch`` does both to those rows, and
-``enumerate_strip`` and ``renormalized_box_gaps`` are its calls for one
-surface.  Membership tolerances: x > 1e-12, x <= x_max + slack, y within
-1e-12 of zero counts as horizontal.
+ranges are derived from the adjugate inverse of the generator, widened by
+``RANGE_SLACK`` times the magnitudes their float bounds come from (some 1e5
+times their rounding error, far below one row), and then filtered by the
+defining inequalities.  ``lattice_box`` is its call for one lattice;
+``_strip_rows`` adds the holonomy components of many surfaces and yields
+their raw rows, which the first-return oracle reduces to a minimum slope per
+surface.  Sorting and deduplicating belong to enumeration:
+``strip_holonomy_batch`` does both to those rows, and ``enumerate_strip`` and
+``renormalized_box_gaps`` are its calls for one surface.  Each kernel call
+logs its jobs, n-rows, candidate rows and rows kept at DEBUG level.
+Membership tolerances: x > 1e-12, x <= x_max + slack, y within 1e-12 of zero
+counts as horizontal.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
@@ -39,6 +43,8 @@ BOUND_SLACK = 1e-12
 SLOPE_MERGE_TOL = 1e-12
 UNIMODULAR_TOL = 1e-9
 VECTOR_DEDUP_TOL = 1e-12
+
+logger = logging.getLogger(__name__)
 
 
 class Vec2(NamedTuple):
@@ -176,6 +182,10 @@ STRIP_ROW_BUDGET = 1 << 14
 # candidate rows of one surface: a scan holds about 250 bytes per row, so
 # this keeps it near 2 GB
 SCAN_ROW_LIMIT = 1 << 23
+# the kernel's integer ranges are widened by this multiple of the
+# magnitudes its float bounds are computed from: some 1e5 times their
+# rounding error, and far below one row (``_box_rows``)
+RANGE_SLACK = 1e-9
 
 
 def _ragged(starts: np.ndarray, counts: np.ndarray, *columns):
@@ -251,8 +261,35 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET):
     surfaces nondecreasing.  A field with one entry is a single value that
     broadcasts, so a call for one surface and one job does the per-row work
     of a scalar scan.  For each job the n-range covers g^-1(box - v), each n
-    gets the m-range its constraints allow, and both are padded by one
-    before the exact filter.
+    gets the m-range its constraints allow, and the exact filter then keeps
+    the rows whose float x and y (computed as m11*m, plus m12*n, plus vx;
+    the same for y) pass the box and slope tests.
+
+    The ranges only have to hold every row the filter keeps, so they are
+    widened by a slack on the scale of their rounding error, not by whole
+    rows.  Every point of the box has |n| <= t_n, the sum of the largest
+    corner terms of n, and |m11*m| + |m12*n| + |vx| <= 2*s_x, where s_x =
+    max(|x_lo|, |x_hi|) + |m12|*t_n + |vx|; likewise for y with s_y.  With
+    u = 2^-53 and up to terms in u^2, a kept row's float x and y lie within
+    6u*s_x and 6u*s_y of its exact ones, and so the exact bounds, shifted by
+    that, hold it.  Each float bound errs from its exact bound by at most:
+
+    - n-range: 12u*(|i21|*s_x + |i22|*s_y) rows, the kept row's rounding
+      included; the sum also bounds (kappa + 1)*t_n, where kappa =
+      (|m11*m22| + |m12*m21|)/|det| scales det's rounding;
+    - x and y: 13u*s_x or 13u*s_y in the units of p*m + c, over the terms of
+      c = q*n + v, of b - c and of the quotient by p;
+    - slope: 30u*(s_y + |sigma|*s_x + slack), the rounding of p = m21 -
+      sigma*m11 times |m| included.
+
+    So the n-range is widened by ``RANGE_SLACK``*(|i21|*s_x + |i22|*s_y)
+    rows, and each constraint's bounds by ``RANGE_SLACK`` times its
+    magnitude before dividing by p: some 1e5 times the error, and under one
+    row until those magnitudes reach some 1e9.  At p = 0 the quotients stay
+    infinite: a row whose constant term lies beyond the widened bounds is
+    emptied and any other row is left whole for the filter; for x and y that
+    constant term is exactly the filter's x or y.  The kept rows, and their
+    floats, do not depend on the ranges.
 
     Yields (job, x, y, m, n) arrays holding whole surfaces, rows ordered by
     job, then n, then m; a chunk expands at most ``budget`` candidate rows
@@ -272,39 +309,45 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET):
     if not np.all(np.abs(det) >= 1e-15):
         raise DegenerateInputError("generator is singular")
 
-    # n-range per job from g^-1 of the box corners, padded by one; n is
-    # i21*x' + i22*y' at a corner, and rounding is monotone, so its extremes
-    # over the corners are sums of the extremes of each term
+    # n-range per job from g^-1 of the box corners: n is i21*x' + i22*y' at
+    # a corner, and rounding is monotone, so its extremes over the corners
+    # are sums of the extremes of each term.  The slacks are RANGE_SLACK
+    # times the magnitudes t_n, s_x and s_y of the docstring
     i21, i22 = -m21 / det, m11 / det
     nx = i21 * (x_lo - vx), i21 * (x_hi - vx)
     ny = i22 * (y_lo - vy), i22 * (y_hi - vy)
-    n_first = np.atleast_1d(np.floor(np.minimum(*nx) + np.minimum(*ny)) - 1)
-    n_count = np.ceil(np.maximum(*nx) + np.maximum(*ny)) + 1 - n_first + 1
+    t_n = np.maximum(np.abs(nx[0]), np.abs(nx[1])) + np.maximum(np.abs(ny[0]), np.abs(ny[1]))
+    s_x = np.maximum(np.abs(x_lo), np.abs(x_hi)) + np.abs(m12) * t_n + np.abs(vx)
+    s_y = np.maximum(np.abs(y_lo), np.abs(y_hi)) + np.abs(m22) * t_n + np.abs(vy)
+    e_n = RANGE_SLACK * (np.abs(i21) * s_x + np.abs(i22) * s_y)
+    n_first = np.atleast_1d(np.ceil(np.minimum(*nx) + np.minimum(*ny) - e_n))
+    n_count = np.floor(np.maximum(*nx) + np.maximum(*ny) + e_n) - n_first + 1
     _check_scan_size(n_count.sum(), "rows of n-range")
     n_count = n_count.astype(np.int64)
     ns, job = _ragged(n_first, n_count, np.arange(len(n_first)))
 
-    # m-range per (job, n)
+    # m-range per (job, n), each bound widened by its slack in the units of
+    # its constraint
     def row(f):
         return _at(f, job)
 
+    e_x, e_y = RANGE_SLACK * s_x, RANGE_SLACK * s_y
     lo = np.full(ns.shape, -np.inf)
     hi = np.full(ns.shape, np.inf)
     scratch = np.empty((3, len(ns)))
-    _bound_rows(lo, hi, row(m11), row(m12) * ns + row(vx), row(x_lo), row(x_hi), scratch)
-    _bound_rows(lo, hi, row(m21), row(m22) * ns + row(vy), row(y_lo), row(y_hi), scratch)
+    _bound_rows(lo, hi, row(m11), row(m12) * ns + row(vx), row(x_lo - e_x), row(x_hi + e_x), scratch)
+    _bound_rows(lo, hi, row(m21), row(m22) * ns + row(vy), row(y_lo - e_y), row(y_hi + e_y), scratch)
     if slope_max is not None:
         sig = _at(_shared(slope_max), surf)
         slack = BOUND_SLACK * np.maximum(1.0, sig)
-        # y - sigma*x <= 0 up to slack
-        q = row(sig * m12 - m22) * ns + row(sig * vx) - row(vy) + row(slack)
+        # y - sigma*x <= slack
+        e_s = RANGE_SLACK * (s_y + np.abs(sig) * s_x + slack)
+        q = row(sig * m12 - m22) * ns + row(sig * vx - vy + slack + e_s)
         _bound_rows(lo, hi, row(m21 - sig * m11), 0.0, -np.inf, q, scratch)
-    # m_first = ceil(lo) - 1 and m_count = floor(hi) + 1 - m_first + 1, in
-    # place: each temporary would be as long as the n-range
+    # m_first = ceil(lo) and m_count = floor(hi) - m_first + 1, in place:
+    # each temporary would be as long as the n-range
     m_first = np.ceil(lo, out=lo)
-    m_first -= 1
     m_count = np.floor(hi, out=hi)
-    m_count += 1
     m_count -= m_first
     m_count += 1
     m_count = np.fmax(m_count, 0, out=m_count)
@@ -312,6 +355,8 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET):
     _check_scan_size(rows_per_surface.max(), "candidate rows of one surface")
     m_count = m_count.astype(np.int64)
 
+    debug = logger.isEnabledFor(logging.DEBUG)
+    kept = 0
     surface_rows = np.searchsorted(job, np.searchsorted(surf, np.arange(len(rows_per_surface) + 1)))
     for s0, s1 in _budget_runs(rows_per_surface, budget):
         rows = slice(surface_rows[s0], surface_rows[s1])
@@ -325,7 +370,14 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET):
         keep = (x >= _at(x_lo, j)) & (x <= _at(x_hi, j)) & (y >= _at(y_lo, j)) & (y <= _at(y_hi, j))
         if slope_max is not None:
             keep &= y <= _at(sig, j) * x + _at(slack, j)
+        if debug:
+            kept += int(np.count_nonzero(keep))
         yield j[keep], x[keep], y[keep], m[keep], n[keep]
+    if debug:
+        logger.debug(
+            "box scan: %d jobs, %d n-rows, %d candidate rows, %d rows kept",
+            len(surf), len(ns), int(rows_per_surface.sum()), kept,
+        )
 
 
 def lattice_box(

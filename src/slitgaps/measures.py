@@ -65,7 +65,6 @@ from .transversal import (
     WPointSL,
     _section_point,
     advance_omega,
-    omega_region_vec,
     omega_to_surface,
     section_columns,
     section_returns,
@@ -361,16 +360,16 @@ def _returns_for_batch(measure: MeasureSpec, batch, engine: str):
     """(weights, returns, component masks) for one sampled batch.  The
     oracle engines take the formula returns as cap hints."""
     cols, w = batch
-    r = section_returns(cols)
+    comp = {}
+    if measure.kind == "haar-omega":
+        comp["omega3"] = np.zeros(len(w), dtype=bool)
+    r = section_returns(cols, comp.get("omega3"))
     if engine != FORMULA:
         from .oracle import section_oracle_returns
 
         mode = SurfaceMode.DOUBLED_SLIT if engine == ORACLE_DOUBLED else SurfaceMode.AFFINE_ONLY
         r = section_oracle_returns(cols, mode, r)
-    comp = {}
-    if measure.kind == "haar-omega":
-        comp["omega3"] = omega_region_vec(*cols[1:]) == 3
-    elif measure.kind == "haar-w":
+    if measure.kind == "haar-w":
         comp["sl"] = cols.kind == SL
     return w, r, comp
 

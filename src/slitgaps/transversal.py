@@ -322,18 +322,18 @@ def _marking_first(a, b, s, o1, o3, gap, rise, otherwise) -> np.ndarray:
 
 
 def _omega_returns(a, b, s, alpha):
-    """(return times, arriving alphas) of affine-section float arrays.  The
-    arriving alpha is the x of the marking representative that is horizontal
-    at the return: alpha - a on O1, alpha + b on O3, and on the wrapped
-    branches O2 and O4 the translate alpha - a + j*b, whose return keeps the
-    sheared y-contribution ``s*a``."""
+    """(return times, arriving alphas, O3 mask) of affine-section float
+    arrays.  The arriving alpha is the x of the marking representative that
+    is horizontal at the return: alpha - a on O1, alpha + b on O3, and on
+    the wrapped branches O2 and O4 the translate alpha - a + j*b, whose
+    return keeps the sheared y-contribution ``s*a``."""
     _, o1, o3, gap, _, rise = _omega_masks(a, b, s, alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         j = np.floor((1.0 + a - alpha) / b + FLOOR_NUDGE)
         arrive = gap + j * b
         wrapped = (j * (1.0 / a - s * b) + s * a) / arrive
     u = _marking_first(a, b, s, o1, o3, gap, rise, wrapped)
-    return u, np.where(o1, gap, np.where(o3, rise, arrive))
+    return u, np.where(o1, gap, np.where(o3, rise, arrive)), o3
 
 
 def omega_return_vec(a, b, s, alpha) -> np.ndarray:
@@ -508,7 +508,7 @@ def advance_omega(p: Union[OmegaCoords, VLCoords]) -> tuple:
         u = p.a / p.alpha
         s = math.fmod(p.s + u, p.a ** 2)
         return u, VLCoords(p.a, s if s > 0.0 else p.a ** 2, p.alpha)
-    u, alpha = map(float, _omega_returns(*_columns(p.a, p.b, p.s, p.alpha)))
+    u, alpha = map(float, _omega_returns(*_columns(p.a, p.b, p.s, p.alpha))[:2])
     a, b, s = p.a, p.b, p.s + u
     for _ in range(int(u) + 2):
         r = 1.0 / (a * b)
@@ -579,27 +579,37 @@ def _kind_runs(kind: np.ndarray) -> list:
     return [(int(kind[i]), slice(i, j)) for i, j in zip(edges, edges[1:])]
 
 
-def section_returns(cols: SectionColumns) -> np.ndarray:
+def section_returns(cols: SectionColumns, o3=None) -> np.ndarray:
     """Closed-form first return of every row, by kind: ``omega_return_vec``
     on omega rows, ``w_return_sl_vec`` on sl rows, ``w_return_sa_vec`` on sa
     rows, a/alpha on vertical-lattice rows (vertical, or sa with b nan); one
     call per piece of ``_kind_runs``, on views of the columns, into one
     array.  The slit-cover returns leave out the -coset, which can arrive
-    earlier on doubled surfaces (a finding of the differential tester)."""
+    earlier on doubled surfaces (a finding of the differential tester).
+
+    ``o3``, a boolean array of the rows, all False, is set True on the
+    omega rows in O3 (``omega_region_vec(...) == 3``), read off the
+    classification behind their returns."""
     out = np.empty(len(cols.kind))
     for kind, rows in _kind_runs(cols.kind):
-        out[rows] = _run_returns(kind, *(c[rows] for c in cols[1:]))
+        out[rows] = _run_returns(kind, *(c[rows] for c in cols[1:]), None if o3 is None else o3[rows])
     return out
 
 
-def _run_returns(kind: int, a, b, s, alpha) -> np.ndarray:
-    """``section_returns`` of rows of one kind."""
+def _run_returns(kind: int, a, b, s, alpha, o3=None) -> np.ndarray:
+    """``section_returns`` of rows of one kind, marking omega rows in O3 in
+    the view ``o3`` when given."""
     if kind == SL:
         return w_return_sl_vec(a, b, s, alpha)
     vertical = np.isnan(b)
     if vertical.all():
         return a / alpha
-    r = (w_return_sa_vec if kind == SA else omega_return_vec)(a, b, s, alpha)
+    if kind == SA:
+        r = w_return_sa_vec(a, b, s, alpha)
+    else:
+        r, _, mask = _omega_returns(*_columns(a, b, s, alpha))
+        if o3 is not None:
+            o3[...] = mask
     if vertical.any():
         np.divide(a, alpha, out=r, where=vertical)
     return r

@@ -321,28 +321,105 @@ def _kernel_cases(rng, slope):
     return cases
 
 
-def _exhaustive(g, box, cap, v):
-    """Every (x, y, m, n) with |m|, |n| <= COEFF_RANGE inside the window."""
+def _adversarial_cases(rng):
+    """Surfaces (g, box, slope cap or None, markings, coefficient centre)
+    that press on the kernel's range slack: markings or boxes some 1e5-1e6
+    rows from the origin, plain, with box edges and a slope cap through
+    their points, or with a point at the corner where n or m is extreme;
+    generators with an entry of +-1e-7; g11 = 0 and g21 = 0 generators with
+    a slope cap; and lattices with rows along the cap line y = sigma*x."""
+    cases = []
+    for far, snap in [(1e5, False), (1e6, False), (1e5, True), (1e6, True), (3e5, True)] * 2:
+        g = _unimodular(rng)
+        centre = tuple(np.round(rng.uniform(0.5, 1.0, 2) * far * rng.choice([-1, 1], 2)).tolist())
+        shift = g.apply(Vec2(*centre))
+        x_lo, y_lo = rng.uniform(-2.0, 0.0, size=2)
+        box = (x_lo, x_lo + rng.uniform(1.0, 3.0), y_lo, y_lo + rng.uniform(1.0, 3.0))
+        if rng.random() < 0.5:
+            # the markings far out, the box near the origin
+            marks = [Vec2(*(rng.uniform(-1.0, 1.0, 2) - shift)) for _ in range(2)]
+        else:
+            # the box far out, the markings near the origin
+            box = (box[0] + shift.x, box[1] + shift.x, box[2] + shift.y, box[3] + shift.y)
+            marks = [Vec2(*rng.uniform(-1.0, 1.0, 2)) for _ in range(2)]
+        cap = None
+        if snap:
+            pts = _exhaustive(g, box, None, marks[0], centre)
+            if pts:
+                xs, ys = sorted(p[0] for p in pts), sorted(p[1] for p in pts)
+                box = (xs[0], xs[-1], ys[0], ys[-1])
+                if xs[0] > 0.0:
+                    x, y = sorted(pts)[len(pts) // 2][:2]
+                    cap = y / x
+        # either way the points in the box have (m, n) near the centre
+        cases.append((g, box, cap, marks, centre))
+    # a far coset point at the box corner where n, or m, is least or most:
+    # the float range bound sits within rounding of that point's coefficient
+    for _ in range(3):
+        g = _unimodular(rng)
+        inv = g.inverse()
+        m0, n0 = np.round(rng.uniform(1e5, 1e6, 2) * rng.choice([-1, 1], 2))
+        marks = [Vec2(*(rng.uniform(-1.0, 1.0, 2) - g.apply(Vec2(m0, n0))))]
+        x = g.m11 * m0 + g.m12 * n0 + marks[0].x
+        y = g.m21 * m0 + g.m22 * n0 + marks[0].y
+        for i1, i2 in ((inv.m21, inv.m22), (inv.m11, inv.m12)):
+            for side in (1.0, -1.0):
+                # the corner least in side * (i1*x + i2*y)
+                w, h = rng.uniform(1.0, 3.0, 2) * side
+                box = (x, x + w) if i1 * side > 0 else (x - w, x)
+                box += (y, y + h) if i2 * side > 0 else (y - h, y)
+                cases.append((g, tuple(sorted(box[:2])) + tuple(sorted(box[2:])), None, marks, (m0, n0)))
+    for tiny in (1e-7, -1e-7):
+        lam, c = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+        marks = [Vec2(*rng.uniform(-1.0, 1.0, 2)) for _ in range(2)]
+        box = (-2.0, 2.0, -1.5, 2.5)
+        for g in (Mat2(tiny, -1.0 / lam, lam, c), Mat2(lam, c, tiny, 1.0 / lam),
+                  Mat2(c, lam, -1.0 / lam, tiny)):
+            for cap in (None, rng.uniform(0.3, 3.0)):
+                cases.append((g, box, cap, marks, (0.0, 0.0)))
+    for _ in range(2):
+        a = rng.uniform(0.5, 1.5)
+        for g in (Mat2(a, rng.uniform(-1.0, 1.0), 0.0, 1.0 / a), Mat2(0.0, -1.0 / a, a, rng.uniform(-1.0, 1.0))):
+            marks = [Vec2(0.0, 0.0), Vec2(*rng.uniform(-1.0, 1.0, 2))]
+            cases.append((g, (0.0, 2.0, 0.0, 2.0), rng.uniform(0.3, 3.0), marks, (0.0, 0.0)))
+    # g*(1, 0) = (1, sigma) exactly, so the kernel sees p = 0: rows of n lie
+    # along the cap line, the marking's row on it, and a few ulps either
+    # side of y - sigma*x = slack, where the filter keeps part of the row
+    for sigma in (0.75, 1.25, 0.5):
+        c = rng.uniform(-1.0, 1.0)
+        g = Mat2(1.0, c, sigma, 1.0 + sigma * c)
+        edge = sigma * 0.5 + BOUND_SLACK * max(1.0, sigma)
+        ys = [sigma * 0.5, math.nextafter(edge, -math.inf), edge]
+        for _ in range(3):
+            ys.append(math.nextafter(ys[-1], math.inf))
+        cases.append((g, (0.0, 3.0, -1.0, 4.0), sigma, [Vec2(0.5, y) for y in ys], (0.0, 0.0)))
+    return cases
+
+
+def _exhaustive(g, box, cap, v, centre=(0.0, 0.0)):
+    """Every (x, y, m, n) with |m - centre_m|, |n - centre_n| <= COEFF_RANGE
+    inside the window."""
     r = np.arange(-COEFF_RANGE, COEFF_RANGE + 1, dtype=float)
-    m, n = (a.ravel() for a in np.meshgrid(r, r))
+    m, n = (a.ravel() for a in np.meshgrid(r + centre[0], r + centre[1]))
     x = g.m11 * m + g.m12 * n + v.x
     y = g.m21 * m + g.m22 * n + v.y
     keep = (box[0] <= x) & (x <= box[1]) & (box[2] <= y) & (y <= box[3])
     if cap is not None:
         keep &= y <= cap * x + BOUND_SLACK * max(1.0, cap)
-    assert not np.any(np.abs(m[keep]) == COEFF_RANGE) and not np.any(np.abs(n[keep]) == COEFF_RANGE)
+    edge = (np.abs(m[keep] - centre[0]) == COEFF_RANGE) | (np.abs(n[keep] - centre[1]) == COEFF_RANGE)
+    assert not np.any(edge)
     return set(zip(x[keep].tolist(), y[keep].tolist(), m[keep].tolist(), n[keep].tolist()))
 
 
-@pytest.mark.parametrize("slope", [False, True])
-@pytest.mark.parametrize("budget", [1, 1 << 14])
-def test_box_kernel_matches_exhaustive_scan(slope, budget):
-    rng = np.random.default_rng(2718 + slope)
-    cases = _kernel_cases(rng, slope)
+def _check_against_exhaustive(cases, budget):
+    """One ``_box_rows`` call over all cases (g, box, cap, markings and
+    optionally the coefficient centre), either every cap None or none,
+    returns exactly each job's exhaustive set, ordered by job, then n, then m, and with budget 1 holds one surface
+    per chunk.  Returns the number of chunks and of points found."""
     g = Mat2(*(np.array([c[0][k] for c in cases]) for k in range(4)))
     box = [np.array([c[1][k] for c in cases]) for k in range(4)]
     jobs = [(s, v) for s, c in enumerate(cases) for v in c[3]]
-    caps = np.array([c[2] for c in cases]) if slope else None
+    caps = None if cases[0][2] is None else np.array([c[2] for c in cases])
     surf = np.array([s for s, _ in jobs])
     vx, vy = (np.array([v[k] for _, v in jobs]) for k in range(2))
 
@@ -356,14 +433,35 @@ def test_box_kernel_matches_exhaustive_scan(slope, budget):
             assert len(set(surf[j].tolist())) <= 1
         for row in zip(j.tolist(), x.tolist(), y.tolist(), m.tolist(), n.tolist()):
             got[row[0]].add(row[1:])
-    if budget == 1:
-        assert chunks == len(cases)
     found = 0
     for k, (s, v) in enumerate(jobs):
-        want = _exhaustive(cases[s][0], cases[s][1], cases[s][2], v)
+        want = _exhaustive(cases[s][0], cases[s][1], cases[s][2], v, *cases[s][4:])
         assert got[k] == want, (k, cases[s][1])
         found += len(want)
+    return chunks, found
+
+
+@pytest.mark.parametrize("slope", [False, True])
+@pytest.mark.parametrize("budget", [1, 1 << 14])
+def test_box_kernel_matches_exhaustive_scan(slope, budget):
+    rng = np.random.default_rng(2718 + slope)
+    cases = _kernel_cases(rng, slope)
+    chunks, found = _check_against_exhaustive(cases, budget)
+    if budget == 1:
+        assert chunks == len(cases)
     assert found > 0
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("budget", [1, 1 << 14])
+def test_box_kernel_matches_exhaustive_scan_on_adversarial_cases(seed, budget):
+    # the range slack holds every row the filter keeps, far from the origin,
+    # on near-singular and axis-aligned generators, and on boxes and slope
+    # caps through lattice points
+    cases = _adversarial_cases(np.random.default_rng(seed))
+    found = [_check_against_exhaustive([c for c in cases if (c[2] is None) == capped], budget)[1]
+             for capped in (False, True)]
+    assert min(found) > 100
 
 
 @pytest.mark.parametrize("slope", [False, True])

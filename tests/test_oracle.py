@@ -819,6 +819,27 @@ def test_batch_logs_one_debug_line_per_call(caplog, kind):
     assert float(tiny["cap"]) >= float(one["cap"])
 
 
+_SCAN_LOG = re.compile(r"box scan: (\d+) jobs, (\d+) n-rows, (\d+) candidate rows, (\d+) rows kept$")
+
+
+def test_box_scans_log_their_rows_and_expand_few_candidates(caplog):
+    # one DEBUG line per kernel call; on OmegaR draws with their formula
+    # hints the ranges, widened by rounding slack only, expand fewer than
+    # 2.5 candidate rows per row kept (whole-row padding expanded about 6)
+    cols = _region_columns("OmegaR", [(np.random.default_rng([1, 0]), 25_000)], "fundamental")
+    hints = _formula_column("OmegaR", cols)
+    caplog.set_level(logging.INFO, logger="slitgaps.geometry")
+    quiet = _oracle_column("OmegaR", cols, SurfaceMode.AFFINE_ONLY, hints)
+    assert caplog.records == []
+    caplog.set_level(logging.DEBUG, logger="slitgaps.geometry")
+    assert np.array_equal(_oracle_column("OmegaR", cols, SurfaceMode.AFFINE_ONLY, hints), quiet)
+    rows = [_SCAN_LOG.match(r.getMessage()) for r in caplog.records if r.name == "slitgaps.geometry"]
+    jobs, n_rows, candidates, kept = np.array([[int(k) for k in m.groups()] for m in rows]).sum(axis=0)
+    assert len(rows) >= -(-len(hints) // geometry.STRIP_BLOCK) and jobs >= len(hints)
+    assert kept >= len(hints)
+    assert candidates <= 2.5 * kept
+
+
 def test_batch_rejects_non_unimodular_generators():
     g = Mat2(np.array([1.0, 2.0]), 0.0, 0.0, 1.0)
     with pytest.raises(InvalidInputError):

@@ -507,3 +507,8 @@ def test_section_returns_of_long_runs_match_one_call_per_run(monkeypatch):
     runs = transversal._kind_runs(cols.kind)
     assert len(runs) > 12 and all(0 < r.stop - r.start <= 1000 for _, r in runs)
     assert np.array_equal(section_returns(cols), want)
+    # the O3 mask read off the same classification, piece by piece
+    o3 = np.zeros(len(cols.kind), dtype=bool)
+    assert np.array_equal(section_returns(cols, o3), want)
+    want_o3 = (cols.kind == transversal.OMEGA) & (omega_region_vec(*cols[1:]) == 3)
+    assert np.array_equal(o3, want_o3) and 0 < o3.sum() < len(omega.kind)
