@@ -3,7 +3,7 @@
 The package splits into five layers: exact lattice/strip geometry
 (``geometry``), return-time formulas on the transversal sections
 (``transversal``), enumeration ground truth and differential testing
-(``oracle``), seeded Monte Carlo over the invariant measures (``measures``),
+(``oracle``), seeded Monte Carlo over the section measures (``measures``),
 and the closed-form tail laws with their quadrature twins (``closedform``).
 ``cli`` ties them into a batch command line.
 """

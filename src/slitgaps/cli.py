@@ -40,7 +40,7 @@ from .errors import (
 from .geometry import AffineLattice, Mat2, SurfaceMode, Vec2, enumerate_strip, slopes_and_gaps
 from .measures import ENGINES, FORMULA, ORACLE_DOUBLED, MeasureSpec, mc_tail, orbit
 from .oracle import REGIONS, V_DOMAINS, diff_test, oracle_strip_slopes
-from .transversal import SECTION_KINDS, OmegaCoords, omega_to_surface, section_columns, w_section_coords
+from .transversal import SECTION_KINDS, OmegaCoords, flowed_section_coords, omega_to_surface, section_columns
 
 SPEC_VERSION = "1.0"
 
@@ -379,15 +379,13 @@ def cmd_orbit(config: RunConfig) -> int:
     if iters < 0:
         raise InvalidInputError("--iters must be >= 0")
 
-    first = start
+    first = section_columns([start])
     if engine == ORACLE_DOUBLED:
         # the doubled oracle follows the slit-cover section, start included
-        first = w_section_coords(omega_to_surface(start))
+        first = flowed_section_coords(omega_to_surface(start), (0.0,), slit=True)
     [(returns, points)] = orbit(start, engine, iters)
     # row k shows the point the k-th return leaves from
-    kind, a, b, s, alpha = (
-        numpy.concatenate([c0, c])[:iters].tolist() for c0, c in zip(section_columns([first]), points)
-    )
+    kind, a, b, s, alpha = (numpy.concatenate([c0, c])[:iters].tolist() for c0, c in zip(first, points))
     rows = list(zip(
         range(iters), returns.tolist(), [SECTION_KINDS[k] for k in kind], a,
         [x if x == x else "" for x in b], s, alpha,  # b is nan on vertical rows

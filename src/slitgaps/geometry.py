@@ -630,11 +630,6 @@ def renormalized_box_gaps(surface: AffineLattice, mode: SurfaceMode, r: float) -
     return GapSeries(series.slopes, r * r * series.gaps, series.count, series.merged)
 
 
-def box_slope_count(surface: AffineLattice, mode: SurfaceMode, r: float) -> int:
-    """N(R): number of distinct first-quadrant holonomy slopes at max-norm <= R."""
-    return renormalized_box_gaps(surface, mode, r).count
-
-
 def d_cover_holonomy(d: int, surface: AffineLattice, slope_max: float) -> np.ndarray:
     """Strip holonomy of the d-symmetric cyclic torus cover branched over the
     marked segment.

@@ -1,7 +1,8 @@
-"""Samplers for the classified invariant measures and self-normalized Monte
-Carlo tail estimation.
+"""Samplers for measures on the sections and self-normalized Monte Carlo
+tail estimation.
 
-Measures:
+Measures (haar-omega and haar-w are Lebesgue/Haar in section coordinates;
+neither is invariant under the enumerated return maps):
 
 * ``haar-omega`` - Lebesgue ds db da dalpha on the affine section, drawn by
   importance sampling (uniform proposals, weight 1/b per draw since the
@@ -22,10 +23,11 @@ its weights; ``section_returns`` gives its returns, which the oracle engines
 (``oracle.section_oracle_returns``) take as cap hints.
 
 Orbits: ``orbit`` iterates the section return map and gives the orbit as
-columns of arrays.  The formula engine steps in closed form; the oracle
-engines read the whole orbit, returns and section points, off scans of the
-start surface (``oracle.oracle_orbit``), and ``ergodic_average`` reads their
-returns off one strip scan.
+columns of arrays.  The formula engine steps section rows in closed form
+(``transversal.section_step``); the oracle engines read the whole orbit,
+returns and section points, off scans of the start surface
+(``oracle.oracle_orbit``), and ``ergodic_average`` reads their returns off
+one strip scan.
 
 Everything downstream is self-normalized, so reported distributions do not
 depend on any overall mass convention.  Reproducibility: a run is determined
@@ -63,12 +65,11 @@ from .transversal import (
     VLCoords,
     WPointSA,
     WPointSL,
-    _section_point,
-    advance_omega,
     omega_to_surface,
+    row_columns,
     section_columns,
     section_returns,
-    w_advance,
+    section_step,
 )
 
 logger = logging.getLogger(__name__)
@@ -96,7 +97,7 @@ COUNT_BINS_MAX = 64  # past it, binary search costs less than counting (``_cells
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """One of the ergodic invariant measures of the section dynamics."""
+    """One of the sampled measures on the sections."""
 
     kind: str
     q: Optional[int] = None
@@ -171,12 +172,6 @@ class MeasureSpec:
 
 
 @dataclass(frozen=True)
-class WeightedSample:
-    point: Union[OmegaCoords, VLCoords, WPointSL, WPointSA]
-    weight: float
-
-
-@dataclass(frozen=True)
 class TailEstimate:
     """Self-normalized survival curve P(R > t) with delta-method CIs."""
 
@@ -220,7 +215,7 @@ class TailEstimate:
 
 
 # ---------------------------------------------------------------------------
-# sample layout; batch samplers: (SectionColumns, weights), WeightedSample is row 0
+# sample layout; batch samplers: (SectionColumns, weights)
 
 
 def chunk_streams(n: int, seed: int):
@@ -348,12 +343,6 @@ def _batch_measure(measure: MeasureSpec, rng, n: int):
     else:
         raise InvalidInputError(f"unknown measure kind: {measure.kind!r}")
     return cols, np.ones(n)
-
-
-def sample(measure: MeasureSpec, rng) -> WeightedSample:
-    """Draw one weighted point: row 0 of a size-1 batch."""
-    cols, w = _batch_measure(measure, rng, 1)
-    return WeightedSample(_section_point(*(c[0].item() for c in cols)), float(w[0]))
 
 
 def _returns_for_batch(measure: MeasureSpec, batch, engine: str):
@@ -486,17 +475,6 @@ def mc_tail(
     )
 
 
-def estimate_masses(
-    measure: MeasureSpec, n: int, seed: int, workers: int = 1
-) -> dict:
-    """Weighted-total mass of the measure's support region (and component
-    slices), with standard errors.  Formula engine; returns a flat dict."""
-    est = mc_tail(measure, FORMULA, [0.0], n, seed, workers)
-    out = {"total": est.total_mass, "total_se": est.total_mass_se}
-    out.update(est.component_masses)
-    return out
-
-
 def ergodic_average(
     start: Union[OmegaCoords, VLCoords],
     engine: str,
@@ -531,37 +509,29 @@ def _oracle_surface(p, engine: str):
     return omega_to_surface(p), SurfaceMode.AFFINE_ONLY
 
 
-def _orbit_step(p):
-    """(return time, next point) of the closed-form step: the affine section
-    advances by ``advance_omega``, a slit-cover point by ``w_advance`` on the
-    doubled slit cover."""
-    if isinstance(p, (WPointSL, WPointSA)):
-        return w_advance(p)
-    return advance_omega(p)
-
-
 def orbit(start, engine: str, n_steps: int):
     """Yield the first ``n_steps`` returns as one block of columns: the
     return times, and the ``SectionColumns`` of the point each step reaches.
     Nothing is computed until the block is asked for.
 
-    The formula engine steps in closed form, one return at a time (each step
-    starts where the last one landed), and fills the columns from its
-    points.  The oracle engines read the whole orbit off scans of the start
-    surface (``oracle_orbit``): the affine oracle stays on the affine
-    section, the doubled oracle follows the slit-cover section (so a point
-    may be a short-lattice state).  Their points agree with flowing and
-    recoordinatizing step by step up to rounding.
+    The formula engine steps rows of the start's ``section_columns`` in
+    closed form (``section_step``), each step starting where the last one
+    landed, and builds the columns once from its rows.  The oracle engines
+    read the whole orbit off scans of the start surface (``oracle_orbit``):
+    the affine oracle stays on the affine section, the doubled oracle
+    follows the slit-cover section (so a point may be a short-lattice
+    state).  Their points agree with flowing and recoordinatizing step by
+    step up to rounding.
     """
     if engine not in ENGINES:
         raise InvalidInputError(f"unknown engine {engine!r}")
     if engine == FORMULA or n_steps < 1:
-        p, returns, points = start, [], []
+        row, returns, rows = tuple(c[0].item() for c in section_columns([start])), [], []
         for _ in range(n_steps):
-            u, p = _orbit_step(p)
+            u, row = section_step(*row)
             returns.append(u)
-            points.append(p)
-        yield np.array(returns, dtype=float), section_columns(points)
+            rows.append(row)
+        yield np.array(returns, dtype=float), row_columns(rows)
     else:
         from .oracle import oracle_orbit
 

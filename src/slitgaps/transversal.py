@@ -21,14 +21,15 @@ elementwise over arrays (``omega_region_vec``, ``omega_return_vec``,
 holds throughout: a point within ``TIE_TOL`` of a region boundary goes to the
 lower-indexed region, and ties are logged at DEBUG level.
 
-Many section points travel as ``SectionColumns``: an orbit's points
+Section points travel as ``SectionColumns``: an orbit's points
 (``flowed_section_coords``, the range checks of the point classes run on the
 columns) and the sampled batches of ``measures``.  ``section_returns`` and
 ``section_surfaces`` give every row's return and surface, whatever its kind;
-the point forms ``omega_return_time``, ``w_return_time``, ``omega_to_surface``
-and ``w_to_surface`` are their size-1 calls.  ``flowed_section_coords`` is the
-one recoordinatization: ``recoordinatize_omega`` and ``w_section_coords`` are
-its size-1 calls at time 0.
+the point forms ``omega_return_time`` and ``omega_to_surface`` are their
+size-1 calls, for a point of any kind.  ``flowed_section_coords`` is the one
+recoordinatization: ``recoordinatize_omega`` and ``w_section_coords`` are its
+size-1 calls at time 0.  ``section_step`` is the closed-form return map, one
+row (kind, a, b, s, alpha) at a time.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .errors import (
 from .geometry import (
     AffineLattice,
     Mat2,
+    SCAN_ROW_LIMIT,
     Vec2,
     X_EPS,
     Y_EPS,
@@ -236,11 +238,15 @@ def _point_fields(p) -> tuple:
     return OMEGA, p.a, p.b, p.s, p.alpha
 
 
-def section_columns(points) -> SectionColumns:
-    """The columns of a sequence of section points."""
-    rows = [_point_fields(p) for p in points]
+def row_columns(rows) -> SectionColumns:
+    """The columns of a list of rows (kind, a, b, s, alpha)."""
     kind, *coords = zip(*rows) if rows else ((),) * 5
     return SectionColumns(np.array(kind, dtype=np.int8), *(np.array(c, dtype=float) for c in coords))
+
+
+def section_columns(points) -> SectionColumns:
+    """The columns of a sequence of section points."""
+    return row_columns([_point_fields(p) for p in points])
 
 
 def _section_point(kind: int, a: float, b: float, s: float, alpha: float):
@@ -486,40 +492,6 @@ def _clamp_s(a, b, s):
     return np.where(top < s, top, s)
 
 
-def omega_return_map(
-    p: Union[OmegaCoords, VLCoords]
-) -> Union[OmegaCoords, VLCoords]:
-    """First-return map of the affine section: flow by the return time, then
-    recoordinatize."""
-    u = omega_return_time(p)
-    return recoordinatize_omega(horocycle_apply(u, omega_to_surface(p)))
-
-
-def advance_omega(p: Union[OmegaCoords, VLCoords]) -> tuple:
-    """Closed-form first-return step, no enumeration: (return time, next
-    point).
-
-    The next point equals ``omega_return_map`` (flowing and recoordinatizing
-    with a size-1 ``flowed_section_coords`` call) up to roundoff: the
-    s-coordinate advances by the return time, rolling through lattice-section
-    crossings, and the new alpha is the arriving representative's x.
-    """
-    if isinstance(p, VLCoords):
-        u = p.a / p.alpha
-        s = math.fmod(p.s + u, p.a ** 2)
-        return u, VLCoords(p.a, s if s > 0.0 else p.a ** 2, p.alpha)
-    u, alpha = map(float, _omega_returns(*_columns(p.a, p.b, p.s, p.alpha))[:2])
-    a, b, s = p.a, p.b, p.s + u
-    for _ in range(int(u) + 2):
-        r = 1.0 / (a * b)
-        if s < r - TIE_TOL * max(1.0, r):
-            break
-        s -= r
-        d = bcz_return_map(DeltaCoords(a, b))
-        a, b = d.a, d.b
-    return u, OmegaCoords(a, b, max(s, 0.0), alpha)
-
-
 # ---------------------------------------------------------------------------
 # slit-cover section
 
@@ -637,14 +609,14 @@ def omega_return_time(p) -> float:
 def omega_to_surface(p) -> AffineLattice:
     """The surface of a section point of any kind, the size-1 call of
     ``section_surfaces``."""
-    g, v = section_surfaces(section_columns([p]))
+    return _first_surface(section_columns([p]))
+
+
+def _first_surface(cols: SectionColumns) -> AffineLattice:
+    """The surface of row 0 of the columns (``section_surfaces``)."""
+    g, v = section_surfaces(cols)
     first = [float(np.ravel(f)[0]) for f in (*g, *v)]
     return AffineLattice(Mat2(*first[:4]), Vec2(*first[4:]))
-
-
-# the slit-cover point forms are the same size-1 calls
-w_return_time = omega_return_time
-w_to_surface = omega_to_surface
 
 
 def w_section_coords(surface: AffineLattice) -> WPoint:
@@ -783,13 +755,58 @@ def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) 
     return cols
 
 
-def w_advance(w: WPoint) -> tuple:
-    """Closed-form slit-cover step: (return time, next point), flowing by
-    ``w_return_time`` and recoordinatizing with ``w_section_coords``, with
-    one formula call.
+# ---------------------------------------------------------------------------
+# the closed-form return map, one row at a time
 
-    Raises ``NotOnTransversalError`` when the formula's landing point is not
-    on the section (possible exactly where the closed form disagrees with the
-    enumeration oracle)."""
-    u = w_return_time(w)
-    return u, w_section_coords(horocycle_apply(u, w_to_surface(w)))
+
+def section_step(kind: int, a: float, b: float, s: float, alpha: float) -> tuple:
+    """Closed-form first-return step of one section row: (return time, next
+    row).  The next row lands where flowing by the return and
+    recoordinatizing lands, up to roundoff; only a slit-cover row scans its
+    surface to get there.
+
+    * An affine row advances s by its return and rolls it through the
+      lattice-section crossings with ``bcz_return_map``; the new alpha is the
+      arriving representative's x.  Every crossing takes time at least 1
+      (1/(a*b) >= 1), so s past ``SCAN_ROW_LIMIT`` raises
+      ``NotOnTransversalError`` instead of rolling that many times.
+    * A vertical-lattice row returns after a/alpha, which shifts s modulo a^2.
+    * A slit-cover row flows its surface by ``section_returns`` and reads the
+      landing row off ``flowed_section_coords``, which raises
+      ``NotOnTransversalError`` where the landing point is off the section
+      (possible exactly where the closed form disagrees with the enumeration
+      oracle).
+
+    A next row out of its point class's range raises that point's error.
+    """
+    if kind in (SL, SA):
+        cols = row_columns([(kind, a, b, s, alpha)])
+        u = float(section_returns(cols)[0])
+        landing = flowed_section_coords(horocycle_apply(u, _first_surface(cols)), (0.0,), slit=True)
+        return u, tuple(c[0].item() for c in landing)
+    if math.isnan(b):
+        u = a / alpha
+        s = math.fmod(s + u, a ** 2)
+        return u, _checked((VERTICAL, a, b, s if s > 0.0 else a ** 2, alpha))
+    u, alpha = map(float, _omega_returns(*_columns(a, b, s, alpha))[:2])
+    s += u
+    if not s <= SCAN_ROW_LIMIT:
+        raise NotOnTransversalError(f"return {u:.3g} would cross the lattice section up to "
+                                    f"{s:.3g} times, more than the limit of {SCAN_ROW_LIMIT}")
+    for _ in range(int(u) + 2):
+        r = 1.0 / (a * b)
+        if s < r - TIE_TOL * max(1.0, r):
+            break
+        s -= r
+        d = bcz_return_map(DeltaCoords(a, b))
+        a, b = d.a, d.b
+    return u, _checked((OMEGA, a, b, max(s, 0.0), alpha))
+
+
+def _checked(row: tuple) -> tuple:
+    """An affine or vertical-lattice row, after its point class's range
+    checks: a failing row raises what building its point raises."""
+    _, a, b, s, alpha = row
+    if not (_unit_ok(a) and _unit_ok(alpha) and (_vl_s_ok(a, s) if math.isnan(b) else _b_ok(a, b) and _s_ok(a, b, s))):
+        _section_point(*row)
+    return row

@@ -38,7 +38,6 @@ from slitgaps.measures import (
     FORMULA,
     ORACLE_AFFINE,
     MeasureSpec,
-    estimate_masses,
     mc_tail,
 )
 from slitgaps.oracle import diff_test
@@ -165,11 +164,12 @@ def test_criterion_7_support_at_zero():
 
 
 def test_criterion_8_measure_masses():
-    omega = estimate_masses(MeasureSpec.haar_omega(), 1_000_000, seed=808, workers=4)
-    assert abs(omega["total"] - math.pi ** 2 / 6.0) < 3.0 * omega["total_se"]
-    assert abs(omega["omega3"] - (math.pi ** 2 / 6.0 - 1.0)) < 3.0 * omega["omega3_se"]
-    w = estimate_masses(MeasureSpec.haar_w(), 1_000_000, seed=808, workers=4)
-    assert abs(w["total"] - (3.0 + math.pi ** 2) / 6.0) < 3.0 * w["total_se"]
+    omega = mc_tail(MeasureSpec.haar_omega(), FORMULA, [0.0], 1_000_000, seed=808, workers=4)
+    assert abs(omega.total_mass - math.pi ** 2 / 6.0) < 3.0 * omega.total_mass_se
+    masses = omega.component_masses
+    assert abs(masses["omega3"] - (math.pi ** 2 / 6.0 - 1.0)) < 3.0 * masses["omega3_se"]
+    w = mc_tail(MeasureSpec.haar_w(), FORMULA, [0.0], 1_000_000, seed=808, workers=4)
+    assert abs(w.total_mass - (3.0 + math.pi ** 2) / 6.0) < 3.0 * w.total_mass_se
 
 
 def test_criterion_9_bridge_and_covers():

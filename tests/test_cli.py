@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import time
 from importlib import resources
 
 import jsonschema
@@ -156,6 +157,15 @@ def test_orbit_zero_iters_emits_header_only(tmp_path):
 
 def test_orbit_off_transversal_is_a_state_error():
     assert main(["orbit", "--start", "0.5,0.4,0,0.5", "--iters", "1"]) == 3
+
+
+def test_formula_orbit_refuses_a_return_past_the_roll_limit(capsys):
+    # alpha = 1e-9 returns after 1e9, one lattice-section crossing per unit
+    # of time at (a, b) = (1, 1): refused before rolling, not rolled for an hour
+    start = time.perf_counter()
+    assert main(["orbit", "--start", "1,1,0,1e-9", "--engine", "formula", "--iters", "1"]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert f"more than the limit of {geometry.SCAN_ROW_LIMIT}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("engine", ["oracle-affine", "oracle-doubled"])

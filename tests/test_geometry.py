@@ -15,7 +15,6 @@ from slitgaps.geometry import (
     SurfaceMode,
     Vec2,
     _box_rows,
-    box_slope_count,
     d_cover_holonomy,
     enumerate_strip,
     horocycle_apply,
@@ -241,7 +240,7 @@ def test_loose_quadratic_growth():
     surf = random_surface(rng)
     ratios = []
     for r in (20.0, 40.0, 80.0, 160.0):
-        n = box_slope_count(surf, SurfaceMode.DOUBLED_SLIT, r)
+        n = renormalized_box_gaps(surf, SurfaceMode.DOUBLED_SLIT, r).count
         ratios.append(n / r**2)
     assert max(ratios) / min(ratios) < 4.0
 

@@ -1,4 +1,4 @@
-"""Invariant-measure samplers, Monte Carlo tails, and orbit averages."""
+"""Section-measure samplers, Monte Carlo tails, and orbit averages."""
 
 import json
 import math
@@ -19,16 +19,14 @@ from slitgaps.measures import (
     ORACLE_AFFINE,
     ORACLE_DOUBLED,
     MeasureSpec,
+    _batch_measure,
     _cells,
     _oracle_surface,
-    _orbit_step,
     _uniform_open,
     ergodic_average,
-    estimate_masses,
     map_chunks,
     mc_tail,
     orbit,
-    sample,
 )
 from slitgaps.oracle import oracle_first_return, oracle_gap_sequence, oracle_strip_slopes
 from slitgaps.transversal import (
@@ -36,16 +34,21 @@ from slitgaps.transversal import (
     VLCoords,
     WPointSA,
     WPointSL,
+    omega_return_time,
     omega_to_surface,
     recoordinatize_omega,
-    w_advance,
     w_section_coords,
-    w_to_surface,
 )
 
 HAAR_OMEGA_MASS = math.pi ** 2 / 6.0
 OMEGA3_MASS = math.pi ** 2 / 6.0 - 1.0
 HAAR_W_MASS = (3.0 + math.pi ** 2) / 6.0
+
+
+def _sample(spec, rng):
+    """(point, weight) of one draw: row 0 of a size-1 batch."""
+    cols, w = _batch_measure(spec, rng, 1)
+    return transversal._section_point(*(c[0].item() for c in cols)), float(w[0])
 
 
 def test_measure_parsing_round_trip():
@@ -68,10 +71,9 @@ def test_torsion_sampler_support():
     rng = np.random.default_rng(101)
     spec = MeasureSpec.torsion(2)
     for _ in range(200):
-        ws = sample(spec, rng)
-        p = ws.point
+        p, weight = _sample(spec, rng)
         assert isinstance(p, OmegaCoords)
-        assert ws.weight == 1.0
+        assert weight == 1.0
         assert p.s == 0.0
         assert math.isclose(p.alpha, p.a / 2.0, rel_tol=1e-12)
         assert 0.0 < p.a <= 1.0 and 1.0 - p.a < p.b <= 1.0
@@ -85,7 +87,7 @@ def test_torsion_point_instance():
     p = OmegaCoords(0.8, 0.5, 0.0, 0.4)
     assert math.isclose(p.alpha, p.a / 2.0)
     for _ in range(500):
-        q = sample(spec, rng).point
+        q, _ = _sample(spec, rng)
         if abs(q.a - 0.8) < 0.05 and abs(q.b - 0.5) < 0.05:
             assert math.isclose(q.alpha, q.a / 2.0, rel_tol=1e-12)
             break
@@ -95,10 +97,9 @@ def test_haar_omega_sampler_support():
     rng = np.random.default_rng(103)
     spec = MeasureSpec.haar_omega()
     for _ in range(200):
-        ws = sample(spec, rng)
-        p = ws.point
+        p, weight = _sample(spec, rng)
         assert isinstance(p, OmegaCoords)
-        assert math.isclose(ws.weight, 1.0 / p.b, rel_tol=1e-12)
+        assert math.isclose(weight, 1.0 / p.b, rel_tol=1e-12)
         assert 0.0 <= p.s <= 1.0 / (p.a * p.b)
         assert 0.0 < p.alpha <= 1.0
 
@@ -108,8 +109,7 @@ def test_haar_w_sampler_mixture():
     spec = MeasureSpec.haar_w()
     kinds = {WPointSL: 0, WPointSA: 0}
     for _ in range(600):
-        ws = sample(spec, rng)
-        kinds[type(ws.point)] += 1
+        kinds[type(_sample(spec, rng)[0])] += 1
     assert kinds[WPointSL] > 100 and kinds[WPointSA] > 250
 
 
@@ -119,12 +119,12 @@ def test_total_masses():
         (MeasureSpec.haar_omega(), HAAR_OMEGA_MASS),
         (MeasureSpec.haar_w(), HAAR_W_MASS),
     ):
-        masses = estimate_masses(spec, n, seed=3)
-        assert abs(masses["total"] - want) <= 3.0 * masses["total_se"]
+        est = mc_tail(spec, FORMULA, [0.0], n, seed=3)
+        assert abs(est.total_mass - want) <= 3.0 * est.total_mass_se
 
 
 def test_omega3_slice_mass():
-    masses = estimate_masses(MeasureSpec.haar_omega(), 200_000, seed=5)
+    masses = mc_tail(MeasureSpec.haar_omega(), FORMULA, [0.0], 200_000, seed=5).component_masses
     assert "omega3" in masses
     assert abs(masses["omega3"] - OMEGA3_MASS) < 0.02
 
@@ -441,7 +441,7 @@ def test_ergodic_average_matches_monte_carlo():
     # true (enumerated) dynamics on both routes; the closed-form step is
     # skewed on part of the wrapped regions and would bias the orbit
     rng = np.random.default_rng(19)
-    start = sample(MeasureSpec.haar_omega(), rng).point
+    start, _ = _sample(MeasureSpec.haar_omega(), rng)
     frac = ergodic_average(start, ORACLE_AFFINE, 100_000, (0.0, 1.0))
     est = mc_tail(
         MeasureSpec.haar_omega(), ORACLE_AFFINE, [0.0, 1.0], 100_000, seed=23, workers=4
@@ -551,7 +551,7 @@ def _stepwise_oracle_orbit(start, engine, n):
     mode = SurfaceMode.AFFINE_ONLY if engine == ORACLE_AFFINE else SurfaceMode.DOUBLED_SLIT
     p, out = start, []
     for _ in range(n):
-        surf = w_to_surface(p) if isinstance(p, (WPointSL, WPointSA)) else omega_to_surface(p)
+        surf = omega_to_surface(p)
         u = oracle_first_return(surf, mode)
         flowed = horocycle_apply(u, surf)
         if mode is SurfaceMode.AFFINE_ONLY:
@@ -625,9 +625,39 @@ def test_slit_cover_formula_step_evaluates_the_return_once(monkeypatch):
 
     monkeypatch.setattr(transversal, "w_return_sa_vec", counting)
     start = WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))
-    u, nxt = _orbit_step(start)
+    u, nxt = transversal.section_step(transversal.SA, 0.5, 0.6, 2.0, 0.9)
     assert len(calls) == 1
-    assert (u, nxt) == w_advance(start)
+    # the step flows by the slit-cover return and recoordinatizes
+    assert u == omega_return_time(start)
+    landing = w_section_coords(horocycle_apply(u, omega_to_surface(start)))
+    assert nxt == transversal._point_fields(landing)
+
+
+def test_affine_formula_orbit_does_no_enumeration(monkeypatch):
+    # the affine step is closed form throughout: no lattice is analyzed and
+    # no lattice box is scanned, however many steps the orbit takes
+    from slitgaps import geometry
+
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(transversal, "_lattice_form")
+    for module in (geometry, transversal):
+        counted(module, "lattice_box")
+    [(returns, cols)] = orbit(OmegaCoords(0.5, 0.6, 2.0, 0.9), FORMULA, 300)
+    assert len(returns) == 300 and set(cols.kind.tolist()) == {transversal.OMEGA}
+    assert calls == []
+    # the counters see a recoordinatization
+    recoordinatize_omega(omega_to_surface(OmegaCoords(0.5, 0.6, 2.0, 0.9)))
+    assert "_lattice_form" in calls and "lattice_box" in calls
 
 
 def test_oracle_orbit_of_no_steps_is_empty():

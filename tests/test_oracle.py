@@ -27,7 +27,6 @@ from slitgaps.measures import (
     MeasureSpec,
     _batch_measure,
     chunk_streams,
-    sample,
 )
 from slitgaps.oracle import (
     CAP_LIMIT,
@@ -70,8 +69,6 @@ from slitgaps.transversal import (
     section_returns,
     section_surfaces,
     w_return_sl_vec,
-    w_return_time,
-    w_to_surface,
 )
 
 
@@ -179,8 +176,8 @@ def test_gap_sequence_has_no_spurious_returns():
     # the ergodic test's start surface; flowing return by return drifts, and
     # once the drift passes any fixed skip threshold a just-crossed vector
     # comes back as a near-zero return and shifts every later index
-    start = sample(MeasureSpec.haar_omega(), np.random.default_rng(19)).point
-    surf = omega_to_surface(start)
+    cols, _ = _batch_measure(MeasureSpec.haar_omega(), np.random.default_rng(19), 1)
+    surf = omega_to_surface(OmegaCoords(*(c[0].item() for c in cols[1:])))
     n = 3000
     seq = oracle_gap_sequence(surf, SurfaceMode.AFFINE_ONLY, n)
     slopes = slopes_and_gaps(
@@ -458,11 +455,11 @@ def test_haar_w_oracle_engine(engine):
     assert (cols.kind[:n_sl] == SL).all() and (cols.kind[n_sl:] == SA).all()
     for i in range(n_sl):
         w = WPointSL(cols.a[i], cols.b[i], cols.s[i], cols.alpha[i])
-        want = w_oracle_return(w_to_surface(w), doubled=doubled, cap_hint=w_return_time(w))
+        want = w_oracle_return(omega_to_surface(w), doubled=doubled, cap_hint=omega_return_time(w))
         assert r[i] == want
     for i in range(n_sl, len(r)):
         w = WPointSA(OmegaCoords(cols.a[i], cols.b[i], cols.s[i], cols.alpha[i]))
-        want = w_oracle_return(w_to_surface(w), doubled=doubled, cap_hint=w_return_time(w))
+        want = w_oracle_return(omega_to_surface(w), doubled=doubled, cap_hint=omega_return_time(w))
         assert r[i] == want
 
 
@@ -880,7 +877,7 @@ def _scalar_formula(region, p):
         return omega_return_time(OmegaCoords(p["a"], p["b"], p["s"], p["alpha"]))
     if region == "WslRho":
         return rho_sl_to_sa(p["a"], p["b"], p["v1"], p["v2"])
-    return w_return_time(_section_point(region, p))
+    return omega_return_time(_section_point(region, p))
 
 
 @pytest.mark.parametrize("region", REGIONS)
@@ -919,8 +916,8 @@ def test_short_lattice_tie_point_agrees_across_forms():
     # b + v1 = 1 + 5e-13 lands short within TIE_TOL
     w = WPointSL(0.6, 0.5, 0.5 + 5e-13, 0.8)
     column = float(w_return_sl_vec(w.a, w.b, w.v1, w.v2))
-    assert column == w_return_time(w)
-    oracle = w_oracle_return(w_to_surface(w), doubled=False)
+    assert column == omega_return_time(w)
+    oracle = w_oracle_return(omega_to_surface(w), doubled=False)
     assert math.isclose(column, oracle, rel_tol=1e-9)
     assert math.isclose(column, 0.8 / (0.5 + 5e-13), rel_tol=1e-15)
 

@@ -30,7 +30,6 @@ from slitgaps.transversal import (
     omega_to_surface,
     recoordinatize_omega,
     w_section_coords,
-    w_to_surface,
 )
 
 GOLDEN = "b47550127444492f4272eb57b8380730e9c6192ae7d78363d169c7dfa6ba7d4f"
@@ -79,7 +78,7 @@ def _surfaces():
         b = rng.uniform(1.0 - a, 1.0)
         v = delta_basis(a, b).apply(Vec2(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)))
         t = rng.choice([0.0, 0.5, 2.0]) * HORIZONTAL_TOL / a
-        yield horocycle_apply(t, w_to_surface(WPointSL(a, b, float(v.x), float(v.y))))
+        yield horocycle_apply(t, omega_to_surface(WPointSL(a, b, float(v.x), float(v.y))))
 
 
 def _outcome(f, surface) -> str:

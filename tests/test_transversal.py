@@ -17,15 +17,14 @@ from slitgaps.transversal import (
     VLCoords,
     WPointSA,
     WPointSL,
+    _point_fields,
     _section_point,
-    advance_omega,
     bcz_return_map,
     bcz_return_time,
     classify_omega,
     delta_basis,
     flowed_section_coords,
     omega_region_vec,
-    omega_return_map,
     omega_return_time,
     omega_return_vec,
     omega_to_surface,
@@ -33,15 +32,13 @@ from slitgaps.transversal import (
     rho_sl_to_sa,
     section_columns,
     section_returns,
+    section_step,
     section_surfaces,
     sheared_delta_basis,
     vertical_basis,
-    w_advance,
     w_return_sa_vec,
     w_return_sl_vec,
-    w_return_time,
     w_section_coords,
-    w_to_surface,
 )
 
 
@@ -125,7 +122,7 @@ def test_omega_return_worked_examples():
 
 def test_w_return_time_degenerate_marking():
     with pytest.raises(DegenerateInputError):
-        w_return_time(WPointSL(0.5, 0.6, 0.0, 0.0))
+        omega_return_time(WPointSL(0.5, 0.6, 0.0, 0.0))
 
 
 def test_short_lattice_column_rows_and_degenerate_marking():
@@ -204,8 +201,14 @@ def test_flowed_section_coords_match_recoordinatizing_each_flow():
         flowed_section_coords(vert, [0.5])
 
 
+def _flow_and_recoordinatize(p):
+    """The affine return map by its definition: flow by the closed-form
+    return, then recoordinatize."""
+    return recoordinatize_omega(horocycle_apply(omega_return_time(p), omega_to_surface(p)))
+
+
 def test_omega_return_map_fixed_point():
-    out = omega_return_map(OmegaCoords(1.0, 1.0, 0.0, 0.5))
+    out = _flow_and_recoordinatize(OmegaCoords(1.0, 1.0, 0.0, 0.5))
     assert isinstance(out, OmegaCoords)
     assert math.isclose(out.a, 1.0, abs_tol=1e-9)
     assert math.isclose(out.b, 1.0, abs_tol=1e-9)
@@ -214,7 +217,7 @@ def test_omega_return_map_fixed_point():
 
 
 def test_omega_return_map_worked():
-    out = omega_return_map(OmegaCoords(0.5, 1.0, 0.2, 0.75))
+    out = _flow_and_recoordinatize(OmegaCoords(0.5, 1.0, 0.2, 0.75))
     assert isinstance(out, OmegaCoords)
     assert math.isclose(out.a, 0.5, abs_tol=1e-9)
     assert math.isclose(out.b, 1.0, abs_tol=1e-9)
@@ -222,13 +225,32 @@ def test_omega_return_map_worked():
     assert math.isclose(out.alpha, 0.25, abs_tol=1e-9)
 
 
+def test_section_step_lands_where_the_flow_lands():
+    # the closed-form step's next row is the flowed surface recoordinatized:
+    # same kind, every coordinate within 1e-9
+    from slitgaps.measures import MeasureSpec, _batch_measure
+
+    rng = np.random.default_rng(5)
+    parts = [_batch_measure(MeasureSpec.parse(m), rng, n)[0]
+             for m, n in (("haar-omega", 2000), ("periodic-omega:0.7,0.4", 100), ("periodic-omega:0.3,0.9", 100))]
+    cols = transversal.SectionColumns(*map(np.concatenate, zip(*parts)))
+    for row in zip(*(c.tolist() for c in cols)):
+        u, nxt = section_step(*row)
+        q = _flow_and_recoordinatize(_section_point(*row))
+        assert u == omega_return_time(_section_point(*row))
+        want = _point_fields(q)
+        assert nxt[0] == want[0]
+        np.testing.assert_allclose(nxt[1:], want[1:], rtol=0.0, atol=1e-9)
+
+
 def test_omega_orbit_stays_valid():
     rng = np.random.default_rng(31)
-    p = random_omega(rng)
+    row = _point_fields(random_omega(rng))
     for _ in range(1000):
-        u, q = advance_omega(p)
-        assert u == omega_return_time(p)
-        p = q
+        u, nxt = section_step(*row)
+        assert u == omega_return_time(_section_point(*row))
+        row = nxt
+        p = _section_point(*row)
         if isinstance(p, VLCoords):
             assert 0.0 < p.a <= 1.0 and 0.0 < p.s <= p.a * p.a and 0.0 < p.alpha <= 1.0
         else:
@@ -270,24 +292,24 @@ def test_rho_rejects_degenerate():
 
 
 def test_w_return_time_sa_short_affine():
-    assert math.isclose(w_return_time(WPointSA(OmegaCoords(0.5, 1.0, 0.2, 0.75))), 0.4, abs_tol=1e-12)
+    assert math.isclose(omega_return_time(WPointSA(OmegaCoords(0.5, 1.0, 0.2, 0.75))), 0.4, abs_tol=1e-12)
 
 
 def test_w_return_time_sa_shear_branch():
     assert math.isclose(
-        w_return_time(WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))), 4.0 / 3.0, abs_tol=1e-12
+        omega_return_time(WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))), 4.0 / 3.0, abs_tol=1e-12
     )
 
 
 def test_w_return_time_sl():
-    assert math.isclose(w_return_time(WPointSL(0.6, 0.5, 0.5, 0.8)), 1.6, abs_tol=1e-12)
+    assert math.isclose(omega_return_time(WPointSL(0.6, 0.5, 0.5, 0.8)), 1.6, abs_tol=1e-12)
 
 
 def test_w_return_never_exceeds_its_own_minimum_structure():
     rng = np.random.default_rng(51)
     for _ in range(500):
         p = random_omega(rng)
-        u = w_return_time(WPointSA(p))
+        u = omega_return_time(WPointSA(p))
         assert u > 0.0
         bound = min(1.0 / (p.a * p.b) - p.s, omega_return_time(p))
         assert u <= bound + 1e-9
@@ -297,7 +319,7 @@ def test_w_return_map_square_start():
     # flowing SA(1,1,0,0.5) by its return lands on a short-slit state; the
     # flowed coset has no horizontal representative, so SL is the only
     # reconstruction consistent with the section's routing
-    out = w_advance(WPointSA(OmegaCoords(1.0, 1.0, 0.0, 0.5)))[1]
+    out = _section_point(*section_step(transversal.SA, 1.0, 1.0, 0.0, 0.5)[1])
     assert isinstance(out, WPointSL)
     assert math.isclose(out.a, 1.0, abs_tol=1e-9)
     assert math.isclose(out.b, 1.0, abs_tol=1e-9)
@@ -306,7 +328,7 @@ def test_w_return_map_square_start():
 
 
 def test_w_return_map_worked():
-    out = w_advance(WPointSA(OmegaCoords(0.5, 1.0, 0.2, 0.75)))[1]
+    out = _section_point(*section_step(transversal.SA, 0.5, 1.0, 0.2, 0.75)[1])
     assert isinstance(out, WPointSA)
     q = out.coords
     assert math.isclose(q.a, 0.5, abs_tol=1e-9)
@@ -317,10 +339,22 @@ def test_w_return_map_worked():
 
 def test_w_orbit_stays_valid():
     rng = np.random.default_rng(61)
-    w = WPointSA(random_omega(rng))
+    row = _point_fields(WPointSA(random_omega(rng)))
     for _ in range(1000):
-        w = w_advance(w)[1]
-        assert isinstance(w, (WPointSL, WPointSA))
+        row = section_step(*row)[1]
+        assert isinstance(_section_point(*row), (WPointSL, WPointSA))
+
+
+def test_section_step_raises_where_its_next_row_is_off_the_section(monkeypatch):
+    # flowed by 0.123 instead of its return 0.4, the short-affine surface has
+    # no short lattice vector and no horizontal marking
+    monkeypatch.setattr(transversal, "section_returns", lambda cols: np.array([0.123]))
+    with pytest.raises(NotOnTransversalError):
+        section_step(transversal.SA, 0.5, 1.0, 0.2, 0.75)
+    # an affine next row out of range raises what building its point raises
+    monkeypatch.setattr(transversal, "_omega_returns", lambda *cols: (0.4, 1.5, False))
+    with pytest.raises(InvalidInputError, match=r"^alpha out of range: 1\.5$"):
+        section_step(transversal.OMEGA, 0.5, 1.0, 0.2, 0.75)
 
 
 def test_invalid_coordinates_rejected():
@@ -428,10 +462,10 @@ def test_short_lattice_points_need_no_coset_scan(monkeypatch):
 
     monkeypatch.setattr(transversal, "_flowed_alpha", counted)
     w = WPointSL(0.6, 0.5, 0.3, 0.5)
-    p = w_section_coords(w_to_surface(w))
+    p = w_section_coords(omega_to_surface(w))
     assert isinstance(p, WPointSL) and np.allclose(astuple(p), astuple(w))
     assert calls == []
-    w_section_coords(w_to_surface(WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))))
+    w_section_coords(omega_to_surface(WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))))
     assert len(calls) == 2
 
 
@@ -474,14 +508,12 @@ def test_section_columns_evaluate_each_row_by_its_kind():
     want = [_kind_return(p) for p in MIXED_POINTS]
     assert section_returns(cols).tolist() == want
     assert [omega_return_time(p) for p in MIXED_POINTS] == want
-    assert [w_return_time(p) for p in MIXED_POINTS] == want
     g, v = section_surfaces(cols)
     fields = np.broadcast_arrays(*g, *v)
     for i, p in enumerate(MIXED_POINTS):
         kg, kv = _kind_surface(p)
         assert [float(f[i]) for f in fields] == [*kg, *kv]
         surface = omega_to_surface(p)
-        assert surface == w_to_surface(p)
         assert (*surface.g, *surface.v) == (*kg, *kv)
     # with no sl row the marking's y stays one shared 0.0
     assert section_surfaces(section_columns(MIXED_POINTS[2:5]))[1].y == 0.0
