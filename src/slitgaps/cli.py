@@ -19,6 +19,7 @@ import csv
 import json
 import logging
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -243,7 +244,7 @@ def _fmt(value) -> str:
 
 def _write_csv(out, header, rows, format_rows=None):
     """UTF-8, header row, `.` decimal, LF endings; cells formatted by
-    ``_fmt``, or all rows at once by ``format_rows``."""
+    ``_fmt``, or the whole table ``rows`` at once by ``format_rows``."""
     if out is None:
         _emit_csv(sys.stdout, header, rows, format_rows)
         return
@@ -262,12 +263,16 @@ def _emit_csv(fh, header, rows, format_rows=None):
 
 
 # an orbit row (step, return_time, kind, a, b, s, alpha) in one `%`-format
-# that writes each cell as ``_fmt`` does; the second leaves b empty
-_ORBIT_LINES = ("%d,%.12g,%s,%.12g,%.12g,%.12g,%.12g\n", "%d,%.12g,%s,%.12g,%s,%.12g,%.12g\n")
+# that writes each cell as ``_fmt`` does; the second, for vertical rows,
+# takes b and leaves its cell empty
+_ORBIT_LINES = ("%d,%.12g,%s,%.12g,%.12g,%.12g,%.12g\n", "%d,%.12g,%s,%.12g,%.0s,%.12g,%.12g\n")
 
 
-def _format_orbit_rows(rows) -> str:
-    return "".join([_ORBIT_LINES[row[4] == ""] % row for row in rows])
+def _format_orbit_columns(table) -> str:
+    """The CSV lines of ``cmd_orbit``'s (columns, vertical): one line per
+    row of the column lists, in the vertical-row format where b is nan."""
+    columns, vertical = table
+    return "".join(map(operator.mod, [_ORBIT_LINES[v] for v in vertical], zip(*columns)))
 
 
 def _write_json(out, payload):
@@ -385,14 +390,19 @@ def cmd_orbit(config: RunConfig) -> int:
         first = flowed_section_coords(omega_to_surface(start), (0.0,), slit=True)
     [(returns, points)] = orbit(start, engine, iters)
     # row k shows the point the k-th return leaves from
-    kind, a, b, s, alpha = (numpy.concatenate([c0, c])[:iters].tolist() for c0, c in zip(first, points))
-    rows = list(zip(
-        range(iters), returns.tolist(), [SECTION_KINDS[k] for k in kind], a,
-        [x if x == x else "" for x in b], s, alpha,  # b is nan on vertical rows
-    ))
+    kind, a, b, s, alpha = (numpy.concatenate([c0, c])[:iters] for c0, c in zip(first, points))
+    vertical = numpy.isnan(b).tolist()  # b is nan on vertical rows, an empty cell
+    head = (range(iters), returns.tolist(), [SECTION_KINDS[k] for k in kind.tolist()], a.tolist())
+    b, s, alpha = b.tolist(), s.tolist(), alpha.tolist()
+    columns = (*head, b, s, alpha)
     header = ("step", "return_time", "kind", "a", "b", "s", "alpha")
+    results = None
+    if p["format"] == "json":
+        rows = zip(*head, ["" if v else x for v, x in zip(vertical, b)], s, alpha)
+        results = [dict(zip(header, row)) for row in rows]
     return _write_outputs(
-        config, header, rows, {"steps": len(rows)}, ("return_time",), format_rows=_format_orbit_rows
+        config, header, (columns, vertical), {"steps": iters}, ("return_time",),
+        results=results, format_rows=_format_orbit_columns,
     )
 
 

@@ -251,19 +251,20 @@ def _bound_rows(lo, hi, p, c, b_lo, b_hi, scratch) -> None:
     np.fmin(hi, r_hi, out=hi)
 
 
-def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET):
+def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET, pad=0.0):
     """Points of g_s*Z^2 + v_j in the closed box of surface s, and with
-    ``slope_max`` also on or below y = slope_max_s * x up to slack, for every
-    job j = (s, v_j).
+    ``slope_max`` also on or below y = slope_max_s * x + pad up to slack, for
+    every job j = (s, v_j).
 
     ``g`` = (m11, m12, m21, m22) and ``box`` = (x_lo, x_hi, y_lo, y_hi) hold
     one entry per surface, ``jobs`` = (surface, vx, vy) one per job with the
-    surfaces nondecreasing.  A field with one entry is a single value that
-    broadcasts, so a call for one surface and one job does the per-row work
-    of a scalar scan.  For each job the n-range covers g^-1(box - v), each n
-    gets the m-range its constraints allow, and the exact filter then keeps
-    the rows whose float x and y (computed as m11*m, plus m12*n, plus vx;
-    the same for y) pass the box and slope tests.
+    surfaces nondecreasing; ``pad``, a single value, raises every slope
+    line.  A field with one entry is a single value that broadcasts, so a
+    call for one surface and one job does the per-row work of a scalar scan.
+    For each job the n-range covers g^-1(box - v), each n gets the m-range
+    its constraints allow, and the exact filter then keeps the rows whose
+    float x and y (computed as m11*m, plus m12*n, plus vx; the same for y)
+    pass the box and slope tests.
 
     The ranges only have to hold every row the filter keeps, so they are
     widened by a slack on the scale of their rounding error, not by whole
@@ -339,7 +340,7 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET):
     _bound_rows(lo, hi, row(m21), row(m22) * ns + row(vy), row(y_lo - e_y), row(y_hi + e_y), scratch)
     if slope_max is not None:
         sig = _at(_shared(slope_max), surf)
-        slack = BOUND_SLACK * np.maximum(1.0, sig)
+        slack = BOUND_SLACK * np.maximum(1.0, sig) + pad
         # y - sigma*x <= slack
         e_s = RANGE_SLACK * (s_y + np.abs(sig) * s_x + slack)
         q = row(sig * m12 - m22) * ns + row(sig * vx - vy + slack + e_s)
@@ -437,6 +438,15 @@ def _strip_window(x_max, slope_max, y_max, include_horizontal: bool):
         math.nextafter(y_lo, math.inf),
         y_cap + BOUND_SLACK * np.maximum(1.0, y_cap),
     )
+
+
+def _in_strip(x, y, slope_max: float):
+    """The rows (x, y) of a wider scan that the strip window of
+    ``_strip_window(1.0, slope_max, None, False)`` and the kernel's slope
+    line at ``slope_max`` keep, by the same float tests.  The x-range is
+    not tested: the scan must share the window's."""
+    pad = BOUND_SLACK * max(1.0, slope_max)
+    return (y > Y_EPS) & (y <= slope_max + pad) & (y <= slope_max * x + pad)
 
 
 def _lattice_scan(

@@ -25,7 +25,7 @@ its weights; ``section_returns`` gives its returns, which the oracle engines
 Orbits: ``orbit`` iterates the section return map and gives the orbit as
 columns of arrays.  The formula engine steps section rows in closed form
 (``transversal.section_step``); the oracle engines read the whole orbit,
-returns and section points, off scans of the start surface
+returns and section points, off one kernel pass over the start surface
 (``oracle.oracle_orbit``), and ``ergodic_average`` reads their returns off
 one strip scan.
 
@@ -517,10 +517,10 @@ def orbit(start, engine: str, n_steps: int):
     The formula engine steps rows of the start's ``section_columns`` in
     closed form (``section_step``), each step starting where the last one
     landed, and builds the columns once from its rows.  The oracle engines
-    read the whole orbit off scans of the start surface (``oracle_orbit``):
-    the affine oracle stays on the affine section, the doubled oracle
-    follows the slit-cover section (so a point may be a short-lattice
-    state).  Their points agree with flowing and recoordinatizing step by
+    read the whole orbit off one kernel pass over the start surface
+    (``oracle_orbit``): the affine oracle stays on the affine section, the
+    doubled oracle follows the slit-cover section (so a point may be a
+    short-lattice state).  Their points agree with flowing and recoordinatizing step by
     step up to rounding.
     """
     if engine not in ENGINES:

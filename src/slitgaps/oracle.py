@@ -13,8 +13,8 @@ whose +-v cosets can repeat a point.  ``oracle_first_return`` and
 ``w_oracle_return`` are size-1 calls of the batch forms.
 ``section_oracle_returns`` scans the rows of ``SectionColumns`` of any kind.
 ``oracle_gap_sequence`` reads a whole orbit's returns off one scan, and
-``oracle_orbit`` adds the section point after every return, read off scans
-of the same start surface.  The differential tester samples a region into
+``oracle_orbit`` reads the returns and the section point after every return
+off one kernel pass over the start surface (``transversal.orbit_scan``).  The differential tester samples a region into
 ``SectionColumns`` (DeltaR: columns a and b), evaluates the vectorized
 formula and the batched oracle once each per chunk of rows, and reports any
 relative disagreement above 1e-6 as a counterexample.  Two regions are
@@ -41,6 +41,7 @@ from .geometry import (
     SurfaceMode,
     Vec2,
     _dedup_batch,
+    _in_strip,
     _strip_rows,
     enumerate_strip,
     slopes_and_gaps,
@@ -58,12 +59,14 @@ from .transversal import (
     SECTION_KINDS,
     SL,
     OmegaCoords,
+    OrbitScan,
     SectionColumns,
     WPointSA,
     WPointSL,
     delta_basis,
-    flowed_section_coords,
     omega_region_vec,
+    orbit_scan,
+    orbit_section_coords,
     rho_sl_to_sa,
     section_columns,
     section_returns,
@@ -277,32 +280,45 @@ def section_oracle_returns(cols: SectionColumns, mode: SurfaceMode, hints) -> np
     return oracle_first_return_batch(g, v, mode, hints)
 
 
-def oracle_strip_slopes(
-    surface: AffineLattice, mode: SurfaceMode, count: int
-) -> np.ndarray:
-    """The first ``count`` distinct positive strip slopes, increasing.
+def _cap_rounds(mode: SurfaceMode, count: int, scan):
+    """(cap, rounds, scan(cap)) at the first cap of the strip-slope cap
+    sequence whose ``scan`` holds ``count`` slopes; ``scan`` returns the
+    slopes first.
 
     The first cap is ``CAP_MARGIN`` times the slope below which a generic
     surface has ``count`` of them (``SLOPE_DENSITY``), at least
     ``DEFAULT_CAP``, so one scan usually suffices; the cap doubles until the
-    scan holds ``count`` slopes (ties merged at 1e-12 relative by
-    ``slopes_and_gaps``), up to ``CAP_LIMIT`` or a doubled cap whose scan is
-    too large for the kernel (``NotOnTransversalError``).  Every cap that
-    holds them gives the same slopes."""
+    scan holds ``count`` slopes, up to ``CAP_LIMIT`` or a doubled cap whose
+    scan is too large for the kernel (``NotOnTransversalError``)."""
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     first = cap = max(DEFAULT_CAP, CAP_MARGIN * count / SLOPE_DENSITY[mode])
+    rounds = 0
     while cap <= CAP_LIMIT:
+        rounds += 1
         try:
-            slopes = slopes_and_gaps(enumerate_strip(surface, mode, cap)).slopes
+            out = scan(cap)
         except InvalidInputError as exc:
             if cap > first:
                 raise NotOnTransversalError(NO_RETURN) from exc
             raise
-        if len(slopes) >= count:
-            return slopes[:count]
+        if len(out[0]) >= count:
+            return cap, rounds, out
         cap *= 2.0
     raise NotOnTransversalError(NO_RETURN)
+
+
+def oracle_strip_slopes(
+    surface: AffineLattice, mode: SurfaceMode, count: int
+) -> np.ndarray:
+    """The first ``count`` distinct positive strip slopes, increasing, from
+    ``enumerate_strip`` over the cap sequence of ``_cap_rounds`` (ties
+    merged at 1e-12 relative by ``slopes_and_gaps``).  Every cap that holds
+    them gives the same slopes."""
+    _, _, (slopes,) = _cap_rounds(
+        mode, count, lambda cap: (slopes_and_gaps(enumerate_strip(surface, mode, cap)).slopes,)
+    )
+    return slopes[:count]
 
 
 def oracle_gap_sequence(
@@ -314,23 +330,54 @@ def oracle_gap_sequence(
     return np.diff(oracle_strip_slopes(surface, mode, count), prepend=0.0)
 
 
+def _scan_slopes(scan: OrbitScan, mode: SurfaceMode, cap: float) -> np.ndarray:
+    """The distinct strip slopes up to ``cap`` of an ``orbit_scan`` at that
+    cap, equal to those of ``enumerate_strip`` at it: the rows of the strip
+    window (``_in_strip``) of the coset, or under ``DOUBLED_SLIT`` of the
+    primitive lattice and both cosets, deduplicated as ``enumerate_strip``
+    does.  A coset holds no point twice, so ``AFFINE_ONLY`` rows skip that."""
+    x, y, *_ = scan.lattice
+    parts = (*scan.cosets, (x, y)) if mode is SurfaceMode.DOUBLED_SLIT else scan.cosets
+    x, y = (np.concatenate(c) for c in zip(*parts))
+    keep = _in_strip(x, y, cap)
+    x, y = x[keep], y[keep]
+    if mode is SurfaceMode.DOUBLED_SLIT:
+        return slopes_and_gaps(_dedup_batch(np.zeros(len(x), dtype=np.int64), x, y)[1]).slopes
+    return slopes_and_gaps(np.column_stack([x, y])).slopes
+
+
 def oracle_orbit(surface: AffineLattice, mode: SurfaceMode, count: int):
     """(returns, points) of ``count`` successive oracle returns from
     ``surface``: the ``oracle_gap_sequence`` return times, and the
-    ``SectionColumns`` of the section point reached by each, read off scans
-    of the start surface.
+    ``SectionColumns`` of the section point reached by each, all read off
+    one kernel pass over the start surface (``orbit_scan``) at the first cap
+    of ``_cap_rounds`` that holds ``count`` slopes.
 
     Return k lands at the k-th strip slope U_k, so its point is the start
     flowed by U_k: on the affine section under ``AFFINE_ONLY``, on the
     slit-cover section (SL or SA, marking carried) under ``DOUBLED_SLIT``
-    (``flowed_section_coords``, one array pass over all the slopes).  No
-    step scans or recoordinatizes a surface of its own.
+    (``orbit_section_coords``, one array pass over all the slopes).  The
+    slopes come from the pass's coset rows (and under ``DOUBLED_SLIT`` its
+    primitive lattice rows, ``_scan_slopes``), the lattice anchors from its
+    lattice rows and the alphas from its coset rows.  No step scans or
+    recoordinatizes a surface of its own.  Each call logs its mode, steps,
+    cap rounds, final cap and rows per component at DEBUG level.
     """
-    slopes = oracle_strip_slopes(surface, mode, count)
-    points = flowed_section_coords(
-        surface, slopes, slit=mode is SurfaceMode.DOUBLED_SLIT
-    )
-    return np.diff(slopes, prepend=0.0), points
+    surface.check()
+    slit = mode is SurfaceMode.DOUBLED_SLIT
+
+    def scan(cap):
+        rows = orbit_scan(surface.g, surface.v, cap, slit)
+        return _scan_slopes(rows, mode, cap), rows
+
+    cap, rounds, (slopes, rows) = _cap_rounds(mode, count, scan)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "oracle orbit (%s): %d steps, %d cap rounds, final cap %.6g, rows per component %s",
+            mode.value, count, rounds, cap, [len(rows.lattice[0]), *(len(x) for x, _ in rows.cosets)],
+        )
+    slopes = slopes[:count]
+    return np.diff(slopes, prepend=0.0), orbit_section_coords(surface, slopes, rows, slit=slit)
 
 
 # ---------------------------------------------------------------------------

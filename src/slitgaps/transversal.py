@@ -22,14 +22,18 @@ holds throughout: a point within ``TIE_TOL`` of a region boundary goes to the
 lower-indexed region, and ties are logged at DEBUG level.
 
 Section points travel as ``SectionColumns``: an orbit's points
-(``flowed_section_coords``, the range checks of the point classes run on the
+(``orbit_section_coords``, the range checks of the point classes run on the
 columns) and the sampled batches of ``measures``.  ``section_returns`` and
 ``section_surfaces`` give every row's return and surface, whatever its kind;
 the point forms ``omega_return_time`` and ``omega_to_surface`` are their
-size-1 calls, for a point of any kind.  ``flowed_section_coords`` is the one
-recoordinatization: ``recoordinatize_omega`` and ``w_section_coords`` are its
-size-1 calls at time 0.  ``section_step`` is the closed-form return map, one
-row (kind, a, b, s, alpha) at a time.
+size-1 calls, for a point of any kind.  ``orbit_section_coords`` is the one
+recoordinatization: it reads the points of a whole horocycle orbit off the
+rows of one kernel pass over the unflowed surface (``orbit_scan``), which
+the enumeration oracle's orbits share with their strip slopes.
+``flowed_section_coords`` makes that pass for given flow times, and
+``recoordinatize_omega`` and ``w_section_coords`` are its size-1 calls at
+time 0.  ``section_step`` is the closed-form return map, one row (kind, a,
+b, s, alpha) at a time.
 """
 
 from __future__ import annotations
@@ -49,11 +53,15 @@ from .errors import (
 )
 from .geometry import (
     AffineLattice,
+    BOUND_SLACK,
     Mat2,
     SCAN_ROW_LIMIT,
     Vec2,
     X_EPS,
     Y_EPS,
+    _box_rows,
+    _coprime,
+    _in_strip,
     _lattice_scan,
     _ragged,
     horocycle_apply,
@@ -99,7 +107,7 @@ def _require(cond: bool, msg: str) -> None:
 
 
 # the coordinate range checks, up to COORD_SLACK and elementwise: the point
-# classes below check one point with them, ``flowed_section_coords`` columns
+# classes below check one point with them, ``orbit_section_coords`` columns
 
 
 def _unit_ok(x):  # a and alpha
@@ -632,51 +640,100 @@ def w_section_coords(surface: AffineLattice) -> WPoint:
 
 
 # ---------------------------------------------------------------------------
-# section points along one horocycle orbit, read off the unflowed surface
+# section points along one horocycle orbit, read off one pass over the
+# unflowed surface
 
 
-def _flowed_anchors(g: Mat2, start, t: np.ndarray):
+class OrbitScan(NamedTuple):
+    """The rows of one kernel pass over a surface (``orbit_scan``): its
+    primitive lattice vectors as arrays (x, y, m, n), and the points (x, y)
+    of each marked coset, the marking's and, on the slit cover, then its
+    negation's."""
+
+    lattice: tuple
+    cosets: tuple
+
+
+def orbit_scan(g: Mat2, v: Vec2, cap: float, slit: bool) -> OrbitScan:
+    """Everything ``orbit_section_coords`` reads for flow times up to
+    ``cap``, from one ``_box_rows`` pass whose components are the lattice and
+    the coset of v (and of -v with ``slit``).
+
+    The window is the strip 0 < x <= 1 under the slope line y = cap*x, both
+    padded as in ``_strip_window``, with the line raised by HORIZONTAL_TOL
+    and y down to -HORIZONTAL_TOL.  So it holds every strip vector of slope
+    at most ``cap`` and every coset point within HORIZONTAL_TOL of
+    horizontal at a time up to ``cap``.  The kernel's floats do not depend
+    on its window, so a reader that re-applies its own window to these rows
+    gets what a scan of that window alone would give."""
+    k = 3 if slit else 2
+    x_hi = 1.0 + BOUND_SLACK
+    # the box's top is the raised line at x_hi, with the kernel's slack
+    line_top = cap * x_hi + (BOUND_SLACK * max(1.0, cap) + HORIZONTAL_TOL)
+    box = (math.nextafter(X_EPS, math.inf), x_hi, -HORIZONTAL_TOL, line_top)
+    jobs = ((0,) * k, (0.0, v.x, -v.x)[:k], (0.0, v.y, -v.y)[:k])
+    ((j, x, y, m, n),) = _box_rows(g, box, jobs, cap, pad=HORIZONTAL_TOL)
+    edges = [0, *np.searchsorted(j, range(1, k)).tolist(), len(j)]
+    lat, *cosets = (slice(lo, hi) for lo, hi in zip(edges, edges[1:]))
+    prim = _coprime(m[lat], n[lat])
+    return OrbitScan(tuple(c[lat][prim] for c in (x, y, m, n)), tuple((x[c], y[c]) for c in cosets))
+
+
+def _flowed_anchors(g: Mat2, start, t: np.ndarray, lattice):
     """Arrays (a, b, s) of the lattice-section form of h_t(g*Z^2) for each t,
-    given g's own form ``start`` = (a, b, s).
+    given g's own form ``start`` = (a, b, s) and the ``OrbitScan.lattice``
+    rows of a pass up to t[-1] or beyond.
 
     The anchor at time t is the primitive strip vector of largest slope at
     most t (smallest x on a tie), or g's own anchor if no strip vector has
-    slope at most t; s is t minus the anchor's slope."""
+    slope at most t; s is t minus the anchor's slope.  The strip vectors are
+    the rows in the strip window at slope t[-1] (``_in_strip``)."""
     a0, b0, s0 = start
     a, b, s = np.full(len(t), a0), np.full(len(t), b0), s0 + t
     if t[-1] <= 0.0:
         return a, b, s
-    pts = _lattice_scan(
-        g, Vec2(0.0, 0.0), x_max=1.0, slope_max=float(t[-1]), primitive=True
-    )
-    slope = pts[:, 1] / pts[:, 0]
-    order = np.lexsort((-pts[:, 0], slope))
-    pts, slope = pts[order], slope[order]
+    x, y, m, n = lattice
+    keep = _in_strip(x, y, float(t[-1]))
+    x, m, n = x[keep], m[keep], n[keep]
+    slope = y[keep] / x
+    # by slope, then larger x first; a plain sort is that order when no
+    # two slopes are equal, and many times faster than lexsort
+    order = np.argsort(slope)
+    if np.any(slope[order[1:]] == slope[order[:-1]]):
+        order = np.lexsort((-x, slope))
+    x, m, n, slope = x[order], m[order], n[order], slope[order]
     i = np.searchsorted(slope, t, side="right") - 1
-    hit = i >= 0
-    used, which = np.unique(i[hit], return_inverse=True)
-    a[hit] = pts[i[hit], 0]
-    b[hit] = _completion_b(g, pts[used, 0], pts[used, 2], pts[used, 3])[which]
-    s[hit] = np.maximum(t[hit] - slope[i[hit]], 0.0)
+    # i is nondecreasing, as t is: the times before the first strip slope
+    # keep g's anchor, and the anchors in use are the runs of equal i
+    h = int(np.searchsorted(i, 0))
+    i = i[h:]
+    first = np.diff(i, prepend=-1) != 0
+    used = i[first]
+    a[h:] = x[i]
+    b[h:] = _completion_b(g, x[used], m[used], n[used])[np.cumsum(first) - 1]
+    s[h:] = np.maximum(t[h:] - slope[i], 0.0)
     return a, b, s
 
 
-def _flowed_alpha(g: Mat2, v: Vec2, t: np.ndarray) -> np.ndarray:
-    """alpha of h_t(g*Z^2 + v) for each t, inf where there is none: the
-    smallest x of a coset point with 0 < x <= 1 and |y - t*x| <=
-    HORIZONTAL_TOL, the closed window of a horizontal representative."""
+def _flowed_alpha(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """alpha at each t, inf where there is none, from the points (x, y) of
+    one coset of a pass up to t[-1] or beyond: the smallest x of a point
+    with |y - t*x| <= HORIZONTAL_TOL, the closed window of a horizontal
+    representative, among those with y <= t[-1]*(1 + COORD_SLACK) +
+    HORIZONTAL_TOL."""
     tol = HORIZONTAL_TOL
-    pts = lattice_box(
-        g, v, math.nextafter(X_EPS, math.inf), 1.0 + COORD_SLACK,
-        -tol, float(t[-1]) * (1.0 + COORD_SLACK) + tol,
-    )
+    keep = y <= float(t[-1]) * (1.0 + COORD_SLACK) + tol
     # |y - t*x| <= tol, as |slope - t| * x <= tol: a strip slope y/x taken
-    # as t is then exactly horizontal, however large t is
-    x, slope = pts[:, 0], pts[:, 1] / pts[:, 0]
+    # as t is then exactly horizontal, however large t is.  The points go
+    # in slope order, so their searches in t go forward
+    slope = y[keep] / x[keep]
+    order = np.argsort(slope)
+    x, slope = x[keep][order], slope[order]
     reach = tol / x + COORD_SLACK * np.maximum(1.0, np.abs(slope))
     first = np.searchsorted(t, slope - reach, side="left")
     last = np.searchsorted(t, slope + reach, side="right")
-    k, point = _ragged(first, last - first, np.arange(len(first)))
+    near = np.flatnonzero(last > first)
+    k, point = _ragged(first[near], last[near] - first[near], near)
     keep = np.abs(slope[point] - t[k]) * x[point] <= tol
     alpha = np.full(len(t), np.inf)
     np.minimum.at(alpha, k[keep], x[point[keep]])
@@ -685,16 +742,40 @@ def _flowed_alpha(g: Mat2, v: Vec2, t: np.ndarray) -> np.ndarray:
 
 def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) -> SectionColumns:
     """Section coordinates of h_t(surface) for every t in the nonnegative,
-    increasing ``times``, as ``SectionColumns``, from scans of the unflowed
-    surface only.
+    increasing ``times``, as ``SectionColumns``: ``orbit_section_coords``
+    on one ``orbit_scan`` of the unflowed surface up to the last time.
+
+    A slit-cover call at time 0 alone on a lattice on its section makes no
+    pass: its rows are all sl, which read no alpha.  ``recoordinatize_omega``
+    and ``w_section_coords`` are the size-1 calls at time 0.
+    """
+    surface.check()
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0.0) or np.any(np.diff(t) < 0.0):
+        raise InvalidInputError("flow times must be finite, nonnegative and increasing")
+    if not len(t):
+        return section_columns([])
+    form = _lattice_form(surface.g)
+    sl_only = slit and t[-1] <= 0.0 and form[0] == "delta" and form[1] * form[3] <= HORIZONTAL_TOL
+    scan = None if sl_only else orbit_scan(surface.g, surface.v, float(t[-1]), slit)
+    return orbit_section_coords(surface, t, scan, slit=slit, form=form)
+
+
+def orbit_section_coords(
+    surface: AffineLattice, t: np.ndarray, scan: OrbitScan, *, slit: bool = False, form=None
+) -> SectionColumns:
+    """Section coordinates of h_t(surface) for every t of the nonempty,
+    finite, nonnegative and increasing array ``t``, as ``SectionColumns``,
+    from the rows of an ``orbit_scan`` of the unflowed surface up to t[-1]
+    or beyond, made with the same ``slit`` (None if every row is sl).
+    ``form`` is the lattice's ``_lattice_form`` when the caller has it.
 
     Without ``slit`` the rows are affine-section points (``omega`` or
     ``vertical``).  With ``slit`` they are slit-cover points along one orbit
     (``sl`` or ``sa``), an sl row wherever the lattice part is on its
     section: the marking is carried from time to time, and a time at which
     only its negation has a horizontal representative negates it for every
-    later time.  ``recoordinatize_omega`` and ``w_section_coords`` are the
-    size-1 calls at time 0.
+    later time.
 
     The horocycle keeps every x-coordinate and every lattice label, so the
     lattice part is analyzed once (``_lattice_form``).  A short vertical is
@@ -706,15 +787,10 @@ def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) 
     error, ``NotOnTransversalError`` where no horizontal representative
     exists.
     """
-    surface.check()
     g, v = surface.g, surface.v
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0.0) or np.any(np.diff(t) < 0.0):
-        raise InvalidInputError("flow times must be finite, nonnegative and increasing")
     n = len(t)
-    if not n:
-        return section_columns([])
-    form = _lattice_form(g)
+    if form is None:
+        form = _lattice_form(g)
     vertical = form[0] == "vertical"
     if vertical:
         a0 = form[1]
@@ -722,15 +798,14 @@ def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) 
         s[s <= 0.0] = a0 * a0
         a, b = np.full(n, a0), np.full(n, np.nan)
     else:
-        a, b, s = _flowed_anchors(g, form[1:], t)
+        a, b, s = _flowed_anchors(g, form[1:], t, None if scan is None else scan.lattice)
     sl = (slit and not vertical) & (s * a <= HORIZONTAL_TOL)
     s = _clamp_s(a, b, s)
     # coset 0 is the marking's, coset 1 its negation's; a row keeps the
     # coset of the row before unless only the other one has a representative.
-    # sl rows never read alpha, so all-sl times need no coset scan
-    cosets = (v, -v) if slit else (v,)
-    alphas = (np.full((len(cosets), n), np.inf) if sl.all()
-              else np.array([_flowed_alpha(g, c, t) for c in cosets]))
+    # sl rows never read alpha, so all-sl times read no coset
+    alphas = (np.full((2 if slit else 1, n), np.inf) if sl.all()
+              else np.array([_flowed_alpha(x, y, t) for x, y in scan.cosets]))
     found, rows = np.isfinite(alphas), np.arange(n)
     switch = np.maximum.accumulate(np.where(~sl & (found[0] != found[-1]), rows, -1))
     coset = np.where(switch >= 0, found[-1][switch], False).astype(np.int64)
@@ -769,7 +844,9 @@ def section_step(kind: int, a: float, b: float, s: float, alpha: float) -> tuple
       lattice-section crossings with ``bcz_return_map``; the new alpha is the
       arriving representative's x.  Every crossing takes time at least 1
       (1/(a*b) >= 1), so s past ``SCAN_ROW_LIMIT`` raises
-      ``NotOnTransversalError`` instead of rolling that many times.
+      ``NotOnTransversalError`` instead of rolling that many times.  At the
+      map's fixed point (a, b) = (1, 1) the crossings are skipped in closed
+      form, with the loop's tie rule and bound.
     * A vertical-lattice row returns after a/alpha, which shifts s modulo a^2.
     * A slit-cover row flows its surface by ``section_returns`` and reads the
       landing row off ``flowed_section_coords``, which raises
@@ -793,6 +870,12 @@ def section_step(kind: int, a: float, b: float, s: float, alpha: float) -> tuple
     if not s <= SCAN_ROW_LIMIT:
         raise NotOnTransversalError(f"return {u:.3g} would cross the lattice section up to "
                                     f"{s:.3g} times, more than the limit of {SCAN_ROW_LIMIT}")
+    if a == b == 1.0:
+        # the loop below in closed form at the map's fixed point: each
+        # crossing takes exactly 1, and s - k is exact below 2^53
+        k = math.floor(s)
+        k = min(k + (s - k >= 1.0 - TIE_TOL), int(u) + 2)
+        return u, _checked((OMEGA, a, b, max(s - k, 0.0), alpha))
     for _ in range(int(u) + 2):
         r = 1.0 / (a * b)
         if s < r - TIE_TOL * max(1.0, r):

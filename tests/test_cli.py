@@ -168,6 +168,20 @@ def test_formula_orbit_refuses_a_return_past_the_roll_limit(capsys):
     assert f"more than the limit of {geometry.SCAN_ROW_LIMIT}" in capsys.readouterr().err
 
 
+def test_formula_orbit_skips_the_crossings_of_the_fixed_point(capsys):
+    # alpha = 1e-6 returns after 1e6 crossings of the lattice section at its
+    # fixed point (a, b) = (1, 1), which took seconds one at a time
+    start = time.perf_counter()
+    assert main(["orbit", "--start", "1,1,0,1e-6", "--engine", "formula", "--iters", "3"]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out == (
+        "step,return_time,kind,a,b,s,alpha\n"
+        "0,999999.999971,omega,1,1,0,1e-06\n"
+        "1,999999.999971,omega,1,1,0.999971244368,1.00000000003e-06\n"
+        "2,999999.999971,omega,1,1,0.999942488736,1.00000000003e-06\n"
+    )
+
+
 @pytest.mark.parametrize("engine", ["oracle-affine", "oracle-doubled"])
 def test_oracle_orbit_zero_iters_and_off_transversal_start(tmp_path, engine):
     out = tmp_path / "orbit.csv"

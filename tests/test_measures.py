@@ -511,30 +511,29 @@ def test_orbit_yields_expected_shape():
 
 @pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
 def test_oracle_orbit_computes_no_lattice_form_per_step(monkeypatch, engine):
-    # an oracle orbit analyzes the start lattice once and scans the start
-    # surface a fixed number of times, however many steps it takes
-    forms, scans = [], []
-    real_form, real_scan = transversal._lattice_form, oracle.enumerate_strip
+    # an oracle orbit analyzes the start lattice once and reads everything
+    # else off one kernel pass over the start surface, however many steps
+    # it takes; the lattice analysis scans through ``lattice_box``, not here
+    start = OmegaCoords(0.5, 0.6, 2.0, 0.9)
+    forms, passes = [], []
+    real_form, real_pass = transversal._lattice_form, transversal._box_rows
 
     def counting_form(g):
         forms.append(g)
         return real_form(g)
 
-    def counting_scan(*args, **kwargs):
-        scans.append(args)
-        return real_scan(*args, **kwargs)
+    def counting_pass(g, *args, **kwargs):
+        passes.append(tuple(g))
+        return real_pass(g, *args, **kwargs)
 
     monkeypatch.setattr(transversal, "_lattice_form", counting_form)
-    monkeypatch.setattr(oracle, "enumerate_strip", counting_scan)
-    counts = []
-    for n in (200, 400):
+    monkeypatch.setattr(transversal, "_box_rows", counting_pass)
+    for n in (1, 200, 400, 3000):
         forms.clear()
-        scans.clear()
-        steps = _orbit_steps(OmegaCoords(0.5, 0.6, 2.0, 0.9), engine, n)
-        assert len(steps) == n
-        counts.append((len(forms), len(scans)))
-    assert counts[0] == counts[1]
-    assert counts[0][0] == 1
+        passes.clear()
+        assert len(_orbit_steps(start, engine, n)) == n
+        assert len(forms) == 1
+        assert passes == [tuple(omega_to_surface(start).g)]
 
 
 # the step-by-step chain the oracle orbits are read off in one piece: the

@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slitgaps import geometry
+from slitgaps import geometry, transversal
+from slitgaps import oracle as oracle_module
 from slitgaps.geometry import (
     AffineLattice,
     Mat2,
@@ -674,6 +675,7 @@ def test_a_runaway_cap_sequence_has_no_return(monkeypatch):
     calls = (
         lambda: oracle_first_return(EMPTY_STRIP, SurfaceMode.AFFINE_ONLY),
         lambda: oracle_strip_slopes(EMPTY_STRIP, SurfaceMode.AFFINE_ONLY, 5),
+        lambda: oracle_module.oracle_orbit(EMPTY_STRIP, SurfaceMode.AFFINE_ONLY, 5),
     )
     for call in calls:
         with pytest.raises(NotOnTransversalError, match="no positive-slope") as info:
@@ -937,3 +939,124 @@ def test_return_formulas_have_one_definition(name):
     assert getattr(slitgaps.measures, name, formula) is formula
     assert getattr(slitgaps.oracle, name, formula) is formula
     assert slitgaps.measures.section_returns is slitgaps.oracle.section_returns
+
+
+# the three scans an oracle orbit made of its start surface before it read
+# everything off one pass, kept here to compare the pass against: the strip
+# slopes (``oracle_strip_slopes``, unchanged), the primitive lattice strip
+# at slope t[-1] for the anchors, and a box per coset for the alphas
+
+
+def _three_scan_anchors(g, start, t):
+    a0, b0, s0 = start
+    a, b, s = np.full(len(t), a0), np.full(len(t), b0), s0 + t
+    if t[-1] <= 0.0:
+        return a, b, s
+    pts = geometry._lattice_scan(g, Vec2(0.0, 0.0), x_max=1.0, slope_max=float(t[-1]), primitive=True)
+    slope = pts[:, 1] / pts[:, 0]
+    order = np.lexsort((-pts[:, 0], slope))
+    pts, slope = pts[order], slope[order]
+    i = np.searchsorted(slope, t, side="right") - 1
+    hit = i >= 0
+    used, which = np.unique(i[hit], return_inverse=True)
+    a[hit] = pts[i[hit], 0]
+    b[hit] = transversal._completion_b(g, pts[used, 0], pts[used, 2], pts[used, 3])[which]
+    s[hit] = np.maximum(t[hit] - slope[i[hit]], 0.0)
+    return a, b, s
+
+
+def _three_scan_alpha(g, v, t):
+    tol = transversal.HORIZONTAL_TOL
+    pts = geometry.lattice_box(
+        g, v, math.nextafter(geometry.X_EPS, math.inf), 1.0 + transversal.COORD_SLACK,
+        -tol, float(t[-1]) * (1.0 + transversal.COORD_SLACK) + tol,
+    )
+    x, slope = pts[:, 0], pts[:, 1] / pts[:, 0]
+    reach = tol / x + transversal.COORD_SLACK * np.maximum(1.0, np.abs(slope))
+    first = np.searchsorted(t, slope - reach, side="left")
+    last = np.searchsorted(t, slope + reach, side="right")
+    k, point = geometry._ragged(first, last - first, np.arange(len(first)))
+    keep = np.abs(slope[point] - t[k]) * x[point] <= tol
+    alpha = np.full(len(t), np.inf)
+    np.minimum.at(alpha, k[keep], x[point[keep]])
+    return alpha
+
+
+P1 = OmegaCoords(0.8558403872803663, 0.732080999270255, 0.04227081954827937, 0.7847818328370264)
+
+# (start, mode, steps, cap rounds)
+ONE_PASS_EDGES = [
+    # the first return is 1e-10, below HORIZONTAL_TOL, so the start's own
+    # marking point at y = 0 is in the alpha window of the first landing
+    (OmegaCoords(0.5, 0.6, 8e-11, 0.9), SurfaceMode.AFFINE_ONLY, 300, 1),
+    (OmegaCoords(0.5, 0.6, 8e-11, 0.9), SurfaceMode.DOUBLED_SLIT, 300, 1),
+    # the last return lands 0.2 (affine) or 0.8 (doubled) below the first
+    # cap 8, well within HORIZONTAL_TOL / X_EPS = 1000 of it
+    (P1, SurfaceMode.AFFINE_ONLY, 3, 1),
+    (P1, SurfaceMode.DOUBLED_SLIT, 8, 1),
+    # the doubled orbit that switches to the negated marking's coset
+    (VLCoords(0.8, 0.3, 0.5), SurfaceMode.DOUBLED_SLIT, 500, 1),
+    # one column of marking points, sparser than a generic surface's: the
+    # first cap holds too few slopes and doubles once
+    (VLCoords(0.9, 0.3, 0.2), SurfaceMode.AFFINE_ONLY, 300, 2),
+]
+
+
+@pytest.mark.parametrize("start, mode, count, rounds", ONE_PASS_EDGES)
+def test_one_pass_orbit_matches_the_three_scan_rule(monkeypatch, start, mode, count, rounds):
+    surface = omega_to_surface(start)
+    g, v = surface.g, surface.v
+    passes = []
+    real = transversal.orbit_scan
+
+    def recorded(*args):
+        passes.append(real(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(oracle_module, "orbit_scan", recorded)
+    returns, cols = oracle_module.oracle_orbit(surface, mode, count)
+    assert len(passes) == rounds
+    scan = passes[-1]
+    slopes = oracle_strip_slopes(surface, mode, count)
+    assert np.array_equal(returns, np.diff(slopes, prepend=0.0))
+    form = transversal._lattice_form(g)
+    if form[0] == "delta":
+        one = transversal._flowed_anchors(g, form[1:], slopes, scan.lattice)
+        assert all(map(np.array_equal, one, _three_scan_anchors(g, form[1:], slopes)))
+    cosets = (v, -v) if mode is SurfaceMode.DOUBLED_SLIT else (v,)
+    assert len(scan.cosets) == len(cosets)
+    for (x, y), c in zip(scan.cosets, cosets):
+        assert np.array_equal(transversal._flowed_alpha(x, y, slopes), _three_scan_alpha(g, c, slopes))
+    if (start, mode) == ONE_PASS_EDGES[0][:2]:
+        # the affine landing at 1e-10 is the marking's translate by -a
+        assert cols.alpha[0] == 0.9 - 0.5
+    if mode is SurfaceMode.DOUBLED_SLIT and isinstance(start, VLCoords):
+        assert {round(a, 12) for a in cols.alpha.tolist()} == {0.5, 0.75}
+
+
+_ORBIT_LOG = re.compile(
+    r"oracle orbit \((?P<mode>[a-z]+)\): (?P<steps>\d+) steps, (?P<rounds>\d+) cap rounds, "
+    r"final cap (?P<cap>\S+), rows per component \[(?P<rows>[\d, ]+)\]$"
+)
+
+
+def test_oracle_orbit_logs_one_debug_line_per_call(caplog):
+    surface = omega_to_surface(VLCoords(0.9, 0.3, 0.2))
+    caplog.set_level(logging.INFO, logger="slitgaps.oracle")
+    quiet = oracle_module.oracle_orbit(surface, SurfaceMode.AFFINE_ONLY, 300)
+    assert caplog.records == []
+    caplog.set_level(logging.DEBUG, logger="slitgaps.oracle")
+    loud = oracle_module.oracle_orbit(surface, SurfaceMode.AFFINE_ONLY, 300)
+    assert np.array_equal(loud[0], quiet[0])
+    oracle_module.oracle_orbit(surface, SurfaceMode.DOUBLED_SLIT, 300)
+    affine, doubled = (_ORBIT_LOG.match(r.getMessage()) for r in caplog.records)
+    assert (affine["mode"], doubled["mode"]) == ("affine", "doubled")
+    assert int(affine["steps"]) == int(doubled["steps"]) == 300
+    # the marking's one column needs the doubled cap; the doubled surface
+    # has the mirrored column too, and no primitive lattice vector in the strip
+    assert (int(affine["rounds"]), float(affine["cap"])) == (2, 2 * 1.25 * 300 / 0.5)
+    assert int(doubled["rounds"]) == 1
+    affine_rows = [int(k) for k in affine["rows"].split(",")]
+    doubled_rows = [int(k) for k in doubled["rows"].split(",")]
+    assert len(affine_rows) == 2 and len(doubled_rows) == 3
+    assert affine_rows[0] == doubled_rows[0] == 0 and affine_rows[1] >= 300

@@ -1,6 +1,8 @@
 """Golden outputs of ``orbit``: sha256 digests of the CSV and of the
 ``--format json`` report, under every engine, recorded before the orbit
-became columns of arrays.
+became columns of arrays; the 5000-step oracle orbits, and the column bytes
+of ``oracle_orbit`` on edge starts, recorded before the oracle orbit read
+its start surface in one kernel pass.
 
 The JSON digest leaves out the report's ``versions`` block, which names the
 installed numpy and scipy rather than anything the orbit computed; the rest
@@ -10,15 +12,22 @@ of the report is digested as the command writes it (sorted keys, indent 2).
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from slitgaps.cli import main
+from slitgaps.geometry import SurfaceMode
+from slitgaps.oracle import oracle_orbit
+from slitgaps.transversal import OmegaCoords, VLCoords, omega_to_surface
 
 STARTS = {
     "s1": "0.5,0.6,2.0,0.9",
     "fixed": "1,1,0,0.5",
     # the start of the benchmark's orbit-chain workload at seed 1
     "p1": "0.8558403872803663,0.732080999270255,0.04227081954827937,0.7847818328370264",
+    # the benchmark's haar-omega starts at seeds 2 and 3
+    "h2": "0.3668156007258836,0.7539018306505455,2.8892708466595884,0.4449033211021348",
+    "h3": "0.7157988362512085,0.3329861304614743,1.4959927891165277,0.8732450202816946",
 }
 
 # (start, engine, iters): (CSV digest, JSON digest).  The doubled orbits of
@@ -101,6 +110,52 @@ GOLDEN = {
         "f3967e62a669efe9d4a767d15d6b4f0f81dbf4870097fce6734eb01921d3a2d1",
         "a0a79be7f40041d81c4a9481ff23b8c92e1f48e4c5403e248cf02e8bfd86246b",
     ),
+    ("p1", "oracle-affine", 5000): (
+        "9c0c893a3949595e227664f77daf4c3c55ed8311355ac52fe0e1c653b3527c05",
+        "640e5b3cb56b7fc36d08b2e94dc54a0cc2fdf56cfd5b461390f77e299d6d1357",
+    ),
+    ("p1", "oracle-doubled", 5000): (
+        "077818aaccc0cc685b8b14726fe284f88d82a4558fddfc133e3cc1adb3e21748",
+        "2617f6d3dedbc1ce4f62e62d04626908921ce0de8cc31b3fdd81260496e746df",
+    ),
+    ("h2", "oracle-affine", 5000): (
+        "116f58f86ab10783fe528299b8d785382998484b5eee1051fb2e28a271baebd3",
+        "e5201e4f78caa236d33d184625121526772c7ff1a5d71e1d21f34ca246770544",
+    ),
+    ("h2", "oracle-doubled", 5000): (
+        "cdad8602fa8820d29ddcc94479052331f4e5718e69fb2e65661143f2ae62f3e6",
+        "546e47b8426753a92de0cefa68732a3163754610add93a5adf17fd9d0a81e003",
+    ),
+    ("h3", "oracle-affine", 5000): (
+        "4cc00a7003479a8533588b11222b5e5a7f289acc98ccc232e8244a385650b4cc",
+        "e1decdb4d0a1a773ebe81ad5ee7cbd8d9125c408e33dd016d121f7371401dfa3",
+    ),
+    ("h3", "oracle-doubled", 5000): (
+        "7d433d8333b7fe10f4d5e83f9624195ac1f1f9a3ae9e00d3cfe16f1667f1e258",
+        "710f6f16b83d45ddb72cea4692471df0395b8488453fe346e1ddca0ce77ee6eb",
+    ),
+}
+
+P1 = OmegaCoords(0.8558403872803663, 0.732080999270255, 0.04227081954827937, 0.7847818328370264)
+TINY_FIRST = OmegaCoords(0.5, 0.6, 8e-11, 0.9)  # first return 1e-10
+
+# (start, mode, steps): sha256 of the return column, then the kind, a, b,
+# s and alpha columns, as bytes
+COLUMN_GOLDEN = {
+    (VLCoords(0.8, 0.3, 0.5), "affine", 500):
+        "2d0141ba3e3a5b66322f316d440cfe66f70d9b1c7a5b8148d6729b0d45f43903",
+    (VLCoords(0.8, 0.3, 0.5), "doubled", 500):
+        "9ab8bbddc2fa2831b775ef31826e5092c1181befbc5fb40133c7fba186ca1b82",
+    (VLCoords(0.9, 0.3, 0.2), "affine", 300):
+        "4ed25f66eb20725128e11f40b3f6f135eca7bea80ffa9d95e005648fd8e69016",
+    (VLCoords(0.9, 0.3, 0.2), "doubled", 300):
+        "8ecaa11d06e6f402992be654bf9cb94e109cc8745b61611a6111d6dc1e46a6d6",
+    (TINY_FIRST, "affine", 300):
+        "75d3fc50f27844a341b75ab7e7310af2d4a792287515f29ec0409819cd9e56bb",
+    (TINY_FIRST, "doubled", 300):
+        "ee48d54a5f4054568ca5f153e214f2bb329931f46235e34ac4524e0d3a1d6f94",
+    (P1, "affine", 3): "ae297d65bbc9f0954dce6136c283c877176432f6165e1c82bc11dff1420c5e09",
+    (P1, "doubled", 8): "20db70178b84d0ea7b453a1d8ab125626bb087581161f06b2e35dc162aac72c3",
 }
 
 
@@ -118,3 +173,12 @@ def _digest(argv, fmt, capsys):
 def test_orbit_output_matches_its_golden_digest(start, engine, iters, capsys):
     argv = ["orbit", "--start", STARTS[start], "--engine", engine, "--iters", str(iters)]
     assert (_digest(argv, "csv", capsys), _digest(argv, "json", capsys)) == GOLDEN[start, engine, iters]
+
+
+@pytest.mark.parametrize("start, mode, steps", list(COLUMN_GOLDEN))
+def test_oracle_orbit_columns_match_their_golden_digest(start, mode, steps):
+    returns, cols = oracle_orbit(omega_to_surface(start), SurfaceMode(mode), steps)
+    h = hashlib.sha256(np.ascontiguousarray(returns).tobytes())
+    for c in cols:
+        h.update(np.ascontiguousarray(c).tobytes())
+    assert h.hexdigest() == COLUMN_GOLDEN[start, mode, steps]

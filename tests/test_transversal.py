@@ -345,6 +345,32 @@ def test_w_orbit_stays_valid():
         assert isinstance(_section_point(*row), (WPointSL, WPointSA))
 
 
+def _crossings_rolled(s, u):
+    """(a, b, s) after the crossing loop of ``section_step`` from (a, b) =
+    (1, 1), one ``bcz_return_map`` per crossing, as it ran before the fixed
+    point was skipped in closed form."""
+    a, b = 1.0, 1.0
+    for _ in range(int(u) + 2):
+        r = 1.0 / (a * b)
+        if s < r - transversal.TIE_TOL * max(1.0, r):
+            break
+        s -= r
+        d = bcz_return_map(DeltaCoords(a, b))
+        a, b = d.a, d.b
+    return a, b, max(s, 0.0)
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-15, 0.25, 0.5, 0.999999, 1.0 - 2e-12, 1.0 - 1e-12, 1.0 - 5e-13])
+def test_fixed_point_step_skips_the_crossings_as_the_loop_did(s):
+    # alpha = 1e-3 returns after about 1000 crossings of the lattice
+    # section; from s = 1 - 5e-13 the return ends within TIE_TOL of one more
+    alpha = 1e-3
+    u, row = section_step(transversal.OMEGA, 1.0, 1.0, s, alpha)
+    want_u, want_alpha = map(float, transversal._omega_returns(*transversal._columns(1.0, 1.0, s, alpha))[:2])
+    assert u == want_u
+    assert row == (transversal.OMEGA, *_crossings_rolled(s + u, u), want_alpha)
+
+
 def test_section_step_raises_where_its_next_row_is_off_the_section(monkeypatch):
     # flowed by 0.123 instead of its return 0.4, the short-affine surface has
     # no short lattice vector and no horizontal marking
@@ -432,7 +458,7 @@ def test_flowed_section_coords_raise_the_first_failing_rows_error(monkeypatch):
     times = [0.0, 0.1, 0.2, 0.3]
 
     def patched(*rows):
-        def alpha(g, v, t):
+        def alpha(x, y, t):
             out = np.full(len(t), 0.75)
             for k, value in rows:
                 out[k] = value
@@ -451,22 +477,22 @@ def test_flowed_section_coords_raise_the_first_failing_rows_error(monkeypatch):
 
 def test_short_lattice_points_need_no_coset_scan(monkeypatch):
     # sl rows take their marking from the lattice cell, never from alpha, so
-    # recoordinatizing a short-lattice surface scans neither coset; an sa
-    # point scans both
-    calls = []
-    real = transversal._flowed_alpha
+    # recoordinatizing a short-lattice surface makes no pass over its
+    # cosets; an sa point makes one pass, holding the lattice and both cosets
+    passes = []
+    real = transversal._box_rows
 
-    def counted(g, v, t):
-        calls.append(v)
-        return real(g, v, t)
+    def counted(g, box, jobs, *args, **kwargs):
+        passes.append(len(jobs[0]))
+        return real(g, box, jobs, *args, **kwargs)
 
-    monkeypatch.setattr(transversal, "_flowed_alpha", counted)
+    monkeypatch.setattr(transversal, "_box_rows", counted)
     w = WPointSL(0.6, 0.5, 0.3, 0.5)
     p = w_section_coords(omega_to_surface(w))
     assert isinstance(p, WPointSL) and np.allclose(astuple(p), astuple(w))
-    assert calls == []
+    assert passes == []
     w_section_coords(omega_to_surface(WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))))
-    assert len(calls) == 2
+    assert passes == [3]
 
 
 # one point of every kind, runs of equal kind of length 1 and 2
