@@ -53,10 +53,6 @@ class Vec2(NamedTuple):
     x: float
     y: float
 
-    def cross(self, other: "Vec2") -> float:
-        """Signed area det[self, other]."""
-        return self.x * other.y - self.y * other.x
-
     def slope(self) -> float:
         if self.x == 0.0:
             raise InvalidInputError("slope undefined for vertical vector")
@@ -174,9 +170,12 @@ def horocycle_apply(u: float, obj):
 # the lattice-box kernel: points of g*Z^2 + v in a box, for many lattices at
 # once; every scan of the package is a call of ``_box_rows``
 
-# surfaces per block of ``_strip_rows``, and candidate rows (lattice
-# points before the exact filter) per chunk of ``_box_rows``
-STRIP_BLOCK = 1024
+# surfaces per block of ``_strip_rows``, and candidate rows (lattice points
+# before the exact filter) per chunk of ``_box_rows``.  A kernel call costs
+# some 200 numpy calls: the 25k-surface OmegaR oracle scan takes 11.4, 9.7,
+# 9.4 and 10.1 ms at 1024, 2048, 4096 and 8192 (traced peaks 1.7, 2.3, 3.3,
+# 5.1 MB; 2-core VM), so 2048 has most of the gain for the least memory
+STRIP_BLOCK = 2048
 STRIP_ROW_BUDGET = 1 << 14
 # the most rows a scan may allocate at once, in its n-range or in the
 # candidate rows of one surface: a scan holds about 250 bytes per row, so
@@ -232,14 +231,15 @@ def _at(f, index):
     return f[index] if isinstance(f, np.ndarray) else f
 
 
-def _bound_rows(lo, hi, p, c, b_lo, b_hi, scratch) -> None:
+def _bound_rows(lo, hi, p, c, b_lo, b_hi, scratch, first=False) -> None:
     """Tighten each row's m-range [lo, hi] in place to b_lo <= p*m + c <= b_hi.
 
     Whichever quotient (b - c)/p is smaller is the lower bound, so the sign
     of p needs no test.  At p = 0 the quotients are infinite: they empty the
     range of a row that breaks the constraint and leave it alone otherwise,
     and a 0/0 is a NaN that ``minimum``/``maximum`` pass on and
-    ``fmax``/``fmin`` skip.  ``scratch`` holds three rows of temporaries.
+    ``fmax``/``fmin`` skip.  ``scratch`` holds three rows of temporaries;
+    ``first`` starts from the whole line, reading neither lo nor hi.
     """
     r_lo, r_hi, lower = scratch
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -247,20 +247,21 @@ def _bound_rows(lo, hi, p, c, b_lo, b_hi, scratch) -> None:
         np.divide(np.subtract(b_hi, c, out=r_hi), p, out=r_hi)
     np.minimum(r_lo, r_hi, out=lower)
     np.maximum(r_lo, r_hi, out=r_hi)
-    np.fmax(lo, lower, out=lo)
-    np.fmin(hi, r_hi, out=hi)
+    np.fmax(-np.inf if first else lo, lower, out=lo)
+    np.fmin(np.inf if first else hi, r_hi, out=hi)
 
 
-def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET, pad=0.0):
+def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET, pad=0.0, mn=True):
     """Points of g_s*Z^2 + v_j in the closed box of surface s, and with
     ``slope_max`` also on or below y = slope_max_s * x + pad up to slack, for
     every job j = (s, v_j).
 
     ``g`` = (m11, m12, m21, m22) and ``box`` = (x_lo, x_hi, y_lo, y_hi) hold
     one entry per surface, ``jobs`` = (surface, vx, vy) one per job with the
-    surfaces nondecreasing; ``pad``, a single value, raises every slope
-    line.  A field with one entry is a single value that broadcasts, so a
-    call for one surface and one job does the per-row work of a scalar scan.
+    surfaces nondecreasing and each in a job; ``pad``, a single value,
+    raises every slope line.  A field with one entry is a single value that
+    broadcasts, so a call for one surface and one job does the per-row work
+    of a scalar scan.
     For each job the n-range covers g^-1(box - v), each n gets the m-range
     its constraints allow, and the exact filter then keeps the rows whose
     float x and y (computed as m11*m, plus m12*n, plus vx; the same for y)
@@ -293,17 +294,18 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET, pad=
     floats, do not depend on the ranges.
 
     Yields (job, x, y, m, n) arrays holding whole surfaces, rows ordered by
-    job, then n, then m; a chunk expands at most ``budget`` candidate rows
-    unless one surface alone needs more.  A scan whose n-range, or one
-    surface's candidate rows, exceeds ``SCAN_ROW_LIMIT`` raises
-    ``InvalidInputError`` before it is allocated.
+    job, then n, then m (m and n None unless ``mn``); a chunk expands at
+    most ``budget`` candidate rows unless one surface alone needs more.  A
+    scan whose n-range, or one surface's candidate rows, exceeds
+    ``SCAN_ROW_LIMIT`` raises ``InvalidInputError`` before it is allocated.
     """
     surf = np.asarray(jobs[0], dtype=np.int64)
     if not len(surf):
         return
-    # per job: a single value stays one
+    # per job: a single value stays one, and one job per surface needs no gather
+    each = surf if surf[-1] + 1 < len(surf) else slice(None)
     m11, m12, m21, m22, x_lo, x_hi, y_lo, y_hi = (
-        _at(_shared(f), surf) for f in (*g, *box)
+        _at(_shared(f), each) for f in (*g, *box)
     )
     vx, vy = _shared(jobs[1]), _shared(jobs[2])
     det = m11 * m22 - m12 * m21
@@ -333,13 +335,11 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET, pad=
         return _at(f, job)
 
     e_x, e_y = RANGE_SLACK * s_x, RANGE_SLACK * s_y
-    lo = np.full(ns.shape, -np.inf)
-    hi = np.full(ns.shape, np.inf)
-    scratch = np.empty((3, len(ns)))
-    _bound_rows(lo, hi, row(m11), row(m12) * ns + row(vx), row(x_lo - e_x), row(x_hi + e_x), scratch)
+    lo, hi, *scratch = np.empty((5, len(ns)))
+    _bound_rows(lo, hi, row(m11), row(m12) * ns + row(vx), row(x_lo - e_x), row(x_hi + e_x), scratch, True)
     _bound_rows(lo, hi, row(m21), row(m22) * ns + row(vy), row(y_lo - e_y), row(y_hi + e_y), scratch)
     if slope_max is not None:
-        sig = _at(_shared(slope_max), surf)
+        sig = _at(_shared(slope_max), each)
         slack = BOUND_SLACK * np.maximum(1.0, sig) + pad
         # y - sigma*x <= slack
         e_s = RANGE_SLACK * (s_y + np.abs(sig) * s_x + slack)
@@ -358,7 +358,7 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET, pad=
 
     debug = logger.isEnabledFor(logging.DEBUG)
     kept = 0
-    surface_rows = np.searchsorted(job, np.searchsorted(surf, np.arange(len(rows_per_surface) + 1)))
+    surface_rows = np.concatenate(([0], np.cumsum(n_count)))[np.searchsorted(surf, np.arange(len(rows_per_surface) + 1))]
     for s0, s1 in _budget_runs(rows_per_surface, budget):
         rows = slice(surface_rows[s0], surface_rows[s1])
         m, j, n = _ragged(m_first[rows], m_count[rows], job[rows], ns[rows])
@@ -373,7 +373,7 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET, pad=
             keep &= y <= _at(sig, j) * x + _at(slack, j)
         if debug:
             kept += int(np.count_nonzero(keep))
-        yield j[keep], x[keep], y[keep], m[keep], n[keep]
+        yield j[keep], x[keep], y[keep], *((m[keep], n[keep]) if mn else (None, None))
     if debug:
         logger.debug(
             "box scan: %d jobs, %d n-rows, %d candidate rows, %d rows kept",
@@ -486,7 +486,9 @@ def _strip_rows(
     order, neither sorted nor deduplicated, so under ``DOUBLED_SLIT`` a
     vector may appear once per component.  With ``lattice`` an
     ``AFFINE_ONLY`` surface also scans its whole lattice g*Z^2, every point,
-    as a component before its coset: the slit-cover candidate set."""
+    as a component before its coset: the slit-cover candidate set.  Each
+    block of ``STRIP_BLOCK`` surfaces is one ``_box_rows`` call; only the
+    doubled lattice component's primitivity test reads its m and n."""
     cap = np.nan if slope_max is None else slope_max
     *fields, cap = np.atleast_1d(*(np.asarray(f, dtype=float) for f in np.broadcast_arrays(*g, *v, cap)))
     if fields[0].ndim != 1:
@@ -507,11 +509,8 @@ def _strip_rows(
             vy = np.column_stack([zero, vy, -vy][:k]).ravel()
         surf = np.repeat(np.arange(len(m11)), k)
         for j, x, y, m, n in _box_rows(
-            (m11, m12, m21, m22),
-            [_at(b, block) for b in box],
-            (surf, vx, vy),
-            None if slope_max is None else cap[block],
-            STRIP_ROW_BUDGET,
+            (m11, m12, m21, m22), [_at(b, block) for b in box], (surf, vx, vy),
+            None if slope_max is None else cap[block], STRIP_ROW_BUDGET, mn=k == 3,
         ):
             if k == 3:
                 keep = j % 3 != 0
@@ -540,11 +539,12 @@ def strip_holonomy_batch(
     surface i are its marked coset, and under ``DOUBLED_SLIT`` also the
     primitive lattice vectors and the negated coset; one ``_box_rows`` call
     scans them all (``_strip_rows``), and this enumeration then sorts each
-    chunk and keeps vectors repeated across components (equal within 1e-12)
-    once.  Yields (surface index, xy) chunks holding whole surfaces, with
-    rows sorted by (surface, x, y).  Surfaces go in blocks of
-    ``STRIP_BLOCK`` and chunks of ``STRIP_ROW_BUDGET`` candidate rows, so
-    memory stays flat in the number of surfaces.
+    chunk (``_dedup_batch``: one argsort, a lexsort only on ties in x) and
+    keeps vectors repeated across components (equal within 1e-12) once.
+    Yields (surface index, xy) chunks holding whole surfaces, with rows
+    sorted by (surface, x, y).  Surfaces go in blocks of ``STRIP_BLOCK`` and
+    chunks of ``STRIP_ROW_BUDGET`` candidate rows, so memory stays flat in
+    the number of surfaces.
     """
     for s, x, y in _strip_rows(
         g, v, mode, slope_max, x_max=x_max, y_max=y_max, include_horizontal=include_horizontal
@@ -554,14 +554,16 @@ def strip_holonomy_batch(
 
 def _dedup_batch(s: np.ndarray, x: np.ndarray, y: np.ndarray):
     """(surface, xy) sorted by (surface, x, y) with near-duplicates of the
-    previous row of the same surface dropped."""
-    # rows come grouped by surface, so one surface needs no surface key
-    order = np.lexsort((y, x, s) if len(s) and s[0] != s[-1] else (y, x))
-    s, xy = s[order], np.column_stack([x[order], y[order]])
+    previous row of the same surface dropped; every x is positive."""
+    # an argsort of x + surface * (max x + 1) is the lexsort order unless keys tie
+    key = x + s * (x.max() + 1.0) if len(s) and s[0] != s[-1] else x
+    order = np.argsort(key)
+    if np.any(key[order[1:]] == key[order[:-1]]):
+        order = np.lexsort((y, x, s))
+    s, x, y = s[order], x[order], y[order]
     keep = np.ones(len(s), dtype=bool)
-    if len(s) > 1:
-        keep[1:] = (s[1:] != s[:-1]) | (np.abs(np.diff(xy, axis=0)) > VECTOR_DEDUP_TOL).any(axis=1)
-    return s[keep], xy[keep]
+    keep[1:] = (s[1:] != s[:-1]) | (np.abs(np.diff(x)) > VECTOR_DEDUP_TOL) | (np.abs(np.diff(y)) > VECTOR_DEDUP_TOL)
+    return s[keep], np.column_stack([x[keep], y[keep]])
 
 
 def _holonomy_points(surface: AffineLattice, mode: SurfaceMode, slope_max, **window) -> np.ndarray:

@@ -33,6 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import geometry
 from .errors import InvalidInputError, NotOnTransversalError
 from .geometry import (
     AffineLattice,
@@ -192,8 +193,8 @@ def oracle_first_return_batch(
     raw rows (``geometry._strip_rows``) and takes each surface's minimum
     y/x; a coset holds no point twice, so only ``DOUBLED_SLIT`` rows are
     first deduplicated as ``strip_holonomy_batch`` does.  Each call logs its
-    surfaces, rounds, surfaces re-scanned after round 1 and largest cap at
-    DEBUG level."""
+    surfaces, rounds, surfaces re-scanned after round 1, largest cap and
+    kernel blocks (``_strip_rows`` calls of ``_box_rows``) at DEBUG level."""
     return _first_returns(g, v, mode, cap_hints)
 
 
@@ -212,11 +213,12 @@ def _first_returns(
         cap = np.where(np.isfinite(hints) & (hints > 0), hints * (1.0 + REL_ERR_THRESHOLD), DEFAULT_CAP)
     out = np.full(len(cap), np.inf)
     todo = np.arange(len(cap))
-    rounds = rescanned = 0
+    rounds = rescanned = blocks = 0
     while todo.size:
         if np.any(cap[todo] > CAP_LIMIT):
             raise NotOnTransversalError(NO_RETURN)
         rounds += 1
+        blocks += -(-todo.size // geometry.STRIP_BLOCK)
         sub = fields if todo.size == cap.size else [f[todo] for f in fields]
         try:
             for s, x, y in _strip_rows(Mat2(*sub[:4]), Vec2(*sub[4:]), mode, cap[todo], lattice=lattice):
@@ -227,7 +229,7 @@ def _first_returns(
                         # is taken over the copy the enumeration keeps
                         s, xy = _dedup_batch(s, x, y)
                         x, y = xy.T
-                    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+                    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
                     out[todo[s[first]]] = np.minimum.reduceat(y / x, first)
         except InvalidInputError as exc:
             if rounds > 1:  # a scan refused after doubling: the caps ran away
@@ -239,9 +241,9 @@ def _first_returns(
             rescanned = todo.size
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
-            "oracle batch (%s%s): %d surfaces, %d rounds, %d re-scanned after round 1, largest cap %.6g",
+            "oracle batch (%s%s): %d surfaces, %d rounds, %d re-scanned after round 1, largest cap %.6g, %d kernel blocks",
             mode.value, " + lattice" if lattice else "", len(cap), rounds, rescanned,
-            cap.max() if len(cap) else 0.0,
+            cap.max() if len(cap) else 0.0, blocks,
         )
     return out
 

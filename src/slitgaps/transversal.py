@@ -599,13 +599,23 @@ def section_surfaces(cols: SectionColumns) -> tuple:
     """(g, v) of every row, a ``Mat2`` and a ``Vec2`` of arrays: an sl row's
     lattice-section generator ``delta_basis`` with its marking (v1, v2), a
     vertical-lattice row's ``vertical_basis`` and any other row's
-    ``sheared_delta_basis``, with marking (alpha, 0).  The marking's y stays
-    the scalar 0.0 when no row is sl."""
+    ``sheared_delta_basis``, with marking (alpha, 0), each built on its own
+    rows only (so g and v may share memory with ``cols``).  The marking's y
+    stays the scalar 0.0 when no row is sl."""
     kind, a, b, s, alpha = cols
     sl, vertical = kind == SL, np.isnan(b)
-    bases = zip(vertical_basis(a, s), delta_basis(a, b), sheared_delta_basis(a, b, s))
-    g = Mat2(*(np.where(vertical, fv, np.where(sl, fd, fs)) for fv, fd, fs in bases))
-    return g, Vec2(np.where(sl, s, alpha), np.where(sl, alpha, 0.0) if sl.any() else 0.0)
+    g = None
+    for rows, basis, *args in (
+        (vertical, vertical_basis, a, s), (sl & ~vertical, delta_basis, a, b), (~(sl | vertical), sheared_delta_basis, a, b, s)
+    ):
+        if rows.all():
+            g = np.broadcast_arrays(*basis(*args))
+        elif rows.any():
+            g = np.empty((4, len(kind))) if g is None else g
+            for f, value in zip(g, basis(*(c[rows] for c in args))):
+                f[rows] = value
+    v = (alpha, 0.0) if not sl.any() else (s, alpha) if sl.all() else (np.where(sl, s, alpha), np.where(sl, alpha, 0.0))
+    return Mat2(*g), Vec2(*v)
 
 
 def omega_return_time(p) -> float:

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from slitgaps.errors import InvalidInputError
 from slitgaps.geometry import (
     BOUND_SLACK,
+    VECTOR_DEDUP_TOL,
     AffineLattice,
     Mat2,
     SurfaceMode,
     Vec2,
     _box_rows,
+    _dedup_batch,
     d_cover_holonomy,
     enumerate_strip,
     horocycle_apply,
@@ -497,3 +499,39 @@ def test_reduce_to_fundamental_elementwise_matches_scalar_calls():
         assert (out.x[i], out.y[i]) == ref
     with pytest.raises(InvalidInputError, match="singular"):
         reduce_to_fundamental(Mat2(np.array([1.0, 1.0]), 1.0, 1.0, np.array([2.0, 1.0])), Vec2(0.1, 0.1))
+
+
+def _lexsort_dedup(s, x, y):
+    """The deduplication as a lexsort of (surface, x, y), the order that
+    ``_dedup_batch`` must reproduce."""
+    order = np.lexsort((y, x, s))
+    s, xy = s[order], np.column_stack([x[order], y[order]])
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = (s[1:] != s[:-1]) | (np.abs(np.diff(xy, axis=0)) > VECTOR_DEDUP_TOL).any(axis=1)
+    return s[keep], xy[keep]
+
+
+@pytest.mark.parametrize("surfaces", [1, 5])
+def test_dedup_sorts_as_the_lexsort_with_and_without_ties_in_x(surfaces):
+    rng = np.random.default_rng(61 + surfaces)
+    n = 600
+    s = np.sort(rng.integers(0, surfaces, n))
+    distinct = rng.uniform(0.01, 1.0, n)
+    # exact ties in x (the lexsort fallback), x unique within each surface
+    # but shared across surfaces, and surfaces so far apart that the
+    # argsort key rounds distinct x together (the fallback again)
+    cases = [
+        (s, rng.choice(distinct[:50], n), rng.uniform(0.0, 5.0, n)),
+        (s, np.concatenate([distinct[:k] for k in np.bincount(s, minlength=surfaces)]), rng.uniform(0.0, 5.0, n)),
+        (s * (1 << 45), distinct, rng.uniform(0.0, 5.0, n)),
+    ]
+    # near-duplicates within VECTOR_DEDUP_TOL, as the +-v cosets give, far
+    # enough apart in x that the argsort key keeps them distinct
+    s1, x1, y1 = cases[1]
+    cases.append((np.repeat(s1, 2), np.repeat(x1, 2) + np.tile([0.0, 5e-13], n),
+                  np.repeat(y1, 2) + np.tile([0.0, -2e-13], n)))
+    for s, x, y in cases:
+        got, want = _dedup_batch(s, x, y), _lexsort_dedup(s, x, y)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+    assert len(_dedup_batch(*cases[-1])[0]) == n

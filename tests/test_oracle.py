@@ -571,7 +571,9 @@ def _omega_batch(n, seed):
 @pytest.mark.parametrize("budget", [None, 64])
 def test_affine_minimum_of_raw_rows_equals_the_sorted_minimum(monkeypatch, budget):
     # more surfaces than one block, a third of them with hints a million
-    # times too small so that their caps double for many rounds
+    # times too small so that their caps double for many rounds; the block
+    # is pinned so that two blocks stay this small
+    monkeypatch.setattr(geometry, "STRIP_BLOCK", 1024)
     g, v, hints = _omega_batch(geometry.STRIP_BLOCK + 300, seed=79)
     hints[::3] *= 1e-6
     if budget is not None:
@@ -792,7 +794,7 @@ def test_joint_slit_cover_pass_equals_two_separate_scans():
 
 _BATCH_LOG = re.compile(
     r"oracle batch \((?P<set>[a-z +]+)\): (?P<n>\d+) surfaces, (?P<rounds>\d+) rounds, "
-    r"(?P<rescanned>\d+) re-scanned after round 1, largest cap (?P<cap>\S+)$"
+    r"(?P<rescanned>\d+) re-scanned after round 1, largest cap (?P<cap>\S+), (?P<blocks>\d+) kernel blocks$"
 )
 
 
@@ -816,6 +818,8 @@ def test_batch_logs_one_debug_line_per_call(caplog, kind):
     assert float(one["cap"]) == pytest.approx(exact.max() * (1.0 + REL_ERR_THRESHOLD), rel=1e-5)
     assert int(tiny["rounds"]) > 10 and int(tiny["rescanned"]) == len(hints[::4])
     assert float(tiny["cap"]) >= float(one["cap"])
+    # every round scans fewer surfaces than one block
+    assert int(one["blocks"]) == 1 and int(tiny["blocks"]) == int(tiny["rounds"])
 
 
 _SCAN_LOG = re.compile(r"box scan: (\d+) jobs, (\d+) n-rows, (\d+) candidate rows, (\d+) rows kept$")
@@ -837,6 +841,37 @@ def test_box_scans_log_their_rows_and_expand_few_candidates(caplog):
     assert len(rows) >= -(-len(hints) // geometry.STRIP_BLOCK) and jobs >= len(hints)
     assert kept >= len(hints)
     assert candidates <= 2.5 * kept
+
+
+def test_oracle_column_does_not_depend_on_the_block_size(monkeypatch, caplog):
+    cols = _region_columns("OmegaR", [(np.random.default_rng([1, 0]), 25_000)], "fundamental")
+    hints = _formula_column("OmegaR", cols)
+    caplog.set_level(logging.DEBUG, logger="slitgaps.oracle")
+    want = _oracle_column("OmegaR", cols, SurfaceMode.AFFINE_ONLY, hints)
+    monkeypatch.setattr(geometry, "STRIP_ROW_BUDGET", 64)
+    assert np.array_equal(_oracle_column("OmegaR", cols, SurfaceMode.AFFINE_ONLY, hints), want)
+    monkeypatch.setattr(geometry, "STRIP_BLOCK", 1024)
+    monkeypatch.setattr(geometry, "STRIP_ROW_BUDGET", 1 << 14)
+    assert np.array_equal(_oracle_column("OmegaR", cols, SurfaceMode.AFFINE_ONLY, hints), want)
+    # one round: the kernel blocks are the surfaces over the block size
+    blocks = [int(_BATCH_LOG.match(r.getMessage())["blocks"]) for r in caplog.records]
+    assert blocks == [-(-len(hints) // 2048)] * 2 + [-(-len(hints) // 1024)]
+
+
+@pytest.mark.parametrize("region, mode", [
+    ("OmegaR", SurfaceMode.AFFINE_ONLY), ("WslRho", SurfaceMode.DOUBLED_SLIT),
+    ("WReturn", SurfaceMode.AFFINE_ONLY), ("WReturn", SurfaceMode.DOUBLED_SLIT),
+])
+def test_oracle_column_leaves_its_columns_unchanged(region, mode):
+    # the surfaces may share memory with the columns, which stay as drawn
+    cols = _region_columns(region, chunk_streams(400, 131), "fundamental")
+    before = [c.copy() for c in cols]
+    hints = _formula_column(region, cols)
+    saved = hints.copy()
+    _oracle_column(region, cols, mode, hints)
+    section_oracle_returns(cols, mode, hints)
+    assert all(np.array_equal(c, b, equal_nan=True) for c, b in zip(cols, before))
+    assert np.array_equal(hints, saved, equal_nan=True)
 
 
 def test_batch_rejects_non_unimodular_generators():

@@ -546,6 +546,42 @@ def test_section_columns_evaluate_each_row_by_its_kind():
     assert section_returns(section_columns([])).shape == (0,)
 
 
+def _three_basis_surfaces(cols):
+    """``section_surfaces`` as all three bases built over every row and
+    picked per row."""
+    kind, a, b, s, alpha = cols
+    sl, vertical = kind == transversal.SL, np.isnan(b)
+    bases = zip(vertical_basis(a, s), delta_basis(a, b), sheared_delta_basis(a, b, s))
+    g = Mat2(*(np.where(vertical, fv, np.where(sl, fd, fs)) for fv, fd, fs in bases))
+    return g, Vec2(np.where(sl, s, alpha), np.where(sl, alpha, 0.0) if sl.any() else 0.0)
+
+
+def test_section_surfaces_equal_the_three_basis_form():
+    # each basis is built on its own rows only: the fields are bit for bit
+    # those of all three bases picked per row, on mixed and one-kind columns
+    from slitgaps.measures import MeasureSpec, _batch_measure
+
+    rng = np.random.default_rng(29)
+    w, omega, vertical = (_batch_measure(MeasureSpec.parse(m), rng, 3000)[0]
+                          for m in ("haar-w", "haar-omega", "periodic-omega:0.7,0.4"))
+    # a third of the sa rows become vertical-lattice sa rows (b nan)
+    w.b[(w.kind == transversal.SA) & (np.arange(len(w.b)) % 3 == 0)] = np.nan
+    mixed = transversal.SectionColumns(*map(np.concatenate, zip(w, omega, vertical, section_columns(MIXED_POINTS))))
+    order = rng.permutation(len(mixed.kind))
+
+    def rows(cols, keep):
+        return transversal.SectionColumns(*(c[keep] for c in cols))
+
+    cases = [mixed, rows(mixed, order), w, omega, vertical, rows(w, w.kind == transversal.SL),
+             rows(w, w.kind == transversal.SA), section_columns([])]
+    for cols in cases:
+        (g, v), (want_g, want_v) = section_surfaces(cols), _three_basis_surfaces(cols)
+        for got, want in zip((*g, *v), (*want_g, *want_v)):
+            assert np.broadcast_to(got, np.shape(want)).tobytes() == np.asarray(want).tobytes()
+        # with no sl row the marking's y stays one shared 0.0
+        assert (type(v.y) is float) == (not (cols.kind == transversal.SL).any())
+
+
 def test_section_returns_of_long_runs_match_one_call_per_run(monkeypatch):
     # runs longer than RETURN_ROWS are evaluated in pieces, into one array:
     # every return equals that of one vectorized call over its whole run
