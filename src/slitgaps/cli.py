@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy
-import scipy
 
 from . import __version__
 from .errors import (
@@ -284,6 +283,8 @@ def _write_json(out, payload):
 
 
 def _report(config: RunConfig, results, counterexamples=()) -> dict:
+    import scipy  # only a JSON report records its version; a CSV to stdout never loads it
+
     return {
         "config": config.to_dict(),
         "results": results,

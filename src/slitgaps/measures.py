@@ -33,11 +33,14 @@ Everything downstream is self-normalized, so reported distributions do not
 depend on any overall mass convention.  Reproducibility: a run is determined
 by (measure, engine, grid, n, seed).  ``chunk_streams`` is the one sample
 layout: chunk k = 0, 1, ... draws min(``CHUNK``, n - k*``CHUNK``) rows from
-default_rng([seed, k]).  ``map_chunks`` runs a per-chunk function on at
-most ``workers`` threads (inline on one) and yields its results in chunk
+default_rng([seed, k]): its columns one after another (``_Draws``), each
+read at its own position in that PCG64 stream (``_Stream``), so a block of
+rows draws only its own rows.  ``map_chunks`` runs a per-chunk function on
+at most ``workers`` threads (inline on one) and yields its results in chunk
 order, so neither ``workers`` nor the core count enters a result.
-``mc_tail`` bins each chunk's returns (``_cells``), reduces them to sums and
-adds those in chunk order, so its memory stays flat in n.
+``mc_tail`` draws, returns and bins (``_cells``) each chunk one block of
+``BLOCK`` rows at a time, reduces the blocks to sums and adds those in chunk
+order, so its memory stays flat in n and a thread holds one block.
 """
 
 from __future__ import annotations
@@ -88,9 +91,12 @@ FIXED_POINT = (1.0, 1.0, 0.0, 0.5)
 W_SL_PROB = 1.0 / 3.0
 W_MASS_SCALE = 1.5
 
-# Rows of one chunk of the sample layout (``chunk_streams``): a chunk's batch
-# and return temporaries are all a thread holds, whatever n is.
+# Rows of one chunk of the sample layout (``chunk_streams``).
 CHUNK = 1 << 18
+
+# Rows of one block: ``_chunk_stats`` draws, returns and bins a chunk one
+# block at a time, so a thread holds one block's columns and temporaries.
+BLOCK = 1 << 16
 
 COUNT_BINS_MAX = 64  # past it, binary search costs less than counting (``_cells``)
 
@@ -264,36 +270,147 @@ def _uniform_open(rng, n: int, out=None) -> np.ndarray:
     return np.subtract(1.0, x, out=x)
 
 
-def _triangle_uniform(rng, n: int, out=None):
-    """(a, b) uniform on the section triangle (into ``out`` when given), by
-    rejection from the square at acceptance rate 1/2.  It draws chunks until
-    n points are kept, so the stream consumption is data-dependent but fully
-    determined by the rng state."""
-    a_out, b_out = np.empty((2, n)) if out is None else out
-    got = 0
-    while got < n:
-        k = max(64, int(1.3 * (n - got) * 2))
-        a = _uniform_open(rng, k)
-        b = _uniform_open(rng, k)
-        keep = b > 1.0 - a
-        take = min(int(keep.sum()), n - got)
-        idx = np.flatnonzero(keep)[:take]
-        a_out[got:got + take] = a[idx]
-        b_out[got:got + take] = b[idx]
-        got += take
-    return a_out, b_out
+def _blocks(rows: int):
+    """Row counts of ``rows`` rows cut every ``BLOCK`` rows."""
+    return (min(BLOCK, rows - start) for start in range(0, rows, BLOCK))
 
 
-def _sl_rows(rng, n: int, ab=None, out=None):
-    """n short-lattice draws (a, b, v1, v2): (a, b) uniform on the triangle
-    (or the given arrays ``ab``), then the marking (a cx + b cy, cy / a),
-    uniform in the period parallelogram, drawing all cx before all cy.
-    ``out``, four arrays of n rows, is drawn into in place."""
-    a, b, v1, v2 = np.empty((4, n)) if out is None else out
-    a, b = _triangle_uniform(rng, n, out=(a, b)) if ab is None else ab
-    np.multiply(a, rng.random(n, out=v1), out=v1)
-    v1 += b * rng.random(n, out=v2)
+class _Stream:
+    """A chunk's PCG64 stream, read at positions.
+
+    A sample layout draws its columns one after another, and
+    ``Generator.random`` takes one 64-bit output per double, so row i of a
+    column laid out at position p is output p + i.  ``at(pos)`` moves the
+    stream's one generator there from the state it started in (PCG64
+    ``advance``), and ``column(rows)`` lays out the next column at ``pos``,
+    the end of the columns laid out so far.  A block of rows then draws only
+    its own rows, and each gets the value a whole-chunk draw gives it.
+    """
+
+    def __init__(self, rng):
+        self._start = rng.bit_generator.state
+        self._bits = np.random.PCG64(0)
+        self._rng = np.random.Generator(self._bits)
+        self.pos = 0
+
+    def at(self, pos: int) -> np.random.Generator:
+        """The stream's generator, ``pos`` outputs past its start (until the next call)."""
+        self._bits.state = self._start
+        self._bits.advance(pos)
+        return self._rng
+
+    def column(self, rows: int) -> "_Column":
+        col = _Column(self, self.pos)
+        self.pos += rows
+        return col
+
+
+class _Column:
+    """One column of a ``_Stream``, read in row order: ``random(m)`` is its
+    next m draws."""
+
+    def __init__(self, stream: _Stream, pos: int):
+        self.stream, self.pos = stream, pos
+
+    def random(self, m: int, out=None) -> np.ndarray:
+        x = self.stream.at(self.pos).random(m, out=out)
+        self.pos += m
+        return x
+
+
+class _Overrun(Exception):
+    """A triangle needed a rejection round past the end it was sealed at."""
+
+
+class _Triangle:
+    """n points (a, b) uniform on the section triangle, read in row order
+    from a ``_Stream``.
+
+    Rejection from the square at acceptance rate 1/2, in rounds from the
+    stream's ``pos``: a round draws k = max(64, int(2.6 * rows missing))
+    candidate a's, then k b's, and keeps the pairs with b > 1 - a in order;
+    the next round starts where it ended.  ``take`` reads the candidates in
+    pieces of at most ``BLOCK`` as rows are asked for, and once n pairs are
+    kept, the current round is the last: it sets the stream's ``pos`` past
+    it.  ``seal`` sets it before that, so that later columns can be laid
+    out: past the current round, so that a further round raises
+    ``_Overrun``, or, when ``counted``, past the last round, found by first
+    counting the kept pairs of every round.
+    """
+
+    def __init__(self, stream: _Stream, n: int, counted: bool = False):
+        self.stream, self.n, self.got, self.sealed = stream, n, 0, False
+        self.start, self.k, self.read = stream.pos, self._round(n), 0
+        self.kept = (np.empty(0),) * 2
+        self.end = self._count() if counted else None
+
+    @staticmethod
+    def _round(missing: int) -> int:
+        return max(64, int(1.3 * missing * 2)) if missing else 0
+
+    def _kept(self, start: int, k: int, read: int, m: int):
+        """The kept pairs among candidates read..read+m of the round of k at start."""
+        a = _uniform_open(self.stream.at(start + read), m)
+        b = _uniform_open(self.stream.at(start + k + read), m)
+        keep = np.flatnonzero(b > 1.0 - a)
+        return a[keep], b[keep]
+
+    def _count(self) -> int:
+        start, k, got = self.start, self.k, 0
+        while got < self.n:
+            got += sum(len(self._kept(start, k, read, m)[0]) for read, m in zip(range(0, k, BLOCK), _blocks(k)))
+            if got < self.n:
+                start, k = start + 2 * k, self._round(self.n - got)
+        return start + 2 * k
+
+    def seal(self):
+        if not self.sealed:
+            self.sealed = True
+            self.stream.pos = self.start + 2 * self.k if self.end is None else self.end
+
+    def take(self, m: int, out=None):
+        """The next m points, as (a, b) (into ``out`` when given)."""
+        a_out, b_out = np.empty((2, m)) if out is None else out
+        done = 0
+        while done < m:
+            if not len(self.kept[0]):
+                if self.read == self.k:
+                    if self.sealed and self.end is None:
+                        raise _Overrun
+                    self.start, self.k, self.read = self.start + 2 * self.k, self._round(self.n - self.got), 0
+                step = min(self.k - self.read, 2 * (m - done) + 1024, BLOCK)
+                self.kept = self._kept(self.start, self.k, self.read, step)
+                self.read += step
+                self.got += len(self.kept[0])
+            (a, b), t = self.kept, min(len(self.kept[0]), m - done)
+            a_out[done:done + t], b_out[done:done + t], self.kept = a[:t], b[:t], (a[t:], b[t:])
+            done += t
+        if self.got >= self.n:
+            self.seal()
+        return a_out, b_out
+
+
+def _triangle_uniform(stream: _Stream, n: int):
+    """n points (a, b) uniform on the section triangle, drawn from the
+    stream's ``pos`` on (``_Triangle``)."""
+    return _Triangle(stream, n).take(n)
+
+
+def _marking(a, b, cx, cy, v1, v2):
+    """Short-lattice rows (a, b, v1, v2) with the marking (a cx + b cy, cy / a)
+    written into v1 and v2, uniform in the period parallelogram, from the next
+    rows of the columns cx and cy."""
+    np.multiply(a, cx.random(len(v1), out=v1), out=v1)
+    v1 += b * cy.random(len(v2), out=v2)
     return a, b, v1, np.divide(v2, a, out=v2)
+
+
+def _sl_rows(stream: _Stream, n: int, ab=None):
+    """n short-lattice draws (a, b, v1, v2) from the stream's ``pos`` on:
+    (a, b) uniform on the triangle (or the given arrays ``ab``), then the
+    marking (``_marking``), all cx before all cy."""
+    a, b = _triangle_uniform(stream, n) if ab is None else ab
+    return _marking(a, b, stream.column(n), stream.column(n), *np.empty((2, n)))
 
 
 def _rows(kind: int, *cols) -> SectionColumns:
@@ -301,48 +418,122 @@ def _rows(kind: int, *cols) -> SectionColumns:
     return SectionColumns(np.full(len(cols[0]), kind, dtype=np.int8), *cols)
 
 
-def _batch_omega(rng, n: int, *, out=None):
-    """Importance draws for the affine section: uniform proposals, weight
-    1/b, as (omega rows, weights); ``out``, such a pair of n rows, is drawn
-    into in place instead."""
-    cols, w = out or (_rows(OMEGA, *np.empty((4, n))), np.empty(n))
-    _, a, b, s, alpha = cols
-    _uniform_open(rng, n, out=a)
-    _uniform_open(rng, n, out=alpha)
-    np.subtract(1.0, a * rng.random(n), out=b)
-    np.divide(rng.random(n), a * b, out=s)
+def _omega_columns(stream: _Stream, n: int) -> list:
+    """The four columns of n affine-section rows, laid out at the stream's
+    ``pos``: the uniforms behind a, alpha, b and s (``_batch_omega``)."""
+    return [stream.column(n) for _ in range(4)]
+
+
+def _batch_omega(cols, n: int, *, out=None):
+    """Importance draws for the affine section from the next n rows of its
+    ``_omega_columns``: uniform proposals, weight 1/b, as (omega rows,
+    weights); ``out``, such a pair of n rows, is drawn into in place
+    instead."""
+    ua, ualpha, ub, us = cols
+    rows, w = out or (_rows(OMEGA, *np.empty((4, n))), np.empty(n))
+    _, a, b, s, alpha = rows
+    _uniform_open(ua, n, out=a)
+    _uniform_open(ualpha, n, out=alpha)
+    np.subtract(1.0, a * ub.random(n), out=b)
+    np.divide(us.random(n), a * b, out=s)
     np.divide(1.0, b, out=w)
-    return cols, w
+    return rows, w
 
 
-def _batch_measure(measure: MeasureSpec, rng, n: int):
-    """Draw n weighted points of the given measure as (``SectionColumns``,
-    weights).
+class _Draws:
+    """The sample layout of one chunk of n rows of a measure, read in blocks
+    of rows in row order (``_batch_measure``); ``row`` rows are read.
+
+    haar-w draws the component of every row, the triangle of its sl rows,
+    their markings (every cx, then every cy) and the four columns of its sa
+    rows; haar-omega its four columns, torsion its triangle and
+    periodic-omega its shear column.  ``runs`` are the row counts of the
+    chunk's runs of one kind: haar-w's sl rows, then its sa rows.  haar-w
+    lays out the columns past its triangle when its first block is read,
+    sealing the triangle (``_Triangle.seal``) unless that block read all of
+    it; ``counted`` seals it at its exact end.
+    """
+
+    def __init__(self, measure: MeasureSpec, rng, n: int, counted: bool = False):
+        self.stream, self.row, self.runs, self.buf = _Stream(rng), 0, (n,), None
+        if measure.kind == "haar-w":
+            comp, buf = self.stream.column(n), np.empty(min(n, BLOCK))
+            n_sl = sum(int(np.count_nonzero(comp.random(m, out=buf[:m]) < W_SL_PROB)) for m in _blocks(n))
+            self.runs, self.tri, self.marks = (n_sl, n - n_sl), _Triangle(self.stream, n_sl, counted), None
+        elif measure.kind == "haar-omega":
+            self.omega = _omega_columns(self.stream, n)
+        elif measure.kind == "torsion":
+            self.tri = _Triangle(self.stream, n)
+        elif measure.kind == "periodic-omega":
+            self.shear = self.stream.column(n)
+
+    def blocks(self):
+        """Row counts of the blocks: each run cut every ``BLOCK`` rows."""
+        return (m for run in self.runs for m in _blocks(run))
+
+    def rows(self, kind: int, n: int):
+        """(``SectionColumns`` of n rows of the given kind, weights) to draw
+        into: views of buffers that every block of the chunk reuses, so that
+        blocks do not allocate and free their largest arrays afresh."""
+        if self.buf is None or self.buf.shape[1] < n:
+            self.buf, self.kinds = np.empty((5, n)), np.empty(n, dtype=np.int8)
+        self.kinds[:n] = kind
+        return SectionColumns(self.kinds[:n], *self.buf[:4, :n]), self.buf[4, :n]
+
+    def past_triangle(self):
+        """haar-w's sl markings and sa columns, laid out past its triangle
+        when first asked for."""
+        if self.marks is None:
+            n_sl, n_sa = self.runs
+            self.tri.seal()
+            self.marks = self.stream.column(n_sl), self.stream.column(n_sl)
+            self.omega = _omega_columns(self.stream, n_sa)
+        return self.marks, self.omega
+
+
+def _batch_measure(measure: MeasureSpec, draws, n: int):
+    """The next n weighted rows of a chunk's ``_Draws``, as
+    (``SectionColumns``, weights); haar-omega and haar-w rows are views of
+    the chunk's buffers (``_Draws.rows``), valid until its next block is
+    drawn.  Given a Generator instead, n rows drawn as one chunk from its
+    state, which is then advanced past them, as one draw after another would
+    leave it.
 
     haar-w draws each point's component first, then the sl rows (marking
     uniform in the period parallelogram) and the sa rows straight into the
     head and the tail of the same columns.
     """
+    rng = None if isinstance(draws, _Draws) else draws
+    if rng is not None:
+        draws = _Draws(measure, rng, n)
+    row, draws.row = draws.row, draws.row + n
+    w = None
     if measure.kind == "haar-omega":
-        return _batch_omega(rng, n)
-    if measure.kind == "haar-w":
-        n_sl = int(np.count_nonzero(rng.random(n) < W_SL_PROB))
-        cols, w = _rows(SA, *np.empty((4, n))), np.empty(n)
+        cols, w = _batch_omega(draws.omega, n, out=draws.rows(OMEGA, n))
+    elif measure.kind == "haar-w":
+        n_sl = min(max(draws.runs[0] - row, 0), n)
+        cols, w = draws.rows(SA, n)
         cols.kind[:n_sl], w[:n_sl] = SL, 1.0
-        _sl_rows(rng, n_sl, out=[c[:n_sl] for c in cols[1:]])
-        _batch_omega(rng, n - n_sl, out=(SectionColumns(*(c[n_sl:] for c in cols)), w[n_sl:]))
-        return cols, w
-    if measure.kind == "torsion":
-        a, b = _triangle_uniform(rng, n)
+        a, b, v1, v2 = (c[:n_sl] for c in cols[1:])
+        draws.tri.take(n_sl, out=(a, b))
+        marks, omega = draws.past_triangle()
+        if n_sl:
+            _marking(a, b, *marks, v1, v2)
+        if n_sl < n:
+            _batch_omega(omega, n - n_sl, out=(SectionColumns(*(c[n_sl:] for c in cols)), w[n_sl:]))
+    elif measure.kind == "torsion":
+        a, b = draws.tri.take(n)
         cols = _rows(OMEGA, a, b, np.zeros(n), a / measure.q)
     elif measure.kind == "periodic-omega":
-        s = rng.random(n) * measure.a ** 2
+        s = draws.shear.random(n) * measure.a ** 2
         cols = _rows(VERTICAL, np.full(n, measure.a), np.full(n, np.nan), s, np.full(n, measure.alpha))
     elif measure.kind == "periodic-point":
         cols = _rows(OMEGA, *(np.full(n, x) for x in FIXED_POINT))
     else:
         raise InvalidInputError(f"unknown measure kind: {measure.kind!r}")
-    return cols, np.ones(n)
+    if rng is not None:
+        rng.bit_generator.advance(draws.stream.pos)
+    return cols, np.ones(n) if w is None else w
 
 
 def _returns_for_batch(measure: MeasureSpec, batch, engine: str):
@@ -383,15 +574,41 @@ def _cells(grid: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _chunk_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: int):
     """Per-cell sums of w and of w^2 (cells as ``_cells``), and per
     component the sums of w and w^2 over its draws, of n fresh draws from
-    ``rng`` over the sorted ``grid``.  The batch is dropped on return.
+    ``rng`` over the sorted ``grid``.
+
+    The chunk is drawn (``_Draws``), given its returns and binned one block
+    of ``BLOCK`` rows at a time, in row order, and no block holds rows of
+    two kinds.  The cell sums accumulate row by row (``np.add.at``), as one
+    ``np.bincount`` over the chunk would.  The sl masses of haar-w are
+    counts, its sl weights being 1; haar-omega keeps its weights and O3 mask
+    over the chunk, for the pairwise sums of its omega3 masses.  A triangle
+    that overruns its seal (``_Overrun``) draws the chunk again with its
+    rounds counted first.
     """
-    w, r, comp = _returns_for_batch(measure, _batch_measure(measure, rng, n), engine)
-    cell = _cells(grid, r)
-    w2 = w * w
-    sums = np.bincount(cell, weights=w, minlength=grid.size + 1)
-    sums2 = np.bincount(cell, weights=w2, minlength=grid.size + 1)
-    comps = {k: np.array([np.sum(w, where=mask), np.sum(w2, where=mask)]) for k, mask in comp.items()}
-    return sums, sums2, comps
+    try:
+        return _block_stats(measure, engine, grid, _Draws(measure, rng, n))
+    except _Overrun:
+        return _block_stats(measure, engine, grid, _Draws(measure, rng, n, counted=True))
+
+
+def _block_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, draws: _Draws):
+    """``_chunk_stats`` of the chunk that ``draws`` lays out."""
+    sums, sums2 = np.zeros((2, grid.size + 1))
+    if measure.kind == "haar-omega":
+        w_all, o3 = np.empty(sum(draws.runs)), np.empty(sum(draws.runs), dtype=bool)
+    for m in draws.blocks():
+        row = draws.row
+        w, r, comp = _returns_for_batch(measure, _batch_measure(measure, draws, m), engine)
+        cell = _cells(grid, r)
+        np.add.at(sums, cell, w)
+        np.add.at(sums2, cell, w * w)
+        if "omega3" in comp:
+            w_all[row:row + m], o3[row:row + m] = w, comp["omega3"]
+    if measure.kind == "haar-w":
+        return sums, sums2, {"sl": np.full(2, float(draws.runs[0]))}
+    if measure.kind == "haar-omega":
+        return sums, sums2, {"omega3": np.array([np.sum(w_all, where=o3), np.sum(w_all * w_all, where=o3)])}
+    return sums, sums2, {}
 
 
 def _mass_se(scale: float, s1: float, s2: float, count: int) -> float:
@@ -414,10 +631,12 @@ def mc_tail(
     The estimator is sum(w * [R > t]) / sum(w) with a delta-method CI
     half-width of 1.96 standard errors; n_eff = (sum w)^2 / sum(w^2).
     Each chunk of the sample layout (``chunk_streams``) is drawn and reduced
-    to per-grid-cell sums (``_chunk_stats``) on at most ``workers`` threads
-    (``map_chunks``) and added in chunk order, so memory is bounded by one
-    chunk per thread whatever n is.  Results are identical for fixed (seed,
-    n), whatever ``workers`` and the core count are.  Logs one DEBUG line.
+    to per-grid-cell sums one block of ``BLOCK`` rows at a time
+    (``_chunk_stats``) on at most ``workers`` threads (``map_chunks``), and
+    the sums are added in chunk order, so memory is bounded by one block per
+    thread whatever n is.  Results are identical for fixed (seed, n),
+    whatever ``workers``, ``BLOCK`` and the core count are.  Logs one DEBUG
+    line.
     """
     if engine not in ENGINES:
         raise InvalidInputError(f"unknown engine {engine!r}")
@@ -445,9 +664,11 @@ def mc_tail(
     if not np.isfinite(wsum) or wsum <= 0:
         raise EstimationError("degenerate total weight")
     n_eff = wsum ** 2 / float(above2[0])
-    logger.debug("mc_tail %s (%s): %d rows, %d chunks, %d thread(s), %d thresholds binned by %s, n_eff %.6g",
-                 measure.label(), engine, n, -(-n // CHUNK), chunk_threads(n, workers), grid.size,
-                 "search" if grid.size > COUNT_BINS_MAX else "count", n_eff)
+    # a haar-w chunk ends one block at its sl rows' end
+    logger.debug("mc_tail %s (%s): %d rows, %d chunks of at most %d blocks of %d rows, %d thread(s), "
+                 "%d thresholds binned by %s, n_eff %.6g",
+                 measure.label(), engine, n, -(-n // CHUNK), -(-CHUNK // BLOCK) + (measure.kind == "haar-w"), BLOCK,
+                 chunk_threads(n, workers), grid.size, "search" if grid.size > COUNT_BINS_MAX else "count", n_eff)
 
     p = above[1:] / wsum
     var = (1.0 - p) ** 2 * above2[1:] + p ** 2 * below2[:-1]

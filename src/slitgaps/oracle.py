@@ -51,8 +51,10 @@ from .measures import (
     MeasureSpec,
     _batch_measure,
     _batch_omega,
+    _omega_columns,
     _rows,
     _sl_rows,
+    _Stream,
     _triangle_uniform,
     map_chunks,
 )
@@ -404,20 +406,22 @@ MAX_COUNTEREXAMPLES = 100
 
 def _draw_region(region: str, rng, n: int, v_domain: str):
     """n inputs of the region as ``SectionColumns`` (DeltaR: a dict of
-    columns a and b)."""
+    columns a and b), drawn as one block from the chunk's stream."""
+    if region == "WReturn":
+        return _batch_measure(MeasureSpec.haar_w(), rng, n)[0]
+    stream = _Stream(rng)
     if region == "DeltaR":
-        a, b = _triangle_uniform(rng, n)
+        a, b = _triangle_uniform(stream, n)
         return {"a": a, "b": b}
     if region == "OmegaR":
-        return _batch_omega(rng, n)[0]
-    if region == "WslRho":
-        a, b, v1, v2 = _sl_rows(rng, n)
-        # markings off the domain are drawn again, in rounds, for the same (a, b)
-        redo = np.arange(n)
-        while (redo := redo[(v1[redo] <= 0) | ((v_domain == "restricted") & (v1[redo] >= a[redo]))]).size:
-            _, _, v1[redo], v2[redo] = _sl_rows(rng, redo.size, (a[redo], b[redo]))
-        return _rows(SL, a, b, v1, v2)
-    return _batch_measure(MeasureSpec.haar_w(), rng, n)[0]
+        return _batch_omega(_omega_columns(stream, n), n)[0]
+    a, b, v1, v2 = _sl_rows(stream, n)
+    # WslRho: markings off the domain are drawn again, in rounds, for the
+    # same (a, b), each round from where the last one ended
+    redo = np.arange(n)
+    while (redo := redo[(v1[redo] <= 0) | ((v_domain == "restricted") & (v1[redo] >= a[redo]))]).size:
+        _, _, v1[redo], v2[redo] = _sl_rows(stream, redo.size, (a[redo], b[redo]))
+    return _rows(SL, a, b, v1, v2)
 
 
 def _concat(parts: list):
@@ -461,7 +465,7 @@ def _oracle_column(region: str, c, mode: SurfaceMode, hints) -> np.ndarray:
 def _omega_breakdown(c: SectionColumns, bad: np.ndarray):
     """Discrepant OmegaR rows per region O1-O4, and their 1/b-weighted mass
     as a fraction of all rows' weight."""
-    counts = np.bincount(omega_region_vec(*c[1:])[bad], minlength=5)
+    counts = np.bincount(omega_region_vec(*(col[bad] for col in c[1:])), minlength=5)
     w = 1.0 / c.b
     return {f"O{k}": int(counts[k]) for k in range(1, 5)}, float(w[bad].sum() / w.sum())
 

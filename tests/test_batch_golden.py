@@ -45,6 +45,15 @@ MC_TAIL = {
     ("periodic-point", "oracle-affine"): "c57c120d379a97fe9f0f082d180f735e4c0cec07db69877562f4a27681713693",
     ("periodic-point", "oracle-doubled"): "7c91fdce4d72fd1a7ebf3dc5e80a7b2274d2dc2456e05488a2954a85a172c99c",
 }
+# 300000 samples: a full chunk of several blocks (``measures.BLOCK``), haar-w's
+# sl rows among them, and a partial chunk.  Recorded before the chunks were
+# drawn in blocks.
+MC_TAIL_BLOCKS = {
+    ("haar-omega", "formula"): "ed042011ed16bca6ddb2a5b8c378d651c8ce1978d24ebe5617f98a3937c4d586",
+    ("haar-omega", "oracle-affine"): "9067a4135790b08b738834d23d12e7b5fd52d1d6dcdb4fcee510de374936d95d",
+    ("haar-w", "formula"): "05d38fecfd3f3b1672bacc2b618dd3eda268d8770a2b4f86f4e2dce82f36e489",
+    ("haar-w", "oracle-affine"): "a26e0a8d08e52536be5eb33b984edea053c412215b68af300a198750a98cafbf",
+}
 
 GRID = "0.25,1,3,8"
 
@@ -68,3 +77,10 @@ def test_mc_tail_report_matches_its_golden_digest(measure, engine, capsys):
     argv = ["mc-tail", "--measure", measure, "--engine", engine, "--t-grid", GRID,
             "--samples", "3000", "--seed", "5", "--workers", "2", "--format", "json"]
     assert _digest(argv, capsys) == MC_TAIL[measure, engine]
+
+
+@pytest.mark.parametrize("measure, engine", sorted(MC_TAIL_BLOCKS))
+def test_a_multi_block_mc_tail_report_matches_its_golden_digest(measure, engine, capsys):
+    argv = ["mc-tail", "--measure", measure, "--engine", engine, "--t-grid", GRID,
+            "--samples", "300000", "--seed", "5", "--workers", "2", "--format", "json"]
+    assert _digest(argv, capsys) == MC_TAIL_BLOCKS[measure, engine]

@@ -1,4 +1,5 @@
-"""Import boundary: only ``closed-form`` loads scipy's quadrature.
+"""Import boundary: only ``closed-form`` loads scipy's quadrature, and a
+command that writes CSV to stdout loads no scipy at all.
 
 The test starts a fresh interpreter, since the test process itself has long
 since imported ``slitgaps.closedform`` and scipy's submodules.
@@ -17,12 +18,14 @@ QUADRATURE_MODULES = ("scipy.integrate", "scipy.special", "slitgaps.closedform")
 
 CHILD = """
 import json, sys
-import scipy
 from slitgaps.cli import main
 
 def loaded():
     return {m: m in sys.modules for m in %(modules)r}
 
+# a CSV on stdout has no JSON report, so nothing records scipy's version
+csv_codes = [main(["orbit", "--start", "0.5,0.6,2.0,0.9", "--engine", "formula", "--iters", "5"])]
+csv_scipy = "scipy" in sys.modules
 runs = [
     ["orbit", "--start", "0.5,0.6,2.0,0.9", "--engine", "formula", "--iters", "5", "--out", "formula.csv"],
     ["orbit", "--start", "0.5,0.6,2.0,0.9", "--engine", "oracle-affine", "--iters", "5", "--out", "oracle.csv"],
@@ -34,8 +37,9 @@ codes = [main(argv) for argv in runs]
 before = loaded()
 versions = [json.load(open(p))["versions"]["scipy"] for p in ("difftest.json", "tail.csv.json")]
 codes.append(main(["closed-form", "--component", "tail", "--t-grid", "1", "--out", "closed.csv"]))
-print(json.dumps({"codes": codes, "before": before, "after": loaded(),
-                  "versions": versions, "scipy": scipy.__version__}))
+import scipy
+print(json.dumps({"codes": codes, "before": before, "after": loaded(), "csv_codes": csv_codes,
+                  "csv_scipy": csv_scipy, "versions": versions, "scipy": scipy.__version__}))
 """ % {"modules": QUADRATURE_MODULES}
 
 
@@ -51,4 +55,5 @@ def test_only_closed_form_loads_the_quadrature(tmp_path):
     assert seen["codes"][:3] + seen["codes"][4:] == [0] * 5 and seen["codes"][3] in (0, 4)
     assert seen["before"] == dict.fromkeys(QUADRATURE_MODULES, False)
     assert seen["after"] == dict.fromkeys(QUADRATURE_MODULES, True)
+    assert seen["csv_codes"] == [0] and seen["csv_scipy"] is False
     assert seen["versions"] == [seen["scipy"]] * 2
