@@ -318,10 +318,6 @@ class _Column:
         return x
 
 
-class _Overrun(Exception):
-    """A triangle needed a rejection round past the end it was sealed at."""
-
-
 class _Triangle:
     """n points (a, b) uniform on the section triangle, read in row order
     from a ``_Stream``.
@@ -330,43 +326,19 @@ class _Triangle:
     stream's ``pos``: a round draws k = max(64, int(2.6 * rows missing))
     candidate a's, then k b's, and keeps the pairs with b > 1 - a in order;
     the next round starts where it ended.  ``take`` reads the candidates in
-    pieces of at most ``BLOCK`` as rows are asked for, and once n pairs are
-    kept, the current round is the last: it sets the stream's ``pos`` past
-    it.  ``seal`` sets it before that, so that later columns can be laid
-    out: past the current round, so that a further round raises
-    ``_Overrun``, or, when ``counted``, past the last round, found by first
-    counting the kept pairs of every round.
+    pieces of at most ``BLOCK`` as rows are asked for; the read that keeps
+    the n-th pair makes its round the last and sets the stream's ``pos``
+    past it.
     """
 
-    def __init__(self, stream: _Stream, n: int, counted: bool = False):
-        self.stream, self.n, self.got, self.sealed = stream, n, 0, False
+    def __init__(self, stream: _Stream, n: int):
+        self.stream, self.n, self.got = stream, n, 0
         self.start, self.k, self.read = stream.pos, self._round(n), 0
         self.kept = (np.empty(0),) * 2
-        self.end = self._count() if counted else None
 
     @staticmethod
     def _round(missing: int) -> int:
         return max(64, int(1.3 * missing * 2)) if missing else 0
-
-    def _kept(self, start: int, k: int, read: int, m: int):
-        """The kept pairs among candidates read..read+m of the round of k at start."""
-        a = _uniform_open(self.stream.at(start + read), m)
-        b = _uniform_open(self.stream.at(start + k + read), m)
-        keep = np.flatnonzero(b > 1.0 - a)
-        return a[keep], b[keep]
-
-    def _count(self) -> int:
-        start, k, got = self.start, self.k, 0
-        while got < self.n:
-            got += sum(len(self._kept(start, k, read, m)[0]) for read, m in zip(range(0, k, BLOCK), _blocks(k)))
-            if got < self.n:
-                start, k = start + 2 * k, self._round(self.n - got)
-        return start + 2 * k
-
-    def seal(self):
-        if not self.sealed:
-            self.sealed = True
-            self.stream.pos = self.start + 2 * self.k if self.end is None else self.end
 
     def take(self, m: int, out=None):
         """The next m points, as (a, b) (into ``out`` when given)."""
@@ -375,18 +347,17 @@ class _Triangle:
         while done < m:
             if not len(self.kept[0]):
                 if self.read == self.k:
-                    if self.sealed and self.end is None:
-                        raise _Overrun
                     self.start, self.k, self.read = self.start + 2 * self.k, self._round(self.n - self.got), 0
                 step = min(self.k - self.read, 2 * (m - done) + 1024, BLOCK)
-                self.kept = self._kept(self.start, self.k, self.read, step)
-                self.read += step
-                self.got += len(self.kept[0])
+                a = _uniform_open(self.stream.at(self.start + self.read), step)
+                b = _uniform_open(self.stream.at(self.start + self.k + self.read), step)
+                keep = np.flatnonzero(b > 1.0 - a)
+                self.kept, self.read, self.got = (a[keep], b[keep]), self.read + step, self.got + keep.size
+                if self.got >= self.n:
+                    self.stream.pos = self.start + 2 * self.k
             (a, b), t = self.kept, min(len(self.kept[0]), m - done)
             a_out[done:done + t], b_out[done:done + t], self.kept = a[:t], b[:t], (a[t:], b[t:])
             done += t
-        if self.got >= self.n:
-            self.seal()
         return a_out, b_out
 
 
@@ -449,17 +420,19 @@ class _Draws:
     rows; haar-omega its four columns, torsion its triangle and
     periodic-omega its shear column.  ``runs`` are the row counts of the
     chunk's runs of one kind: haar-w's sl rows, then its sa rows.  haar-w
-    lays out the columns past its triangle when its first block is read,
-    sealing the triangle (``_Triangle.seal``) unless that block read all of
-    it; ``counted`` seals it at its exact end.
+    reads its triangle's points in full (``ab``, dropped once its sl rows
+    are read) when the chunk is laid out, so that the columns past it start
+    where its last rejection round ends.
     """
 
-    def __init__(self, measure: MeasureSpec, rng, n: int, counted: bool = False):
+    def __init__(self, measure: MeasureSpec, rng, n: int):
         self.stream, self.row, self.runs, self.buf = _Stream(rng), 0, (n,), None
         if measure.kind == "haar-w":
             comp, buf = self.stream.column(n), np.empty(min(n, BLOCK))
             n_sl = sum(int(np.count_nonzero(comp.random(m, out=buf[:m]) < W_SL_PROB)) for m in _blocks(n))
-            self.runs, self.tri, self.marks = (n_sl, n - n_sl), _Triangle(self.stream, n_sl, counted), None
+            self.runs, self.ab = (n_sl, n - n_sl), _triangle_uniform(self.stream, n_sl)
+            self.marks = self.stream.column(n_sl), self.stream.column(n_sl)
+            self.omega = _omega_columns(self.stream, n - n_sl)
         elif measure.kind == "haar-omega":
             self.omega = _omega_columns(self.stream, n)
         elif measure.kind == "torsion":
@@ -480,32 +453,17 @@ class _Draws:
         self.kinds[:n] = kind
         return SectionColumns(self.kinds[:n], *self.buf[:4, :n]), self.buf[4, :n]
 
-    def past_triangle(self):
-        """haar-w's sl markings and sa columns, laid out past its triangle
-        when first asked for."""
-        if self.marks is None:
-            n_sl, n_sa = self.runs
-            self.tri.seal()
-            self.marks = self.stream.column(n_sl), self.stream.column(n_sl)
-            self.omega = _omega_columns(self.stream, n_sa)
-        return self.marks, self.omega
 
-
-def _batch_measure(measure: MeasureSpec, draws, n: int):
+def _batch_measure(measure: MeasureSpec, draws: _Draws, n: int):
     """The next n weighted rows of a chunk's ``_Draws``, as
     (``SectionColumns``, weights); haar-omega and haar-w rows are views of
     the chunk's buffers (``_Draws.rows``), valid until its next block is
-    drawn.  Given a Generator instead, n rows drawn as one chunk from its
-    state, which is then advanced past them, as one draw after another would
-    leave it.
+    drawn.
 
     haar-w draws each point's component first, then the sl rows (marking
     uniform in the period parallelogram) and the sa rows straight into the
     head and the tail of the same columns.
     """
-    rng = None if isinstance(draws, _Draws) else draws
-    if rng is not None:
-        draws = _Draws(measure, rng, n)
     row, draws.row = draws.row, draws.row + n
     w = None
     if measure.kind == "haar-omega":
@@ -514,13 +472,14 @@ def _batch_measure(measure: MeasureSpec, draws, n: int):
         n_sl = min(max(draws.runs[0] - row, 0), n)
         cols, w = draws.rows(SA, n)
         cols.kind[:n_sl], w[:n_sl] = SL, 1.0
-        a, b, v1, v2 = (c[:n_sl] for c in cols[1:])
-        draws.tri.take(n_sl, out=(a, b))
-        marks, omega = draws.past_triangle()
         if n_sl:
-            _marking(a, b, *marks, v1, v2)
+            a, b, v1, v2 = (c[:n_sl] for c in cols[1:])
+            a[:], b[:] = (x[row:row + n_sl] for x in draws.ab)
+            if row + n_sl == draws.runs[0]:
+                draws.ab = None  # the sa blocks need none of it
+            _marking(a, b, *draws.marks, v1, v2)
         if n_sl < n:
-            _batch_omega(omega, n - n_sl, out=(SectionColumns(*(c[n_sl:] for c in cols)), w[n_sl:]))
+            _batch_omega(draws.omega, n - n_sl, out=(SectionColumns(*(c[n_sl:] for c in cols)), w[n_sl:]))
     elif measure.kind == "torsion":
         a, b = draws.tri.take(n)
         cols = _rows(OMEGA, a, b, np.zeros(n), a / measure.q)
@@ -531,27 +490,31 @@ def _batch_measure(measure: MeasureSpec, draws, n: int):
         cols = _rows(OMEGA, *(np.full(n, x) for x in FIXED_POINT))
     else:
         raise InvalidInputError(f"unknown measure kind: {measure.kind!r}")
-    if rng is not None:
-        rng.bit_generator.advance(draws.stream.pos)
     return cols, np.ones(n) if w is None else w
 
 
-def _returns_for_batch(measure: MeasureSpec, batch, engine: str):
-    """(weights, returns, component masks) for one sampled batch.  The
-    oracle engines take the formula returns as cap hints."""
+def _draw_batch(measure: MeasureSpec, rng, n: int):
+    """n weighted rows drawn as one chunk from the state of the Generator
+    ``rng``, which is then advanced past them, as one draw after another
+    would leave it; the rows are the chunk's own arrays."""
+    draws = _Draws(measure, rng, n)
+    batch = _batch_measure(measure, draws, n)
+    rng.bit_generator.advance(draws.stream.pos)
+    return batch
+
+
+def _returns_for_batch(batch, engine: str, o3=None):
+    """(weights, returns) of one sampled batch; ``o3``, when given, marks
+    its omega rows in O3 (``section_returns``).  The oracle engines take the
+    formula returns as cap hints."""
     cols, w = batch
-    comp = {}
-    if measure.kind == "haar-omega":
-        comp["omega3"] = np.zeros(len(w), dtype=bool)
-    r = section_returns(cols, comp.get("omega3"))
+    r = section_returns(cols, o3)
     if engine != FORMULA:
         from .oracle import section_oracle_returns
 
         mode = SurfaceMode.DOUBLED_SLIT if engine == ORACLE_DOUBLED else SurfaceMode.AFFINE_ONLY
         r = section_oracle_returns(cols, mode, r)
-    if measure.kind == "haar-w":
-        comp["sl"] = cols.kind == SL
-    return w, r, comp
+    return w, r
 
 
 def _mass_scale(measure: MeasureSpec) -> float:
@@ -579,31 +542,26 @@ def _chunk_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: in
     The chunk is drawn (``_Draws``), given its returns and binned one block
     of ``BLOCK`` rows at a time, in row order, and no block holds rows of
     two kinds.  The cell sums accumulate row by row (``np.add.at``), as one
-    ``np.bincount`` over the chunk would.  The sl masses of haar-w are
-    counts, its sl weights being 1; haar-omega keeps its weights and O3 mask
-    over the chunk, for the pairwise sums of its omega3 masses.  A triangle
-    that overruns its seal (``_Overrun``) draws the chunk again with its
-    rounds counted first.
+    ``np.bincount`` over the chunk would.  The components: haar-w's sl rows,
+    whose masses are counts, their weights being 1, and haar-omega's rows
+    in O3, whose weights and mask are kept over the chunk for the pairwise
+    sums of its masses.
     """
-    try:
-        return _block_stats(measure, engine, grid, _Draws(measure, rng, n))
-    except _Overrun:
-        return _block_stats(measure, engine, grid, _Draws(measure, rng, n, counted=True))
-
-
-def _block_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, draws: _Draws):
-    """``_chunk_stats`` of the chunk that ``draws`` lays out."""
+    draws = _Draws(measure, rng, n)
     sums, sums2 = np.zeros((2, grid.size + 1))
     if measure.kind == "haar-omega":
-        w_all, o3 = np.empty(sum(draws.runs)), np.empty(sum(draws.runs), dtype=bool)
+        w_all, o3 = np.empty(n), np.zeros(n, dtype=bool)
     for m in draws.blocks():
         row = draws.row
-        w, r, comp = _returns_for_batch(measure, _batch_measure(measure, draws, m), engine)
+        batch = _batch_measure(measure, draws, m)
+        if measure.kind == "haar-omega":
+            w, r = _returns_for_batch(batch, engine, o3[row:row + m])
+            w_all[row:row + m] = w
+        else:
+            w, r = _returns_for_batch(batch, engine)
         cell = _cells(grid, r)
         np.add.at(sums, cell, w)
         np.add.at(sums2, cell, w * w)
-        if "omega3" in comp:
-            w_all[row:row + m], o3[row:row + m] = w, comp["omega3"]
     if measure.kind == "haar-w":
         return sums, sums2, {"sl": np.full(2, float(draws.runs[0]))}
     if measure.kind == "haar-omega":
@@ -664,10 +622,11 @@ def mc_tail(
     if not np.isfinite(wsum) or wsum <= 0:
         raise EstimationError("degenerate total weight")
     n_eff = wsum ** 2 / float(above2[0])
-    # a haar-w chunk ends one block at its sl rows' end
+    # a haar-w chunk also ends a block at its sl rows' end
     logger.debug("mc_tail %s (%s): %d rows, %d chunks of at most %d blocks of %d rows, %d thread(s), "
                  "%d thresholds binned by %s, n_eff %.6g",
-                 measure.label(), engine, n, -(-n // CHUNK), -(-CHUNK // BLOCK) + (measure.kind == "haar-w"), BLOCK,
+                 measure.label(), engine, n, -(-n // CHUNK),
+                 -(-min(n, CHUNK) // BLOCK) + (measure.kind == "haar-w"), BLOCK,
                  chunk_threads(n, workers), grid.size, "search" if grid.size > COUNT_BINS_MAX else "count", n_eff)
 
     p = above[1:] / wsum

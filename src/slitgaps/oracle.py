@@ -51,6 +51,7 @@ from .measures import (
     MeasureSpec,
     _batch_measure,
     _batch_omega,
+    _Draws,
     _omega_columns,
     _rows,
     _sl_rows,
@@ -408,7 +409,8 @@ def _draw_region(region: str, rng, n: int, v_domain: str):
     """n inputs of the region as ``SectionColumns`` (DeltaR: a dict of
     columns a and b), drawn as one block from the chunk's stream."""
     if region == "WReturn":
-        return _batch_measure(MeasureSpec.haar_w(), rng, n)[0]
+        measure = MeasureSpec.haar_w()
+        return _batch_measure(measure, _Draws(measure, rng, n), n)[0]
     stream = _Stream(rng)
     if region == "DeltaR":
         a, b = _triangle_uniform(stream, n)

@@ -88,11 +88,14 @@ def _seq_batch(measure, rng, n):
 
 
 def _seq_chunk_stats(measure, engine, grid, rng, n):
-    w, r, comp = measures._returns_for_batch(measure, _seq_batch(measure, rng, n), engine)
+    batch, o3 = _seq_batch(measure, rng, n), np.zeros(n, dtype=bool)
+    w, r = measures._returns_for_batch(batch, engine, o3 if measure.kind == "haar-omega" else None)
     cell = measures._cells(grid, r)
     w2 = w * w
     sums = np.bincount(cell, weights=w, minlength=grid.size + 1)
     sums2 = np.bincount(cell, weights=w2, minlength=grid.size + 1)
+    # the components: haar-w's sl rows, haar-omega's rows in O3
+    comp = {"haar-w": {"sl": batch[0].kind == SL}, "haar-omega": {"omega3": o3}}.get(measure.kind, {})
     comps = {k: np.array([np.sum(w, where=mask), np.sum(w2, where=mask)]) for k, mask in comp.items()}
     return sums, sums2, comps
 
@@ -157,7 +160,7 @@ def test_a_generator_batch_equals_the_sequential_draw(spec, n):
     measure = MeasureSpec.parse(spec)
     rng, ref = np.random.default_rng([21, n]), np.random.default_rng([21, n])
     want = _seq_batch(measure, ref, n)
-    assert _same(measures._batch_measure(measure, rng, n), want)
+    assert _same(measures._draw_batch(measure, rng, n), want)
     # the generator is left where a sequential draw leaves it
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -249,28 +252,16 @@ def test_a_second_rejection_round_in_one_block(spec, chunk):
         _assert_same_stats(got, _seq_chunk_stats(measure, engine, GRID, np.random.default_rng(key), n))
 
 
-def test_a_second_rejection_round_past_a_sealed_triangle(monkeypatch):
-    # blocks of 8 rows: the sl markings are laid out after the first block,
-    # assuming one round; the second round overruns that, and the chunk is
-    # drawn again with its rounds counted
+def test_a_second_rejection_round_of_a_triangle_over_several_blocks(monkeypatch):
+    # blocks of 8 rows: the 24 sl rows span three blocks, and the markings
+    # and sa columns are laid out where the triangle's second round ends
     monkeypatch.setattr(measures, "BLOCK", 8)
-    counts = []
-    real = measures._Triangle._count
-
-    def count(triangle):
-        counts.append(triangle.n)
-        return real(triangle)
-
-    monkeypatch.setattr(measures._Triangle, "_count", count)
     key, n = SECOND_ROUND_HAAR_W
     measure = MeasureSpec.haar_w()
-    got = _chunk_stats(measure, FORMULA, GRID, np.random.default_rng(key), n)
-    _assert_same_stats(got, _seq_chunk_stats(measure, FORMULA, GRID, np.random.default_rng(key), n))
-    assert counts == [24]
-    # a chunk whose first round suffices is drawn once, uncounted
-    counts.clear()
-    _chunk_stats(measure, FORMULA, GRID, np.random.default_rng([1, 0]), n)
-    assert counts == []
+    assert list(measures._Draws(measure, np.random.default_rng(key), n).blocks()) == [8, 8, 8] + [8] * 7
+    for engine in ENGINES:
+        got = _chunk_stats(measure, engine, GRID, np.random.default_rng(key), n)
+        _assert_same_stats(got, _seq_chunk_stats(measure, engine, GRID, np.random.default_rng(key), n))
 
 
 def test_a_blocked_chunk_holds_at_most_half_the_whole_chunk():

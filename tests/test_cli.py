@@ -21,7 +21,7 @@ from slitgaps.errors import (
     OutOfRegimeError,
     QuadratureError,
 )
-from slitgaps.measures import BLOCK, CHUNK
+from slitgaps.measures import BLOCK
 
 SCHEMA = json.loads(
     resources.files("slitgaps").joinpath("report-schema.json").read_text()
@@ -225,8 +225,9 @@ def test_log_level_debug_reports_each_mc_tail_call(capsys):
     assert quiet.err == "" and loud.out == quiet.out
     (line,) = [l for l in loud.err.splitlines() if "slitgaps.measures" in l]
     n_eff = json.loads(quiet.out)["results"]["n_eff"]
+    # 3000 rows fit one block, and a haar-w chunk ends another at its sl rows' end
     assert line == ("DEBUG slitgaps.measures: mc_tail haar-w (formula): 3000 rows, 1 chunks of at most "
-                    f"{-(-CHUNK // BLOCK) + 1} blocks of {BLOCK} rows, 1 thread(s), "
+                    f"2 blocks of {BLOCK} rows, 1 thread(s), "
                     f"3 thresholds binned by count, n_eff {n_eff:.6g}")
 
 

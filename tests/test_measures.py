@@ -19,8 +19,8 @@ from slitgaps.measures import (
     ORACLE_AFFINE,
     ORACLE_DOUBLED,
     MeasureSpec,
-    _batch_measure,
     _cells,
+    _draw_batch,
     _oracle_surface,
     _uniform_open,
     ergodic_average,
@@ -47,7 +47,7 @@ HAAR_W_MASS = (3.0 + math.pi ** 2) / 6.0
 
 def _sample(spec, rng):
     """(point, weight) of one draw: row 0 of a size-1 batch."""
-    cols, w = _batch_measure(spec, rng, 1)
+    cols, w = _draw_batch(spec, rng, 1)
     return transversal._section_point(*(c[0].item() for c in cols)), float(w[0])
 
 
@@ -190,12 +190,13 @@ def _two_pass_tail(measure, engine, t_grid, n, seed):
     ``mc_tail``."""
     ws, rs, comps = [], [], []
     for rng, ni in measures.chunk_streams(n, seed):
-        w, r, comp = measures._returns_for_batch(
-            measure, measures._batch_measure(measure, rng, ni), engine
-        )
+        batch, o3 = measures._draw_batch(measure, rng, ni), np.zeros(ni, dtype=bool)
+        w, r = measures._returns_for_batch(batch, engine, o3 if measure.kind == "haar-omega" else None)
         ws.append(w)
         rs.append(r)
-        comps.append(comp)
+        # the components: haar-w's sl rows, haar-omega's rows in O3
+        comps.append({"haar-w": {"sl": batch[0].kind == transversal.SL},
+                      "haar-omega": {"omega3": o3}}.get(measure.kind, {}))
     w, r = np.concatenate(ws), np.concatenate(rs)
     wsum = w.sum()
     survival, ci = [], []
@@ -319,9 +320,9 @@ def test_mc_tail_non_finite_returns_keep_the_strict_comparison(monkeypatch):
     real = measures._returns_for_batch
     special = np.array([math.nan, math.inf, -math.inf, 0.5, 1.0, 2.5])
 
-    def returns_with_specials(measure, batch, engine):
-        w, r, comp = real(measure, batch, engine)
-        return w, np.resize(special, r.size), comp
+    def returns_with_specials(batch, engine, o3=None):
+        w, r = real(batch, engine, o3)
+        return w, np.resize(special, r.size)
 
     monkeypatch.setattr(measures, "_returns_for_batch", returns_with_specials)
     grid = [math.inf, 1.0, -math.inf, 0.0, 0.5, 2.5]

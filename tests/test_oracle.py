@@ -26,7 +26,7 @@ from slitgaps.measures import (
     ORACLE_AFFINE,
     ORACLE_DOUBLED,
     MeasureSpec,
-    _batch_measure,
+    _draw_batch,
     chunk_streams,
 )
 from slitgaps.oracle import (
@@ -177,7 +177,7 @@ def test_gap_sequence_has_no_spurious_returns():
     # the ergodic test's start surface; flowing return by return drifts, and
     # once the drift passes any fixed skip threshold a just-crossed vector
     # comes back as a near-zero return and shifts every later index
-    cols, _ = _batch_measure(MeasureSpec.haar_omega(), np.random.default_rng(19), 1)
+    cols, _ = _draw_batch(MeasureSpec.haar_omega(), np.random.default_rng(19), 1)
     surf = omega_to_surface(OmegaCoords(*(c[0].item() for c in cols[1:])))
     n = 3000
     seq = oracle_gap_sequence(surf, SurfaceMode.AFFINE_ONLY, n)
@@ -421,7 +421,7 @@ def test_batch_kernel_bit_identical_both_modes(region):
 def test_torsion_markings_doubled_keep_the_dedup():
     # on torsion markings the +-v cosets coincide up to rounding, so the
     # near-duplicate drop decides which representative sets the minimum
-    cols, _ = _batch_measure(MeasureSpec.torsion(2), np.random.default_rng(47), 1500)
+    cols, _ = _draw_batch(MeasureSpec.torsion(2), np.random.default_rng(47), 1500)
     hints = omega_return_vec(cols.a, cols.b, cols.s, cols.alpha)
     got = section_oracle_returns(cols, SurfaceMode.DOUBLED_SLIT, hints)
     for i in range(len(got)):
@@ -434,7 +434,7 @@ def test_torsion_markings_doubled_keep_the_dedup():
 
 @pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
 def test_periodic_omega_vertical_surfaces(engine):
-    cols, _ = _batch_measure(MeasureSpec.periodic_omega(0.7, 0.4), np.random.default_rng(53), 400)
+    cols, _ = _draw_batch(MeasureSpec.periodic_omega(0.7, 0.4), np.random.default_rng(53), 400)
     mode = SurfaceMode.DOUBLED_SLIT if engine == ORACLE_DOUBLED else SurfaceMode.AFFINE_ONLY
     got = section_oracle_returns(cols, mode, cols.a / cols.alpha)
     for i in range(len(got)):
@@ -445,7 +445,7 @@ def test_periodic_omega_vertical_surfaces(engine):
 
 @pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
 def test_haar_w_oracle_engine(engine):
-    cols, _ = _batch_measure(MeasureSpec.haar_w(), np.random.default_rng(59), 600)
+    cols, _ = _draw_batch(MeasureSpec.haar_w(), np.random.default_rng(59), 600)
     doubled = engine == ORACLE_DOUBLED
     r = section_oracle_returns(
         cols,

@@ -228,10 +228,10 @@ def test_omega_return_map_worked():
 def test_section_step_lands_where_the_flow_lands():
     # the closed-form step's next row is the flowed surface recoordinatized:
     # same kind, every coordinate within 1e-9
-    from slitgaps.measures import MeasureSpec, _batch_measure
+    from slitgaps.measures import MeasureSpec, _draw_batch
 
     rng = np.random.default_rng(5)
-    parts = [_batch_measure(MeasureSpec.parse(m), rng, n)[0]
+    parts = [_draw_batch(MeasureSpec.parse(m), rng, n)[0]
              for m, n in (("haar-omega", 2000), ("periodic-omega:0.7,0.4", 100), ("periodic-omega:0.3,0.9", 100))]
     cols = transversal.SectionColumns(*map(np.concatenate, zip(*parts)))
     for row in zip(*(c.tolist() for c in cols)):
@@ -559,10 +559,10 @@ def _three_basis_surfaces(cols):
 def test_section_surfaces_equal_the_three_basis_form():
     # each basis is built on its own rows only: the fields are bit for bit
     # those of all three bases picked per row, on mixed and one-kind columns
-    from slitgaps.measures import MeasureSpec, _batch_measure
+    from slitgaps.measures import MeasureSpec, _draw_batch
 
     rng = np.random.default_rng(29)
-    w, omega, vertical = (_batch_measure(MeasureSpec.parse(m), rng, 3000)[0]
+    w, omega, vertical = (_draw_batch(MeasureSpec.parse(m), rng, 3000)[0]
                           for m in ("haar-w", "haar-omega", "periodic-omega:0.7,0.4"))
     # a third of the sa rows become vertical-lattice sa rows (b nan)
     w.b[(w.kind == transversal.SA) & (np.arange(len(w.b)) % 3 == 0)] = np.nan
@@ -585,11 +585,11 @@ def test_section_surfaces_equal_the_three_basis_form():
 def test_section_returns_of_long_runs_match_one_call_per_run(monkeypatch):
     # runs longer than RETURN_ROWS are evaluated in pieces, into one array:
     # every return equals that of one vectorized call over its whole run
-    from slitgaps.measures import MeasureSpec, _batch_measure
+    from slitgaps.measures import MeasureSpec, _draw_batch
 
     monkeypatch.setattr(transversal, "RETURN_ROWS", 1000)
     rng = np.random.default_rng(17)
-    parts = [_batch_measure(MeasureSpec.parse(m), rng, 4000)[0]
+    parts = [_draw_batch(MeasureSpec.parse(m), rng, 4000)[0]
              for m in ("haar-w", "haar-omega", "periodic-omega:0.7,0.4")]
     cols = transversal.SectionColumns(*map(np.concatenate, zip(*parts)))
     sl, sa = (parts[0].kind == k for k in (transversal.SL, transversal.SA))
