@@ -70,7 +70,10 @@ class RunConfig:
 
 def _parse_config_file(path: str) -> dict:
     """key = value lines; # starts a comment; keys match long flag names."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read config file {path}: {exc}") from exc
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -223,16 +226,20 @@ def _load_surface(path: str) -> AffineLattice:
     """{"g": [[.,.],[.,.]], "v": [.,.]} with unimodular g."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise InvalidInputError(f"surface file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read surface file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"surface file {path}: {exc}") from exc
     try:
         (g11, g12), (g21, g22) = data["g"]
         v1, v2 = data["v"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"surface file {path} needs keys g (2x2) and v (2)") from exc
-    return AffineLattice(Mat2(float(g11), float(g12), float(g21), float(g22)), Vec2(float(v1), float(v2))).check()
+        entries = (g11, g12, g21, g22, v1, v2)
+        if not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in entries):
+            raise TypeError("entries must be JSON numbers")
+        g11, g12, g21, g22, v1, v2 = map(float, entries)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"surface file {path} needs keys g (2x2) and v (2) of numbers") from exc
+    return AffineLattice(Mat2(g11, g12, g21, g22), Vec2(v1, v2)).check()
 
 
 def _fmt(value) -> str:

@@ -6,13 +6,12 @@ inverse hyperbolic cotangent; past 4 only an integral over the section is
 available.  Its inner integrals are elementary and taken exactly, which leaves
 one 1-D quadrature over the lattice coordinate per region.  This module
 carries both routes and a differential comparison between them,
-plus envelope bounds for the affine-lattice tail, exact torsion-marking
-tails, and a log-log decay-exponent fit.
+plus envelope bounds for the affine-lattice tail and exact torsion-marking
+tails.
 """
 
 import math
 
-import numpy as np
 from scipy import integrate, special
 
 from .errors import (
@@ -639,18 +638,3 @@ def torsion_tail(q, t):
     c1 = _torsion_c1(q, t)
     c2 = _quad(lambda a: _torsion_c2_slice(q, t, a), 0.0, 1.0, points=[1.0 / t])
     return 2.0 * (c1 + c2)
-
-
-def fit_decay_exponent(t_grid, values):
-    """Least-squares slope of log(value) against log(t)."""
-    t = np.asarray(t_grid, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != v.shape:
-        raise InvalidInputError("grid and values must be paired 1-d sequences")
-    if t.size < 5:
-        raise InvalidInputError(f"need at least 5 samples for a decay fit, got {t.size}")
-    if np.any(t <= 0.0) or np.any(v <= 0.0):
-        raise InvalidInputError("log-log fit needs positive grid and values")
-    if np.any(np.diff(t) <= 0.0):
-        raise InvalidInputError("grid must increase strictly")
-    return float(np.polyfit(np.log(t), np.log(v), 1)[0])

@@ -640,15 +640,3 @@ def renormalized_box_gaps(surface: AffineLattice, mode: SurfaceMode, r: float) -
         _holonomy_points(surface, mode, None, x_max=r, y_max=r, include_horizontal=True)
     )
     return GapSeries(series.slopes, r * r * series.gaps, series.count, series.merged)
-
-
-def d_cover_holonomy(d: int, surface: AffineLattice, slope_max: float) -> np.ndarray:
-    """Strip holonomy of the d-symmetric cyclic torus cover branched over the
-    marked segment.
-
-    The saddle connections of every such cover project to the same planar
-    set, so for any d >= 2 this is exactly the doubled-slit enumeration.
-    """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidInputError("cover degree must be an integer >= 2")
-    return enumerate_strip(surface, SurfaceMode.DOUBLED_SLIT, slope_max)

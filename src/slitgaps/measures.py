@@ -26,8 +26,7 @@ Orbits: ``orbit`` iterates the section return map and gives the orbit as
 columns of arrays.  The formula engine steps section rows in closed form
 (``transversal.section_step``); the oracle engines read the whole orbit,
 returns and section points, off one kernel pass over the start surface
-(``oracle.oracle_orbit``), and ``ergodic_average`` reads their returns off
-one strip scan.
+(``oracle.oracle_orbit``).
 
 Everything downstream is self-normalized, so reported distributions do not
 depend on any overall mass convention.  Reproducibility: a run is determined
@@ -52,7 +51,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -63,9 +62,7 @@ from .transversal import (
     SA,
     SL,
     VERTICAL,
-    OmegaCoords,
     SectionColumns,
-    VLCoords,
     WPointSA,
     WPointSL,
     omega_to_surface,
@@ -653,31 +650,6 @@ def mc_tail(
         total_mass_se=_mass_se(scale, wsum, float(above2[0]), n),
         component_masses=masses,
     )
-
-
-def ergodic_average(
-    start: Union[OmegaCoords, VLCoords],
-    engine: str,
-    n_steps: int,
-    interval: tuple,
-) -> float:
-    """Fraction of the first n return times along the orbit lying in
-    (lo, hi].  The oracle engines read all n off one strip scan of the start
-    surface (``oracle_gap_sequence``), affine or doubled."""
-    if engine not in ENGINES:
-        raise InvalidInputError(f"unknown engine {engine!r}")
-    if n_steps < 1:
-        raise InvalidInputError("n_steps must be >= 1")
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise InvalidInputError("empty interval")
-    if engine == FORMULA:
-        [(returns, _)] = orbit(start, engine, n_steps)
-    else:
-        from .oracle import oracle_gap_sequence
-
-        returns = oracle_gap_sequence(*_oracle_surface(start, engine), n_steps)
-    return int(np.count_nonzero((returns > lo) & (returns <= hi))) / n_steps
 
 
 def _oracle_surface(p, engine: str):

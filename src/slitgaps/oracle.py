@@ -9,18 +9,17 @@ above its formula hint, through ``geometry``'s one lattice-box kernel, and
 takes each surface's minimum slope straight from the kernel's rows.  Sorting
 and deduplicating belong to the enumeration behind the gap sequences and
 orbits; the oracle borrows the deduplication only for the doubled holonomy,
-whose +-v cosets can repeat a point.  ``oracle_first_return`` and
-``w_oracle_return`` are size-1 calls of the batch forms.
-``section_oracle_returns`` scans the rows of ``SectionColumns`` of any kind.
-``oracle_gap_sequence`` reads a whole orbit's returns off one scan, and
-``oracle_orbit`` reads the returns and the section point after every return
-off one kernel pass over the start surface (``transversal.orbit_scan``).  The differential tester samples a region into
-``SectionColumns`` (DeltaR: columns a and b), evaluates the vectorized
-formula and the batched oracle once each per chunk of rows, and reports any
-relative disagreement above 1e-6 as a counterexample.  Two regions are
-expected to disagree (the short-lattice travel-time formula, and the
-slit-cover return when the mirrored coset is switched on); disagreement
-there is a finding to report, not a failure.
+whose +-v cosets can repeat a point.  ``section_oracle_returns`` scans the
+rows of ``SectionColumns`` of any kind.  ``oracle_strip_slopes`` reads a
+surface's first strip slopes off one scan, and ``oracle_orbit`` reads the
+returns and the section point after every return off one kernel pass over
+the start surface (``transversal.orbit_scan``).  The differential tester
+samples a region into ``SectionColumns`` (DeltaR: columns a and b),
+evaluates the vectorized formula and the batched oracle once each per chunk
+of rows, and reports any relative disagreement above 1e-6 as a
+counterexample.  Two regions are expected to disagree (the short-lattice
+travel-time formula, and the slit-cover return when the mirrored coset is
+switched on); disagreement there is a finding to report, not a failure.
 """
 
 from __future__ import annotations
@@ -137,58 +136,31 @@ class DiffReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def oracle_first_return(
-    surface: AffineLattice,
-    mode: SurfaceMode,
-    *,
-    cap_hint: Optional[float] = None,
-) -> float:
-    """Smallest positive holonomy slope in the strip: the ground-truth
-    return time, as the size-1 call of ``oracle_first_return_batch``.
-
-    The slope cap starts just above the hint (the caller's formula
-    prediction when it has one), at hint * (1 + ``REL_ERR_THRESHOLD``), and
-    doubles until the strip window is nonempty, so the work stays
-    proportional to the answer.  Vectors with |y| <= 1e-12 never
-    count: they are the section's own horizontals.
-    """
-    surface.check()
-    return float(oracle_first_return_batch(surface.g, surface.v, mode, cap_hint)[0])
-
-
-def w_oracle_return(
-    surface: AffineLattice,
-    *,
-    doubled: bool,
-    cap_hint: Optional[float] = None,
-) -> float:
-    """Ground-truth slit-cover return, as the size-1 call of
-    ``w_oracle_return_batch``.  With ``doubled`` the full holonomy set
-    (lattice and both marked cosets) competes; without it only the lattice
-    and the forward coset do, which is exactly the candidate set the
-    closed-form return claims to minimize over; both are scanned in one pass
-    with one cap sequence."""
-    surface.check()
-    return float(
-        w_oracle_return_batch(surface.g, surface.v, doubled=doubled, cap_hints=cap_hint)[0]
-    )
-
-
 def oracle_first_return_batch(
     g: Mat2,
     v: Vec2,
     mode: SurfaceMode,
     cap_hints=None,
+    *,
+    lattice: bool = False,
 ) -> np.ndarray:
-    """``oracle_first_return`` of many independent surfaces g_i*Z^2 + v_i.
+    """Smallest positive holonomy slope in the strip of each of many
+    independent surfaces g_i*Z^2 + v_i: the ground-truth return times.
 
     The fields of ``g`` and ``v`` (and ``cap_hints``, where given) are
-    arrays or scalars broadcast to one entry per surface.  Each surface
-    keeps its own cap sequence: its hint times 1 + ``REL_ERR_THRESHOLD``,
-    the smallest window that holds the true return whenever the hint is not
-    discrepant (``DEFAULT_CAP`` when ``cap_hints`` is None or the hint is
-    non-finite or not positive), doubled only while its strip window is
-    empty, and ``NotOnTransversalError`` once a cap passes ``CAP_LIMIT``,
+    arrays or scalars broadcast to one entry per surface.  Vectors with
+    |y| <= 1e-12 never count: they are the section's own horizontals.  With
+    ``lattice`` each ``AFFINE_ONLY`` surface's candidates are its whole
+    lattice (as the coset at v = 0, every point) and its coset, scanned as
+    two components of one kernel pass with one cap sequence: the slit-cover
+    candidate set that the closed-form return claims to minimize over.
+
+    Each surface keeps its own cap sequence: its hint times 1 +
+    ``REL_ERR_THRESHOLD``, the smallest window that holds the true return
+    whenever the hint is not discrepant (``DEFAULT_CAP`` when ``cap_hints``
+    is None or the hint is non-finite or not positive), doubled only while
+    its strip window is empty, so the work stays proportional to the answer,
+    and ``NotOnTransversalError`` once a cap passes ``CAP_LIMIT``,
     overflows, or is a doubled cap whose scan the kernel refuses as too
     large.  The minimum over any nonempty window is the same point, computed
     with the same floats, so the caps decide only the work.  Each round
@@ -198,15 +170,6 @@ def oracle_first_return_batch(
     first deduplicated as ``strip_holonomy_batch`` does.  Each call logs its
     surfaces, rounds, surfaces re-scanned after round 1, largest cap and
     kernel blocks (``_strip_rows`` calls of ``_box_rows``) at DEBUG level."""
-    return _first_returns(g, v, mode, cap_hints)
-
-
-def _first_returns(
-    g: Mat2, v: Vec2, mode: SurfaceMode, cap_hints, lattice: bool = False
-) -> np.ndarray:
-    """The body of ``oracle_first_return_batch``; with ``lattice`` each
-    ``AFFINE_ONLY`` surface's candidates are its whole lattice and its
-    coset, scanned together (``geometry._strip_rows``)."""
     *fields, hints = np.broadcast_arrays(
         *g, *v, np.nan if cap_hints is None else cap_hints
     )
@@ -251,27 +214,14 @@ def _first_returns(
     return out
 
 
-def w_oracle_return_batch(
-    g: Mat2, v: Vec2, *, doubled: bool, cap_hints=None
-) -> np.ndarray:
-    """``w_oracle_return`` of many independent surfaces.  Without
-    ``doubled`` each surface scans the lattice (as the ``AFFINE_ONLY`` coset
-    at v = 0, every point) and the forward coset as two components of one
-    kernel pass, with one cap sequence; the union's minimum is the smaller
-    of the two components' minima."""
-    if doubled:
-        return oracle_first_return_batch(g, v, SurfaceMode.DOUBLED_SLIT, cap_hints)
-    return _first_returns(g, v, SurfaceMode.AFFINE_ONLY, cap_hints, lattice=True)
-
-
 def section_oracle_returns(cols: SectionColumns, mode: SurfaceMode, hints) -> np.ndarray:
     """Ground-truth return of every row of ``cols``, scanning its
     ``section_surfaces`` with the per-row cap ``hints`` (an array).
 
     Under ``DOUBLED_SLIT`` every row scans the full doubled holonomy.  Under
     ``AFFINE_ONLY`` omega and vertical rows scan their marked coset, and sl
-    and sa rows the slit-cover candidate set (``w_oracle_return_batch``
-    without ``doubled``).
+    and sa rows the slit-cover candidate set (``oracle_first_return_batch``
+    with ``lattice``).
     """
     slit = cols.kind >= SL
     if mode is SurfaceMode.AFFINE_ONLY and slit.any() and not slit.all():
@@ -280,9 +230,7 @@ def section_oracle_returns(cols: SectionColumns, mode: SurfaceMode, hints) -> np
             out[rows] = section_oracle_returns(SectionColumns(*(c[rows] for c in cols)), mode, hints[rows])
         return out
     g, v = section_surfaces(cols)
-    if mode is SurfaceMode.AFFINE_ONLY and slit.any():
-        return w_oracle_return_batch(g, v, doubled=False, cap_hints=hints)
-    return oracle_first_return_batch(g, v, mode, hints)
+    return oracle_first_return_batch(g, v, mode, hints, lattice=mode is SurfaceMode.AFFINE_ONLY and slit.any())
 
 
 def _cap_rounds(mode: SurfaceMode, count: int, scan):
@@ -326,15 +274,6 @@ def oracle_strip_slopes(
     return slopes[:count]
 
 
-def oracle_gap_sequence(
-    surface: AffineLattice, mode: SurfaceMode, count: int
-) -> np.ndarray:
-    """Return times of ``count`` successive section visits: flowing by u
-    lowers every strip slope by u, so they are the gaps between the start
-    surface's distinct strip slopes, the first measured from 0."""
-    return np.diff(oracle_strip_slopes(surface, mode, count), prepend=0.0)
-
-
 def _scan_slopes(scan: OrbitScan, mode: SurfaceMode, cap: float) -> np.ndarray:
     """The distinct strip slopes up to ``cap`` of an ``orbit_scan`` at that
     cap, equal to those of ``enumerate_strip`` at it: the rows of the strip
@@ -353,7 +292,8 @@ def _scan_slopes(scan: OrbitScan, mode: SurfaceMode, cap: float) -> np.ndarray:
 
 def oracle_orbit(surface: AffineLattice, mode: SurfaceMode, count: int):
     """(returns, points) of ``count`` successive oracle returns from
-    ``surface``: the ``oracle_gap_sequence`` return times, and the
+    ``surface``: the gaps between its first ``count`` strip slopes (flowing
+    by u lowers every slope by u), the first measured from 0, and the
     ``SectionColumns`` of the section point reached by each, all read off
     one kernel pass over the start surface (``orbit_scan``) at the first cap
     of ``_cap_rounds`` that holds ``count`` slopes.

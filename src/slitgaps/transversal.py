@@ -10,9 +10,9 @@ Three sections appear:
   ``OmegaCoords`` (a, b, s, alpha) with generator h_s [[a, b], [0, 1/a]] and
   marking (alpha, 0), plus the vertical-lattice family ``VLCoords`` whose
   lattice part never returns to the lattice section.
-* the slit-cover section ``WPoint``: surfaces whose doubled-slit holonomy
-  contains a short horizontal, split into a short-lattice state (SL) and a
-  short-affine state (SA).
+* the slit-cover section: surfaces whose doubled-slit holonomy contains a
+  short horizontal, split into a short-lattice state (SL, ``WPointSL``) and a
+  short-affine state (SA, ``WPointSA``).
 
 Return times are closed-form; every formula is cross-checked against the
 enumeration oracle elsewhere.  Each section formula has one implementation,
@@ -25,15 +25,13 @@ Section points travel as ``SectionColumns``: an orbit's points
 (``orbit_section_coords``, the range checks of the point classes run on the
 columns) and the sampled batches of ``measures``.  ``section_returns`` and
 ``section_surfaces`` give every row's return and surface, whatever its kind;
-the point forms ``omega_return_time`` and ``omega_to_surface`` are their
-size-1 calls, for a point of any kind.  ``orbit_section_coords`` is the one
-recoordinatization: it reads the points of a whole horocycle orbit off the
-rows of one kernel pass over the unflowed surface (``orbit_scan``), which
-the enumeration oracle's orbits share with their strip slopes.
-``flowed_section_coords`` makes that pass for given flow times, and
-``recoordinatize_omega`` and ``w_section_coords`` are its size-1 calls at
-time 0.  ``section_step`` is the closed-form return map, one row (kind, a,
-b, s, alpha) at a time.
+``omega_to_surface`` is the size-1 call of the latter, for a point of any
+kind.  ``orbit_section_coords`` is the one recoordinatization: it reads the
+points of a whole horocycle orbit off the rows of one kernel pass over the
+unflowed surface (``orbit_scan``), which the enumeration oracle's orbits
+share with their strip slopes.  ``flowed_section_coords`` makes that pass
+for given flow times.  ``section_step`` is the closed-form return map, one
+row (kind, a, b, s, alpha) at a time.
 """
 
 from __future__ import annotations
@@ -215,9 +213,6 @@ class WPointSA:
 
     coords: Union[OmegaCoords, VLCoords]
 
-
-WPoint = Union[WPointSL, WPointSA]
-
 SECTION_KINDS = ("omega", "vertical", "sl", "sa")
 OMEGA, VERTICAL, SL, SA = range(len(SECTION_KINDS))
 
@@ -270,11 +265,6 @@ def _section_point(kind: int, a: float, b: float, s: float, alpha: float):
 # lattice section
 
 
-def bcz_return_time(d: DeltaCoords) -> float:
-    """First-return time of the horocycle to the lattice section: 1/(a*b)."""
-    return 1.0 / (d.a * d.b)
-
-
 def bcz_return_map(d: DeltaCoords) -> DeltaCoords:
     """(a, b) -> (b, -a + floor((1+a)/b) * b)."""
     k = math.floor((1.0 + d.a) / d.b + FLOOR_NUDGE)
@@ -283,7 +273,8 @@ def bcz_return_map(d: DeltaCoords) -> DeltaCoords:
 
 # ---------------------------------------------------------------------------
 # affine section: classification and return time, elementwise over arrays of
-# generic coordinates (a, b, s, alpha); the point forms are size-1 calls
+# generic coordinates (a, b, s, alpha); the point form ``classify_omega`` is
+# a size-1 call
 
 
 def _columns(*cols):
@@ -479,19 +470,6 @@ def _lattice_form(g: Mat2):
     return "delta", a, float(_completion_b(g, a, m, n)[0]), s
 
 
-def recoordinatize_omega(surface: AffineLattice) -> Union[OmegaCoords, VLCoords]:
-    """Section coordinates of a surface on the affine section.
-
-    The lattice part is analyzed first: a short vertical (length < 1 within
-    tolerance) routes to ``VLCoords``; otherwise the most recent horizontal
-    crossing fixes (a, b, s).  The marking must have a horizontal
-    representative with 0 < x <= 1; when several exist (only possible on the
-    measure-zero locus where the lattice keeps a horizontal vector) the
-    smallest is chosen.  A size-1 call of ``flowed_section_coords``.
-    """
-    return _section_point(*(c[0].item() for c in flowed_section_coords(surface, (0.0,))))
-
-
 def _clamp_s(a, b, s):
     """s clamped into [0, 1/(a*b)), elementwise, a zero keeping its sign as
     under Python's ``min`` and ``max``; a nan b leaves s as it is."""
@@ -549,8 +527,7 @@ def w_return_sa_vec(a, b, s, alpha) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# returns and surfaces of section points of any kind, as columns; the point
-# forms are their size-1 calls
+# returns and surfaces of section points of any kind, as columns
 
 
 def _kind_runs(kind: np.ndarray) -> list:
@@ -618,12 +595,6 @@ def section_surfaces(cols: SectionColumns) -> tuple:
     return Mat2(*g), Vec2(*v)
 
 
-def omega_return_time(p) -> float:
-    """Closed-form first return of a section point of any kind (affine,
-    vertical-lattice or slit-cover), the size-1 call of ``section_returns``."""
-    return float(section_returns(section_columns([p]))[0])
-
-
 def omega_to_surface(p) -> AffineLattice:
     """The surface of a section point of any kind, the size-1 call of
     ``section_surfaces``."""
@@ -635,18 +606,6 @@ def _first_surface(cols: SectionColumns) -> AffineLattice:
     g, v = section_surfaces(cols)
     first = [float(np.ravel(f)[0]) for f in (*g, *v)]
     return AffineLattice(Mat2(*first[:4]), Vec2(*first[4:]))
-
-
-def w_section_coords(surface: AffineLattice) -> WPoint:
-    """Slit-cover section coordinates of a surface.
-
-    SL wins ties: if the lattice part is on its section the point is SL with
-    the marking reduced into the standard fundamental parallelogram.
-    Otherwise the point is SA, with the negated marking as a fallback (the
-    doubled surface of (g, v) and (g, -v) is the same).  A size-1 call of
-    ``flowed_section_coords``.
-    """
-    return _section_point(*(c[0].item() for c in flowed_section_coords(surface, (0.0,), slit=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +715,7 @@ def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) 
     on one ``orbit_scan`` of the unflowed surface up to the last time.
 
     A slit-cover call at time 0 alone on a lattice on its section makes no
-    pass: its rows are all sl, which read no alpha.  ``recoordinatize_omega``
-    and ``w_section_coords`` are the size-1 calls at time 0.
+    pass: its rows are all sl, which read no alpha.
     """
     surface.check()
     t = np.asarray(times, dtype=float)

@@ -129,6 +129,35 @@ def test_gaps_missing_surface_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "g, v",
+    [
+        ([["x", 0], [0, 1]], [0.3, 0.1]),
+        ([["1", 0], [0, 1]], [0.3, 0.1]),
+        ([[None, 0], [0, 1]], [0.3, 0.1]),
+        ([[1, 0], [0, 1]], [True, 0.1]),
+        ([[10**400, 0], [0, 1]], [0.3, 0.1]),
+    ],
+    ids=["string", "numeric-string", "null", "boolean", "huge-integer"],
+)
+def test_gaps_rejects_a_surface_file_entry_that_is_not_a_number(tmp_path, capsys, g, v):
+    surf = tmp_path / "bad.json"
+    surf.write_text(json.dumps({"g": g, "v": v}))
+    assert main(["gaps", "--surface", str(surf), "--slope-max", "5"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: surface file {surf} needs keys g (2x2) and v (2)")
+
+
+@pytest.mark.parametrize("content", [None, b"seed = \xff\n"], ids=["missing", "not-utf8"])
+@pytest.mark.parametrize("flag", ["--config", "--surface"])
+def test_an_unreadable_input_file_is_a_usage_error(tmp_path, capsys, flag, content):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    source = ["--surface", str(path)] if flag == "--surface" else ["--omega", "1,1,0,0.5", "--config", str(path)]
+    assert main(["gaps", "--slope-max", "3", *source]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {flag[2:]} file {path}: ")
+
+
 def test_gaps_needs_exactly_one_source(tmp_path):
     assert main(["gaps", "--slope-max", "3"]) == 2
 

@@ -14,7 +14,6 @@ from slitgaps.closedform import (
     compare_pieces,
     dilog,
     envelope_cubic_roots,
-    fit_decay_exponent,
     omega_tail_bounds,
     tail_components,
     torsion_tail,
@@ -171,23 +170,10 @@ def test_torsion_guards():
         torsion_tail(2.5, 16.0)
 
 
-def test_fit_exponent_exact_power_laws():
-    grid = np.geomspace(8.0, 128.0, 9)
-    assert math.isclose(fit_decay_exponent(grid, 3.0 / grid ** 2), -2.0, abs_tol=1e-9)
-    assert math.isclose(fit_decay_exponent(grid, 0.5 / grid), -1.0, abs_tol=1e-9)
-
-
-def test_fit_exponent_validation():
-    with pytest.raises(InvalidInputError):
-        fit_decay_exponent([1.0, 2.0], [1.0, 0.5])
-    with pytest.raises(InvalidInputError):
-        fit_decay_exponent([1.0, 2.0, 2.0, 3.0, 4.0], [1, 2, 3, 4, 5])
-
-
 def test_tail_exponent_in_quadratic_band():
     grid = np.geomspace(8.0, 128.0, 9)
     vals = [w_tail_closed_form(t) for t in grid]
-    slope = fit_decay_exponent(grid, vals)
+    slope = np.polyfit(np.log(grid), np.log(vals), 1)[0]
     assert -2.3 <= slope <= -1.7
 
 

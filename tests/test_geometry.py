@@ -17,7 +17,6 @@ from slitgaps.geometry import (
     Vec2,
     _box_rows,
     _dedup_batch,
-    d_cover_holonomy,
     enumerate_strip,
     horocycle_apply,
     horocycle_matrix,
@@ -245,28 +244,6 @@ def test_loose_quadratic_growth():
         n = renormalized_box_gaps(surf, SurfaceMode.DOUBLED_SLIT, r).count
         ratios.append(n / r**2)
     assert max(ratios) / min(ratios) < 4.0
-
-
-@pytest.mark.parametrize("d", [2, 3, 7])
-def test_d_cover_matches_doubled_enumeration(d):
-    rng = np.random.default_rng(1234 + d)
-    surf = random_surface(rng)
-    cover = d_cover_holonomy(d, surf, 5.0)
-    doubled = enumerate_strip(surf, SurfaceMode.DOUBLED_SLIT, 5.0)
-    assert np.array_equal(np.asarray(cover), np.asarray(doubled))
-
-
-def test_d_cover_identity_marking():
-    surf = AffineLattice(IDENTITY, Vec2(0.5, 0.0))
-    cover = d_cover_holonomy(3, surf, 5.0)
-    doubled = enumerate_strip(surf, SurfaceMode.DOUBLED_SLIT, 5.0)
-    assert np.array_equal(np.asarray(cover), np.asarray(doubled))
-
-
-def test_d_cover_rejects_small_degree():
-    surf = AffineLattice(IDENTITY, Vec2(0.5, 0.0))
-    with pytest.raises(InvalidInputError):
-        d_cover_holonomy(1, surf, 5.0)
 
 
 # ---------------------------------------------------------------------------

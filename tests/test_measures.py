@@ -23,21 +23,20 @@ from slitgaps.measures import (
     _draw_batch,
     _oracle_surface,
     _uniform_open,
-    ergodic_average,
     map_chunks,
     mc_tail,
     orbit,
 )
-from slitgaps.oracle import oracle_first_return, oracle_gap_sequence, oracle_strip_slopes
+from slitgaps.oracle import oracle_first_return_batch, oracle_strip_slopes
 from slitgaps.transversal import (
     OmegaCoords,
     VLCoords,
     WPointSA,
     WPointSL,
-    omega_return_time,
+    flowed_section_coords,
     omega_to_surface,
-    recoordinatize_omega,
-    w_section_coords,
+    section_columns,
+    section_returns,
 )
 
 HAAR_OMEGA_MASS = math.pi ** 2 / 6.0
@@ -433,17 +432,20 @@ def test_uniform_open_in_place_matches_one_minus_random():
 
 
 def test_ergodic_average_periodic_orbit():
-    start = OmegaCoords(1.0, 1.0, 0.0, 0.5)
-    assert ergodic_average(start, FORMULA, 50, (1.5, 2.5)) == 1.0
-    assert ergodic_average(start, FORMULA, 50, (0.0, 1.0)) == 0.0
+    # every return of the fixed point's formula orbit is 2
+    [(returns, _)] = orbit(OmegaCoords(1.0, 1.0, 0.0, 0.5), FORMULA, 50)
+    assert np.count_nonzero((returns > 1.5) & (returns <= 2.5)) == 50
 
 
 def test_ergodic_average_matches_monte_carlo():
     # true (enumerated) dynamics on both routes; the closed-form step is
-    # skewed on part of the wrapped regions and would bias the orbit
+    # skewed on part of the wrapped regions and would bias the orbit.  The
+    # orbit's returns are the gaps between the start surface's strip slopes
     rng = np.random.default_rng(19)
     start, _ = _sample(MeasureSpec.haar_omega(), rng)
-    frac = ergodic_average(start, ORACLE_AFFINE, 100_000, (0.0, 1.0))
+    n = 100_000
+    returns = np.diff(oracle_strip_slopes(omega_to_surface(start), SurfaceMode.AFFINE_ONLY, n), prepend=0.0)
+    frac = np.count_nonzero((returns > 0.0) & (returns <= 1.0)) / n
     est = mc_tail(
         MeasureSpec.haar_omega(), ORACLE_AFFINE, [0.0, 1.0], 100_000, seed=23, workers=4
     )
@@ -451,17 +453,10 @@ def test_ergodic_average_matches_monte_carlo():
     assert abs(frac - want) < 0.01
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("n_steps", [0, -3])
-def test_ergodic_average_rejects_empty_orbits(engine, n_steps):
-    with pytest.raises(InvalidInputError):
-        ergodic_average(OmegaCoords(1.0, 1.0, 0.0, 0.5), engine, n_steps, (0.0, 1.0))
-
-
 def test_ergodic_average_affine_oracle_needs_affine_coordinates():
     for start in (WPointSL(0.6, 0.5, 0.5, 0.8), WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))):
-        with pytest.raises(InvalidInputError):
-            ergodic_average(start, ORACLE_AFFINE, 10, (0.0, 1.0))
+        with pytest.raises(InvalidInputError, match="affine-oracle orbits need affine-section coordinates"):
+            next(orbit(start, ORACLE_AFFINE, 10))
 
 
 @pytest.mark.parametrize(
@@ -473,15 +468,13 @@ def test_ergodic_average_affine_oracle_needs_affine_coordinates():
     ],
 )
 def test_ergodic_scan_follows_the_oracle_orbit(start, engine):
-    # the scan of the start surface and the flow-and-recoordinatize orbit
-    # see the same returns, up to the orbit's accumulated rounding
+    # the strip slopes of the start surface are the partial sums of the
+    # orbit's returns, up to the orbit's accumulated rounding
     n = 500
     [(returns, _)] = orbit(start, engine, n)
     stepped = np.cumsum(returns)
-    seq = oracle_gap_sequence(*_oracle_surface(start, engine), n)
-    assert np.max(np.abs(np.cumsum(seq) - stepped) / stepped) < 1e-9
-    frac = ergodic_average(start, engine, n, (0.0, 1.0))
-    assert frac == np.count_nonzero(seq <= 1.0) / n
+    slopes = oracle_strip_slopes(*_oracle_surface(start, engine), n)
+    assert np.max(np.abs(slopes - stepped) / stepped) < 1e-9
 
 
 def test_mc_tail_rejects_nan_thresholds_and_keeps_inf_limits():
@@ -548,16 +541,14 @@ STEPWISE_X_TOL = 1e-11
 
 
 def _stepwise_oracle_orbit(start, engine, n):
-    mode = SurfaceMode.AFFINE_ONLY if engine == ORACLE_AFFINE else SurfaceMode.DOUBLED_SLIT
+    slit = engine == ORACLE_DOUBLED
+    mode = SurfaceMode.DOUBLED_SLIT if slit else SurfaceMode.AFFINE_ONLY
     p, out = start, []
     for _ in range(n):
         surf = omega_to_surface(p)
-        u = oracle_first_return(surf, mode)
-        flowed = horocycle_apply(u, surf)
-        if mode is SurfaceMode.AFFINE_ONLY:
-            p = recoordinatize_omega(flowed)
-        else:
-            p = w_section_coords(flowed)
+        u = float(oracle_first_return_batch(surf.g, surf.v, mode)[0])
+        landing = flowed_section_coords(horocycle_apply(u, surf), (0.0,), slit=slit)
+        p = transversal._section_point(*(c[0].item() for c in landing))
         out.append((u, p))
     return out
 
@@ -628,9 +619,9 @@ def test_slit_cover_formula_step_evaluates_the_return_once(monkeypatch):
     u, nxt = transversal.section_step(transversal.SA, 0.5, 0.6, 2.0, 0.9)
     assert len(calls) == 1
     # the step flows by the slit-cover return and recoordinatizes
-    assert u == omega_return_time(start)
-    landing = w_section_coords(horocycle_apply(u, omega_to_surface(start)))
-    assert nxt == transversal._point_fields(landing)
+    assert u == section_returns(section_columns([start]))[0]
+    landing = flowed_section_coords(horocycle_apply(u, omega_to_surface(start)), (0.0,), slit=True)
+    assert nxt == tuple(c[0].item() for c in landing)
 
 
 def test_affine_formula_orbit_does_no_enumeration(monkeypatch):
@@ -656,7 +647,7 @@ def test_affine_formula_orbit_does_no_enumeration(monkeypatch):
     assert len(returns) == 300 and set(cols.kind.tolist()) == {transversal.OMEGA}
     assert calls == []
     # the counters see a recoordinatization
-    recoordinatize_omega(omega_to_surface(OmegaCoords(0.5, 0.6, 2.0, 0.9)))
+    flowed_section_coords(omega_to_surface(OmegaCoords(0.5, 0.6, 2.0, 0.9)), (0.0,))
     assert "_lattice_form" in calls and "lattice_box" in calls
 
 

@@ -27,6 +27,7 @@ from slitgaps.measures import (
     ORACLE_DOUBLED,
     MeasureSpec,
     _draw_batch,
+    _rows,
     chunk_streams,
 )
 from slitgaps.oracle import (
@@ -40,34 +41,31 @@ from slitgaps.oracle import (
     _point_dict,
     _region_columns,
     diff_test,
-    oracle_first_return,
     oracle_first_return_batch,
-    oracle_gap_sequence,
     oracle_strip_slopes,
     section_oracle_returns,
-    w_oracle_return,
-    w_oracle_return_batch,
 )
 from slitgaps.errors import InvalidInputError, NotOnTransversalError
 from slitgaps.transversal import (
+    OMEGA,
     SA,
     SL,
+    VERTICAL,
     DeltaCoords,
     OmegaCoords,
-    OmegaRegion,
     VLCoords,
     WPointSA,
     WPointSL,
-    bcz_return_time,
     classify_omega,
     delta_basis,
     omega_region_vec,
-    omega_return_time,
     omega_return_vec,
     omega_to_surface,
     rho_sl_to_sa,
+    row_columns,
     section_columns,
     section_returns,
+    section_step,
     section_surfaces,
     w_return_sl_vec,
 )
@@ -79,29 +77,23 @@ def p_ab(a, b):
 
 def test_first_return_affine_worked():
     g = horocycle_apply(0.2, p_ab(0.5, 1.0))
-    surf = AffineLattice(g, Vec2(0.75, 0.0))
-    assert math.isclose(
-        oracle_first_return(surf, SurfaceMode.AFFINE_ONLY), 0.4, abs_tol=1e-12
-    )
+    got = oracle_first_return_batch(g, Vec2(0.75, 0.0), SurfaceMode.AFFINE_ONLY)
+    assert math.isclose(got[0], 0.4, abs_tol=1e-12)
 
 
 def test_first_return_shifted_square():
-    surf = AffineLattice(p_ab(1.0, 1.0), Vec2(0.5, 0.0))
-    assert math.isclose(
-        oracle_first_return(surf, SurfaceMode.AFFINE_ONLY), 2.0, abs_tol=1e-12
-    )
+    got = oracle_first_return_batch(p_ab(1.0, 1.0), Vec2(0.5, 0.0), SurfaceMode.AFFINE_ONLY)
+    assert math.isclose(got[0], 2.0, abs_tol=1e-12)
 
 
 def test_first_return_doubled_beats_affine():
-    surf = AffineLattice(p_ab(0.6, 0.5), Vec2(0.5, 0.8))
-    assert math.isclose(
-        oracle_first_return(surf, SurfaceMode.DOUBLED_SLIT), 13.0 / 9.0, abs_tol=1e-12
-    )
+    got = oracle_first_return_batch(p_ab(0.6, 0.5), Vec2(0.5, 0.8), SurfaceMode.DOUBLED_SLIT)
+    assert math.isclose(got[0], 13.0 / 9.0, abs_tol=1e-12)
 
 
 def test_gap_sequence_shifted_integer_lattice():
     surf = AffineLattice(Mat2(1.0, 0.0, 0.0, 1.0), Vec2(0.5, 0.0))
-    seq = oracle_gap_sequence(surf, SurfaceMode.AFFINE_ONLY, 5)
+    seq = np.diff(oracle_strip_slopes(surf, SurfaceMode.AFFINE_ONLY, 5), prepend=0.0)
     assert np.allclose(seq, 2.0, atol=1e-9)
 
 
@@ -109,7 +101,7 @@ def test_gap_sequence_primitive_lattice():
     # marking at a lattice point collapses the holonomy to the integer
     # lattice; strip slopes are 1, 2, 3, ... whatever the mode
     surf = AffineLattice(Mat2(1.0, 0.0, 0.0, 1.0), Vec2(1.0, 0.0))
-    seq = oracle_gap_sequence(surf, SurfaceMode.DOUBLED_SLIT, 5)
+    seq = np.diff(oracle_strip_slopes(surf, SurfaceMode.DOUBLED_SLIT, 5), prepend=0.0)
     assert np.allclose(seq, 1.0, atol=1e-9)
 
 
@@ -121,11 +113,11 @@ def test_gap_sequence_matches_strip_slopes():
     surf = AffineLattice(g, g.apply(Vec2(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))))
     mode = SurfaceMode.DOUBLED_SLIT
     n = 100
-    seq = oracle_gap_sequence(surf, mode, n)
+    got = oracle_strip_slopes(surf, mode, n)
     series = slopes_and_gaps(enumerate_strip(surf, mode, math.inf, y_max=200.0))
     slopes = series.slopes[series.slopes > 1e-9]
     assert len(slopes) >= n
-    assert np.max(np.abs(np.cumsum(seq) - slopes[:n])) < 1e-7
+    assert np.max(np.abs(got - slopes[:n])) < 1e-7
 
 
 def _exact_strip_slopes(g, v, doubled, cap):
@@ -168,9 +160,9 @@ def test_gap_sequence_matches_exact_rational_reference(mode, cap):
     assert len(exact) >= n
     want = np.array([float(q) for q in exact[:n]])
     surf = AffineLattice(Mat2(*map(float, g)), Vec2(*map(float, v)))
-    seq = oracle_gap_sequence(surf, mode, n)
-    assert np.max(np.abs(np.cumsum(seq) - want) / want) <= 1e-12
-    assert np.max(np.abs(seq - np.diff(want, prepend=0.0)) / want) <= 1e-12
+    slopes = oracle_strip_slopes(surf, mode, n)
+    assert np.max(np.abs(slopes - want) / want) <= 1e-12
+    assert np.max(np.abs(np.diff(slopes, prepend=0.0) - np.diff(want, prepend=0.0)) / want) <= 1e-12
 
 
 def test_gap_sequence_has_no_spurious_returns():
@@ -180,13 +172,13 @@ def test_gap_sequence_has_no_spurious_returns():
     cols, _ = _draw_batch(MeasureSpec.haar_omega(), np.random.default_rng(19), 1)
     surf = omega_to_surface(OmegaCoords(*(c[0].item() for c in cols[1:])))
     n = 3000
-    seq = oracle_gap_sequence(surf, SurfaceMode.AFFINE_ONLY, n)
+    got = oracle_strip_slopes(surf, SurfaceMode.AFFINE_ONLY, n)
     slopes = slopes_and_gaps(
         enumerate_strip(surf, SurfaceMode.AFFINE_ONLY, 4.0 * n)
     ).slopes
     assert len(slopes) >= n
-    assert np.max(np.abs(np.cumsum(seq) - slopes[:n]) / slopes[:n]) <= 1e-9
-    assert seq.min() >= 1e-6
+    assert np.max(np.abs(got - slopes[:n]) / slopes[:n]) <= 1e-9
+    assert np.diff(got, prepend=0.0).min() >= 1e-6
 
 
 @pytest.mark.parametrize("mode", list(SurfaceMode))
@@ -222,29 +214,29 @@ def test_strip_slopes_past_cap_limit(monkeypatch):
         oracle_strip_slopes(surf, SurfaceMode.AFFINE_ONLY, 1000)
 
 
+def _random_surfaces(seed, n, t_max):
+    """n surfaces h_t(g) with (a, b) in the lattice-section triangle, a >=
+    0.3, t < ``t_max`` and markings g*(c1, c2), c1 and c2 in (0.1, 0.9)."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.3, 1.0, n)
+    b = rng.uniform(1.0 - a, 1.0)
+    g = horocycle_apply(rng.uniform(0.0, t_max, n), p_ab(a, b))
+    return g, g.apply(Vec2(rng.uniform(0.1, 0.9, n), rng.uniform(0.1, 0.9, n)))
+
+
 def test_cap_monotonicity():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        a = rng.uniform(0.3, 1.0)
-        b = rng.uniform(1.0 - a, 1.0)
-        g = horocycle_apply(rng.uniform(0.0, 2.0), p_ab(a, b))
-        surf = AffineLattice(g, g.apply(Vec2(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))))
-        base = oracle_first_return(surf, SurfaceMode.DOUBLED_SLIT)
-        for hint in (base * 0.25, base, base * 8.0):
-            again = oracle_first_return(surf, SurfaceMode.DOUBLED_SLIT, cap_hint=hint)
-            assert math.isclose(base, again, rel_tol=1e-12, abs_tol=1e-12)
+    g, v = _random_surfaces(23, 20, 2.0)
+    base = oracle_first_return_batch(g, v, SurfaceMode.DOUBLED_SLIT)
+    for scale in (0.25, 1.0, 8.0):
+        again = oracle_first_return_batch(g, v, SurfaceMode.DOUBLED_SLIT, base * scale)
+        assert np.allclose(base, again, rtol=1e-12, atol=1e-12)
 
 
 def test_mode_ordering():
-    rng = np.random.default_rng(29)
-    for _ in range(50):
-        a = rng.uniform(0.3, 1.0)
-        b = rng.uniform(1.0 - a, 1.0)
-        g = horocycle_apply(rng.uniform(0.0, 2.0), p_ab(a, b))
-        surf = AffineLattice(g, g.apply(Vec2(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))))
-        doubled = oracle_first_return(surf, SurfaceMode.DOUBLED_SLIT)
-        affine = oracle_first_return(surf, SurfaceMode.AFFINE_ONLY)
-        assert doubled <= affine + 1e-12
+    g, v = _random_surfaces(29, 50, 2.0)
+    doubled = oracle_first_return_batch(g, v, SurfaceMode.DOUBLED_SLIT)
+    affine = oracle_first_return_batch(g, v, SurfaceMode.AFFINE_ONLY)
+    assert (doubled <= affine + 1e-12).all()
 
 
 FROZEN_O2_INPUT = OmegaCoords(
@@ -255,10 +247,9 @@ FROZEN_O2_INPUT = OmegaCoords(
 def test_frozen_return_time_counterexample():
     # the alpha <= a, b + alpha > 1 closed form overshoots here: enumeration
     # finds the coefficient pair (-2, 3) arriving first
-    formula = omega_return_time(FROZEN_O2_INPUT)
-    oracle = oracle_first_return(
-        omega_to_surface(FROZEN_O2_INPUT), SurfaceMode.AFFINE_ONLY
-    )
+    cols = section_columns([FROZEN_O2_INPUT])
+    formula = section_returns(cols)[0]
+    oracle = oracle_first_return_batch(*section_surfaces(cols), SurfaceMode.AFFINE_ONLY)[0]
     assert math.isclose(formula, 4.727403155330044, abs_tol=1e-9)
     assert math.isclose(oracle, 3.1373690337988527, abs_tol=1e-9)
     assert formula - oracle > 1.0
@@ -266,27 +257,25 @@ def test_frozen_return_time_counterexample():
 
 def test_formula_matches_oracle_off_the_wrapped_regions():
     rng = np.random.default_rng(31)
-    checked = 0
-    while checked < 60:
-        a = rng.uniform(0.2, 1.0)
-        b = rng.uniform(1.0 - a, 1.0)
-        s = rng.uniform(0.0, 1.0 / (a * b))
-        alpha = rng.uniform(0.05, 1.0)
-        p = OmegaCoords(a, b, s, alpha)
-        if classify_omega(p) not in (OmegaRegion.O1, OmegaRegion.O3):
-            continue
-        u = oracle_first_return(omega_to_surface(p), SurfaceMode.AFFINE_ONLY)
-        assert math.isclose(omega_return_time(p), u, rel_tol=1e-9, abs_tol=1e-9)
-        checked += 1
+    n = 400
+    a = rng.uniform(0.2, 1.0, n)
+    b = rng.uniform(1.0 - a, 1.0)
+    s = rng.uniform(0.0, 1.0 / (a * b))
+    alpha = rng.uniform(0.05, 1.0, n)
+    keep = np.isin(omega_region_vec(a, b, s, alpha), (1, 3))
+    assert keep.sum() >= 60
+    cols = _rows(OMEGA, a[keep], b[keep], s[keep], alpha[keep])
+    u = oracle_first_return_batch(*section_surfaces(cols), SurfaceMode.AFFINE_ONLY)
+    assert np.allclose(section_returns(cols), u, rtol=1e-9, atol=1e-9)
 
 
 def test_formula_matches_oracle_vertical():
     rng = np.random.default_rng(37)
-    for _ in range(30):
-        a = rng.uniform(0.2, 1.0)
-        p = VLCoords(a, rng.uniform(0.0, a * a), rng.uniform(0.05, 1.0))
-        u = oracle_first_return(omega_to_surface(p), SurfaceMode.AFFINE_ONLY)
-        assert math.isclose(omega_return_time(p), u, rel_tol=1e-9, abs_tol=1e-9)
+    n = 30
+    a = rng.uniform(0.2, 1.0, n)
+    cols = _rows(VERTICAL, a, np.full(n, np.nan), rng.uniform(0.0, a * a), rng.uniform(0.05, 1.0, n))
+    u = oracle_first_return_batch(*section_surfaces(cols), SurfaceMode.AFFINE_ONLY)
+    assert np.allclose(section_returns(cols), u, rtol=1e-9, atol=1e-9)
 
 
 def test_diff_test_lattice_region_clean():
@@ -347,197 +336,17 @@ def test_diff_test_huge_worker_count_matches_one_worker_per_point():
 
 
 # ---------------------------------------------------------------------------
-# batched oracle: bit-identical to the per-point oracle
+# batched oracle: bit-identical to an independent sorted reference
 
 
 MODES = (SurfaceMode.AFFINE_ONLY, SurfaceMode.DOUBLED_SLIT)
+# the candidate sets of the batched oracle: a mode, or the slit-cover set
+CANDIDATE_SETS = ("affine", "doubled", "slit-cover")
 
 
-def _region_points(region, n, seed):
-    """Probes plus n draws of the region: its columns and each row's input."""
-    cols = _region_columns(region, chunk_streams(n, seed), "fundamental")
-    rows = len(cols["a"] if region == "DeltaR" else cols.kind)
-    return cols, [_point_dict(region, cols, i) for i in range(rows)]
-
-
-def _region_surface(region, p):
-    if region == "OmegaR" or p.get("kind") == "sa":
-        return omega_to_surface(OmegaCoords(p["a"], p["b"], p["s"], p["alpha"]))
-    v = Vec2(p["v1"], p["v2"]) if "v1" in p else Vec2(0.0, 0.0)
-    return AffineLattice(delta_basis(p["a"], p["b"]), v)
-
-
-def _stack(surfaces):
-    """Per-surface fields as the (Mat2, Vec2) of arrays the batch takes."""
-    rows = np.array([tuple(s.g) + tuple(s.v) for s in surfaces], dtype=float).reshape(-1, 6)
-    return Mat2(*rows[:, :4].T), Vec2(*rows[:, 4:].T)
-
-
-def _per_point_eval(region, point, mode, hint):
-    """The oracle column difftest computed one point at a time."""
-    surf = _region_surface(region, point)
-    if region == "DeltaR":
-        return oracle_first_return(surf, SurfaceMode.DOUBLED_SLIT, cap_hint=hint)
-    if region == "OmegaR":
-        return oracle_first_return(surf, SurfaceMode.AFFINE_ONLY, cap_hint=hint)
-    if region == "WslRho":
-        return oracle_first_return(surf, mode, cap_hint=hint)
-    return w_oracle_return(surf, doubled=mode is SurfaceMode.DOUBLED_SLIT, cap_hint=hint)
-
-
-def _assert_same(batch, surfaces, hints, mode=None, doubled=None):
-    for i, surf in enumerate(surfaces):
-        hint = None if hints is None else hints[i]
-        if doubled is None:
-            want = oracle_first_return(surf, mode, cap_hint=hint)
-        else:
-            want = w_oracle_return(surf, doubled=doubled, cap_hint=hint)
-        assert batch[i] == want, (i, surf, hint)
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("region", REGIONS)
-def test_difftest_oracle_column_bit_identical(region, mode):
-    cols, points = _region_points(region, 300, seed=41)
-    hints = _formula_column(region, cols)
-    got = _oracle_column(region, cols, mode, hints)
-    want = [_per_point_eval(region, p, mode, h) for p, h in zip(points, hints.tolist())]
-    assert got.tolist() == want
-
-
-@pytest.mark.parametrize("region", REGIONS)
-def test_batch_kernel_bit_identical_both_modes(region):
-    cols, points = _region_points(region, 200, seed=43)
-    hints = _formula_column(region, cols).tolist()
-    surfaces = [_region_surface(region, p) for p in points]
-    g, v = _stack(surfaces)
-    for mode in MODES:
-        _assert_same(oracle_first_return_batch(g, v, mode, hints), surfaces, hints, mode=mode)
-    for doubled in (False, True):
-        batch = w_oracle_return_batch(g, v, doubled=doubled, cap_hints=hints)
-        _assert_same(batch, surfaces, hints, doubled=doubled)
-
-
-def test_torsion_markings_doubled_keep_the_dedup():
-    # on torsion markings the +-v cosets coincide up to rounding, so the
-    # near-duplicate drop decides which representative sets the minimum
-    cols, _ = _draw_batch(MeasureSpec.torsion(2), np.random.default_rng(47), 1500)
-    hints = omega_return_vec(cols.a, cols.b, cols.s, cols.alpha)
-    got = section_oracle_returns(cols, SurfaceMode.DOUBLED_SLIT, hints)
-    for i in range(len(got)):
-        p = OmegaCoords(cols.a[i], cols.b[i], cols.s[i], cols.alpha[i])
-        want = oracle_first_return(
-            omega_to_surface(p), SurfaceMode.DOUBLED_SLIT, cap_hint=omega_return_time(p)
-        )
-        assert got[i] == want
-
-
-@pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
-def test_periodic_omega_vertical_surfaces(engine):
-    cols, _ = _draw_batch(MeasureSpec.periodic_omega(0.7, 0.4), np.random.default_rng(53), 400)
-    mode = SurfaceMode.DOUBLED_SLIT if engine == ORACLE_DOUBLED else SurfaceMode.AFFINE_ONLY
-    got = section_oracle_returns(cols, mode, cols.a / cols.alpha)
-    for i in range(len(got)):
-        p = VLCoords(cols.a[i], cols.s[i], cols.alpha[i])
-        want = oracle_first_return(omega_to_surface(p), mode, cap_hint=p.a / p.alpha)
-        assert got[i] == want
-
-
-@pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
-def test_haar_w_oracle_engine(engine):
-    cols, _ = _draw_batch(MeasureSpec.haar_w(), np.random.default_rng(59), 600)
-    doubled = engine == ORACLE_DOUBLED
-    r = section_oracle_returns(
-        cols,
-        SurfaceMode.DOUBLED_SLIT if doubled else SurfaceMode.AFFINE_ONLY,
-        section_returns(cols),
-    )
-    n_sl = np.count_nonzero(cols.kind == SL)
-    assert (cols.kind[:n_sl] == SL).all() and (cols.kind[n_sl:] == SA).all()
-    for i in range(n_sl):
-        w = WPointSL(cols.a[i], cols.b[i], cols.s[i], cols.alpha[i])
-        want = w_oracle_return(omega_to_surface(w), doubled=doubled, cap_hint=omega_return_time(w))
-        assert r[i] == want
-    for i in range(n_sl, len(r)):
-        w = WPointSA(OmegaCoords(cols.a[i], cols.b[i], cols.s[i], cols.alpha[i]))
-        want = w_oracle_return(omega_to_surface(w), doubled=doubled, cap_hint=omega_return_time(w))
-        assert r[i] == want
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_section_oracle_returns_of_mixed_kinds_match_the_per_point_oracles(mode):
-    # affine, vertical-lattice and slit-cover rows in one set of columns: under
-    # AFFINE_ONLY each family keeps its own candidate set
-    points = [
-        OmegaCoords(0.5, 0.6, 2.0, 0.9), WPointSL(0.6, 0.5, 0.3, 0.5), VLCoords(0.7, 0.2, 0.4),
-        WPointSA(OmegaCoords(0.8, 0.5, 1.0, 0.3)), WPointSL(0.6, 0.5, 0.5, 0.8), OmegaCoords(0.5, 1.0, 0.2, 0.75),
-    ]
-    cols = section_columns(points)
-    hints = section_returns(cols)
-    want = []
-    for p, hint in zip(points, hints.tolist()):
-        surface = omega_to_surface(p)
-        if mode is SurfaceMode.AFFINE_ONLY and isinstance(p, (WPointSL, WPointSA)):
-            want.append(w_oracle_return(surface, doubled=False, cap_hint=hint))
-        else:
-            want.append(oracle_first_return(surface, mode, cap_hint=hint))
-    assert section_oracle_returns(cols, mode, hints).tolist() == want
-
-
-@pytest.mark.parametrize("hint", [None, math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-9])
-def test_batch_cap_hints(hint):
-    # hints that fall back to the default cap, and tiny ones that force
-    # many doublings, follow the per-point cap sequence surface by surface
-    _, points = _region_points("OmegaR", 60, seed=61)
-    surfaces = [_region_surface("OmegaR", p) for p in points]
-    g, v = _stack(surfaces)
-    hints = None if hint is None else [hint] * len(points)
-    for mode in MODES:
-        _assert_same(oracle_first_return_batch(g, v, mode, hints), surfaces, hints, mode=mode)
-    for doubled in (False, True):
-        batch = w_oracle_return_batch(g, v, doubled=doubled, cap_hints=hints)
-        _assert_same(batch, surfaces, hints, doubled=doubled)
-
-
-def test_batch_mixed_hints_force_doublings():
-    cols, points = _region_points("WslRho", 100, seed=67)
-    surfaces = [_region_surface("WslRho", p) for p in points]
-    g, v = _stack(surfaces)
-    formula = _formula_column("WslRho", cols).tolist()
-    hints = [f * 1e-6 if i % 3 == 0 else (None if i % 3 == 1 else f) for i, f in enumerate(formula)]
-    hints = [math.nan if h is None else h for h in hints]
-    for mode in MODES:
-        _assert_same(oracle_first_return_batch(g, v, mode, hints), surfaces, hints, mode=mode)
-
-
-def test_batch_does_not_depend_on_chunking(monkeypatch):
-    cols, points = _region_points("WReturn", 300, seed=71)
-    hints = _formula_column("WReturn", cols).tolist()
-    surfaces = [_region_surface("WReturn", p) for p in points]
-    g, v = _stack(surfaces)
-    caps = 2.0 * np.array(hints)
-
-    def run():
-        strips = [
-            [(int(s), tuple(xy)) for s, xy in zip(*chunk)]
-            for mode in MODES
-            for chunk in strip_holonomy_batch(g, v, mode, caps)
-        ]
-        returns = [
-            w_oracle_return_batch(g, v, doubled=d, cap_hints=hints).tolist()
-            for d in (False, True)
-        ]
-        return [row for chunk in strips for row in chunk], returns, len(strips)
-
-    ref_rows, ref_returns, ref_chunks = run()
-    # blocks of 7 surfaces and chunks of 40 candidate rows split the batch
-    # mid-list, and some single surfaces exceed the row budget
-    monkeypatch.setattr(geometry, "STRIP_BLOCK", 7)
-    monkeypatch.setattr(geometry, "STRIP_ROW_BUDGET", 40)
-    rows, returns, chunks = run()
-    assert chunks > ref_chunks
-    assert rows == ref_rows
-    assert returns == ref_returns
+def _oracle_of(kind, g, v, hints):
+    lattice = kind == "slit-cover"
+    return oracle_first_return_batch(g, v, SurfaceMode("affine" if lattice else kind), hints, lattice=lattice)
 
 
 def _sorted_first_return(g, v, mode, hints):
@@ -561,11 +370,135 @@ def _sorted_first_return(g, v, mode, hints):
     return out
 
 
+def _reference_of(kind, g, v, hints):
+    """``_sorted_first_return`` of the candidate set; the slit-cover set is
+    the smaller of the lattice's (v = 0) and the coset's minima."""
+    if kind == "slit-cover":
+        lattice = _sorted_first_return(g, Vec2(0.0, 0.0), SurfaceMode.AFFINE_ONLY, hints)
+        return np.minimum(lattice, _sorted_first_return(g, v, SurfaceMode.AFFINE_ONLY, hints))
+    return _sorted_first_return(g, v, SurfaceMode(kind), hints)
+
+
+def _region_batch(region, n, seed):
+    """Probes plus n draws of the region: its columns, their surfaces (g, v)
+    (DeltaR's lattices as the coset at v = 0) and the formula column."""
+    cols = _region_columns(region, chunk_streams(n, seed), "fundamental")
+    g, v = (delta_basis(cols["a"], cols["b"]), Vec2(0.0, 0.0)) if region == "DeltaR" else section_surfaces(cols)
+    return cols, g, v, _formula_column(region, cols)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("region", REGIONS)
+def test_difftest_oracle_column_bit_identical(region, mode):
+    cols, g, v, hints = _region_batch(region, 300, seed=41)
+    kind = {"DeltaR": "doubled", "OmegaR": "affine", "WslRho": mode.value}.get(
+        region, "slit-cover" if mode is SurfaceMode.AFFINE_ONLY else "doubled"
+    )
+    got = _oracle_column(region, cols, mode, hints)
+    assert np.array_equal(got, _reference_of(kind, g, v, hints))
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_batch_kernel_bit_identical_both_modes(region):
+    _, g, v, hints = _region_batch(region, 200, seed=43)
+    for kind in CANDIDATE_SETS:
+        assert np.array_equal(_oracle_of(kind, g, v, hints), _reference_of(kind, g, v, hints)), kind
+
+
+def test_torsion_markings_doubled_keep_the_dedup():
+    # on torsion markings the +-v cosets coincide up to rounding, so the
+    # near-duplicate drop decides which representative sets the minimum
+    cols, _ = _draw_batch(MeasureSpec.torsion(2), np.random.default_rng(47), 1500)
+    hints = omega_return_vec(cols.a, cols.b, cols.s, cols.alpha)
+    got = section_oracle_returns(cols, SurfaceMode.DOUBLED_SLIT, hints)
+    assert np.array_equal(got, _sorted_first_return(*section_surfaces(cols), SurfaceMode.DOUBLED_SLIT, hints))
+
+
+@pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
+def test_periodic_omega_vertical_surfaces(engine):
+    cols, _ = _draw_batch(MeasureSpec.periodic_omega(0.7, 0.4), np.random.default_rng(53), 400)
+    mode = SurfaceMode.DOUBLED_SLIT if engine == ORACLE_DOUBLED else SurfaceMode.AFFINE_ONLY
+    hints = cols.a / cols.alpha
+    got = section_oracle_returns(cols, mode, hints)
+    assert np.array_equal(got, _sorted_first_return(*section_surfaces(cols), mode, hints))
+
+
+@pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
+def test_haar_w_oracle_engine(engine):
+    cols, _ = _draw_batch(MeasureSpec.haar_w(), np.random.default_rng(59), 600)
+    doubled = engine == ORACLE_DOUBLED
+    hints = section_returns(cols)
+    r = section_oracle_returns(cols, SurfaceMode.DOUBLED_SLIT if doubled else SurfaceMode.AFFINE_ONLY, hints)
+    n_sl = np.count_nonzero(cols.kind == SL)
+    assert (cols.kind[:n_sl] == SL).all() and (cols.kind[n_sl:] == SA).all()
+    want = _reference_of("doubled" if doubled else "slit-cover", *section_surfaces(cols), hints)
+    assert np.array_equal(r, want)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_section_oracle_returns_of_mixed_kinds_match_the_sorted_reference(mode):
+    # affine, vertical-lattice and slit-cover rows in one set of columns: under
+    # AFFINE_ONLY each family keeps its own candidate set
+    points = [
+        OmegaCoords(0.5, 0.6, 2.0, 0.9), WPointSL(0.6, 0.5, 0.3, 0.5), VLCoords(0.7, 0.2, 0.4),
+        WPointSA(OmegaCoords(0.8, 0.5, 1.0, 0.3)), WPointSL(0.6, 0.5, 0.5, 0.8), OmegaCoords(0.5, 1.0, 0.2, 0.75),
+    ]
+    cols = section_columns(points)
+    hints = section_returns(cols)
+    want = np.empty(len(points))
+    slit_cover = (mode is SurfaceMode.AFFINE_ONLY) & (cols.kind >= SL)
+    for rows, kind in ((slit_cover, "slit-cover"), (~slit_cover, mode.value)):
+        sub = section_columns([p for p, row in zip(points, rows) if row])
+        want[rows] = _reference_of(kind, *section_surfaces(sub), hints[rows])
+    assert np.array_equal(section_oracle_returns(cols, mode, hints), want)
+
+
+@pytest.mark.parametrize("hint", [None, math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-9])
+def test_batch_cap_hints(hint):
+    # hints that fall back to the default cap, and tiny ones that force
+    # many doublings, still give every surface its own return
+    cols, g, v, _ = _region_batch("OmegaR", 60, seed=61)
+    hints = None if hint is None else np.full(len(cols.kind), hint)
+    for kind in CANDIDATE_SETS:
+        assert np.array_equal(_oracle_of(kind, g, v, hints), _reference_of(kind, g, v, hints)), kind
+
+
+def test_batch_mixed_hints_force_doublings():
+    _, g, v, formula = _region_batch("WslRho", 100, seed=67)
+    third = np.arange(len(formula)) % 3
+    hints = np.where(third == 0, formula * 1e-6, np.where(third == 1, math.nan, formula))
+    for mode in MODES:
+        assert np.array_equal(oracle_first_return_batch(g, v, mode, hints), _sorted_first_return(g, v, mode, hints))
+
+
+def test_batch_does_not_depend_on_chunking(monkeypatch):
+    _, g, v, hints = _region_batch("WReturn", 300, seed=71)
+    caps = 2.0 * hints
+
+    def run():
+        strips = [
+            [(int(s), tuple(xy)) for s, xy in zip(*chunk)]
+            for mode in MODES
+            for chunk in strip_holonomy_batch(g, v, mode, caps)
+        ]
+        returns = [_oracle_of(kind, g, v, hints).tolist() for kind in ("slit-cover", "doubled")]
+        return [row for chunk in strips for row in chunk], returns, len(strips)
+
+    ref_rows, ref_returns, ref_chunks = run()
+    # blocks of 7 surfaces and chunks of 40 candidate rows split the batch
+    # mid-list, and some single surfaces exceed the row budget
+    monkeypatch.setattr(geometry, "STRIP_BLOCK", 7)
+    monkeypatch.setattr(geometry, "STRIP_ROW_BUDGET", 40)
+    rows, returns, chunks = run()
+    assert chunks > ref_chunks
+    assert rows == ref_rows
+    assert returns == ref_returns
+
+
 def _omega_batch(n, seed):
     """The surfaces of n OmegaR draws (plus the probes), with the formula
     returns as hints."""
-    cols = _region_columns("OmegaR", chunk_streams(n, seed), "fundamental")
-    return (*section_surfaces(cols), section_returns(cols))
+    return _region_batch("OmegaR", n, seed)[1:]
 
 
 @pytest.mark.parametrize("budget", [None, 64])
@@ -623,9 +556,8 @@ def test_zero_coset_lattice_minimum_equals_the_doubled_one(region):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_strip_holonomy_batch_matches_enumerate_strip(mode):
-    _, points = _region_points("OmegaR", 100, seed=73)
-    surfaces = [_region_surface("OmegaR", p) for p in points]
-    g, v = _stack(surfaces)
+    cols, g, v, _ = _region_batch("OmegaR", 100, seed=73)
+    surfaces = [omega_to_surface(OmegaCoords(*row[1:])) for row in zip(*(c.tolist() for c in cols))]
     caps = np.linspace(0.5, 12.0, len(surfaces))
     got = {i: [] for i in range(len(surfaces))}
     for s, xy in strip_holonomy_batch(g, v, mode, caps):
@@ -644,26 +576,24 @@ def test_batch_empty_input():
         got = oracle_first_return_batch(g, v, mode, empty)
         assert got.shape == (0,) and np.array_equal(got, _sorted_first_return(g, v, mode, empty))
         assert list(strip_holonomy_batch(g, v, mode, empty)) == []
-    for doubled in (False, True):
-        assert w_oracle_return_batch(g, v, doubled=doubled, cap_hints=empty).shape == (0,)
+    assert oracle_first_return_batch(g, v, SurfaceMode.AFFINE_ONLY, empty, lattice=True).shape == (0,)
 
 
 def test_batch_raises_past_cap_limit():
-    probes = _PROBES["OmegaR"]
-    surfaces = [_region_surface("OmegaR", _point_dict("OmegaR", probes, i)) for i in range(3)]
-    g, v = _stack(surfaces)
-    hints = [None, math.nextafter(CAP_LIMIT, math.inf), None]
+    g, v = section_surfaces(_PROBES["OmegaR"])
+    one = omega_to_surface(OmegaCoords(0.8, 0.5, 1.0, 0.3))
+    past = math.nextafter(CAP_LIMIT, math.inf)
     with pytest.raises(NotOnTransversalError):
-        oracle_first_return(surfaces[1], SurfaceMode.AFFINE_ONLY, cap_hint=hints[1])
+        oracle_first_return_batch(one.g, one.v, SurfaceMode.AFFINE_ONLY, past)
     for mode in MODES:
         with pytest.raises(NotOnTransversalError):
-            oracle_first_return_batch(g, v, mode, [math.nan if h is None else h for h in hints])
+            oracle_first_return_batch(g, v, mode, [math.nan, past, math.nan])
     with pytest.raises(NotOnTransversalError):
-        w_oracle_return_batch(g, v, doubled=False, cap_hints=[1.0, 1e18, 1.0])
+        _oracle_of("slit-cover", g, v, [1.0, 1e18, 1.0])
     # a first cap of 0.6 * CAP_LIMIT is under the limit, so it is scanned and
     # refused by the kernel's scan-size guard before anything is allocated
     with pytest.raises(InvalidInputError, match="rows of n-range"):
-        oracle_first_return(surfaces[1], SurfaceMode.AFFINE_ONLY, cap_hint=0.6 * CAP_LIMIT)
+        oracle_first_return_batch(one.g, one.v, SurfaceMode.AFFINE_ONLY, 0.6 * CAP_LIMIT)
 
 
 # no point of this coset has 0 < x <= 1, so every strip window is empty
@@ -675,7 +605,7 @@ def test_a_runaway_cap_sequence_has_no_return(monkeypatch):
     # CAP_LIMIT: that is no return, chained from the kernel's refusal
     monkeypatch.setattr(geometry, "SCAN_ROW_LIMIT", 1 << 16)
     calls = (
-        lambda: oracle_first_return(EMPTY_STRIP, SurfaceMode.AFFINE_ONLY),
+        lambda: oracle_first_return_batch(EMPTY_STRIP.g, EMPTY_STRIP.v, SurfaceMode.AFFINE_ONLY),
         lambda: oracle_strip_slopes(EMPTY_STRIP, SurfaceMode.AFFINE_ONLY, 5),
         lambda: oracle_module.oracle_orbit(EMPTY_STRIP, SurfaceMode.AFFINE_ONLY, 5),
     )
@@ -692,38 +622,11 @@ def test_a_runaway_cap_sequence_has_no_return(monkeypatch):
 def test_huge_finite_hints_raise(hint):
     # the first cap is hint * (1 + REL_ERR_THRESHOLD): past CAP_LIMIT, or
     # overflowed to inf, it raises; it never falls back to DEFAULT_CAP
-    p = OmegaCoords(0.5, 0.6, 2.0, 0.9)
-    surface = omega_to_surface(p)
-    g, v = _stack([surface, omega_to_surface(OmegaCoords(0.8, 0.5, 1.0, 0.3))])
-    for mode in MODES:
-        with pytest.raises(NotOnTransversalError):
-            oracle_first_return(surface, mode, cap_hint=hint)
-        with pytest.raises(NotOnTransversalError):
-            oracle_first_return_batch(g, v, mode, [1.0, hint])
-    for doubled in (False, True):
-        with pytest.raises(NotOnTransversalError):
-            w_oracle_return(surface, doubled=doubled, cap_hint=hint)
-        with pytest.raises(NotOnTransversalError):
-            w_oracle_return_batch(g, v, doubled=doubled, cap_hints=[hint, 1.0])
-
-
-# the candidate sets of the batched oracle: a mode, or the slit-cover set
-CANDIDATE_SETS = ("affine", "doubled", "slit-cover")
-
-
-def _oracle_of(kind, g, v, hints):
-    if kind == "slit-cover":
-        return w_oracle_return_batch(g, v, doubled=False, cap_hints=hints)
-    return oracle_first_return_batch(g, v, SurfaceMode(kind), hints)
-
-
-def _reference_of(kind, g, v, hints):
-    """``_sorted_first_return`` of the candidate set; the slit-cover set is
-    the smaller of the lattice's (v = 0) and the coset's minima."""
-    if kind == "slit-cover":
-        lattice = _sorted_first_return(g, Vec2(0.0, 0.0), SurfaceMode.AFFINE_ONLY, hints)
-        return np.minimum(lattice, _sorted_first_return(g, v, SurfaceMode.AFFINE_ONLY, hints))
-    return _sorted_first_return(g, v, SurfaceMode(kind), hints)
+    g, v = section_surfaces(section_columns([OmegaCoords(0.5, 0.6, 2.0, 0.9), OmegaCoords(0.8, 0.5, 1.0, 0.3)]))
+    for kind in CANDIDATE_SETS:
+        for hints in ([hint, 1.0], [1.0, hint]):
+            with pytest.raises(NotOnTransversalError):
+                _oracle_of(kind, g, v, hints)
 
 
 @pytest.mark.parametrize("kind", CANDIDATE_SETS)
@@ -788,7 +691,7 @@ def test_joint_slit_cover_pass_equals_two_separate_scans():
             oracle_first_return_batch(g, Vec2(0.0, 0.0), SurfaceMode.AFFINE_ONLY, hints),
             oracle_first_return_batch(g, v, SurfaceMode.AFFINE_ONLY, hints),
         )
-        assert np.array_equal(w_oracle_return_batch(g, v, doubled=False, cap_hints=hints), separate)
+        assert np.array_equal(_oracle_of("slit-cover", g, v, hints), separate)
         assert np.array_equal(separate, union)
 
 
@@ -907,23 +810,24 @@ def test_region_rows_lie_on_their_section(region, v_domain):
             assert 0.0 < p["v1"] < p["a"]
 
 
-def _scalar_formula(region, p):
-    if region == "DeltaR":
-        return bcz_return_time(DeltaCoords(p["a"], p["b"]))
-    if region == "OmegaR":
-        return omega_return_time(OmegaCoords(p["a"], p["b"], p["s"], p["alpha"]))
+def _scalar_formula(region, row):
+    """One row's return as the formula orbit evaluates it: ``section_step``
+    on an affine row, and the size-1 ``section_returns`` call it makes on a
+    slit-cover row; WslRho's travel time ``rho_sl_to_sa`` of one row."""
     if region == "WslRho":
-        return rho_sl_to_sa(p["a"], p["b"], p["v1"], p["v2"])
-    return omega_return_time(_section_point(region, p))
+        return rho_sl_to_sa(*row[1:])
+    if region == "OmegaR":
+        return section_step(*row)[0]
+    return float(section_returns(row_columns([row]))[0])
 
 
-@pytest.mark.parametrize("region", REGIONS)
+@pytest.mark.parametrize("region", ["OmegaR", "WslRho", "WReturn"])
 def test_scalar_formulas_match_difftest_column(region):
     # difftest checks the vectorized formulas against the oracle; the scalar
     # ones (orbit --engine formula) must agree with them bit for bit
-    cols, points = _region_points(region, 20000, seed=89)
-    column = _formula_column(region, cols).tolist()
-    assert [_scalar_formula(region, p) for p in points] == column
+    cols, _, _, column = _region_batch(region, 20000, seed=89)
+    rows = zip(*(c.tolist() for c in cols))
+    assert [_scalar_formula(region, row) for row in rows] == column.tolist()
 
 
 _O1_THRESHOLD = (0.9 - 0.5) / (0.5 * 0.8 * 0.9)
@@ -939,23 +843,23 @@ _O1_THRESHOLD = (0.9 - 0.5) / (0.5 * 0.8 * 0.9)
     ],
 )
 def test_omega_tie_points_agree_across_forms(q):
-    # on a region boundary the vectorized column, the size-1 scalar and the
-    # oracle all take the tie rule's side
+    # on a region boundary the vectorized column, the formula orbit's step
+    # and the oracle all take the tie rule's side
     p = OmegaCoords(*q)
     assert f"O{int(omega_region_vec(*q))}" == classify_omega(p).value
     column = float(omega_return_vec(*q))
-    assert column == omega_return_time(p)
-    oracle = oracle_first_return(omega_to_surface(p), SurfaceMode.AFFINE_ONLY)
-    assert math.isclose(column, oracle, rel_tol=1e-9)
+    assert column == section_step(OMEGA, *q)[0]
+    oracle = oracle_first_return_batch(*section_surfaces(section_columns([p])), SurfaceMode.AFFINE_ONLY)
+    assert math.isclose(column, oracle[0], rel_tol=1e-9)
 
 
 def test_short_lattice_tie_point_agrees_across_forms():
     # b + v1 = 1 + 5e-13 lands short within TIE_TOL
     w = WPointSL(0.6, 0.5, 0.5 + 5e-13, 0.8)
     column = float(w_return_sl_vec(w.a, w.b, w.v1, w.v2))
-    assert column == omega_return_time(w)
-    oracle = w_oracle_return(omega_to_surface(w), doubled=False)
-    assert math.isclose(column, oracle, rel_tol=1e-9)
+    assert column == section_step(SL, w.a, w.b, w.v1, w.v2)[0]
+    oracle = _oracle_of("slit-cover", *section_surfaces(section_columns([w])), None)
+    assert math.isclose(column, oracle[0], rel_tol=1e-9)
     assert math.isclose(column, 0.8 / (0.5 + 5e-13), rel_tol=1e-15)
 
 

@@ -1,10 +1,10 @@
-"""Golden digest of recoordinatization: the sha256 of every outcome of
-``recoordinatize_omega`` and of the doubled ``w_section_coords`` over a
-seeded set of surfaces, recorded while each point form still had its own
-scalar implementation.
+"""Golden digest of recoordinatization: the sha256 of every outcome of the
+affine and the slit-cover time-0 ``flowed_section_coords`` over a seeded set
+of surfaces, recorded while each section's recoordinatization still had its
+own scalar implementation.
 
-An outcome is the ``repr`` of the section point, or the error's class name
-and message.  The surfaces are affine-section points flowed by arbitrary
+An outcome is the ``repr`` of the section point of the time-0 row, or the
+error's class name and message.  The surfaces are affine-section points flowed by arbitrary
 times and by their own doubled strip slopes (which put the lattice or a
 marking representative exactly on the horizontal), affine-section and
 vertical lattices flowed by arbitrary times with the marking (alpha, 0) or
@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from slitgaps import transversal
 from slitgaps.errors import SlitgapsError
 from slitgaps.geometry import AffineLattice, Mat2, SurfaceMode, Vec2, horocycle_apply
 from slitgaps.oracle import oracle_strip_slopes
@@ -27,9 +28,8 @@ from slitgaps.transversal import (
     VLCoords,
     WPointSL,
     delta_basis,
+    flowed_section_coords,
     omega_to_surface,
-    recoordinatize_omega,
-    w_section_coords,
 )
 
 GOLDEN = "b47550127444492f4272eb57b8380730e9c6192ae7d78363d169c7dfa6ba7d4f"
@@ -81,13 +81,14 @@ def _surfaces():
         yield horocycle_apply(t, omega_to_surface(WPointSL(a, b, float(v.x), float(v.y))))
 
 
-def _outcome(f, surface) -> str:
+def _outcome(surface, slit: bool) -> str:
     try:
-        return repr(f(surface))
+        row = (c[0].item() for c in flowed_section_coords(surface, (0.0,), slit=slit))
+        return repr(transversal._section_point(*row))
     except SlitgapsError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
 def test_recoordinatization_matches_its_golden_digest():
-    lines = [_outcome(f, surface) for surface in _surfaces() for f in (recoordinatize_omega, w_section_coords)]
+    lines = [_outcome(surface, slit) for surface in _surfaces() for slit in (False, True)]
     assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == GOLDEN

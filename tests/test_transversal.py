@@ -17,19 +17,21 @@ from slitgaps.transversal import (
     VLCoords,
     WPointSA,
     WPointSL,
+    OMEGA,
+    SA,
+    SL,
+    VERTICAL,
     _point_fields,
     _section_point,
     bcz_return_map,
-    bcz_return_time,
     classify_omega,
     delta_basis,
     flowed_section_coords,
     omega_region_vec,
-    omega_return_time,
     omega_return_vec,
     omega_to_surface,
-    recoordinatize_omega,
     rho_sl_to_sa,
+    row_columns,
     section_columns,
     section_returns,
     section_step,
@@ -38,7 +40,6 @@ from slitgaps.transversal import (
     vertical_basis,
     w_return_sa_vec,
     w_return_sl_vec,
-    w_section_coords,
 )
 
 
@@ -52,22 +53,6 @@ def random_omega(rng):
     s = rng.uniform(0.0, 1.0 / (a * b))
     alpha = rng.uniform(0.01, 1.0)
     return OmegaCoords(a, b, s, alpha)
-
-
-def test_bcz_return_time_square_lattice():
-    assert bcz_return_time(DeltaCoords(1.0, 1.0)) == 1.0
-
-
-def test_bcz_return_time_worked():
-    assert math.isclose(bcz_return_time(DeltaCoords(0.5, 0.75)), 8.0 / 3.0, rel_tol=1e-15)
-
-
-def test_bcz_return_time_identity():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        a = rng.uniform(0.05, 1.0)
-        b = rng.uniform(1.0 - a, 1.0)
-        assert math.isclose(bcz_return_time(DeltaCoords(a, b)) * a * b, 1.0, rel_tol=1e-12)
 
 
 def test_bcz_map_fixed_point():
@@ -113,16 +98,16 @@ def test_regions_tile_and_boundaries_are_thin():
 
 
 def test_omega_return_worked_examples():
-    assert math.isclose(omega_return_time(OmegaCoords(0.5, 1.0, 0.2, 0.75)), 0.4, abs_tol=1e-12)
-    assert math.isclose(omega_return_time(OmegaCoords(0.8, 0.5, 1.0, 0.3)), 0.9375, abs_tol=1e-12)
-    assert math.isclose(omega_return_time(OmegaCoords(0.5, 0.6, 2.0, 0.9)), 1.8, abs_tol=1e-12)
-    assert math.isclose(omega_return_time(VLCoords(0.5, 0.2, 0.5)), 1.0, abs_tol=1e-12)
-    assert math.isclose(omega_return_time(OmegaCoords(1.0, 1.0, 0.0, 0.5)), 2.0, abs_tol=1e-12)
+    points = [
+        OmegaCoords(0.5, 1.0, 0.2, 0.75), OmegaCoords(0.8, 0.5, 1.0, 0.3), OmegaCoords(0.5, 0.6, 2.0, 0.9),
+        VLCoords(0.5, 0.2, 0.5), OmegaCoords(1.0, 1.0, 0.0, 0.5),
+    ]
+    assert np.allclose(section_returns(section_columns(points)), [0.4, 0.9375, 1.8, 1.0, 2.0], rtol=0.0, atol=1e-12)
 
 
 def test_w_return_time_degenerate_marking():
     with pytest.raises(DegenerateInputError):
-        omega_return_time(WPointSL(0.5, 0.6, 0.0, 0.0))
+        section_returns(section_columns([WPointSL(0.5, 0.6, 0.0, 0.0)]))
 
 
 def test_short_lattice_column_rows_and_degenerate_marking():
@@ -148,37 +133,26 @@ def test_region_ties_logged_once_per_kind_at_debug(caplog):
     assert messages[1].startswith("classify tie b+alpha=1 on 1 row(s)")
 
 
+def _assert_row(cols, kind, *coords):
+    """``cols`` hold one row, of this kind and these coordinates within 1e-9."""
+    assert cols.kind.tolist() == [kind]
+    np.testing.assert_allclose(np.ravel(cols[1:]), coords, rtol=0.0, atol=1e-9)
+
+
 def test_recoordinatize_round_trip():
     g = horocycle_apply(0.2, p_ab(0.5, 1.0))
-    surf = AffineLattice(g, Vec2(0.75, 0.0))
-    p = recoordinatize_omega(surf)
-    assert isinstance(p, OmegaCoords)
-    assert math.isclose(p.a, 0.5, abs_tol=1e-9)
-    assert math.isclose(p.b, 1.0, abs_tol=1e-9)
-    assert math.isclose(p.s, 0.2, abs_tol=1e-9)
-    assert math.isclose(p.alpha, 0.75, abs_tol=1e-9)
+    _assert_row(flowed_section_coords(AffineLattice(g, Vec2(0.75, 0.0)), (0.0,)), OMEGA, 0.5, 1.0, 0.2, 0.75)
 
 
 def test_recoordinatize_flowed_surface():
     g = horocycle_apply(0.2, p_ab(0.5, 1.0))
-    surf = AffineLattice(g, Vec2(0.75, 0.0))
-    flowed = horocycle_apply(0.4, surf)
-    p = recoordinatize_omega(flowed)
-    assert isinstance(p, OmegaCoords)
-    assert math.isclose(p.a, 0.5, abs_tol=1e-9)
-    assert math.isclose(p.b, 1.0, abs_tol=1e-9)
-    assert math.isclose(p.s, 0.6, abs_tol=1e-9)
-    assert math.isclose(p.alpha, 0.25, abs_tol=1e-9)
+    flowed = horocycle_apply(0.4, AffineLattice(g, Vec2(0.75, 0.0)))
+    _assert_row(flowed_section_coords(flowed, (0.0,)), OMEGA, 0.5, 1.0, 0.6, 0.25)
 
 
 def test_recoordinatize_vertical_lattice():
     g = horocycle_apply(0.1, Mat2(2.0, 0.0, 0.0, 0.5))
-    surf = AffineLattice(g, Vec2(0.5, 0.0))
-    p = recoordinatize_omega(surf)
-    assert isinstance(p, VLCoords)
-    assert math.isclose(p.a, 0.5, abs_tol=1e-9)
-    assert math.isclose(p.s, 0.1, abs_tol=1e-9)
-    assert math.isclose(p.alpha, 0.5, abs_tol=1e-9)
+    _assert_row(flowed_section_coords(AffineLattice(g, Vec2(0.5, 0.0)), (0.0,)), VERTICAL, 0.5, math.nan, 0.1, 0.5)
 
 
 def test_flowed_section_coords_match_recoordinatizing_each_flow():
@@ -189,40 +163,30 @@ def test_flowed_section_coords_match_recoordinatizing_each_flow():
     vert = AffineLattice(horocycle_apply(0.1, Mat2(2.0, 0.0, 0.0, 0.5)), Vec2(0.5, 0.0))
     for start, times in ((surf, [0.0, 0.4]), (vert, [0.0, 1.0, 2.0])):
         cols = flowed_section_coords(start, times)
-        points = [_section_point(*row) for row in zip(*(c.tolist() for c in cols))]
-        assert len(points) == len(times)
-        for t, p in zip(times, points):
-            q = recoordinatize_omega(horocycle_apply(t, start))
-            assert type(p) is type(q)
-            assert np.allclose(astuple(p), astuple(q), rtol=0.0, atol=1e-12)
+        assert len(cols.kind) == len(times)
+        for i, t in enumerate(times):
+            want = flowed_section_coords(horocycle_apply(t, start), (0.0,))
+            assert cols.kind[i] == want.kind[0]
+            np.testing.assert_allclose([c[i] for c in cols[1:]], np.ravel(want[1:]), rtol=0.0, atol=1e-12)
     with pytest.raises(InvalidInputError):
         flowed_section_coords(surf, [0.4, 0.0])
     with pytest.raises(NotOnTransversalError):
         flowed_section_coords(vert, [0.5])
 
 
-def _flow_and_recoordinatize(p):
+def _flow_and_recoordinatize(row):
     """The affine return map by its definition: flow by the closed-form
     return, then recoordinatize."""
-    return recoordinatize_omega(horocycle_apply(omega_return_time(p), omega_to_surface(p)))
+    u = section_returns(row_columns([row]))[0]
+    return flowed_section_coords(horocycle_apply(u, omega_to_surface(_section_point(*row))), (0.0,))
 
 
 def test_omega_return_map_fixed_point():
-    out = _flow_and_recoordinatize(OmegaCoords(1.0, 1.0, 0.0, 0.5))
-    assert isinstance(out, OmegaCoords)
-    assert math.isclose(out.a, 1.0, abs_tol=1e-9)
-    assert math.isclose(out.b, 1.0, abs_tol=1e-9)
-    assert math.isclose(out.s, 0.0, abs_tol=1e-9)
-    assert math.isclose(out.alpha, 0.5, abs_tol=1e-9)
+    _assert_row(_flow_and_recoordinatize((OMEGA, 1.0, 1.0, 0.0, 0.5)), OMEGA, 1.0, 1.0, 0.0, 0.5)
 
 
 def test_omega_return_map_worked():
-    out = _flow_and_recoordinatize(OmegaCoords(0.5, 1.0, 0.2, 0.75))
-    assert isinstance(out, OmegaCoords)
-    assert math.isclose(out.a, 0.5, abs_tol=1e-9)
-    assert math.isclose(out.b, 1.0, abs_tol=1e-9)
-    assert math.isclose(out.s, 0.6, abs_tol=1e-9)
-    assert math.isclose(out.alpha, 0.25, abs_tol=1e-9)
+    _assert_row(_flow_and_recoordinatize((OMEGA, 0.5, 1.0, 0.2, 0.75)), OMEGA, 0.5, 1.0, 0.6, 0.25)
 
 
 def test_section_step_lands_where_the_flow_lands():
@@ -234,22 +198,22 @@ def test_section_step_lands_where_the_flow_lands():
     parts = [_draw_batch(MeasureSpec.parse(m), rng, n)[0]
              for m, n in (("haar-omega", 2000), ("periodic-omega:0.7,0.4", 100), ("periodic-omega:0.3,0.9", 100))]
     cols = transversal.SectionColumns(*map(np.concatenate, zip(*parts)))
+    returns = []
     for row in zip(*(c.tolist() for c in cols)):
         u, nxt = section_step(*row)
-        q = _flow_and_recoordinatize(_section_point(*row))
-        assert u == omega_return_time(_section_point(*row))
-        want = _point_fields(q)
-        assert nxt[0] == want[0]
-        np.testing.assert_allclose(nxt[1:], want[1:], rtol=0.0, atol=1e-9)
+        returns.append(u)
+        _assert_row(_flow_and_recoordinatize(row), *nxt)
+    assert returns == section_returns(cols).tolist()
 
 
 def test_omega_orbit_stays_valid():
     rng = np.random.default_rng(31)
     row = _point_fields(random_omega(rng))
+    rows, returns = [], []
     for _ in range(1000):
-        u, nxt = section_step(*row)
-        assert u == omega_return_time(_section_point(*row))
-        row = nxt
+        rows.append(row)
+        u, row = section_step(*row)
+        returns.append(u)
         p = _section_point(*row)
         if isinstance(p, VLCoords):
             assert 0.0 < p.a <= 1.0 and 0.0 < p.s <= p.a * p.a and 0.0 < p.alpha <= 1.0
@@ -258,18 +222,14 @@ def test_omega_orbit_stays_valid():
             assert 1.0 - p.a < p.b <= 1.0 + 1e-12
             assert 0.0 <= p.s < 1.0 / (p.a * p.b) + 1e-9
             assert 0.0 < p.alpha <= 1.0
+    assert returns == section_returns(row_columns(rows)).tolist()
 
 
 def test_round_trip_idempotence():
     rng = np.random.default_rng(41)
     for _ in range(200):
         p = random_omega(rng)
-        q = recoordinatize_omega(omega_to_surface(p))
-        assert isinstance(q, OmegaCoords)
-        assert abs(q.a - p.a) < 1e-9
-        assert abs(q.b - p.b) < 1e-9
-        assert abs(q.s - p.s) < 1e-9
-        assert abs(q.alpha - p.alpha) < 1e-9
+        _assert_row(flowed_section_coords(omega_to_surface(p), (0.0,)), OMEGA, p.a, p.b, p.s, p.alpha)
 
 
 def test_rho_short_slit():
@@ -292,27 +252,26 @@ def test_rho_rejects_degenerate():
 
 
 def test_w_return_time_sa_short_affine():
-    assert math.isclose(omega_return_time(WPointSA(OmegaCoords(0.5, 1.0, 0.2, 0.75))), 0.4, abs_tol=1e-12)
+    u = section_returns(row_columns([(SA, 0.5, 1.0, 0.2, 0.75)]))
+    assert math.isclose(u[0], 0.4, abs_tol=1e-12)
 
 
 def test_w_return_time_sa_shear_branch():
-    assert math.isclose(
-        omega_return_time(WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))), 4.0 / 3.0, abs_tol=1e-12
-    )
+    u = section_returns(row_columns([(SA, 0.5, 0.6, 2.0, 0.9)]))
+    assert math.isclose(u[0], 4.0 / 3.0, abs_tol=1e-12)
 
 
 def test_w_return_time_sl():
-    assert math.isclose(omega_return_time(WPointSL(0.6, 0.5, 0.5, 0.8)), 1.6, abs_tol=1e-12)
+    u = section_returns(row_columns([(SL, 0.6, 0.5, 0.5, 0.8)]))
+    assert math.isclose(u[0], 1.6, abs_tol=1e-12)
 
 
 def test_w_return_never_exceeds_its_own_minimum_structure():
     rng = np.random.default_rng(51)
-    for _ in range(500):
-        p = random_omega(rng)
-        u = omega_return_time(WPointSA(p))
-        assert u > 0.0
-        bound = min(1.0 / (p.a * p.b) - p.s, omega_return_time(p))
-        assert u <= bound + 1e-9
+    a, b, s, alpha = np.array([astuple(random_omega(rng)) for _ in range(500)]).T
+    u = w_return_sa_vec(a, b, s, alpha)
+    assert (u > 0.0).all()
+    assert (u <= np.minimum(1.0 / (a * b) - s, omega_return_vec(a, b, s, alpha)) + 1e-9).all()
 
 
 def test_w_return_map_square_start():
@@ -397,21 +356,20 @@ def test_invalid_coordinates_rejected():
 def test_recoordinatize_closed_box_boundaries():
     identity = Mat2(1.0, 0.0, 0.0, 1.0)
     # the horizontal window |y| <= HORIZONTAL_TOL is closed, also off y = 0
-    p = recoordinatize_omega(AffineLattice(identity, Vec2(0.3, -HORIZONTAL_TOL)))
-    assert isinstance(p, OmegaCoords) and p.alpha == 0.3
+    cols = flowed_section_coords(AffineLattice(identity, Vec2(0.3, -HORIZONTAL_TOL)), (0.0,))
+    assert cols.kind[0] == OMEGA and cols.alpha[0] == 0.3
     with pytest.raises(NotOnTransversalError):
-        recoordinatize_omega(AffineLattice(identity, Vec2(0.3, 2.0 * HORIZONTAL_TOL)))
+        flowed_section_coords(AffineLattice(identity, Vec2(0.3, 2.0 * HORIZONTAL_TOL)), (0.0,))
     # a representative at x = 1 counts
-    assert recoordinatize_omega(AffineLattice(identity, Vec2(1.0, 0.0))).alpha == 1.0
+    assert flowed_section_coords(AffineLattice(identity, Vec2(1.0, 0.0)), (0.0,)).alpha[0] == 1.0
     # representatives at 0.3 and 0.8: the smallest x wins
-    p = recoordinatize_omega(AffineLattice(p_ab(0.5, 1.0), Vec2(0.8, 0.0)))
-    assert math.isclose(p.alpha, 0.3, abs_tol=1e-12)
+    cols = flowed_section_coords(AffineLattice(p_ab(0.5, 1.0), Vec2(0.8, 0.0)), (0.0,))
+    assert math.isclose(cols.alpha[0], 0.3, abs_tol=1e-12)
     # lattice vector (HORIZONTAL_TOL, 0.5): vertical within tolerance and
     # shorter than 1, so the point routes to the vertical-lattice family
     g = Mat2(HORIZONTAL_TOL, -2.0, 0.5, 0.0)
-    p = recoordinatize_omega(AffineLattice(g, Vec2(0.3, 0.0)))
-    assert isinstance(p, VLCoords)
-    assert p.a == 0.5 and p.alpha == 0.3
+    cols = flowed_section_coords(AffineLattice(g, Vec2(0.3, 0.0)), (0.0,))
+    assert cols.kind[0] == VERTICAL and cols.a[0] == 0.5 and cols.alpha[0] == 0.3
 
 
 def _bezout_reference(p, q):
@@ -488,10 +446,9 @@ def test_short_lattice_points_need_no_coset_scan(monkeypatch):
 
     monkeypatch.setattr(transversal, "_box_rows", counted)
     w = WPointSL(0.6, 0.5, 0.3, 0.5)
-    p = w_section_coords(omega_to_surface(w))
-    assert isinstance(p, WPointSL) and np.allclose(astuple(p), astuple(w))
+    _assert_row(flowed_section_coords(omega_to_surface(w), (0.0,), slit=True), SL, *astuple(w))
     assert passes == []
-    w_section_coords(omega_to_surface(WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))))
+    flowed_section_coords(omega_to_surface(WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))), (0.0,), slit=True)
     assert passes == [3]
 
 
@@ -533,7 +490,6 @@ def test_section_columns_evaluate_each_row_by_its_kind():
     cols = section_columns(MIXED_POINTS)
     want = [_kind_return(p) for p in MIXED_POINTS]
     assert section_returns(cols).tolist() == want
-    assert [omega_return_time(p) for p in MIXED_POINTS] == want
     g, v = section_surfaces(cols)
     fields = np.broadcast_arrays(*g, *v)
     for i, p in enumerate(MIXED_POINTS):
