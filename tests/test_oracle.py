@@ -436,21 +436,29 @@ def test_haar_w_oracle_engine(engine):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_section_oracle_returns_of_mixed_kinds_match_the_sorted_reference(mode):
+def test_section_oracle_returns_of_mixed_kinds_match_the_per_point_oracles(mode):
     # affine, vertical-lattice and slit-cover rows in one set of columns: under
-    # AFFINE_ONLY each family keeps its own candidate set
+    # AFFINE_ONLY each family keeps its own candidate set, so every row returns
+    # what its own one-row batch returns, and that is the sorted reference
     points = [
         OmegaCoords(0.5, 0.6, 2.0, 0.9), WPointSL(0.6, 0.5, 0.3, 0.5), VLCoords(0.7, 0.2, 0.4),
         WPointSA(OmegaCoords(0.8, 0.5, 1.0, 0.3)), WPointSL(0.6, 0.5, 0.5, 0.8), OmegaCoords(0.5, 1.0, 0.2, 0.75),
     ]
     cols = section_columns(points)
     hints = section_returns(cols)
-    want = np.empty(len(points))
+    got = section_oracle_returns(cols, mode, hints)
     slit_cover = (mode is SurfaceMode.AFFINE_ONLY) & (cols.kind >= SL)
+    per_point = np.empty(len(points))
+    for k, (p, hint) in enumerate(zip(points, hints)):
+        g, v = section_surfaces(section_columns([p]))
+        kind = "slit-cover" if slit_cover[k] else mode.value
+        per_point[k] = _oracle_of(kind, g, v, np.array([hint]))[0]
+    assert np.array_equal(got, per_point)
+    want = np.empty(len(points))
     for rows, kind in ((slit_cover, "slit-cover"), (~slit_cover, mode.value)):
         sub = section_columns([p for p, row in zip(points, rows) if row])
         want[rows] = _reference_of(kind, *section_surfaces(sub), hints[rows])
-    assert np.array_equal(section_oracle_returns(cols, mode, hints), want)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("hint", [None, math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-9])
