@@ -467,6 +467,8 @@ def cmd_closed_form(config: RunConfig) -> int:
 def cmd_difftest(config: RunConfig) -> int:
     p = config.params
     region = p.get("region")
+    if region is None:
+        raise InvalidInputError(f"difftest needs a region: one of {', '.join(REGIONS)}")
     if region not in REGIONS:
         raise InvalidInputError(f"unknown region {region!r}; choose from {', '.join(REGIONS)}")
     report = diff_test(

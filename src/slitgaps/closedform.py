@@ -10,6 +10,7 @@ plus envelope bounds for the affine-lattice tail and exact torsion-marking
 tails.
 """
 
+import functools
 import math
 
 from scipy import integrate, special
@@ -175,8 +176,10 @@ def _regime_points(t):
 
 
 def _slice_mass(slice_fn, t, points):
-    """Integral over the lattice coordinate b in (0, 1) of slice_fn(t, b)."""
-    return _quad(lambda b: slice_fn(t, b), 0.0, 1.0, points=points)
+    """Integral over the lattice coordinate b in (0, 1) of slice_fn(t, b),
+    with t bound by ``functools.partial``: QUADPACK calls the integrand some
+    10^4 times per tail, and a partial adds no Python frame to each call."""
+    return _quad(functools.partial(slice_fn, t), 0.0, 1.0, points=points)
 
 
 # Each *_slice(t, b) below is a region's exact inner integral at a fixed
@@ -184,11 +187,11 @@ def _slice_mass(slice_fn, t, points):
 # They are written in d = cap - lo and log1p(d/lo), so that no term is much
 # larger than the slice mass itself.  The guard lo <= 0 covers b rounding to
 # 1: a measure-zero edge of the outer integral, at which ln(a/lo) is undefined.
-
-
-def _lattice_cap(t, b):
-    # the lattice return 1/(ab) exceeds t exactly below this a
-    return 1.0 if t <= 0.0 else min(1.0, 1.0 / (b * t))
+# The lattice return 1/(ab) exceeds t exactly below a = cap, where cap is 1
+# for t <= 0 and min(1, 1/(bt)) otherwise.  Caps, minima and maxima are
+# conditional expressions, not calls: ``x if x < y else y`` is what
+# ``min(y, x)`` returns, NaN included, and ``x if x > y else y`` is
+# ``max(y, x)``.
 
 
 def _gap_ratio_mass(lo, d):
@@ -205,7 +208,8 @@ def _o1_slice(t, b):
     s = alpha/lo, and is returned here.
     """
     lo = 1.0 - b
-    cap = _lattice_cap(t, b)
+    cap = 1.0 if t <= 0.0 else 1.0 / (b * t)
+    cap = cap if cap < 1.0 else 1.0
     if cap <= lo or lo <= 0.0:
         return 0.0
     x = (cap - lo) / lo
@@ -222,7 +226,8 @@ def _o2_slice(t, b):
     (1/(ab) - t)*(a - lo), so this slice serves both.
     """
     lo = 1.0 - b
-    cap = _lattice_cap(t, b)
+    cap = 1.0 if t <= 0.0 else 1.0 / (b * t)
+    cap = cap if cap < 1.0 else 1.0
     if cap <= lo or lo <= 0.0:
         return 0.0
     d = cap - lo
@@ -244,16 +249,17 @@ def _o3_slice(t, b):
     neg_log_lo = -math.log1p(-b)
     if t <= 0.0:
         return lo * neg_log_lo / b
-    w_hi = b + min(lo, 1.0 / (t * lo) - b)
+    w_hi = 1.0 / (t * lo) - b
+    w_hi = b + (w_hi if w_hi < lo else lo)
     if w_hi <= b:
         return 0.0
     kink = 1.0 / t
     total = 0.0
     if b < kink:
-        w_mid = min(w_hi, kink)
+        w_mid = kink if kink < w_hi else w_hi
         total += (w_mid - b) * (neg_log_lo / b - 0.5 * t * (b + w_mid))
     if w_hi > kink:
-        y1 = t * lo * max(b, kink)
+        y1 = t * lo * (kink if kink > b else b)
         y2 = t * lo * w_hi
         dy = y2 - y1
         g_mass = dy * (0.5 * (y1 + y2) - math.log(y1)) - y2 * math.log1p(dy / y1)
@@ -265,7 +271,8 @@ def _sl_area_weight(b):
     # lo*ym - b*ym^2/2 with ym = min(1, lo/b): the slit-area term that
     # falls off as 1/a in both slit-vector branches
     lo = 1.0 - b
-    ym = min(1.0, lo / b)
+    ym = lo / b
+    ym = ym if ym < 1.0 else 1.0
     return lo * ym - 0.5 * b * ym * ym
 
 
@@ -273,7 +280,8 @@ def _sl_lattice_slice(t, b):
     """Slit-vector tail where the slit leaves the unit box and the lattice
     return 1/(ab) decides; the unit-square area above x = l(y) is explicit."""
     lo = 1.0 - b
-    cap = _lattice_cap(t, b)
+    cap = 1.0 if t <= 0.0 else 1.0 / (b * t)
+    cap = cap if cap < 1.0 else 1.0
     if cap <= lo or lo <= 0.0:
         return 0.0
     d = cap - lo
@@ -288,7 +296,8 @@ def _sl_vector_slice(t, b):
     w/a - (1-b)^2 t/2 with w = _sl_area_weight(b); past it, (1 - abt)/(2a^2 t).
     """
     lo = 1.0 - b
-    cap = _lattice_cap(t, b)
+    cap = 1.0 if t <= 0.0 else 1.0 / (b * t)
+    cap = cap if cap < 1.0 else 1.0
     # lo = 0 where b rounds to 1; the slit area there is 0
     if cap <= lo or lo <= 0.0:
         return 0.0
@@ -297,11 +306,11 @@ def _sl_vector_slice(t, b):
         return weight * math.log1p((cap - lo) / lo)
     kink = 1.0 / (lo * t)
     total = 0.0
-    a_mid = min(cap, kink)
+    a_mid = kink if kink < cap else cap
     if a_mid > lo:
         total += weight * math.log1p((a_mid - lo) / lo) - 0.5 * lo * lo * t * (a_mid - lo)
     if cap > kink:
-        a1 = max(lo, kink)
+        a1 = kink if kink > lo else lo
         total += 0.5 * (cap - a1) / (t * a1 * cap) - 0.5 * b * math.log1p((cap - a1) / a1)
     return total
 
@@ -379,14 +388,14 @@ def w_density(t, h=1e-5, *, one_sided=False):
         raise InvalidInputError("difference step reaches below the support")
     g = w_tail_closed_form
     if one_sided or t in _NONDIFF_POINTS:
-        left = -(g(t) - g(t - h)) / h
-        right = -(g(t + h) - g(t)) / h
+        left = (g(t - h) - g(t)) / h
+        right = (g(t) - g(t + h)) / h
         return (left, right)
     if any(abs(t - bp) <= h for bp in TAIL_BREAKPOINTS[1:-1]):
         raise AmbiguityError(
             f"step {h:g} straddles a breakpoint near t={t:g}; pass one_sided=True"
         )
-    return -(g(t + h) - g(t - h)) / (2.0 * h)
+    return (g(t - h) - g(t + h)) / (2.0 * h)
 
 
 def compare_pieces(points_per_piece=50, tolerance=1e-6):
@@ -514,7 +523,8 @@ def _envelope_cap(t, b, lo):
     if denom <= 0.0:
         # t <= 0, or b at an end of [0, 1] where the envelope is unbounded
         return 1.0
-    return min(1.0, 2.0 / denom)
+    cap = 2.0 / denom
+    return cap if cap < 1.0 else 1.0
 
 
 def _o2_envelope_slice(t, b, lo):

@@ -56,7 +56,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EstimationError, InvalidInputError
-from .geometry import SurfaceMode
+from .geometry import SCAN_ROW_LIMIT, SurfaceMode
 from .transversal import (
     OMEGA,
     SA,
@@ -539,7 +539,11 @@ def _chunk_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: in
     The chunk is drawn (``_Draws``), given its returns and binned one block
     of ``BLOCK`` rows at a time, in row order, and no block holds rows of
     two kinds.  The cell sums accumulate row by row (``np.add.at``), as one
-    ``np.bincount`` over the chunk would.  The components: haar-w's sl rows,
+    ``np.bincount`` over the chunk would.  Up to the first block with a
+    weight other than 1 they are whole numbers below 2^53, which adding 1.0
+    keeps exact, so such blocks add their ``np.bincount`` counts instead:
+    haar-w's sl rows and every block of torsion and of the periodic
+    measures.  The components: haar-w's sl rows,
     whose masses are counts, their weights being 1, and haar-omega's rows
     in O3, whose weights and mask are kept over the chunk for the pairwise
     sums of its masses.
@@ -548,6 +552,7 @@ def _chunk_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: in
     sums, sums2 = np.zeros((2, grid.size + 1))
     if measure.kind == "haar-omega":
         w_all, o3 = np.empty(n), np.zeros(n, dtype=bool)
+    counts = True  # no block so far had a weight other than 1
     for m in draws.blocks():
         row = draws.row
         batch = _batch_measure(measure, draws, m)
@@ -557,8 +562,14 @@ def _chunk_stats(measure: MeasureSpec, engine: str, grid: np.ndarray, rng, n: in
         else:
             w, r = _returns_for_batch(batch, engine)
         cell = _cells(grid, r)
-        np.add.at(sums, cell, w)
-        np.add.at(sums2, cell, w * w)
+        counts = counts and bool((w == 1.0).all())
+        if counts:
+            c = np.bincount(cell, minlength=sums.size)
+            sums += c
+            sums2 += c
+        else:
+            np.add.at(sums, cell, w)
+            np.add.at(sums2, cell, w * w)
     if measure.kind == "haar-w":
         return sums, sums2, {"sl": np.full(2, float(draws.runs[0]))}
     if measure.kind == "haar-omega":
@@ -673,10 +684,13 @@ def orbit(start, engine: str, n_steps: int):
     (``oracle_orbit``): the affine oracle stays on the affine section, the
     doubled oracle follows the slit-cover section (so a point may be a
     short-lattice state).  Their points agree with flowing and recoordinatizing step by
-    step up to rounding.
+    step up to rounding.  The block holds every step, so more than
+    ``SCAN_ROW_LIMIT`` steps raise ``InvalidInputError`` before the first.
     """
     if engine not in ENGINES:
         raise InvalidInputError(f"unknown engine {engine!r}")
+    if n_steps > SCAN_ROW_LIMIT:
+        raise InvalidInputError(f"orbit steps must be at most {SCAN_ROW_LIMIT} (an orbit holds every step), got {n_steps}")
     if engine == FORMULA or n_steps < 1:
         row, returns, rows = tuple(c[0].item() for c in section_columns([start])), [], []
         for _ in range(n_steps):

@@ -278,9 +278,10 @@ def bcz_return_map(d: DeltaCoords) -> DeltaCoords:
 
 
 def _columns(*cols):
-    """The arguments as float arrays, scalars as numpy floats (which keep a
-    size-1 call cheap); numpy broadcasts them elementwise."""
-    return [np.float64(c) if isinstance(c, float) else np.asarray(c, dtype=float) for c in cols]
+    """The arguments as float arrays of one shape, broadcast if theirs
+    differ, scalars as numpy floats (which keep a size-1 call cheap)."""
+    cols = [np.float64(c) if isinstance(c, float) else np.asarray(c, dtype=float) for c in cols]
+    return cols if len({c.shape for c in cols}) == 1 else np.broadcast_arrays(*cols)
 
 
 def _omega_masks(a, b, s, alpha):
@@ -318,27 +319,72 @@ def omega_region_vec(a, b, s, alpha) -> np.ndarray:
     return np.where(upper, np.where(o1, 1, 2), np.where(o3, 3, 4))
 
 
-def _marking_first(a, b, s, o1, o3, gap, rise, otherwise) -> np.ndarray:
-    """Return times where the marking lands before the lattice does: O1 and
-    O3 rows; ``otherwise`` on the others (gap, rise as ``_omega_masks``)."""
+def _branches(default, *cases) -> tuple:
+    """Piecewise values of elementwise columns of one shape.  ``default`` is
+    (branch, operands) and each case (rows, branch, operands): ``branch`` of
+    the float arrays ``operands`` returns a tuple of values.  The default's
+    branch gives fresh arrays of every row; each case's branch is evaluated
+    on its operands at the True rows of the boolean array ``rows`` only
+    (``rows.nonzero()``) and written over them there, its values past the
+    default's count dropped, so that a row pays for its own branch and no
+    other.  A later case wins where masks overlap.  On 0-d columns, where
+    indexing a size-1 array costs more than it saves, only the branch the
+    row takes is evaluated, on the scalars, and returned whole.  Division by
+    zero and invalid operations give inf and NaN without a warning."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(o1, s * a / gap, otherwise)
-        return np.where(o3, (1.0 / a - s * b) / rise, out)
+        if not cases[0][0].ndim:
+            for rows, branch, operands in reversed(cases):
+                if rows:
+                    return branch(*operands)
+            return default[0](*default[1])
+        out = default[0](*default[1])
+        for rows, branch, operands in cases:
+            i = rows.nonzero()
+            if len(i[0]):
+                for o, v in zip(out, branch(*(c[i] for c in operands))):
+                    o[i] = v
+        return out
+
+
+# the branches of the affine-section returns, each written once: (return
+# time, arriving alpha) from the columns and the terms gap = alpha - a,
+# ab = a*b and rise = b + alpha of ``_omega_masks``
+
+
+def _o1_return(a, s, gap):
+    return s * a / gap, gap
+
+
+def _o3_return(a, b, s, rise):
+    return (1.0 / a - s * b) / rise, rise
+
+
+def _wrapped_return(a, b, s, alpha, gap):
+    j = np.floor((1.0 + a - alpha) / b + FLOOR_NUDGE)
+    arrive = gap + j * b
+    return (j * (1.0 / a - s * b) + s * a) / arrive, arrive
+
+
+def _unset(a):
+    return np.empty_like(a), np.empty_like(a)
 
 
 def _omega_returns(a, b, s, alpha):
     """(return times, arriving alphas, O3 mask) of affine-section float
-    arrays.  The arriving alpha is the x of the marking representative that
-    is horizontal at the return: alpha - a on O1, alpha + b on O3, and on
-    the wrapped branches O2 and O4 the translate alpha - a + j*b, whose
-    return keeps the sheared y-contribution ``s*a``."""
+    arrays of one shape (``_columns``).  The arriving alpha is the x of the
+    marking representative that is horizontal at the return: alpha - a on
+    O1, alpha + b on O3, and on the wrapped branches O2 and O4 the translate
+    alpha - a + j*b, whose return keeps the sheared y-contribution ``s*a``.
+    Each branch is evaluated on its own rows only (``_branches``): O1, O3,
+    and the wrapped branch on every other row, NaN rows included."""
     _, o1, o3, gap, _, rise = _omega_masks(a, b, s, alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        j = np.floor((1.0 + a - alpha) / b + FLOOR_NUDGE)
-        arrive = gap + j * b
-        wrapped = (j * (1.0 / a - s * b) + s * a) / arrive
-    u = _marking_first(a, b, s, o1, o3, gap, rise, wrapped)
-    return u, np.where(o1, gap, np.where(o3, rise, arrive)), o3
+    u, arrive = _branches(
+        (_unset, (a,)),
+        (~(o1 | o3), _wrapped_return, (a, b, s, alpha, gap)),
+        (o1, _o1_return, (a, s, gap)),
+        (o3, _o3_return, (a, b, s, rise)),
+    )
+    return u, arrive, o3
 
 
 def omega_return_vec(a, b, s, alpha) -> np.ndarray:
@@ -509,21 +555,38 @@ def rho_sl_to_sa(a, b, v1, v2):
 def w_return_sl_vec(a, b, v1, v2) -> np.ndarray:
     """Slit-cover returns of short-lattice points: the marking's slope if it
     lands short (b + v1 <= 1 + TIE_TOL), else the lattice's own return
-    1/(a*b)."""
+    1/(a*b).  The slope is evaluated on the short rows only
+    (``_branches``); NaN rows take the lattice return."""
     a, b, v1, v2 = _columns(a, b, v1, v2)
     short = b + v1 <= 1.0 + TIE_TOL
     if np.any(short & (v1 <= X_EPS)):
         raise DegenerateInputError("marking sits on the vertical axis")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(short, v2 / v1, 1.0 / (a * b))
+    return _branches((_lattice_return, (a, b)), (short, _slope_return, (v1, v2)))[0]
+
+
+def _lattice_return(a, b):
+    return (1.0 / (a * b),)
+
+
+def _slope_return(v1, v2):
+    return (v2 / v1,)
 
 
 def w_return_sa_vec(a, b, s, alpha) -> np.ndarray:
     """Slit-cover returns of short-affine points: the lattice return
-    1/(a*b) - s, except on O1 and O3, where the marking returns first."""
+    1/(a*b) - s, except on O1 and O3, where the marking returns first.  The
+    lattice return is written on every row, then each marking return on its
+    own rows only (``_branches``); NaN rows, in neither region, keep the
+    lattice return."""
     a, b, s, alpha = _columns(a, b, s, alpha)
     _, o1, o3, gap, ab, rise = _omega_masks(a, b, s, alpha)
-    return _marking_first(a, b, s, o1, o3, gap, rise, 1.0 / ab - s)
+    return _branches(
+        (_sa_lattice_return, (ab, s)), (o1, _o1_return, (a, s, gap)), (o3, _o3_return, (a, b, s, rise)),
+    )[0]
+
+
+def _sa_lattice_return(ab, s):
+    return (1.0 / ab - s,)
 
 
 # ---------------------------------------------------------------------------

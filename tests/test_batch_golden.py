@@ -1,7 +1,8 @@
 """Golden digests of the sampled-batch commands: the sha256 of the JSON
 report of ``difftest`` for every region and mode (and WslRho on the
 restricted marking domain), and of ``mc-tail --format json`` for every
-measure and engine, each without its ``versions`` block.
+measure and engine, each without its ``versions`` block; and the sha256 of
+the ``closed-form`` CSV tables on the benchmark's grids.
 
 They pin the sample layout of ``measures.chunk_streams`` (chunk k drawn from
 default_rng([seed, k])), so any change to a sampled value, to the row order
@@ -46,13 +47,26 @@ MC_TAIL = {
     ("periodic-point", "oracle-doubled"): "7c91fdce4d72fd1a7ebf3dc5e80a7b2274d2dc2456e05488a2954a85a172c99c",
 }
 # 300000 samples: a full chunk of several blocks (``measures.BLOCK``), haar-w's
-# sl rows among them, and a partial chunk.  Recorded before the chunks were
-# drawn in blocks.
+# sl rows among them, and a partial chunk.  The haar entries were recorded
+# before the chunks were drawn in blocks, the torsion and periodic-omega ones
+# before blocks of unit weights were binned by counts.
 MC_TAIL_BLOCKS = {
     ("haar-omega", "formula"): "ed042011ed16bca6ddb2a5b8c378d651c8ce1978d24ebe5617f98a3937c4d586",
     ("haar-omega", "oracle-affine"): "9067a4135790b08b738834d23d12e7b5fd52d1d6dcdb4fcee510de374936d95d",
     ("haar-w", "formula"): "05d38fecfd3f3b1672bacc2b618dd3eda268d8770a2b4f86f4e2dce82f36e489",
     ("haar-w", "oracle-affine"): "a26e0a8d08e52536be5eb33b984edea053c412215b68af300a198750a98cafbf",
+    ("torsion:3", "formula"): "bb73f31bd1dfda8cc86d4a6aa9226f475ba80413e7bc6188e262032ec86cc23d",
+    ("periodic-omega:0.7,0.4", "formula"): "d1026674426307e88cba76019848ac1ad7542961b99e04372d6e2295e0337120",
+}
+# ``closed-form`` stdout on the grids of the benchmark's tail-law commands
+# (density from 0.5, where it is defined), recorded before the quadrature's
+# integrands computed their caps inline
+CLOSED_FORM = {
+    ("tail", "0:16:0.5"): "75be7ec2804b9123d2692e70630fb044b7fbb5aa23df5f223b58b39b41a1dead",
+    ("bounds", "16:128:8"): "f63918b3492c2302dfacd9680314ef07f98b832a4641d7a0dc5ca6d55031f34c",
+    ("torsion:2", "8:64:4"): "ae873821631e7d50e401395a3c09879b7df26ca2410d47fd08943e025bd387b1",
+    ("density", "0.5:16:0.5"): "36db011f52bf55134e124361563277d00dd9b40ca8797d93a67a8b3c884baf01",
+    ("cdf", "0:16:0.5"): "fe9402d8398c30b0fc484d7375547a390d1768984d481741849655ecf7733c05",
 }
 
 GRID = "0.25,1,3,8"
@@ -84,3 +98,9 @@ def test_a_multi_block_mc_tail_report_matches_its_golden_digest(measure, engine,
     argv = ["mc-tail", "--measure", measure, "--engine", engine, "--t-grid", GRID,
             "--samples", "300000", "--seed", "5", "--workers", "2", "--format", "json"]
     assert _digest(argv, capsys) == MC_TAIL_BLOCKS[measure, engine]
+
+
+@pytest.mark.parametrize("component, grid", sorted(CLOSED_FORM))
+def test_a_closed_form_table_matches_its_golden_digest(component, grid, capsys):
+    assert main(["closed-form", "--component", component, "--t-grid", grid]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == CLOSED_FORM[component, grid]

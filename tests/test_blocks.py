@@ -230,6 +230,50 @@ def test_blocked_chunk_stats_equal_the_whole_chunk_oracles(monkeypatch, spec, en
         _assert_same_stats(got, _seq_chunk_stats(measure, engine, GRID, np.random.default_rng([37, n]), n))
 
 
+def _add_at_stats(measure, grid, rng, n):
+    """The cell sums of ``_chunk_stats`` accumulated row by row into every
+    block, unit weights included (``np.add.at``)."""
+    draws = measures._Draws(measure, rng, n)
+    sums, sums2 = np.zeros((2, grid.size + 1))
+    for m in draws.blocks():
+        w, r = measures._returns_for_batch(measures._batch_measure(measure, draws, m), FORMULA)
+        cell = measures._cells(grid, r)
+        np.add.at(sums, cell, w)
+        np.add.at(sums2, cell, w * w)
+    return sums, sums2
+
+
+@pytest.mark.parametrize("spec", ["haar-w", "torsion:3", "periodic-omega:0.7,0.4"])
+@pytest.mark.parametrize("n", [17, BLOCK + 1, CHUNK])
+def test_unit_weight_counts_equal_the_add_at_sums(spec, n):
+    # haar-w's sl blocks and every torsion and periodic block add counts
+    measure = MeasureSpec.parse(spec)
+    got = _chunk_stats(measure, FORMULA, GRID, np.random.default_rng([41, n]), n)
+    want = _add_at_stats(measure, GRID, np.random.default_rng([41, n]), n)
+    assert _same(got[:2], want)
+
+
+def test_unit_weights_after_a_weighted_block_are_added_row_by_row(monkeypatch):
+    # once a block had other weights a later block of unit weights adds to
+    # the sums one row at a time: at weight 2^53 each added 1.0 rounds away,
+    # where adding the block's counts at once would not
+    returns_for_batch = measures._returns_for_batch
+    calls = []
+
+    def first_block_weighted(batch, engine, o3=None):
+        w, r = returns_for_batch(batch, engine, o3)
+        calls.append(len(w))
+        return (w * 2.0 ** 53 if len(calls) == 1 else w), r
+
+    monkeypatch.setattr(measures, "_returns_for_batch", first_block_weighted)
+    measure = MeasureSpec.parse("torsion:3")
+    got = _chunk_stats(measure, FORMULA, GRID, np.random.default_rng(43), 2 * BLOCK + 5)
+    calls.clear()
+    want = _add_at_stats(measure, GRID, np.random.default_rng(43), 2 * BLOCK + 5)
+    assert len(calls) == 3
+    assert _same(got[:2], want)
+
+
 def test_a_search_grid_bins_blocks_as_the_whole_chunk():
     grid = np.linspace(0.0, 16.0, 81)
     measure = MeasureSpec.haar_w()

@@ -212,6 +212,21 @@ def test_formula_orbit_skips_the_crossings_of_the_fixed_point(capsys):
     )
 
 
+@pytest.mark.parametrize("engine", ["formula", "oracle-affine", "oracle-doubled"])
+def test_orbit_refuses_more_steps_than_it_can_hold(capsys, engine):
+    # a formula orbit of 2e5 steps takes seconds and some 16 MB, so 1e8
+    # would run for most of an hour: refused before the first step
+    start = time.perf_counter()
+    iters = geometry.SCAN_ROW_LIMIT + 1
+    assert main(["orbit", "--start", "0.5,0.6,0.3,0.9", "--engine", engine, "--iters", str(iters)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: orbit steps must be at most {geometry.SCAN_ROW_LIMIT} (an orbit holds every step), got {iters}\n"
+    )
+
+
 @pytest.mark.parametrize("engine", ["oracle-affine", "oracle-doubled"])
 def test_oracle_orbit_zero_iters_and_off_transversal_start(tmp_path, engine):
     out = tmp_path / "orbit.csv"
@@ -277,6 +292,15 @@ def test_closed_form_density_value(tmp_path):
     assert header == ["t", "density_left", "density_right"]
     assert math.isclose(float(rows[0][1]), 0.875, abs_tol=1e-6)
     assert math.isclose(float(rows[0][2]), 0.875, abs_tol=1e-6)
+
+
+def test_closed_form_density_far_out_prints_zero_not_minus_zero(capsys):
+    # the tail is flat to rounding there, so each difference is zero
+    assert main(["closed-form", "--component", "density", "--t-grid", "1e12,1e20,1e308"]) == 0
+    assert capsys.readouterr().out == "t,density_left,density_right\n1e+12,0,0\n1e+20,0,0\n1e+308,0,0\n"
+    for t in (1e12, 1e20, 1e308):
+        assert math.copysign(1.0, closedform.w_density(t)) == 1.0
+        assert all(math.copysign(1.0, d) == 1.0 for d in closedform.w_density(t, one_sided=True))
 
 
 def test_closed_form_density_pair_straddling_kink(tmp_path):
@@ -530,6 +554,13 @@ def test_difftest_refuses_more_samples_than_it_can_hold(capsys):
 def test_difftest_unknown_region(tmp_path):
     assert main(["difftest", "Nowhere", "--samples", "100"]) == 2
     assert main(["difftest", "--samples", "100"]) == 2
+
+
+def test_difftest_without_a_region_names_the_choices(capsys):
+    assert main(["difftest", "--samples", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: difftest needs a region: one of DeltaR, OmegaR, WslRho, WReturn\n"
 
 
 def test_orbit_oracle_doubled_writes_short_affine_rows(tmp_path):
