@@ -187,11 +187,17 @@ def _slice_mass(slice_fn, t, points):
 # They are written in d = cap - lo and log1p(d/lo), so that no term is much
 # larger than the slice mass itself.  The guard lo <= 0 covers b rounding to
 # 1: a measure-zero edge of the outer integral, at which ln(a/lo) is undefined.
-# The lattice return 1/(ab) exceeds t exactly below a = cap, where cap is 1
-# for t <= 0 and min(1, 1/(bt)) otherwise.  Caps, minima and maxima are
-# conditional expressions, not calls: ``x if x < y else y`` is what
-# ``min(y, x)`` returns, NaN included, and ``x if x > y else y`` is
-# ``max(y, x)``.
+# Minima and maxima are conditional expressions, not calls: ``x if x < y
+# else y`` is what ``min(y, x)`` returns, NaN included, and ``x if x > y
+# else y`` is ``max(y, x)``.
+
+
+def _lattice_cap(t, b):
+    # the lattice return 1/(ab) exceeds t exactly below this a
+    if t <= 0.0:
+        return 1.0
+    cap = 1.0 / (b * t)
+    return cap if cap < 1.0 else 1.0
 
 
 def _gap_ratio_mass(lo, d):
@@ -208,8 +214,7 @@ def _o1_slice(t, b):
     s = alpha/lo, and is returned here.
     """
     lo = 1.0 - b
-    cap = 1.0 if t <= 0.0 else 1.0 / (b * t)
-    cap = cap if cap < 1.0 else 1.0
+    cap = _lattice_cap(t, b)
     if cap <= lo or lo <= 0.0:
         return 0.0
     x = (cap - lo) / lo
@@ -226,8 +231,7 @@ def _o2_slice(t, b):
     (1/(ab) - t)*(a - lo), so this slice serves both.
     """
     lo = 1.0 - b
-    cap = 1.0 if t <= 0.0 else 1.0 / (b * t)
-    cap = cap if cap < 1.0 else 1.0
+    cap = _lattice_cap(t, b)
     if cap <= lo or lo <= 0.0:
         return 0.0
     d = cap - lo
@@ -280,8 +284,7 @@ def _sl_lattice_slice(t, b):
     """Slit-vector tail where the slit leaves the unit box and the lattice
     return 1/(ab) decides; the unit-square area above x = l(y) is explicit."""
     lo = 1.0 - b
-    cap = 1.0 if t <= 0.0 else 1.0 / (b * t)
-    cap = cap if cap < 1.0 else 1.0
+    cap = _lattice_cap(t, b)
     if cap <= lo or lo <= 0.0:
         return 0.0
     d = cap - lo
@@ -296,8 +299,7 @@ def _sl_vector_slice(t, b):
     w/a - (1-b)^2 t/2 with w = _sl_area_weight(b); past it, (1 - abt)/(2a^2 t).
     """
     lo = 1.0 - b
-    cap = 1.0 if t <= 0.0 else 1.0 / (b * t)
-    cap = cap if cap < 1.0 else 1.0
+    cap = _lattice_cap(t, b)
     # lo = 0 where b rounds to 1; the slit area there is 0
     if cap <= lo or lo <= 0.0:
         return 0.0

@@ -294,9 +294,7 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET, pad=
     floats, do not depend on the ranges.
 
     Yields (job, x, y, m, n) arrays holding whole surfaces, rows ordered by
-    job, then n, then m (m and n None unless ``mn``): the kept rows of each
-    column, gathered at the indices of the filter (``np.flatnonzero``),
-    which costs one pass over the mask for all five; a chunk expands at
+    job, then n, then m (m and n None unless ``mn``); a chunk expands at
     most ``budget`` candidate rows unless one surface alone needs more.  A
     scan whose n-range, or one surface's candidate rows, exceeds
     ``SCAN_ROW_LIMIT`` raises ``InvalidInputError`` before it is allocated.
@@ -358,6 +356,7 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET, pad=
     _check_scan_size(rows_per_surface.max(), "candidate rows of one surface")
     m_count = m_count.astype(np.int64)
 
+    debug = logger.isEnabledFor(logging.DEBUG)
     kept = 0
     surface_rows = np.concatenate(([0], np.cumsum(n_count)))[np.searchsorted(surf, np.arange(len(rows_per_surface) + 1))]
     for s0, s1 in _budget_runs(rows_per_surface, budget):
@@ -372,10 +371,10 @@ def _box_rows(g, box, jobs, slope_max=None, budget: int = STRIP_ROW_BUDGET, pad=
         keep = (x >= _at(x_lo, j)) & (x <= _at(x_hi, j)) & (y >= _at(y_lo, j)) & (y <= _at(y_hi, j))
         if slope_max is not None:
             keep &= y <= _at(sig, j) * x + _at(slack, j)
-        keep = np.flatnonzero(keep)
-        kept += len(keep)
+        if debug:
+            kept += int(np.count_nonzero(keep))
         yield j[keep], x[keep], y[keep], *((m[keep], n[keep]) if mn else (None, None))
-    if logger.isEnabledFor(logging.DEBUG):
+    if debug:
         logger.debug(
             "box scan: %d jobs, %d n-rows, %d candidate rows, %d rows kept",
             len(surf), len(ns), int(rows_per_surface.sum()), kept,

@@ -1,10 +1,10 @@
 """Rows selected by index against rows selected by mask.
 
-The closed-form returns evaluate each branch on its own rows only, and the
-lattice-box kernel gathers its kept rows at the indices of its filter.  The
+The closed-form returns evaluate each branch on its own rows only.  The
 copies below are the mask forms they replaced: every branch on every row,
-picked by ``np.where``, and the kept rows picked by a boolean mask.  Every
-float must come out the same, bit for bit, NaN rows included.
+picked by ``np.where``.  Every float must come out the same, bit for bit,
+NaN rows included.  The lattice-box kernel's kept rows are checked against
+a test-local filter of every candidate row, picked by a boolean mask.
 """
 
 import numpy as np
