@@ -38,8 +38,8 @@ from .errors import (
     SlitgapsError,
 )
 from .geometry import AffineLattice, Mat2, SurfaceMode, Vec2, enumerate_strip, slopes_and_gaps
-from .measures import ENGINES, FORMULA, ORACLE_DOUBLED, MeasureSpec, mc_tail, orbit
-from .oracle import REGIONS, V_DOMAINS, diff_test, oracle_strip_slopes
+from .measures import ENGINES, FORMULA, ORACLE_DOUBLED, REGIONS, V_DOMAINS, MeasureSpec, diff_test, mc_tail, orbit
+from .oracle import oracle_strip_slopes
 from .transversal import SECTION_KINDS, OmegaCoords, flowed_section_coords, omega_to_surface, section_columns
 
 SPEC_VERSION = "1.0"
@@ -86,38 +86,8 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
+# the config-file words for a flag that takes no value (--plot)
 _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True), **dict.fromkeys(("0", "false", "no", "off"), False)}
-
-_CONVERTERS = {
-    "seed": int,
-    "workers": int,
-    "samples": int,
-    "iters": int,
-    "slope_max": float,
-    "count": int,
-    "engine": str,
-    "mode": str,
-    "out": str,
-    "format": str,
-    "plot": lambda s: _BOOLEANS[s.lower()],
-    "t_grid": str,
-    "measure": str,
-    "component": str,
-    "start": str,
-    "omega": str,
-    "surface": str,
-    "region": str,
-    "v_domain": str,
-    "h": float,
-}
-
-# the values of each choice option, for its flag and its config-file key alike
-_CHOICES = {
-    "mode": tuple(m.value for m in SurfaceMode),
-    "engine": ENGINES,
-    "format": ("csv", "json"),
-    "v_domain": V_DOMAINS,
-}
 
 _DEFAULTS = {
     "gaps": {"mode": SurfaceMode.AFFINE_ONLY.value, "out": None, "format": "csv", "plot": False},
@@ -155,23 +125,32 @@ _DEFAULTS = {
 }
 
 
+def _config_value(action: argparse.Action, raw: str):
+    """A config-file value converted and checked as the flag of ``action``
+    converts and checks its argument: a flag that takes no value reads a
+    ``_BOOLEANS`` word."""
+    key = action.dest
+    try:
+        value = _BOOLEANS[raw.lower()] if action.nargs == 0 else (action.type or str)(raw)
+    except (ValueError, KeyError) as exc:
+        raise InvalidInputError(f"bad config value for {key}: {raw!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise InvalidInputError(f"bad config value for {key}: {raw!r}; choose from {', '.join(action.choices)}")
+    return value
+
+
 def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
-    """File values fill flags the user left out; explicit flags win."""
-    explicit = {k: v for k, v in vars(args).items() if k not in ("command", "func", "log_level")}
+    """File values fill flags the user left out; explicit flags win.  A file
+    takes the keys of the command's own flags (``args.options``, its
+    argparse actions by key), each converted and checked as its flag is."""
+    explicit = {k: v for k, v in vars(args).items() if k not in ("command", "func", "options", "log_level")}
     config_path = explicit.pop("config", None)
     params = dict(_DEFAULTS[command])
     if config_path is not None:
         for key, raw in _parse_config_file(config_path).items():
-            if key not in _CONVERTERS:
+            if key not in args.options:
                 raise InvalidInputError(f"unknown config key {key!r}")
-            try:
-                params[key] = _CONVERTERS[key](raw)
-            except (ValueError, KeyError) as exc:
-                raise InvalidInputError(f"bad config value for {key}: {raw!r}") from exc
-            if key in _CHOICES and params[key] not in _CHOICES[key]:
-                raise InvalidInputError(
-                    f"bad config value for {key}: {raw!r}; choose from {', '.join(_CHOICES[key])}"
-                )
+            params[key] = _config_value(args.options[key], raw)
     params.update(explicit)
     return RunConfig(command=command, params=params)
 
@@ -500,57 +479,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     S = argparse.SUPPRESS
+    modes = tuple(m.value for m in SurfaceMode)
 
-    def common(sp, plot=True):
-        sp.add_argument("--config", default=S, help="key = value defaults file; flags win")
-        sp.add_argument("--out", default=S, help="output path (default: stdout)")
-        sp.add_argument("--format", choices=_CHOICES["format"], default=S)
-        if plot:
-            sp.add_argument("--plot", action="store_true", default=S, help="emit a gnuplot script next to --out")
+    def command(name, func, help):
+        """Add the subparser of a command; return its add_argument, which
+        also files each option's action under its key for ``_merge_config``."""
+        sp = sub.add_parser(name, help=help)
+        options = {}
+        sp.set_defaults(func=func, options=options)
 
-    g = sub.add_parser("gaps", help="strip slopes and consecutive gaps")
-    g.add_argument("--omega", default=S, help="a,b,s,alpha section coordinates")
-    g.add_argument("--surface", default=S, help="JSON file with g (2x2) and v (2)")
-    g.add_argument("--mode", choices=_CHOICES["mode"], default=S)
-    g.add_argument("--slope-max", dest="slope_max", type=float, default=S)
-    g.add_argument("--count", type=int, default=S, help="emit the first N slopes instead")
-    common(g)
-    g.set_defaults(func=cmd_gaps)
+        def add(*flags, **kwargs):
+            action = sp.add_argument(*flags, **kwargs)
+            if action.dest != "config":
+                options[action.dest] = action
 
-    o = sub.add_parser("orbit", help="iterate the section return map")
-    o.add_argument("--start", default=S, help="a,b,s,alpha start point")
-    o.add_argument("--engine", choices=_CHOICES["engine"], default=S)
-    o.add_argument("--iters", type=int, default=S)
-    common(o)
-    o.set_defaults(func=cmd_orbit)
+        return add
 
-    m = sub.add_parser("mc-tail", help="Monte Carlo survival curve")
-    m.add_argument("--measure", default=S, help="haar-omega | haar-w | torsion:q | periodic-omega:a,alpha | periodic-point")
-    m.add_argument("--engine", choices=_CHOICES["engine"], default=S)
-    m.add_argument("--t-grid", dest="t_grid", default=S, help="a:b:step or comma list")
-    m.add_argument("--samples", type=int, default=S)
-    m.add_argument("--seed", type=int, default=S)
-    m.add_argument("--workers", type=int, default=S)
-    common(m)
-    m.set_defaults(func=cmd_mc_tail)
+    def common(add):
+        add("--config", default=S, help="key = value defaults file; flags win")
+        add("--out", default=S, help="output path (default: stdout)")
+        add("--format", choices=("csv", "json"), default=S)
+        add("--plot", action="store_true", default=S, help="emit a gnuplot script next to --out")
 
-    c = sub.add_parser("closed-form", help="exact tail law tables")
-    c.add_argument("--t-grid", dest="t_grid", default=S, help="a:b:step or comma list")
-    c.add_argument("--component", default=S, help="tail | cdf | density | bounds | torsion:q")
-    c.add_argument("--h", type=float, default=S, help="finite-difference step for density")
-    common(c)
-    c.set_defaults(func=cmd_closed_form)
+    add = command("gaps", cmd_gaps, "strip slopes and consecutive gaps")
+    add("--omega", default=S, help="a,b,s,alpha section coordinates")
+    add("--surface", default=S, help="JSON file with g (2x2) and v (2)")
+    add("--mode", choices=modes, default=S)
+    add("--slope-max", dest="slope_max", type=float, default=S)
+    add("--count", type=int, default=S, help="emit the first N slopes instead")
+    common(add)
 
-    d = sub.add_parser("difftest", help="formula vs enumeration over sampled inputs")
-    d.add_argument("region", nargs="?", default=None, help=" | ".join(REGIONS))
-    d.add_argument("--samples", type=int, default=S)
-    d.add_argument("--seed", type=int, default=S)
-    d.add_argument("--workers", type=int, default=S)
-    d.add_argument("--mode", choices=_CHOICES["mode"], default=S)
-    d.add_argument("--v-domain", dest="v_domain", choices=_CHOICES["v_domain"], default=S)
-    d.add_argument("--config", default=S)
-    d.add_argument("--out", default=S)
-    d.set_defaults(func=cmd_difftest)
+    add = command("orbit", cmd_orbit, "iterate the section return map")
+    add("--start", default=S, help="a,b,s,alpha start point")
+    add("--engine", choices=ENGINES, default=S)
+    add("--iters", type=int, default=S)
+    common(add)
+
+    add = command("mc-tail", cmd_mc_tail, "Monte Carlo survival curve")
+    add("--measure", default=S, help="haar-omega | haar-w | torsion:q | periodic-omega:a,alpha | periodic-point")
+    add("--engine", choices=ENGINES, default=S)
+    add("--t-grid", dest="t_grid", default=S, help="a:b:step or comma list")
+    add("--samples", type=int, default=S)
+    add("--seed", type=int, default=S)
+    add("--workers", type=int, default=S)
+    common(add)
+
+    add = command("closed-form", cmd_closed_form, "exact tail law tables")
+    add("--t-grid", dest="t_grid", default=S, help="a:b:step or comma list")
+    add("--component", default=S, help="tail | cdf | density | bounds | torsion:q")
+    add("--h", type=float, default=S, help="finite-difference step for density")
+    common(add)
+
+    add = command("difftest", cmd_difftest, "formula vs enumeration over sampled inputs")
+    add("region", nargs="?", default=S, help=" | ".join(REGIONS))
+    add("--samples", type=int, default=S)
+    add("--seed", type=int, default=S)
+    add("--workers", type=int, default=S)
+    add("--mode", choices=modes, default=S)
+    add("--v-domain", dest="v_domain", choices=V_DOMAINS, default=S)
+    add("--config", default=S)
+    add("--out", default=S)
 
     return parser
 
@@ -567,8 +555,11 @@ def main(argv=None) -> int:
     log.setLevel(args.log_level)
     try:
         config = _merge_config(args.command, args)
-        if config.params.get("plot") and config.params.get("out") is None:
-            raise InvalidInputError("--plot needs --out")
+        if config.params.get("plot"):
+            if config.params.get("out") is None:
+                raise InvalidInputError("--plot needs --out")
+            if config.params.get("format") == "json":
+                raise InvalidInputError("--plot needs --format csv: it plots the CSV table")
         return args.func(config)
     # the state errors subclass InvalidInputError, so they are caught first
     except (

@@ -53,11 +53,6 @@ class Vec2(NamedTuple):
     x: float
     y: float
 
-    def slope(self) -> float:
-        if self.x == 0.0:
-            raise InvalidInputError("slope undefined for vertical vector")
-        return self.y / self.x
-
     def __neg__(self) -> "Vec2":
         return Vec2(-self.x, -self.y)
 

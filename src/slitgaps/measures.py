@@ -1,5 +1,5 @@
-"""Samplers for measures on the sections and self-normalized Monte Carlo
-tail estimation.
+"""Samplers for measures on the sections, self-normalized Monte Carlo tail
+estimation, and the formula-vs-oracle differential tester.
 
 Measures (haar-omega and haar-w are Lebesgue/Haar in section coordinates;
 neither is invariant under the enumerated return maps):
@@ -20,7 +20,8 @@ neither is invariant under the enumerated return maps):
 
 A sampled batch is ``SectionColumns`` (haar-w: sl rows, then sa rows) and
 its weights; ``section_returns`` gives its returns, which the oracle engines
-(``oracle.section_oracle_returns``) take as cap hints.
+(``oracle.section_oracle_returns``, scanning the holonomy of
+``ENGINE_MODES``) take as cap hints.
 
 Orbits: ``orbit`` iterates the section return map and gives the orbit as
 columns of arrays.  The formula engine steps section rows in closed form
@@ -40,36 +41,52 @@ order, so neither ``workers`` nor the core count enters a result.
 ``mc_tail`` draws, returns and bins (``_cells``) each chunk one block of
 ``BLOCK`` rows at a time, reduces the blocks to sums and adds those in chunk
 order, so its memory stays flat in n and a thread holds one block.
+
+Differential tester: ``diff_test`` draws each chunk of the same layout as
+one block of a region's rows: DeltaR, OmegaR and WReturn through their
+measures (``REGION_MEASURES``), WslRho as short-lattice rows with its
+markings redrawn onto the domain.  It evaluates the vectorized formula and
+the batched oracle once each per chunk, and reports any relative
+disagreement above ``oracle.REL_ERR_THRESHOLD`` as a counterexample.  Two
+regions are expected to disagree (the short-lattice travel-time formula, and
+the slit-cover return when the mirrored coset is switched on); disagreement
+there is a finding to report, not a failure.
 """
 
 from __future__ import annotations
 
 import collections
-import json
 import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import EstimationError, InvalidInputError
-from .geometry import SCAN_ROW_LIMIT, SurfaceMode
+from .geometry import SCAN_ROW_LIMIT, SurfaceMode, Vec2
+from .oracle import REL_ERR_THRESHOLD, oracle_first_return_batch, oracle_orbit, section_oracle_returns
 from .transversal import (
     OMEGA,
     SA,
+    SECTION_KINDS,
     SL,
     VERTICAL,
+    OmegaCoords,
     SectionColumns,
     WPointSA,
     WPointSL,
+    delta_basis,
+    omega_region_vec,
     omega_to_surface,
+    rho_sl_to_sa,
     row_columns,
     section_columns,
     section_returns,
     section_step,
+    section_surfaces,
 )
 
 logger = logging.getLogger(__name__)
@@ -78,6 +95,8 @@ FORMULA = "formula"
 ORACLE_AFFINE = "oracle-affine"
 ORACLE_DOUBLED = "oracle-doubled"
 ENGINES = (FORMULA, ORACLE_AFFINE, ORACLE_DOUBLED)
+# the holonomy each oracle engine scans
+ENGINE_MODES = {ORACLE_AFFINE: SurfaceMode.AFFINE_ONLY, ORACLE_DOUBLED: SurfaceMode.DOUBLED_SLIT}
 
 FIXED_POINT = (1.0, 1.0, 0.0, 0.5)
 
@@ -137,10 +156,6 @@ class MeasureSpec:
     @staticmethod
     def periodic_omega(a: float, alpha: float) -> "MeasureSpec":
         return MeasureSpec("periodic-omega", a=a, alpha=alpha)
-
-    @staticmethod
-    def periodic_point() -> "MeasureSpec":
-        return MeasureSpec("periodic-point")
 
     @staticmethod
     def parse(text: str) -> "MeasureSpec":
@@ -212,9 +227,6 @@ class TailEstimate:
             "survival": [float(s) for s in self.survival],
             "ci_halfwidth": [float(c) for c in self.ci_halfwidth],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +404,12 @@ def _omega_columns(stream: _Stream, n: int) -> list:
     return [stream.column(n) for _ in range(4)]
 
 
-def _batch_omega(cols, n: int, *, out=None):
+def _batch_omega(cols, n: int, out):
     """Importance draws for the affine section from the next n rows of its
-    ``_omega_columns``: uniform proposals, weight 1/b, as (omega rows,
-    weights); ``out``, such a pair of n rows, is drawn into in place
-    instead."""
+    ``_omega_columns``: uniform proposals, weight 1/b, drawn in place into
+    ``out``, a pair (omega rows, weights) of n rows, and returned."""
     ua, ualpha, ub, us = cols
-    rows, w = out or (_rows(OMEGA, *np.empty((4, n))), np.empty(n))
+    rows, w = out
     _, a, b, s, alpha = rows
     _uniform_open(ua, n, out=a)
     _uniform_open(ualpha, n, out=alpha)
@@ -507,10 +518,7 @@ def _returns_for_batch(batch, engine: str, o3=None):
     cols, w = batch
     r = section_returns(cols, o3)
     if engine != FORMULA:
-        from .oracle import section_oracle_returns
-
-        mode = SurfaceMode.DOUBLED_SLIT if engine == ORACLE_DOUBLED else SurfaceMode.AFFINE_ONLY
-        r = section_oracle_returns(cols, mode, r)
+        r = section_oracle_returns(cols, ENGINE_MODES[engine], r)
     return w, r
 
 
@@ -663,13 +671,219 @@ def mc_tail(
     )
 
 
+# ---------------------------------------------------------------------------
+# differential tester: formula against oracle over sampled regions
+
+REGIONS = ("DeltaR", "OmegaR", "WslRho", "WReturn")
+V_DOMAINS = ("fundamental", "restricted")
+MAX_COUNTEREXAMPLES = 100
+
+# the regions drawn as the rows of a measure; WslRho draws its own
+REGION_MEASURES = {
+    "DeltaR": MeasureSpec.torsion(1), "OmegaR": MeasureSpec.haar_omega(), "WReturn": MeasureSpec.haar_w(),
+}
+
+# worked counterexamples and spot checks, always evaluated first
+_PROBES = {
+    "DeltaR": section_columns([OmegaCoords(1.0, 1.0, 0.0, 1.0), OmegaCoords(0.5, 0.75, 0.0, 0.5)]),
+    "OmegaR": section_columns([
+        OmegaCoords(0.5, 1.0, 0.2, 0.75), OmegaCoords(0.8, 0.5, 1.0, 0.3), OmegaCoords(0.5, 0.6, 2.0, 0.9),
+    ]),
+    "WslRho": section_columns([
+        WPointSL(0.6, 0.5, 0.3, 0.5), WPointSL(0.6, 0.9, 0.3, 0.5), WPointSL(0.6, 0.5, 0.5, 0.8),
+    ]),
+    "WReturn": section_columns([
+        WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9)), WPointSL(0.6, 0.5, 0.5, 0.8), WPointSL(0.6, 0.5, 0.3, 0.5),
+    ]),
+}
+
+
+@dataclass(frozen=True)
+class DiffReport:
+    region: str
+    samples: int
+    seed: int
+    mode: str
+    workers: int
+    max_abs_err: float
+    max_rel_err: float
+    n_discrepant: int
+    threshold: float
+    counterexamples: tuple
+    # OmegaR only: discrepant rows per region O1-O4, and their share of the
+    # 1/b (haar-omega importance) weight of all rows
+    discrepant_by_region: Optional[dict] = None
+    discrepant_weight_fraction: Optional[float] = None
+
+    def to_dict(self) -> dict:
+        out = {
+            "region": self.region,
+            "samples": self.samples,
+            "seed": self.seed,
+            "mode": self.mode,
+            "workers": self.workers,
+            "max_abs_err": self.max_abs_err,
+            "max_rel_err": self.max_rel_err,
+            "n_discrepant": self.n_discrepant,
+            "threshold": self.threshold,
+            "counterexamples": [
+                {"input": inp, "formula": f, "oracle": o}
+                for (inp, f, o) in self.counterexamples
+            ],
+        }
+        if self.discrepant_by_region is not None:
+            out["discrepant_by_region"] = dict(self.discrepant_by_region)
+            out["discrepant_weight_fraction"] = self.discrepant_weight_fraction
+        return out
+
+
+def _draw_region(region: str, rng, n: int, v_domain: str) -> SectionColumns:
+    """n inputs of the region, drawn as one block from the chunk's stream:
+    the rows of its measure (``REGION_MEASURES``, DeltaR's torsion:1 rows
+    marked at the lattice point), or WslRho's short-lattice rows."""
+    if region in REGION_MEASURES:
+        return _draw_batch(REGION_MEASURES[region], rng, n)[0]
+    stream = _Stream(rng)
+    a, b, v1, v2 = _sl_rows(stream, n)
+    # WslRho: markings off the domain are drawn again, in rounds, for the
+    # same (a, b), each round from where the last one ended
+    redo = np.arange(n)
+    while (redo := redo[(v1[redo] <= 0) | ((v_domain == "restricted") & (v1[redo] >= a[redo]))]).size:
+        _, _, v1[redo], v2[redo] = _sl_rows(stream, redo.size, (a[redo], b[redo]))
+    return _rows(SL, a, b, v1, v2)
+
+
+def _concat(parts: list) -> SectionColumns:
+    """Stack ``SectionColumns``."""
+    return SectionColumns(*map(np.concatenate, zip(*parts)))
+
+
+def _region_columns(region: str, rngs, v_domain: str) -> SectionColumns:
+    """The probes, then the draws of each (rng, count) in turn."""
+    return _concat([_PROBES[region]] + [_draw_region(region, rng, ni, v_domain) for rng, ni in rngs])
+
+
+def _formula_column(region: str, c: SectionColumns) -> np.ndarray:
+    """The closed-form return of every row, in one vectorized call (DeltaR:
+    the lattice return 1/(ab); WslRho: the travel time ``rho_sl_to_sa``)."""
+    if region == "DeltaR":
+        return 1.0 / (c.a * c.b)
+    if region == "WslRho":
+        return rho_sl_to_sa(*c[1:])
+    return section_returns(c)
+
+
+def _oracle_column(region: str, c: SectionColumns, mode: SurfaceMode, hints) -> np.ndarray:
+    """Ground truth of every row, in one batched oracle call.
+
+    DeltaR and OmegaR use their sections' own holonomy (DeltaR's lattice
+    scanned once, as the coset at v = 0); WslRho scans the marked coset
+    (or the doubled holonomy under doubled mode); WReturn uses the
+    slit-cover oracle.
+    """
+    if region == "DeltaR":
+        return oracle_first_return_batch(delta_basis(c.a, c.b), Vec2(0.0, 0.0), SurfaceMode.AFFINE_ONLY, hints)
+    if region == "WslRho":
+        return oracle_first_return_batch(*section_surfaces(c), mode, hints)
+    return section_oracle_returns(c, mode if region == "WReturn" else SurfaceMode.AFFINE_ONLY, hints)
+
+
+def _omega_breakdown(c: SectionColumns, bad: np.ndarray):
+    """Discrepant OmegaR rows per region O1-O4, and their 1/b-weighted mass
+    as a fraction of all rows' weight."""
+    counts = np.bincount(omega_region_vec(*(col[bad] for col in c[1:])), minlength=5)
+    w = 1.0 / c.b
+    return {f"O{k}": int(counts[k]) for k in range(1, 5)}, float(w[bad].sum() / w.sum())
+
+
+def _point_dict(region: str, c: SectionColumns, i: int) -> dict:
+    """Row i's input, as the report prints it (DeltaR: a and b)."""
+    kind = int(c.kind[i])
+    names = ("a", "b") if region == "DeltaR" else ("a", "b", "v1", "v2") if kind == SL else ("a", "b", "s", "alpha")
+    point = {k: float(v[i]) for k, v in zip(names, c[1:])}
+    return {"kind": SECTION_KINDS[kind], **point} if region == "WReturn" else point
+
+
+def diff_test(
+    region: str,
+    n: int,
+    seed: int,
+    mode: Union[SurfaceMode, str] = SurfaceMode.AFFINE_ONLY,
+    workers: int = 1,
+    *,
+    v_domain: str = "fundamental",
+) -> DiffReport:
+    """Formula vs oracle over n sampled inputs plus the canonical probes.
+
+    DeltaR and OmegaR compare against their sections' own ground truth and
+    ignore ``mode``.  WslRho compares the travel-time formula against the
+    marked-coset minimum (or the doubled minimum under doubled mode).
+    WReturn compares the slit-cover return against its claimed candidate set,
+    or against the full doubled holonomy under doubled mode.  ``v_domain``
+    ("fundamental" or "restricted") selects whether short-lattice markings
+    range over the whole period parallelogram or only 0 < v1 < a.
+
+    The inputs stay columns of arrays: the formula column is one vectorized
+    call, the oracle column one batched scan with the formula values as cap
+    hints.  A row is discrepant when its relative error exceeds
+    ``REL_ERR_THRESHOLD``; the first ``MAX_COUNTEREXAMPLES`` of them are
+    reported, and an OmegaR report also counts them per region O1-O4 and
+    gives their 1/b-weighted share (``_omega_breakdown``).  Each chunk of
+    the sample layout (``chunk_streams``; chunk 0 after the probes) is
+    drawn and gets both columns on at most ``workers`` threads
+    (``map_chunks``), as ``mc_tail``'s chunks are, and the chunks are
+    joined in chunk order, so reports are byte-identical for fixed
+    (seed, n), whatever ``workers`` is.  Every row is held, so n above
+    ``SCAN_ROW_LIMIT`` is refused before drawing.
+    """
+    if region not in REGIONS:
+        raise InvalidInputError(f"unknown region {region!r}")
+    if not 1 <= n <= SCAN_ROW_LIMIT:
+        raise InvalidInputError(f"samples must be from 1 to {SCAN_ROW_LIMIT} (difftest holds every row), got {n}")
+    if v_domain not in V_DOMAINS:
+        raise InvalidInputError(f"unknown v_domain {v_domain!r}")
+    try:
+        mode = SurfaceMode(mode)
+    except ValueError as exc:
+        raise InvalidInputError(f"unknown mode {mode!r}") from exc
+
+    def chunk(k, rng, count):
+        c = _draw_region(region, rng, count, v_domain) if k else _region_columns(region, [(rng, count)], v_domain)
+        formula = _formula_column(region, c)
+        return c, formula, _oracle_column(region, c, mode, formula)
+
+    cols, formula, oracle = zip(*map_chunks(chunk, n, seed, workers))
+    cols, formula, oracle = _concat(cols), np.concatenate(formula), np.concatenate(oracle)
+    abs_err = np.abs(formula - oracle)
+    rel_err = abs_err / np.maximum(np.abs(oracle), 1e-12)
+    bad = np.flatnonzero(rel_err > REL_ERR_THRESHOLD)
+    by_region, weight_fraction = _omega_breakdown(cols, bad) if region == "OmegaR" else (None, None)
+
+    return DiffReport(
+        region=region,
+        samples=len(formula),
+        seed=seed,
+        mode=mode.value,
+        workers=workers,
+        max_abs_err=float(abs_err.max()),
+        max_rel_err=float(rel_err.max()),
+        n_discrepant=len(bad),
+        threshold=REL_ERR_THRESHOLD,
+        counterexamples=tuple(
+            (_point_dict(region, cols, i), float(formula[i]), float(oracle[i]))
+            for i in bad[:MAX_COUNTEREXAMPLES]
+        ),
+        discrepant_by_region=by_region,
+        discrepant_weight_fraction=weight_fraction,
+    )
+
+
 def _oracle_surface(p, engine: str):
     """(surface, holonomy mode) that the oracle engine scans at point p."""
-    if engine == ORACLE_DOUBLED:
-        return omega_to_surface(p), SurfaceMode.DOUBLED_SLIT
-    if isinstance(p, (WPointSL, WPointSA)):
+    mode = ENGINE_MODES[engine]
+    if mode is SurfaceMode.AFFINE_ONLY and isinstance(p, (WPointSL, WPointSA)):
         raise InvalidInputError("affine-oracle orbits need affine-section coordinates")
-    return omega_to_surface(p), SurfaceMode.AFFINE_ONLY
+    return omega_to_surface(p), mode
 
 
 def orbit(start, engine: str, n_steps: int):
@@ -699,6 +913,4 @@ def orbit(start, engine: str, n_steps: int):
             rows.append(row)
         yield np.array(returns, dtype=float), row_columns(rows)
     else:
-        from .oracle import oracle_orbit
-
         yield oracle_orbit(*_oracle_surface(start, engine), n_steps)

@@ -1,5 +1,5 @@
-"""Brute-force return-time oracles and a formula-vs-oracle differential
-tester.
+"""Brute-force return-time oracles: the ground truth that the closed-form
+returns are judged against.
 
 The oracle never touches the piecewise return formulas: it enumerates the
 holonomy set inside the vertical strip and reads the return time off the
@@ -14,21 +14,14 @@ rows of ``SectionColumns`` of any kind.  ``oracle_strip_slopes`` reads a
 surface's first strip slopes off one scan, and ``oracle_orbit`` reads the
 returns and the section point after every return off one kernel pass over
 the start surface (``transversal.orbit_scan``).  The differential tester
-samples a region into ``SectionColumns`` (DeltaR: columns a and b),
-evaluates the vectorized formula and the batched oracle once each per chunk
-of rows, and reports any relative disagreement above 1e-6 as a
-counterexample.  Two regions are expected to disagree (the short-lattice
-travel-time formula, and the slit-cover return when the mirrored coset is
-switched on); disagreement there is a finding to report, not a failure.
+that compares the two, ``measures.diff_test``, samples its inputs beside
+the Monte Carlo estimators.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 
@@ -36,7 +29,6 @@ from . import geometry
 from .errors import InvalidInputError, NotOnTransversalError
 from .geometry import (
     AffineLattice,
-    SCAN_ROW_LIMIT,
     Mat2,
     SurfaceMode,
     Vec2,
@@ -46,36 +38,17 @@ from .geometry import (
     enumerate_strip,
     slopes_and_gaps,
 )
-from .measures import (
-    MeasureSpec,
-    _batch_measure,
-    _batch_omega,
-    _Draws,
-    _omega_columns,
-    _rows,
-    _sl_rows,
-    _Stream,
-    _triangle_uniform,
-    map_chunks,
-)
 from .transversal import (
-    SECTION_KINDS,
     SL,
-    OmegaCoords,
     OrbitScan,
     SectionColumns,
-    WPointSA,
-    WPointSL,
-    delta_basis,
-    omega_region_vec,
     orbit_scan,
     orbit_section_coords,
-    rho_sl_to_sa,
-    section_columns,
-    section_returns,
     section_surfaces,
 )
 
+# relative error past which a formula return disagrees with the oracle; a
+# formula hint's first cap is widened by it
 REL_ERR_THRESHOLD = 1e-6
 DEFAULT_CAP = 8.0
 CAP_LIMIT = 1e18
@@ -87,53 +60,9 @@ SLOPE_DENSITY = {
     SurfaceMode.DOUBLED_SLIT: 1.0 + 3.0 / math.pi ** 2,
 }
 CAP_MARGIN = 1.25
-REGIONS = ("DeltaR", "OmegaR", "WslRho", "WReturn")
-V_DOMAINS = ("fundamental", "restricted")
 NO_RETURN = "no positive-slope holonomy vector found below the cap limit"
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class DiffReport:
-    region: str
-    samples: int
-    seed: int
-    mode: str
-    workers: int
-    max_abs_err: float
-    max_rel_err: float
-    n_discrepant: int
-    threshold: float
-    counterexamples: tuple
-    # OmegaR only: discrepant rows per region O1-O4, and their share of the
-    # 1/b (haar-omega importance) weight of all rows
-    discrepant_by_region: Optional[dict] = None
-    discrepant_weight_fraction: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "region": self.region,
-            "samples": self.samples,
-            "seed": self.seed,
-            "mode": self.mode,
-            "workers": self.workers,
-            "max_abs_err": self.max_abs_err,
-            "max_rel_err": self.max_rel_err,
-            "n_discrepant": self.n_discrepant,
-            "threshold": self.threshold,
-            "counterexamples": [
-                {"input": inp, "formula": f, "oracle": o}
-                for (inp, f, o) in self.counterexamples
-            ],
-        }
-        if self.discrepant_by_region is not None:
-            out["discrepant_by_region"] = dict(self.discrepant_by_region)
-            out["discrepant_weight_fraction"] = self.discrepant_weight_fraction
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def oracle_first_return_batch(
@@ -324,172 +253,3 @@ def oracle_orbit(surface: AffineLattice, mode: SurfaceMode, count: int):
     slopes = slopes[:count]
     return np.diff(slopes, prepend=0.0), orbit_section_coords(surface, slopes, rows, slit=slit)
 
-
-# ---------------------------------------------------------------------------
-# differential tester
-
-# worked counterexamples and spot checks, always evaluated first
-_PROBES = {
-    "DeltaR": {"a": [1.0, 0.5], "b": [1.0, 0.75]},
-    "OmegaR": section_columns([
-        OmegaCoords(0.5, 1.0, 0.2, 0.75), OmegaCoords(0.8, 0.5, 1.0, 0.3), OmegaCoords(0.5, 0.6, 2.0, 0.9),
-    ]),
-    "WslRho": section_columns([
-        WPointSL(0.6, 0.5, 0.3, 0.5), WPointSL(0.6, 0.9, 0.3, 0.5), WPointSL(0.6, 0.5, 0.5, 0.8),
-    ]),
-    "WReturn": section_columns([
-        WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9)), WPointSL(0.6, 0.5, 0.5, 0.8), WPointSL(0.6, 0.5, 0.3, 0.5),
-    ]),
-}
-
-MAX_COUNTEREXAMPLES = 100
-
-
-def _draw_region(region: str, rng, n: int, v_domain: str):
-    """n inputs of the region as ``SectionColumns`` (DeltaR: a dict of
-    columns a and b), drawn as one block from the chunk's stream."""
-    if region == "WReturn":
-        measure = MeasureSpec.haar_w()
-        return _batch_measure(measure, _Draws(measure, rng, n), n)[0]
-    stream = _Stream(rng)
-    if region == "DeltaR":
-        a, b = _triangle_uniform(stream, n)
-        return {"a": a, "b": b}
-    if region == "OmegaR":
-        return _batch_omega(_omega_columns(stream, n), n)[0]
-    a, b, v1, v2 = _sl_rows(stream, n)
-    # WslRho: markings off the domain are drawn again, in rounds, for the
-    # same (a, b), each round from where the last one ended
-    redo = np.arange(n)
-    while (redo := redo[(v1[redo] <= 0) | ((v_domain == "restricted") & (v1[redo] >= a[redo]))]).size:
-        _, _, v1[redo], v2[redo] = _sl_rows(stream, redo.size, (a[redo], b[redo]))
-    return _rows(SL, a, b, v1, v2)
-
-
-def _concat(parts: list):
-    """Stack columns of one layout; a dict keeps the first part's keys."""
-    if isinstance(parts[0], dict):
-        return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-    return SectionColumns(*map(np.concatenate, zip(*parts)))
-
-
-def _region_columns(region: str, rngs, v_domain: str):
-    """The probes, then the draws of each (rng, count) in turn."""
-    return _concat([_PROBES[region]] + [_draw_region(region, rng, ni, v_domain) for rng, ni in rngs])
-
-
-def _formula_column(region: str, c) -> np.ndarray:
-    """The closed-form return of every row, in one vectorized call (WslRho:
-    the travel time ``rho_sl_to_sa``)."""
-    if region == "DeltaR":
-        return 1.0 / (c["a"] * c["b"])
-    if region == "WslRho":
-        return rho_sl_to_sa(*c[1:])
-    return section_returns(c)
-
-
-def _oracle_column(region: str, c, mode: SurfaceMode, hints) -> np.ndarray:
-    """Ground truth of every row, in one batched oracle call.
-
-    DeltaR and OmegaR use their sections' own holonomy (DeltaR's lattice
-    scanned once, as the coset at v = 0); WslRho scans the marked coset
-    (or the doubled holonomy under doubled mode); WReturn uses the
-    slit-cover oracle.
-    """
-    if region == "DeltaR":
-        g = delta_basis(c["a"], c["b"])
-        return oracle_first_return_batch(g, Vec2(0.0, 0.0), SurfaceMode.AFFINE_ONLY, hints)
-    if region == "WslRho":
-        return oracle_first_return_batch(*section_surfaces(c), mode, hints)
-    return section_oracle_returns(c, mode if region == "WReturn" else SurfaceMode.AFFINE_ONLY, hints)
-
-
-def _omega_breakdown(c: SectionColumns, bad: np.ndarray):
-    """Discrepant OmegaR rows per region O1-O4, and their 1/b-weighted mass
-    as a fraction of all rows' weight."""
-    counts = np.bincount(omega_region_vec(*(col[bad] for col in c[1:])), minlength=5)
-    w = 1.0 / c.b
-    return {f"O{k}": int(counts[k]) for k in range(1, 5)}, float(w[bad].sum() / w.sum())
-
-
-def _point_dict(region: str, c, i: int) -> dict:
-    """Row i's input, as the report prints it."""
-    if region == "DeltaR":
-        return {k: float(v[i]) for k, v in c.items()}
-    kind = int(c.kind[i])
-    names = ("a", "b", "v1", "v2") if kind == SL else ("a", "b", "s", "alpha")
-    point = {k: float(v[i]) for k, v in zip(names, c[1:])}
-    return {"kind": SECTION_KINDS[kind], **point} if region == "WReturn" else point
-
-
-def diff_test(
-    region: str,
-    n: int,
-    seed: int,
-    mode: Union[SurfaceMode, str] = SurfaceMode.AFFINE_ONLY,
-    workers: int = 1,
-    *,
-    v_domain: str = "fundamental",
-) -> DiffReport:
-    """Formula vs oracle over n sampled inputs plus the canonical probes.
-
-    DeltaR and OmegaR compare against their sections' own ground truth and
-    ignore ``mode``.  WslRho compares the travel-time formula against the
-    marked-coset minimum (or the doubled minimum under doubled mode).
-    WReturn compares the slit-cover return against its claimed candidate set,
-    or against the full doubled holonomy under doubled mode.  ``v_domain``
-    ("fundamental" or "restricted") selects whether short-lattice markings
-    range over the whole period parallelogram or only 0 < v1 < a.
-
-    The inputs stay columns of arrays: the formula column is one vectorized
-    call, the oracle column one batched scan with the formula values as cap
-    hints.  A row is discrepant when its relative error exceeds
-    ``REL_ERR_THRESHOLD``; the first ``MAX_COUNTEREXAMPLES`` of them are
-    reported, and an OmegaR report also counts them per region O1-O4 and
-    gives their 1/b-weighted share (``_omega_breakdown``).  Each chunk of
-    the sample layout (``chunk_streams``; chunk 0 after the probes) is
-    drawn and gets both columns on at most ``workers`` threads
-    (``map_chunks``), and the chunks are joined in chunk order, so reports
-    are byte-identical for fixed (seed, n), whatever ``workers`` is.  Every
-    row is held, so n above ``SCAN_ROW_LIMIT`` is refused before drawing.
-    """
-    if region not in REGIONS:
-        raise InvalidInputError(f"unknown region {region!r}")
-    if not 1 <= n <= SCAN_ROW_LIMIT:
-        raise InvalidInputError(f"samples must be from 1 to {SCAN_ROW_LIMIT} (difftest holds every row), got {n}")
-    if v_domain not in V_DOMAINS:
-        raise InvalidInputError(f"unknown v_domain {v_domain!r}")
-    try:
-        mode = SurfaceMode(mode)
-    except ValueError as exc:
-        raise InvalidInputError(f"unknown mode {mode!r}") from exc
-
-    def chunk(k, rng, count):
-        c = _draw_region(region, rng, count, v_domain) if k else _region_columns(region, [(rng, count)], v_domain)
-        formula = _formula_column(region, c)
-        return c, formula, _oracle_column(region, c, mode, formula)
-
-    cols, formula, oracle = zip(*map_chunks(chunk, n, seed, workers))
-    cols, formula, oracle = _concat(cols), np.concatenate(formula), np.concatenate(oracle)
-    abs_err = np.abs(formula - oracle)
-    rel_err = abs_err / np.maximum(np.abs(oracle), 1e-12)
-    bad = np.flatnonzero(rel_err > REL_ERR_THRESHOLD)
-    by_region, weight_fraction = _omega_breakdown(cols, bad) if region == "OmegaR" else (None, None)
-
-    return DiffReport(
-        region=region,
-        samples=len(formula),
-        seed=seed,
-        mode=mode.value,
-        workers=workers,
-        max_abs_err=float(abs_err.max()),
-        max_rel_err=float(rel_err.max()),
-        n_discrepant=len(bad),
-        threshold=REL_ERR_THRESHOLD,
-        counterexamples=tuple(
-            (_point_dict(region, cols, i), float(formula[i]), float(oracle[i]))
-            for i in bad[:MAX_COUNTEREXAMPLES]
-        ),
-        discrepant_by_region=by_region,
-        discrepant_weight_fraction=weight_fraction,
-    )

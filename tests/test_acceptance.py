@@ -36,9 +36,9 @@ from slitgaps.measures import (
     FORMULA,
     ORACLE_AFFINE,
     MeasureSpec,
+    diff_test,
     mc_tail,
 )
-from slitgaps.oracle import diff_test
 from slitgaps.transversal import (
     DeltaCoords,
     OmegaCoords,

@@ -447,6 +447,31 @@ def test_config_file_rejects_a_plot_value_that_is_not_boolean(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "g.csv.gp").exists()
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (["difftest", "OmegaR", "--samples", "100"], ["plot = yes", "iters = 7"]),
+    (["gaps", "--omega", "1,1,0,0.5", "--slope-max", "2"], ["seed = 3", "samples = 5"]),
+])
+def test_config_file_takes_only_the_command_s_own_keys(tmp_path, capsys, argv, lines):
+    # a key the command has no flag for is refused, not ignored
+    cfg = tmp_path / "run.cfg"
+    for line in lines:
+        cfg.write_text(line + "\n")
+        assert main(argv + ["--out", str(tmp_path / "out"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: unknown config key {line.split()[0]!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_region_applies_and_the_argument_wins(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("region = WslRho\nsamples = 200\n")
+    out = tmp_path / "report.json"
+    assert main(["difftest", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["region"] == report["results"]["region"] == "WslRho"
+    assert main(["difftest", "DeltaR", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["region"] == "DeltaR"
+
+
 def test_mc_tail_rejects_a_malformed_periodic_measure(capsys):
     argv = ["mc-tail", "--measure", "periodic-omega:0.5,abc", "--t-grid", "1", "--samples", "1000"]
     assert main(argv) == 2
@@ -613,11 +638,17 @@ def test_non_finite_grid_entries_rejected(capsys):
     ["mc-tail", "--measure", "haar-w", "--t-grid", "0:2:0.5", "--samples", "2000"],
     ["closed-form", "--t-grid", "0:2:0.5"],
 ])
-def test_plot_without_out_fails_before_any_output(argv, capsys):
+def test_plot_without_out_fails_before_any_output(argv, capsys, tmp_path):
     assert main(argv + ["--plot"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--plot needs --out" in captured.err
+    # a JSON report has no CSV table for the script to plot
+    assert main(argv + ["--format", "json", "--out", str(tmp_path / "t.json"), "--plot"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--plot needs --format csv" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("exc", [QuadratureError, EstimationError])

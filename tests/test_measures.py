@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from slitgaps import measures, oracle, transversal
+from slitgaps import measures, transversal
 from slitgaps.errors import InvalidInputError
 from slitgaps.geometry import SurfaceMode, horocycle_apply
 from slitgaps.measures import (
@@ -140,7 +140,7 @@ def test_periodic_omega_survival_is_a_step():
 
 
 def test_periodic_point_constant_return():
-    est = mc_tail(MeasureSpec.periodic_point(), FORMULA, [0.0, 1.9, 2.1], 1000, seed=7)
+    est = mc_tail(MeasureSpec("periodic-point"), FORMULA, [0.0, 1.9, 2.1], 1000, seed=7)
     assert est.survival[0] == 1.0
     assert est.survival[1] == 1.0
     assert est.survival[2] == 0.0
@@ -169,7 +169,7 @@ def test_mc_tail_reproducible_across_calls():
     grid = [0.0, 0.5, 1.0, 2.0]
     one = mc_tail(MeasureSpec.haar_w(), FORMULA, grid, 20_000, seed=17, workers=3)
     two = mc_tail(MeasureSpec.haar_w(), FORMULA, grid, 20_000, seed=17, workers=3)
-    assert one.to_json() == two.to_json()
+    assert one.to_dict() == two.to_dict()
 
 
 def test_mc_tail_rejects_bad_engine():
@@ -338,7 +338,7 @@ def test_mc_tail_output_is_independent_of_the_core_count(monkeypatch):
     for cores in (1, 2):
         monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
         est = mc_tail(MeasureSpec.haar_w(), FORMULA, [0.0, 1.0, 2.0], 20_000, seed=43, workers=3)
-        runs.append(est.to_json())
+        runs.append(est.to_dict())
     assert runs[0] == runs[1]
 
 
@@ -397,10 +397,10 @@ def test_reports_do_not_depend_on_workers_or_cores(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
         for workers in (1, 2, 7, 10**12):
             tail = mc_tail(MeasureSpec.haar_w(), FORMULA, [0.0, 1.0, 2.0], n, seed=67, workers=workers)
-            diff = oracle.diff_test("WslRho", n, seed=67, workers=workers, v_domain="restricted")
+            diff = measures.diff_test("WslRho", n, seed=67, workers=workers, v_domain="restricted")
             tail, diff = tail.to_dict(), diff.to_dict()
             assert tail.pop("workers") == diff.pop("workers") == workers
-            assert diff["samples"] == n + len(oracle._PROBES["WslRho"].kind)
+            assert diff["samples"] == n + len(measures._PROBES["WslRho"].kind)
             reports.add(json.dumps([tail, diff], sort_keys=True, indent=2))
     assert len(reports) == 1
 

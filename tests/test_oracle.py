@@ -25,22 +25,22 @@ from slitgaps.geometry import (
 from slitgaps.measures import (
     ORACLE_AFFINE,
     ORACLE_DOUBLED,
-    MeasureSpec,
-    _draw_batch,
-    _rows,
-    chunk_streams,
-)
-from slitgaps.oracle import (
-    CAP_LIMIT,
-    DEFAULT_CAP,
     REGIONS,
-    REL_ERR_THRESHOLD,
+    MeasureSpec,
     _PROBES,
+    _draw_batch,
     _formula_column,
     _oracle_column,
     _point_dict,
     _region_columns,
+    _rows,
+    chunk_streams,
     diff_test,
+)
+from slitgaps.oracle import (
+    CAP_LIMIT,
+    DEFAULT_CAP,
+    REL_ERR_THRESHOLD,
     oracle_first_return_batch,
     oracle_strip_slopes,
     section_oracle_returns,
@@ -322,8 +322,8 @@ def test_diff_test_rejects_unknown_mode():
 
 
 def test_diff_test_deterministic():
-    a = diff_test("OmegaR", 500, seed=11, workers=2).to_json()
-    b = diff_test("OmegaR", 500, seed=11, workers=2).to_json()
+    a = diff_test("OmegaR", 500, seed=11, workers=2).to_dict()
+    b = diff_test("OmegaR", 500, seed=11, workers=2).to_dict()
     assert a == b
 
 
@@ -383,7 +383,7 @@ def _region_batch(region, n, seed):
     """Probes plus n draws of the region: its columns, their surfaces (g, v)
     (DeltaR's lattices as the coset at v = 0) and the formula column."""
     cols = _region_columns(region, chunk_streams(n, seed), "fundamental")
-    g, v = (delta_basis(cols["a"], cols["b"]), Vec2(0.0, 0.0)) if region == "DeltaR" else section_surfaces(cols)
+    g, v = (delta_basis(cols.a, cols.b), Vec2(0.0, 0.0)) if region == "DeltaR" else section_surfaces(cols)
     return cols, g, v, _formula_column(region, cols)
 
 
@@ -554,7 +554,7 @@ def test_zero_coset_lattice_minimum_equals_the_doubled_one(region):
     cols = _region_columns(region, chunk_streams(5000, 89), "fundamental")
     hints = _formula_column(region, cols)
     zero = Vec2(0.0, 0.0)
-    g, v = (delta_basis(cols["a"], cols["b"]), zero) if region == "DeltaR" else section_surfaces(cols)
+    g, v = (delta_basis(cols.a, cols.b), zero) if region == "DeltaR" else section_surfaces(cols)
     doubled = oracle_first_return_batch(g, zero, SurfaceMode.DOUBLED_SLIT, hints)
     assert np.array_equal(oracle_first_return_batch(g, zero, SurfaceMode.AFFINE_ONLY, hints), doubled)
     # DeltaR's marking is 0 too, so its coset minimum is the lattice's
@@ -885,7 +885,6 @@ def test_return_formulas_have_one_definition(name):
     formula = getattr(slitgaps.transversal, name)
     assert getattr(slitgaps.measures, name, formula) is formula
     assert getattr(slitgaps.oracle, name, formula) is formula
-    assert slitgaps.measures.section_returns is slitgaps.oracle.section_returns
 
 
 # the three scans an oracle orbit made of its start surface before it read
