@@ -9,17 +9,18 @@ Outputs are CSV (UTF-8, header row, LF) or a JSON report; JSON reports
 follow the shipped ``report-schema.json``.  Exit codes: 0 success or a
 known-discrepancy report, 2 usage or parse failure, 3 invalid state
 (off-transversal starts, out-of-regime thresholds), 4 counterexamples in a
-region whose formula is checked as ground truth.  The top-level
+region whose formula is checked as ground truth, 141 when the reader of
+standard output closes it early (128 + SIGPIPE).  The top-level
 ``--log-level`` (default WARNING) sends the package's log messages at that
 level and above to stderr.
 """
 
 import argparse
-import csv
+import contextlib
 import json
 import logging
 import math
-import operator
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +41,7 @@ from .errors import (
 from .geometry import AffineLattice, Mat2, SurfaceMode, Vec2, enumerate_strip, slopes_and_gaps
 from .measures import ENGINES, FORMULA, ORACLE_DOUBLED, REGIONS, V_DOMAINS, MeasureSpec, diff_test, mc_tail, orbit
 from .oracle import oracle_strip_slopes
+from .table import write_table
 from .transversal import SECTION_KINDS, OmegaCoords, flowed_section_coords, omega_to_surface, section_columns
 
 SPEC_VERSION = "1.0"
@@ -48,6 +50,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_STATE = 3
 EXIT_REGRESSION = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that closed the pipe
 
 # regions whose counterexamples are findings to report, not regressions
 KNOWN_DISCREPANCY_REGIONS = ("WslRho", "WReturn")
@@ -221,51 +224,34 @@ def _load_surface(path: str) -> AffineLattice:
     return AffineLattice(Mat2(g11, g12, g21, g22), Vec2(v1, v2)).check()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+@contextlib.contextmanager
+def _writing(path, mode="w"):
+    """``path`` opened for writing (text as UTF-8); a failure to open or
+    write it is a usage error, exit 2."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_csv(out, header, rows, format_rows=None):
-    """UTF-8, header row, `.` decimal, LF endings; cells formatted by
-    ``_fmt``, or the whole table ``rows`` at once by ``format_rows``."""
+def _write_csv(out, header, columns, empty=None):
+    """The CSV table of ``columns`` (see ``table.write_table``) to the file
+    ``out``, or to stdout when it is None."""
     if out is None:
-        _emit_csv(sys.stdout, header, rows, format_rows)
+        write_table(lambda data: sys.stdout.write(data.decode("ascii")), header, columns, empty)
         return
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        _emit_csv(fh, header, rows, format_rows)
-
-
-def _emit_csv(fh, header, rows, format_rows=None):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    if format_rows is not None:
-        fh.write(format_rows(rows))
-        return
-    for row in rows:
-        writer.writerow([_fmt(c) for c in row])
-
-
-# an orbit row (step, return_time, kind, a, b, s, alpha) in one `%`-format
-# that writes each cell as ``_fmt`` does; the second, for vertical rows,
-# takes b and leaves its cell empty
-_ORBIT_LINES = ("%d,%.12g,%s,%.12g,%.12g,%.12g,%.12g\n", "%d,%.12g,%s,%.12g,%.0s,%.12g,%.12g\n")
-
-
-def _format_orbit_columns(table) -> str:
-    """The CSV lines of ``cmd_orbit``'s (columns, vertical): one line per
-    row of the column lists, in the vertical-row format where b is nan."""
-    columns, vertical = table
-    return "".join(map(operator.mod, [_ORBIT_LINES[v] for v in vertical], zip(*columns)))
+    with _writing(out, "wb") as fh:
+        write_table(fh.write, header, columns, empty)
 
 
 def _write_json(out, payload):
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        return
+    with _writing(out) as fh:
+        fh.write(text)
 
 
 def _report(config: RunConfig, results, counterexamples=()) -> dict:
@@ -290,7 +276,6 @@ def _sidecar_path(out: str) -> str:
 
 def _write_plot_script(out: str, columns, with_errors=False):
     """Gnuplot companion that renders the CSV next to it."""
-    gp = Path(out + ".gp")
     csv_name = Path(out).name
     lines = [
         "set datafile separator ','",
@@ -304,23 +289,19 @@ def _write_plot_script(out: str, columns, with_errors=False):
     else:
         using = ", ".join(f"'{csv_name}' using 1:{i} with lines" for i in range(2, 2 + len(columns)))
         lines.append(f"plot {using}")
-    gp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _writing(out + ".gp") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def _write_outputs(
-    config, header, rows, summary, plot_columns, *, results=None, with_errors=False, format_rows=None
-):
-    """The table as CSV (``format_rows`` as in ``_write_csv``), plus a JSON
-    sidecar with ``summary`` when written to a file; or a JSON report of
-    ``results`` (default: the rows keyed by header); and the gnuplot script
-    under --plot."""
+def _write_outputs(config, header, columns, summary, plot_columns, *, results, with_errors=False, empty=None):
+    """The table of ``columns`` as CSV (``empty`` as in ``_write_csv``), plus
+    a JSON sidecar with ``summary`` when written to a file; or a JSON report
+    of ``results``; and the gnuplot script under --plot."""
     p = config.params
     if p["format"] == "json":
-        if results is None:
-            results = [dict(zip(header, row)) for row in rows]
         _write_json(p["out"], _report(config, results))
     else:
-        _write_csv(p["out"], header, rows, format_rows)
+        _write_csv(p["out"], header, columns, empty)
         if p["out"] is not None:
             _write_json(_sidecar_path(p["out"]), _report(config, summary))
     if p["plot"]:
@@ -344,16 +325,17 @@ def cmd_gaps(config: RunConfig) -> int:
     if p.get("slope_max") is None and p.get("count") is None:
         raise InvalidInputError("gaps needs --slope-max or --count")
     if p.get("slope_max") is not None:
-        series = slopes_and_gaps(enumerate_strip(surface, mode, float(p["slope_max"])))
-        slopes, gaps = list(series.slopes), list(series.gaps)
+        slopes = slopes_and_gaps(enumerate_strip(surface, mode, float(p["slope_max"]))).slopes
     else:
-        slopes = list(oracle_strip_slopes(surface, mode, int(p["count"])))
-        gaps = [hi - lo for lo, hi in zip(slopes, slopes[1:])]
-
-    rows = [(i, s, gaps[i] if i < len(gaps) else "") for i, s in enumerate(slopes)]
+        slopes = oracle_strip_slopes(surface, mode, int(p["count"]))
+    n = len(slopes)
+    gaps = numpy.diff(slopes)
+    # the last slope has no gap: its cell is empty
+    last = numpy.arange(n) == n - 1
     return _write_outputs(
-        config, ("index", "slope", "gap"), rows, {"n_slopes": len(slopes)}, ("slope", "gap"),
-        results={"slopes": slopes, "gaps": gaps},
+        config, ("index", "slope", "gap"), (numpy.arange(n), slopes, numpy.append(gaps, 0.0)[:n]),
+        {"n_slopes": n}, ("slope", "gap"), results={"slopes": slopes.tolist(), "gaps": gaps.tolist()},
+        empty=(None, None, last),
     )
 
 
@@ -378,18 +360,18 @@ def cmd_orbit(config: RunConfig) -> int:
     [(returns, points)] = orbit(start, engine, iters)
     # row k shows the point the k-th return leaves from
     kind, a, b, s, alpha = (numpy.concatenate([c0, c])[:iters] for c0, c in zip(first, points))
-    vertical = numpy.isnan(b).tolist()  # b is nan on vertical rows, an empty cell
-    head = (range(iters), returns.tolist(), [SECTION_KINDS[k] for k in kind.tolist()], a.tolist())
-    b, s, alpha = b.tolist(), s.tolist(), alpha.tolist()
-    columns = (*head, b, s, alpha)
+    vertical = numpy.isnan(b)  # b is nan on vertical rows, an empty cell
     header = ("step", "return_time", "kind", "a", "b", "s", "alpha")
     results = None
     if p["format"] == "json":
-        rows = zip(*head, ["" if v else x for v, x in zip(vertical, b)], s, alpha)
+        kinds = [SECTION_KINDS[k] for k in kind.tolist()]
+        b_cells = ["" if v else x for v, x in zip(vertical.tolist(), b.tolist())]
+        rows = zip(range(iters), returns.tolist(), kinds, a.tolist(), b_cells, s.tolist(), alpha.tolist())
         results = [dict(zip(header, row)) for row in rows]
+    labels = numpy.array(SECTION_KINDS, dtype=bytes)[kind]
     return _write_outputs(
-        config, header, (columns, vertical), {"steps": iters}, ("return_time",),
-        results=results, format_rows=_format_orbit_columns,
+        config, header, (numpy.arange(iters), returns, labels, a, b, s, alpha), {"steps": iters},
+        ("return_time",), results=results, empty=(None,) * 4 + (vertical, None, None),
     )
 
 
@@ -401,8 +383,9 @@ def cmd_mc_tail(config: RunConfig) -> int:
     grid = parse_t_grid(p["t_grid"])
     est = mc_tail(measure, p["engine"], grid, int(p["samples"]), int(p["seed"]), int(p["workers"]))
     summary = est.to_dict()
+    columns = (est.t_grid, est.survival, est.ci_halfwidth, numpy.full(len(est.t_grid), float(est.n_eff)))
     return _write_outputs(
-        config, ("t", "survival", "ci_halfwidth", "n_eff"), list(est.rows()), summary,
+        config, ("t", "survival", "ci_halfwidth", "n_eff"), columns, summary,
         ("survival",), results=summary, with_errors=True,
     )
 
@@ -440,7 +423,10 @@ def cmd_closed_form(config: RunConfig) -> int:
         raise InvalidInputError("closed-form needs --t-grid")
     grid = parse_t_grid(p["t_grid"])
     header, rows = _closed_form_rows(p["component"], grid, float(p["h"]))
-    return _write_outputs(config, header, rows, {"rows": len(rows)}, header[1:])
+    return _write_outputs(
+        config, header, tuple(zip(*rows)), {"rows": len(rows)}, header[1:],
+        results=[dict(zip(header, row)) for row in rows],
+    )
 
 
 def cmd_difftest(config: RunConfig) -> int:
@@ -560,7 +546,14 @@ def main(argv=None) -> int:
                 raise InvalidInputError("--plot needs --out")
             if config.params.get("format") == "json":
                 raise InvalidInputError("--plot needs --format csv: it plots the CSV table")
-        return args.func(config)
+        code = args.func(config)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # exit has nowhere to fail, and exit quietly as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     # the state errors subclass InvalidInputError, so they are caught first
     except (
         NotOnTransversalError,

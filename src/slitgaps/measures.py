@@ -206,10 +206,6 @@ class TailEstimate:
     total_mass_se: float
     component_masses: dict = field(default_factory=dict)
 
-    def rows(self):
-        for t, sv, ci in zip(self.t_grid, self.survival, self.ci_halfwidth):
-            yield (float(t), float(sv), float(ci), float(self.n_eff))
-
     def to_dict(self) -> dict:
         return {
             "measure": self.measure.label(),

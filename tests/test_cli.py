@@ -4,8 +4,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -22,6 +26,8 @@ from slitgaps.errors import (
     QuadratureError,
 )
 from slitgaps.measures import BLOCK
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 SCHEMA = json.loads(
     resources.files("slitgaps").joinpath("report-schema.json").read_text()
@@ -748,13 +754,24 @@ def _orbit_block(n):
     return col(), t.SectionColumns(kind, col(), b, col(), col())
 
 
+def _per_cell_csv(header, rows) -> str:
+    """The reference CSV: csv.writer over '%.12g' % v for each float cell
+    and str for every other cell, LF endings."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["%.12g" % c if isinstance(c, float) else str(c) for c in row])
+    return out.getvalue()
+
+
 def test_orbit_rows_format_in_one_pass_as_fmt_does(monkeypatch, capsys):
     n = 60
     returns, points = _orbit_block(n)
     monkeypatch.setattr(cli, "orbit", lambda start, engine, iters: iter([(returns, points)]))
     argv = ["orbit", "--start", "1,1,0,0.5", "--iters", str(n)]
-    # the reference: every cell through _fmt, b empty on vertical rows, the
-    # start point first and the last point (where no return leaves) dropped
+    # the reference: every cell through '%.12g' % v, b empty on vertical rows,
+    # the start point first and the last point (where no return leaves) dropped
     start = transversal.section_columns([transversal.OmegaCoords(1.0, 1.0, 0.0, 0.5)])
     cols = [np.concatenate([c0, c])[:n].tolist() for c0, c in zip(start, points)]
     header = ("step", "return_time", "kind", "a", "b", "s", "alpha")
@@ -762,12 +779,60 @@ def test_orbit_rows_format_in_one_pass_as_fmt_does(monkeypatch, capsys):
         (k, u, transversal.SECTION_KINDS[kind], a, "" if math.isnan(b) else b, s, alpha)
         for k, (u, kind, a, b, s, alpha) in enumerate(zip(returns.tolist(), *cols))
     ]
-    expected = io.StringIO()
-    cli._emit_csv(expected, header, rows)
     assert main(argv) == 0
-    assert capsys.readouterr().out == expected.getvalue()
+    assert capsys.readouterr().out == _per_cell_csv(header, rows)
     assert main(argv + ["--format", "json"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     want = [dict(zip(header, row)) for row in rows]
     assert json.dumps(results, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert any(r["b"] == "" for r in results) and any(r["kind"] == "sl" for r in results)
+
+
+START = "0.5,0.6,2.0,0.9"
+
+
+@pytest.mark.parametrize(
+    "argv, blocked",
+    [
+        (["orbit", "--start", START, "--iters", "3", "--out", "{d}/x.csv"], None),
+        (["difftest", "OmegaR", "--samples", "10", "--out", "{d}/x.json"], None),
+        (["orbit", "--start", START, "--iters", "3", "--out", "{d}/x.csv"], "x.csv.json"),
+        (["orbit", "--start", START, "--iters", "3", "--out", "{d}/x.csv", "--plot"], "x.csv.gp"),
+    ],
+    ids=["csv", "json-report", "sidecar", "gnuplot-script"],
+)
+def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, blocked):
+    # a missing directory for the table or the report; a directory where
+    # the sidecar or the gnuplot script goes
+    if blocked is None:
+        d = tmp_path / "missing"
+        path = d / argv[-1].rsplit("/", 1)[1]
+    else:
+        d = tmp_path
+        path = d / blocked
+        path.mkdir()
+    assert main([a.replace("{d}", str(d)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--start", START, "--iters", "100000", "--engine", "oracle-affine"],
+        ["gaps", "--omega", START, "--slope-max", "100000"],
+    ],
+    ids=["orbit", "gaps"],
+)
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slitgaps.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert header.startswith(b"step,") or header.startswith(b"index,")
+    assert "Traceback" not in err and err == ""
