@@ -42,7 +42,9 @@ from .geometry import AffineLattice, Mat2, SurfaceMode, Vec2, enumerate_strip, s
 from .measures import ENGINES, FORMULA, ORACLE_DOUBLED, REGIONS, V_DOMAINS, MeasureSpec, diff_test, mc_tail, orbit
 from .oracle import oracle_strip_slopes
 from .table import write_table
-from .transversal import SECTION_KINDS, OmegaCoords, flowed_section_coords, omega_to_surface, section_columns
+from .transversal import (
+    OMEGA, SECTION_KINDS, OmegaCoords, _first_surface, check_rows, flowed_section_coords, omega_to_surface, row_columns,
+)
 
 SPEC_VERSION = "1.0"
 
@@ -295,17 +297,28 @@ def _write_plot_script(out: str, columns, with_errors=False):
 
 def _write_outputs(config, header, columns, summary, plot_columns, *, results, with_errors=False, empty=None):
     """The table of ``columns`` as CSV (``empty`` as in ``_write_csv``), plus
-    a JSON sidecar with ``summary`` when written to a file; or a JSON report
-    of ``results``; and the gnuplot script under --plot."""
+    a JSON sidecar with ``summary`` when written to a file, and the gnuplot
+    script under --plot; or a JSON report of ``results``.  The files are one
+    unit: where the sidecar or the script cannot be written, the files
+    written before it are removed."""
     p = config.params
+    out = p["out"]
     if p["format"] == "json":
-        _write_json(p["out"], _report(config, results))
-    else:
-        _write_csv(p["out"], header, columns, empty)
-        if p["out"] is not None:
-            _write_json(_sidecar_path(p["out"]), _report(config, summary))
-    if p["plot"]:
-        _write_plot_script(p["out"], plot_columns, with_errors)
+        _write_json(out, _report(config, results))
+        return EXIT_OK
+    _write_csv(out, header, columns, empty)
+    if out is None:
+        return EXIT_OK
+    written = [out]
+    try:
+        _write_json(_sidecar_path(out), _report(config, summary))
+        written.append(_sidecar_path(out))
+        if p["plot"]:
+            _write_plot_script(out, plot_columns, with_errors)
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
     return EXIT_OK
 
 
@@ -343,9 +356,9 @@ def cmd_orbit(config: RunConfig) -> int:
     p = config.params
     if p.get("start") is None:
         raise InvalidInputError("orbit needs --start a,b,s,alpha")
-    a, b, s, alpha = _parse_floats(p["start"], 4, "--start")
+    start = first = row_columns([(OMEGA, *_parse_floats(p["start"], 4, "--start"))])
     try:
-        start = OmegaCoords(a, b, s, alpha)
+        check_rows(start)
     except SlitgapsError as exc:
         raise NotOnTransversalError(f"start is not on the transversal: {exc}") from exc
     engine = p["engine"]
@@ -353,10 +366,9 @@ def cmd_orbit(config: RunConfig) -> int:
     if iters < 0:
         raise InvalidInputError("--iters must be >= 0")
 
-    first = section_columns([start])
     if engine == ORACLE_DOUBLED:
         # the doubled oracle follows the slit-cover section, start included
-        first = flowed_section_coords(omega_to_surface(start), (0.0,), slit=True)
+        first = flowed_section_coords(_first_surface(start), (0.0,), slit=True)
     [(returns, points)] = orbit(start, engine, iters)
     # row k shows the point the k-th return leaves from
     kind, a, b, s, alpha = (numpy.concatenate([c0, c])[:iters] for c0, c in zip(first, points))

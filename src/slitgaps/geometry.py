@@ -31,7 +31,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -595,16 +595,14 @@ def enumerate_strip(
     return xy[order]
 
 
-def slopes_and_gaps(points: Union[np.ndarray, Iterable[Vec2]]) -> GapSeries:
-    """Slope series of strip vectors: sorted distinct slopes and their gaps.
+def slopes_and_gaps(points: np.ndarray) -> GapSeries:
+    """Slope series of strip vectors, the rows (x, y) of a (k, 2) array:
+    sorted distinct slopes and their gaps.
 
     Slopes closer than 1e-12 (relative) are merged and counted in ``merged``.
     Vectors with |y| <= 1e-12 contribute slope exactly 0.
     """
-    arr = np.asarray(
-        [(p.x, p.y) for p in points] if not isinstance(points, np.ndarray) else points,
-        dtype=float,
-    )
+    arr = np.asarray(points, dtype=float)
     if arr.size == 0:
         return GapSeries(np.empty(0), np.empty(0), 0, 0)
     x, y = arr[:, 0], arr[:, 1]

@@ -23,11 +23,11 @@ its weights; ``section_returns`` gives its returns, which the oracle engines
 (``oracle.section_oracle_returns``, scanning the holonomy of
 ``ENGINE_MODES``) take as cap hints.
 
-Orbits: ``orbit`` iterates the section return map and gives the orbit as
-columns of arrays.  The formula engine steps section rows in closed form
-(``transversal.section_step``); the oracle engines read the whole orbit,
-returns and section points, off one kernel pass over the start surface
-(``oracle.oracle_orbit``).
+Orbits: ``orbit`` iterates the section return map from a start row and
+gives the orbit as columns of arrays.  The formula engine steps section
+rows in closed form (``transversal.section_step``); the oracle engines read
+the whole orbit, returns and section points, off one kernel pass over the
+start surface (``oracle.oracle_orbit``).
 
 Everything downstream is self-normalized, so reported distributions do not
 depend on any overall mass convention.  Reproducibility: a run is determined
@@ -74,16 +74,13 @@ from .transversal import (
     SECTION_KINDS,
     SL,
     VERTICAL,
-    OmegaCoords,
     SectionColumns,
-    WPointSA,
-    WPointSL,
+    _first_surface,
+    check_rows,
     delta_basis,
     omega_region_vec,
-    omega_to_surface,
     rho_sl_to_sa,
     row_columns,
-    section_columns,
     section_returns,
     section_step,
     section_surfaces,
@@ -681,16 +678,10 @@ REGION_MEASURES = {
 
 # worked counterexamples and spot checks, always evaluated first
 _PROBES = {
-    "DeltaR": section_columns([OmegaCoords(1.0, 1.0, 0.0, 1.0), OmegaCoords(0.5, 0.75, 0.0, 0.5)]),
-    "OmegaR": section_columns([
-        OmegaCoords(0.5, 1.0, 0.2, 0.75), OmegaCoords(0.8, 0.5, 1.0, 0.3), OmegaCoords(0.5, 0.6, 2.0, 0.9),
-    ]),
-    "WslRho": section_columns([
-        WPointSL(0.6, 0.5, 0.3, 0.5), WPointSL(0.6, 0.9, 0.3, 0.5), WPointSL(0.6, 0.5, 0.5, 0.8),
-    ]),
-    "WReturn": section_columns([
-        WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9)), WPointSL(0.6, 0.5, 0.5, 0.8), WPointSL(0.6, 0.5, 0.3, 0.5),
-    ]),
+    "DeltaR": row_columns([(OMEGA, 1.0, 1.0, 0.0, 1.0), (OMEGA, 0.5, 0.75, 0.0, 0.5)]),
+    "OmegaR": row_columns([(OMEGA, 0.5, 1.0, 0.2, 0.75), (OMEGA, 0.8, 0.5, 1.0, 0.3), (OMEGA, 0.5, 0.6, 2.0, 0.9)]),
+    "WslRho": row_columns([(SL, 0.6, 0.5, 0.3, 0.5), (SL, 0.6, 0.9, 0.3, 0.5), (SL, 0.6, 0.5, 0.5, 0.8)]),
+    "WReturn": row_columns([(SA, 0.5, 0.6, 2.0, 0.9), (SL, 0.6, 0.5, 0.5, 0.8), (SL, 0.6, 0.5, 0.3, 0.5)]),
 }
 
 
@@ -874,35 +865,39 @@ def diff_test(
     )
 
 
-def _oracle_surface(p, engine: str):
-    """(surface, holonomy mode) that the oracle engine scans at point p."""
+def _oracle_surface(start: SectionColumns, engine: str):
+    """(surface, holonomy mode) that the oracle engine scans at the row of
+    ``start``."""
     mode = ENGINE_MODES[engine]
-    if mode is SurfaceMode.AFFINE_ONLY and isinstance(p, (WPointSL, WPointSA)):
+    if mode is SurfaceMode.AFFINE_ONLY and start.kind[0] in (SL, SA):
         raise InvalidInputError("affine-oracle orbits need affine-section coordinates")
-    return omega_to_surface(p), mode
+    return _first_surface(start), mode
 
 
-def orbit(start, engine: str, n_steps: int):
-    """Yield the first ``n_steps`` returns as one block of columns: the
-    return times, and the ``SectionColumns`` of the point each step reaches.
-    Nothing is computed until the block is asked for.
+def orbit(start: SectionColumns, engine: str, n_steps: int):
+    """Yield the first ``n_steps`` returns from the one row of ``start`` as
+    one block of columns: the return times, and the ``SectionColumns`` of
+    the point each step reaches.  Nothing is computed until the block is
+    asked for; a start out of range then raises its ``check_rows`` error.
 
-    The formula engine steps rows of the start's ``section_columns`` in
-    closed form (``section_step``), each step starting where the last one
-    landed, and builds the columns once from its rows.  The oracle engines
-    read the whole orbit off one kernel pass over the start surface
-    (``oracle_orbit``): the affine oracle stays on the affine section, the
+    The formula engine steps rows in closed form (``section_step``), each
+    step starting where the last one landed, and builds the columns once
+    from its rows.  The oracle engines read the whole orbit off one kernel
+    pass over the start's surface (``oracle_orbit``): the affine oracle
+    stays on the affine section and needs an omega or vertical start, the
     doubled oracle follows the slit-cover section (so a point may be a
-    short-lattice state).  Their points agree with flowing and recoordinatizing step by
-    step up to rounding.  The block holds every step, so more than
-    ``SCAN_ROW_LIMIT`` steps raise ``InvalidInputError`` before the first.
+    short-lattice state).  Their points agree with flowing and
+    recoordinatizing step by step up to rounding.  The block holds every
+    step, so more than ``SCAN_ROW_LIMIT`` steps raise ``InvalidInputError``
+    before the first.
     """
     if engine not in ENGINES:
         raise InvalidInputError(f"unknown engine {engine!r}")
     if n_steps > SCAN_ROW_LIMIT:
         raise InvalidInputError(f"orbit steps must be at most {SCAN_ROW_LIMIT} (an orbit holds every step), got {n_steps}")
+    check_rows(start)
     if engine == FORMULA or n_steps < 1:
-        row, returns, rows = tuple(c[0].item() for c in section_columns([start])), [], []
+        row, returns, rows = tuple(c[0].item() for c in start), [], []
         for _ in range(n_steps):
             u, row = section_step(*row)
             returns.append(u)

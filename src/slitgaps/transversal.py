@@ -3,16 +3,16 @@
 Three sections appear:
 
 * the lattice section: unimodular lattices with a horizontal vector of
-  length at most 1, coordinatized by ``DeltaCoords`` (a, b) with generator
+  length at most 1, coordinatized by (a, b) with generator
   [[a, b], [0, 1/a]]; first return is the Farey-type map ``bcz_return_map``.
 * the affine-lattice section: marked-coset surfaces whose marking has a
   horizontal representative of length at most 1, coordinatized by
-  ``OmegaCoords`` (a, b, s, alpha) with generator h_s [[a, b], [0, 1/a]] and
-  marking (alpha, 0), plus the vertical-lattice family ``VLCoords`` whose
-  lattice part never returns to the lattice section.
+  (a, b, s, alpha) with generator h_s [[a, b], [0, 1/a]] and marking
+  (alpha, 0) (omega rows), plus the vertical-lattice family (vertical rows)
+  whose lattice part never returns to the lattice section.
 * the slit-cover section: surfaces whose doubled-slit holonomy contains a
-  short horizontal, split into a short-lattice state (SL, ``WPointSL``) and a
-  short-affine state (SA, ``WPointSA``).
+  short horizontal, split into a short-lattice state (sl rows) and a
+  short-affine state (sa rows).
 
 Return times are closed-form; every formula is cross-checked against the
 enumeration oracle elsewhere.  Each section formula has one implementation,
@@ -21,12 +21,13 @@ elementwise over arrays (``omega_region_vec``, ``omega_return_vec``,
 holds throughout: a point within ``TIE_TOL`` of a region boundary goes to the
 lower-indexed region, and ties are logged at DEBUG level.
 
-Section points travel as ``SectionColumns``: an orbit's points
-(``orbit_section_coords``, the range checks of the point classes run on the
-columns) and the sampled batches of ``measures``.  ``section_returns`` and
+Section points are the rows of ``SectionColumns``: an orbit's points
+(``orbit_section_coords``) and the sampled batches of ``measures``.
+``check_rows`` is their one range check; ``section_returns`` and
 ``section_surfaces`` give every row's return and surface, whatever its kind;
-``omega_to_surface`` is the size-1 call of the latter, for a point of any
-kind.  ``orbit_section_coords`` is the one recoordinatization: it reads the
+``OmegaCoords`` is one omega row given by hand, with the size-1 calls
+``omega_to_surface`` and ``classify_omega``.
+``orbit_section_coords`` is the one recoordinatization: it reads the
 points of a whole horocycle orbit off the rows of one kernel pass over the
 unflowed surface (``orbit_scan``), which the enumeration oracle's orbits
 share with their strip slopes.  ``flowed_section_coords`` makes that pass
@@ -40,7 +41,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,21 +100,16 @@ def vertical_basis(a: float, s: float) -> Mat2:
     return Mat2(0.0, -1.0 / a, a, s / a)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvalidInputError(msg)
-
-
-# the coordinate range checks, up to COORD_SLACK and elementwise: the point
-# classes below check one point with them, ``orbit_section_coords`` columns
+# the coordinate range checks, up to COORD_SLACK and elementwise: ``check_rows``
+# runs them on columns, ``_checked`` and ``_triangle`` on one row
 
 
 def _unit_ok(x):  # a and alpha
     return (0.0 < x) & (x <= 1.0 + COORD_SLACK)
 
 
-def _b_ok(a, b):
-    return (1.0 - a - COORD_SLACK < b) & (b <= 1.0 + COORD_SLACK)
+def _b_ok(a, b):  # b > 0 also where the slack reaches it, at a = 1
+    return (1.0 - a - COORD_SLACK < b) & (0.0 < b) & (b <= 1.0 + COORD_SLACK)
 
 
 def _s_ok(a, b, s):  # slack relative above 1
@@ -130,88 +126,6 @@ def _in_cell(a, b, v1, v2):  # the fundamental parallelogram of [[a, b], [0, 1/a
     return ((-COORD_SLACK <= c.x) & (c.x < 1.0 + COORD_SLACK)
             & (-COORD_SLACK <= c.y) & (c.y < 1.0 + COORD_SLACK))
 
-
-@dataclass(frozen=True)
-class DeltaCoords:
-    """Lattice-section coordinates: 0 < a <= 1, 1 - a < b <= 1."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        _require(_unit_ok(self.a), f"a out of range: {self.a!r}")
-        _require(_b_ok(self.a, self.b), f"b out of range: {self.b!r} for a={self.a!r}")
-
-
-@dataclass(frozen=True)
-class OmegaCoords:
-    """Affine-lattice section coordinates (a, b, s, alpha).
-
-    (a, b) lies in the lattice-section triangle, 0 <= s < 1/(a*b) is the time
-    since the lattice part last crossed its section, and (alpha, 0) is the
-    horizontal marking representative, 0 < alpha <= 1.
-    """
-
-    a: float
-    b: float
-    s: float
-    alpha: float
-
-    def __post_init__(self):
-        DeltaCoords(self.a, self.b)
-        _require(_s_ok(self.a, self.b, self.s), f"s out of range: {self.s!r}")
-        _require(_unit_ok(self.alpha), f"alpha out of range: {self.alpha!r}")
-
-
-@dataclass(frozen=True)
-class VLCoords:
-    """Vertical-lattice section coordinates (a, s, alpha).
-
-    Lattice part ``vertical_basis(a, s)`` (shortest vertical (0, a), period
-    a^2 in s), marking (alpha, 0).  s = 0 and s = a^2 describe the same
-    lattice; both endpoints are accepted.
-    """
-
-    a: float
-    s: float
-    alpha: float
-
-    def __post_init__(self):
-        _require(_unit_ok(self.a), f"a out of range: {self.a!r}")
-        _require(_vl_s_ok(self.a, self.s), f"s out of range: {self.s!r} for a={self.a!r}")
-        _require(_unit_ok(self.alpha), f"alpha out of range: {self.alpha!r}")
-
-
-class OmegaRegion(enum.Enum):
-    O1 = "O1"
-    O2 = "O2"
-    O3 = "O3"
-    O4 = "O4"
-    VL = "VL"
-
-
-@dataclass(frozen=True)
-class WPointSL:
-    """Slit-cover section, short-lattice state: lattice on its section, with
-    the marking anywhere in the fundamental parallelogram of [[a,b],[0,1/a]]."""
-
-    a: float
-    b: float
-    v1: float
-    v2: float
-
-    def __post_init__(self):
-        DeltaCoords(self.a, self.b)
-        _require(_in_cell(self.a, self.b, self.v1, self.v2),
-                 "marking outside the fundamental parallelogram")
-
-
-@dataclass(frozen=True)
-class WPointSA:
-    """Slit-cover section, short-affine state: the underlying affine lattice
-    sits on the affine section."""
-
-    coords: Union[OmegaCoords, VLCoords]
 
 SECTION_KINDS = ("omega", "vertical", "sl", "sa")
 OMEGA, VERTICAL, SL, SA = range(len(SECTION_KINDS))
@@ -230,45 +144,75 @@ class SectionColumns(NamedTuple):
     alpha: np.ndarray
 
 
-def _point_fields(p) -> tuple:
-    """One point's row of ``SectionColumns``."""
-    if isinstance(p, WPointSL):
-        return SL, p.a, p.b, p.v1, p.v2
-    if isinstance(p, WPointSA):
-        return (SA, *_point_fields(p.coords)[1:])
-    if isinstance(p, VLCoords):
-        return VERTICAL, p.a, math.nan, p.s, p.alpha
-    return OMEGA, p.a, p.b, p.s, p.alpha
-
-
 def row_columns(rows) -> SectionColumns:
     """The columns of a list of rows (kind, a, b, s, alpha)."""
     kind, *coords = zip(*rows) if rows else ((),) * 5
     return SectionColumns(np.array(kind, dtype=np.int8), *(np.array(c, dtype=float) for c in coords))
 
 
-def section_columns(points) -> SectionColumns:
-    """The columns of a sequence of section points."""
-    return row_columns([_point_fields(p) for p in points])
+def check_rows(cols: SectionColumns) -> None:
+    """Raise ``InvalidInputError`` for the first row out of range, with its
+    first failing check's message: an omega row checks a, b, s and alpha, a
+    vertical row a, s (0 <= s <= a^2) and alpha, an sl row a, b and its
+    marking's cell, and an sa row as a vertical row if b is nan, else as an
+    omega row.  A nan b fails an omega or sl row on b."""
+    kind, a, b, s, alpha = cols
+    sl = kind == SL
+    vertical = ~sl & (kind != OMEGA) & np.isnan(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        checks = (  # (rows that pass, message), in the order a row checks them
+            (_unit_ok(a), "a out of range: {a!r}"),
+            (vertical | _b_ok(a, b), "b out of range: {b!r} for a={a!r}"),
+            (~sl | (_in_cell(a, b, s, alpha) if sl.any() else True), "marking outside the fundamental parallelogram"),
+            (sl | vertical | _s_ok(a, b, s), "s out of range: {s!r}"),
+            (~vertical | _vl_s_ok(a, s), "s out of range: {s!r} for a={a!r}"),
+            (sl | _unit_ok(alpha), "alpha out of range: {alpha!r}"),
+        )
+    fails = ~np.array([ok for ok, _ in checks])
+    bad = np.flatnonzero(fails.any(axis=0))
+    if len(bad):
+        row = {name: c[bad[0]].item() for name, c in cols._asdict().items()}
+        raise InvalidInputError(checks[int(np.argmax(fails[:, bad[0]]))][1].format(**row))
 
 
-def _section_point(kind: int, a: float, b: float, s: float, alpha: float):
-    """The point of one row of ``SectionColumns``; building it runs the
-    point's range checks."""
-    if kind == SL:
-        return WPointSL(a, b, s, alpha)
-    p = VLCoords(a, s, alpha) if math.isnan(b) else OmegaCoords(a, b, s, alpha)
-    return WPointSA(p) if kind == SA else p
+@dataclass(frozen=True)
+class OmegaCoords:
+    """One affine-section point (a, b, s, alpha), range-checked as an omega
+    row: s is the time since the lattice part last crossed its section, and
+    (alpha, 0) the horizontal marking representative."""
+
+    a: float
+    b: float
+    s: float
+    alpha: float
+
+    def __post_init__(self):
+        check_rows(row_columns([(OMEGA, self.a, self.b, self.s, self.alpha)]))
+
+
+class OmegaRegion(enum.Enum):
+    O1 = "O1"
+    O2 = "O2"
+    O3 = "O3"
+    O4 = "O4"
 
 
 # ---------------------------------------------------------------------------
 # lattice section
 
 
-def bcz_return_map(d: DeltaCoords) -> DeltaCoords:
-    """(a, b) -> (b, -a + floor((1+a)/b) * b)."""
-    k = math.floor((1.0 + d.a) / d.b + FLOOR_NUDGE)
-    return DeltaCoords(d.b, -d.a + k * d.b)
+def bcz_return_map(a: float, b: float) -> tuple:
+    """(a, b) -> (b, -a + floor((1+a)/b) * b); a point in or out of the
+    lattice-section triangle raises its range error."""
+    _triangle(a, b)
+    return _triangle(b, -a + math.floor((1.0 + a) / b + FLOOR_NUDGE) * b)
+
+
+def _triangle(a: float, b: float) -> tuple:
+    """(a, b) after a scalar range test, and ``check_rows`` where it fails."""
+    if not (_unit_ok(a) and _b_ok(a, b)):
+        check_rows(row_columns([(OMEGA, a, b, 0.0, 1.0)]))
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +336,9 @@ def omega_return_vec(a, b, s, alpha) -> np.ndarray:
     return _omega_returns(*_columns(a, b, s, alpha))[0]
 
 
-def classify_omega(p: Union[OmegaCoords, VLCoords]) -> OmegaRegion:
-    """Region of the affine section a point falls in (``omega_region_vec``)."""
-    if isinstance(p, VLCoords):
-        return OmegaRegion.VL
+def classify_omega(p: OmegaCoords) -> OmegaRegion:
+    """Region of the affine section a point falls in, the size-1 call of
+    ``omega_region_vec``."""
     return OmegaRegion(f"O{int(omega_region_vec(p.a, p.b, p.s, p.alpha))}")
 
 
@@ -539,8 +482,7 @@ def rho_sl_to_sa(a, b, v1, v2):
     formula 5/3, enumeration 5/9).
     """
     a, b, v1, v2 = _columns(a, b, v1, v2)
-    if not np.all((0.0 < a) & (a <= 1.0 + COORD_SLACK)
-                  & (1.0 - a - COORD_SLACK < b) & (b <= 1.0 + COORD_SLACK)):
+    if not np.all(_unit_ok(a) & _b_ok(a, b)):
         raise InvalidInputError("(a, b) outside the lattice-section triangle")
     if np.any(v1 <= X_EPS):
         raise DegenerateInputError("marking sits on the vertical axis")
@@ -658,10 +600,10 @@ def section_surfaces(cols: SectionColumns) -> tuple:
     return Mat2(*g), Vec2(*v)
 
 
-def omega_to_surface(p) -> AffineLattice:
-    """The surface of a section point of any kind, the size-1 call of
-    ``section_surfaces``."""
-    return _first_surface(section_columns([p]))
+def omega_to_surface(p: OmegaCoords) -> AffineLattice:
+    """The surface of an affine-section point, the size-1 call of
+    ``_first_surface``."""
+    return _first_surface(row_columns([(OMEGA, p.a, p.b, p.s, p.alpha)]))
 
 
 def _first_surface(cols: SectionColumns) -> AffineLattice:
@@ -785,7 +727,7 @@ def flowed_section_coords(surface: AffineLattice, times, *, slit: bool = False) 
     if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t < 0.0) or np.any(np.diff(t) < 0.0):
         raise InvalidInputError("flow times must be finite, nonnegative and increasing")
     if not len(t):
-        return section_columns([])
+        return row_columns([])
     form = _lattice_form(surface.g)
     sl_only = slit and t[-1] <= 0.0 and form[0] == "delta" and form[1] * form[3] <= HORIZONTAL_TOL
     scan = None if sl_only else orbit_scan(surface.g, surface.v, float(t[-1]), slit)
@@ -813,10 +755,9 @@ def orbit_section_coords(
     kept by the flow, with s advancing by t modulo a^2; otherwise a, b and s
     come from ``_flowed_anchors``.  alpha comes from ``_flowed_alpha``.  A
     row equals the time-0 call on its flowed surface up to rounding.  Every
-    step is an array operation over all times, the range checks of the point
-    classes included: the first row that fails one raises that point's
-    error, ``NotOnTransversalError`` where no horizontal representative
-    exists.
+    step is an array operation over all times, the range checks included:
+    the first row that fails one raises its ``check_rows`` error, or
+    ``NotOnTransversalError`` where no horizontal representative exists.
     """
     g, v = surface.g, surface.v
     n = len(t)
@@ -847,17 +788,12 @@ def orbit_section_coords(
     flip, my = coset[k] == 1, v.y - t[k] * v.x
     mark = Vec2(np.where(flip, -v.x, v.x), np.where(flip, -my, my))
     s[k], alpha[k] = reduce_to_fundamental(delta_basis(a[k], b[k]), mark)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = _unit_ok(a) & np.where(
-            sl, _b_ok(a, b) & _in_cell(a, b, s, alpha),
-            _unit_ok(alpha) & (_vl_s_ok(a, s) if vertical else _b_ok(a, b) & _s_ok(a, b, s)),
-        )
     cols = SectionColumns(kind, a, b, s, alpha)
-    bad = np.flatnonzero(missing | ~ok)
-    if len(bad) and missing[bad[0]]:
+    # the rows before the first one with no representative are checked
+    end = int(np.argmax(missing)) if missing.any() else n
+    check_rows(SectionColumns(*(c[:end] for c in cols)))
+    if end < n:
         raise NotOnTransversalError(NOT_ON_SLIT_SECTION if slit else NO_HORIZONTAL_REP)
-    if len(bad):
-        _section_point(*(c[bad[0]].item() for c in cols))  # raises the row's range error
     return cols
 
 
@@ -885,7 +821,7 @@ def section_step(kind: int, a: float, b: float, s: float, alpha: float) -> tuple
       (possible exactly where the closed form disagrees with the enumeration
       oracle).
 
-    A next row out of its point class's range raises that point's error.
+    A next row out of range raises its ``check_rows`` error.
     """
     if kind in (SL, SA):
         cols = row_columns([(kind, a, b, s, alpha)])
@@ -912,15 +848,14 @@ def section_step(kind: int, a: float, b: float, s: float, alpha: float) -> tuple
         if s < r - TIE_TOL * max(1.0, r):
             break
         s -= r
-        d = bcz_return_map(DeltaCoords(a, b))
-        a, b = d.a, d.b
+        a, b = bcz_return_map(a, b)
     return u, _checked((OMEGA, a, b, max(s, 0.0), alpha))
 
 
 def _checked(row: tuple) -> tuple:
-    """An affine or vertical-lattice row, after its point class's range
-    checks: a failing row raises what building its point raises."""
+    """An affine or vertical-lattice row, after its range checks: a scalar
+    test, and where it fails ``check_rows``, which raises the row's error."""
     _, a, b, s, alpha = row
     if not (_unit_ok(a) and _unit_ok(alpha) and (_vl_s_ok(a, s) if math.isnan(b) else _b_ok(a, b) and _s_ok(a, b, s))):
-        _section_point(*row)
+        check_rows(row_columns([row]))
     return row

@@ -40,12 +40,11 @@ from slitgaps.measures import (
     mc_tail,
 )
 from slitgaps.transversal import (
-    DeltaCoords,
-    OmegaCoords,
-    VLCoords,
+    OMEGA,
+    VERTICAL,
     bcz_return_map,
     delta_basis,
-    section_columns,
+    row_columns,
     section_returns,
 )
 
@@ -79,11 +78,11 @@ def test_criterion_2_bcz_returns_equal_primitive_strip_gaps():
     for _ in range(10):
         a = rng.uniform(0.1, 1.0)
         b = rng.uniform(1.0 - a, 1.0)
-        d = DeltaCoords(a, b)
+        d = (a, b)
         returns = np.empty(1000)
         for k in range(1000):
-            returns[k] = 1.0 / (d.a * d.b)
-            d = bcz_return_map(d)
+            returns[k] = 1.0 / (d[0] * d[1])
+            d = bcz_return_map(*d)
         # the zero-marking doubled scan has the same slope set as the
         # primitive vectors alone: any imprimitive strip vector's primitive
         # part is a strip vector of equal slope
@@ -100,10 +99,10 @@ def test_criterion_2_bcz_returns_equal_primitive_strip_gaps():
 
 def test_criterion_3_worked_return_times():
     points = [
-        OmegaCoords(0.5, 1.0, 0.2, 0.75), OmegaCoords(0.8, 0.5, 1.0, 0.3), OmegaCoords(0.5, 0.6, 2.0, 0.9),
-        VLCoords(0.5, 0.2, 0.5), OmegaCoords(1.0, 1.0, 0.0, 0.5),
+        (OMEGA, 0.5, 1.0, 0.2, 0.75), (OMEGA, 0.8, 0.5, 1.0, 0.3), (OMEGA, 0.5, 0.6, 2.0, 0.9),
+        (VERTICAL, 0.5, math.nan, 0.2, 0.5), (OMEGA, 1.0, 1.0, 0.0, 0.5),
     ]
-    got = section_returns(section_columns(points))
+    got = section_returns(row_columns(points))
     assert np.all(np.abs(got - [0.4, 0.9375, 1.8, 1.0, 2.0]) < 1e-12)
 
 

@@ -81,3 +81,49 @@ def test_the_guard_sees_a_method_only_tests_call():
     # a local variable of the method's name is no call of it; an attribute is
     assert "Point.norm" in unused(point + "def length(p):\n    norm = 2\n    return norm\n")
     assert "Point.norm" not in unused(point + "def length(p):\n    return p.norm()\n")
+
+
+# the field names of a section point held as an object: coordinates of the
+# three sections, or the affine point of a short-affine state
+SECTION_FIELDS = {"a", "b", "s", "alpha", "v1", "v2", "coords"}
+
+
+def _point_classes(tree) -> list:
+    """Top-level classes of ``tree`` whose annotated fields are all section
+    coordinates: section points held as objects, not as rows of columns."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            fields = {item.target.id for item in node.body if isinstance(item, ast.AnnAssign)}
+            if fields and fields <= SECTION_FIELDS:
+                out.append(node.name)
+    return out
+
+
+def _isinstance_tests(tree, name: str) -> int:
+    """How many ``isinstance`` calls of ``tree`` test against ``name``."""
+    return sum(
+        1
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+        and len(node.args) == 2 and name in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+    )
+
+
+def test_section_points_are_rows_but_one_hand_given_point():
+    # OmegaCoords is the one point class: the point of ``gaps --omega`` and
+    # of the benchmark; every other section point is a row of SectionColumns
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    assert [name for tree in trees for name in _point_classes(tree)] == ["OmegaCoords"]
+    assert sum(_isinstance_tests(tree, "OmegaCoords") for tree in trees) == 0
+
+
+def test_the_guard_sees_a_point_class_and_a_test_against_it():
+    code = (
+        "@dataclass\nclass VLCoords:\n    a: float\n    s: float\n    alpha: float\n\n"
+        "class MeasureSpec:\n    kind: str\n    a: float\n\n"
+        "def f(p):\n    return isinstance(p, (int, VLCoords))\n"
+    )
+    tree = ast.parse(code)
+    assert _point_classes(tree) == ["VLCoords"]
+    assert _isinstance_tests(tree, "VLCoords") == 1 and _isinstance_tests(tree, "MeasureSpec") == 0

@@ -195,6 +195,36 @@ def test_orbit_off_transversal_is_a_state_error():
     assert main(["orbit", "--start", "0.5,0.4,0,0.5", "--iters", "1"]) == 3
 
 
+# a start out of range in each field, and the check's message for it
+OUT_OF_RANGE = [
+    ("0,0.6,0.5,0.5", "a out of range: 0.0"),
+    ("nan,0.6,0.5,0.5", "a out of range: nan"),
+    ("0.5,0.4,0.5,0.5", "b out of range: 0.4 for a=0.5"),
+    ("0.5,nan,0.5,0.5", "b out of range: nan for a=0.5"),
+    ("0.5,0.6,4,0.5", "s out of range: 4.0"),
+    ("0.5,0.6,-0.1,0.5", "s out of range: -0.1"),
+    ("0.5,0.6,2,1.5", "alpha out of range: 1.5"),
+    ("0.5,0.6,2,0", "alpha out of range: 0.0"),
+    ("2,2,-1,7", "a out of range: 2.0"),
+    ("0.5,0.6,-1,7", "s out of range: -1.0"),
+    # b = 0 passes 1 - a - COORD_SLACK < b at a = 1, and failed on 1/(a*b)
+    ("1,0,0,0.5", "b out of range: 0.0 for a=1.0"),
+]
+
+
+@pytest.mark.parametrize("start, message", OUT_OF_RANGE)
+@pytest.mark.parametrize("engine", ["formula", "oracle-doubled"])
+def test_an_out_of_range_start_is_a_state_error(capsys, engine, start, message):
+    assert main(["orbit", f"--start={start}", "--engine", engine, "--iters", "3"]) == 3
+    assert capsys.readouterr() == ("", f"error: start is not on the transversal: {message}\n")
+
+
+@pytest.mark.parametrize("omega, message", OUT_OF_RANGE)
+def test_an_out_of_range_omega_is_a_usage_error(capsys, omega, message):
+    assert main(["gaps", f"--omega={omega}", "--slope-max", "10"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_formula_orbit_refuses_a_return_past_the_roll_limit(capsys):
     # alpha = 1e-9 returns after 1e9, one lattice-section crossing per unit
     # of time at (a, b) = (1, 1): refused before rolling, not rolled for an hour
@@ -772,7 +802,7 @@ def test_orbit_rows_format_in_one_pass_as_fmt_does(monkeypatch, capsys):
     argv = ["orbit", "--start", "1,1,0,0.5", "--iters", str(n)]
     # the reference: every cell through '%.12g' % v, b empty on vertical rows,
     # the start point first and the last point (where no return leaves) dropped
-    start = transversal.section_columns([transversal.OmegaCoords(1.0, 1.0, 0.0, 0.5)])
+    start = transversal.row_columns([(transversal.OMEGA, 1.0, 1.0, 0.0, 0.5)])
     cols = [np.concatenate([c0, c])[:n].tolist() for c0, c in zip(start, points)]
     header = ("step", "return_time", "kind", "a", "b", "s", "alpha")
     rows = [
@@ -815,6 +845,9 @@ def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, blocked):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}: ")
     assert "Traceback" not in err
+    # the outputs are one unit: none of the files before the blocked one stays
+    if blocked is not None:
+        assert not (d / "x.csv").exists() and not (d / "x.csv.json").is_file()
 
 
 @pytest.mark.parametrize(

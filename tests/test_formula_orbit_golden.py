@@ -6,17 +6,18 @@ column, recorded while the formula orbit still stepped point by point.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from slitgaps.measures import FORMULA, orbit
-from slitgaps.transversal import SECTION_KINDS, OmegaCoords, VLCoords, WPointSA, WPointSL
+from slitgaps.transversal import SA, SECTION_KINDS, SL, VERTICAL, row_columns
 
 STARTS = {
-    "sa": WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9)),
-    "sl": WPointSL(0.6, 0.5, 0.5, 0.8),
-    "vertical": VLCoords(0.8, 0.3, 0.5),
+    "sa": (SA, 0.5, 0.6, 2.0, 0.9),
+    "sl": (SL, 0.6, 0.5, 0.5, 0.8),
+    "vertical": (VERTICAL, 0.8, math.nan, 0.3, 0.5),
 }
 
 # start: (kind counts of the 300 rows, digest)
@@ -29,7 +30,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_formula_orbit_matches_its_golden_digest(name):
-    [(returns, cols)] = orbit(STARTS[name], FORMULA, 300)
+    [(returns, cols)] = orbit(row_columns([STARTS[name]]), FORMULA, 300)
     kinds, counts = np.unique(cols.kind, return_counts=True)
     digest = hashlib.sha256(b"".join(c.tobytes() for c in (returns, *cols))).hexdigest()
     assert ({SECTION_KINDS[k]: int(c) for k, c in zip(kinds, counts)}, digest) == GOLDEN[name]

@@ -135,14 +135,14 @@ def test_surface_check_fails_on_non_finite_or_non_unimodular(g, v):
 
 
 def test_slopes_and_gaps_basic():
-    series = slopes_and_gaps([Vec2(0.5, 1.0), Vec2(0.5, 2.0), Vec2(0.5, 3.0)])
+    series = slopes_and_gaps(np.array([(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)]))
     assert np.allclose(series.slopes, [2.0, 4.0, 6.0])
     assert np.allclose(series.gaps, [2.0, 2.0])
     assert series.count == 3
 
 
 def test_slopes_and_gaps_single_point():
-    series = slopes_and_gaps([Vec2(1.0, 1.0)])
+    series = slopes_and_gaps(np.array([(1.0, 1.0)]))
     assert np.allclose(series.slopes, [1.0])
     assert len(series.gaps) == 0
 

@@ -29,13 +29,16 @@ from slitgaps.measures import (
 )
 from slitgaps.oracle import oracle_first_return_batch, oracle_strip_slopes
 from slitgaps.transversal import (
+    OMEGA,
+    SA,
+    SL,
+    VERTICAL,
     OmegaCoords,
-    VLCoords,
-    WPointSA,
-    WPointSL,
+    _first_surface,
+    check_rows,
     flowed_section_coords,
     omega_to_surface,
-    section_columns,
+    row_columns,
     section_returns,
 )
 
@@ -45,9 +48,10 @@ HAAR_W_MASS = (3.0 + math.pi ** 2) / 6.0
 
 
 def _sample(spec, rng):
-    """(point, weight) of one draw: row 0 of a size-1 batch."""
+    """(row, weight) of one draw: row 0 of a size-1 batch, range-checked."""
     cols, w = _draw_batch(spec, rng, 1)
-    return transversal._section_point(*(c[0].item() for c in cols)), float(w[0])
+    check_rows(cols)
+    return tuple(c[0].item() for c in cols), float(w[0])
 
 
 def test_measure_parsing_round_trip():
@@ -70,12 +74,12 @@ def test_torsion_sampler_support():
     rng = np.random.default_rng(101)
     spec = MeasureSpec.torsion(2)
     for _ in range(200):
-        p, weight = _sample(spec, rng)
-        assert isinstance(p, OmegaCoords)
+        (kind, a, b, s, alpha), weight = _sample(spec, rng)
+        assert kind == OMEGA
         assert weight == 1.0
-        assert p.s == 0.0
-        assert math.isclose(p.alpha, p.a / 2.0, rel_tol=1e-12)
-        assert 0.0 < p.a <= 1.0 and 1.0 - p.a < p.b <= 1.0
+        assert s == 0.0
+        assert math.isclose(alpha, a / 2.0, rel_tol=1e-12)
+        assert 0.0 < a <= 1.0 and 1.0 - a < b <= 1.0
 
 
 def test_torsion_point_instance():
@@ -86,9 +90,9 @@ def test_torsion_point_instance():
     p = OmegaCoords(0.8, 0.5, 0.0, 0.4)
     assert math.isclose(p.alpha, p.a / 2.0)
     for _ in range(500):
-        q, _ = _sample(spec, rng)
-        if abs(q.a - 0.8) < 0.05 and abs(q.b - 0.5) < 0.05:
-            assert math.isclose(q.alpha, q.a / 2.0, rel_tol=1e-12)
+        (_, a, b, _, alpha), _ = _sample(spec, rng)
+        if abs(a - 0.8) < 0.05 and abs(b - 0.5) < 0.05:
+            assert math.isclose(alpha, a / 2.0, rel_tol=1e-12)
             break
 
 
@@ -96,20 +100,20 @@ def test_haar_omega_sampler_support():
     rng = np.random.default_rng(103)
     spec = MeasureSpec.haar_omega()
     for _ in range(200):
-        p, weight = _sample(spec, rng)
-        assert isinstance(p, OmegaCoords)
-        assert math.isclose(weight, 1.0 / p.b, rel_tol=1e-12)
-        assert 0.0 <= p.s <= 1.0 / (p.a * p.b)
-        assert 0.0 < p.alpha <= 1.0
+        (kind, a, b, s, alpha), weight = _sample(spec, rng)
+        assert kind == OMEGA
+        assert math.isclose(weight, 1.0 / b, rel_tol=1e-12)
+        assert 0.0 <= s <= 1.0 / (a * b)
+        assert 0.0 < alpha <= 1.0
 
 
 def test_haar_w_sampler_mixture():
     rng = np.random.default_rng(107)
     spec = MeasureSpec.haar_w()
-    kinds = {WPointSL: 0, WPointSA: 0}
+    kinds = {SL: 0, SA: 0}
     for _ in range(600):
-        kinds[type(_sample(spec, rng)[0])] += 1
-    assert kinds[WPointSL] > 100 and kinds[WPointSA] > 250
+        kinds[_sample(spec, rng)[0][0]] += 1
+    assert kinds[SL] > 100 and kinds[SA] > 250
 
 
 def test_total_masses():
@@ -433,7 +437,7 @@ def test_uniform_open_in_place_matches_one_minus_random():
 
 def test_ergodic_average_periodic_orbit():
     # every return of the fixed point's formula orbit is 2
-    [(returns, _)] = orbit(OmegaCoords(1.0, 1.0, 0.0, 0.5), FORMULA, 50)
+    [(returns, _)] = orbit(row_columns([(OMEGA, 1.0, 1.0, 0.0, 0.5)]), FORMULA, 50)
     assert np.count_nonzero((returns > 1.5) & (returns <= 2.5)) == 50
 
 
@@ -444,7 +448,8 @@ def test_ergodic_average_matches_monte_carlo():
     rng = np.random.default_rng(19)
     start, _ = _sample(MeasureSpec.haar_omega(), rng)
     n = 100_000
-    returns = np.diff(oracle_strip_slopes(omega_to_surface(start), SurfaceMode.AFFINE_ONLY, n), prepend=0.0)
+    surface = _first_surface(row_columns([start]))
+    returns = np.diff(oracle_strip_slopes(surface, SurfaceMode.AFFINE_ONLY, n), prepend=0.0)
     frac = np.count_nonzero((returns > 0.0) & (returns <= 1.0)) / n
     est = mc_tail(
         MeasureSpec.haar_omega(), ORACLE_AFFINE, [0.0, 1.0], 100_000, seed=23, workers=4
@@ -454,26 +459,33 @@ def test_ergodic_average_matches_monte_carlo():
 
 
 def test_ergodic_average_affine_oracle_needs_affine_coordinates():
-    for start in (WPointSL(0.6, 0.5, 0.5, 0.8), WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))):
+    for start in ((SL, 0.6, 0.5, 0.5, 0.8), (SA, 0.5, 0.6, 2.0, 0.9)):
         with pytest.raises(InvalidInputError, match="affine-oracle orbits need affine-section coordinates"):
-            next(orbit(start, ORACLE_AFFINE, 10))
+            next(orbit(row_columns([start]), ORACLE_AFFINE, 10))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_orbit_range_checks_its_start(engine):
+    # a start row out of range raises its check_rows error before any step
+    with pytest.raises(InvalidInputError, match=r"^alpha out of range: 1\.5$"):
+        next(orbit(row_columns([(OMEGA, 0.5, 0.6, 2.0, 1.5)]), engine, 3))
 
 
 @pytest.mark.parametrize(
     "start, engine",
     [
-        (OmegaCoords(0.5, 0.6, 2.0, 0.9), ORACLE_AFFINE),
-        (OmegaCoords(0.5, 0.6, 2.0, 0.9), ORACLE_DOUBLED),
-        (WPointSL(0.6, 0.5, 0.3, 0.5), ORACLE_DOUBLED),
+        ((OMEGA, 0.5, 0.6, 2.0, 0.9), ORACLE_AFFINE),
+        ((OMEGA, 0.5, 0.6, 2.0, 0.9), ORACLE_DOUBLED),
+        ((SL, 0.6, 0.5, 0.3, 0.5), ORACLE_DOUBLED),
     ],
 )
 def test_ergodic_scan_follows_the_oracle_orbit(start, engine):
     # the strip slopes of the start surface are the partial sums of the
     # orbit's returns, up to the orbit's accumulated rounding
     n = 500
-    [(returns, _)] = orbit(start, engine, n)
+    [(returns, _)] = orbit(row_columns([start]), engine, n)
     stepped = np.cumsum(returns)
-    slopes = oracle_strip_slopes(*_oracle_surface(start, engine), n)
+    slopes = oracle_strip_slopes(*_oracle_surface(row_columns([start]), engine), n)
     assert np.max(np.abs(slopes - stepped) / stepped) < 1e-9
 
 
@@ -485,22 +497,23 @@ def test_mc_tail_rejects_nan_thresholds_and_keeps_inf_limits():
 
 
 def _orbit_steps(start, engine, n):
-    """(step, return time, point) per step of ``orbit``'s block of columns,
-    each point rebuilt (and range-checked) from its row."""
-    [(returns, points)] = orbit(start, engine, n)
+    """(step, return time, row) per step of ``orbit``'s block of columns
+    from the start row, the rows range-checked."""
+    [(returns, points)] = orbit(row_columns([start]), engine, n)
     assert all(len(c) == len(returns) for c in points)
+    check_rows(points)
     rows = zip(*(c.tolist() for c in points))
-    return [(k, u, transversal._section_point(*row)) for k, (u, row) in enumerate(zip(returns.tolist(), rows))]
+    return [(k, u, row) for k, (u, row) in enumerate(zip(returns.tolist(), rows))]
 
 
 def test_orbit_yields_expected_shape():
-    start = OmegaCoords(1.0, 1.0, 0.0, 0.5)
+    start = (OMEGA, 1.0, 1.0, 0.0, 0.5)
     steps = _orbit_steps(start, FORMULA, 4)
     assert len(steps) == 4
     for k, (step, u, point) in enumerate(steps):
         assert step == k
         assert math.isclose(u, 2.0, abs_tol=1e-9)
-        assert isinstance(point, OmegaCoords)
+        assert point[0] == OMEGA
 
 
 @pytest.mark.parametrize("engine", [ORACLE_AFFINE, ORACLE_DOUBLED])
@@ -508,7 +521,7 @@ def test_oracle_orbit_computes_no_lattice_form_per_step(monkeypatch, engine):
     # an oracle orbit analyzes the start lattice once and reads everything
     # else off one kernel pass over the start surface, however many steps
     # it takes; the lattice analysis scans through ``lattice_box``, not here
-    start = OmegaCoords(0.5, 0.6, 2.0, 0.9)
+    start = (OMEGA, 0.5, 0.6, 2.0, 0.9)
     forms, passes = [], []
     real_form, real_pass = transversal._lattice_form, transversal._box_rows
 
@@ -527,7 +540,7 @@ def test_oracle_orbit_computes_no_lattice_form_per_step(monkeypatch, engine):
         passes.clear()
         assert len(_orbit_steps(start, engine, n)) == n
         assert len(forms) == 1
-        assert passes == [tuple(omega_to_surface(start).g)]
+        assert passes == [tuple(_first_surface(row_columns([start])).g)]
 
 
 # the step-by-step chain the oracle orbits are read off in one piece: the
@@ -545,27 +558,28 @@ def _stepwise_oracle_orbit(start, engine, n):
     mode = SurfaceMode.DOUBLED_SLIT if slit else SurfaceMode.AFFINE_ONLY
     p, out = start, []
     for _ in range(n):
-        surf = omega_to_surface(p)
+        surf = _first_surface(row_columns([p]))
         u = float(oracle_first_return_batch(surf.g, surf.v, mode)[0])
         landing = flowed_section_coords(horocycle_apply(u, surf), (0.0,), slit=slit)
-        p = transversal._section_point(*(c[0].item() for c in landing))
+        check_rows(landing)
+        p = tuple(c[0].item() for c in landing)
         out.append((u, p))
     return out
 
 
-def _kind_and_coords(p):
-    """(kind, x-coordinates, s) of a section point."""
-    if isinstance(p, WPointSL):
-        return "sl", (p.a, p.b, p.v1, p.v2), 0.0
-    kind = "sa-" if isinstance(p, WPointSA) else ""
-    p = p.coords if kind else p
-    if isinstance(p, VLCoords):
-        return kind + "vl", (p.a, p.alpha), p.s
-    return kind + "omega", (p.a, p.b, p.alpha), p.s
+def _kind_and_coords(row):
+    """(kind, x-coordinates, s) of a section row."""
+    kind, a, b, s, alpha = row
+    if kind == SL:
+        return "sl", (a, b, s, alpha), 0.0
+    prefix = "sa-" if kind == SA else ""
+    if math.isnan(b):
+        return prefix + "vl", (a, alpha), s
+    return prefix + "omega", (a, b, alpha), s
 
 
 # P1 is the start of the benchmark's orbit-chain workload at seed 1
-P1 = OmegaCoords(0.8558403872803663, 0.732080999270255, 0.04227081954827937, 0.7847818328370264)
+P1 = (OMEGA, 0.8558403872803663, 0.732080999270255, 0.04227081954827937, 0.7847818328370264)
 
 
 @pytest.mark.parametrize(
@@ -573,11 +587,11 @@ P1 = OmegaCoords(0.8558403872803663, 0.732080999270255, 0.04227081954827937, 0.7
     [
         (P1, ORACLE_AFFINE),
         (P1, ORACLE_DOUBLED),
-        (OmegaCoords(0.5, 0.6, 2.0, 0.9), ORACLE_AFFINE),
-        (OmegaCoords(0.5, 0.6, 2.0, 0.9), ORACLE_DOUBLED),
-        (WPointSL(0.6, 0.5, 0.3, 0.5), ORACLE_DOUBLED),
-        (VLCoords(0.8, 0.3, 0.5), ORACLE_AFFINE),
-        (VLCoords(0.8, 0.3, 0.5), ORACLE_DOUBLED),
+        ((OMEGA, 0.5, 0.6, 2.0, 0.9), ORACLE_AFFINE),
+        ((OMEGA, 0.5, 0.6, 2.0, 0.9), ORACLE_DOUBLED),
+        ((SL, 0.6, 0.5, 0.3, 0.5), ORACLE_DOUBLED),
+        ((VERTICAL, 0.8, math.nan, 0.3, 0.5), ORACLE_AFFINE),
+        ((VERTICAL, 0.8, math.nan, 0.3, 0.5), ORACLE_DOUBLED),
     ],
 )
 def test_oracle_orbit_matches_the_stepwise_chain(start, engine):
@@ -593,7 +607,7 @@ def test_oracle_orbit_matches_the_stepwise_chain(start, engine):
         assert abs(s - s_ref) <= STEPWISE_TOL
         assert abs(u - u_ref) <= STEPWISE_TOL
     sums = np.cumsum([u for _, u, _ in steps])
-    slopes = oracle_strip_slopes(*_oracle_surface(start, engine), n)
+    slopes = oracle_strip_slopes(*_oracle_surface(row_columns([start]), engine), n)
     assert np.max(np.abs(sums - slopes) / slopes) <= 1e-12
 
 
@@ -601,8 +615,8 @@ def test_oracle_orbit_carries_the_negated_marking():
     # under the doubled oracle the vertical-lattice start (a = 0.8) has the
     # mirrored coset's column x = 1/a - alpha in the strip too, so the orbit
     # alternates between the two markings
-    steps = _orbit_steps(VLCoords(0.8, 0.3, 0.5), ORACLE_DOUBLED, 50)
-    alphas = {round(p.coords.alpha, 12) for _, _, p in steps}
+    steps = _orbit_steps((VERTICAL, 0.8, math.nan, 0.3, 0.5), ORACLE_DOUBLED, 50)
+    alphas = {round(p[4], 12) for _, _, p in steps}
     assert alphas == {0.5, 0.75}
 
 
@@ -615,12 +629,12 @@ def test_slit_cover_formula_step_evaluates_the_return_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(transversal, "w_return_sa_vec", counting)
-    start = WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))
+    start = row_columns([(SA, 0.5, 0.6, 2.0, 0.9)])
     u, nxt = transversal.section_step(transversal.SA, 0.5, 0.6, 2.0, 0.9)
     assert len(calls) == 1
     # the step flows by the slit-cover return and recoordinatizes
-    assert u == section_returns(section_columns([start]))[0]
-    landing = flowed_section_coords(horocycle_apply(u, omega_to_surface(start)), (0.0,), slit=True)
+    assert u == section_returns(start)[0]
+    landing = flowed_section_coords(horocycle_apply(u, _first_surface(start)), (0.0,), slit=True)
     assert nxt == tuple(c[0].item() for c in landing)
 
 
@@ -643,7 +657,7 @@ def test_affine_formula_orbit_does_no_enumeration(monkeypatch):
     counted(transversal, "_lattice_form")
     for module in (geometry, transversal):
         counted(module, "lattice_box")
-    [(returns, cols)] = orbit(OmegaCoords(0.5, 0.6, 2.0, 0.9), FORMULA, 300)
+    [(returns, cols)] = orbit(row_columns([(OMEGA, 0.5, 0.6, 2.0, 0.9)]), FORMULA, 300)
     assert len(returns) == 300 and set(cols.kind.tolist()) == {transversal.OMEGA}
     assert calls == []
     # the counters see a recoordinatization
@@ -653,4 +667,4 @@ def test_affine_formula_orbit_does_no_enumeration(monkeypatch):
 
 def test_oracle_orbit_of_no_steps_is_empty():
     for engine in (ORACLE_AFFINE, ORACLE_DOUBLED):
-        assert _orbit_steps(OmegaCoords(0.5, 0.6, 2.0, 0.9), engine, 0) == []
+        assert _orbit_steps((OMEGA, 0.5, 0.6, 2.0, 0.9), engine, 0) == []

@@ -51,11 +51,9 @@ from slitgaps.transversal import (
     SA,
     SL,
     VERTICAL,
-    DeltaCoords,
     OmegaCoords,
-    VLCoords,
-    WPointSA,
-    WPointSL,
+    _first_surface,
+    check_rows,
     classify_omega,
     delta_basis,
     omega_region_vec,
@@ -63,7 +61,6 @@ from slitgaps.transversal import (
     omega_to_surface,
     rho_sl_to_sa,
     row_columns,
-    section_columns,
     section_returns,
     section_step,
     section_surfaces,
@@ -185,10 +182,10 @@ def test_gap_sequence_has_no_spurious_returns():
 @pytest.mark.parametrize(
     "start, n, one_scan",
     [
-        (OmegaCoords(0.5, 0.6, 2.0, 0.9), 1000, True),
+        ((OMEGA, 0.5, 0.6, 2.0, 0.9), 1000, True),
         # one coset column at x = 0.05 every 0.5 high: slopes 10 apart, far
         # sparser than a generic surface's, so the first cap is doubled
-        (VLCoords(0.5, 0.1, 0.05), 50, False),
+        ((VERTICAL, 0.5, math.nan, 0.1, 0.05), 50, False),
     ],
 )
 def test_strip_slopes_from_the_expected_cap(monkeypatch, mode, start, n, one_scan):
@@ -199,7 +196,7 @@ def test_strip_slopes_from_the_expected_cap(monkeypatch, mode, start, n, one_sca
         return enumerate_strip(*args, **kwargs)
 
     monkeypatch.setattr("slitgaps.oracle.enumerate_strip", counting)
-    surf = omega_to_surface(start)
+    surf = _first_surface(row_columns([start]))
     slopes = oracle_strip_slopes(surf, mode, n)
     assert (len(calls) == 1) == one_scan
     # any cap holding n slopes gives the same first n
@@ -239,15 +236,15 @@ def test_mode_ordering():
     assert (doubled <= affine + 1e-12).all()
 
 
-FROZEN_O2_INPUT = OmegaCoords(
-    0.8498002709295481, 0.7823342819814268, 0.7317215657226075, 0.3268289782271856
+FROZEN_O2_INPUT = (
+    OMEGA, 0.8498002709295481, 0.7823342819814268, 0.7317215657226075, 0.3268289782271856
 )
 
 
 def test_frozen_return_time_counterexample():
     # the alpha <= a, b + alpha > 1 closed form overshoots here: enumeration
     # finds the coefficient pair (-2, 3) arriving first
-    cols = section_columns([FROZEN_O2_INPUT])
+    cols = row_columns([FROZEN_O2_INPUT])
     formula = section_returns(cols)[0]
     oracle = oracle_first_return_batch(*section_surfaces(cols), SurfaceMode.AFFINE_ONLY)[0]
     assert math.isclose(formula, 4.727403155330044, abs_tol=1e-9)
@@ -441,22 +438,22 @@ def test_section_oracle_returns_of_mixed_kinds_match_the_per_point_oracles(mode)
     # AFFINE_ONLY each family keeps its own candidate set, so every row returns
     # what its own one-row batch returns, and that is the sorted reference
     points = [
-        OmegaCoords(0.5, 0.6, 2.0, 0.9), WPointSL(0.6, 0.5, 0.3, 0.5), VLCoords(0.7, 0.2, 0.4),
-        WPointSA(OmegaCoords(0.8, 0.5, 1.0, 0.3)), WPointSL(0.6, 0.5, 0.5, 0.8), OmegaCoords(0.5, 1.0, 0.2, 0.75),
+        (OMEGA, 0.5, 0.6, 2.0, 0.9), (SL, 0.6, 0.5, 0.3, 0.5), (VERTICAL, 0.7, math.nan, 0.2, 0.4),
+        (SA, 0.8, 0.5, 1.0, 0.3), (SL, 0.6, 0.5, 0.5, 0.8), (OMEGA, 0.5, 1.0, 0.2, 0.75),
     ]
-    cols = section_columns(points)
+    cols = row_columns(points)
     hints = section_returns(cols)
     got = section_oracle_returns(cols, mode, hints)
     slit_cover = (mode is SurfaceMode.AFFINE_ONLY) & (cols.kind >= SL)
     per_point = np.empty(len(points))
     for k, (p, hint) in enumerate(zip(points, hints)):
-        g, v = section_surfaces(section_columns([p]))
+        g, v = section_surfaces(row_columns([p]))
         kind = "slit-cover" if slit_cover[k] else mode.value
         per_point[k] = _oracle_of(kind, g, v, np.array([hint]))[0]
     assert np.array_equal(got, per_point)
     want = np.empty(len(points))
     for rows, kind in ((slit_cover, "slit-cover"), (~slit_cover, mode.value)):
-        sub = section_columns([p for p, row in zip(points, rows) if row])
+        sub = row_columns([p for p, row in zip(points, rows) if row])
         want[rows] = _reference_of(kind, *section_surfaces(sub), hints[rows])
     assert np.array_equal(got, want)
 
@@ -630,7 +627,7 @@ def test_a_runaway_cap_sequence_has_no_return(monkeypatch):
 def test_huge_finite_hints_raise(hint):
     # the first cap is hint * (1 + REL_ERR_THRESHOLD): past CAP_LIMIT, or
     # overflowed to inf, it raises; it never falls back to DEFAULT_CAP
-    g, v = section_surfaces(section_columns([OmegaCoords(0.5, 0.6, 2.0, 0.9), OmegaCoords(0.8, 0.5, 1.0, 0.3)]))
+    g, v = section_surfaces(row_columns([(OMEGA, 0.5, 0.6, 2.0, 0.9), (OMEGA, 0.8, 0.5, 1.0, 0.3)]))
     for kind in CANDIDATE_SETS:
         for hints in ([hint, 1.0], [1.0, hint]):
             with pytest.raises(NotOnTransversalError):
@@ -791,14 +788,16 @@ def test_batch_rejects_non_unimodular_generators():
         oracle_first_return_batch(g, Vec2(0.5, 0.0), SurfaceMode.AFFINE_ONLY)
 
 
-def _section_point(region, p):
-    """The validated section object of one difftest row (raises off it)."""
+def _check_section_point(region, p):
+    """The range check of one difftest row's section point (raises off it);
+    a DeltaR point (a, b) checks as the omega row (a, b, 0, 1)."""
     if region == "DeltaR":
-        return DeltaCoords(p["a"], p["b"])
-    if region == "OmegaR" or p.get("kind") == "sa":
-        point = OmegaCoords(p["a"], p["b"], p["s"], p["alpha"])
-        return WPointSA(point) if region == "WReturn" else point
-    return WPointSL(p["a"], p["b"], p["v1"], p["v2"])
+        row = (OMEGA, p["a"], p["b"], 0.0, 1.0)
+    elif region == "OmegaR" or p.get("kind") == "sa":
+        row = (SA if region == "WReturn" else OMEGA, p["a"], p["b"], p["s"], p["alpha"])
+    else:
+        row = (SL, p["a"], p["b"], p["v1"], p["v2"])
+    check_rows(row_columns([row]))
 
 
 @pytest.mark.parametrize(
@@ -813,7 +812,7 @@ def test_region_rows_lie_on_their_section(region, v_domain):
         assert np.count_nonzero(cols.kind == SL) + np.count_nonzero(cols.kind == SA) == n_rows
     for i in range(n_rows):
         p = _point_dict(region, cols, i)
-        _section_point(region, p)
+        _check_section_point(region, p)
         if v_domain == "restricted":
             assert 0.0 < p["v1"] < p["a"]
 
@@ -857,16 +856,16 @@ def test_omega_tie_points_agree_across_forms(q):
     assert f"O{int(omega_region_vec(*q))}" == classify_omega(p).value
     column = float(omega_return_vec(*q))
     assert column == section_step(OMEGA, *q)[0]
-    oracle = oracle_first_return_batch(*section_surfaces(section_columns([p])), SurfaceMode.AFFINE_ONLY)
+    oracle = oracle_first_return_batch(*section_surfaces(row_columns([(OMEGA, *q)])), SurfaceMode.AFFINE_ONLY)
     assert math.isclose(column, oracle[0], rel_tol=1e-9)
 
 
 def test_short_lattice_tie_point_agrees_across_forms():
     # b + v1 = 1 + 5e-13 lands short within TIE_TOL
-    w = WPointSL(0.6, 0.5, 0.5 + 5e-13, 0.8)
-    column = float(w_return_sl_vec(w.a, w.b, w.v1, w.v2))
-    assert column == section_step(SL, w.a, w.b, w.v1, w.v2)[0]
-    oracle = _oracle_of("slit-cover", *section_surfaces(section_columns([w])), None)
+    w = (SL, 0.6, 0.5, 0.5 + 5e-13, 0.8)
+    column = float(w_return_sl_vec(*w[1:]))
+    assert column == section_step(*w)[0]
+    oracle = _oracle_of("slit-cover", *section_surfaces(row_columns([w])), None)
     assert math.isclose(column, oracle[0], rel_tol=1e-9)
     assert math.isclose(column, 0.8 / (0.5 + 5e-13), rel_tol=1e-15)
 
@@ -928,29 +927,29 @@ def _three_scan_alpha(g, v, t):
     return alpha
 
 
-P1 = OmegaCoords(0.8558403872803663, 0.732080999270255, 0.04227081954827937, 0.7847818328370264)
+P1 = (OMEGA, 0.8558403872803663, 0.732080999270255, 0.04227081954827937, 0.7847818328370264)
 
 # (start, mode, steps, cap rounds)
 ONE_PASS_EDGES = [
     # the first return is 1e-10, below HORIZONTAL_TOL, so the start's own
     # marking point at y = 0 is in the alpha window of the first landing
-    (OmegaCoords(0.5, 0.6, 8e-11, 0.9), SurfaceMode.AFFINE_ONLY, 300, 1),
-    (OmegaCoords(0.5, 0.6, 8e-11, 0.9), SurfaceMode.DOUBLED_SLIT, 300, 1),
+    ((OMEGA, 0.5, 0.6, 8e-11, 0.9), SurfaceMode.AFFINE_ONLY, 300, 1),
+    ((OMEGA, 0.5, 0.6, 8e-11, 0.9), SurfaceMode.DOUBLED_SLIT, 300, 1),
     # the last return lands 0.2 (affine) or 0.8 (doubled) below the first
     # cap 8, well within HORIZONTAL_TOL / X_EPS = 1000 of it
     (P1, SurfaceMode.AFFINE_ONLY, 3, 1),
     (P1, SurfaceMode.DOUBLED_SLIT, 8, 1),
     # the doubled orbit that switches to the negated marking's coset
-    (VLCoords(0.8, 0.3, 0.5), SurfaceMode.DOUBLED_SLIT, 500, 1),
+    ((VERTICAL, 0.8, math.nan, 0.3, 0.5), SurfaceMode.DOUBLED_SLIT, 500, 1),
     # one column of marking points, sparser than a generic surface's: the
     # first cap holds too few slopes and doubles once
-    (VLCoords(0.9, 0.3, 0.2), SurfaceMode.AFFINE_ONLY, 300, 2),
+    ((VERTICAL, 0.9, math.nan, 0.3, 0.2), SurfaceMode.AFFINE_ONLY, 300, 2),
 ]
 
 
 @pytest.mark.parametrize("start, mode, count, rounds", ONE_PASS_EDGES)
 def test_one_pass_orbit_matches_the_three_scan_rule(monkeypatch, start, mode, count, rounds):
-    surface = omega_to_surface(start)
+    surface = _first_surface(row_columns([start]))
     g, v = surface.g, surface.v
     passes = []
     real = transversal.orbit_scan
@@ -976,7 +975,7 @@ def test_one_pass_orbit_matches_the_three_scan_rule(monkeypatch, start, mode, co
     if (start, mode) == ONE_PASS_EDGES[0][:2]:
         # the affine landing at 1e-10 is the marking's translate by -a
         assert cols.alpha[0] == 0.9 - 0.5
-    if mode is SurfaceMode.DOUBLED_SLIT and isinstance(start, VLCoords):
+    if mode is SurfaceMode.DOUBLED_SLIT and start[0] == VERTICAL:
         assert {round(a, 12) for a in cols.alpha.tolist()} == {0.5, 0.75}
 
 
@@ -987,7 +986,7 @@ _ORBIT_LOG = re.compile(
 
 
 def test_oracle_orbit_logs_one_debug_line_per_call(caplog):
-    surface = omega_to_surface(VLCoords(0.9, 0.3, 0.2))
+    surface = _first_surface(row_columns([(VERTICAL, 0.9, math.nan, 0.3, 0.2)]))
     caplog.set_level(logging.INFO, logger="slitgaps.oracle")
     quiet = oracle_module.oracle_orbit(surface, SurfaceMode.AFFINE_ONLY, 300)
     assert caplog.records == []

@@ -11,6 +11,7 @@ of the report is digested as the command writes it (sorted keys, indent 2).
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from slitgaps.cli import main
 from slitgaps.geometry import SurfaceMode
 from slitgaps.oracle import oracle_orbit
-from slitgaps.transversal import OmegaCoords, VLCoords, omega_to_surface
+from slitgaps.transversal import OMEGA, VERTICAL, _first_surface, row_columns
 
 STARTS = {
     "s1": "0.5,0.6,2.0,0.9",
@@ -136,19 +137,21 @@ GOLDEN = {
     ),
 }
 
-P1 = OmegaCoords(0.8558403872803663, 0.732080999270255, 0.04227081954827937, 0.7847818328370264)
-TINY_FIRST = OmegaCoords(0.5, 0.6, 8e-11, 0.9)  # first return 1e-10
+P1 = (OMEGA, 0.8558403872803663, 0.732080999270255, 0.04227081954827937, 0.7847818328370264)
+TINY_FIRST = (OMEGA, 0.5, 0.6, 8e-11, 0.9)  # first return 1e-10
+VL_8 = (VERTICAL, 0.8, math.nan, 0.3, 0.5)
+VL_9 = (VERTICAL, 0.9, math.nan, 0.3, 0.2)
 
 # (start, mode, steps): sha256 of the return column, then the kind, a, b,
 # s and alpha columns, as bytes
 COLUMN_GOLDEN = {
-    (VLCoords(0.8, 0.3, 0.5), "affine", 500):
+    (VL_8, "affine", 500):
         "2d0141ba3e3a5b66322f316d440cfe66f70d9b1c7a5b8148d6729b0d45f43903",
-    (VLCoords(0.8, 0.3, 0.5), "doubled", 500):
+    (VL_8, "doubled", 500):
         "9ab8bbddc2fa2831b775ef31826e5092c1181befbc5fb40133c7fba186ca1b82",
-    (VLCoords(0.9, 0.3, 0.2), "affine", 300):
+    (VL_9, "affine", 300):
         "4ed25f66eb20725128e11f40b3f6f135eca7bea80ffa9d95e005648fd8e69016",
-    (VLCoords(0.9, 0.3, 0.2), "doubled", 300):
+    (VL_9, "doubled", 300):
         "8ecaa11d06e6f402992be654bf9cb94e109cc8745b61611a6111d6dc1e46a6d6",
     (TINY_FIRST, "affine", 300):
         "75d3fc50f27844a341b75ab7e7310af2d4a792287515f29ec0409819cd9e56bb",
@@ -177,7 +180,7 @@ def test_orbit_output_matches_its_golden_digest(start, engine, iters, capsys):
 
 @pytest.mark.parametrize("start, mode, steps", list(COLUMN_GOLDEN))
 def test_oracle_orbit_columns_match_their_golden_digest(start, mode, steps):
-    returns, cols = oracle_orbit(omega_to_surface(start), SurfaceMode(mode), steps)
+    returns, cols = oracle_orbit(_first_surface(row_columns([start])), SurfaceMode(mode), steps)
     h = hashlib.sha256(np.ascontiguousarray(returns).tobytes())
     for c in cols:
         h.update(np.ascontiguousarray(c).tobytes())

@@ -3,8 +3,9 @@ affine and the slit-cover time-0 ``flowed_section_coords`` over a seeded set
 of surfaces, recorded while each section's recoordinatization still had its
 own scalar implementation.
 
-An outcome is the ``repr`` of the section point of the time-0 row, or the
-error's class name and message.  The surfaces are affine-section points flowed by arbitrary
+An outcome is the time-0 row printed as the ``repr`` of the section point
+classes of that time (``_point_repr``), or the error's class name and
+message.  The surfaces are affine-section points flowed by arbitrary
 times and by their own doubled strip slopes (which put the lattice or a
 marking representative exactly on the horizontal), affine-section and
 vertical lattices flowed by arbitrary times with the marking (alpha, 0) or
@@ -18,18 +19,20 @@ import math
 
 import numpy as np
 
-from slitgaps import transversal
 from slitgaps.errors import SlitgapsError
 from slitgaps.geometry import AffineLattice, Mat2, SurfaceMode, Vec2, horocycle_apply
 from slitgaps.oracle import oracle_strip_slopes
 from slitgaps.transversal import (
     HORIZONTAL_TOL,
+    SA,
+    SL,
+    VERTICAL,
     OmegaCoords,
-    VLCoords,
-    WPointSL,
+    _first_surface,
     delta_basis,
     flowed_section_coords,
     omega_to_surface,
+    row_columns,
 )
 
 GOLDEN = "b47550127444492f4272eb57b8380730e9c6192ae7d78363d169c7dfa6ba7d4f"
@@ -69,22 +72,34 @@ def _surfaces():
     for sign in (1.0, -1.0):
         for _ in range(50):
             a = rng.uniform(0.05, 1.0)
-            p = VLCoords(a, rng.uniform(0.0, a * a), rng.uniform(0.01, 1.0))
-            g = horocycle_apply(rng.uniform(0.0, 3.0), omega_to_surface(p)).g
-            yield AffineLattice(g, Vec2(sign * p.alpha, 0.0))
+            p = (VERTICAL, a, math.nan, rng.uniform(0.0, a * a), rng.uniform(0.01, 1.0))
+            g = horocycle_apply(rng.uniform(0.0, 3.0), _first_surface(row_columns([p]))).g
+            yield AffineLattice(g, Vec2(sign * p[4], 0.0))
     for _ in range(150):
         # flowed by 0, or by s with s*a just under or over HORIZONTAL_TOL
         a = rng.uniform(0.05, 1.0)
         b = rng.uniform(1.0 - a, 1.0)
         v = delta_basis(a, b).apply(Vec2(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)))
         t = rng.choice([0.0, 0.5, 2.0]) * HORIZONTAL_TOL / a
-        yield horocycle_apply(t, omega_to_surface(WPointSL(a, b, float(v.x), float(v.y))))
+        yield horocycle_apply(t, _first_surface(row_columns([(SL, a, b, float(v.x), float(v.y))])))
+
+
+def _point_repr(kind, a, b, s, alpha) -> str:
+    """A row as the ``repr`` of the point class that held it when the digest
+    was recorded."""
+    if kind == SL:
+        return f"WPointSL(a={a!r}, b={b!r}, v1={s!r}, v2={alpha!r})"
+    if math.isnan(b):
+        point = f"VLCoords(a={a!r}, s={s!r}, alpha={alpha!r})"
+    else:
+        point = f"OmegaCoords(a={a!r}, b={b!r}, s={s!r}, alpha={alpha!r})"
+    return f"WPointSA(coords={point})" if kind == SA else point
 
 
 def _outcome(surface, slit: bool) -> str:
     try:
         row = (c[0].item() for c in flowed_section_coords(surface, (0.0,), slit=slit))
-        return repr(transversal._section_point(*row))
+        return _point_repr(*row)
     except SlitgapsError as exc:
         return f"{type(exc).__name__}: {exc}"
 

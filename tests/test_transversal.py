@@ -11,19 +11,15 @@ from slitgaps.errors import DegenerateInputError, InvalidInputError, NotOnTransv
 from slitgaps.geometry import AffineLattice, Mat2, Vec2, horocycle_apply
 from slitgaps.transversal import (
     HORIZONTAL_TOL,
-    DeltaCoords,
     OmegaCoords,
     OmegaRegion,
-    VLCoords,
-    WPointSA,
-    WPointSL,
     OMEGA,
     SA,
     SL,
     VERTICAL,
-    _point_fields,
-    _section_point,
+    _first_surface,
     bcz_return_map,
+    check_rows,
     classify_omega,
     delta_basis,
     flowed_section_coords,
@@ -32,7 +28,6 @@ from slitgaps.transversal import (
     omega_to_surface,
     rho_sl_to_sa,
     row_columns,
-    section_columns,
     section_returns,
     section_step,
     section_surfaces,
@@ -56,29 +51,28 @@ def random_omega(rng):
 
 
 def test_bcz_map_fixed_point():
-    out = bcz_return_map(DeltaCoords(1.0, 1.0))
-    assert (out.a, out.b) == (1.0, 1.0)
+    a, b = bcz_return_map(1.0, 1.0)
+    assert (a, b) == (1.0, 1.0)
 
 
 def test_bcz_map_worked():
-    out = bcz_return_map(DeltaCoords(0.5, 0.75))
-    assert math.isclose(out.a, 0.75, abs_tol=1e-12)
-    assert math.isclose(out.b, 1.0, abs_tol=1e-12)
+    a, b = bcz_return_map(0.5, 0.75)
+    assert math.isclose(a, 0.75, abs_tol=1e-12)
+    assert math.isclose(b, 1.0, abs_tol=1e-12)
 
 
 def test_bcz_orbit_stays_in_triangle():
     rng = np.random.default_rng(11)
-    d = DeltaCoords(rng.uniform(0.3, 1.0), 1.0)
+    a, b = rng.uniform(0.3, 1.0), 1.0
     for _ in range(10_000):
-        d = bcz_return_map(d)
-        assert 0.0 < d.a <= 1.0 and 1.0 - d.a < d.b <= 1.0 + 1e-12
+        a, b = bcz_return_map(a, b)
+        assert 0.0 < a <= 1.0 and 1.0 - a < b <= 1.0 + 1e-12
 
 
 def test_classify_worked_examples():
     assert classify_omega(OmegaCoords(0.5, 1.0, 0.2, 0.75)) is OmegaRegion.O1
     assert classify_omega(OmegaCoords(0.8, 0.5, 1.0, 0.3)) is OmegaRegion.O3
     assert classify_omega(OmegaCoords(0.5, 1.0, 0.0, 0.25)) is OmegaRegion.O4
-    assert classify_omega(VLCoords(0.5, 0.2, 0.5)) is OmegaRegion.VL
 
 
 def test_regions_tile_and_boundaries_are_thin():
@@ -98,16 +92,16 @@ def test_regions_tile_and_boundaries_are_thin():
 
 
 def test_omega_return_worked_examples():
-    points = [
-        OmegaCoords(0.5, 1.0, 0.2, 0.75), OmegaCoords(0.8, 0.5, 1.0, 0.3), OmegaCoords(0.5, 0.6, 2.0, 0.9),
-        VLCoords(0.5, 0.2, 0.5), OmegaCoords(1.0, 1.0, 0.0, 0.5),
+    rows = [
+        (OMEGA, 0.5, 1.0, 0.2, 0.75), (OMEGA, 0.8, 0.5, 1.0, 0.3), (OMEGA, 0.5, 0.6, 2.0, 0.9),
+        (VERTICAL, 0.5, math.nan, 0.2, 0.5), (OMEGA, 1.0, 1.0, 0.0, 0.5),
     ]
-    assert np.allclose(section_returns(section_columns(points)), [0.4, 0.9375, 1.8, 1.0, 2.0], rtol=0.0, atol=1e-12)
+    assert np.allclose(section_returns(row_columns(rows)), [0.4, 0.9375, 1.8, 1.0, 2.0], rtol=0.0, atol=1e-12)
 
 
 def test_w_return_time_degenerate_marking():
     with pytest.raises(DegenerateInputError):
-        section_returns(section_columns([WPointSL(0.5, 0.6, 0.0, 0.0)]))
+        section_returns(row_columns([(SL, 0.5, 0.6, 0.0, 0.0)]))
 
 
 def test_short_lattice_column_rows_and_degenerate_marking():
@@ -178,7 +172,7 @@ def _flow_and_recoordinatize(row):
     """The affine return map by its definition: flow by the closed-form
     return, then recoordinatize."""
     u = section_returns(row_columns([row]))[0]
-    return flowed_section_coords(horocycle_apply(u, omega_to_surface(_section_point(*row))), (0.0,))
+    return flowed_section_coords(horocycle_apply(u, _first_surface(row_columns([row]))), (0.0,))
 
 
 def test_omega_return_map_fixed_point():
@@ -208,20 +202,21 @@ def test_section_step_lands_where_the_flow_lands():
 
 def test_omega_orbit_stays_valid():
     rng = np.random.default_rng(31)
-    row = _point_fields(random_omega(rng))
+    row = (OMEGA, *astuple(random_omega(rng)))
     rows, returns = [], []
     for _ in range(1000):
         rows.append(row)
         u, row = section_step(*row)
         returns.append(u)
-        p = _section_point(*row)
-        if isinstance(p, VLCoords):
-            assert 0.0 < p.a <= 1.0 and 0.0 < p.s <= p.a * p.a and 0.0 < p.alpha <= 1.0
+        check_rows(row_columns([row]))
+        _, a, b, s, alpha = row
+        if math.isnan(b):
+            assert 0.0 < a <= 1.0 and 0.0 < s <= a * a and 0.0 < alpha <= 1.0
         else:
-            assert 0.0 < p.a <= 1.0
-            assert 1.0 - p.a < p.b <= 1.0 + 1e-12
-            assert 0.0 <= p.s < 1.0 / (p.a * p.b) + 1e-9
-            assert 0.0 < p.alpha <= 1.0
+            assert 0.0 < a <= 1.0
+            assert 1.0 - a < b <= 1.0 + 1e-12
+            assert 0.0 <= s < 1.0 / (a * b) + 1e-9
+            assert 0.0 < alpha <= 1.0
     assert returns == section_returns(row_columns(rows)).tolist()
 
 
@@ -278,30 +273,34 @@ def test_w_return_map_square_start():
     # flowing SA(1,1,0,0.5) by its return lands on a short-slit state; the
     # flowed coset has no horizontal representative, so SL is the only
     # reconstruction consistent with the section's routing
-    out = _section_point(*section_step(transversal.SA, 1.0, 1.0, 0.0, 0.5)[1])
-    assert isinstance(out, WPointSL)
-    assert math.isclose(out.a, 1.0, abs_tol=1e-9)
-    assert math.isclose(out.b, 1.0, abs_tol=1e-9)
-    assert math.isclose(out.v1, 0.5, abs_tol=1e-9)
-    assert math.isclose(out.v2, 0.5, abs_tol=1e-9)
+    out = section_step(transversal.SA, 1.0, 1.0, 0.0, 0.5)[1]
+    check_rows(row_columns([out]))
+    kind, a, b, v1, v2 = out
+    assert kind == SL
+    assert math.isclose(a, 1.0, abs_tol=1e-9)
+    assert math.isclose(b, 1.0, abs_tol=1e-9)
+    assert math.isclose(v1, 0.5, abs_tol=1e-9)
+    assert math.isclose(v2, 0.5, abs_tol=1e-9)
 
 
 def test_w_return_map_worked():
-    out = _section_point(*section_step(transversal.SA, 0.5, 1.0, 0.2, 0.75)[1])
-    assert isinstance(out, WPointSA)
-    q = out.coords
-    assert math.isclose(q.a, 0.5, abs_tol=1e-9)
-    assert math.isclose(q.b, 1.0, abs_tol=1e-9)
-    assert math.isclose(q.s, 0.6, abs_tol=1e-9)
-    assert math.isclose(q.alpha, 0.25, abs_tol=1e-9)
+    out = section_step(transversal.SA, 0.5, 1.0, 0.2, 0.75)[1]
+    check_rows(row_columns([out]))
+    kind, a, b, s, alpha = out
+    assert kind == SA
+    assert math.isclose(a, 0.5, abs_tol=1e-9)
+    assert math.isclose(b, 1.0, abs_tol=1e-9)
+    assert math.isclose(s, 0.6, abs_tol=1e-9)
+    assert math.isclose(alpha, 0.25, abs_tol=1e-9)
 
 
 def test_w_orbit_stays_valid():
     rng = np.random.default_rng(61)
-    row = _point_fields(WPointSA(random_omega(rng)))
+    row = (SA, *astuple(random_omega(rng)))
     for _ in range(1000):
         row = section_step(*row)[1]
-        assert isinstance(_section_point(*row), (WPointSL, WPointSA))
+        check_rows(row_columns([row]))
+        assert row[0] in (SL, SA)
 
 
 def _crossings_rolled(s, u):
@@ -314,8 +313,7 @@ def _crossings_rolled(s, u):
         if s < r - transversal.TIE_TOL * max(1.0, r):
             break
         s -= r
-        d = bcz_return_map(DeltaCoords(a, b))
-        a, b = d.a, d.b
+        a, b = bcz_return_map(a, b)
     return a, b, max(s, 0.0)
 
 
@@ -344,13 +342,82 @@ def test_section_step_raises_where_its_next_row_is_off_the_section(monkeypatch):
 
 def test_invalid_coordinates_rejected():
     with pytest.raises(InvalidInputError):
-        DeltaCoords(0.5, 0.4)
+        bcz_return_map(0.5, 0.4)
     with pytest.raises(InvalidInputError):
         OmegaCoords(0.5, 1.0, -0.1, 0.5)
     with pytest.raises(InvalidInputError):
         OmegaCoords(0.5, 1.0, 0.0, 1.5)
     with pytest.raises(InvalidInputError):
-        VLCoords(0.5, 0.3, 0.5)
+        check_rows(row_columns([(VERTICAL, 0.5, math.nan, 0.3, 0.5)]))
+
+
+NAN = math.nan
+
+# rows and the error that the range checks raise for them, the first
+# failing row's first failing check, in the order a, b, s or the marking,
+# alpha; the texts are those that the point classes before ``check_rows``
+# raised for the same points
+RANGE_CASES = [
+    ([(OMEGA, 0.0, 0.6, 2.0, 0.9)], "a out of range: 0.0"),
+    ([(OMEGA, NAN, 0.6, 2.0, 0.9)], "a out of range: nan"),
+    ([(OMEGA, 1.5, 0.6, 2.0, 0.9)], "a out of range: 1.5"),
+    ([(OMEGA, 0.5, 0.4, 2.0, 0.9)], "b out of range: 0.4 for a=0.5"),
+    ([(OMEGA, 0.5, 1.2, 2.0, 0.9)], "b out of range: 1.2 for a=0.5"),
+    ([(OMEGA, 0.5, NAN, 2.0, 0.9)], "b out of range: nan for a=0.5"),
+    ([(OMEGA, 0.5, 0.6, -0.1, 0.9)], "s out of range: -0.1"),
+    ([(OMEGA, 0.5, 0.6, 4.0, 0.9)], "s out of range: 4.0"),
+    ([(OMEGA, 0.5, 0.6, NAN, 0.9)], "s out of range: nan"),
+    ([(OMEGA, 0.5, 0.6, 2.0, 0.0)], "alpha out of range: 0.0"),
+    ([(OMEGA, 0.5, 0.6, 2.0, 1.5)], "alpha out of range: 1.5"),
+    ([(OMEGA, 0.5, 0.6, 2.0, NAN)], "alpha out of range: nan"),
+    ([(OMEGA, 2.0, 2.0, -1.0, 7.0)], "a out of range: 2.0"),
+    ([(OMEGA, 0.5, 0.4, -1.0, 7.0)], "b out of range: 0.4 for a=0.5"),
+    ([(OMEGA, 0.5, 0.6, -1.0, 7.0)], "s out of range: -1.0"),
+    ([(VERTICAL, 0.0, NAN, 0.2, 0.4)], "a out of range: 0.0"),
+    ([(VERTICAL, 1.5, NAN, 0.2, 0.4)], "a out of range: 1.5"),
+    ([(VERTICAL, 0.7, NAN, -0.1, 0.4)], "s out of range: -0.1 for a=0.7"),
+    ([(VERTICAL, 0.7, NAN, 0.5, 0.4)], "s out of range: 0.5 for a=0.7"),
+    ([(VERTICAL, 0.7, NAN, NAN, 0.4)], "s out of range: nan for a=0.7"),
+    ([(VERTICAL, 0.7, NAN, 0.2, 0.0)], "alpha out of range: 0.0"),
+    ([(VERTICAL, 0.7, NAN, 0.2, 1.5)], "alpha out of range: 1.5"),
+    ([(VERTICAL, 0.7, NAN, 0.5, 7.0)], "s out of range: 0.5 for a=0.7"),
+    ([(SL, 0.0, 0.5, 0.3, 0.5)], "a out of range: 0.0"),
+    ([(SL, 1.5, 0.5, 0.3, 0.5)], "a out of range: 1.5"),
+    ([(SL, 0.6, 0.3, 0.3, 0.5)], "b out of range: 0.3 for a=0.6"),
+    ([(SL, 0.6, 1.5, 0.3, 0.5)], "b out of range: 1.5 for a=0.6"),
+    ([(SL, 0.6, NAN, 0.3, 0.5)], "b out of range: nan for a=0.6"),
+    ([(SL, 0.6, 0.5, 1.5, 0.5)], "marking outside the fundamental parallelogram"),
+    ([(SL, 0.6, 0.5, 0.3, -0.1)], "marking outside the fundamental parallelogram"),
+    ([(SL, 0.6, 0.5, 0.3, 2.0)], "marking outside the fundamental parallelogram"),
+    ([(SL, 0.6, 0.5, NAN, 0.5)], "marking outside the fundamental parallelogram"),
+    ([(SL, 0.6, 0.3, 9.0, 9.0)], "b out of range: 0.3 for a=0.6"),
+    ([(SA, 0.0, 0.6, 2.0, 0.9)], "a out of range: 0.0"),
+    ([(SA, 0.5, 0.4, 2.0, 0.9)], "b out of range: 0.4 for a=0.5"),
+    ([(SA, 0.5, 0.6, 4.0, 0.9)], "s out of range: 4.0"),
+    ([(SA, 0.5, 0.6, 2.0, 1.5)], "alpha out of range: 1.5"),
+    ([(SA, 1.5, NAN, 0.2, 0.4)], "a out of range: 1.5"),
+    ([(SA, 0.7, NAN, 0.5, 0.4)], "s out of range: 0.5 for a=0.7"),
+    ([(SA, 0.7, NAN, 0.2, 1.5)], "alpha out of range: 1.5"),
+    # the first failing row wins, whatever the rows after it fail on
+    ([(OMEGA, 0.5, 0.6, 2.0, 0.9), (OMEGA, 0.5, 0.6, 2.0, 1.5), (OMEGA, 2.0, 0.6, 2.0, 0.9)],
+     "alpha out of range: 1.5"),
+    ([(SL, 0.6, 0.5, 0.3, 0.5), (SL, 0.6, 0.5, 1.5, 0.5), (VERTICAL, 1.5, NAN, 0.2, 0.4)],
+     "marking outside the fundamental parallelogram"),
+    ([(VERTICAL, 0.7, NAN, 0.2, 0.4), (SA, 0.5, 0.6, 2.0, 0.9), (SL, 0.6, NAN, 0.3, 0.5), (OMEGA, 0.0, 0.6, 2.0, 0.9)],
+     "b out of range: nan for a=0.6"),
+    ([(OMEGA, 0.5, 0.6, 2.0, 0.9), (VERTICAL, 0.7, NAN, 0.2, 0.4), (SL, 0.6, 0.5, 0.3, 0.5),
+      (SA, 0.8, 0.5, 1.0, 0.3), (SA, 0.7, NAN, 0.49, 1.0)], None),
+]
+
+
+@pytest.mark.parametrize("rows, message", RANGE_CASES)
+def test_check_rows_raises_the_first_failing_rows_first_error(rows, message):
+    if message is None:
+        assert check_rows(row_columns(rows)) is None
+        return
+    with pytest.raises(InvalidInputError) as info:
+        check_rows(row_columns(rows))
+    assert str(info.value) == message
 
 
 def test_recoordinatize_closed_box_boundaries():
@@ -445,61 +512,61 @@ def test_short_lattice_points_need_no_coset_scan(monkeypatch):
         return real(g, box, jobs, *args, **kwargs)
 
     monkeypatch.setattr(transversal, "_box_rows", counted)
-    w = WPointSL(0.6, 0.5, 0.3, 0.5)
-    _assert_row(flowed_section_coords(omega_to_surface(w), (0.0,), slit=True), SL, *astuple(w))
+    w = (SL, 0.6, 0.5, 0.3, 0.5)
+    _assert_row(flowed_section_coords(_first_surface(row_columns([w])), (0.0,), slit=True), *w)
     assert passes == []
-    flowed_section_coords(omega_to_surface(WPointSA(OmegaCoords(0.5, 0.6, 2.0, 0.9))), (0.0,), slit=True)
+    flowed_section_coords(_first_surface(row_columns([(SA, 0.5, 0.6, 2.0, 0.9)])), (0.0,), slit=True)
     assert passes == [3]
 
 
 # one point of every kind, runs of equal kind of length 1 and 2
-MIXED_POINTS = [
-    OmegaCoords(0.5, 0.6, 2.0, 0.9),
-    WPointSL(0.6, 0.5, 0.3, 0.5),
-    VLCoords(0.7, 0.2, 0.4),
-    WPointSA(VLCoords(0.7, 0.2, 0.4)),
-    WPointSA(OmegaCoords(0.8, 0.5, 1.0, 0.3)),
-    WPointSL(0.6, 0.5, 0.5, 0.8),
-    WPointSL(0.6, 0.9, 0.3, 0.5),
-    OmegaCoords(0.5, 1.0, 0.2, 0.75),
+MIXED_ROWS = [
+    (OMEGA, 0.5, 0.6, 2.0, 0.9),
+    (SL, 0.6, 0.5, 0.3, 0.5),
+    (VERTICAL, 0.7, math.nan, 0.2, 0.4),
+    (SA, 0.7, math.nan, 0.2, 0.4),
+    (SA, 0.8, 0.5, 1.0, 0.3),
+    (SL, 0.6, 0.5, 0.5, 0.8),
+    (SL, 0.6, 0.9, 0.3, 0.5),
+    (OMEGA, 0.5, 1.0, 0.2, 0.75),
 ]
 
 
-def _kind_surface(p):
-    """(g, v) of one point, from its kind's generator."""
-    if isinstance(p, WPointSL):
-        return delta_basis(p.a, p.b), Vec2(p.v1, p.v2)
-    q = p.coords if isinstance(p, WPointSA) else p
-    if isinstance(q, VLCoords):
-        return vertical_basis(q.a, q.s), Vec2(q.alpha, 0.0)
-    return sheared_delta_basis(q.a, q.b, q.s), Vec2(q.alpha, 0.0)
+def _kind_surface(row):
+    """(g, v) of one row, from its kind's generator."""
+    kind, a, b, s, alpha = row
+    if kind == SL:
+        return delta_basis(a, b), Vec2(s, alpha)
+    if math.isnan(b):
+        return vertical_basis(a, s), Vec2(alpha, 0.0)
+    return sheared_delta_basis(a, b, s), Vec2(alpha, 0.0)
 
 
-def _kind_return(p):
-    """Closed-form return of one point, from its kind's formula."""
-    if isinstance(p, WPointSL):
-        return float(w_return_sl_vec(p.a, p.b, p.v1, p.v2))
-    q = p.coords if isinstance(p, WPointSA) else p
-    if isinstance(q, VLCoords):
-        return q.a / q.alpha
-    formula = w_return_sa_vec if isinstance(p, WPointSA) else omega_return_vec
-    return float(formula(q.a, q.b, q.s, q.alpha))
+def _kind_return(row):
+    """Closed-form return of one row, from its kind's formula."""
+    kind, a, b, s, alpha = row
+    if kind == SL:
+        return float(w_return_sl_vec(a, b, s, alpha))
+    if math.isnan(b):
+        return a / alpha
+    formula = w_return_sa_vec if kind == SA else omega_return_vec
+    return float(formula(a, b, s, alpha))
 
 
 def test_section_columns_evaluate_each_row_by_its_kind():
-    cols = section_columns(MIXED_POINTS)
-    want = [_kind_return(p) for p in MIXED_POINTS]
+    cols = row_columns(MIXED_ROWS)
+    want = [_kind_return(row) for row in MIXED_ROWS]
     assert section_returns(cols).tolist() == want
     g, v = section_surfaces(cols)
     fields = np.broadcast_arrays(*g, *v)
-    for i, p in enumerate(MIXED_POINTS):
-        kg, kv = _kind_surface(p)
+    for i, row in enumerate(MIXED_ROWS):
+        kg, kv = _kind_surface(row)
         assert [float(f[i]) for f in fields] == [*kg, *kv]
-        surface = omega_to_surface(p)
+        surface = _first_surface(row_columns([row]))
         assert (*surface.g, *surface.v) == (*kg, *kv)
     # with no sl row the marking's y stays one shared 0.0
-    assert section_surfaces(section_columns(MIXED_POINTS[2:5]))[1].y == 0.0
-    assert section_returns(section_columns([])).shape == (0,)
+    assert section_surfaces(row_columns(MIXED_ROWS[2:5]))[1].y == 0.0
+    assert section_returns(row_columns([])).shape == (0,)
 
 
 def _three_basis_surfaces(cols):
@@ -522,14 +589,14 @@ def test_section_surfaces_equal_the_three_basis_form():
                           for m in ("haar-w", "haar-omega", "periodic-omega:0.7,0.4"))
     # a third of the sa rows become vertical-lattice sa rows (b nan)
     w.b[(w.kind == transversal.SA) & (np.arange(len(w.b)) % 3 == 0)] = np.nan
-    mixed = transversal.SectionColumns(*map(np.concatenate, zip(w, omega, vertical, section_columns(MIXED_POINTS))))
+    mixed = transversal.SectionColumns(*map(np.concatenate, zip(w, omega, vertical, row_columns(MIXED_ROWS))))
     order = rng.permutation(len(mixed.kind))
 
     def rows(cols, keep):
         return transversal.SectionColumns(*(c[keep] for c in cols))
 
     cases = [mixed, rows(mixed, order), w, omega, vertical, rows(w, w.kind == transversal.SL),
-             rows(w, w.kind == transversal.SA), section_columns([])]
+             rows(w, w.kind == transversal.SA), row_columns([])]
     for cols in cases:
         (g, v), (want_g, want_v) = section_surfaces(cols), _three_basis_surfaces(cols)
         for got, want in zip((*g, *v), (*want_g, *want_v)):
