@@ -35,12 +35,13 @@ by (measure, engine, grid, n, seed).  ``chunk_streams`` is the one sample
 layout: chunk k = 0, 1, ... draws min(``CHUNK``, n - k*``CHUNK``) rows from
 default_rng([seed, k]): its columns one after another (``_Draws``), each
 read at its own position in that PCG64 stream (``_Stream``), so a block of
-rows draws only its own rows.  ``map_chunks`` runs a per-chunk function on
-at most ``workers`` threads (inline on one) and yields its results in chunk
-order, so neither ``workers`` nor the core count enters a result.
-``mc_tail`` draws, returns and bins (``_cells``) each chunk one block of
-``BLOCK`` rows at a time, reduces the blocks to sums and adds those in chunk
-order, so its memory stays flat in n and a thread holds one block.
+rows draws only its own rows.  ``map_chunks`` runs a per-chunk function in
+at most ``workers`` processes, the caller and forked children (inline in
+the caller alone on one), and yields its results in chunk order, so neither
+``workers`` nor the core count enters a result.  ``mc_tail`` draws, returns
+and bins (``_cells``) each chunk one block of ``BLOCK`` rows at a time,
+reduces the blocks to sums and adds those in chunk order, so its memory
+stays flat in n and a process holds one block.
 
 Differential tester: ``diff_test`` draws each chunk of the same layout as
 one block of a region's rows: DeltaR, OmegaR and WReturn through their
@@ -55,11 +56,11 @@ there is a finding to report, not a failure.
 
 from __future__ import annotations
 
-import collections
+import itertools
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -108,7 +109,7 @@ W_MASS_SCALE = 1.5
 CHUNK = 1 << 18
 
 # Rows of one block: ``_chunk_stats`` draws, returns and bins a chunk one
-# block at a time, so a thread holds one block's columns and temporaries.
+# block at a time, so a process holds one block's columns and temporaries.
 BLOCK = 1 << 16
 
 COUNT_BINS_MAX = 64  # past it, binary search costs less than counting (``_cells``)
@@ -239,8 +240,8 @@ def chunk_streams(n: int, seed: int):
         yield np.random.default_rng([seed, k]), min(CHUNK, n - start)
 
 
-def chunk_threads(n: int, workers: int) -> int:
-    """Threads of ``map_chunks``: min(workers, cores, chunks), at least 1 (workers < 1 raises)."""
+def chunk_workers(n: int, workers: int) -> int:
+    """Processes of ``map_chunks``: min(workers, cores, chunks), at least 1 (workers < 1 raises)."""
     if workers < 1:
         raise InvalidInputError("workers must be >= 1")
     return max(1, min(workers, os.cpu_count() or 1, -(-n // CHUNK)))
@@ -248,21 +249,90 @@ def chunk_threads(n: int, workers: int) -> int:
 
 def map_chunks(fn, n: int, seed: int, workers: int):
     """Yield fn(k, rng, count) of every chunk k of ``chunk_streams(n, seed)``,
-    in chunk order, on ``chunk_threads(n, workers)`` threads: one thread
-    calls fn inline, with no pool; more run a pool and take at most one
-    chunk per thread, plus one queued, ahead of the results yielded, so
-    memory stays flat in n.
+    in chunk order, on P = ``chunk_workers(n, workers)`` processes.
+
+    Chunk k runs in process k mod P.  Process 0 is the caller, which runs
+    its chunks inline; processes 1..P-1 are forked before the first chunk
+    (``_forked_chunks``).  The caller runs every chunk itself when P is 1,
+    when there is no ``os.fork``, or when other threads are alive (a forked
+    child would inherit their locks as they stand).  Whichever process runs
+    chunk k draws it from default_rng([seed, k]), so results do not depend
+    on P.
     """
-    if (threads := chunk_threads(n, workers)) == 1:
+    procs = chunk_workers(n, workers)
+    if procs == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         yield from (fn(k, *stream) for k, stream in enumerate(chunk_streams(n, seed)))
-        return
-    pending = collections.deque()
-    with ThreadPoolExecutor(threads) as pool:
+    else:
+        yield from _forked_chunks(fn, n, seed, procs)
+
+
+def _forked_chunks(fn, n: int, seed: int, procs: int):
+    """``map_chunks`` on the caller and procs - 1 forked children.
+
+    Each child writes the results of its chunks, in chunk order, pickled and
+    flushed one by one, to a pipe of its own, and so runs ahead of the
+    results yielded by at most a pipe buffer: memory stays flat in n.  An
+    exception in a child's chunk comes back as ("err", exc) and is raised at
+    that chunk's turn; a pipe that ends without a result raises
+    ``ChildProcessError`` naming the chunk.  However the map ends (the last
+    chunk, an exception, ``close()``, KeyboardInterrupt), every child is
+    killed and reaped before the caller goes on.
+    """
+    import pickle
+    import signal
+
+    pids, pipes = [], [None]  # pipes[i] reads child i
+    try:
+        for i in range(1, procs):
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            with os.fdopen(w, "wb") as out:
+                if (pid := os.fork()) == 0:
+                    try:
+                        # Ctrl-C is the caller's to answer; with no read end
+                        # open here, a child whose caller is gone fails its
+                        # next write instead of blocking on a full pipe
+                        signal.signal(signal.SIGINT, signal.SIG_IGN)
+                        for pipe in pipes[1:]:
+                            pipe.close()
+                        _child_chunks(fn, n, seed, procs, i, out)
+                    finally:
+                        os._exit(0)  # no atexit handlers, no flush of inherited stdio
+            pids.append(pid)
         for k, stream in enumerate(chunk_streams(n, seed)):
-            pending.append(pool.submit(fn, k, *stream))
-            if len(pending) > threads:
-                yield pending.popleft().result()
-        yield from (f.result() for f in pending)
+            if not k % procs:
+                yield fn(k, *stream)
+                continue
+            try:
+                status, value = pickle.load(pipes[k % procs])
+            except EOFError:
+                raise ChildProcessError(f"chunk {k}: its worker process ended without a result") from None
+            if status == "err":
+                raise value
+            yield value
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes[1:]:
+            pipe.close()
+
+
+def _child_chunks(fn, n: int, seed: int, procs: int, i: int, out) -> None:
+    """Body of child i of ``_forked_chunks``: write ("ok", fn(k, rng, count))
+    of chunks k = i, i + procs, ... to the file ``out``, or ("err", exc) and
+    stop."""
+    import pickle
+
+    for k, stream in itertools.islice(enumerate(chunk_streams(n, seed)), i, None, procs):
+        try:
+            message = ("ok", fn(k, *stream))
+        except Exception as exc:
+            message = ("err", exc)
+        out.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+        out.flush()
+        if message[0] == "err":
+            return
 
 
 def _uniform_open(rng, n: int, out=None) -> np.ndarray:
@@ -599,9 +669,9 @@ def mc_tail(
     half-width of 1.96 standard errors; n_eff = (sum w)^2 / sum(w^2).
     Each chunk of the sample layout (``chunk_streams``) is drawn and reduced
     to per-grid-cell sums one block of ``BLOCK`` rows at a time
-    (``_chunk_stats``) on at most ``workers`` threads (``map_chunks``), and
-    the sums are added in chunk order, so memory is bounded by one block per
-    thread whatever n is.  Results are identical for fixed (seed, n),
+    (``_chunk_stats``) in at most ``workers`` processes (``map_chunks``),
+    and the sums are added in chunk order, so memory is bounded by one block
+    per process whatever n is.  Results are identical for fixed (seed, n),
     whatever ``workers``, ``BLOCK`` and the core count are.  Logs one DEBUG
     line.
     """
@@ -632,11 +702,11 @@ def mc_tail(
         raise EstimationError("degenerate total weight")
     n_eff = wsum ** 2 / float(above2[0])
     # a haar-w chunk also ends a block at its sl rows' end
-    logger.debug("mc_tail %s (%s): %d rows, %d chunks of at most %d blocks of %d rows, %d thread(s), "
+    logger.debug("mc_tail %s (%s): %d rows, %d chunks of at most %d blocks of %d rows, %d process(es), "
                  "%d thresholds binned by %s, n_eff %.6g",
                  measure.label(), engine, n, -(-n // CHUNK),
                  -(-min(n, CHUNK) // BLOCK) + (measure.kind == "haar-w"), BLOCK,
-                 chunk_threads(n, workers), grid.size, "search" if grid.size > COUNT_BINS_MAX else "count", n_eff)
+                 chunk_workers(n, workers), grid.size, "search" if grid.size > COUNT_BINS_MAX else "count", n_eff)
 
     p = above[1:] / wsum
     var = (1.0 - p) ** 2 * above2[1:] + p ** 2 * below2[:-1]
@@ -817,7 +887,7 @@ def diff_test(
     reported, and an OmegaR report also counts them per region O1-O4 and
     gives their 1/b-weighted share (``_omega_breakdown``).  Each chunk of
     the sample layout (``chunk_streams``; chunk 0 after the probes) is
-    drawn and gets both columns on at most ``workers`` threads
+    drawn and gets both columns in at most ``workers`` processes
     (``map_chunks``), as ``mc_tail``'s chunks are, and the chunks are
     joined in chunk order, so reports are byte-identical for fixed
     (seed, n), whatever ``workers`` is.  Every row is held, so n above

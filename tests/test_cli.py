@@ -307,7 +307,7 @@ def test_log_level_debug_reports_each_mc_tail_call(capsys):
     n_eff = json.loads(quiet.out)["results"]["n_eff"]
     # 3000 rows fit one block, and a haar-w chunk ends another at its sl rows' end
     assert line == ("DEBUG slitgaps.measures: mc_tail haar-w (formula): 3000 rows, 1 chunks of at most "
-                    f"2 blocks of {BLOCK} rows, 1 thread(s), "
+                    f"2 blocks of {BLOCK} rows, 1 process(es), "
                     f"3 thresholds binned by count, n_eff {n_eff:.6g}")
 
 

@@ -2,10 +2,11 @@
 
 import json
 import math
+import mmap
 import os
 import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -347,84 +348,167 @@ def test_mc_tail_output_is_independent_of_the_core_count(monkeypatch):
 
 
 def test_mc_tail_pool_is_bounded_by_the_core_count(monkeypatch):
-    # chunks of 1000 draws: the pool takes min(workers, cores, chunks)
-    # threads, and a run on one thread builds none
-    sizes = []
+    # chunks of 1000 draws: the map runs in min(workers, cores, chunks)
+    # processes, the caller and one fork fewer, and a one-process run forks
+    # nothing
+    forks = []
 
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(1)
+    def counting_fork(fork=os.fork):
+        forks.append(1)
+        return fork()
 
     monkeypatch.setattr(measures, "CHUNK", 1000)
-    monkeypatch.setattr(measures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     est = mc_tail(MeasureSpec.haar_w(), FORMULA, [0.0, 1.0], 4000, seed=47, workers=100_000)
     assert est.n == 4000 and est.workers == 100_000
-    assert sizes == [2]
+    assert len(forks) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     mc_tail(MeasureSpec.haar_omega(), FORMULA, [1.0], 2500, seed=47, workers=8)
-    assert sizes == [2, 3]
+    assert len(forks) == 1 + 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     mc_tail(MeasureSpec.haar_omega(), FORMULA, [1.0], 4000, seed=47, workers=4)
-    assert sizes == [2, 3]
+    assert len(forks) == 1 + 2
 
 
 def test_a_one_thread_map_runs_inline_in_chunk_order(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-thread map built a pool")
+    def no_fork():
+        raise AssertionError("a one-process map forked")
 
     def fn(k, rng, count):
-        return k, count, threading.get_ident()
+        return k, count, os.getpid()
 
-    monkeypatch.setattr(measures, "ThreadPoolExecutor", no_pool)
-    caller = threading.get_ident()
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", no_fork)
+    caller = os.getpid()
     assert list(map_chunks(fn, 1000, 3, workers=8)) == [(0, 1000, caller)]
     assert list(map_chunks(fn, 0, 3, workers=8)) == []
     monkeypatch.setattr(measures, "CHUNK", 400)
+    inline = [(0, 400, caller), (1, 400, caller), (2, 200, caller)]
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert list(map_chunks(fn, 1000, 3, workers=8)) == [(0, 400, caller), (1, 400, caller), (2, 200, caller)]
-    # an inline run reports what a pooled one does
+    assert list(map_chunks(fn, 1000, 3, workers=8)) == inline
+    # two processes, but another thread is alive: a fork would copy its locks
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert list(map_chunks(fn, 1000, 3, workers=8)) == inline
+    finally:
+        release.set()
+        other.join()
+    # two processes on a platform without fork
+    monkeypatch.delattr(os, "fork")
+    assert list(map_chunks(fn, 1000, 3, workers=8)) == inline
+    # an inline run reports what a forked one does
     one = mc_tail(MeasureSpec.haar_w(), FORMULA, [0.5, 2.0], 1000, seed=5, workers=1).to_dict()
-    monkeypatch.setattr(measures, "ThreadPoolExecutor", ThreadPoolExecutor)
-    monkeypatch.setattr(measures, "chunk_threads", lambda n, workers: 2)
+    monkeypatch.setattr(os, "fork", real_fork, raising=False)
+    monkeypatch.setattr(measures, "chunk_workers", lambda n, workers: 2)
     assert mc_tail(MeasureSpec.haar_w(), FORMULA, [0.5, 2.0], 1000, seed=5, workers=1).to_dict() == one
 
 
 def test_reports_do_not_depend_on_workers_or_cores(monkeypatch):
     # five full chunks and a partial one; the recorded workers aside, every
-    # worker and core count gives the same reports
+    # worker and core count gives the same reports, under each engine
     monkeypatch.setattr(measures, "CHUNK", 1 << 10)
     n = 5 * (1 << 10) + 300
+    grid = [0.0, 1.0, 2.0]
     reports = set()
-    for cores in (1, 2):
+    for cores in (1, 2, 4):
         monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
-        for workers in (1, 2, 7, 10**12):
-            tail = mc_tail(MeasureSpec.haar_w(), FORMULA, [0.0, 1.0, 2.0], n, seed=67, workers=workers)
-            diff = measures.diff_test("WslRho", n, seed=67, workers=workers, v_domain="restricted")
-            tail, diff = tail.to_dict(), diff.to_dict()
-            assert tail.pop("workers") == diff.pop("workers") == workers
-            assert diff["samples"] == n + len(measures._PROBES["WslRho"].kind)
-            reports.add(json.dumps([tail, diff], sort_keys=True, indent=2))
+        for workers in (1, 2, 4, 7, 10**12):
+            runs = [
+                mc_tail(MeasureSpec.haar_w(), FORMULA, grid, n, seed=67, workers=workers),
+                mc_tail(MeasureSpec.haar_omega(), ORACLE_AFFINE, grid, n, seed=67, workers=workers),
+                mc_tail(MeasureSpec.haar_w(), ORACLE_DOUBLED, grid, n, seed=67, workers=workers),
+                measures.diff_test("WslRho", n, seed=67, workers=workers, v_domain="restricted"),
+                measures.diff_test("OmegaR", n, seed=67, workers=workers),
+            ]
+            runs = [run.to_dict() for run in runs]
+            assert [run.pop("workers") for run in runs] == [workers] * len(runs)
+            assert runs[3]["samples"] == n + len(measures._PROBES["WslRho"].kind)
+            reports.add(json.dumps(runs, sort_keys=True, indent=2))
     assert len(reports) == 1
 
 
-def test_map_chunks_takes_chunks_as_threads_free_up(monkeypatch):
-    # at most one chunk per pool thread, and one more queued, is taken ahead
-    # of the results yielded; never all chunks up front
+@pytest.mark.parametrize("cores, workers", [(1, 1), (2, 2), (4, 4)])
+def test_a_chunk_error_is_raised_at_its_turn_as_in_one_process(monkeypatch, cores, workers):
+    # chunk 3 of 10 raises; in two or four processes it runs in a child, and
+    # its error comes back as the one-process run raises it
+    monkeypatch.setattr(measures, "CHUNK", 100)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+
+    def fn(k, rng, count):
+        if k == 3:
+            raise InvalidInputError(f"chunk {k} of {count} rows refused")
+        return k, rng.random()
+
+    results = map_chunks(fn, 1000, 7, workers)
+    got = [next(results) for _ in range(3)]
+    with pytest.raises(InvalidInputError) as raised:
+        next(results)
+    assert got == [(k, np.random.default_rng([7, k]).random()) for k in range(3)]
+    assert type(raised.value) is InvalidInputError
+    assert str(raised.value) == "chunk 3 of 100 rows refused"
+
+
+def test_a_child_that_ends_without_a_result_names_its_chunk(monkeypatch):
+    monkeypatch.setattr(measures, "CHUNK", 100)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller = os.getpid()
+
+    def fn(k, rng, count):
+        if k == 3 and os.getpid() != caller:
+            os._exit(3)
+        return k
+
+    with pytest.raises(ChildProcessError, match="chunk 3: its worker process ended without a result"):
+        list(map_chunks(fn, 1000, 7, workers=2))
+
+
+def test_an_interrupt_in_the_caller_reaps_every_child(monkeypatch):
+    monkeypatch.setattr(measures, "CHUNK", 100)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def fn(k, rng, count):
+        if k == 4:  # the caller's second chunk
+            raise KeyboardInterrupt
+        return k
+
+    with pytest.raises(KeyboardInterrupt):
+        list(map_chunks(fn, 1000, 7, workers=4))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_chunks_reads_ahead_at_most_a_pipe_buffer_per_process(monkeypatch):
+    # the caller takes no chunk ahead of the results yielded, and a child
+    # runs ahead only until its pipe is full; never all chunks up front
     made = []
+    # chunk k runs in process k % 2, which records it here (shared with the child)
+    reached = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
 
     def streams(n, seed):
         for k in range(n):
             made.append(k)
             yield None, 1
 
+    def fn(k, rng, count):
+        reached[k % 2] = k
+        return k
+
     monkeypatch.setattr(measures, "chunk_streams", streams)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    results = measures.map_chunks(lambda k, rng, count: k, 10**6, 0, 10**12)
-    for k, got in zip(range(50), results):
-        assert got == k and len(made) <= k + 3
-    results.close()
+    results = measures.map_chunks(fn, 10**6, 0, 10**12)
+    try:
+        for k, got in zip(range(50), results):
+            assert got == k and len(made) <= k + 3
+        time.sleep(0.3)  # time for some 10^5 chunks, were the child not held back
+        assert 49 <= reached[1] < 20_000  # a 64 KiB pipe holds a few thousand small results
+    finally:
+        results.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_uniform_open_in_place_matches_one_minus_random():

@@ -325,7 +325,7 @@ def test_diff_test_deterministic():
 
 
 def test_diff_test_huge_worker_count_matches_one_worker_per_point():
-    # the worker count only sets the threads, at most the core count
+    # the worker count only sets the processes, at most the core count
     huge = diff_test("OmegaR", 500, seed=11, workers=10**12).to_dict()
     each = diff_test("OmegaR", 500, seed=11, workers=500).to_dict()
     assert (huge.pop("workers"), each.pop("workers")) == (10**12, 500)
