@@ -17,6 +17,7 @@ level and above to stderr.
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -43,7 +44,7 @@ from .measures import ENGINES, FORMULA, ORACLE_DOUBLED, REGIONS, V_DOMAINS, Meas
 from .oracle import oracle_strip_slopes
 from .table import write_table
 from .transversal import (
-    OMEGA, SECTION_KINDS, OmegaCoords, _first_surface, check_rows, flowed_section_coords, omega_to_surface, row_columns,
+    OMEGA, SECTION_KINDS, _first_surface, check_rows, flowed_section_coords, row_columns,
 )
 
 SPEC_VERSION = "1.0"
@@ -327,8 +328,9 @@ def cmd_gaps(config: RunConfig) -> int:
     if p.get("omega") is not None and p.get("surface") is not None:
         raise InvalidInputError("pass either --omega or --surface, not both")
     if p.get("omega") is not None:
-        a, b, s, alpha = _parse_floats(p["omega"], 4, "--omega")
-        surface = omega_to_surface(OmegaCoords(a, b, s, alpha))
+        row = row_columns([(OMEGA, *_parse_floats(p["omega"], 4, "--omega"))])
+        check_rows(row)
+        surface = _first_surface(row)
     elif p.get("surface") is not None:
         surface = _load_surface(p["surface"])
     else:
@@ -465,6 +467,8 @@ def cmd_difftest(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line (``main`` keeps one of its own,
+    ``_parser``)."""
     parser = argparse.ArgumentParser(
         prog="slitgaps",
         description="gap statistics of strip slopes on marked tori and slit covers",
@@ -541,9 +545,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on first use and kept: the parsers build_parser
+# returns are their callers' own, and a caller may change one (a tracer that
+# wraps its parse_args) without that reaching main
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
+    return its exit code.
+
+    The parser is built once per process, on the first call: every later
+    call of ``main`` in the process (tests, the benchmark, scripts) parses
+    with the same parser and skips building its argparse actions.  ``main``
+    only reads it: each call's values live in a namespace and a config of
+    their own, so none carries over to the next call.  A parser that
+    ``build_parser`` returns is a new one, so a caller that changes it does
+    not change what ``main`` parses with."""
+    args = _parser().parse_args(argv)
     # one process may run main many times (tests, the benchmark), so the
     # handler and level are undone on the way out
     log = logging.getLogger(__package__)

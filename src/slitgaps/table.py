@@ -19,6 +19,14 @@ which is the correctly rounded digit string unless y lies within 1e-4 of a
 half-integer.  Those cells, and every cell outside the range (0, -0.0,
 +-inf, nan, subnormals, |x| >= 1e11 and |x| < 1e-4), are formatted by
 Python's ``'%.12g' % v`` instead.
+
+The 12-digit integer d, below 1e12 < 2^53, splits into its four groups of
+three digits in float64: the group floor(d / 1e9), then d less that group
+times 1e9, and so on for 1e6 and 1e3.  Every remainder, product and
+difference is an integer below 2^53, so exact, and a quotient r / 10^k
+with r an integer short of the next multiple of 10^k lies at least 10^-k
+below an integer, far more than its rounding error, so its floor is the
+group.  One cast to integers follows.
 """
 
 import functools
@@ -116,15 +124,14 @@ def _float_cells(x, empty):
     carry = d >= 1e12
     e += carry
     d -= carry * 9e11
-    # the 12 digits in four groups of three
-    groups = np.empty((4, n), np.intp)
-    hi = d.astype(np.int64)
-    lo = hi % 1_000_000
-    hi //= 1_000_000
-    np.floor_divide(hi, 1000, out=groups[0])
-    np.subtract(hi, groups[0] * 1000, out=groups[1])
-    np.floor_divide(lo, 1000, out=groups[2])
-    np.subtract(lo, groups[2] * 1000, out=groups[3])
+    # the 12 digits in four groups of three, split in float64 (exact, see
+    # the module docstring)
+    groups = np.empty((4, n))
+    for k, p in enumerate((1e9, 1e6, 1e3)):
+        np.floor(np.divide(d, p, out=groups[k]), out=groups[k])
+        d -= groups[k] * p
+    groups[3] = d
+    groups = groups.astype(np.intp)
     z = zeros.take(groups)
     tz = z[1] + (z[1] == 3) * z[0]
     tz = z[2] + (z[2] == 3) * tz

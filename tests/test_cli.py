@@ -445,6 +445,35 @@ def test_config_file_flags_win(tmp_path):
     assert max(float(r[1]) for r in rows) == 6.0
 
 
+def test_one_parser_serves_every_call_and_no_value_outlives_its_call(tmp_path, capsys, monkeypatch):
+    parser = cli._parser()
+    assert cli._parser() is parser
+    # a parser from build_parser is its caller's own to change
+    changed = cli.build_parser()
+    assert changed is not parser
+    changed.parse_args = None
+    parsed = []
+
+    def spy(argv):
+        parsed.append(argv)
+        return type(parser).parse_args(parser, argv)
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    argv = ["orbit", "--start", "1,1,0,0.5", "--iters", "3"]
+    out = tmp_path / "orbit.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    assert [row["step"] for row in json.loads(out.read_text())["results"]] == [0, 1, 2]
+    assert capsys.readouterr().out == ""
+    report = out.read_bytes()
+    # the same command without --format and --out: CSV to stdout
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("step,return_time,kind,a,b,s,alpha\n")
+    assert len(text.splitlines()) == 4
+    assert out.read_bytes() == report
+    assert parsed == [argv + ["--format", "json", "--out", str(out)], argv]
+
+
 @pytest.mark.parametrize("argv, line", [
     (["gaps", "--omega", "1,1,0,0.5", "--slope-max", "5"], "mode = foo"),
     (["difftest", "DeltaR", "--samples", "10"], "mode = foo"),

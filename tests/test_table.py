@@ -100,6 +100,17 @@ def test_values_just_inside_and_outside_the_scaled_range():
                   99999999999.5, 9999999999.99995, 0.000999999999999951, 123456789012.0,
                   12345678901.0, 100.0, 120.0, 1.5, -0.25, 0.00012])
     assert _mismatches(x) == []
+    # the boundaries of the split of the 12 digits into groups of three: a
+    # 000 or a 999 group in each position (100 the least leading group),
+    # and d = 1e12 - 1, at each decimal exponent of the range
+    base = ["123", "456", "789", "012"]
+    digits = ["999999999999"]
+    for k in range(4):
+        for group in ("100" if k == 0 else "000", "999"):
+            digits.append("".join(base[:k] + [group] + base[k + 1 :]))
+    x = np.array([float(f"{d}e-{j}") for d in digits for j in range(1, 16)])
+    x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
+    assert _mismatches(np.concatenate([x, -x])) == []
 
 
 def test_integer_and_label_cells_and_empty_masks():
