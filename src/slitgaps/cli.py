@@ -95,42 +95,6 @@ def _parse_config_file(path: str) -> dict:
 # the config-file words for a flag that takes no value (--plot)
 _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True), **dict.fromkeys(("0", "false", "no", "off"), False)}
 
-_DEFAULTS = {
-    "gaps": {"mode": SurfaceMode.AFFINE_ONLY.value, "out": None, "format": "csv", "plot": False},
-    "orbit": {
-        "engine": FORMULA,
-        "iters": 100,
-        "out": None,
-        "format": "csv",
-        "plot": False,
-    },
-    "mc-tail": {
-        "engine": FORMULA,
-        "samples": 100_000,
-        "seed": 0,
-        "workers": 1,
-        "out": None,
-        "format": "csv",
-        "plot": False,
-    },
-    "closed-form": {
-        "component": "tail",
-        "h": 1e-5,
-        "out": None,
-        "format": "csv",
-        "plot": False,
-    },
-    "difftest": {
-        "samples": 10_000,
-        "seed": 0,
-        "workers": 1,
-        "mode": SurfaceMode.AFFINE_ONLY.value,
-        "v_domain": "fundamental",
-        "out": None,
-    },
-}
-
-
 def _config_value(action: argparse.Action, raw: str):
     """A config-file value converted and checked as the flag of ``action``
     converts and checks its argument: a flag that takes no value reads a
@@ -146,12 +110,14 @@ def _config_value(action: argparse.Action, raw: str):
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
-    """File values fill flags the user left out; explicit flags win.  A file
-    takes the keys of the command's own flags (``args.options``, its
-    argparse actions by key), each converted and checked as its flag is."""
-    explicit = {k: v for k, v in vars(args).items() if k not in ("command", "func", "options", "log_level")}
+    """The command's flag defaults (``args.defaults``, filed beside each
+    flag by ``build_parser``), then the config file's values over them,
+    then the flags the user gave: explicit flags win.  A file takes the keys
+    of the command's own flags (``args.options``, its argparse actions by
+    key), each converted and checked as its flag is."""
+    explicit = {k: v for k, v in vars(args).items() if k not in ("command", "func", "options", "defaults", "log_level")}
     config_path = explicit.pop("config", None)
-    params = dict(_DEFAULTS[command])
+    params = dict(args.defaults)
     if config_path is not None:
         for key, raw in _parse_config_file(config_path).items():
             if key not in args.options:
@@ -172,7 +138,7 @@ def _parse_floats(text: str, n: int, what: str) -> tuple:
 
 
 def parse_t_grid(text: str):
-    """`a:b:step` inclusive grid, or an explicit comma list."""
+    """`a:b:step` inclusive grid, each value once, or an explicit comma list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -191,13 +157,16 @@ def parse_t_grid(text: str):
         span = (end - a) / step  # inf when it overflows
         if not span < T_GRID_LIMIT:
             raise InvalidInputError(f"grid {text!r} has more than {T_GRID_LIMIT} points")
-        # one point more than exact arithmetic gives, in case rounding lets one in
+        # one point more than exact arithmetic gives, in case rounding lets
+        # one in; a step below the spacing of floats near b gives a point
+        # equal to the one before it, which is kept once
         vals = []
         for k in range(math.floor(span) + 2):
             t = a + k * step
             if t > end:
                 break
-            vals.append(min(t, b))
+            if not vals or min(t, b) > vals[-1]:
+                vals.append(min(t, b))
         return vals
     vals = list(_parse_floats(text, len([p for p in text.split(",") if p.strip()]), "grid"))
     if not vals:
@@ -339,6 +308,8 @@ def cmd_gaps(config: RunConfig) -> int:
 
     if p.get("slope_max") is None and p.get("count") is None:
         raise InvalidInputError("gaps needs --slope-max or --count")
+    if p.get("slope_max") is not None and p.get("count") is not None:
+        raise InvalidInputError("pass either --slope-max or --count, not both")
     if p.get("slope_max") is not None:
         slopes = slopes_and_gaps(enumerate_strip(surface, mode, float(p["slope_max"]))).slopes
     else:
@@ -485,62 +456,66 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help):
         """Add the subparser of a command; return its add_argument, which
-        also files each option's action under its key for ``_merge_config``."""
+        also files each option's action, and its ``default`` when it has
+        one, under its key for ``_merge_config``.  The parser itself gets
+        no defaults, so a namespace holds only the flags the user gave."""
         sp = sub.add_parser(name, help=help)
-        options = {}
-        sp.set_defaults(func=func, options=options)
+        options, defaults = {}, {}
+        sp.set_defaults(func=func, options=options, defaults=defaults)
 
-        def add(*flags, **kwargs):
-            action = sp.add_argument(*flags, **kwargs)
+        def add(*flags, default=S, **kwargs):
+            action = sp.add_argument(*flags, default=S, **kwargs)
             if action.dest != "config":
                 options[action.dest] = action
+            if default is not S:
+                defaults[action.dest] = default
 
         return add
 
     def common(add):
-        add("--config", default=S, help="key = value defaults file; flags win")
-        add("--out", default=S, help="output path (default: stdout)")
-        add("--format", choices=("csv", "json"), default=S)
-        add("--plot", action="store_true", default=S, help="emit a gnuplot script next to --out")
+        add("--config", help="key = value defaults file; flags win")
+        add("--out", default=None, help="output path (default: stdout)")
+        add("--format", choices=("csv", "json"), default="csv")
+        add("--plot", action="store_true", default=False, help="emit a gnuplot script next to --out")
 
     add = command("gaps", cmd_gaps, "strip slopes and consecutive gaps")
-    add("--omega", default=S, help="a,b,s,alpha section coordinates")
-    add("--surface", default=S, help="JSON file with g (2x2) and v (2)")
-    add("--mode", choices=modes, default=S)
-    add("--slope-max", dest="slope_max", type=float, default=S)
-    add("--count", type=int, default=S, help="emit the first N slopes instead")
+    add("--omega", help="a,b,s,alpha section coordinates")
+    add("--surface", help="JSON file with g (2x2) and v (2)")
+    add("--mode", choices=modes, default=SurfaceMode.AFFINE_ONLY.value)
+    add("--slope-max", dest="slope_max", type=float)
+    add("--count", type=int, help="emit the first N slopes instead")
     common(add)
 
     add = command("orbit", cmd_orbit, "iterate the section return map")
-    add("--start", default=S, help="a,b,s,alpha start point")
-    add("--engine", choices=ENGINES, default=S)
-    add("--iters", type=int, default=S)
+    add("--start", help="a,b,s,alpha start point")
+    add("--engine", choices=ENGINES, default=FORMULA)
+    add("--iters", type=int, default=100)
     common(add)
 
     add = command("mc-tail", cmd_mc_tail, "Monte Carlo survival curve")
-    add("--measure", default=S, help="haar-omega | haar-w | torsion:q | periodic-omega:a,alpha | periodic-point")
-    add("--engine", choices=ENGINES, default=S)
-    add("--t-grid", dest="t_grid", default=S, help="a:b:step or comma list")
-    add("--samples", type=int, default=S)
-    add("--seed", type=int, default=S)
-    add("--workers", type=int, default=S)
+    add("--measure", help="haar-omega | haar-w | torsion:q | periodic-omega:a,alpha | periodic-point")
+    add("--engine", choices=ENGINES, default=FORMULA)
+    add("--t-grid", dest="t_grid", help="a:b:step or comma list")
+    add("--samples", type=int, default=100_000)
+    add("--seed", type=int, default=0)
+    add("--workers", type=int, default=1)
     common(add)
 
     add = command("closed-form", cmd_closed_form, "exact tail law tables")
-    add("--t-grid", dest="t_grid", default=S, help="a:b:step or comma list")
-    add("--component", default=S, help="tail | cdf | density | bounds | torsion:q")
-    add("--h", type=float, default=S, help="finite-difference step for density")
+    add("--t-grid", dest="t_grid", help="a:b:step or comma list")
+    add("--component", default="tail", help="tail | cdf | density | bounds | torsion:q")
+    add("--h", type=float, default=1e-5, help="finite-difference step for density")
     common(add)
 
     add = command("difftest", cmd_difftest, "formula vs enumeration over sampled inputs")
-    add("region", nargs="?", default=S, help=" | ".join(REGIONS))
-    add("--samples", type=int, default=S)
-    add("--seed", type=int, default=S)
-    add("--workers", type=int, default=S)
-    add("--mode", choices=modes, default=S)
-    add("--v-domain", dest="v_domain", choices=V_DOMAINS, default=S)
-    add("--config", default=S)
-    add("--out", default=S)
+    add("region", nargs="?", help=" | ".join(REGIONS))
+    add("--samples", type=int, default=10_000)
+    add("--seed", type=int, default=0)
+    add("--workers", type=int, default=1)
+    add("--mode", choices=modes, default=SurfaceMode.AFFINE_ONLY.value)
+    add("--v-domain", dest="v_domain", choices=V_DOMAINS, default="fundamental")
+    add("--config")
+    add("--out", default=None)
 
     return parser
 

@@ -14,7 +14,10 @@ batch of lattices, each with its own box and markings, integer coefficient
 ranges are derived from the adjugate inverse of the generator, widened by
 ``RANGE_SLACK`` times the magnitudes their float bounds come from (some 1e5
 times their rounding error, far below one row), and then filtered by the
-defining inequalities.  ``lattice_box`` is its call for one lattice;
+defining inequalities.  ``lattice_box`` is its call for one lattice, and
+every single-lattice scan is a ``lattice_box`` call: a strip scan passes
+the box of ``_strip_window`` and its slope cap, and a caller that wants
+primitive vectors keeps the rows whose (m, n) are ``_coprime``.
 ``_strip_rows`` adds the holonomy components of many surfaces and yields
 their raw rows, which the first-return oracle reduces to a minimum slope per
 surface.  Sorting and deduplicating belong to enumeration:
@@ -401,11 +404,6 @@ def _coprime(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.gcd(np.abs(m).astype(np.int64), np.abs(n).astype(np.int64)) == 1
 
 
-def primitive_rows(pts: np.ndarray) -> np.ndarray:
-    """The ``lattice_box`` rows whose coefficients (m, n) are coprime."""
-    return pts[_coprime(pts[:, 2], pts[:, 3])] if len(pts) else pts
-
-
 def _strip_window(x_max, slope_max, y_max, include_horizontal: bool):
     """The closed box (x_lo, x_hi, y_lo, y_hi) of the strip 0 < x <= x_max
     with y > 0 (y >= 0 with ``include_horizontal``), capped by
@@ -442,27 +440,6 @@ def _in_strip(x, y, slope_max: float):
     not tested: the scan must share the window's."""
     pad = BOUND_SLACK * max(1.0, slope_max)
     return (y > Y_EPS) & (y <= slope_max + pad) & (y <= slope_max * x + pad)
-
-
-def _lattice_scan(
-    g: Mat2,
-    v: Vec2,
-    *,
-    x_max: float = 1.0,
-    slope_max: float | None = None,
-    y_max: float | None = None,
-    include_horizontal: bool = False,
-    primitive: bool = False,
-) -> np.ndarray:
-    """All points of g*Z^2 + v with 0 < x <= x_max and y in the requested
-    window (0 < y, or y >= 0 with ``include_horizontal``), capped by
-    y <= slope_max * x and/or y <= y_max.
-
-    Returns an array of shape (k, 4): columns x, y, m, n.
-    """
-    box = _strip_window(x_max, slope_max, y_max, include_horizontal)
-    pts = lattice_box(g, v, *box, slope_max)
-    return primitive_rows(pts) if primitive else pts
 
 
 def _strip_rows(

@@ -41,7 +41,10 @@ the caller alone on one), and yields its results in chunk order, so neither
 ``workers`` nor the core count enters a result.  ``mc_tail`` draws, returns
 and bins (``_cells``) each chunk one block of ``BLOCK`` rows at a time,
 reduces the blocks to sums and adds those in chunk order, so its memory
-stays flat in n and a process holds one block.
+stays flat in n and a process holds one block.  A triangle is the one
+column read whole: its rejection rounds are read in full when its chunk is
+laid out (``_triangle_uniform``), so a torsion chunk holds its (a, b),
+4 MB at 2^18 rows, as a haar-w chunk holds the triangle of its sl rows.
 
 Differential tester: ``diff_test`` draws each chunk of the same layout as
 one block of a region's rows: DeltaR, OmegaR and WReturn through their
@@ -390,53 +393,28 @@ class _Column:
         return x
 
 
-class _Triangle:
-    """n points (a, b) uniform on the section triangle, read in row order
-    from a ``_Stream``.
-
-    Rejection from the square at acceptance rate 1/2, in rounds from the
-    stream's ``pos``: a round draws k = max(64, int(2.6 * rows missing))
-    candidate a's, then k b's, and keeps the pairs with b > 1 - a in order;
-    the next round starts where it ended.  ``take`` reads the candidates in
-    pieces of at most ``BLOCK`` as rows are asked for; the read that keeps
-    the n-th pair makes its round the last and sets the stream's ``pos``
-    past it.
-    """
-
-    def __init__(self, stream: _Stream, n: int):
-        self.stream, self.n, self.got = stream, n, 0
-        self.start, self.k, self.read = stream.pos, self._round(n), 0
-        self.kept = (np.empty(0),) * 2
-
-    @staticmethod
-    def _round(missing: int) -> int:
-        return max(64, int(1.3 * missing * 2)) if missing else 0
-
-    def take(self, m: int, out=None):
-        """The next m points, as (a, b) (into ``out`` when given)."""
-        a_out, b_out = np.empty((2, m)) if out is None else out
-        done = 0
-        while done < m:
-            if not len(self.kept[0]):
-                if self.read == self.k:
-                    self.start, self.k, self.read = self.start + 2 * self.k, self._round(self.n - self.got), 0
-                step = min(self.k - self.read, 2 * (m - done) + 1024, BLOCK)
-                a = _uniform_open(self.stream.at(self.start + self.read), step)
-                b = _uniform_open(self.stream.at(self.start + self.k + self.read), step)
-                keep = np.flatnonzero(b > 1.0 - a)
-                self.kept, self.read, self.got = (a[keep], b[keep]), self.read + step, self.got + keep.size
-                if self.got >= self.n:
-                    self.stream.pos = self.start + 2 * self.k
-            (a, b), t = self.kept, min(len(self.kept[0]), m - done)
-            a_out[done:done + t], b_out[done:done + t], self.kept = a[:t], b[:t], (a[t:], b[t:])
-            done += t
-        return a_out, b_out
-
-
 def _triangle_uniform(stream: _Stream, n: int):
-    """n points (a, b) uniform on the section triangle, drawn from the
-    stream's ``pos`` on (``_Triangle``)."""
-    return _Triangle(stream, n).take(n)
+    """n points (a, b) uniform on the section triangle, read in full from
+    the stream's ``pos`` on.
+
+    Rejection from the square at acceptance rate 1/2, in rounds: a round
+    draws k = max(64, int(2.6 * rows missing)) candidate a's, then k b's,
+    and keeps the pairs with b > 1 - a in order; the next round starts
+    where it ended.  The candidates are read in pieces of at most ``BLOCK``
+    until the n-th pair is kept, and ``pos`` is left past that round.
+    """
+    ab, got = np.empty((2, n)), 0
+    while got < n:
+        start, k, read = stream.pos, max(64, int(1.3 * (n - got) * 2)), 0
+        stream.pos += 2 * k
+        while got < n and read < k:
+            step = min(k - read, BLOCK)
+            a = _uniform_open(stream.at(start + read), step)
+            b = _uniform_open(stream.at(start + k + read), step)
+            keep = np.flatnonzero(b > 1.0 - a)[:n - got]
+            ab[:, got:got + keep.size] = a[keep], b[keep]
+            got, read = got + keep.size, read + step
+    return ab
 
 
 def _marking(a, b, cx, cy, v1, v2):
@@ -490,10 +468,11 @@ class _Draws:
     their markings (every cx, then every cy) and the four columns of its sa
     rows; haar-omega its four columns, torsion its triangle and
     periodic-omega its shear column.  ``runs`` are the row counts of the
-    chunk's runs of one kind: haar-w's sl rows, then its sa rows.  haar-w
-    reads its triangle's points in full (``ab``, dropped once its sl rows
-    are read) when the chunk is laid out, so that the columns past it start
-    where its last rejection round ends.
+    chunk's runs of one kind: haar-w's sl rows, then its sa rows.  Every
+    triangle is read in full (``ab``, 2 x rows) when the chunk is laid out,
+    so that the columns past it start where its last rejection round ends,
+    and its blocks slice it: a torsion chunk holds its (a, b), 4 MB at
+    2^18 rows, and haar-w drops its triangle once its sl rows are read.
     """
 
     def __init__(self, measure: MeasureSpec, rng, n: int):
@@ -507,7 +486,7 @@ class _Draws:
         elif measure.kind == "haar-omega":
             self.omega = _omega_columns(self.stream, n)
         elif measure.kind == "torsion":
-            self.tri = _Triangle(self.stream, n)
+            self.ab = _triangle_uniform(self.stream, n)
         elif measure.kind == "periodic-omega":
             self.shear = self.stream.column(n)
 
@@ -552,7 +531,7 @@ def _batch_measure(measure: MeasureSpec, draws: _Draws, n: int):
         if n_sl < n:
             _batch_omega(draws.omega, n - n_sl, out=(SectionColumns(*(c[n_sl:] for c in cols)), w[n_sl:]))
     elif measure.kind == "torsion":
-        a, b = draws.tri.take(n)
+        a, b = draws.ab[:, row:row + n]
         cols = _rows(OMEGA, a, b, np.zeros(n), a / measure.q)
     elif measure.kind == "periodic-omega":
         s = draws.shear.random(n) * measure.a ** 2
@@ -671,9 +650,9 @@ def mc_tail(
     to per-grid-cell sums one block of ``BLOCK`` rows at a time
     (``_chunk_stats``) in at most ``workers`` processes (``map_chunks``),
     and the sums are added in chunk order, so memory is bounded by one block
-    per process whatever n is.  Results are identical for fixed (seed, n),
-    whatever ``workers``, ``BLOCK`` and the core count are.  Logs one DEBUG
-    line.
+    and one chunk's triangle per process whatever n is.  Results are
+    identical for fixed (seed, n), whatever ``workers``, ``BLOCK`` and the
+    core count are.  Logs one DEBUG line.
     """
     if engine not in ENGINES:
         raise InvalidInputError(f"unknown engine {engine!r}")

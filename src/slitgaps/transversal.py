@@ -61,11 +61,10 @@ from .geometry import (
     _box_rows,
     _coprime,
     _in_strip,
-    _lattice_scan,
     _ragged,
+    _strip_window,
     horocycle_apply,
     lattice_box,
-    primitive_rows,
     reduce_to_fundamental,
 )
 
@@ -371,10 +370,12 @@ def _bezout_vec(p, q):
     return np.where(q >= 0, -y, y), np.where(p >= 0, x, -x)
 
 
-def _vertical_short(g: Mat2, tol: float = HORIZONTAL_TOL):
-    """Shortest lattice vector with |x| <= tol and 0 < y <= 1, as
-    (y, m, n); None if the lattice has no short vertical."""
-    pts = primitive_rows(lattice_box(g, Vec2(0.0, 0.0), -tol, tol, Y_EPS, 1.0 + tol))
+def _vertical_short(g: Mat2):
+    """Shortest primitive lattice vector with |x| <= HORIZONTAL_TOL and
+    0 < y <= 1, as (y, m, n); None if the lattice has no short vertical."""
+    tol = HORIZONTAL_TOL
+    pts = lattice_box(g, Vec2(0.0, 0.0), -tol, tol, Y_EPS, 1.0 + tol)
+    pts = pts[_coprime(pts[:, 2], pts[:, 3])]
     if not len(pts):
         return None
     i = int(np.argmin(pts[:, 1]))
@@ -388,14 +389,8 @@ def _max_slope_anchor(g: Mat2):
     flipped = Mat2(g.m11, g.m12, -g.m21, -g.m22)
     cap = 4.0
     for _ in range(60):
-        pts = _lattice_scan(
-            flipped,
-            Vec2(0.0, 0.0),
-            x_max=1.0,
-            slope_max=cap,
-            include_horizontal=True,
-            primitive=True,
-        )
+        pts = lattice_box(flipped, Vec2(0.0, 0.0), *_strip_window(1.0, cap, None, True), cap)
+        pts = pts[_coprime(pts[:, 2], pts[:, 3])]
         if len(pts):
             break
         cap *= 2.0

@@ -296,15 +296,20 @@ def test_a_second_rejection_round_in_one_block(spec, chunk):
 
 
 def test_a_second_rejection_round_of_a_triangle_over_several_blocks(monkeypatch):
-    # blocks of 8 rows: the 24 sl rows span three blocks, and the markings
-    # and sa columns are laid out where the triangle's second round ends
+    # blocks of 8 rows: the triangle's rounds are read in pieces of 8
+    # candidates and its rows span several blocks; haar-w's 24 sl rows span
+    # three, and its markings and sa columns are laid out where the
+    # triangle's second round ends
     monkeypatch.setattr(measures, "BLOCK", 8)
-    key, n = SECOND_ROUND_HAAR_W
-    measure = MeasureSpec.haar_w()
-    assert list(measures._Draws(measure, np.random.default_rng(key), n).blocks()) == [8, 8, 8] + [8] * 7
-    for engine in ENGINES:
-        got = _chunk_stats(measure, engine, GRID, np.random.default_rng(key), n)
-        _assert_same_stats(got, _seq_chunk_stats(measure, engine, GRID, np.random.default_rng(key), n))
+    for spec, (key, n), blocks in [
+        ("haar-w", SECOND_ROUND_HAAR_W, [8, 8, 8] + [8] * 7),
+        ("torsion:3", SECOND_ROUND_TORSION, [8, 8, 8, 3]),
+    ]:
+        measure = MeasureSpec.parse(spec)
+        assert list(measures._Draws(measure, np.random.default_rng(key), n).blocks()) == blocks
+        for engine in ENGINES:
+            got = _chunk_stats(measure, engine, GRID, np.random.default_rng(key), n)
+            _assert_same_stats(got, _seq_chunk_stats(measure, engine, GRID, np.random.default_rng(key), n))
 
 
 def test_a_blocked_chunk_holds_at_most_half_the_whole_chunk():

@@ -46,6 +46,12 @@ def test_parse_t_grid_forms():
     assert parse_t_grid("16:128:8") == [16.0 + 8.0 * k for k in range(15)]
     assert parse_t_grid("0:1:0.1") == [0.1 * k for k in range(10)] + [1.0]
     assert parse_t_grid("5:5:1") == [5.0]
+    # a step below the spacing of floats near the end rounds a + k*step to
+    # the point before it, or past the end, where it is clamped: each once
+    assert parse_t_grid("1e5:1e5:1e-12") == [1e5]
+    assert parse_t_grid("1e13:1e13:1") == [1e13]
+    vals = parse_t_grid("1e5:100000.0000001:1e-12")
+    assert vals[-1] == 100000.0000001 and vals == sorted(set(vals))
     assert parse_t_grid("1,2.5,4") == [1.0, 2.5, 4.0]
     for bad in ("2:1:0.5", "0:1:0", "0:1:-1", "a,b", ""):
         with pytest.raises(InvalidInputError):
@@ -166,6 +172,21 @@ def test_an_unreadable_input_file_is_a_usage_error(tmp_path, capsys, flag, conte
 
 def test_gaps_needs_exactly_one_source(tmp_path):
     assert main(["gaps", "--slope-max", "3"]) == 2
+
+
+@pytest.mark.parametrize("flags, lines", [
+    (["--slope-max", "3", "--count", "1"], []),
+    (["--slope-max", "3"], ["count = 1"]),
+    (["--count", "1"], ["slope-max = 3"]),
+])
+def test_gaps_refuses_a_slope_cap_with_a_count(tmp_path, capsys, flags, lines):
+    # by flag or by config file, the pair is refused rather than one dropped
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines))
+    assert main(["gaps", "--omega", "0.5,0.6,2.0,0.9", "--config", str(cfg), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pass either --slope-max or --count, not both\n"
 
 
 def test_orbit_fixed_point(tmp_path):
@@ -443,6 +464,37 @@ def test_config_file_flags_win(tmp_path):
     assert code == 0
     _, rows = read_csv(out)
     assert max(float(r[1]) for r in rows) == 6.0
+
+
+# each command's flag defaults, as its report's config block records them
+RECORDED_DEFAULTS = {
+    "gaps": {"mode": "affine", "out": None, "format": "csv", "plot": False},
+    "orbit": {"engine": "formula", "iters": 100, "out": None, "format": "csv", "plot": False},
+    "mc-tail": {
+        "engine": "formula", "samples": 100_000, "seed": 0, "workers": 1, "out": None, "format": "csv", "plot": False,
+    },
+    "closed-form": {"component": "tail", "h": 1e-5, "out": None, "format": "csv", "plot": False},
+    "difftest": {
+        "samples": 10_000, "seed": 0, "workers": 1, "mode": "affine", "v_domain": "fundamental", "out": None,
+    },
+}
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["gaps", "--omega", "1,1,0,0.5", "--slope-max", "2"], {"omega": "1,1,0,0.5", "slope_max": 2.0}),
+    (["orbit", "--start", "1,1,0,0.5"], {"start": "1,1,0,0.5"}),
+    (["mc-tail", "--measure", "haar-omega", "--t-grid", "1"], {"measure": "haar-omega", "t_grid": "1"}),
+    (["closed-form", "--t-grid", "1"], {"t_grid": "1"}),
+    (["difftest", "DeltaR"], {"region": "DeltaR"}),
+])
+def test_a_report_records_the_defaults_of_its_command(capsys, argv, given):
+    # the config block is the command's defaults and the flags given, no more
+    json_flags = [] if argv[0] == "difftest" else ["--format", "json"]
+    if json_flags:
+        given = {**given, "format": "json"}
+    assert main(argv + json_flags) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {"command": argv[0], **RECORDED_DEFAULTS[argv[0]], **given}
 
 
 def test_one_parser_serves_every_call_and_no_value_outlives_its_call(tmp_path, capsys, monkeypatch):

@@ -897,7 +897,9 @@ def _three_scan_anchors(g, start, t):
     a, b, s = np.full(len(t), a0), np.full(len(t), b0), s0 + t
     if t[-1] <= 0.0:
         return a, b, s
-    pts = geometry._lattice_scan(g, Vec2(0.0, 0.0), x_max=1.0, slope_max=float(t[-1]), primitive=True)
+    cap = float(t[-1])
+    pts = geometry.lattice_box(g, Vec2(0.0, 0.0), *geometry._strip_window(1.0, cap, None, False), cap)
+    pts = pts[geometry._coprime(pts[:, 2], pts[:, 3])]
     slope = pts[:, 1] / pts[:, 0]
     order = np.lexsort((-pts[:, 0], slope))
     pts, slope = pts[order], slope[order]
