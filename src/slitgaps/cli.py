@@ -30,7 +30,6 @@ import numpy
 
 from . import __version__
 from .errors import (
-    AmbiguityError,
     DegenerateInputError,
     EstimationError,
     InvalidInputError,
@@ -375,22 +374,11 @@ def cmd_mc_tail(config: RunConfig) -> int:
     )
 
 
-def _closed_form_rows(component: str, grid, h: float):
+def _closed_form_rows(component: str, grid):
     from . import closedform  # scipy's quadrature loads only for this command
-    if component == "tail":
-        return ("t", "tail"), [(t, closedform.w_tail_closed_form(t)) for t in grid]
-    if component == "cdf":
-        return ("t", "cdf"), [(t, closedform.w_cdf(t)) for t in grid]
-    if component == "density":
-        rows = []
-        for t in grid:
-            try:
-                d = closedform.w_density(t, h)
-            except AmbiguityError:
-                d = closedform.w_density(t, h, one_sided=True)
-            lo, hi = d if isinstance(d, tuple) else (d, d)
-            rows.append((t, lo, hi))
-        return ("t", "density_left", "density_right"), rows
+    law = {"tail": closedform.w_tail_closed_form, "cdf": closedform.w_cdf, "density": closedform.w_density}
+    if component in law:
+        return ("t", component), [(t, law[component](t)) for t in grid]
     if component == "bounds":
         return ("t", "lower", "upper"), [(t, *closedform.omega_tail_bounds(t)) for t in grid]
     if component.startswith("torsion:"):
@@ -407,7 +395,7 @@ def cmd_closed_form(config: RunConfig) -> int:
     if p.get("t_grid") is None:
         raise InvalidInputError("closed-form needs --t-grid")
     grid = parse_t_grid(p["t_grid"])
-    header, rows = _closed_form_rows(p["component"], grid, float(p["h"]))
+    header, rows = _closed_form_rows(p["component"], grid)
     return _write_outputs(
         config, header, tuple(zip(*rows)), {"rows": len(rows)}, header[1:],
         results=[dict(zip(header, row)) for row in rows],
@@ -443,6 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slitgaps",
         description="gap statistics of strip slopes on marked tori and slit covers",
+        # no prefixes: a flag that is gone must not resolve as a shorter
+        # spelling of another (--h of --help)
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"slitgaps {__version__}")
     parser.add_argument(
@@ -459,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         also files each option's action, and its ``default`` when it has
         one, under its key for ``_merge_config``.  The parser itself gets
         no defaults, so a namespace holds only the flags the user gave."""
-        sp = sub.add_parser(name, help=help)
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
         options, defaults = {}, {}
         sp.set_defaults(func=func, options=options, defaults=defaults)
 
@@ -504,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     add = command("closed-form", cmd_closed_form, "exact tail law tables")
     add("--t-grid", dest="t_grid", help="a:b:step or comma list")
     add("--component", default="tail", help="tail | cdf | density | bounds | torsion:q")
-    add("--h", type=float, default=1e-5, help="finite-difference step for density")
     common(add)
 
     add = command("difftest", cmd_difftest, "formula vs enumeration over sampled inputs")
@@ -565,7 +555,6 @@ def main(argv=None) -> int:
         NotOnTransversalError,
         DegenerateInputError,
         OutOfRegimeError,
-        AmbiguityError,
         QuadratureError,
         EstimationError,
     ) as exc:

@@ -15,12 +15,7 @@ import math
 
 from scipy import integrate, special
 
-from .errors import (
-    AmbiguityError,
-    InvalidInputError,
-    OutOfRegimeError,
-    QuadratureError,
-)
+from .errors import InvalidInputError, OutOfRegimeError, QuadratureError
 
 PI_SQUARED_OVER_6 = math.pi * math.pi / 6.0
 SQRT5 = math.sqrt(5.0)
@@ -367,7 +362,6 @@ def w_tail_closed_form(t):
 
 
 _CLOSED_PIECES = (_tail_linear, _tail_low, _tail_high, _tail_high)
-_NONDIFF_POINTS = (1.0, 2.0, GOLDEN_T)
 
 
 def w_cdf(t):
@@ -375,29 +369,79 @@ def w_cdf(t):
     return w_tail_closed_form(0.0) - w_tail_closed_form(t)
 
 
-def w_density(t, h=1e-5, *, one_sided=False):
-    """Gap density -G'(t) of the doubled-torus law by finite differences.
+# -d/dt of each *_slice at fixed b, for t > 1.  A cap that moves with t adds
+# nothing where the integrand vanishes on it, so only the slit rates keep a
+# term for their lattice cap 1/(bt), which moves at speed cap/t.
 
-    Central difference away from the tail's breakpoints; a (left, right)
-    pair at the kinks or whenever one_sided is set; stepping across a
-    breakpoint without the flag is refused.
-    """
-    if not h > 0.0:
-        raise InvalidInputError("difference step must be positive")
-    if not t > 0.0:
-        raise InvalidInputError("density is defined for t > 0")
-    if t - h < 0.0:
-        raise InvalidInputError("difference step reaches below the support")
-    g = w_tail_closed_form
-    if one_sided or t in _NONDIFF_POINTS:
-        left = (g(t - h) - g(t)) / h
-        right = (g(t) - g(t + h)) / h
-        return (left, right)
-    if any(abs(t - bp) <= h for bp in TAIL_BREAKPOINTS[1:-1]):
-        raise AmbiguityError(
-            f"step {h:g} straddles a breakpoint near t={t:g}; pass one_sided=True"
-        )
-    return (g(t - h) - g(t + h)) / (2.0 * h)
+
+def _o1_rate(t, b):
+    lo = 1.0 - b
+    cap = _lattice_cap(t, b)
+    if cap <= lo or lo <= 0.0:
+        return 0.0
+    x = (cap - lo) / lo
+    return lo * lo * (0.5 * (1.0 + x) ** 2 * math.log1p(x) - 0.5 * x - 0.75 * x * x)
+
+
+def _o2_rate(t, b):
+    lo = 1.0 - b
+    cap = _lattice_cap(t, b)
+    return 0.5 * (cap - lo) ** 2 if 0.0 < lo < cap else 0.0
+
+
+def _o3_rate(t, b):
+    # in w = b + alpha: -w below w = 1/t, (lo*w - 1/t)/b <= 0 from there to w_hi
+    lo = 1.0 - b
+    if lo <= 0.0:
+        return 0.0
+    w_hi = 1.0 / (t * lo) - b
+    w_hi = b + (w_hi if w_hi < lo else lo)
+    kink = 1.0 / t
+    w_mid = kink if kink < w_hi else w_hi
+    w1 = kink if kink > b else b
+    total = 0.5 * (w_mid - b) * (w_mid + b) if w_mid > b else 0.0
+    if w_hi > w1:
+        total -= (w_hi - w1) * (0.5 * lo * (w_hi + w1) - kink) / b
+    return total
+
+
+def _sl_lattice_rate(t, b):
+    lo = 1.0 - b
+    cap = _lattice_cap(t, b)
+    return (cap - _sl_area_weight(b)) / t if 0.0 < lo < cap < 1.0 else 0.0
+
+
+def _sl_vector_rate(t, b):
+    # area rate -lo^2/2 below the kink a = 1/(lo*t), -1/(2a^2t^2) past it; a
+    # moving cap adds cap/t times the area there, which is 0 past the kink
+    lo = 1.0 - b
+    cap = _lattice_cap(t, b)
+    if cap <= lo or lo <= 0.0:
+        return 0.0
+    kink = 1.0 / (lo * t)
+    if cap <= kink:
+        edge = _sl_area_weight(b) / t - 0.5 * lo * lo * cap if cap < 1.0 else 0.0
+        return 0.5 * lo * lo * (cap - lo) + edge
+    if kink <= lo:
+        return 0.5 * (1.0 / lo - 1.0 / cap) / (t * t)
+    return 0.5 * lo * lo * (kink - lo) + 0.5 * (1.0 / kink - 1.0 / cap) / (t * t)
+
+
+def w_density(t):
+    """Gap density -G'(t) of the doubled-torus law: 7/8 on [0, 1]; past 1,
+    the t-rate of each tail_components slice integrated over b on that
+    slice's own split points, sa-o2 counted twice as in the tail.  It is
+    continuous at every breakpoint, so each t has one value."""
+    _check_threshold(t)
+    if t <= 1.0:
+        return 7.0 / 8.0
+    pts = _regime_points(t)
+    sl_pts = pts + [0.5]
+    o2 = _slice_mass(_o2_rate, t, pts)
+    sa = [_slice_mass(rate, t, pts) for rate in (_o1_rate, _o3_rate)]
+    sl_lattice = _slice_mass(_sl_lattice_rate, t, sl_pts)
+    sl_vector = _slice_mass(_sl_vector_rate, t, sl_pts + [1.0 - 1.0 / math.sqrt(t)])
+    return math.fsum([*sa, o2, o2, sl_lattice, sl_vector])
 
 
 def compare_pieces(points_per_piece=50, tolerance=1e-6):

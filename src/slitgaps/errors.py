@@ -21,11 +21,6 @@ class OutOfRegimeError(InvalidInputError):
     """A closed-form regime decomposition does not exist for this parameter."""
 
 
-class AmbiguityError(SlitgapsError, ValueError):
-    """The requested quantity is ambiguous at this point (e.g. a one-sided
-    derivative was needed but not requested)."""
-
-
 class QuadratureError(SlitgapsError, RuntimeError):
     """Numerical integration failed to reach the requested tolerance."""
 

@@ -20,10 +20,10 @@ the box of ``_strip_window`` and its slope cap, and a caller that wants
 primitive vectors keeps the rows whose (m, n) are ``_coprime``.
 ``_strip_rows`` adds the holonomy components of many surfaces and yields
 their raw rows, which the first-return oracle reduces to a minimum slope per
-surface.  Sorting and deduplicating belong to enumeration:
-``strip_holonomy_batch`` does both to those rows, and ``enumerate_strip`` and
-``renormalized_box_gaps`` are its calls for one surface.  Each kernel call
-logs its jobs, n-rows, candidate rows and rows kept at DEBUG level.
+surface.  Sorting and deduplicating belong to enumeration: ``_dedup_batch``
+does both to those rows, and ``enumerate_strip`` and ``renormalized_box_gaps``
+apply it to the rows of one surface.  Each kernel call logs its jobs, n-rows,
+candidate rows and rows kept at DEBUG level.
 Membership tolerances: x > 1e-12, x <= x_max + slack, y within 1e-12 of zero
 counts as horizontal.
 """
@@ -453,14 +453,18 @@ def _strip_rows(
     include_horizontal: bool = False,
     lattice: bool = False,
 ):
-    """The raw rows of ``strip_holonomy_batch``: (surface index, x, y)
-    chunks holding whole surfaces, grouped by surface in ``_box_rows``
-    order, neither sorted nor deduplicated, so under ``DOUBLED_SLIT`` a
-    vector may appear once per component.  With ``lattice`` an
-    ``AFFINE_ONLY`` surface also scans its whole lattice g*Z^2, every point,
-    as a component before its coset: the slit-cover candidate set.  Each
-    block of ``STRIP_BLOCK`` surfaces is one ``_box_rows`` call; only the
-    doubled lattice component's primitivity test reads its m and n."""
+    """Raw holonomy rows of many surfaces in the strip 0 < x <= x_max, y > 0
+    (y >= 0 with ``include_horizontal``), slope at most ``slope_max`` and/or
+    height at most ``y_max``.  The fields of ``g``, ``v`` and ``slope_max``
+    broadcast to one entry per surface, and every cap must be finite.
+    Yields (surface index, x, y) chunks holding whole surfaces, grouped by
+    surface in ``_box_rows`` order, neither sorted nor deduplicated
+    (``_dedup_batch`` does both), so under ``DOUBLED_SLIT`` a vector may
+    appear once per component.  With ``lattice`` an ``AFFINE_ONLY`` surface
+    also scans its whole lattice g*Z^2, every point, as a component before
+    its coset: the slit-cover candidate set.  Each block of ``STRIP_BLOCK``
+    surfaces is one ``_box_rows`` call; only the doubled lattice component's
+    primitivity test reads its m and n."""
     cap = np.nan if slope_max is None else slope_max
     *fields, cap = np.atleast_1d(*(np.asarray(f, dtype=float) for f in np.broadcast_arrays(*g, *v, cap)))
     if fields[0].ndim != 1:
@@ -491,39 +495,6 @@ def _strip_rows(
             yield start + surf[j], x, y
 
 
-def strip_holonomy_batch(
-    g: Mat2,
-    v: Vec2,
-    mode: SurfaceMode,
-    slope_max,
-    *,
-    x_max: float = 1.0,
-    y_max: float | None = None,
-    include_horizontal: bool = False,
-):
-    """Holonomy vectors of many surfaces at once in the strip 0 < x <= x_max,
-    y > 0 (y >= 0 with ``include_horizontal``), with slope at most
-    ``slope_max`` and/or height at most ``y_max``.
-
-    The fields of ``g`` and ``v`` and ``slope_max`` (unless None) are arrays
-    or scalars broadcast to one entry per surface; ``x_max`` and ``y_max``
-    are shared by all, and every cap must be finite.  The components of
-    surface i are its marked coset, and under ``DOUBLED_SLIT`` also the
-    primitive lattice vectors and the negated coset; one ``_box_rows`` call
-    scans them all (``_strip_rows``), and this enumeration then sorts each
-    chunk (``_dedup_batch``: one argsort, a lexsort only on ties in x) and
-    keeps vectors repeated across components (equal within 1e-12) once.
-    Yields (surface index, xy) chunks holding whole surfaces, with rows
-    sorted by (surface, x, y).  Surfaces go in blocks of ``STRIP_BLOCK`` and
-    chunks of ``STRIP_ROW_BUDGET`` candidate rows, so memory stays flat in
-    the number of surfaces.
-    """
-    for s, x, y in _strip_rows(
-        g, v, mode, slope_max, x_max=x_max, y_max=y_max, include_horizontal=include_horizontal
-    ):
-        yield _dedup_batch(s, x, y)
-
-
 def _dedup_batch(s: np.ndarray, x: np.ndarray, y: np.ndarray):
     """(surface, xy) sorted by (surface, x, y) with near-duplicates of the
     previous row of the same surface dropped; every x is positive."""
@@ -540,9 +511,9 @@ def _dedup_batch(s: np.ndarray, x: np.ndarray, y: np.ndarray):
 
 def _holonomy_points(surface: AffineLattice, mode: SurfaceMode, slope_max, **window) -> np.ndarray:
     """Distinct holonomy vectors of one surface, shape (k, 2), sorted by
-    (x, y): the size-1 call of ``strip_holonomy_batch``."""
-    ((_, xy),) = strip_holonomy_batch(surface.g, surface.v, mode, slope_max, **window)
-    return xy
+    (x, y): its one ``_strip_rows`` chunk through ``_dedup_batch``."""
+    ((s, x, y),) = _strip_rows(surface.g, surface.v, mode, slope_max, **window)
+    return _dedup_batch(s, x, y)[1]
 
 
 def enumerate_strip(
@@ -555,7 +526,7 @@ def enumerate_strip(
 ) -> np.ndarray:
     """Holonomy vectors in the vertical strip 0 < x <= 1, y > 0 with slope at
     most ``slope_max`` (or height at most ``y_max``, which then replaces the
-    slope cap), sorted by slope: ``strip_holonomy_batch`` of one surface.
+    slope cap), sorted by slope.
 
     Returns an array of shape (k, 2).  Exact duplicates across holonomy
     components are removed; distinct vectors sharing a slope are kept.

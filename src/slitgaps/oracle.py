@@ -96,7 +96,7 @@ def oracle_first_return_batch(
     scans all surfaces still without a return in one pass of the kernel's
     raw rows (``geometry._strip_rows``) and takes each surface's minimum
     y/x; a coset holds no point twice, so only ``DOUBLED_SLIT`` rows are
-    first deduplicated as ``strip_holonomy_batch`` does.  Each call logs its
+    first deduplicated (``geometry._dedup_batch``).  Each call logs its
     surfaces, rounds, surfaces re-scanned after round 1, largest cap and
     kernel blocks (``_strip_rows`` calls of ``_box_rows``) at DEBUG level."""
     *fields, hints = np.broadcast_arrays(

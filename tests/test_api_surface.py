@@ -5,12 +5,18 @@ tests call is a wrapper to delete, with its tests moved onto the entry
 point that remains.
 
 References are read off the syntax tree: a name or an attribute in code.
-Docstrings, comments and strings do not count.
+Docstrings, comments and strings do not count.  Two more guards catch what
+outlives a removed option: an error type that nothing raises or catches,
+and a flag that the README and the parser do not both name.
 """
 
+import argparse
 import ast
+import re
 from collections import Counter
 from pathlib import Path
+
+from slitgaps.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC, BENCH = ROOT / "src" / "slitgaps", ROOT / "bench"
@@ -127,3 +133,47 @@ def test_the_guard_sees_a_point_class_and_a_test_against_it():
     tree = ast.parse(code)
     assert _point_classes(tree) == ["VLCoords"]
     assert _isinstance_tests(tree, "VLCoords") == 1 and _isinstance_tests(tree, "MeasureSpec") == 0
+
+
+def _raised_or_caught(tree) -> set:
+    """Names that ``tree`` raises (``raise E`` or ``raise E(...)``) or
+    catches (``except E`` or ``except (E, F)``)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            out.update(n.id for n in [exc] if isinstance(n, ast.Name))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            out.update(n.id for n in ast.walk(node.type) if isinstance(n, ast.Name))
+    return out
+
+
+def test_every_error_type_is_raised_or_caught():
+    # an error type that nothing raises or catches outlived its last use
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    declared = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    used = set().union(*(_raised_or_caught(ast.parse(p.read_text(encoding="utf-8"))) for p in SRC.glob("*.py")))
+    assert sorted(declared - used) == []
+
+
+def test_the_error_guard_sees_raise_and_except():
+    code = "try:\n    raise A('x')\nexcept (B, C):\n    raise D\nexcept E as exc:\n    f(G)\n"
+    assert _raised_or_caught(ast.parse(code)) == {"A", "B", "C", "D", "E"}
+
+
+def _long_flags(parser) -> set:
+    """The long flags of ``parser`` and of every subcommand's parser."""
+    out = set()
+    for action in parser._actions:
+        out.update(flag for flag in action.option_strings if flag.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _long_flags(sub)
+    return out
+
+
+def test_the_readme_names_every_flag_and_no_other():
+    # argparse's own --help and --version, and pip's flag in the install notes
+    readme = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", (ROOT / "README.md").read_text(encoding="utf-8")))
+    parser = _long_flags(build_parser())
+    assert readme - {"--no-build-isolation"} == parser - {"--help", "--version"}

@@ -346,33 +346,30 @@ def test_closed_form_density_value(tmp_path):
     ])
     assert code == 0
     header, rows = read_csv(out)
-    assert header == ["t", "density_left", "density_right"]
-    assert math.isclose(float(rows[0][1]), 0.875, abs_tol=1e-6)
-    assert math.isclose(float(rows[0][2]), 0.875, abs_tol=1e-6)
+    assert header == ["t", "density"]
+    assert float(rows[0][1]) == 0.875
 
 
-def test_closed_form_density_far_out_prints_zero_not_minus_zero(capsys):
-    # the tail is flat to rounding there, so each difference is zero
+def test_closed_form_density_from_zero(capsys):
+    assert main(["closed-form", "--component", "density", "--t-grid", "0,1e-300,0.5"]) == 0
+    assert capsys.readouterr().out == "t,density\n0,0.875\n1e-300,0.875\n0.5,0.875\n"
+
+
+def test_closed_form_density_far_out_is_not_negative(capsys):
     assert main(["closed-form", "--component", "density", "--t-grid", "1e12,1e20,1e308"]) == 0
-    assert capsys.readouterr().out == "t,density_left,density_right\n1e+12,0,0\n1e+20,0,0\n1e+308,0,0\n"
-    for t in (1e12, 1e20, 1e308):
-        assert math.copysign(1.0, closedform.w_density(t)) == 1.0
-        assert all(math.copysign(1.0, d) == 1.0 for d in closedform.w_density(t, one_sided=True))
+    _, *rows = capsys.readouterr().out.splitlines()
+    values = [row.split(",")[1] for row in rows]
+    assert not any(v.startswith("-") for v in values)
+    assert abs(1e36 * float(values[0]) - 7.0 / 3.0) < 1e-3
+    assert all(float(v) >= 0.0 for v in values)
 
 
-def test_closed_form_density_pair_straddling_kink(tmp_path):
-    out = tmp_path / "density.csv"
-    code = main([
-        "closed-form", "--component", "density",
-        "--t-grid", "0.8:1.2:0.1", "--out", str(out),
-    ])
-    assert code == 0
-    _, rows = read_csv(out)
-    at_kink = {float(r[0]): (float(r[1]), float(r[2])) for r in rows}[1.0]
-    # the density itself is continuous across the kink; the pair reports the
-    # two one-sided slopes, the left one exactly the linear piece's 7/8
-    assert math.isclose(at_kink[0], 0.875, abs_tol=1e-6)
-    assert math.isclose(at_kink[1], 0.875, abs_tol=1e-4)
+def test_closed_form_has_no_difference_step(capsys):
+    # the density is exact: --h is unknown, not a prefix of --help
+    with pytest.raises(SystemExit) as exc:
+        main(["closed-form", "--h", "1e-5", "--t-grid", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --h" in capsys.readouterr().err
 
 
 def test_closed_form_torsion_component(tmp_path):
@@ -473,7 +470,7 @@ RECORDED_DEFAULTS = {
     "mc-tail": {
         "engine": "formula", "samples": 100_000, "seed": 0, "workers": 1, "out": None, "format": "csv", "plot": False,
     },
-    "closed-form": {"component": "tail", "h": 1e-5, "out": None, "format": "csv", "plot": False},
+    "closed-form": {"component": "tail", "out": None, "format": "csv", "plot": False},
     "difftest": {
         "samples": 10_000, "seed": 0, "workers": 1, "mode": "affine", "v_domain": "fundamental", "out": None,
     },

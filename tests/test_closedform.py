@@ -22,7 +22,7 @@ from slitgaps.closedform import (
     w_tail_closed_form,
     w_tail_quadrature,
 )
-from slitgaps.errors import AmbiguityError, InvalidInputError, OutOfRegimeError
+from slitgaps.errors import InvalidInputError, OutOfRegimeError
 from slitgaps.measures import FORMULA, MeasureSpec, mc_tail
 
 
@@ -100,31 +100,55 @@ def test_density_at_half():
     assert math.isclose(normalized, 0.4079379471490745, rel_tol=1e-6)
 
 
-def test_density_pairs_at_kinks():
-    for bp in (1.0, 2.0, GOLDEN_T):
-        pair = w_density(bp)
-        assert isinstance(pair, tuple) and len(pair) == 2
-        left, right = pair
-        assert left > 0.0 and right > 0.0
-    # the linear piece ends at 1 with slope exactly -7/8 from the left
-    left, _ = w_density(1.0)
-    assert math.isclose(left, 7.0 / 8.0, rel_tol=1e-4)
+def test_density_is_seven_eighths_down_to_zero():
+    for t in (0.0, 1e-300, 1.0):
+        assert w_density(t) == 0.875
 
 
-def test_density_straddle_requires_flag():
-    with pytest.raises(AmbiguityError):
-        w_density(1.0 + 1e-7)
-    left, right = w_density(1.0 + 1e-7, one_sided=True)
-    assert left > 0.0 and right > 0.0
+def _richardson_density(t):
+    """-G'(t) of the quadrature tail: central differences at steps t/1000
+    and t/2000, extrapolated to step 0."""
+    h = 1e-3 * t
+
+    def central(step):
+        return (w_tail_quadrature(t - step) - w_tail_quadrature(t + step)) / (2.0 * step)
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+def test_density_matches_a_richardson_difference_of_the_tail():
+    # kept 0.2% away from the breakpoints, so no difference straddles one
+    bps = (1.0, 2.0, GOLDEN_T, 4.0)
+    grid = [t for t in np.geomspace(1.0, 1e3, 400)[1:] if all(abs(t - bp) > 2e-3 * bp for bp in bps)]
+    assert len(grid) >= 300
+    worst = max(abs(w_density(t) / _richardson_density(t) - 1.0) for t in grid)
+    assert worst < 1e-7
+
+
+@pytest.mark.parametrize("bp", [1.0, 2.0, GOLDEN_T, 4.0])
+def test_density_is_continuous_at_breakpoints(bp):
+    d = w_density(bp)
+    assert d > 0.0
+    for t in (bp - 1e-12, bp + 1e-12):
+        assert abs(w_density(t) - d) <= 1e-6 * d
 
 
 def test_density_integrates_to_total_mass():
-    grid = np.linspace(1e-3, 4.0, 4001)
-    vals = np.array([w_density(t, one_sided=True)[1] for t in grid])
-    integral = np.trapezoid(vals, grid)
-    integral += 7.0 / 8.0 * 1e-3          # linear head below the grid
-    integral += w_tail_closed_form(4.0)   # mass beyond the grid
-    assert abs(integral / W_TOTAL_MASS - 1.0) < 1e-4
+    inner, _ = scipy.integrate.quad(w_density, 1.0, 4.0, points=[2.0, GOLDEN_T], epsabs=1e-14, epsrel=1e-13)
+    mass = 7.0 / 8.0 + inner + w_tail_closed_form(4.0)
+    assert abs(mass - w_tail_closed_form(0.0)) < 1e-10
+
+
+@pytest.mark.parametrize("t", [1e4, 1e6, 1e8, 1e12])
+def test_density_decays_like_seven_thirds_over_t_cubed(t):
+    assert abs(t ** 3 * w_density(t) - 7.0 / 3.0) < 1e-3
+
+
+@pytest.mark.parametrize("t", [1e14, 1e20, 1e100, 1.7976931348623157e308])
+def test_density_far_out_is_a_non_negative_float(t):
+    d = w_density(t)
+    assert type(d) is float and math.isfinite(d) and d >= 0.0
+    assert math.copysign(1.0, d) == 1.0
 
 
 def test_envelope_cubic_roots():

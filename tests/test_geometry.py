@@ -17,6 +17,7 @@ from slitgaps.geometry import (
     Vec2,
     _box_rows,
     _dedup_batch,
+    _strip_rows,
     enumerate_strip,
     horocycle_apply,
     horocycle_matrix,
@@ -24,8 +25,8 @@ from slitgaps.geometry import (
     reduce_to_fundamental,
     renormalized_box_gaps,
     slopes_and_gaps,
-    strip_holonomy_batch,
 )
+from slitgaps.oracle import oracle_first_return_batch
 
 IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
 
@@ -103,7 +104,10 @@ def test_non_finite_slope_caps_are_rejected(cap, mode):
         enumerate_strip(surf, mode, cap)
     g, v = Mat2(np.ones(2), 0.0, 0.0, 1.0), Vec2(0.5, 0.0)
     with pytest.raises(InvalidInputError, match="slope cap"):
-        list(strip_holonomy_batch(g, v, mode, [2.0, cap]))
+        list(_strip_rows(g, v, mode, [2.0, cap]))
+    # the batch oracle never scans such a cap: it takes the hint as none
+    got = oracle_first_return_batch(g, v, mode, [2.0, cap])
+    assert np.array_equal(got, oracle_first_return_batch(g, v, mode))
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
@@ -131,7 +135,7 @@ def test_surface_check_fails_on_non_finite_or_non_unimodular(g, v):
     batch_g = Mat2(*(np.array([1.0, f]) for f in g))
     batch_v = Vec2(*(np.array([0.25, f]) for f in v))
     with pytest.raises(InvalidInputError):
-        list(strip_holonomy_batch(batch_g, batch_v, SurfaceMode.AFFINE_ONLY, 3.0))
+        oracle_first_return_batch(batch_g, batch_v, SurfaceMode.AFFINE_ONLY, 3.0)
 
 
 def test_slopes_and_gaps_basic():

@@ -16,11 +16,11 @@ from slitgaps.geometry import (
     Mat2,
     SurfaceMode,
     Vec2,
+    _dedup_batch,
     _strip_rows,
     enumerate_strip,
     horocycle_apply,
     slopes_and_gaps,
-    strip_holonomy_batch,
 )
 from slitgaps.measures import (
     ORACLE_AFFINE,
@@ -348,9 +348,10 @@ def _oracle_of(kind, g, v, hints):
 
 def _sorted_first_return(g, v, mode, hints):
     """An independent reference for the first return: the per-surface
-    minimum of y/x over the sorted, deduplicated ``strip_holonomy_batch``
-    rows, with caps that start at twice the hint (not at the oracle's
-    first cap) and double while a surface's window is empty."""
+    minimum of y/x over the ``_strip_rows`` chunks, each sorted and
+    deduplicated by ``_dedup_batch``, with caps that start at twice the hint
+    (not at the oracle's first cap) and double while a surface's window is
+    empty."""
     *fields, hints = np.broadcast_arrays(*g, *v, np.asarray(hints, dtype=float))
     cap = np.where(np.isfinite(hints) & (hints > 0), 2.0 * hints, DEFAULT_CAP)
     out = np.full(len(hints), np.inf)
@@ -359,7 +360,8 @@ def _sorted_first_return(g, v, mode, hints):
         assert cap[todo].max() <= CAP_LIMIT
         found = np.full(len(todo), np.inf)
         sub = [f[todo] for f in fields]
-        for s, xy in strip_holonomy_batch(Mat2(*sub[:4]), Vec2(*sub[4:]), mode, cap[todo]):
+        for rows in _strip_rows(Mat2(*sub[:4]), Vec2(*sub[4:]), mode, cap[todo]):
+            s, xy = _dedup_batch(*rows)
             np.minimum.at(found, s, xy[:, 1] / xy[:, 0])
         out[todo] = found
         todo = todo[np.isinf(found)]
@@ -484,7 +486,7 @@ def test_batch_does_not_depend_on_chunking(monkeypatch):
         strips = [
             [(int(s), tuple(xy)) for s, xy in zip(*chunk)]
             for mode in MODES
-            for chunk in strip_holonomy_batch(g, v, mode, caps)
+            for chunk in (_dedup_batch(*rows) for rows in _strip_rows(g, v, mode, caps))
         ]
         returns = [_oracle_of(kind, g, v, hints).tolist() for kind in ("slit-cover", "doubled")]
         return [row for chunk in strips for row in chunk], returns, len(strips)
@@ -559,20 +561,6 @@ def test_zero_coset_lattice_minimum_equals_the_doubled_one(region):
     assert np.array_equal(_oracle_column(region, cols, SurfaceMode.AFFINE_ONLY, hints), want)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_strip_holonomy_batch_matches_enumerate_strip(mode):
-    cols, g, v, _ = _region_batch("OmegaR", 100, seed=73)
-    surfaces = [omega_to_surface(OmegaCoords(*row[1:])) for row in zip(*(c.tolist() for c in cols))]
-    caps = np.linspace(0.5, 12.0, len(surfaces))
-    got = {i: [] for i in range(len(surfaces))}
-    for s, xy in strip_holonomy_batch(g, v, mode, caps):
-        for i, row in zip(s.tolist(), xy.tolist()):
-            got[i].append(tuple(row))
-    for i, surf in enumerate(surfaces):
-        want = sorted(map(tuple, enumerate_strip(surf, mode, float(caps[i])).tolist()))
-        assert got[i] == want
-
-
 def test_batch_empty_input():
     empty = np.empty(0)
     g, v = Mat2(empty, empty, empty, empty), Vec2(empty, empty)
@@ -580,7 +568,7 @@ def test_batch_empty_input():
         assert oracle_first_return_batch(g, v, mode).shape == (0,)
         got = oracle_first_return_batch(g, v, mode, empty)
         assert got.shape == (0,) and np.array_equal(got, _sorted_first_return(g, v, mode, empty))
-        assert list(strip_holonomy_batch(g, v, mode, empty)) == []
+        assert list(_strip_rows(g, v, mode, empty)) == []
     assert oracle_first_return_batch(g, v, SurfaceMode.AFFINE_ONLY, empty, lattice=True).shape == (0,)
 
 
